@@ -10,11 +10,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+import scipy.linalg
 
 from .bath import BathSpec
 from .errors import (
     DimensionMismatch,
     NotSimultaneouslyDiagonalizable,
+    QregError,
+    TooLarge,
     TooSmall,
     UnstableStep,
 )
@@ -92,6 +95,30 @@ def _spectral_scale(liouv: Liouvillian) -> float:
     return liouv.lindblad.max_rate() + h_norm
 
 
+def snapshot_grid(
+    t_end: float, dt: float, stride: int = DEFAULT_STRIDE
+) -> tuple[float, np.ndarray]:
+    """Step size h and the indices of the steps kept as snapshots.
+
+    t_end is split into round(t_end / dt) equal steps (at least one when
+    t_end > 0); step 0, every stride-th step and the final step are kept.
+    """
+    if not dt > 0:
+        raise TooSmall(f"dt must be positive, got {dt}")
+    if not t_end >= 0:
+        raise TooSmall(f"t_end must be nonnegative, got {t_end}")
+    if not (np.isfinite(dt) and np.isfinite(t_end / dt)):
+        raise TooLarge(f"dt and t_end / dt must be finite, got {dt}, {t_end}")
+    if stride < 1:
+        raise TooSmall(f"stride must be >= 1, got {stride}")
+    n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
+    h = t_end / n_steps if n_steps else 0.0
+    steps = np.arange(0, n_steps + 1, stride)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return h, steps
+
+
 def integrate(
     liouv: Liouvillian,
     rho0: np.ndarray,
@@ -99,23 +126,15 @@ def integrate(
     dt: float,
     stride: int = DEFAULT_STRIDE,
 ) -> Trajectory:
-    """Evolve rho0 with classical fixed-step RK4 and record snapshots.
+    """Evolve rho0 with classical fixed-step RK4 and record snapshots on
+    the snapshot_grid schedule.
 
-    Snapshots always include t = 0 and t = t_end.  After each step the
-    state is re-Hermitized and trace-renormalized; a trace drift beyond
-    TRACE_TOL before renormalization raises UnstableStep.
+    After each step the state is re-Hermitized and trace-renormalized; a
+    trace drift beyond TRACE_TOL before renormalization raises UnstableStep.
     """
-    if dt <= 0:
-        raise TooSmall(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise TooSmall(f"t_end must be nonnegative, got {t_end}")
-    if stride < 1:
-        raise TooSmall(f"stride must be >= 1, got {stride}")
+    h, steps = snapshot_grid(t_end, dt, stride)
     rho = _as_density(rho0, liouv.dim)
-    n_steps = max(int(round(t_end / dt)), 0) if t_end > 0 else 0
-    if t_end > 0 and n_steps == 0:
-        n_steps = 1
-    h = t_end / n_steps if n_steps else 0.0
+    n_steps = int(steps[-1])
     scale = _spectral_scale(liouv)
     if n_steps and h * scale > STABILITY_BUDGET:
         warnings.warn(
@@ -124,8 +143,9 @@ def integrate(
             RuntimeWarning,
             stacklevel=2,
         )
-    times = [0.0]
-    states = [rho.copy()]
+    states = np.empty((steps.shape[0],) + rho.shape, dtype=complex)
+    states[0] = rho
+    kept = 1
     f = liouv.apply
     max_drift = 0.0
     for k in range(1, n_steps + 1):
@@ -144,12 +164,12 @@ def integrate(
         max_drift = max(max_drift, drift)
         rho = 0.5 * (rho + dag(rho))
         rho = rho / tr.real
-        if k % stride == 0 or k == n_steps:
-            times.append(k * h)
-            states.append(rho.copy())
+        if k == steps[kept]:
+            states[kept] = rho
+            kept += 1
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=steps * h,
+        states=states,
         metadata={
             "method": "rk4",
             "dt": h,
@@ -158,6 +178,51 @@ def integrate(
             "error_estimate": max_drift,
         },
     )
+
+
+def evolve(
+    liouv: Liouvillian,
+    rho0s,
+    t_end: float,
+    dt: float,
+    stride: int = DEFAULT_STRIDE,
+    method: str = "rk4",
+    *,
+    model: RegisterModel | None = None,
+    spec: BathSpec | None = None,
+) -> list[Trajectory]:
+    """Evolve each initial state (vector or density matrix) on the one
+    snapshot_grid schedule; returns one Trajectory per state.
+
+    ``rk4`` integrates each state.  ``exact`` advances all states at once,
+    stacked as the columns of a D^2 x S matrix, with one propagator per
+    snapshot interval (dense superoperator, D <= 64).  ``dephasing`` is the
+    closed form and needs the ``model`` and ``spec`` behind ``liouv``.
+    """
+    if method == "rk4":
+        return [integrate(liouv, r, t_end, dt, stride) for r in rho0s]
+    h, steps = snapshot_grid(t_end, dt, stride)
+    times = steps * h
+    if method == "dephasing":
+        if model is None or spec is None:
+            raise QregError("the dephasing method needs model and spec")
+        return [dephasing_solve(model, spec, r, times) for r in rho0s]
+    if method != "exact":
+        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    d = liouv.dim
+    m = superoperator_matrix(liouv)
+    cols = np.stack([vec(_as_density(r, d)) for r in rho0s], axis=1)
+    snaps = np.empty((steps.shape[0],) + cols.shape, dtype=complex)
+    snaps[0] = cols
+    propagators: dict[int, np.ndarray] = {}
+    for k, dk in enumerate(np.diff(steps).tolist(), start=1):
+        if dk not in propagators:
+            propagators[dk] = scipy.linalg.expm(m * (dk * h))
+        snaps[k] = propagators[dk] @ snaps[k - 1]
+    # Column-stacked vec: entry j*d + i of a column is rho[i, j].
+    states = snaps.reshape(steps.shape[0], d, d, -1).transpose(3, 0, 2, 1)
+    meta = {"method": "exact", "dt": h, "n_steps": int(steps[-1])}
+    return [Trajectory(times=times, states=s, metadata=meta) for s in states]
 
 
 def propagate_exact(liouv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:

@@ -14,8 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,10 +31,9 @@ from .bath import (
     replica_symmetric,
 )
 from .codes import dephasing_cluster_code, is_noiseless, n4_code, null_code
-from .dynamics import dephasing_solve, integrate
+from .dynamics import evolve
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
-from .linalg import expm_action, unvec, vec
-from .liouvillian import build_liouvillian, canonical_form, superoperator_matrix
+from .liouvillian import build_liouvillian, canonical_form
 from .observables import (
     fidelity,
     linear_entropy,
@@ -301,11 +299,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("solver", "must be a mapping")
     _reject_unknown(solver_raw, {"dt", "t_end", "stride", "method"}, "solver")
     dt = _as_float(solver_raw.get("dt", 0.01), "solver.dt")
-    if dt <= 0:
-        raise ConfigError("solver.dt", "step size must be positive")
+    if not 0 < dt < np.inf:
+        raise ConfigError("solver.dt", "step size must be positive and finite")
     t_end = _as_float(solver_raw.get("t_end", 10.0), "solver.t_end")
-    if t_end < 0:
-        raise ConfigError("solver.t_end", "end time must be nonnegative")
+    if not 0 <= t_end < np.inf:
+        raise ConfigError("solver.t_end", "end time must be nonnegative and finite")
     stride = _as_int(solver_raw.get("stride", 10), "solver.stride")
     if stride < 1:
         raise ConfigError("solver.stride", "stride must be >= 1")
@@ -384,7 +382,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("output.name", "must be a nonempty string")
     output = {"directory": directory, "formats": list(formats), "name": name}
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=experiment,
         register=register,
         bath=bath,
@@ -397,6 +395,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         codes=codes_cfg,
         output=output,
     )
+    # Every sweep point must make a valid bath, not only the base values.
+    for overrides in _sweep_overrides(cfg):
+        try:
+            build_bath(cfg, overrides)
+        except QregError as exc:
+            raise ConfigError("sweep.values", f"{overrides}: {exc}") from exc
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -444,18 +449,16 @@ def build_register(cfg: ExperimentConfig) -> RegisterModel:
     if inter["kind"] == "heisenberg_ring":
         interaction = heisenberg_ring(n, inter["j"])
     if reg["kind"] == "dephasing":
-        model = dephasing_register(n)
-        if interaction is not None:
-            model = RegisterModel(
-                n_cells=model.n_cells,
-                cell_dim=model.cell_dim,
-                cell_op=model.cell_op,
-                cell_hamiltonian=model.cell_hamiltonian,
-                epsilon=model.epsilon,
-                interaction=interaction,
-            )
-        return model
+        return replace(dephasing_register(n), interaction=interaction)
     return qubit_register(n, epsilon=reg["epsilon"], interaction=interaction)
+
+
+def _sweep_overrides(cfg: ExperimentConfig) -> list[dict]:
+    """Bath overrides of each sweep point, in order (empty without a sweep)."""
+    if cfg.sweep is None:
+        return []
+    leaf = cfg.sweep["parameter"].split(".", 1)[1]
+    return [{leaf: v} for v in cfg.sweep["values"]]
 
 
 def build_bath(cfg: ExperimentConfig, overrides: dict | None = None) -> BathSpec:
@@ -575,52 +578,6 @@ def _provenance(cfg: ExperimentConfig, solver_meta: dict | None = None) -> dict:
     }
 
 
-def _snapshot_grid(solver: dict) -> np.ndarray:
-    """Time grid matching integrate()'s snapshot schedule."""
-    t_end, dt, stride = solver["t_end"], solver["dt"], solver["stride"]
-    if t_end == 0:
-        return np.array([0.0])
-    n_steps = max(int(round(t_end / dt)), 1)
-    h = t_end / n_steps
-    ticks = [0.0]
-    for k in range(1, n_steps + 1):
-        if k % stride == 0 or k == n_steps:
-            ticks.append(k * h)
-    return np.asarray(ticks)
-
-
-def _evolve_series(
-    model: RegisterModel,
-    bath: BathSpec,
-    psi0: np.ndarray,
-    solver: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (times, F, delta, E) for one state under one bath."""
-    liouv = build_liouvillian(model, bath)
-    method = solver["method"]
-    if method == "rk4":
-        traj = integrate(
-            liouv, psi0, solver["t_end"], solver["dt"], stride=solver["stride"]
-        )
-        times, states = traj.times, traj.states
-    elif method == "dephasing":
-        times = _snapshot_grid(solver)
-        traj = dephasing_solve(model, bath, psi0, times)
-        states = traj.states
-    else:  # exact
-        times = _snapshot_grid(solver)
-        m = superoperator_matrix(liouv)
-        rho0 = np.outer(psi0, psi0.conj())
-        v0 = vec(rho0)
-        states = np.stack(
-            [unvec(expm_action(m, float(t), v0), liouv.dim) for t in times]
-        )
-    f = np.array([fidelity(s, psi0) for s in states])
-    delta = np.array([linear_entropy(s) for s in states])
-    energy = np.array([register_energy(s, liouv.hamiltonian) for s in states])
-    return np.asarray(times), f, delta, energy
-
-
 def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     """Trajectory observables; columns t, then F/delta/E per state (and per
     sweep value when a sweep is present, sweep-major)."""
@@ -629,44 +586,29 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
         (_state_column_name(s, i), build_state(s, model))
         for i, s in enumerate(cfg.initial_states)
     ]
-    if cfg.sweep is not None:
-        leaf = cfg.sweep["parameter"].split(".", 1)[1]
-        points = [(v, {leaf: v}) for v in cfg.sweep["values"]]
-    else:
-        points = [(None, None)]
-
-    def run_point(point):
-        _, overrides = point
+    psis = [psi for _, psi in named]
+    solver = cfg.solver
+    columns, data = ["t"], []
+    for overrides in _sweep_overrides(cfg) or [None]:
+        suffix = "".join(f"_{k}{v:g}" for k, v in (overrides or {}).items())
         bath = build_bath(cfg, overrides)
-        out = []
-        for _, psi in named:
-            out.append(_evolve_series(model, bath, psi, cfg.solver))
-        return out
-
-    if len(points) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(points[0])]
-
-    times = results[0][0][0]
-    columns = ["t"]
-    data = [times]
-    leaf_name = cfg.sweep["parameter"].split(".", 1)[1] if cfg.sweep else ""
-    for (value, _), series in zip(points, results):
-        suffix = "" if value is None else f"_{leaf_name}{format(value, 'g')}"
-        for (name, _), (t_k, f_k, d_k, e_k) in zip(named, series):
-            if t_k.shape != times.shape or not np.allclose(t_k, times):
-                raise QregError("inconsistent time grids across runs")
+        liouv = build_liouvillian(model, bath)
+        # The solver section's keys are evolve's keyword arguments.
+        trajs = evolve(liouv, psis, **solver, model=model, spec=bath)
+        for (name, psi), traj in zip(named, trajs):
             state_tag = f"_{name}" if (len(named) > 1 or suffix) else ""
             columns += [
                 f"F{state_tag}{suffix}",
                 f"delta{state_tag}{suffix}",
                 f"E{state_tag}{suffix}",
             ]
-            data += [f_k, d_k, e_k]
-    values = np.column_stack(data)
-    meta = {"method": cfg.solver["method"], "dt": cfg.solver["dt"], "stride": cfg.solver["stride"]}
+            data += [
+                [fidelity(s, psi) for s in traj.states],
+                [linear_entropy(s) for s in traj.states],
+                [register_energy(s, liouv.hamiltonian) for s in traj.states],
+            ]
+    values = np.column_stack([trajs[0].times] + data)
+    meta = {"method": solver["method"], "dt": solver["dt"], "stride": solver["stride"]}
     return ResultTable(
         columns=tuple(columns), values=values, provenance=_provenance(cfg, meta)
     )
@@ -684,21 +626,16 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
         for i, s in enumerate(cfg.initial_states)
     ]
     leaf = cfg.sweep["parameter"].split(".", 1)[1]
-    values = cfg.sweep["values"]
-
-    def run_point(v):
-        bath = build_bath(cfg, {leaf: v})
-        lset = canonical_form(model, bath)
-        return [pure_decoherence_rate(lset, psi) for _, psi in named]
-
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        rates = list(pool.map(run_point, values))
-
+    rows = []
+    for overrides in _sweep_overrides(cfg):
+        lset = canonical_form(model, build_bath(cfg, overrides))
+        rows.append(
+            [overrides[leaf]] + [pure_decoherence_rate(lset, psi) for _, psi in named]
+        )
     columns = [leaf] + [f"rate_{name}" for name, _ in named]
-    rows = np.array([[v] + list(r) for v, r in zip(values, rates)], dtype=float)
     return ResultTable(
         columns=tuple(columns),
-        values=rows,
+        values=np.array(rows, dtype=float),
         provenance=_provenance(cfg, {"observable": "pure_decoherence_rate"}),
     )
 

@@ -204,11 +204,6 @@ class Liouvillian:
         )
 
 
-def apply(liouv: Liouvillian, rho: np.ndarray) -> np.ndarray:
-    """Functional alias for :meth:`Liouvillian.apply`."""
-    return liouv.apply(rho)
-
-
 def build_liouvillian(
     model: RegisterModel, spec: BathSpec, include_lamb_shift: bool = True
 ) -> Liouvillian:

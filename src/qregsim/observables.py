@@ -53,7 +53,8 @@ def fidelity(rho: np.ndarray, psi0: np.ndarray) -> float:
             f"state {rho.shape} does not match vector of length {psi.shape[0]}"
         )
     val = complex(psi.conj() @ rho @ psi)
-    assert abs(val.imag) <= 1e-10, f"fidelity has imaginary part {val.imag:.3e}"
+    if abs(val.imag) > 1e-10:
+        raise NotHermitian(f"fidelity has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 

@@ -12,6 +12,7 @@ from qregsim.dynamics import (
     Trajectory,
     check_state,
     dephasing_solve,
+    evolve,
     integrate,
     propagate_exact,
     state_defect_report,
@@ -19,6 +20,7 @@ from qregsim.dynamics import (
 from qregsim.errors import (
     DimensionMismatch,
     NotSimultaneouslyDiagonalizable,
+    QregError,
     TooLarge,
     TooSmall,
     UnstableStep,
@@ -201,6 +203,39 @@ def test_unstable_step_raises():
 
 # ---------------------------------------------------------------------------
 # Exact propagation
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact", "dephasing"])
+def test_evolve_methods_share_integrate_grid(method):
+    # 23 steps with stride 7: snapshots at 0, 7, 14, 21 and the remainder 23.
+    model = dephasing_register(2)
+    spec = exponential_decay(2, 0.3, 0.1, xi=2.0)
+    liouv = build_liouvillian(model, spec)
+    rng = rng_for("evolve-grid")
+    rho0s = [random_pure_state(rng, 4), random_density_matrix(rng, 4)]
+    trajs = evolve(
+        liouv, rho0s, 2.3, 0.1, stride=7, method=method, model=model, spec=spec
+    )
+    assert len(trajs) == len(rho0s)
+    for rho0, traj in zip(rho0s, trajs):
+        ref = integrate(liouv, rho0, 2.3, 0.1, stride=7)
+        assert np.array_equal(traj.times, ref.times)
+        if method == "rk4":
+            assert np.array_equal(traj.states, ref.states)
+            continue
+        for t, state in zip(traj.times, traj.states):
+            assert np.max(np.abs(state - propagate_exact(liouv, rho0, t))) < 1e-10
+
+
+def test_evolve_argument_guards():
+    liouv = _unitary_liouvillian(1)
+    psi = basis_state(1, "0")
+    with pytest.raises(QregError, match="model and spec"):
+        evolve(liouv, [psi], 1.0, 0.1, method="dephasing")
+    with pytest.raises(QregError, match="unknown method"):
+        evolve(liouv, [psi], 1.0, 0.1, method="euler")
+    with pytest.raises(TooSmall):
+        evolve(liouv, [psi], 1.0, 0.0, method="exact")
 
 
 def test_propagate_exact_zero_time():

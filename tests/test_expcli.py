@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from qregsim.errors import ConfigError, DimensionMismatch
+from qregsim.dynamics import snapshot_grid
+from qregsim.errors import ConfigError, DimensionMismatch, QregError
 from qregsim.expcli import (
     PRESETS,
     ResultTable,
@@ -357,6 +358,35 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "positive semidefinite" in err
+
+
+@pytest.mark.parametrize(
+    "parameter, value",
+    [("bath.gamma_plus", 0.2), ("bath.gamma_minus", -1.0)],
+)
+def test_cli_invalid_sweep_point_is_config_error(tmp_path, capsys, parameter, value):
+    raw = simulate_config(sweep={"parameter": parameter, "values": [value]})
+    cfg_path = _write_yaml(tmp_path / "bad_sweep.yaml", raw)
+    assert main(["simulate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep.values")
+
+
+@pytest.mark.parametrize("key", ["dt", "t_end"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_solver_values_are_rejected(tmp_path, capsys, key, value):
+    raw = simulate_config()
+    raw["solver"][key] = float(value)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert info.value.field == f"solver.{key}"
+    cfg_path = _write_yaml(tmp_path / "case.yaml", simulate_config())
+    flag = "--" + key.replace("_", "-")
+    assert main(["simulate", "--config", cfg_path, flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: solver.{key}")
+    grid = {"t_end": 1.0, "dt": 0.1, key: float(value)}
+    with pytest.raises(QregError):
+        snapshot_grid(grid["t_end"], grid["dt"], 1)
 
 
 def test_cli_wrong_subcommand_for_config(tmp_path, capsys):

@@ -1,11 +1,17 @@
 """Fidelity, linear entropy, decoherence-time hierarchy, and energy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_bath, random_density_matrix, random_pure_state, rng_for
 
+import qregsim
 from qregsim.bath import cell_limit, exponential_decay, replica_symmetric
 from qregsim.dynamics import dephasing_solve, integrate, propagate_exact
 from qregsim.errors import DimensionMismatch, NotHermitian, TooLarge
@@ -71,8 +77,32 @@ def test_fidelity_rejects_mismatched_shapes():
 def test_fidelity_asserts_real_value():
     rho = np.array([[0.5, 0.3j], [0.0, 0.5]], dtype=complex)
     psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotHermitian):
         fidelity(rho, psi)
+
+
+def test_fidelity_check_survives_optimize_flag():
+    # Under python -O assert statements are skipped; the check must not be one.
+    script = (
+        "import sys, numpy as np\n"
+        "from qregsim.errors import NotHermitian\n"
+        "from qregsim.observables import fidelity\n"
+        "rho = np.array([[0, 1j], [0, 0]], dtype=complex)\n"
+        "try:\n"
+        "    fidelity(rho, np.array([1.0, 1.0]) / np.sqrt(2.0))\n"
+        "except NotHermitian:\n"
+        "    print(sys.flags.optimize, 'raised')\n"
+    )
+    src = str(Path(qregsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "raised"]
 
 
 # ---------------------------------------------------------------------------
