@@ -39,6 +39,8 @@ TRACE_TOL = 1e-6
 STABILITY_BUDGET = 0.1
 # Default snapshot stride: keep every tenth accepted step.
 DEFAULT_STRIDE = 10
+# Most steps one schedule may hold; snapshot_grid raises TooLarge beyond it.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,19 +91,12 @@ def _as_density(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _spectral_scale(liouv: Liouvillian) -> float:
-    """Cheap stiffness estimate: max rate plus Hamiltonian spectral radius."""
-    h_norm = float(np.linalg.norm(liouv.hamiltonian, 2))
-    return liouv.lindblad.max_rate() + h_norm
+def step_count(t_end: float, dt: float) -> int:
+    """Number of equal steps snapshot_grid splits t_end into:
+    round(t_end / dt), at least one when t_end > 0.
 
-
-def snapshot_grid(
-    t_end: float, dt: float, stride: int = DEFAULT_STRIDE
-) -> tuple[float, np.ndarray]:
-    """Step size h and the indices of the steps kept as snapshots.
-
-    t_end is split into round(t_end / dt) equal steps (at least one when
-    t_end > 0); step 0, every stride-th step and the final step are kept.
+    Raises TooSmall/TooLarge for a nonpositive dt, a negative t_end, a
+    non-finite ratio, or more than MAX_STEPS steps.
     """
     if not dt > 0:
         raise TooSmall(f"dt must be positive, got {dt}")
@@ -109,9 +104,25 @@ def snapshot_grid(
         raise TooSmall(f"t_end must be nonnegative, got {t_end}")
     if not (np.isfinite(dt) and np.isfinite(t_end / dt)):
         raise TooLarge(f"dt and t_end / dt must be finite, got {dt}, {t_end}")
+    n_steps = round(t_end / dt)
+    if n_steps > MAX_STEPS:
+        raise TooLarge(
+            f"t_end / dt = {t_end / dt:.3g} steps, more than the {MAX_STEPS} allowed"
+        )
+    return max(n_steps, 1) if t_end > 0 else 0
+
+
+def snapshot_grid(
+    t_end: float, dt: float, stride: int = DEFAULT_STRIDE
+) -> tuple[float, np.ndarray]:
+    """Step size h and the indices of the steps kept as snapshots.
+
+    t_end is split into step_count(t_end, dt) equal steps; step 0, every
+    stride-th step and the final step are kept.
+    """
+    n_steps = step_count(t_end, dt)
     if stride < 1:
         raise TooSmall(f"stride must be >= 1, got {stride}")
-    n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
     steps = np.arange(0, n_steps + 1, stride)
     if steps[-1] != n_steps:
@@ -135,7 +146,7 @@ def integrate(
     h, steps = snapshot_grid(t_end, dt, stride)
     rho = _as_density(rho0, liouv.dim)
     n_steps = int(steps[-1])
-    scale = _spectral_scale(liouv)
+    scale = liouv.stability_scale
     if n_steps and h * scale > STABILITY_BUDGET:
         warnings.warn(
             f"dt * spectral scale = {h * scale:.3g} exceeds "

@@ -31,7 +31,7 @@ from .bath import (
     replica_symmetric,
 )
 from .codes import dephasing_cluster_code, is_noiseless, n4_code, null_code
-from .dynamics import evolve
+from .dynamics import evolve, step_count
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import build_liouvillian, canonical_form
 from .observables import (
@@ -304,6 +304,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     t_end = _as_float(solver_raw.get("t_end", 10.0), "solver.t_end")
     if not 0 <= t_end < np.inf:
         raise ConfigError("solver.t_end", "end time must be nonnegative and finite")
+    try:
+        step_count(t_end, dt)
+    except QregError as exc:
+        raise ConfigError("solver.t_end", str(exc)) from exc
     stride = _as_int(solver_raw.get("stride", 10), "solver.stride")
     if stride < 1:
         raise ConfigError("solver.stride", "stride must be >= 1")

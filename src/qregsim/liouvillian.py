@@ -5,8 +5,29 @@ The generator acts as
     L(rho) = i[rho, H'] + sum_k lambda_k (L_k rho L_k^+ - {L_k^+ L_k, rho}/2)
 
 with H' the renormalized register Hamiltonian.  The Lindblad operators are
-collective combinations of the cell operators weighted by eigenvectors of
-the bath coefficient matrices.
+collective combinations L_k = sum_i u_i A_i of the cell operators, weighted
+by eigenvectors u of the bath coefficient matrices.
+
+``Liouvillian.apply`` evaluates L(rho) on one of two paths:
+
+* dense: the K Lindblad operators are stored as D x D matrices and each call
+  does 2K + 2 dense products, O(K D^3) time; the stored operators take
+  2K D^2 complex entries (32 MiB at N = 8, 640 MiB at N = 10 for K = 2N).
+* structured (Gamma form): for a generator from ``canonical_form`` with
+  D >= STRUCTURED_MIN_DIM the dissipator is applied pairwise, per sector,
+
+      sum_ij G_ij (A_i rho A_j^+ - {A_j^+ A_i, rho}/2),
+      G = sum_k lambda_k u_k u_k^+ over the kept terms,
+
+  with each A_i acting on one tensor digit of rho as strided slice copies
+  and G contracted in one (N x N)(N x D^2) product: O(N^2 D^2) time, no
+  stored D x D operators, and two N x D^2 buffers per call (16 MiB at
+  N = 8, 320 MiB at N = 10).  Diagonal cell operators (sigma_z dephasing)
+  reduce the whole dissipator to one precomputed elementwise multiplier.
+  Below the crossover the dense products are faster, so small registers
+  keep the dense path.
+
+Both paths hold the same terms, so cutoff, clamping and rates agree.
 """
 
 from __future__ import annotations
@@ -33,6 +54,14 @@ RATE_CUTOFF = 1e-12
 PSD_CLAMP = 1e-10
 # Largest register dimension for which the dense superoperator is built.
 SUPEROP_MAX_DIM = 64
+# Smallest register dimension applied in the structured Gamma form.  On a
+# 2-core host with 2 BLAS threads one qubit apply takes, dense vs structured:
+# N = 5 (D = 32) 0.2 vs 0.45 ms, N = 6 (D = 64) 1.5 vs 0.8 ms.
+STRUCTURED_MIN_DIM = 64
+# build_liouvillian raises TooLarge when generator_bytes exceeds this.  At
+# finite temperature N = 10 qubits need about 1.1 GB and N = 11 about 4.7 GB;
+# the estimate is 1.0-1.4 times the tracemalloc peak measured at N = 4-9.
+GENERATOR_MAX_BYTES = 2 * 2**30
 
 SECTOR_MINUS = -1
 SECTOR_PLUS = +1
@@ -40,11 +69,15 @@ SECTOR_PLUS = +1
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """One canonical dissipator: rate, operator, and sector (-1 or +1)."""
+    """One canonical dissipator: rate, operator, and sector (-1 or +1).
+
+    ``weights`` is the u with op = sum_i u_i A_i^sector, when known.
+    """
 
     rate: float
     op: np.ndarray
     sector: int
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.rate < 0:
@@ -59,9 +92,15 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class LindbladSet:
-    """Canonical Lindblad terms from diagonalizing the bath matrices."""
+    """Canonical Lindblad terms from diagonalizing the bath matrices.
+
+    ``model`` is the register whose cell operators the terms combine; when
+    it is set and every term carries its weights, the set can be applied
+    in the structured Gamma form.
+    """
 
     terms: tuple[LindbladTerm, ...]
+    model: RegisterModel | None = field(default=None, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.terms)
@@ -116,10 +155,10 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
                 continue
             if ops is None:
                 ops = _cell_ops(model, sector)
-            u = v[:, mu]
+            u = v[:, mu].copy()
             op = sum(u[i] * ops[i] for i in range(model.n_cells))
-            terms.append(LindbladTerm(rate=lam, op=op, sector=sector))
-    return LindbladSet(terms=tuple(terms))
+            terms.append(LindbladTerm(rate=lam, op=op, sector=sector, weights=u))
+    return LindbladSet(terms=tuple(terms), model=model)
 
 
 def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
@@ -146,17 +185,181 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
     return out
 
 
+def _dense_parts(h: np.ndarray, lindblad: LindbladSet):
+    """Drift B = iH + sum_k lambda_k L_k^+ L_k / 2 and the sqrt(rate)-scaled
+    Lindblad operators."""
+    gsum = np.zeros_like(h)
+    ops = []
+    for t in lindblad:
+        scaled = np.sqrt(t.rate) * t.op
+        ops.append(scaled)
+        gsum += dag(scaled) @ scaled
+    return 1j * h + 0.5 * gsum, ops
+
+
+class _DenseForm:
+    """Dense generator: L(rho) = -B rho - rho B^+ + sum_k L_k rho L_k^+ with
+    the sqrt(rate)-scaled operators stacked."""
+
+    def __init__(self, h: np.ndarray, lindblad: LindbladSet):
+        self.drift, ops = _dense_parts(h, lindblad)
+        d = h.shape[0]
+        self.jump = np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
+        self.jump_dag = self.jump.conj().transpose(0, 2, 1)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        out = -(self.drift @ rho) - rho @ dag(self.drift)
+        if len(self.jump):
+            sandwich = self.jump @ rho @ self.jump_dag
+            out = out + sandwich.sum(axis=0)
+        return out
+
+
+def _left_moves(a: np.ndarray):
+    """Nonzero entries of a cell operator as digit moves (to, from, c) of
+    its left action: (a @ M) gets c * M[digit q] in digit p for a[p, q] = c."""
+    p, q = np.nonzero(a)
+    return [(int(i), int(j), complex(a[i, j])) for i, j in zip(p, q)]
+
+
+def _digit_op(dst, src, moves, split, assign: bool) -> None:
+    """dst (+)= a cell operator acting on one tensor digit of src.
+
+    ``split`` views a D x D matrix as (outer, d, inner) with the digit in the
+    middle; each move (to, from, c) adds c * src[:, from] to dst[:, to].  With
+    ``assign`` dst is overwritten instead, digit slices no move reaches set
+    to zero.  Coefficients equal to 1 (sigma+-) are plain slice copies.
+    """
+    dv, sv = dst.reshape(split), src.reshape(split)
+    written = set()
+    for to, frm, c in moves:
+        target, source = dv[:, to], sv[:, frm]
+        if assign and to not in written:
+            if c == 1:
+                np.copyto(target, source)
+            else:
+                np.multiply(source, c, out=target)
+            written.add(to)
+        elif c == 1:
+            target += source
+        else:
+            target += c * source
+    if assign:
+        for k in range(split[1]):
+            if k not in written:
+                dv[:, k] = 0
+
+
+def _contract(g: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = g @ x for N x D^2 complex x; a real g multiplies the
+    interleaved (re, im) view in one real product, a third faster."""
+    if g.dtype == complex:
+        np.matmul(g, x, out=out)
+    else:
+        np.matmul(g, x.view(float), out=out.view(float))
+
+
+class _GammaForm:
+    """Structured generator for a canonical Lindblad set: the Hamiltonian
+    term plus, per sector, sum_ij G_ij (A_i rho A_j^+ - {A_j^+ A_i, rho}/2)
+    with A the sector's cell operator (A, or A^+ for the plus sector) and
+    G = sum_k lambda_k u_k u_k^+ over the sector's terms.
+
+    Row-digit slices are long contiguous runs while column-digit slices of
+    the last cells are short, so everything but the sandwich runs on rows:
+    the right half of the anticommutator is built transposed, from rho^T.
+    """
+
+    def __init__(self, model: RegisterModel, lindblad: LindbladSet, h, h_diag):
+        n, d, dim = model.n_cells, model.cell_dim, model.dim
+        self.n, self.dim = n, dim
+        self.rows = [(d**i, d, d ** (n - 1 - i) * dim) for i in range(n)]
+        self.cols = [(dim * d**i, d, d ** (n - 1 - i)) for i in range(n)]
+        # Terms applied as one elementwise multiplier: -i[H, rho] when H is
+        # diagonal, otherwise the dense commutator with self.h.
+        if h_diag is not None:
+            self.multiplier, self.h = -1j * (h_diag[:, None] - h_diag[None, :]), None
+        else:
+            self.multiplier, self.h = np.zeros((dim, dim), dtype=complex), h
+        sectors = []
+        for sector in (SECTOR_MINUS, SECTOR_PLUS):
+            terms = [t for t in lindblad if t.sector == sector]
+            if terms:
+                a = model.cell_op if sector == SECTOR_MINUS else dag(model.cell_op)
+                g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
+                sectors.append((a, g.real if not np.any(g.imag) else g))
+        cell = model.cell_op
+        self.sectors = []
+        if np.count_nonzero(cell) == np.count_nonzero(np.diagonal(cell)):
+            # Diagonal cell operators (sigma_z dephasing) make every term
+            # elementwise: C_ab = S_ab - (S_aa + S_bb)/2 with S = beta G beta^+,
+            # beta_ai the sector operator's entry at cell i's digit of a.
+            digits = (np.arange(dim)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+            for a, gamma in sectors:
+                beta = np.diagonal(a)[digits]
+                s = beta @ gamma @ beta.conj().T
+                diag = np.diagonal(s)
+                self.multiplier += s - 0.5 * (diag[:, None] + diag[None, :])
+            return
+        for a, gamma in sectors:
+            moves = {
+                "a": _left_moves(a),
+                "a_dag": _left_moves(dag(a)),
+                # also the right action of a^+ on columns: (M @ a^+)[digit p]
+                # gets conj(a[p, q]) M[digit q]
+                "a_conj": _left_moves(a.conj()),
+                "a_t": _left_moves(a.T),
+            }
+            self.sectors.append((gamma, np.ascontiguousarray(gamma.T), moves))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        rho = np.ascontiguousarray(rho)
+        out = self.multiplier * rho
+        if self.h is not None:
+            out += -1j * (self.h @ rho - rho @ self.h)
+        if not self.sectors:
+            return out
+        n, dim, rows, cols = self.n, self.dim, self.rows, self.cols
+        rho_t = np.ascontiguousarray(rho.T)
+        x = np.empty((n, dim, dim), dtype=complex)
+        y = np.empty_like(x)
+        xf, yf = x.reshape(n, -1), y.reshape(n, -1)
+        anti = np.zeros_like(out)
+        anti_t = np.zeros_like(out)
+        for gamma, gamma_t, mv in self.sectors:
+            for i in range(n):
+                _digit_op(x[i], rho, mv["a"], rows[i], True)  # X_i = A_i rho
+            _contract(gamma_t, xf, yf)  # Y_j = sum_i G_ij X_i
+            for j in range(n):
+                _digit_op(out, y[j], mv["a_conj"], cols[j], False)  # Y_j A_j^+
+                _digit_op(anti, y[j], mv["a_dag"], rows[j], False)  # A_j^+ Y_j
+            for j in range(n):
+                # Z_j^T = (rho A_j^+)^T = conj(A_j) rho^T
+                _digit_op(x[j], rho_t, mv["a_conj"], rows[j], True)
+            _contract(gamma, xf, yf)  # W_i^T = sum_j G_ij Z_j^T
+            for i in range(n):
+                _digit_op(anti_t, y[i], mv["a_t"], rows[i], False)  # (W_i A_i)^T
+        anti += anti_t.T
+        anti *= -0.5
+        out += anti
+        return out
+
+
 @dataclass(frozen=True)
 class Liouvillian:
-    """Immutable generator: renormalized Hamiltonian plus Lindblad terms."""
+    """Immutable generator: renormalized Hamiltonian plus Lindblad terms.
+
+    A Lindblad set from ``canonical_form`` on a register with D >=
+    STRUCTURED_MIN_DIM is applied in the structured Gamma form; any other
+    set through its stacked dense operators.  ``stability_scale`` is the
+    largest rate plus the spectral radius of H, computed once here.
+    """
 
     hamiltonian: np.ndarray
     lindblad: LindbladSet
     dim: int = field(default=0)
-    # cached: B = iH + sum_k lambda_k L_k^+ L_k / 2, and sqrt(rate)-scaled ops
-    _drift: np.ndarray = field(init=False, repr=False, compare=False)
-    _jump: np.ndarray = field(init=False, repr=False, compare=False)
-    _jump_dag: np.ndarray = field(init=False, repr=False, compare=False)
+    stability_scale: float = field(init=False, compare=False)
+    _form: _DenseForm | _GammaForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -169,33 +372,42 @@ class Liouvillian:
             raise DimensionMismatch("declared dimension does not match operators")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dim", d)
-        ops = []
-        gsum = np.zeros((d, d), dtype=complex)
         for t in self.lindblad:
             if t.op.shape != (d, d):
                 raise DimensionMismatch("Lindblad operator size mismatch")
-            scaled = np.sqrt(t.rate) * t.op
-            ops.append(scaled)
-            gsum += dag(scaled) @ scaled
-        jump = (
-            np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
+        h_diag = np.diagonal(h)
+        if np.count_nonzero(h) != np.count_nonzero(h_diag):
+            h_diag = None
+            radius = np.abs(np.linalg.eigvalsh(h)).max(initial=0.0)
+        else:
+            radius = np.abs(h_diag).max(initial=0.0)
+        object.__setattr__(
+            self, "stability_scale", self.lindblad.max_rate() + float(radius)
         )
-        object.__setattr__(self, "_jump", jump)
-        object.__setattr__(self, "_jump_dag", jump.conj().transpose(0, 2, 1))
-        object.__setattr__(self, "_drift", 1j * h + 0.5 * gsum)
+        model = self.lindblad.model
+        if (
+            model is not None
+            and d >= STRUCTURED_MIN_DIM
+            and all(t.weights is not None for t in self.lindblad)
+        ):
+            if model.dim != d:
+                raise DimensionMismatch("Lindblad set and Hamiltonian sizes differ")
+            form = _GammaForm(model, self.lindblad, h, h_diag)
+        else:
+            form = _DenseForm(h, self.lindblad)
+        object.__setattr__(self, "_form", form)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate L(rho) without materializing the superoperator."""
+        """Evaluate L(rho) without materializing the superoperator.
+
+        Linear on any complex D x D input; rho need not be Hermitian.
+        """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"state must be {self.dim}x{self.dim}, got {rho.shape}"
             )
-        out = -(self._drift @ rho) - rho @ dag(self._drift)
-        if len(self._jump):
-            sandwich = self._jump @ rho @ self._jump_dag
-            out = out + sandwich.sum(axis=0)
-        return out
+        return self._form.apply(rho)
 
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
         """Dissipative part alone (Hamiltonian term removed)."""
@@ -204,10 +416,41 @@ class Liouvillian:
         )
 
 
+def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
+    """Estimated peak bytes of build_liouvillian and one apply call.
+
+    Counts D x D complex matrices: the K canonical operators (N per nonzero
+    sector) with the 2N embedded cell operators used to build them and the
+    Lamb shift, plus the path's own buffers: the two N x D^2 buffers and
+    four D x D arrays of the Gamma form, or the stacked jump operators,
+    their adjoints and the sandwich temporary of the dense path.
+    """
+    n, dim = model.n_cells, model.dim
+    matrix = 16 * dim * dim
+    k = n * sum(
+        1 for g in (spec.gamma_minus, spec.gamma_plus) if np.count_nonzero(g)
+    )
+    if dim >= STRUCTURED_MIN_DIM:
+        path = 2 * n + 4
+    else:
+        path = 3 * k + 4
+    return (k + 2 * n + path) * matrix
+
+
 def build_liouvillian(
     model: RegisterModel, spec: BathSpec, include_lamb_shift: bool = True
 ) -> Liouvillian:
-    """Assemble the full generator for a register-bath pair."""
+    """Assemble the full generator for a register-bath pair.
+
+    Raises TooLarge, before allocating, when generator_bytes exceeds
+    GENERATOR_MAX_BYTES.
+    """
+    need = generator_bytes(model, spec)
+    if need > GENERATOR_MAX_BYTES:
+        raise TooLarge(
+            f"the generator for D = {model.dim} needs about {need / 2**30:.1f} GiB, "
+            f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit"
+        )
     h = register_hamiltonian(model)
     if include_lamb_shift and spec.has_lamb_shift:
         h = h + lamb_shift(model, spec)
@@ -249,8 +492,9 @@ def pairwise_dissipator(
 def superoperator_matrix(liouv: Liouvillian) -> np.ndarray:
     """Dense D^2 x D^2 matrix M with M vec(rho) = vec(L(rho)).
 
-    Column-stacking convention: vec(A X) = (I (x) A) vec(X) and
-    vec(X B) = (B^T (x) I) vec(X).  Guarded to D <= 64.
+    Built from the Hamiltonian and the Lindblad terms, whichever path
+    ``apply`` takes.  Column-stacking convention: vec(A X) = (I (x) A) vec(X)
+    and vec(X B) = (B^T (x) I) vec(X).  Guarded to D <= 64.
     """
     d = liouv.dim
     if d > SUPEROP_MAX_DIM:
@@ -258,9 +502,11 @@ def superoperator_matrix(liouv: Liouvillian) -> np.ndarray:
             f"superoperator needs D <= {SUPEROP_MAX_DIM}, got D = {d}"
         )
     eye = np.eye(d, dtype=complex)
-    b = liouv._drift
-    m = -kron(eye, b) - kron(b.conj(), eye)
-    for k in range(len(liouv._jump)):
-        op = liouv._jump[k]
+    b, ops = _dense_parts(liouv.hamiltonian, liouv.lindblad)
+    # -(x + y) rounds exactly as -x - y, with one D^2 x D^2 temporary fewer.
+    m = kron(eye, b)
+    m += kron(b.conj(), eye)
+    m *= -1
+    for op in ops:
         m += kron(op.conj(), op)
     return m

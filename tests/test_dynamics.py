@@ -385,3 +385,30 @@ def test_dephasing_purity_never_increases():
     traj = dephasing_solve(model, spec, psi, times)
     purity = [float(np.real(np.trace(s @ s))) for s in traj.states]
     assert all(b <= a + 1e-10 for a, b in zip(purity, purity[1:]))
+
+
+def test_step_count_guard_raises_before_allocating():
+    import tracemalloc
+
+    from qregsim.dynamics import MAX_STEPS, snapshot_grid
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="steps"):
+            snapshot_grid(1e18, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # the bound itself is allowed
+    h, steps = snapshot_grid(float(MAX_STEPS), 1.0, stride=MAX_STEPS)
+    assert h == 1.0 and steps.tolist() == [0, MAX_STEPS]
+
+
+def test_integrate_uses_the_generator_stability_scale():
+    model = qubit_register(2, epsilon=1.0)
+    liouv = build_liouvillian(model, cell_limit(2, 0.5, 0.0))
+    assert liouv.stability_scale == pytest.approx(1.5)
+    object.__setattr__(liouv, "stability_scale", 1e3)
+    with pytest.warns(RuntimeWarning, match="spectral scale"):
+        integrate(liouv, basis_state(2, "01"), t_end=0.01, dt=0.01)

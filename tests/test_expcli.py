@@ -447,3 +447,22 @@ def test_cli_tau_sweep_plot_script_overlays_states(tmp_path):
     assert "title 'symmetric'" in script
     assert "title 'singlet'" in script
     assert "set ylabel 'tau_1'" in script
+
+
+def test_step_count_beyond_bound_is_config_error(tmp_path, capsys):
+    import tracemalloc
+
+    raw = simulate_config()
+    raw["solver"]["t_end"] = 1e18
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "solver.t_end"
+    assert peak < 2**20
+    cfg_path = _write_yaml(tmp_path / "case.yaml", simulate_config())
+    assert main(["simulate", "--config", cfg_path, "--t-end", "1e18"]) == 2
+    assert capsys.readouterr().err.startswith("config error: solver.t_end")
