@@ -655,8 +655,8 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
     """
     model = build_register(cfg)
     bath = build_bath(cfg)
-    lset = canonical_form(model, bath)
     liouv = build_liouvillian(model, bath)
+    lset = liouv.lindblad
     kind = cfg.codes["kind"]
     if kind == "null":
         code = null_code(lset)

@@ -28,11 +28,18 @@ by eigenvectors u of the bath coefficient matrices.
   keep the dense path.
 
 Both paths hold the same terms, so cutoff, clamping and rates agree.
+Terms from ``canonical_form`` carry rate, sector and weights; each
+sector's D x D operators are built only when some ``op`` is first read
+(the dense path, code construction, small-register rates).  One predicate,
+``LindbladSet.structured``, selects the Gamma form here and the weight
+route of pure-state rates in ``LindbladSet.actions``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,35 +66,76 @@ SUPEROP_MAX_DIM = 64
 # N = 5 (D = 32) 0.2 vs 0.45 ms, N = 6 (D = 64) 1.5 vs 0.8 ms.
 STRUCTURED_MIN_DIM = 64
 # build_liouvillian raises TooLarge when generator_bytes exceeds this.  At
-# finite temperature N = 10 qubits need about 1.1 GB and N = 11 about 4.7 GB;
-# the estimate is 1.0-1.4 times the tracemalloc peak measured at N = 4-9.
+# finite temperature N = 10 qubits need about 0.45 GiB, N = 11 about
+# 1.94 GiB (admitted) and N = 12 about 8.3 GiB; the estimate is 1.00-1.08
+# times the tracemalloc peak of build plus one apply measured at N = 5-9.
 GENERATOR_MAX_BYTES = 2 * 2**30
 
 SECTOR_MINUS = -1
 SECTOR_PLUS = +1
 
 
-@dataclass(frozen=True)
 class LindbladTerm:
-    """One canonical dissipator: rate, operator, and sector (-1 or +1).
+    """One canonical dissipator: rate, operator and sector (-1 or +1).
 
-    ``weights`` is the u with op = sum_i u_i A_i^sector, when known.
+    ``op`` is the D x D operator, or a function that builds it; a built
+    operator is cached on first access.  ``weights`` is the u with
+    op = sum_i u_i A_i^sector and ``model`` the register of the A_i, when
+    known; a lazily built operator needs ``model`` for its size.  Terms
+    from ``canonical_form`` are lazy, so sets that are never asked for
+    ``op`` (the structured path, large-register rates) build no D x D
+    matrix.
     """
 
-    rate: float
-    op: np.ndarray
-    sector: int
-    weights: np.ndarray | None = None
+    def __init__(
+        self,
+        rate: float,
+        op: np.ndarray | Callable[[], np.ndarray],
+        sector: int,
+        weights: np.ndarray | None = None,
+        model: RegisterModel | None = None,
+    ):
+        if rate < 0:
+            raise OrderingViolated(f"Lindblad rate must be >= 0, got {rate}")
+        if sector not in (SECTOR_MINUS, SECTOR_PLUS):
+            raise QregError(f"sector must be -1 or +1, got {sector}")
+        if callable(op):
+            if model is None:
+                raise QregError("a lazily built operator needs its register model")
+        else:
+            op = np.asarray(op, dtype=complex)
+            if op.ndim != 2 or op.shape[0] != op.shape[1]:
+                raise DimensionMismatch(f"operator must be square, got {op.shape}")
+        if weights is not None and model is not None:
+            if np.shape(weights) != (model.n_cells,):
+                raise DimensionMismatch(
+                    f"need {model.n_cells} weights, got shape {np.shape(weights)}"
+                )
+        for name, value in (
+            ("rate", rate),
+            ("sector", sector),
+            ("weights", weights),
+            ("model", model),
+            ("_op", op),
+        ):
+            object.__setattr__(self, name, value)
 
-    def __post_init__(self):
-        if self.rate < 0:
-            raise OrderingViolated(f"Lindblad rate must be >= 0, got {self.rate}")
-        if self.sector not in (SECTOR_MINUS, SECTOR_PLUS):
-            raise QregError(f"sector must be -1 or +1, got {self.sector}")
-        op = np.asarray(self.op, dtype=complex)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise DimensionMismatch(f"operator must be square, got {op.shape}")
-        object.__setattr__(self, "op", op)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LindbladTerm is immutable; cannot set {name!r}")
+
+    def __repr__(self):
+        return f"LindbladTerm(rate={self.rate!r}, sector={self.sector}, dim={self.dim})"
+
+    @property
+    def op(self) -> np.ndarray:
+        if callable(self._op):
+            object.__setattr__(self, "_op", self._op())
+        return self._op
+
+    @property
+    def dim(self) -> int:
+        """Size D of the operator, known without building it."""
+        return self._op.shape[0] if isinstance(self._op, np.ndarray) else self.model.dim
 
 
 @dataclass(frozen=True)
@@ -114,10 +162,73 @@ class LindbladSet:
     def max_rate(self) -> float:
         return max((t.rate for t in self.terms), default=0.0)
 
+    @property
+    def structured(self) -> bool:
+        """Whether the set is used through its weights, never its operators:
+        it names its register, every term carries weights, and D >=
+        STRUCTURED_MIN_DIM (read at call time).  ``Liouvillian`` then
+        applies it in the Gamma form and ``actions`` works cell by cell."""
+        return (
+            self.model is not None
+            and self.model.dim >= STRUCTURED_MIN_DIM
+            and all(t.weights is not None for t in self.terms)
+        )
+
+    def actions(self, psi: np.ndarray) -> list[np.ndarray]:
+        """L_k psi for every term k, in term order.
+
+        A structured set computes X_i = A_i psi once per cell and sector,
+        as cell-local digit moves on psi, and L_k psi = sum_i u_ki X_i;
+        it builds no operator.  Any other set multiplies by each ``op``.
+        """
+        psi = np.asarray(psi, dtype=complex).reshape(-1)
+        if any(t.dim != psi.shape[0] for t in self.terms):
+            raise DimensionMismatch("Lindblad operator does not match state")
+        if not self.structured:
+            return [t.op @ psi for t in self.terms]
+        model = self.model
+        cells = {}
+        for sector in {t.sector for t in self.terms}:
+            moves = _left_moves(_sector_cell_op(model, sector))
+            x = np.empty((model.n_cells, psi.shape[0]), dtype=complex)
+            for i, split in enumerate(_row_splits(model, 1)):
+                _digit_op(x[i], psi, moves, split, True)
+            cells[sector] = x
+        return [t.weights @ cells[t.sector] for t in self.terms]
+
+
+def _sector_cell_op(model: RegisterModel, sector: int) -> np.ndarray:
+    """The sector's d x d cell operator: A for -1, A^+ for +1."""
+    return model.cell_op if sector == SECTOR_MINUS else dag(model.cell_op)
+
 
 def _cell_ops(model: RegisterModel, sector: int) -> list[np.ndarray]:
-    a = model.cell_op if sector == SECTOR_MINUS else dag(model.cell_op)
+    a = _sector_cell_op(model, sector)
     return [embed_cell_op(model, i, a) for i in range(model.n_cells)]
+
+
+def _row_splits(model: RegisterModel, trailing: int) -> list[tuple[int, int, int]]:
+    """Per cell i, the (outer, d, inner) view of an array of d^N * trailing
+    entries that puts cell i's tensor digit of the row index in the middle."""
+    n, d = model.n_cells, model.cell_dim
+    return [(d**i, d, d ** (n - 1 - i) * trailing) for i in range(n)]
+
+
+class _SectorOperators:
+    """Operators L_k = sum_i u_ki A_i of one sector's canonical terms,
+    built together on first request: one set of N embedded cell operators
+    serves every term and is dropped afterwards."""
+
+    def __init__(self, model: RegisterModel, sector: int, weights: list):
+        self.model, self.sector, self.weights = model, sector, weights
+        self.ops = None
+
+    def op(self, k: int) -> np.ndarray:
+        if self.ops is None:
+            cells = _cell_ops(self.model, self.sector)
+            n = self.model.n_cells
+            self.ops = [sum(u[i] * cells[i] for i in range(n)) for u in self.weights]
+        return self.ops[k]
 
 
 def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
@@ -126,7 +237,9 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
     For each sector the coefficient matrix is eigendecomposed; every
     eigenpair (lam, u) above the rate cutoff contributes the collective
     operator L = sum_i u_i A_i^sector with rate lam.  Rates within
-    floating-point noise of zero are clamped.
+    floating-point noise of zero are clamped.  The terms carry rate,
+    sector, weights and the register; their operators are built on
+    demand, one sector at a time, the first time any ``op`` is read.
     """
     if spec.n != model.n_cells:
         raise DimensionMismatch(
@@ -142,7 +255,7 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
     max_rate = max((float(w[0]) for _, w, _ in eigs), default=0.0)
     terms: list[LindbladTerm] = []
     for sector, w, v in eigs:
-        ops = None
+        kept = []
         for mu in range(len(w)):
             lam = float(w[mu])
             if lam < 0:
@@ -153,11 +266,12 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
                 lam = 0.0
             if lam <= RATE_CUTOFF * max_rate or lam == 0.0:
                 continue
-            if ops is None:
-                ops = _cell_ops(model, sector)
-            u = v[:, mu].copy()
-            op = sum(u[i] * ops[i] for i in range(model.n_cells))
-            terms.append(LindbladTerm(rate=lam, op=op, sector=sector, weights=u))
+            kept.append((lam, v[:, mu].copy()))
+        ops = _SectorOperators(model, sector, [u for _, u in kept])
+        terms += [
+            LindbladTerm(lam, partial(ops.op, k), sector, weights=u, model=model)
+            for k, (lam, u) in enumerate(kept)
+        ]
     return LindbladSet(terms=tuple(terms), model=model)
 
 
@@ -165,7 +279,10 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
     """Self-Hamiltonian renormalization from the Delta matrices.
 
     delta_H = sum_ij (Dm_ij A_i^+ A_j + Dp_ji A_i A_j^+); returns zero when
-    the bath carries no Lamb-shift data.
+    the bath carries no Lamb-shift data.  Built as
+    sum_i A_i^+ (sum_j Dm_ij A_j) + sum_i A_i (sum_j Dp_ji A_j^+), every
+    cell operator acting on one row digit (of the identity, then of the
+    inner sum): O(N^2 D^2) time and three D x D arrays.
     """
     d = model.dim
     out = np.zeros((d, d), dtype=complex)
@@ -173,15 +290,26 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
         return out
     if spec.n != model.n_cells:
         raise DimensionMismatch("bath size does not match the register")
-    a_ops = _cell_ops(model, SECTOR_MINUS)
-    adag_ops = [dag(a) for a in a_ops]
-    dm, dp = spec.delta_minus, spec.delta_plus
-    for i in range(model.n_cells):
-        for j in range(model.n_cells):
-            if dm is not None and dm[i, j] != 0:
-                out += dm[i, j] * (adag_ops[i] @ a_ops[j])
-            if dp is not None and dp[j, i] != 0:
-                out += dp[j, i] * (a_ops[i] @ adag_ops[j])
+    rows = _row_splits(model, d)
+    eye = np.eye(d, dtype=complex)
+    inner = np.empty_like(out)
+    a = model.cell_op
+    for delta, left, right in (
+        (spec.delta_minus, dag(a), a),
+        (None if spec.delta_plus is None else spec.delta_plus.T, a, dag(a)),
+    ):
+        if delta is None:
+            continue
+        left_moves, right_moves = _left_moves(left), _left_moves(right)
+        for i in range(model.n_cells):
+            first = True
+            for j in np.flatnonzero(delta[i]):
+                c = complex(delta[i, j])
+                moves = [(to, frm, c * m) for to, frm, m in right_moves]
+                _digit_op(inner, eye, moves, rows[j], first)  # += c R_j
+                first = False
+            if not first:
+                _digit_op(out, inner, left_moves, rows[i], False)  # += L_i inner
     return out
 
 
@@ -273,7 +401,7 @@ class _GammaForm:
     def __init__(self, model: RegisterModel, lindblad: LindbladSet, h, h_diag):
         n, d, dim = model.n_cells, model.cell_dim, model.dim
         self.n, self.dim = n, dim
-        self.rows = [(d**i, d, d ** (n - 1 - i) * dim) for i in range(n)]
+        self.rows = _row_splits(model, dim)
         self.cols = [(dim * d**i, d, d ** (n - 1 - i)) for i in range(n)]
         # Terms applied as one elementwise multiplier: -i[H, rho] when H is
         # diagonal, otherwise the dense commutator with self.h.
@@ -285,7 +413,7 @@ class _GammaForm:
         for sector in (SECTOR_MINUS, SECTOR_PLUS):
             terms = [t for t in lindblad if t.sector == sector]
             if terms:
-                a = model.cell_op if sector == SECTOR_MINUS else dag(model.cell_op)
+                a = _sector_cell_op(model, sector)
                 g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
                 sectors.append((a, g.real if not np.any(g.imag) else g))
         cell = model.cell_op
@@ -349,10 +477,11 @@ class _GammaForm:
 class Liouvillian:
     """Immutable generator: renormalized Hamiltonian plus Lindblad terms.
 
-    A Lindblad set from ``canonical_form`` on a register with D >=
-    STRUCTURED_MIN_DIM is applied in the structured Gamma form; any other
-    set through its stacked dense operators.  ``stability_scale`` is the
-    largest rate plus the spectral radius of H, computed once here.
+    A Lindblad set for which ``LindbladSet.structured`` holds (from
+    ``canonical_form``, D >= STRUCTURED_MIN_DIM) is applied in the
+    structured Gamma form; any other set through its stacked dense
+    operators.  ``stability_scale`` is the largest rate plus the spectral
+    radius of H, computed once here.
     """
 
     hamiltonian: np.ndarray
@@ -372,9 +501,8 @@ class Liouvillian:
             raise DimensionMismatch("declared dimension does not match operators")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dim", d)
-        for t in self.lindblad:
-            if t.op.shape != (d, d):
-                raise DimensionMismatch("Lindblad operator size mismatch")
+        if any(t.dim != d for t in self.lindblad):
+            raise DimensionMismatch("Lindblad operator size mismatch")
         h_diag = np.diagonal(h)
         if np.count_nonzero(h) != np.count_nonzero(h_diag):
             h_diag = None
@@ -385,11 +513,7 @@ class Liouvillian:
             self, "stability_scale", self.lindblad.max_rate() + float(radius)
         )
         model = self.lindblad.model
-        if (
-            model is not None
-            and d >= STRUCTURED_MIN_DIM
-            and all(t.weights is not None for t in self.lindblad)
-        ):
+        if self.lindblad.structured:
             if model.dim != d:
                 raise DimensionMismatch("Lindblad set and Hamiltonian sizes differ")
             form = _GammaForm(model, self.lindblad, h, h_diag)
@@ -419,22 +543,25 @@ class Liouvillian:
 def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
     """Estimated peak bytes of build_liouvillian and one apply call.
 
-    Counts D x D complex matrices: the K canonical operators (N per nonzero
-    sector) with the 2N embedded cell operators used to build them and the
-    Lamb shift, plus the path's own buffers: the two N x D^2 buffers and
-    four D x D arrays of the Gamma form, or the stacked jump operators,
-    their adjoints and the sandwich temporary of the dense path.
+    Counts D x D complex matrices; the apply call dominates on both paths.
+    The path is the one ``canonical_form(model, spec).structured`` picks;
+    that set builds no operator here.  Gamma form: its two N x D^2
+    buffers and four D x D arrays, the state, the Hamiltonian and the
+    elementwise multiplier it keeps, and two more for numpy's ufunc
+    buffers and an interaction or Lamb-shift term; it builds no Lindblad
+    operator.  Dense path: the K canonical operators (cached on the
+    terms), the stacked jump operators and their adjoints, the two stacked
+    sandwich temporaries, and five D x D arrays.
     """
-    n, dim = model.n_cells, model.dim
-    matrix = 16 * dim * dim
-    k = n * sum(
-        1 for g in (spec.gamma_minus, spec.gamma_plus) if np.count_nonzero(g)
-    )
-    if dim >= STRUCTURED_MIN_DIM:
-        path = 2 * n + 4
-    else:
-        path = 3 * k + 4
-    return (k + 2 * n + path) * matrix
+    return _peak_bytes(canonical_form(model, spec))
+
+
+def _peak_bytes(lindblad: LindbladSet) -> int:
+    model = lindblad.model
+    matrix = 16 * model.dim**2
+    if lindblad.structured:
+        return (2 * model.n_cells + 9) * matrix
+    return (5 * len(lindblad) + 5) * matrix
 
 
 def build_liouvillian(
@@ -445,7 +572,8 @@ def build_liouvillian(
     Raises TooLarge, before allocating, when generator_bytes exceeds
     GENERATOR_MAX_BYTES.
     """
-    need = generator_bytes(model, spec)
+    lindblad = canonical_form(model, spec)
+    need = _peak_bytes(lindblad)
     if need > GENERATOR_MAX_BYTES:
         raise TooLarge(
             f"the generator for D = {model.dim} needs about {need / 2**30:.1f} GiB, "
@@ -454,7 +582,7 @@ def build_liouvillian(
     h = register_hamiltonian(model)
     if include_lamb_shift and spec.has_lamb_shift:
         h = h + lamb_shift(model, spec)
-    return Liouvillian(hamiltonian=h, lindblad=canonical_form(model, spec))
+    return Liouvillian(hamiltonian=h, lindblad=lindblad)
 
 
 def pairwise_dissipator(

@@ -111,13 +111,16 @@ def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float:
 
     a sum of nonnegative variance terms; zero exactly when psi is a
     simultaneous eigenvector of every Lindblad operator.
+
+    The L_k psi come from ``LindbladSet.actions``: for a set with
+    ``structured`` true (canonical, D >= STRUCTURED_MIN_DIM) they are
+    formed from the term weights and cell-local actions on psi, and no
+    D x D operator is built; below the crossover, and for hand-built sets,
+    each operator multiplies psi.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     total = 0.0
-    for term in lindblad:
-        if term.op.shape[0] != psi.shape[0]:
-            raise DimensionMismatch("Lindblad operator does not match state")
-        lpsi = term.op @ psi
+    for term, lpsi in zip(lindblad, lindblad.actions(psi)):
         mean = complex(psi.conj() @ lpsi)
         second = float((lpsi.conj() @ lpsi).real)
         total += term.rate * (second - abs(mean) ** 2)

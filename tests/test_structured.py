@@ -1,13 +1,15 @@
 """Structured (Gamma-form) generator: agreement with the dense canonical
 generator and the independent pairwise dissipator on non-Hermitian input,
 the crossover between the two paths, the cached stability scale, and the
-generator size guard."""
+generator size guard.  Also the weight route of pure-state rates against
+the operator formula, lazily built canonical operators, and the
+O(N^2 D^2) Lamb shift against the product formula."""
 
 import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +27,21 @@ from qregsim import (
     replica_symmetric,
     superoperator_matrix,
 )
-from qregsim import liouvillian
-from qregsim.errors import TooLarge
+from qregsim import expcli, liouvillian
+from qregsim.errors import DimensionMismatch, QregError, TooLarge
 from qregsim.linalg import vec
 from qregsim.liouvillian import (
     GENERATOR_MAX_BYTES,
     STRUCTURED_MIN_DIM,
     LindbladSet,
+    LindbladTerm,
     Liouvillian,
     _DenseForm,
     _GammaForm,
     generator_bytes,
+    lamb_shift,
 )
+from qregsim.observables import pure_decoherence_rate
 from qregsim.register import (
     dephasing_register,
     embed_cell_op,
@@ -44,7 +49,7 @@ from qregsim.register import (
     qubit_register,
 )
 
-from helpers import random_bath, random_phases, rng_for
+from helpers import random_bath, random_phases, random_pure_state, rng_for
 
 TOL = 1e-12
 
@@ -242,3 +247,251 @@ class TestSizeGuard:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "raised"]
+
+
+def operator_rate(lset: LindbladSet, psi: np.ndarray) -> float:
+    """The variance formula on the dense operators, term by term."""
+    total = 0.0
+    for term in lset:
+        lpsi = term.op @ psi
+        mean = complex(psi.conj() @ lpsi)
+        total += term.rate * (float((lpsi.conj() @ lpsi).real) - abs(mean) ** 2)
+    return 2.0 * total
+
+
+def built(lset: LindbladSet) -> bool:
+    """Whether any term of the set holds a built operator."""
+    return any(isinstance(t._op, np.ndarray) for t in lset)
+
+
+def assert_weight_route(model, spec, rng, native: bool = False) -> None:
+    """pure_decoherence_rate on a structured set, computed from the weights
+    without building an operator, equals the operator formula to TOL."""
+    psi = random_pure_state(rng, model.dim)
+    with nullcontext() if native else crossover(1):
+        lset = canonical_form(model, spec)
+        assert lset.structured
+        got = pure_decoherence_rate(lset, psi)
+    assert not built(lset)
+    want = operator_rate(lset, psi)
+    assert abs(got - want) <= TOL * max(1.0, abs(want))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 5), phased=st.booleans())
+def test_weight_route_rate_random_psd_baths(seed, n, phased):
+    rng = rng_for(seed)
+    spec = random_bath(rng, n)
+    if phased:
+        spec = gauge_phased(spec, random_phases(rng, n))
+    assert_weight_route(qubit_register(n), spec, rng)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 5))
+def test_weight_route_rate_sigma_z_dephasing(seed, n):
+    rng = rng_for(seed)
+    assert_weight_route(dephasing_register(n), random_bath(rng, n), rng)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3))
+def test_weight_route_rate_three_level_cells(seed, n):
+    rng = rng_for(seed)
+    model = dephasing_register(n, cell_op=random_operator(rng, 3))
+    assert_weight_route(model, random_bath(rng, n), rng)
+
+
+@pytest.mark.parametrize("n, examples", [(6, 8), (7, 4)])
+def test_weight_route_rate_native(n, examples):
+    @settings(max_examples=examples)
+    @given(seed=st.integers(0, 10_000), phased=st.booleans())
+    def check(seed, phased):
+        rng = rng_for(seed)
+        spec = random_bath(rng, n)
+        if phased:
+            spec = gauge_phased(spec, random_phases(rng, n))
+        assert_weight_route(qubit_register(n), spec, rng, native=True)
+
+    check()
+
+
+def test_weight_route_rejects_a_mismatched_state():
+    lset = canonical_form(qubit_register(6), exponential_decay(6, 0.1, 0.02, 1.0))
+    with pytest.raises(DimensionMismatch):
+        pure_decoherence_rate(lset, np.ones(32) / np.sqrt(32.0))
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_structured_predicate_is_the_path_choice(n):
+    model = qubit_register(n)
+    lset = canonical_form(model, exponential_decay(n, 0.1, 0.02, 1.0))
+    h = np.diag(np.arange(float(model.dim)))
+    for dim in (1, STRUCTURED_MIN_DIM, 10**9):
+        with crossover(dim):
+            form = Liouvillian(hamiltonian=h, lindblad=lset)._form
+            assert lset.structured == isinstance(form, _GammaForm)
+            assert lset.structured == (model.dim >= dim)
+    assert not LindbladSet(terms=lset.terms).structured
+
+
+@pytest.mark.parametrize(
+    "model",
+    [qubit_register(3), dephasing_register(4), dephasing_register(2, np.arange(9.0).reshape(3, 3))],
+    ids=["qubit", "sigma_z", "three_level"],
+)
+def test_lazy_operator_is_bitwise_the_eager_sum(model):
+    n = model.n_cells
+    rng = rng_for(f"lazy-{model.cell_dim}-{n}")
+    lset = canonical_form(model, gauge_phased(random_bath(rng, n), random_phases(rng, n)))
+    assert len(lset) and not built(lset)
+    for term in lset:
+        a = model.cell_op if term.sector < 0 else model.cell_op.conj().T
+        cells = [embed_cell_op(model, i, a) for i in range(n)]
+        eager = sum(term.weights[i] * cells[i] for i in range(n))
+        assert term.op.dtype == eager.dtype and term.op.shape == eager.shape
+        assert term.op.tobytes() == eager.tobytes()
+        assert term.op is term.op
+
+
+@contextmanager
+def counting(calls: dict):
+    """Count calls of the named liouvillian functions into ``calls``."""
+
+    def wrap(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(liouvillian, name, wrap(name, getattr(liouvillian, name)))
+        yield mp
+
+
+def test_cell_operators_are_built_once_per_sector():
+    model = qubit_register(3)
+    calls = {"_cell_ops": 0}
+    with counting(calls):
+        lset = canonical_form(model, random_bath(rng_for("sector"), 3))
+        minus = [t for t in lset if t.sector < 0]
+        plus = [t for t in lset if t.sector > 0]
+        assert len(minus) > 1 and plus and calls["_cell_ops"] == 0
+        ops = [t.op for t in minus]
+        assert calls["_cell_ops"] == 1 and not any(isinstance(t._op, np.ndarray) for t in plus)
+        lset.operators()
+        assert calls["_cell_ops"] == 2
+    assert all(a is t.op for a, t in zip(ops, minus))
+
+
+def test_structured_generator_builds_no_operator():
+    lset = build_liouvillian(
+        qubit_register(6), exponential_decay(6, 0.1, 0.02, 1.0, delta_ratio=0.5)
+    ).lindblad
+    assert lset.structured and not built(lset)
+
+
+def test_canonical_form_at_ten_cells_allocates_under_a_mebibyte():
+    model = qubit_register(10)
+    spec = exponential_decay(10, 0.1, 0.02, 1.0)
+    tracemalloc.start()
+    try:
+        lset = canonical_form(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lset) == 20
+    assert peak < 2**20
+
+
+def test_hand_built_terms():
+    op = np.array([[0.0, 1.0], [0.0, 0.0]])
+    term = LindbladTerm(0.3, op, liouvillian.SECTOR_PLUS)
+    assert term.op.dtype == complex and term.dim == 2 and term.weights is None
+    with pytest.raises(AttributeError):
+        term.rate = 1.0
+    with pytest.raises(QregError, match="register"):
+        LindbladTerm(0.3, lambda: op, liouvillian.SECTOR_MINUS)
+    with pytest.raises(DimensionMismatch):
+        LindbladTerm(0.3, op, -1, weights=np.ones(3), model=qubit_register(2))
+    with pytest.raises(DimensionMismatch):
+        LindbladTerm(0.3, np.ones((2, 3)), -1)
+
+
+def test_codes_runner_builds_the_canonical_set_once():
+    raw = {
+        "experiment": "codes",
+        "register": {"n": 4, "kind": "qubit", "epsilon": 1.0},
+        "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+        "codes": {"kind": "null"},
+        "output": {"directory": "out", "name": "codes", "formats": ["csv"]},
+    }
+    calls = {"_cell_ops": 0}
+
+    def second_set(*args):
+        raise AssertionError("the runner built a canonical set of its own")
+
+    with counting(calls) as mp:
+        mp.setattr(expcli, "canonical_form", second_set)
+        table = expcli.run_codes(expcli.config_from_dict(raw))
+    assert table.provenance["code"]["dim"] == 2
+    # the generator's set serves the code, the rates and the verdict, and
+    # its operators are built once per sector
+    assert calls == {"_cell_ops": 2}
+
+
+def product_lamb_shift(model, spec) -> np.ndarray:
+    """delta_H = sum_ij (Dm_ij A_i^+ A_j + Dp_ji A_i A_j^+) from dense
+    products of the embedded cell operators."""
+    a = [embed_cell_op(model, i) for i in range(model.n_cells)]
+    ad = [x.conj().T for x in a]
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for i in range(model.n_cells):
+        for j in range(model.n_cells):
+            if spec.delta_minus is not None:
+                out += spec.delta_minus[i, j] * (ad[i] @ a[j])
+            if spec.delta_plus is not None:
+                out += spec.delta_plus[j, i] * (a[i] @ ad[j])
+    return out
+
+
+def random_hermitian(rng, n: int) -> np.ndarray:
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m + m.conj().T
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    three_level=st.booleans(),
+    which=st.sampled_from(["both", "minus", "plus"]),
+)
+def test_lamb_shift_matches_the_product_formula(seed, n, three_level, which):
+    rng = rng_for(seed)
+    if three_level:
+        n = min(n, 4)
+        model = dephasing_register(n, cell_op=random_operator(rng, 3))
+    else:
+        model = qubit_register(n)
+    gamma = np.zeros((n, n), dtype=complex)
+    spec = BathSpec(
+        gamma_minus=gamma,
+        gamma_plus=gamma,
+        delta_minus=None if which == "plus" else random_hermitian(rng, n),
+        delta_plus=None if which == "minus" else random_hermitian(rng, n),
+    )
+    got = lamb_shift(model, spec)
+    want = product_lamb_shift(model, spec)
+    assert np.abs(got - want).max() <= TOL * max(1.0, float(np.abs(want).max()))
+
+
+def test_eleven_cells_are_admitted():
+    tracemalloc.start()
+    try:
+        need = generator_bytes(qubit_register(11), exponential_decay(11, 0.1, 0.02, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= GENERATOR_MAX_BYTES < generator_bytes(
+        qubit_register(12), exponential_decay(12, 0.1, 0.02, 1.0)
+    )
+    assert peak < 2**20
