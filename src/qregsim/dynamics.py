@@ -130,6 +130,91 @@ def snapshot_grid(
     return h, steps
 
 
+def _rk4(
+    liouv: Liouvillian, rho0s, t_end: float, dt: float, stride: int
+) -> list[Trajectory]:
+    """Classical fixed-step RK4 on the (S, D, D) stack of the initial
+    states, one Trajectory per state.
+
+    Every stage input and the sum k1 + 2k2 + 2k3 + k4 are built in place,
+    left to right, with the operations and operand order of stepping each
+    state alone, so each trajectory is bitwise the single-state one.  At
+    most four stacks are live during an apply: the state, the stage input,
+    the accumulated sum and the apply's result.  The trace check,
+    re-Hermitization, renormalization and ``error_estimate`` are per state.
+    """
+    h, steps = snapshot_grid(t_end, dt, stride)
+    rhos = [_as_density(r, liouv.dim) for r in rho0s]
+    if not rhos:
+        return []
+    rho = np.stack(rhos)
+    n_states, n_steps = rho.shape[0], int(steps[-1])
+    scale = liouv.stability_scale
+    if n_steps and h * scale > STABILITY_BUDGET:
+        warnings.warn(
+            f"dt * spectral scale = {h * scale:.3g} exceeds "
+            f"{STABILITY_BUDGET}; results may be inaccurate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    states = np.empty((n_states, steps.shape[0]) + rho.shape[1:], dtype=complex)
+    states[:, 0] = rho
+    kept = 1
+    f = liouv.apply
+    half, sixth = 0.5 * h, h / 6.0
+    stage = np.empty_like(rho)
+    max_drift = [0.0] * n_states
+    for k in range(1, n_steps + 1):
+        acc = f(rho)  # k1
+        np.multiply(acc, half, out=stage)
+        stage += rho
+        kj = f(stage)  # k2
+        np.multiply(kj, half, out=stage)
+        stage += rho
+        kj *= 2.0
+        acc += kj
+        del kj  # free k2 before k3 is allocated
+        kj = f(stage)  # k3
+        np.multiply(kj, h, out=stage)
+        stage += rho
+        kj *= 2.0
+        acc += kj
+        del kj
+        acc += f(stage)  # k4
+        acc *= sixth
+        rho += acc
+        tr = rho.trace(axis1=1, axis2=2).tolist()
+        drift = [abs(t - 1.0) for t in tr]
+        worst = max(range(n_states), key=drift.__getitem__)
+        if drift[worst] > TRACE_TOL:
+            raise UnstableStep(
+                f"trace drifted to {tr[worst]:.8f} at step {k} (t = {k * h:.6g}) "
+                f"in state {worst}; reduce dt"
+            )
+        max_drift = [max(m, d) for m, d in zip(max_drift, drift)]
+        np.conjugate(rho.transpose(0, 2, 1), out=stage)
+        stage += rho
+        stage *= 0.5
+        np.divide(stage, np.array([t.real for t in tr])[:, None, None], out=rho)
+        if k == steps[kept]:
+            states[:, kept] = rho
+            kept += 1
+    return [
+        Trajectory(
+            times=steps * h,
+            states=states[s],
+            metadata={
+                "method": "rk4",
+                "dt": h,
+                "n_steps": n_steps,
+                "stride": stride,
+                "error_estimate": max_drift[s],
+            },
+        )
+        for s in range(n_states)
+    ]
+
+
 def integrate(
     liouv: Liouvillian,
     rho0: np.ndarray,
@@ -142,53 +227,10 @@ def integrate(
 
     After each step the state is re-Hermitized and trace-renormalized; a
     trace drift beyond TRACE_TOL before renormalization raises UnstableStep.
+    ``metadata["error_estimate"]`` is the largest trace drift |tr - 1| seen
+    before renormalization, not an estimate of the truncation error.
     """
-    h, steps = snapshot_grid(t_end, dt, stride)
-    rho = _as_density(rho0, liouv.dim)
-    n_steps = int(steps[-1])
-    scale = liouv.stability_scale
-    if n_steps and h * scale > STABILITY_BUDGET:
-        warnings.warn(
-            f"dt * spectral scale = {h * scale:.3g} exceeds "
-            f"{STABILITY_BUDGET}; results may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    states = np.empty((steps.shape[0],) + rho.shape, dtype=complex)
-    states[0] = rho
-    kept = 1
-    f = liouv.apply
-    max_drift = 0.0
-    for k in range(1, n_steps + 1):
-        k1 = f(rho)
-        k2 = f(rho + 0.5 * h * k1)
-        k3 = f(rho + 0.5 * h * k2)
-        k4 = f(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tr = complex(np.trace(rho))
-        drift = abs(tr - 1.0)
-        if drift > TRACE_TOL:
-            raise UnstableStep(
-                f"trace drifted to {tr:.8f} at step {k} (t = {k * h:.6g}); "
-                f"reduce dt"
-            )
-        max_drift = max(max_drift, drift)
-        rho = 0.5 * (rho + dag(rho))
-        rho = rho / tr.real
-        if k == steps[kept]:
-            states[kept] = rho
-            kept += 1
-    return Trajectory(
-        times=steps * h,
-        states=states,
-        metadata={
-            "method": "rk4",
-            "dt": h,
-            "n_steps": n_steps,
-            "stride": stride,
-            "error_estimate": max_drift,
-        },
-    )
+    return _rk4(liouv, [rho0], t_end, dt, stride)[0]
 
 
 def evolve(
@@ -205,13 +247,19 @@ def evolve(
     """Evolve each initial state (vector or density matrix) on the one
     snapshot_grid schedule; returns one Trajectory per state.
 
-    ``rk4`` integrates each state.  ``exact`` advances all states at once,
-    stacked as the columns of a D^2 x S matrix, with one propagator per
-    snapshot interval (dense superoperator, D <= 64).  ``dephasing`` is the
-    closed form and needs the ``model`` and ``spec`` behind ``liouv``.
+    ``rk4`` steps all states together as one (S, D, D) stack on the dense
+    generator, and calls ``integrate`` per state on the structured one
+    (``liouv.lindblad.structured``), whose apply is memory-bound; either
+    way each trajectory is bitwise the one ``integrate`` gives.  ``exact``
+    advances all states at once, stacked as the columns of a D^2 x S
+    matrix, with one propagator per snapshot interval (dense
+    superoperator, D <= 64).  ``dephasing`` is the closed form and needs
+    the ``model`` and ``spec`` behind ``liouv``.
     """
     if method == "rk4":
-        return [integrate(liouv, r, t_end, dt, stride) for r in rho0s]
+        if liouv.lindblad.structured:
+            return [integrate(liouv, r, t_end, dt, stride) for r in rho0s]
+        return _rk4(liouv, rho0s, t_end, dt, stride)
     h, steps = snapshot_grid(t_end, dt, stride)
     times = steps * h
     if method == "dephasing":

@@ -599,6 +599,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
         liouv = build_liouvillian(model, bath)
         # The solver section's keys are evolve's keyword arguments.
         trajs = evolve(liouv, psis, **solver, model=model, spec=bath)
+        times = trajs[0].times
         for (name, psi), traj in zip(named, trajs):
             state_tag = f"_{name}" if (len(named) > 1 or suffix) else ""
             columns += [
@@ -611,7 +612,10 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
                 [linear_entropy(s) for s in traj.states],
                 [register_energy(s, liouv.hamiltonian) for s in traj.states],
             ]
-    values = np.column_stack([trajs[0].times] + data)
+        # Only the observables outlive a point: drop its snapshots before
+        # the next point evolves.
+        trajs = traj = None
+    values = np.column_stack([times] + data)
     meta = {"method": solver["method"], "dt": solver["dt"], "stride": solver["stride"]}
     return ResultTable(
         columns=tuple(columns), values=values, provenance=_provenance(cfg, meta)
