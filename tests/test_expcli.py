@@ -466,3 +466,379 @@ def test_step_count_beyond_bound_is_config_error(tmp_path, capsys):
     cfg_path = _write_yaml(tmp_path / "case.yaml", simulate_config())
     assert main(["simulate", "--config", cfg_path, "--t-end", "1e18"]) == 2
     assert capsys.readouterr().err.startswith("config error: solver.t_end")
+
+
+# ---------------------------------------------------------------------------
+# characterization: every rejection names its field, and the normalized
+# config of every accepted example serializes to pinned bytes
+
+_DELETE = "<delete>"
+
+
+def _rejection_bases() -> dict:
+    ring = simulate_config()
+    ring["register"] = {"n": 4, "interaction": {"kind": "heisenberg_ring", "j": 0.5}}
+    clustered = simulate_config()
+    clustered["bath"] = {"model": "clustered", "gamma_minus": 0.1, "partition": [[0], [1]]}
+    gauge = simulate_config()
+    gauge["bath"] = {"model": "gauge_phased", "gamma_minus": 0.1, "phases": [0.0, 0.5]}
+    tau = {
+        "experiment": "tau_sweep",
+        "register": {"n": 2},
+        "bath": {"model": "exponential", "gamma_minus": 0.1},
+        "initial_states": ["singlet"],
+        "sweep": {"parameter": "bath.xi", "values": [0.5, 1.0]},
+        "output": {"name": "tau", "formats": ["csv"]},
+    }
+    codes = {
+        "experiment": "codes",
+        "register": {"n": 4, "kind": "dephasing"},
+        "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+        "codes": {"kind": "cluster", "cluster_size": 2},
+        "output": {"name": "codes", "formats": ["csv"]},
+    }
+    return {
+        "sim": simulate_config(),
+        "ring": ring,
+        "clustered": clustered,
+        "gauge": gauge,
+        "tau": tau,
+        "codes": codes,
+    }
+
+
+def _mutated(base: str, changes: dict):
+    import copy
+
+    raw = copy.deepcopy(_rejection_bases()[base])
+    for path, value in changes.items():
+        if path == "":
+            return value
+        *parents, leaf = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[key]
+        if value == _DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    return raw
+
+
+_SWEEP = {"parameter": "bath.xi", "values": [1.0]}
+
+# (base config, {dotted path: new value or _DELETE}, expected ConfigError.field)
+REJECTIONS = [
+    # root
+    ("sim", {"": ["not", "a", "mapping"]}, ""),
+    ("sim", {"": None}, ""),
+    ("sim", {"typo": {}}, "typo"),
+    ("sim", {"experiment": _DELETE}, "experiment"),
+    ("sim", {"experiment": "bogus"}, "experiment"),
+    ("sim", {"experiment": 3}, "experiment"),
+    # register
+    ("sim", {"register": _DELETE}, "register"),
+    ("sim", {"register": 3}, "register"),
+    ("sim", {"register.bogus": 1}, "register.bogus"),
+    ("sim", {"register.n": _DELETE}, "register.n"),
+    ("sim", {"register.n": 2.0}, "register.n"),
+    ("sim", {"register.n": True}, "register.n"),
+    ("sim", {"register.n": 0}, "register.n"),
+    ("sim", {"register.n": -3}, "register.n"),
+    ("sim", {"register.d": 3}, "register.d"),
+    ("sim", {"register.d": "2"}, "register.d"),
+    ("sim", {"register.kind": "qutrit"}, "register.kind"),
+    ("sim", {"register.kind": 1}, "register.kind"),
+    ("sim", {"register.epsilon": "1"}, "register.epsilon"),
+    ("sim", {"register.epsilon": True}, "register.epsilon"),
+    ("sim", {"register.epsilon": -1.0}, "register.epsilon"),
+    ("sim", {"register.kind": "dephasing", "register.epsilon": -1.0}, "register.epsilon"),
+    ("sim", {"register.interaction": "ring"}, "register.interaction"),
+    ("ring", {"register.interaction.bogus": 1}, "register.interaction.bogus"),
+    ("ring", {"register.interaction.kind": "ising"}, "register.interaction.kind"),
+    ("ring", {"register.n": 2}, "register.interaction.kind"),
+    ("ring", {"register.interaction.j": "strong"}, "register.interaction.j"),
+    # bath
+    ("sim", {"bath": _DELETE}, "bath"),
+    ("sim", {"bath": [1]}, "bath"),
+    ("sim", {"bath.bogus": 1}, "bath.bogus"),
+    ("sim", {"bath.model": _DELETE}, "bath.model"),
+    ("sim", {"bath.model": "gaussian"}, "bath.model"),
+    ("sim", {"bath.gamma_minus": _DELETE}, "bath.gamma_minus"),
+    ("sim", {"bath.gamma_minus": "0.1"}, "bath.gamma_minus"),
+    ("sim", {"bath.gamma_minus": -0.1}, "bath.gamma_minus"),
+    ("sim", {"bath.gamma_plus": "0"}, "bath.gamma_plus"),
+    ("sim", {"bath.gamma_plus": 0.2}, "bath.gamma_plus"),
+    ("sim", {"bath.gamma_plus": -0.01}, "bath.gamma_minus"),
+    ("sim", {"bath.delta_ratio": "x"}, "bath.delta_ratio"),
+    ("sim", {"bath.xi": "long"}, "bath.xi"),
+    ("sim", {"bath.xi": 0.0}, "bath.xi"),
+    ("sim", {"bath.xi": -1.0}, "bath.xi"),
+    ("clustered", {"bath.partition": _DELETE}, "bath.partition"),
+    ("clustered", {"bath.partition": "01"}, "bath.partition"),
+    ("clustered", {"bath.partition": [0, 1]}, "bath.partition"),
+    ("clustered", {"bath.partition": [[0]]}, "bath.partition"),
+    ("clustered", {"bath.partition": [[0, 1], [1]]}, "bath.partition"),
+    ("clustered", {"bath.partition": [[0, 1, 2]]}, "bath.partition"),
+    ("gauge", {"bath.phases": _DELETE}, "bath.phases"),
+    ("gauge", {"bath.phases": 0.5}, "bath.phases"),
+    ("gauge", {"bath.phases": [0.0]}, "bath.phases"),
+    ("gauge", {"bath.phases": [0.0, "pi"]}, "bath.phases"),
+    # initial states
+    ("sim", {"initial_state": "singlet"}, "initial_state"),
+    ("sim", {"initial_states": []}, "initial_states"),
+    ("sim", {"initial_states": "singlet"}, "initial_states"),
+    ("sim", {"initial_states": ["singlet", 3]}, "initial_states[1]"),
+    ("sim", {"initial_states": [{"name": "singlet"}]}, "initial_states[0]"),
+    ("sim", {"initial_states": [[1.0, "a"]]}, "initial_states[0]"),
+    ("sim", {"initial_states": [[True, 0.0]]}, "initial_states[0]"),
+    ("sim", {"initial_states": [[[1.0, 0.0, 0.0]]]}, "initial_states[0]"),
+    ("sim", {"initial_states": _DELETE, "initial_state": 3}, "initial_states[0]"),
+    # solver
+    ("sim", {"solver": [1]}, "solver"),
+    ("sim", {"solver.bogus": 1}, "solver.bogus"),
+    ("sim", {"solver.dt": "0.01"}, "solver.dt"),
+    ("sim", {"solver.dt": 0.0}, "solver.dt"),
+    ("sim", {"solver.dt": -0.1}, "solver.dt"),
+    ("sim", {"solver.dt": float("inf")}, "solver.dt"),
+    ("sim", {"solver.dt": float("nan")}, "solver.dt"),
+    ("sim", {"solver.dt": 1e-12}, "solver.t_end"),
+    ("sim", {"solver.t_end": "10"}, "solver.t_end"),
+    ("sim", {"solver.t_end": -1.0}, "solver.t_end"),
+    ("sim", {"solver.t_end": float("inf")}, "solver.t_end"),
+    ("sim", {"solver.t_end": float("nan")}, "solver.t_end"),
+    ("sim", {"solver.t_end": 1e9}, "solver.t_end"),
+    ("sim", {"solver.stride": 2.5}, "solver.stride"),
+    ("sim", {"solver.stride": 0}, "solver.stride"),
+    ("sim", {"solver.method": "euler"}, "solver.method"),
+    # sweep
+    ("sim", {"sweep": [1]}, "sweep"),
+    ("sim", {"sweep": {}}, "sweep.parameter"),
+    ("sim", {"sweep": {**_SWEEP, "bogus": 1}}, "sweep.bogus"),
+    ("sim", {"sweep": {"values": [1.0]}}, "sweep.parameter"),
+    ("sim", {"sweep": {**_SWEEP, "parameter": "register.n"}}, "sweep.parameter"),
+    ("sim", {"sweep": {"parameter": "bath.xi"}}, "sweep.values"),
+    ("sim", {"sweep": {**_SWEEP, "values": []}}, "sweep.values"),
+    ("sim", {"sweep": {**_SWEEP, "values": 1.0}}, "sweep.values"),
+    ("sim", {"sweep": {**_SWEEP, "values": [1.0, "x"]}}, "sweep.values"),
+    ("sim", {"sweep": {**_SWEEP, "values": [1.0, -1.0]}}, "sweep.values"),
+    ("sim", {"sweep": {"parameter": "bath.gamma_plus", "values": [0.2]}}, "sweep.values"),
+    ("sim", {"sweep": {"parameter": "bath.gamma_minus", "values": [-1.0]}}, "sweep.values"),
+    ("tau", {"sweep": {"parameter": "bath.gamma_minus", "values": [0.0, 0.1]}}, "sweep.values"),
+    ("tau", {"sweep": _DELETE}, "sweep"),
+    # codes
+    ("codes", {"codes": [1]}, "codes"),
+    ("codes", {"codes.bogus": 1}, "codes.bogus"),
+    ("codes", {"codes.kind": "surface"}, "codes.kind"),
+    ("codes", {"codes.cluster_size": _DELETE}, "codes.cluster_size"),
+    ("codes", {"codes.cluster_size": 2.0}, "codes.cluster_size"),
+    ("codes", {"codes.cluster_size": 3}, "codes.cluster_size"),
+    ("codes", {"codes.cluster_size": 0}, "codes.cluster_size"),
+    ("codes", {"codes.cluster_size": -2}, "codes.cluster_size"),
+    ("codes", {"register.n": 6, "codes.cluster_size": 4}, "codes.cluster_size"),
+    ("codes", {"codes.target_zspin": "0"}, "codes.target_zspin"),
+    ("codes", {"codes.kind": "n4", "register.n": 2}, "codes.kind"),
+    ("sim", {"codes": {"kind": "null"}}, "codes"),
+    # output
+    ("sim", {"output": "out"}, "output"),
+    ("sim", {"output.bogus": 1}, "output.bogus"),
+    ("sim", {"output.directory": ""}, "output.directory"),
+    ("sim", {"output.directory": 3}, "output.directory"),
+    ("sim", {"output.formats": "csv"}, "output.formats"),
+    ("sim", {"output.formats": []}, "output.formats"),
+    ("sim", {"output.formats": ["csv", "png"]}, "output.formats"),
+    ("sim", {"output.name": ""}, "output.name"),
+    ("sim", {"output.name": 7}, "output.name"),
+]
+
+_SUBCOMMAND = {"tau": "tau-sweep", "codes": "codes"}
+
+
+@pytest.mark.parametrize(
+    "base, changes, field", REJECTIONS, ids=[f"{r[2] or 'root'}-{i}" for i, r in enumerate(REJECTIONS)]
+)
+def test_config_rejection_names_field(tmp_path, capsys, base, changes, field):
+    raw = _mutated(base, changes)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert info.value.field == field
+    cfg_path = _write_yaml(tmp_path / "case.yaml", raw)
+    assert main([_SUBCOMMAND.get(base, "simulate"), "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+def test_config_rejections_survive_optimize_flag():
+    # The rejections are raises, not asserts: python -O must keep every one.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qregsim
+
+    script = (
+        "import json, test_expcli as t\n"
+        "from qregsim.errors import ConfigError\n"
+        "fields = []\n"
+        "for base, changes, _ in t.REJECTIONS:\n"
+        "    try:\n"
+        "        t.config_from_dict(t._mutated(base, changes))\n"
+        "        fields.append(None)\n"
+        "    except ConfigError as exc:\n"
+        "        fields.append(exc.field)\n"
+        "print(json.dumps(fields))\n"
+    )
+    here = Path(__file__).resolve().parent
+    src = str(Path(qregsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(here)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [field for _, _, field in REJECTIONS]
+
+
+def _workload_configs() -> dict:
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = {}
+    for name in workloads.NAMES:
+        for seed in (workloads.NOMINAL_SEED, 1):
+            for k, entry in enumerate(workloads.entries(name, seed)):
+                if "raw" in entry:
+                    configs[f"{name}:{seed}:{k}"] = entry["raw"]
+    return configs
+
+
+# Configs that leave most fields to their defaults.
+SPARSE_CONFIGS = {
+    "simulate": {
+        "experiment": "simulate",
+        "register": {"n": 2},
+        "bath": {"model": "cell_limit", "gamma_minus": 1},
+    },
+    "single_state": {
+        "experiment": "simulate",
+        "register": {"n": 3, "epsilon": 2, "interaction": {"kind": "heisenberg_ring"}},
+        "bath": {"model": "replica", "gamma_minus": 0.3, "gamma_plus": 0.1, "xi": 4},
+        "initial_state": "all_up",
+        "solver": {"method": "exact"},
+        "output": {"formats": ["json"]},
+    },
+    "amplitudes": {
+        "experiment": "simulate",
+        "register": {"n": 1, "kind": "dephasing"},
+        "bath": {"model": "gauge_phased", "gamma_minus": 0.2, "phases": [1]},
+        "initial_states": [[1, [0, 1]], "all_down"],
+        "sweep": {"parameter": "bath.delta_ratio", "values": [0, 0.5]},
+    },
+    "tau_sweep": {
+        "experiment": "tau_sweep",
+        "register": {"n": 4},
+        "bath": {"model": "clustered", "gamma_minus": 0.1, "partition": [[0, 1], [2, 3]]},
+        "sweep": {"parameter": "bath.gamma_minus", "values": [0.1, 1]},
+    },
+    "codes": {
+        "experiment": "codes",
+        "register": {"n": 4},
+        "bath": {"model": "exponential", "gamma_minus": 0.1},
+        "codes": None,
+    },
+    "cluster_code": {
+        "experiment": "codes",
+        "register": {"n": 4, "kind": "dephasing"},
+        "bath": {"model": "replica", "gamma_minus": 0.1},
+        "codes": {"kind": "cluster", "cluster_size": 2, "target_zspin": 1},
+        "sweep": None,
+    },
+}
+
+# sha256 of serialize_config for each accepted example.
+SERIALIZED_SHA256 = {
+    "preset:fig1": (
+        "c8e78a548e26b1bb73b4104b27273250d5694f8479f599c0cf373e4f031c7d20"
+    ),
+    "preset:fig2": (
+        "23b24e36c097dcdce56fb26d11a6213bc5fb19d41ef1c0bba11308696c9e6c4b"
+    ),
+    "preset:fig3": (
+        "2a4306586e037de03de7ef6c749386fab40746afdbe570959fd40f62ffba0fc8"
+    ),
+    "preset:fig4": (
+        "3dd93d0a94cf22041871b695e21e90a004756f1db43a05ed2ac1e567f07bdc0e"
+    ),
+    "preset:fig5": (
+        "59809f541323c8b18220577d166fab87917b3e93fcb193e93522257f6b93df57"
+    ),
+    "large_rk4:0:0": (
+        "812130eba0f3b828d7b43523f231ab5f4d17bcd1cc53ee254057c95a50817674"
+    ),
+    "large_rk4:1:0": (
+        "ea04828a3675063932c16c1be5ef8dfca83af7f38a96e1682daf89793990776c"
+    ),
+    "exact_sweep:0:0": (
+        "8959a4cac6e6a22034740ca3506b047a6ebdc1b4743dac78aa8673b1470d4443"
+    ),
+    "exact_sweep:1:0": (
+        "f2764682912b8539079343867ec0dd5899f39fadc1805fd59b2cec6627461c26"
+    ),
+    "spectral:0:0": (
+        "201036091bca5f462cc2cd451b6adcc363c838a204d665bff9cc1f5ae7a2a373"
+    ),
+    "spectral:0:1": (
+        "15b12b89b42b208bb3f4af8389ad4678370bdbf5663070f864ae787d3ce081c3"
+    ),
+    "spectral:0:2": (
+        "4da60fd64c8b6aee40ba77bc48dd567365fdd9584c6636902169563838dde384"
+    ),
+    "spectral:1:0": (
+        "b89f679df9b0ddc1e08f33e94523c1d09f13d5fee14382e461ea29b730f2e340"
+    ),
+    "spectral:1:1": (
+        "15b12b89b42b208bb3f4af8389ad4678370bdbf5663070f864ae787d3ce081c3"
+    ),
+    "spectral:1:2": (
+        "4da60fd64c8b6aee40ba77bc48dd567365fdd9584c6636902169563838dde384"
+    ),
+    "sparse:simulate": (
+        "5f9ca4dfdbdd1e6d9ce2e6afc6d22f38e867f8f0bc21ae371f7fa200ea9bb465"
+    ),
+    "sparse:single_state": (
+        "6149a50fb1026ff7e4a2087cad5ba99bde09bb067b6657f7cc5d5f4af61c38e8"
+    ),
+    "sparse:amplitudes": (
+        "f3ca06e596e559bb9a412443ccf4ccc589cb7e297a995c60febf2385bdad59a5"
+    ),
+    "sparse:tau_sweep": (
+        "7d069af30b0b4bd504e9ad30a60d72f5cae4571ae47c9abc054699c6254bfeed"
+    ),
+    "sparse:codes": (
+        "dd3d3f69d7e661d44192f94f512d140cd93d090d5956b41c3db75540a8822823"
+    ),
+    "sparse:cluster_code": (
+        "d39417e19d2bd9a4e2badb31c64fa70efb45417eb448e1dd32cd5df117ce17cb"
+    ),
+}
+
+
+def _accepted_examples() -> dict:
+    examples = {f"preset:{name}": None for name in PRESETS}
+    examples.update(_workload_configs())
+    examples.update({f"sparse:{k}": v for k, v in SPARSE_CONFIGS.items()})
+    return examples
+
+
+def test_normalized_config_serialization_is_pinned():
+    got = {}
+    for key, raw in _accepted_examples().items():
+        cfg = load_preset(key.split(":")[1]) if raw is None else config_from_dict(raw)
+        got[key] = config_hash(cfg)
+    assert got == SERIALIZED_SHA256
