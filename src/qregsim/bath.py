@@ -84,12 +84,13 @@ class BathSpec:
 
 
 def _check_ordering(gamma0_minus: float, gamma0_plus: float) -> None:
-    if gamma0_minus < 0 or gamma0_plus < 0:
-        raise OrderingViolated("rate amplitudes must be nonnegative")
+    if not (0 <= gamma0_minus < np.inf and 0 <= gamma0_plus < np.inf):
+        raise OrderingViolated("rate amplitudes must be finite and nonnegative")
     if gamma0_minus < gamma0_plus:
         raise OrderingViolated(
             f"gamma0_minus ({gamma0_minus}) must be >= gamma0_plus "
-            f"({gamma0_plus}) for a positive de-excitation ordering"
+            f"({gamma0_plus}) so that gamma_minus - gamma_plus stays "
+            "positive semidefinite"
         )
 
 

@@ -163,6 +163,19 @@ def n4_code() -> CodeSubspace:
     )
 
 
+def check_cluster_size(n: int, cluster_size: int) -> None:
+    """Raise InvalidClusterSize unless cluster_size is a positive even
+    integer that divides n."""
+    if cluster_size < 1 or cluster_size % 2 != 0:
+        raise InvalidClusterSize(
+            f"cluster size must be a positive even integer, got {cluster_size}"
+        )
+    if n % cluster_size != 0:
+        raise InvalidClusterSize(
+            f"{n} cells cannot be split into clusters of {cluster_size}"
+        )
+
+
 def dephasing_cluster_code(
     n: int, cluster_size: int, target_zspin: float = 0.0
 ) -> CodeSubspace:
@@ -173,14 +186,7 @@ def dephasing_cluster_code(
     eigenvalues (+-1/2) inside every cluster equals target_zspin.  For
     target 0 the dimension is C(m, m/2)^(n/m).
     """
-    if cluster_size < 1 or cluster_size % 2 != 0:
-        raise InvalidClusterSize(
-            f"cluster size must be a positive even integer, got {cluster_size}"
-        )
-    if n % cluster_size != 0:
-        raise InvalidClusterSize(
-            f"{n} cells cannot be split into clusters of {cluster_size}"
-        )
+    check_cluster_size(n, cluster_size)
     m = cluster_size
     n_clusters = n // m
     # Per-cluster z-spin of a bitstring chunk: (#zeros - #ones) / 2 with

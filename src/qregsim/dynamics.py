@@ -268,6 +268,8 @@ def evolve(
         return [dephasing_solve(model, spec, r, times) for r in rho0s]
     if method != "exact":
         raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    if len(rho0s) == 0:
+        return []
     d = liouv.dim
     m = superoperator_matrix(liouv)
     cols = np.stack([vec(_as_density(r, d)) for r in rho0s], axis=1)

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -30,10 +30,21 @@ from .bath import (
     gauge_phased,
     replica_symmetric,
 )
-from .codes import dephasing_cluster_code, is_noiseless, n4_code, null_code
-from .dynamics import evolve, step_count
+from .codes import (
+    check_cluster_size,
+    dephasing_cluster_code,
+    is_noiseless,
+    n4_code,
+    null_code,
+)
+from .dynamics import evolve, snapshot_grid, step_count
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
-from .liouvillian import build_liouvillian, canonical_form
+from .liouvillian import (
+    GENERATOR_MAX_BYTES,
+    build_liouvillian,
+    canonical_form,
+    generator_bytes,
+)
 from .observables import (
     fidelity,
     linear_entropy,
@@ -43,6 +54,7 @@ from .observables import (
 from .register import (
     RegisterModel,
     basis_state,
+    check_ring,
     dephasing_register,
     dicke_state,
     heisenberg_ring,
@@ -54,56 +66,182 @@ from .register import (
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
-EXPERIMENTS = ("simulate", "tau_sweep", "codes")
-BATH_MODELS = ("cell_limit", "replica", "exponential", "clustered", "gauge_phased")
-REGISTER_KINDS = ("qubit", "dephasing")
-INTERACTION_KINDS = ("none", "heisenberg_ring")
-SOLVER_METHODS = ("rk4", "exact", "dephasing")
-OUTPUT_FORMATS = ("csv", "json", "gnuplot")
-SWEEPABLE = (
-    "bath.xi",
-    "bath.gamma_minus",
-    "bath.gamma_plus",
-    "bath.delta_ratio",
-)
-CODE_KINDS = ("null", "cluster", "n4")
-
-
 # --------------------------------------------------------------------------
 # Config parsing and validation
 # --------------------------------------------------------------------------
 
-
-def _need(raw: dict, key: str, where: str):
-    if key not in raw or raw[key] is None:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing required field")
-    return raw[key]
+REQUIRED = "required"
 
 
-def _as_float(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class Field:
+    """One config entry.  ``default`` fills an absent (or null) entry;
+    REQUIRED makes it mandatory and None leaves it out.  A field with
+    ``when = (path, value)`` exists only while that field holds that value:
+    otherwise it is neither checked nor kept."""
+
+    path: str
+    kind: str
+    default: object = REQUIRED
+    choices: tuple = ()
+    when: tuple = ()
 
 
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    return int(value)
+# One row per config field; a mapping's row comes before its children's and
+# a field named by a ``when`` before the rows it gates.  output.name, left
+# out here, defaults to the experiment (config_from_dict).
+FIELDS = (
+    Field("experiment", "str", choices=("simulate", "tau_sweep", "codes")),
+    Field("register", "map"),
+    Field("register.n", "int"),
+    Field("register.d", "int", 2, (2,)),
+    Field("register.kind", "str", "qubit", ("qubit", "dephasing")),
+    Field("register.epsilon", "float", 1.0),
+    Field("register.interaction", "map", {}),
+    Field("register.interaction.kind", "str", "none", ("none", "heisenberg_ring")),
+    Field(
+        "register.interaction.j",
+        "float",
+        1.0,
+        when=("register.interaction.kind", "heisenberg_ring"),
+    ),
+    Field("bath", "map"),
+    Field(
+        "bath.model",
+        "str",
+        choices=("cell_limit", "replica", "exponential", "clustered", "gauge_phased"),
+    ),
+    Field("bath.gamma_minus", "float"),
+    Field("bath.gamma_plus", "float", 0.0),
+    Field("bath.delta_ratio", "float", 0.0),
+    Field("bath.xi", "float", 1.0, when=("bath.model", "exponential")),
+    Field("bath.partition", "cells", when=("bath.model", "clustered")),
+    Field("bath.phases", "floats", when=("bath.model", "gauge_phased")),
+    Field("initial_states", "states", ["uniform"]),
+    Field("solver", "map", {}),
+    Field("solver.dt", "float", 0.01),
+    Field("solver.t_end", "float", 10.0),
+    Field("solver.stride", "int", 10),
+    Field("solver.method", "str", "rk4", ("rk4", "exact", "dephasing")),
+    Field("sweep", "map", None),
+    Field(
+        "sweep.parameter",
+        "str",
+        choices=("bath.xi", "bath.gamma_minus", "bath.gamma_plus", "bath.delta_ratio"),
+    ),
+    Field("sweep.values", "floats"),
+    Field("codes", "map", {}, when=("experiment", "codes")),
+    Field("codes.kind", "str", "null", ("null", "cluster", "n4")),
+    Field("codes.cluster_size", "int", when=("codes.kind", "cluster")),
+    Field("codes.target_zspin", "float", 0.0, when=("codes.kind", "cluster")),
+    Field("output", "map", {}),
+    Field("output.directory", "str", "out"),
+    Field("output.formats", "strs", ["csv", "json", "gnuplot"], ("csv", "json", "gnuplot")),
+    Field("output.name", "str", None),
+)
 
 
-def _as_choice(value, choices, field: str) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(field, f"expected one of {list(choices)}, got {value!r}")
-    return value
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _reject_unknown(raw: dict, allowed, where: str) -> None:
-    for key in raw:
-        if key not in allowed:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(v, accepts) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(accepts(x) for x in v)
+
+
+def _states(entries: list) -> tuple:
+    """Named states as given; amplitude lists as ((re, im), ...) tuples,
+    a bare number standing for a real amplitude."""
+    states = []
+    for k, entry in enumerate(entries):
+        if isinstance(entry, str):
+            states.append(entry)
+            continue
+        if not isinstance(entry, list):
             raise ConfigError(
-                f"{where}.{key}" if where else str(key), "unknown field"
+                f"initial_states[{k}]", "must be a state name or amplitude list"
             )
+        amps = []
+        for a in entry:
+            if _is_number(a):
+                a = [a, 0.0]
+            if not (isinstance(a, list) and len(a) == 2 and all(map(_is_number, a))):
+                raise ConfigError(
+                    f"initial_states[{k}]", "amplitudes must be numbers or [re, im] pairs"
+                )
+            amps.append((float(a[0]), float(a[1])))
+        states.append(tuple(amps))
+    return tuple(states)
+
+
+# kind: (accepts, normalizes, what an error says was expected)
+_KINDS = {
+    "map": (lambda v: isinstance(v, dict), None, "a mapping"),
+    "int": (_is_int, int, "an integer"),
+    "float": (_is_number, float, "a number"),
+    "str": (lambda v: isinstance(v, str) and v != "", str, "a nonempty string"),
+    "strs": (
+        lambda v: _list_of(v, lambda x: isinstance(x, str)),
+        list,
+        "a nonempty list of strings",
+    ),
+    "floats": (
+        lambda v: _list_of(v, _is_number),
+        lambda v: [float(x) for x in v],
+        "a nonempty list of numbers",
+    ),
+    "cells": (
+        lambda v: _list_of(v, lambda c: isinstance(c, list) and all(map(_is_int, c))),
+        lambda v: [list(c) for c in v],
+        "a nonempty list of cell-index lists",
+    ),
+    "states": (lambda v: isinstance(v, list) and len(v) > 0, _states, "a nonempty list"),
+}
+
+_PATHS = {f.path for f in FIELDS}
+
+
+def _reject_unknown(parent: str, node: dict) -> None:
+    for key in node:
+        path = f"{parent}.{key}" if parent else str(key)
+        if path not in _PATHS:
+            raise ConfigError(path, "unknown field")
+
+
+def _walk(raw: dict) -> dict:
+    """Check every FIELDS entry for presence, type and choices, and every
+    mapping for unknown keys; returns the normalized nested mapping."""
+    _reject_unknown("", raw)
+    values: dict = {}
+    raws, nodes = {"": raw}, {"": {}}
+    for f in FIELDS:
+        parent, _, key = f.path.rpartition(".")
+        if parent not in raws or (f.when and values[f.when[0]] != f.when[1]):
+            continue
+        value = raws[parent].get(key)
+        if value is None:
+            if f.default == REQUIRED:
+                raise ConfigError(f.path, "missing required field")
+            if f.default is None:
+                continue
+            value = f.default
+        accepts, normalized, expected = _KINDS[f.kind]
+        if not accepts(value):
+            raise ConfigError(f.path, f"expected {expected}, got {value!r}")
+        items = value if isinstance(value, list) else [value]
+        if f.choices and any(v not in f.choices for v in items):
+            raise ConfigError(f.path, f"expected one of {list(f.choices)}, got {value!r}")
+        if f.kind == "map":
+            _reject_unknown(f.path, value)
+            raws[f.path], nodes[f.path] = value, {}
+            values[f.path] = nodes[parent][key] = nodes[f.path]
+        else:
+            values[f.path] = nodes[parent][key] = normalized(value)
+    return nodes[""]
 
 
 @dataclass(frozen=True)
@@ -120,292 +258,114 @@ class ExperimentConfig:
     output: dict
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "register": dict(self.register),
-            "bath": dict(self.bath),
-            "initial_states": [
-                list(s) if isinstance(s, (list, tuple)) else s
-                for s in self.initial_states
-            ],
-            "solver": dict(self.solver),
-            "sweep": dict(self.sweep) if self.sweep is not None else None,
-            "codes": dict(self.codes) if self.codes is not None else None,
-            "output": {
-                **self.output,
-                "formats": list(self.output["formats"]),
-            },
-        }
+        """Plain mappings and lists, as YAML and JSON write them."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into an ExperimentConfig.
 
+    FIELDS fixes each entry's type, default and choices; ranges and
+    consistency are the library's rules, reached through the builders.
     Raises ConfigError carrying the dotted field path of the first
     offending entry.
     """
     if not isinstance(raw, dict):
         raise ConfigError("", "config root must be a mapping")
-    _reject_unknown(
-        raw,
-        {
-            "experiment",
-            "register",
-            "bath",
-            "initial_states",
-            "initial_state",
-            "solver",
-            "sweep",
-            "codes",
-            "output",
-        },
-        "",
-    )
-    experiment = _as_choice(
-        _need(raw, "experiment", ""), EXPERIMENTS, "experiment"
-    )
-
-    # register ------------------------------------------------------------
-    reg_raw = _need(raw, "register", "")
-    if not isinstance(reg_raw, dict):
-        raise ConfigError("register", "must be a mapping")
-    _reject_unknown(
-        reg_raw, {"n", "d", "kind", "epsilon", "interaction"}, "register"
-    )
-    n = _as_int(_need(reg_raw, "n", "register"), "register.n")
-    if n < 1:
-        raise ConfigError("register.n", "need at least one cell")
-    d = _as_int(reg_raw.get("d", 2), "register.d")
-    if d != 2:
-        raise ConfigError("register.d", "the CLI supports two-level cells only")
-    kind = _as_choice(reg_raw.get("kind", "qubit"), REGISTER_KINDS, "register.kind")
-    epsilon = _as_float(reg_raw.get("epsilon", 1.0), "register.epsilon")
-    if epsilon < 0:
-        raise ConfigError("register.epsilon", "cell splitting must be nonnegative")
-    inter_raw = reg_raw.get("interaction") or {"kind": "none"}
-    if not isinstance(inter_raw, dict):
-        raise ConfigError("register.interaction", "must be a mapping")
-    _reject_unknown(inter_raw, {"kind", "j"}, "register.interaction")
-    inter_kind = _as_choice(
-        inter_raw.get("kind", "none"), INTERACTION_KINDS, "register.interaction.kind"
-    )
-    interaction = {"kind": inter_kind}
-    if inter_kind == "heisenberg_ring":
-        if n < 3:
+    raw = dict(raw)
+    single = raw.pop("initial_state", None)
+    if single is not None:
+        if raw.get("initial_states") is not None:
             raise ConfigError(
-                "register.interaction.kind",
-                "a ring coupling needs at least three cells",
+                "initial_state", "give either initial_state or initial_states, not both"
             )
-        interaction["j"] = _as_float(
-            inter_raw.get("j", 1.0), "register.interaction.j"
-        )
-    register = {
-        "n": n,
-        "d": d,
-        "kind": kind,
-        "epsilon": epsilon,
-        "interaction": interaction,
-    }
-
-    # bath ------------------------------------------------------------------
-    bath_raw = _need(raw, "bath", "")
-    if not isinstance(bath_raw, dict):
-        raise ConfigError("bath", "must be a mapping")
-    _reject_unknown(
-        bath_raw,
-        {"model", "gamma_minus", "gamma_plus", "xi", "partition", "phases", "delta_ratio"},
-        "bath",
-    )
-    model_id = _as_choice(_need(bath_raw, "model", "bath"), BATH_MODELS, "bath.model")
-    g_minus = _as_float(_need(bath_raw, "gamma_minus", "bath"), "bath.gamma_minus")
-    g_plus = _as_float(bath_raw.get("gamma_plus", 0.0), "bath.gamma_plus")
-    if g_minus < 0 or g_plus < 0:
-        raise ConfigError("bath.gamma_minus", "rates must be nonnegative")
-    if g_minus < g_plus:
-        raise ConfigError(
-            "bath.gamma_plus",
-            "gamma_minus must be >= gamma_plus so that the difference of the "
-            "coefficient matrices stays positive semidefinite",
-        )
-    bath = {
-        "model": model_id,
-        "gamma_minus": g_minus,
-        "gamma_plus": g_plus,
-        "delta_ratio": _as_float(bath_raw.get("delta_ratio", 0.0), "bath.delta_ratio"),
-    }
-    if model_id == "exponential":
-        xi = _as_float(bath_raw.get("xi", 1.0), "bath.xi")
-        if xi <= 0:
-            raise ConfigError("bath.xi", "correlation length must be positive")
-        bath["xi"] = xi
-    if model_id == "clustered":
-        part = _need(bath_raw, "partition", "bath")
-        if not isinstance(part, list) or not all(isinstance(c, list) for c in part):
-            raise ConfigError("bath.partition", "must be a list of index lists")
-        if sorted(i for c in part for i in c) != list(range(n)):
-            raise ConfigError(
-                "bath.partition", f"must cover each cell 0..{n - 1} exactly once"
-            )
-        bath["partition"] = [[int(i) for i in c] for c in part]
-    if model_id == "gauge_phased":
-        phases = _need(bath_raw, "phases", "bath")
-        if not isinstance(phases, list) or len(phases) != n:
-            raise ConfigError("bath.phases", f"must list one phase per cell ({n})")
-        bath["phases"] = [_as_float(p, "bath.phases") for p in phases]
-
-    # initial states ----------------------------------------------------------
-    if "initial_state" in raw and "initial_states" in raw:
-        raise ConfigError(
-            "initial_state", "give either initial_state or initial_states, not both"
-        )
-    states_raw = raw.get("initial_states")
-    if states_raw is None:
-        single = raw.get("initial_state", "uniform")
-        states_raw = [single]
-    if not isinstance(states_raw, list) or not states_raw:
-        raise ConfigError("initial_states", "must be a nonempty list")
-    initial_states = []
-    for k, entry in enumerate(states_raw):
-        if isinstance(entry, str):
-            initial_states.append(entry)
-        elif isinstance(entry, list):
-            amps = []
-            for a in entry:
-                if isinstance(a, (int, float)) and not isinstance(a, bool):
-                    amps.append([float(a), 0.0])
-                elif (
-                    isinstance(a, list)
-                    and len(a) == 2
-                    and all(
-                        isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in a
-                    )
-                ):
-                    amps.append([float(a[0]), float(a[1])])
-                else:
-                    raise ConfigError(
-                        f"initial_states[{k}]",
-                        "amplitudes must be numbers or [re, im] pairs",
-                    )
-            initial_states.append(amps)
-        else:
-            raise ConfigError(
-                f"initial_states[{k}]", "must be a state name or amplitude list"
-            )
-
-    # solver ------------------------------------------------------------------
-    solver_raw = raw.get("solver") or {}
-    if not isinstance(solver_raw, dict):
-        raise ConfigError("solver", "must be a mapping")
-    _reject_unknown(solver_raw, {"dt", "t_end", "stride", "method"}, "solver")
-    dt = _as_float(solver_raw.get("dt", 0.01), "solver.dt")
-    if not 0 < dt < np.inf:
-        raise ConfigError("solver.dt", "step size must be positive and finite")
-    t_end = _as_float(solver_raw.get("t_end", 10.0), "solver.t_end")
-    if not 0 <= t_end < np.inf:
-        raise ConfigError("solver.t_end", "end time must be nonnegative and finite")
-    try:
-        step_count(t_end, dt)
-    except QregError as exc:
-        raise ConfigError("solver.t_end", str(exc)) from exc
-    stride = _as_int(solver_raw.get("stride", 10), "solver.stride")
-    if stride < 1:
-        raise ConfigError("solver.stride", "stride must be >= 1")
-    method = _as_choice(
-        solver_raw.get("method", "rk4"), SOLVER_METHODS, "solver.method"
-    )
-    solver = {"dt": dt, "t_end": t_end, "stride": stride, "method": method}
-
-    # sweep -------------------------------------------------------------------
-    sweep_raw = raw.get("sweep")
-    sweep = None
-    if sweep_raw is not None:
-        if not isinstance(sweep_raw, dict):
-            raise ConfigError("sweep", "must be a mapping")
-        _reject_unknown(sweep_raw, {"parameter", "values"}, "sweep")
-        parameter = _as_choice(
-            _need(sweep_raw, "parameter", "sweep"), SWEEPABLE, "sweep.parameter"
-        )
-        values_raw = _need(sweep_raw, "values", "sweep")
-        if not isinstance(values_raw, list) or not values_raw:
-            raise ConfigError("sweep.values", "must be a nonempty list of numbers")
-        values = [_as_float(v, "sweep.values") for v in values_raw]
-        if experiment == "tau_sweep" and any(v <= 0 for v in values):
-            raise ConfigError("sweep.values", "sweep values must be positive")
-        if parameter == "bath.xi" and any(v <= 0 for v in values):
-            raise ConfigError("sweep.values", "correlation lengths must be positive")
-        sweep = {"parameter": parameter, "values": values}
-    if experiment == "tau_sweep" and sweep is None:
-        raise ConfigError("sweep", "tau_sweep requires a sweep section")
-
-    # codes -------------------------------------------------------------------
-    codes_raw = raw.get("codes")
-    codes_cfg = None
-    if experiment == "codes":
-        codes_raw = codes_raw or {"kind": "null"}
-        if not isinstance(codes_raw, dict):
-            raise ConfigError("codes", "must be a mapping")
-        _reject_unknown(codes_raw, {"kind", "cluster_size", "target_zspin"}, "codes")
-        ckind = _as_choice(codes_raw.get("kind", "null"), CODE_KINDS, "codes.kind")
-        codes_cfg = {"kind": ckind}
-        if ckind == "cluster":
-            m = _as_int(_need(codes_raw, "cluster_size", "codes"), "codes.cluster_size")
-            if m < 2 or m % 2 != 0:
-                raise ConfigError("codes.cluster_size", "must be a positive even integer")
-            if n % m != 0:
-                raise ConfigError(
-                    "codes.cluster_size", f"must divide the cell count {n}"
-                )
-            codes_cfg["cluster_size"] = m
-            codes_cfg["target_zspin"] = _as_float(
-                codes_raw.get("target_zspin", 0.0), "codes.target_zspin"
-            )
-        if ckind == "n4" and n != 4:
-            raise ConfigError("codes.kind", "the four-cell codewords require n = 4")
-    elif codes_raw is not None:
-        raise ConfigError("codes", "only valid for the codes experiment")
-
-    # output ------------------------------------------------------------------
-    out_raw = raw.get("output") or {}
-    if not isinstance(out_raw, dict):
-        raise ConfigError("output", "must be a mapping")
-    _reject_unknown(out_raw, {"directory", "formats", "name"}, "output")
-    directory = out_raw.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory", "must be a nonempty string")
-    formats = out_raw.get("formats", list(OUTPUT_FORMATS))
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError("output.formats", "must be a nonempty list")
-    for f in formats:
-        if f not in OUTPUT_FORMATS:
-            raise ConfigError(
-                "output.formats", f"expected subset of {list(OUTPUT_FORMATS)}, got {f!r}"
-            )
-    name = out_raw.get("name", experiment)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("output.name", "must be a nonempty string")
-    output = {"directory": directory, "formats": list(formats), "name": name}
-
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        register=register,
-        bath=bath,
-        initial_states=tuple(
-            tuple(tuple(a) for a in s) if isinstance(s, list) else s
-            for s in initial_states
-        ),
-        solver=solver,
-        sweep=sweep,
-        codes=codes_cfg,
-        output=output,
-    )
-    # Every sweep point must make a valid bath, not only the base values.
-    for overrides in _sweep_overrides(cfg):
-        try:
-            build_bath(cfg, overrides)
-        except QregError as exc:
-            raise ConfigError("sweep.values", f"{overrides}: {exc}") from exc
+        raw["initial_states"] = [single]
+    tree = _walk(raw)
+    tree["output"].setdefault("name", tree["experiment"])
+    cfg = ExperimentConfig(**{"sweep": None, "codes": None, **tree})
+    _check_sections(cfg, raw)
+    _check_with_library(cfg)
     return cfg
+
+
+def _check_sections(cfg: ExperimentConfig, raw: dict) -> None:
+    """The CLI's own rules across sections."""
+    if cfg.experiment != "codes" and raw.get("codes") is not None:
+        raise ConfigError("codes", "only valid for the codes experiment")
+    if cfg.codes is not None and cfg.codes["kind"] == "n4" and cfg.register["n"] != 4:
+        raise ConfigError("codes.kind", "the four-cell codewords require n = 4")
+    if cfg.sweep is None:
+        if cfg.experiment == "tau_sweep":
+            raise ConfigError("sweep", "tau_sweep requires a sweep section")
+        return
+    leaf = cfg.sweep["parameter"].split(".", 1)[1]
+    if leaf not in cfg.bath:
+        raise ConfigError(
+            "sweep.parameter", f"the {cfg.bath['model']} bath does not read {leaf}"
+        )
+    if cfg.experiment == "tau_sweep" and any(v <= 0 for v in cfg.sweep["values"]):
+        raise ConfigError("sweep.values", "sweep values must be positive")
+
+
+def _library(path: str, build, *args):
+    """build(*args), with a library error reported as ConfigError(path)."""
+    try:
+        return build(*args)
+    except QregError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _check_with_library(cfg: ExperimentConfig) -> None:
+    """Ranges and consistency, by the library's own builders and guards.
+
+    Each call isolates one field, so an error names it.  For simulate and
+    codes runs every bath point's generator must fit GENERATOR_MAX_BYTES;
+    the register is sized without its interaction term, which is built
+    only by the runners.
+    """
+    reg, bath, solver = cfg.register, cfg.bath, cfg.solver
+    n = reg["n"]
+    _library("register.n", dephasing_register, n)
+    _library("register.epsilon", qubit_register, 1, reg["epsilon"])
+    if reg["interaction"]["kind"] == "heisenberg_ring":
+        _library("register.interaction.kind", check_ring, n)
+    gm, gp = bath["gamma_minus"], bath["gamma_plus"]
+    _library("bath.gamma_minus", cell_limit, 1, gm, 0.0)
+    _library("bath.gamma_plus", cell_limit, 1, gm, gp)
+    _library("bath.delta_ratio", cell_limit, 1, gm, gp, bath["delta_ratio"])
+    # Past the rates, a bath fails only on the parameter its model owns.
+    own = next(
+        (f.path for f in FIELDS if f.when == ("bath.model", bath["model"])),
+        "bath.model",
+    )
+    model = _cells(reg)
+    base = _library(own, build_bath, cfg)
+    # generator_bytes also pairs bath and register: a partition may list other cells.
+    need = _library(own, generator_bytes, model, base)
+    sized = cfg.experiment != "tau_sweep"  # the one experiment without a generator
+    for overrides in _sweep_overrides(cfg):
+        spec = _library("sweep.values", build_bath, cfg, overrides)
+        if sized:
+            need = max(need, generator_bytes(model, spec))
+    if sized and need > GENERATOR_MAX_BYTES:
+        raise ConfigError(
+            "register.n",
+            f"the generator for {n} cells needs about {need / 2**30:.3g} GiB, "
+            f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit",
+        )
+    _library("solver.dt", step_count, 0.0, solver["dt"])
+    _library("solver.t_end", step_count, solver["t_end"], solver["dt"])
+    _library("solver.stride", snapshot_grid, 0.0, solver["dt"], solver["stride"])
+    if cfg.codes is not None and cfg.codes["kind"] == "cluster":
+        _library("codes.cluster_size", check_cluster_size, n, cfg.codes["cluster_size"])
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -413,27 +373,36 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=False)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _parse_yaml(text: str):
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError("", f"not valid YAML: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def _read_config(path: Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise IoError(f"cannot read config {path}: {exc}") from exc
+
+
+def _read_preset(name: str) -> str:
+    if name not in PRESETS:
+        raise ConfigError("preset", f"unknown preset {name!r}; choose from {list(PRESETS)}")
+    return resources.files("qregsim").joinpath(f"presets/{name}.yaml").read_text()
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    return config_from_dict(_parse_yaml(text))
 
 
 def load_config(path: Path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(_read_config(path))
 
 
 def load_preset(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError("preset", f"unknown preset {name!r}; choose from {list(PRESETS)}")
-    text = resources.files("qregsim").joinpath(f"presets/{name}.yaml").read_text()
-    return parse_config(text)
+    return parse_config(_read_preset(name))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -445,16 +414,20 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 
 
+def _cells(reg: dict) -> RegisterModel:
+    """The configured register without its interaction term."""
+    if reg["kind"] == "dephasing":
+        return dephasing_register(reg["n"])
+    return qubit_register(reg["n"], epsilon=reg["epsilon"])
+
+
 def build_register(cfg: ExperimentConfig) -> RegisterModel:
     reg = cfg.register
-    n = reg["n"]
+    model = _cells(reg)
     inter = reg["interaction"]
-    interaction = None
     if inter["kind"] == "heisenberg_ring":
-        interaction = heisenberg_ring(n, inter["j"])
-    if reg["kind"] == "dephasing":
-        return replace(dephasing_register(n), interaction=interaction)
-    return qubit_register(n, epsilon=reg["epsilon"], interaction=interaction)
+        model = replace(model, interaction=heisenberg_ring(reg["n"], inter["j"]))
+    return model
 
 
 def _sweep_overrides(cfg: ExperimentConfig) -> list[dict]:
@@ -718,80 +691,58 @@ def _write_csv(path: Path, columns, values) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+# Simulate plots by output name: the observable, and for a sweep the two
+# states whose difference (first minus second) is drawn per sweep value.
+_SIMULATE_PLOTS = {
+    "fig3": ("delta", None),
+    "fig4": ("F", ("singlet", "symmetric")),
+    "fig5": ("delta", ("symmetric", "singlet")),
+}
+
+
 def _plot_script(table: ResultTable, cfg: ExperimentConfig) -> str:
     name = cfg.output["name"]
     cols = table.columns
+    csv_name = f"{name}.csv"
     lines = [
         "set datafile separator comma",
         "set key autotitle columnhead",
         "set terminal pngcairo size 900,640",
         f"set output '{name}.png'",
     ]
-    csv_name = f"{name}.csv"
-
-    def idx(col):
-        return cols.index(col) + 1
-
     if cfg.experiment == "tau_sweep":
         lines += [f"set xlabel '{cols[0]}'", "set ylabel 'tau_1'"]
-        plots = []
-        for j, col in enumerate(cols[1:], start=2):
-            title = col.removeprefix("rate_")
-            plots.append(
-                f"'{csv_name}' using 1:(${j} > 1e-10 ? 1.0/${j} : 1/0) "
-                f"with linespoints title '{title}'"
-            )
-        lines.append("plot " + ", \\\n     ".join(plots))
-        return "\n".join(lines) + "\n"
-
-    if cfg.experiment == "simulate":
-        fcols = [c for c in cols if c == "F" or c.startswith("F_")]
-        dcols = [c for c in cols if c == "delta" or c.startswith("delta_")]
-        lines.append("set xlabel 't'")
-        if name == "fig4" and cfg.sweep is not None:
-            lines.append("set ylabel 'F_singlet - F_symmetric'")
-            plots = []
-            for v in reversed(cfg.sweep["values"]):
-                tag = format(v, "g")
-                a = idx(f"F_singlet_xi{tag}")
-                b = idx(f"F_symmetric_xi{tag}")
-                plots.append(
-                    f"'{csv_name}' using 1:(${a}-${b}) with lines title 'xi={tag}'"
-                )
-            lines.append("plot " + ", \\\n     ".join(plots))
-        elif name == "fig5" and cfg.sweep is not None:
-            lines.append("set ylabel 'delta_symmetric - delta_singlet'")
-            plots = []
-            for v in reversed(cfg.sweep["values"]):
-                tag = format(v, "g")
-                a = idx(f"delta_symmetric_xi{tag}")
-                b = idx(f"delta_singlet_xi{tag}")
-                plots.append(
-                    f"'{csv_name}' using 1:(${a}-${b}) with lines title 'xi={tag}'"
-                )
-            lines.append("plot " + ", \\\n     ".join(plots))
-        elif name == "fig3":
-            lines.append("set ylabel 'delta'")
+        plots = [
+            f"'{csv_name}' using 1:(${j} > 1e-10 ? 1.0/${j} : 1/0) "
+            f"with linespoints title '{col.removeprefix('rate_')}'"
+            for j, col in enumerate(cols[1:], start=2)
+        ]
+    elif cfg.experiment == "simulate":
+        obs, pair = _SIMULATE_PLOTS.get(name, ("F", None))
+        if pair is not None and cfg.sweep is None:
+            obs, pair = "F", None  # a difference per sweep value needs a sweep
+        if pair is None:
+            lines += ["set xlabel 't'", f"set ylabel '{obs}'"]
             plots = [
-                f"'{csv_name}' using 1:{idx(c)} with lines title '{c.removeprefix('delta_') or 'delta'}'"
-                for c in dcols
+                f"'{csv_name}' using 1:{j} with lines "
+                f"title '{col.removeprefix(obs + '_') or obs}'"
+                for j, col in enumerate(cols, start=1)
+                if col == obs or col.startswith(obs + "_")
             ]
-            lines.append("plot " + ", \\\n     ".join(plots))
         else:
-            lines.append("set ylabel 'F'")
-            plots = [
-                f"'{csv_name}' using 1:{idx(c)} with lines title '{c.removeprefix('F_') or 'F'}'"
-                for c in fcols
-            ]
-            lines.append("plot " + ", \\\n     ".join(plots))
-        return "\n".join(lines) + "\n"
-
-    # codes: nothing figure-like; plot per-column rates.
-    lines += [
-        "set xlabel 'basis column'",
-        "set ylabel 'decoherence rate'",
-        f"plot '{csv_name}' using 1:2 with points pointtype 7 title 'rate'",
-    ]
+            leaf = cfg.sweep["parameter"].split(".", 1)[1]
+            lines += ["set xlabel 't'", f"set ylabel '{obs}_{pair[0]} - {obs}_{pair[1]}'"]
+            plots = []
+            for v in reversed(cfg.sweep["values"]):
+                a, b = (cols.index(f"{obs}_{s}_{leaf}{v:g}") + 1 for s in pair)
+                plots.append(
+                    f"'{csv_name}' using 1:(${a}-${b}) with lines title '{leaf}={v:g}'"
+                )
+    else:
+        # codes: nothing figure-like; plot per-column rates.
+        lines += ["set xlabel 'basis column'", "set ylabel 'decoherence rate'"]
+        plots = [f"'{csv_name}' using 1:2 with points pointtype 7 title 'rate'"]
+    lines.append("plot " + ", \\\n     ".join(plots))
     return "\n".join(lines) + "\n"
 
 
@@ -875,17 +826,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_for_command(args) -> ExperimentConfig:
-    if args.preset:
-        cfg = load_preset(args.preset)
-    else:
-        cfg = load_config(args.config)
-    raw = cfg.to_dict()
-    if args.dt is not None:
-        raw["solver"]["dt"] = args.dt
-    if args.t_end is not None:
-        raw["solver"]["t_end"] = args.t_end
-    if args.preset and raw["output"]["name"] != args.preset:
-        raw["output"]["name"] = args.preset
+    """The config the arguments name, with their overrides, validated once."""
+    text = _read_preset(args.preset) if args.preset else _read_config(args.config)
+    raw = _parse_yaml(text)
+    if isinstance(raw, dict):
+        solver = raw.get("solver") or {}
+        for key in ("dt", "t_end"):
+            if getattr(args, key) is not None and isinstance(solver, dict):
+                solver = raw["solver"] = {**solver, key: getattr(args, key)}
+        if args.preset:
+            raw["output"] = {**raw["output"], "name": args.preset}
     cfg = config_from_dict(raw)
     expected = args.command.replace("-", "_")
     if cfg.experiment != expected:

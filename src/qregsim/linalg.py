@@ -35,11 +35,6 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Anticommutator {a, b}."""
-    return a @ b + b @ a
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     return frob(m - dag(m))
 

@@ -203,6 +203,12 @@ def casimir(n: int) -> np.ndarray:
     return sz @ sz + 0.5 * (sp @ sm + sm @ sp)
 
 
+def check_ring(n: int) -> None:
+    """Raise TooSmall unless n qubits can form a ring (n >= 3)."""
+    if n < 3:
+        raise TooSmall(f"a ring needs at least 3 qubits, got {n}")
+
+
 def heisenberg_ring(n: int, j: float) -> np.ndarray:
     """Nearest-neighbour Heisenberg coupling on a ring of n qubits.
 
@@ -211,8 +217,7 @@ def heisenberg_ring(n: int, j: float) -> np.ndarray:
     term equals half the two-qubit swap; for n = 4 the two singlet codewords
     then sit at +J and -J instead of 0 and -2J.
     """
-    if n < 3:
-        raise TooSmall(f"a ring needs at least 3 qubits, got {n}")
+    check_ring(n)
     dim = 2**n
     h = np.zeros((dim, dim), dtype=complex)
     for i in range(n):

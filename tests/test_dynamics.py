@@ -412,3 +412,11 @@ def test_integrate_uses_the_generator_stability_scale():
     object.__setattr__(liouv, "stability_scale", 1e3)
     with pytest.warns(RuntimeWarning, match="spectral scale"):
         integrate(liouv, basis_state(2, "01"), t_end=0.01, dt=0.01)
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact", "dephasing"])
+def test_evolve_empty_state_list(method):
+    model = qubit_register(2)
+    spec = cell_limit(2, 0.1, 0.0)
+    liouv = build_liouvillian(model, spec)
+    assert evolve(liouv, [], 1.0, 0.1, method=method, model=model, spec=spec) == []

@@ -479,7 +479,11 @@ def _rejection_bases() -> dict:
     ring = simulate_config()
     ring["register"] = {"n": 4, "interaction": {"kind": "heisenberg_ring", "j": 0.5}}
     clustered = simulate_config()
-    clustered["bath"] = {"model": "clustered", "gamma_minus": 0.1, "partition": [[0], [1]]}
+    clustered["bath"] = {
+        "model": "clustered",
+        "gamma_minus": 0.1,
+        "partition": [[0], [1]],
+    }
     gauge = simulate_config()
     gauge["bath"] = {"model": "gauge_phased", "gamma_minus": 0.1, "phases": [0.0, 0.5]}
     tau = {
@@ -569,7 +573,7 @@ REJECTIONS = [
     ("sim", {"bath.gamma_minus": -0.1}, "bath.gamma_minus"),
     ("sim", {"bath.gamma_plus": "0"}, "bath.gamma_plus"),
     ("sim", {"bath.gamma_plus": 0.2}, "bath.gamma_plus"),
-    ("sim", {"bath.gamma_plus": -0.01}, "bath.gamma_minus"),
+    ("sim", {"bath.gamma_plus": -0.01}, "bath.gamma_plus"),
     ("sim", {"bath.delta_ratio": "x"}, "bath.delta_ratio"),
     ("sim", {"bath.xi": "long"}, "bath.xi"),
     ("sim", {"bath.xi": 0.0}, "bath.xi"),
@@ -655,7 +659,9 @@ _SUBCOMMAND = {"tau": "tau-sweep", "codes": "codes"}
 
 
 @pytest.mark.parametrize(
-    "base, changes, field", REJECTIONS, ids=[f"{r[2] or 'root'}-{i}" for i, r in enumerate(REJECTIONS)]
+    "base, changes, field",
+    REJECTIONS,
+    ids=[f"{r[2] or 'root'}-{i}" for i, r in enumerate(REJECTIONS)],
 )
 def test_config_rejection_names_field(tmp_path, capsys, base, changes, field):
     raw = _mutated(base, changes)
@@ -842,3 +848,116 @@ def test_normalized_config_serialization_is_pinned():
         cfg = load_preset(key.split(":")[1]) if raw is None else config_from_dict(raw)
         got[key] = config_hash(cfg)
     assert got == SERIALIZED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# rules the table and the library add at config time
+
+
+@pytest.mark.parametrize(
+    "register",
+    [{"n": 40}, {"n": 22, "interaction": {"kind": "heisenberg_ring"}}],
+    ids=["n40", "ring22"],
+)
+def test_oversized_register_is_config_error(tmp_path, capsys, register):
+    import tracemalloc
+
+    raw = simulate_config(register=register, initial_states=["all_up"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "register.n"
+    assert "GiB" in str(info.value)
+    assert peak < 2**20
+    cfg_path = _write_yaml(tmp_path / "big.yaml", raw)
+    assert main(["simulate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error: register.n")
+
+
+def test_oversized_codes_register_is_config_error(tmp_path, capsys):
+    raw = {
+        "experiment": "codes",
+        "register": {"n": 14},
+        "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+        "output": {"directory": str(tmp_path), "formats": ["csv"]},
+    }
+    cfg_path = _write_yaml(tmp_path / "big_codes.yaml", raw)
+    assert main(["codes", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error: register.n")
+
+
+def test_tau_sweep_is_not_held_to_the_generator_limit(tmp_path):
+    # tau_sweep builds no generator, so a register far past the limit runs.
+    raw = {
+        "experiment": "tau_sweep",
+        "register": {"n": 16},
+        "bath": {"model": "exponential", "gamma_minus": 0.1},
+        "initial_states": ["singlet"],
+        "sweep": {"parameter": "bath.xi", "values": [1.0]},
+        "output": {"directory": str(tmp_path), "name": "big_tau", "formats": ["csv"]},
+    }
+    cfg_path = _write_yaml(tmp_path / "big_tau.yaml", raw)
+    assert main(["tau-sweep", "--config", cfg_path]) == 0
+    rate = float((tmp_path / "big_tau.csv").read_text().splitlines()[1].split(",")[1])
+    assert rate > 0
+
+
+@pytest.mark.parametrize(
+    "bath",
+    [
+        {"model": "cell_limit", "gamma_minus": 0.1},
+        {"model": "replica", "gamma_minus": 0.1},
+        {"model": "clustered", "gamma_minus": 0.1, "partition": [[0, 1]]},
+        {"model": "gauge_phased", "gamma_minus": 0.1, "phases": [0.0, 1.0]},
+    ],
+    ids=lambda b: b["model"],
+)
+def test_sweep_of_a_field_the_model_ignores_is_rejected(tmp_path, capsys, bath):
+    raw = simulate_config(bath=bath, sweep={"parameter": "bath.xi", "values": [1.0, 100.0]})
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert info.value.field == "sweep.parameter"
+    cfg_path = _write_yaml(tmp_path / "case.yaml", raw)
+    assert main(["simulate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep.parameter")
+    raw["sweep"]["parameter"] = "bath.gamma_minus"
+    assert config_from_dict(raw).sweep["parameter"] == "bath.gamma_minus"
+
+
+def test_cli_runs_amplitude_states(tmp_path):
+    raw = simulate_config(initial_states=[[1, [0, 1], 0, 0], "singlet"])
+    raw["output"] = {"directory": str(tmp_path), "name": "amps", "formats": ["csv", "json"]}
+    cfg_path = _write_yaml(tmp_path / "amps.yaml", raw)
+    assert main(["simulate", "--config", cfg_path, "--t-end", "0.1"]) == 0
+    sidecar = json.loads((tmp_path / "amps.json").read_text())
+    assert sidecar["columns"][1:4] == ["F_state0", "delta_state0", "E_state0"]
+    cfg = config_from_dict(sidecar["provenance"]["config"])
+    assert cfg.initial_states[0] == ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
+    assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def test_cli_overrides_apply_before_validation(tmp_path):
+    raw = simulate_config()
+    raw["solver"]["dt"] = -1.0
+    raw["output"] = {"directory": str(tmp_path), "name": "case", "formats": ["json"]}
+    cfg_path = _write_yaml(tmp_path / "case.yaml", raw)
+    assert main(["simulate", "--config", cfg_path, "--t-end", "0.1"]) == 2
+    assert main(["simulate", "--config", cfg_path, "--dt", "0.05", "--t-end", "0.1"]) == 0
+    sidecar = json.loads((tmp_path / "case.json").read_text())
+    assert sidecar["provenance"]["config"]["solver"]["dt"] == 0.05
+
+
+def test_readme_field_table_matches_fields():
+    import re
+    from pathlib import Path
+
+    from qregsim.expcli import FIELDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = r"^\| `([a-z_.]+)` \| (?:mapping|integer|number|string|list of)"
+    listed = re.findall(row, readme, re.M)
+    assert listed == [f.path for f in FIELDS]
