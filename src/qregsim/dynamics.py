@@ -1,12 +1,26 @@
 """Time evolution: fixed-step integration, exact propagation, and the
 closed-form solver for registers whose cell operators are normal and
 mutually commuting (pure dephasing).
+
+RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
+``dense`` and ``gamma`` (``Liouvillian.apply`` on D x D states) and
+``blocks``.  The block form (``liouvillian.excitation_form``) is taken
+when the cells are sigma- qubits, the Lindblad set is structured
+(D >= STRUCTURED_MIN_DIM), the Hamiltonian and every initial state have
+no entry between basis states of different excitation number Q.  Every
+term then keeps the states block-diagonal in Q, so the stepper works on
+the C(2N, N) packed block entries instead of the 4^N of D x D matrices:
+the trace check, re-Hermitization, renormalization and the generator all
+run packed, without ``Liouvillian.apply``, and ``check_state``
+diagonalizes each snapshot block by block.  Snapshots are unpacked to
+D x D only for the Trajectory.  Any other state or generator takes the
+dense or Gamma form unchanged.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -30,7 +44,12 @@ from .linalg import (
     unvec,
     vec,
 )
-from .liouvillian import Liouvillian, superoperator_matrix
+from .liouvillian import (
+    ExcitationBlocks,
+    Liouvillian,
+    excitation_form,
+    superoperator_matrix,
+)
 from .register import RegisterModel, register_hamiltonian
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
@@ -49,14 +68,17 @@ class Trajectory:
 
     Every stored state must satisfy the density-matrix invariants
     (|tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect
-    <= 1e-9); construction fails otherwise.
+    <= 1e-9); construction fails otherwise.  With ``blocks`` (not stored)
+    the eigenvalues of states with no entry between different excitation
+    numbers are found block by block (``check_state``).
     """
 
     times: np.ndarray
     states: np.ndarray
     metadata: dict[str, Any] = field(default_factory=dict)
+    blocks: InitVar[ExcitationBlocks | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, blocks):
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.states, dtype=complex)
         if s.ndim != 3 or s.shape[1] != s.shape[2]:
@@ -66,7 +88,7 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         for k in range(s.shape[0]):
-            check_state(s[k])
+            check_state(s[k], blocks)
 
     def __len__(self):
         return self.times.shape[0]
@@ -130,24 +152,64 @@ def snapshot_grid(
     return h, steps
 
 
-def _rk4(
-    liouv: Liouvillian, rho0s, t_end: float, dt: float, stride: int
-) -> list[Trajectory]:
-    """Classical fixed-step RK4 on the (S, D, D) stack of the initial
-    states, one Trajectory per state.
+class _FullStack:
+    """The (S, D, D) stack the dense and Gamma forms step."""
 
-    Every stage input and the sum k1 + 2k2 + 2k3 + k4 are built in place,
-    left to right, with the operations and operand order of stepping each
-    state alone, so each trajectory is bitwise the single-state one.  At
-    most four stacks are live during an apply: the state, the stage input,
-    the accumulated sum and the apply's result.  The trace check,
-    re-Hermitization, renormalization and ``error_estimate`` are per state.
+    def __init__(self, liouv: Liouvillian):
+        self.apply = liouv.apply
+        self.form = "gamma" if liouv.lindblad.structured else "dense"
+        self.layout = None
+
+    def pack(self, rhos):
+        return np.stack(rhos)
+
+    def trace(self, rho):
+        return rho.trace(axis1=1, axis2=2)
+
+    def adjoint(self, rho, out):
+        np.conjugate(rho.transpose(0, 2, 1), out=out)
+
+    def unpack(self, states):
+        return states
+
+
+class _BlockStack:
+    """The (S, C(2N, N)) stack of packed excitation blocks the block form
+    steps (``excitation_form``)."""
+
+    form = "blocks"
+
+    def __init__(self, blocks):
+        self.apply = blocks.apply
+        self.layout = layout = blocks.layout
+        self.trace, self.adjoint, self.unpack = layout.trace, layout.adjoint, layout.unpack
+
+    def pack(self, rhos):
+        return self.layout.pack(np.stack(rhos))
+
+
+def _stack(liouv: Liouvillian, rhos):
+    blocks = excitation_form(liouv, rhos)
+    return _FullStack(liouv) if blocks is None else _BlockStack(blocks)
+
+
+def _rk4(
+    liouv: Liouvillian, rhos, h: float, steps, stride: int, stack
+) -> list[Trajectory]:
+    """Classical fixed-step RK4 on the stack of the initial density
+    matrices ``rhos``, one Trajectory per state.
+
+    ``stack`` is the layout: the (S, D, D) stack of the dense and Gamma
+    forms, or the packed excitation blocks of the block form, unpacked to
+    D x D only for the Trajectory.  Every stage input and the sum
+    k1 + 2k2 + 2k3 + k4 are built in place, left to right, with the
+    operations and operand order of stepping each state alone, so each
+    trajectory is bitwise the single-state one.  At most four stacks are
+    live during an apply: the state, the stage input, the accumulated sum
+    and the apply's result.  The trace check, re-Hermitization,
+    renormalization and ``error_estimate`` are per state.
     """
-    h, steps = snapshot_grid(t_end, dt, stride)
-    rhos = [_as_density(r, liouv.dim) for r in rho0s]
-    if not rhos:
-        return []
-    rho = np.stack(rhos)
+    rho = stack.pack(rhos)
     n_states, n_steps = rho.shape[0], int(steps[-1])
     scale = liouv.stability_scale
     if n_steps and h * scale > STABILITY_BUDGET:
@@ -160,9 +222,10 @@ def _rk4(
     states = np.empty((n_states, steps.shape[0]) + rho.shape[1:], dtype=complex)
     states[:, 0] = rho
     kept = 1
-    f = liouv.apply
+    f = stack.apply
     half, sixth = 0.5 * h, h / 6.0
     stage = np.empty_like(rho)
+    norm_shape = (n_states,) + (1,) * (rho.ndim - 1)
     max_drift = [0.0] * n_states
     for k in range(1, n_steps + 1):
         acc = f(rho)  # k1
@@ -183,7 +246,7 @@ def _rk4(
         acc += f(stage)  # k4
         acc *= sixth
         rho += acc
-        tr = rho.trace(axis1=1, axis2=2).tolist()
+        tr = stack.trace(rho).tolist()
         drift = [abs(t - 1.0) for t in tr]
         worst = max(range(n_states), key=drift.__getitem__)
         if drift[worst] > TRACE_TOL:
@@ -192,24 +255,26 @@ def _rk4(
                 f"in state {worst}; reduce dt"
             )
         max_drift = [max(m, d) for m, d in zip(max_drift, drift)]
-        np.conjugate(rho.transpose(0, 2, 1), out=stage)
+        stack.adjoint(rho, stage)
         stage += rho
         stage *= 0.5
-        np.divide(stage, np.array([t.real for t in tr])[:, None, None], out=rho)
+        np.divide(stage, np.array([t.real for t in tr]).reshape(norm_shape), out=rho)
         if k == steps[kept]:
             states[:, kept] = rho
             kept += 1
     return [
         Trajectory(
             times=steps * h,
-            states=states[s],
+            states=stack.unpack(states[s]),
             metadata={
                 "method": "rk4",
+                "form": stack.form,
                 "dt": h,
                 "n_steps": n_steps,
                 "stride": stride,
                 "error_estimate": max_drift[s],
             },
+            blocks=stack.layout,
         )
         for s in range(n_states)
     ]
@@ -227,10 +292,14 @@ def integrate(
 
     After each step the state is re-Hermitized and trace-renormalized; a
     trace drift beyond TRACE_TOL before renormalization raises UnstableStep.
+    ``metadata["form"]`` names the generator form stepped (module
+    docstring).
     ``metadata["error_estimate"]`` is the largest trace drift |tr - 1| seen
     before renormalization, not an estimate of the truncation error.
     """
-    return _rk4(liouv, [rho0], t_end, dt, stride)[0]
+    h, steps = snapshot_grid(t_end, dt, stride)
+    rhos = [_as_density(rho0, liouv.dim)]
+    return _rk4(liouv, rhos, h, steps, stride, _stack(liouv, rhos))[0]
 
 
 def evolve(
@@ -247,20 +316,26 @@ def evolve(
     """Evolve each initial state (vector or density matrix) on the one
     snapshot_grid schedule; returns one Trajectory per state.
 
-    ``rk4`` steps all states together as one (S, D, D) stack on the dense
-    generator, and calls ``integrate`` per state on the structured one
-    (``liouv.lindblad.structured``), whose apply is memory-bound; either
+    ``rk4`` steps all states together as one stack on the dense generator
+    and on the block form (module docstring), which needs every state
+    block-diagonal; otherwise it calls ``integrate`` per state on the
+    structured generator, whose Gamma-form apply is memory-bound, and
+    ``integrate`` picks the block form for a state where it can.  Either
     way each trajectory is bitwise the one ``integrate`` gives.  ``exact``
     advances all states at once, stacked as the columns of a D^2 x S
     matrix, with one propagator per snapshot interval (dense
     superoperator, D <= 64).  ``dephasing`` is the closed form and needs
     the ``model`` and ``spec`` behind ``liouv``.
     """
-    if method == "rk4":
-        if liouv.lindblad.structured:
-            return [integrate(liouv, r, t_end, dt, stride) for r in rho0s]
-        return _rk4(liouv, rho0s, t_end, dt, stride)
     h, steps = snapshot_grid(t_end, dt, stride)
+    if method == "rk4":
+        rhos = [_as_density(r, liouv.dim) for r in rho0s]
+        if not rhos:
+            return []
+        stack = _stack(liouv, rhos)
+        if stack.form == "gamma":
+            return [integrate(liouv, r, t_end, dt, stride) for r in rhos]
+        return _rk4(liouv, rhos, h, steps, stride, stack)
     times = steps * h
     if method == "dephasing":
         if model is None or spec is None:
@@ -412,24 +487,39 @@ def dephasing_solve(
     return Trajectory(times=t, states=states, metadata={"method": "dephasing"})
 
 
-def state_defect_report(rho: np.ndarray) -> dict[str, float]:
-    """Trace, positivity, and Hermiticity defects of a density matrix."""
+def state_defect_report(
+    rho: np.ndarray, blocks: ExcitationBlocks | None = None
+) -> dict[str, float]:
+    """Trace, positivity, and Hermiticity defects of a density matrix.
+
+    With ``blocks``, and no nonzero entry of rho between different
+    excitation numbers, the smallest eigenvalue is the smallest over the
+    blocks: the spectrum of a block-diagonal matrix is the union of its
+    blocks' spectra.  Otherwise the whole matrix is diagonalized.
+    """
     rho = np.asarray(rho, dtype=complex)
     herm = hermiticity_defect(rho)
-    sym = 0.5 * (rho + dag(rho))
-    eigs = np.linalg.eigvalsh(sym)
+    if blocks is not None and blocks.is_block_diagonal(rho):
+        eig_min = min(
+            np.linalg.eigvalsh(0.5 * (b + dag(b))).min()
+            for b in blocks.blocks(blocks.pack(rho))
+        )
+    else:
+        eig_min = np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min()
     return {
         "trace_defect": abs(complex(np.trace(rho)) - 1.0),
-        "min_eigenvalue": float(eigs.min()),
+        "min_eigenvalue": float(eig_min),
         "hermiticity_defect": float(herm),
     }
 
 
-def check_state(rho: np.ndarray) -> None:
+def check_state(rho: np.ndarray, blocks: ExcitationBlocks | None = None) -> None:
     """Raise UnstableStep unless rho satisfies the state invariants:
     |tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect <= 1e-9.
+    ``blocks`` lets a block-diagonal rho be diagonalized block by block
+    (``state_defect_report``).
     """
-    rep = state_defect_report(rho)
+    rep = state_defect_report(rho, blocks)
     if rep["trace_defect"] > 1e-8:
         raise UnstableStep(f"trace defect {rep['trace_defect']:.3e} > 1e-8")
     if rep["min_eigenvalue"] < -1e-7:

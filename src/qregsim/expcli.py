@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from .liouvillian import (
     build_liouvillian,
     canonical_form,
     generator_bytes,
+    rates_bytes,
 )
 from .observables import (
     fidelity,
@@ -65,6 +67,10 @@ from .register import (
 )
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5")
+# D x D complex arrays heisenberg_ring with the register's commutation
+# check, or su2_basis_state's Casimir, hold at once: at most 7.2 measured
+# (tracemalloc peak over 16 D^2 bytes) at N = 6-8.
+DENSE_BUILDER_MATRICES = 8
 
 # --------------------------------------------------------------------------
 # Config parsing and validation
@@ -329,7 +335,9 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     Each call isolates one field, so an error names it.  For simulate and
     codes runs every bath point's generator must fit GENERATOR_MAX_BYTES;
     the register is sized without its interaction term, which is built
-    only by the runners.
+    only by the runners.  A tau_sweep run must fit it with its state
+    vectors and rates (``rates_bytes``), counting DENSE_BUILDER_MATRICES
+    more when it builds a ring interaction or an su2 state.
     """
     reg, bath, solver = cfg.register, cfg.bath, cfg.solver
     n = reg["n"]
@@ -348,17 +356,27 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     )
     model = _cells(reg)
     base = _library(own, build_bath, cfg)
-    # generator_bytes also pairs bath and register: a partition may list other cells.
-    need = _library(own, generator_bytes, model, base)
-    sized = cfg.experiment != "tau_sweep"  # the one experiment without a generator
+    if cfg.experiment == "tau_sweep":  # the one experiment without a generator
+        dense = reg["interaction"]["kind"] != "none" or any(
+            isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states
+        )
+        size = partial(
+            rates_bytes,
+            n_states=len(cfg.initial_states),
+            matrices=DENSE_BUILDER_MATRICES if dense else 0,
+        )
+        what = "decoherence rates for {} cells need"
+    else:
+        size, what = generator_bytes, "generator for {} cells needs"
+    # Sizing also pairs bath and register: a partition may list other cells.
+    need = _library(own, size, model, base)
     for overrides in _sweep_overrides(cfg):
         spec = _library("sweep.values", build_bath, cfg, overrides)
-        if sized:
-            need = max(need, generator_bytes(model, spec))
-    if sized and need > GENERATOR_MAX_BYTES:
+        need = max(need, size(model, spec))
+    if need > GENERATOR_MAX_BYTES:
         raise ConfigError(
             "register.n",
-            f"the generator for {n} cells needs about {need / 2**30:.3g} GiB, "
+            f"the {what.format(n)} about {need / 2**30:.3g} GiB, "
             f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit",
         )
     _library("solver.dt", step_count, 0.0, solver["dt"])
@@ -719,8 +737,13 @@ def _plot_script(table: ResultTable, cfg: ExperimentConfig) -> str:
         ]
     elif cfg.experiment == "simulate":
         obs, pair = _SIMULATE_PLOTS.get(name, ("F", None))
-        if pair is not None and cfg.sweep is None:
-            obs, pair = "F", None  # a difference per sweep value needs a sweep
+        if pair is not None:
+            # a difference per sweep value needs a sweep and both states
+            leaf = cfg.sweep["parameter"].split(".", 1)[1] if cfg.sweep else ""
+            values = cfg.sweep["values"] if cfg.sweep else []
+            wanted = {f"{obs}_{s}_{leaf}{v:g}" for v in values for s in pair}
+            if not values or not wanted <= set(cols):
+                obs, pair = "F", None
         if pair is None:
             lines += ["set xlabel 't'", f"set ylabel '{obs}'"]
             plots = [
@@ -730,7 +753,6 @@ def _plot_script(table: ResultTable, cfg: ExperimentConfig) -> str:
                 if col == obs or col.startswith(obs + "_")
             ]
         else:
-            leaf = cfg.sweep["parameter"].split(".", 1)[1]
             lines += ["set xlabel 't'", f"set ylabel '{obs}_{pair[0]} - {obs}_{pair[1]}'"]
             plots = []
             for v in reversed(cfg.sweep["values"]):

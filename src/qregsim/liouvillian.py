@@ -29,7 +29,21 @@ on one of two paths:
   Below the crossover the dense products are faster, so small registers
   keep the dense path.
 
-Both paths hold the same terms, so cutoff, clamping and rates agree.
+A third form, excitation blocks, serves the RK4 stepper (``dynamics``) and
+never ``apply``.  ``excitation_form(liouv, rhos)`` returns it when the
+cells are sigma- qubits, ``LindbladSet.structured`` holds, and neither H
+nor any state in ``rhos`` has an entry between basis states of different
+excitation number Q (cells up); otherwise None, and the caller keeps
+the Gamma or dense form.  H and the Lamb shift conserve Q and the
+sigma-/sigma+ sectors move it by exactly -1/+1, so such states stay
+block-diagonal in Q: C(2N, N) of the 4^N entries (``ExcitationBlocks``),
+19.6 % at N = 8.  The Gamma-form dissipator then becomes, per sector,
+gathers between the C(N, q) and C(N, q -/+ 1) bases and one
+(N x N)(N x sum_q n_{q-/+1} n_q) product per half-sector.  Its index
+tables take O(N C(2N, N)) time and are built on every call, never by
+``build_liouvillian``.
+
+All forms hold the same terms, so cutoff, clamping and rates agree.
 Terms from ``canonical_form`` carry rate, sector and weights; each
 sector's D x D operators are built only when some ``op`` is first read
 (the dense path, code construction, small-register rates).  One predicate,
@@ -54,7 +68,13 @@ from .errors import (
     TooLarge,
 )
 from .linalg import dag, herm_eig, is_hermitian, kron
-from .register import RegisterModel, embed_cell_op, register_hamiltonian
+from .register import (
+    SIGMA_MINUS,
+    RegisterModel,
+    embed_cell_op,
+    excitation_numbers,
+    register_hamiltonian,
+)
 
 # Lindblad terms with rate below RATE_CUTOFF * max_rate are dropped so that
 # eigenvalue noise of the coefficient matrices cannot inject dissipators.
@@ -504,6 +524,201 @@ class _GammaForm:
         return out
 
 
+class ExcitationBlocks:
+    """Excitation-number blocks of an N-qubit register.
+
+    Q(b) counts the cells of basis state b that are up (digit 0).  A matrix
+    with no entry between basis states of different Q is stored packed: per
+    q = 0..N the C(N, q) x C(N, q) block rho[S_q][:, S_q], S_q the states
+    with Q = q in ascending order, row-major, the blocks concatenated by q;
+    C(2N, N) entries in all.  Packed arrays carry any leading stack axes.
+
+    ``rows`` and ``cols`` hold the basis states of each packed entry,
+    ``full`` its flat D x D index, ``transpose`` the packed index of its
+    transposed entry and ``diagonal`` the packed indices of the diagonal.
+    """
+
+    def __init__(self, n: int):
+        dim = 2**n
+        self.n, self.dim = n, dim
+        up = excitation_numbers(n)
+        self.sizes = np.bincount(up, minlength=n + 1)
+        self.states = [np.flatnonzero(up == q) for q in range(n + 1)]
+        self.pos = np.empty(dim, dtype=np.intp)
+        for s in self.states:
+            self.pos[s] = np.arange(s.shape[0])
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
+        self.size = int(self.offsets[-1])
+        self.rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
+        self.cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
+        self.full = self.rows * dim + self.cols
+        k = up[self.rows]
+        self.transpose = self.offsets[k] + self.pos[self.cols] * self.sizes[k] + self.pos[self.rows]
+        self.diagonal = np.flatnonzero(self.rows == self.cols)
+
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        """The packed blocks of rho (..., D, D); entries off the blocks are
+        dropped."""
+        flat = rho.reshape(rho.shape[:-2] + (-1,))
+        return np.take(flat, self.full, axis=-1)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """(..., D, D) matrices with the packed blocks and zeros elsewhere."""
+        out = np.zeros(packed.shape[:-1] + (self.dim**2,), dtype=packed.dtype)
+        out[..., self.full] = packed
+        return out.reshape(packed.shape[:-1] + (self.dim, self.dim))
+
+    def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Views of the q = 0..N blocks of a packed array."""
+        lead = packed.shape[:-1]
+        return [
+            packed[..., o : o + m * m].reshape(lead + (m, m))
+            for o, m in zip(self.offsets, self.sizes)
+        ]
+
+    def is_block_diagonal(self, rho: np.ndarray) -> bool:
+        """Whether every entry of rho between different Q is exactly zero."""
+        return np.count_nonzero(rho) == np.count_nonzero(self.pack(rho))
+
+    def trace(self, packed: np.ndarray) -> np.ndarray:
+        return np.take(packed, self.diagonal, axis=-1).sum(axis=-1)
+
+    def adjoint(self, packed: np.ndarray, out: np.ndarray) -> None:
+        """out = the packed conjugate transpose of packed."""
+        np.take(packed, self.transpose, axis=-1, out=out)
+        np.conjugate(out, out=out)
+
+    def moves(self, s: int):
+        """Gather tables of the digit moves of a qubit cell operator A that
+        takes one digit (the source) to the other (the target) with
+        coefficient 1 and so moves Q by s: -1 for sigma-, +1 for sigma+.
+
+        X_i = A_i rho and Z_j^T = (rho A_j^+)^T live in the half-sector of
+        s: the blocks (q + s, q), packed by q like rho, P entries.  Returns
+        ``x`` and ``z`` (N, P), which gather X_i and Z_i^T from rho's M
+        packed entries (index M reads a zero), and the terms of
+        Y_j A_j^+ and A_j^+ Y_j from Y and of W_i A_i from W^T, each an
+        (N, P) array flattened.  A term table is ``(gather, segments)``:
+        within a block every entry has the same number c of nonzero terms
+        (the cells of its row or column state in the target or source
+        digit), so block q's terms form a (c, n_q, n_q) array at
+        ``gather[v:v + c * n_q^2]``, and ``segments`` lists
+        (v, c, offset, n_q^2) per block with c > 0.  O(N C(2N, N)) work.
+        """
+        n, m, sizes, pos = self.n, self.size, self.sizes, self.pos
+        bits = 1 << np.arange(n - 1, -1, -1)
+        target = 1 if s < 0 else 0  # digit 1 is down
+        kept = [q for q in range(n + 1) if 0 <= q + s <= n]
+        h_off = np.zeros(n + 2, dtype=np.intp)
+        for q in kept:
+            h_off[q + 1] = sizes[q + s] * sizes[q]
+        h_off = np.cumsum(h_off)
+        p = int(h_off[-1])
+        x, z = np.empty((n, p), dtype=np.intp), np.empty((n, p), dtype=np.intp)
+        for q in kept:
+            # X_i[a', b] = rho[src_i(a'), b] and Z_i^T[a', b] = rho[b, src_i(a')]
+            # for a' in S_{q+s} with cell i in the target digit
+            rows = self.states[q + s][None, :]
+            at = (((rows & bits[:, None]) != 0) == target)[:, :, None]
+            src = pos[rows ^ bits[:, None]][:, :, None]
+            col = np.arange(sizes[q])
+            here = slice(h_off[q], h_off[q + 1])
+            x[:, here] = np.where(at, self.offsets[q] + src * sizes[q] + col, m).reshape(n, -1)
+            z[:, here] = np.where(at, self.offsets[q] + col * sizes[q] + src, m).reshape(n, -1)
+
+        def cells(states, digit):
+            """The cells of each state in the digit, (c, len), and the
+            positions of the states with each of them flipped."""
+            c = np.nonzero(((states[:, None] & bits) != 0) == digit)[1]
+            c = c.reshape(len(states), -1).T.copy()
+            return c * p, pos[states ^ bits[c]]
+
+        terms = {"sandwich": ([], []), "left": ([], []), "right": ([], [])}
+        for q in range(n + 1):
+            states, o = self.states[q], int(self.offsets[q])
+            index = np.arange(sizes[q])
+            blocks = []  # (name, moved, its axis 1 (row) or 2 (column), fixed)
+            # (Y_j A_j^+)[a', b'] = Y_j[a', src_j(b')], cell j of b' the target;
+            # (a', src_j(b')) sits in the half-sector's column block q - s
+            cell, flip = cells(states, target)
+            if cell.size:
+                k = q - s
+                blocks.append(("sandwich", cell + flip, 2, h_off[k] + index * sizes[k]))
+            # (A_j^+ Y_j)[a, b] = Y_j[A_j a, b] and
+            # (W_i A_i)[a, b] = W_i^T[A_i b, a], cell j of a (i of b) the source
+            cell, flip = cells(states, 1 - target)
+            if cell.size:
+                moved = cell + flip * sizes[q]
+                blocks.append(("left", moved, 1, h_off[q] + index))
+                blocks.append(("right", moved, 2, h_off[q] + index))
+            for name, moved, axis, fixed in blocks:
+                table = np.expand_dims(moved, 3 - axis) + np.expand_dims(fixed, axis - 1)
+                gather, segments = terms[name]
+                v = sum(g.size for g in gather)
+                gather.append(table.ravel())
+                segments.append((v, table.shape[0], o, table[0].size))
+        return x, z, *((np.concatenate(g), sg) for g, sg in terms.values())
+
+
+def _add_terms(acc: np.ndarray, source: np.ndarray, table) -> None:
+    """acc (S, M) += the per-entry sums of a term table over source."""
+    gather, segments = table
+    terms = np.take(source, gather, axis=1)
+    for v, c, o, size in segments:
+        acc[:, o : o + size] += terms[:, v : v + c * size].reshape(-1, c, size).sum(axis=1)
+
+
+class _BlockForm:
+    """The generator on excitation blocks (``excitation_form``): the
+    Gamma-form dissipator with every cell operator a gather between
+    packed blocks, and the Hamiltonian term per block.
+
+    ``apply`` maps an (S, M) stack of packed states, each row bitwise as
+    it is alone.
+    """
+
+    def __init__(self, layout: ExcitationBlocks, lindblad: LindbladSet, h):
+        self.layout = layout
+        h_diag = np.diagonal(h)
+        rows, cols = layout.rows, layout.cols
+        if np.count_nonzero(h) == np.count_nonzero(h_diag):
+            self.multiplier, self.h = -1j * (h_diag[rows] - h_diag[cols]), None
+        else:
+            self.multiplier = np.zeros(layout.size, dtype=complex)
+            self.h = [h[np.ix_(s, s)] for s in layout.states]
+        self.sectors = []
+        for sector in (SECTOR_MINUS, SECTOR_PLUS):
+            terms = [t for t in lindblad if t.sector == sector]
+            if terms:
+                g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
+                g = g.real if not np.any(g.imag) else g
+                self.sectors.append((g, np.ascontiguousarray(g.T), layout.moves(sector)))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        layout = self.layout
+        n_states, m = rho.shape[0], layout.size
+        out = self.multiplier * rho
+        if self.h is not None:
+            for h, r, o in zip(self.h, layout.blocks(rho), layout.blocks(out)):
+                o += -1j * (h @ r - r @ h)
+        if not self.sectors:
+            return out
+        src = np.zeros((n_states, m + 1), dtype=complex)
+        src[:, :m] = rho
+        anti = np.zeros_like(out)
+        for gamma, gamma_t, (x_at, z_at, sandwich, left, right) in self.sectors:
+            y = np.empty((n_states,) + x_at.shape, dtype=complex)
+            flat = y.reshape(n_states, -1)
+            _contract(gamma_t, np.take(src, x_at, axis=1), y)  # Y_j = sum_i G_ij X_i
+            _add_terms(out, flat, sandwich)  # Y_j A_j^+
+            _add_terms(anti, flat, left)  # A_j^+ Y_j
+            _contract(gamma, np.take(src, z_at, axis=1), y)  # W_i^T = sum_j G_ij Z_j^T
+            _add_terms(anti, flat, right)  # W_i A_i
+        anti *= -0.5
+        out += anti
+        return out
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Immutable generator: renormalized Hamiltonian plus Lindblad terms.
@@ -575,6 +790,35 @@ class Liouvillian:
         )
 
 
+def excitation_form(liouv: Liouvillian, rhos) -> _BlockForm | None:
+    """The generator on excitation blocks, for the D x D states ``rhos``,
+    or None unless all of these hold:
+
+    * the cells are qubits with cell operator sigma-;
+    * ``liouv.lindblad.structured`` (canonical, D >= STRUCTURED_MIN_DIM);
+    * every state has no entry between basis states of different Q;
+    * neither has the Hamiltonian.
+
+    Then every term keeps the states block-diagonal: H and the Lamb shift
+    conserve Q, and the sigma-/sigma+ sectors move it by exactly -1/+1.
+    The index tables are built here, on every call.
+    """
+    lset = liouv.lindblad
+    model = lset.model
+    if not (
+        lset.structured
+        and model.cell_dim == 2
+        and np.array_equal(model.cell_op, SIGMA_MINUS)
+    ):
+        return None
+    layout = ExcitationBlocks(model.n_cells)
+    if not all(layout.is_block_diagonal(r) for r in rhos):
+        return None
+    if not layout.is_block_diagonal(liouv.hamiltonian):
+        return None
+    return _BlockForm(layout, lset, liouv.hamiltonian)
+
+
 def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
     """Estimated peak bytes of build_liouvillian and one apply call.
 
@@ -589,6 +833,28 @@ def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
     sandwich temporaries, and five D x D arrays.
     """
     return _peak_bytes(canonical_form(model, spec))
+
+
+def rates_bytes(
+    model: RegisterModel, spec: BathSpec, n_states: int, matrices: int = 0
+) -> int:
+    """Estimated peak bytes of first-order decoherence rates: n_states
+    state vectors held at once, one ``pure_decoherence_rate`` call on
+    ``canonical_form(model, spec)``, and ``matrices`` D x D complex arrays
+    the caller builds beside them (a dense state builder or interaction).
+
+    Each sector with a nonzero bath matrix has at most N terms (exactly N
+    when the matrix has full rank), counted without diagonalizing it.  A
+    structured set takes N vectors per sector for the cell actions, one
+    per term for L_k psi, and three for the state and numpy's temporaries
+    (measured at N = 6-8); a smaller set builds its K operators instead.
+    """
+    n, vector = model.n_cells, 16 * model.dim
+    terms = n * sum(bool(np.any(g)) for g in (spec.gamma_minus, spec.gamma_plus))
+    need = (n_states + 2 * terms + 3) * vector
+    if model.dim < STRUCTURED_MIN_DIM:
+        need += terms * model.dim * vector
+    return need + matrices * model.dim * vector
 
 
 def _peak_bytes(lindblad: LindbladSet) -> int:

@@ -961,3 +961,88 @@ def test_readme_field_table_matches_fields():
     row = r"^\| `([a-z_.]+)` \| (?:mapping|integer|number|string|list of)"
     listed = re.findall(row, readme, re.M)
     assert listed == [f.path for f in FIELDS]
+
+
+def _tau_sweep_config(tmp_path, register: dict, states: list) -> dict:
+    return {
+        "experiment": "tau_sweep",
+        "register": register,
+        "bath": {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02},
+        "initial_states": states,
+        "sweep": {"parameter": "bath.xi", "values": [1.0, 2.0]},
+        "output": {"directory": str(tmp_path), "name": "tau", "formats": ["csv"]},
+    }
+
+
+@pytest.mark.parametrize(
+    "register, states",
+    [({"n": 30}, ["singlet"]), ({"n": 24}, ["uniform", "symmetric"]),
+     ({"n": 12, "interaction": {"kind": "heisenberg_ring"}}, ["singlet"]),
+     ({"n": 12}, ["su2:0,0"])],
+    ids=["n30", "n24", "ring12", "su2_12"],
+)
+def test_oversized_tau_sweep_is_config_error(tmp_path, capsys, register, states):
+    import tracemalloc
+
+    raw = _tau_sweep_config(tmp_path, register, states)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "register.n"
+    assert "decoherence rates" in str(info.value) and "GiB" in str(info.value)
+    assert peak < 2**20
+    cfg_path = _write_yaml(tmp_path / "big_tau.yaml", raw)
+    assert main(["tau-sweep", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error: register.n")
+
+
+@pytest.mark.parametrize(
+    "register, states",
+    [({"n": 10}, ["singlet", "symmetric"]), ({"n": 12}, ["uniform"]),
+     ({"n": 8, "interaction": {"kind": "heisenberg_ring"}}, ["singlet"]),
+     ({"n": 8}, ["su2:1,0", "all_up"])],
+    ids=["n10", "n12", "ring8", "su2_8"],
+)
+def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
+    import tracemalloc
+
+    from qregsim.expcli import DENSE_BUILDER_MATRICES, build_bath, _cells
+    from qregsim.liouvillian import rates_bytes
+
+    cfg = config_from_dict(_tau_sweep_config(tmp_path, register, states))
+    dense = register.get("interaction") or any(s.startswith("su2:") for s in states)
+    need = rates_bytes(
+        _cells(cfg.register),
+        build_bath(cfg),
+        len(states),
+        DENSE_BUILDER_MATRICES if dense else 0,
+    )
+    tracemalloc.start()
+    try:
+        run_tau_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need <= 2 * peak
+
+
+def test_cli_fig_named_sweep_without_the_pair_plots_per_state(tmp_path, capsys):
+    raw = {
+        "experiment": "simulate",
+        "register": {"n": 2},
+        "bath": {"model": "exponential", "gamma_minus": 0.1},
+        "initial_states": ["all_up", "all_down"],
+        "solver": {"dt": 0.05, "t_end": 0.2, "stride": 2},
+        "sweep": {"parameter": "bath.xi", "values": [0.5, 2.0]},
+        "output": {"directory": str(tmp_path), "name": "fig4"},
+    }
+    cfg_path = _write_yaml(tmp_path / "fig4.yaml", raw)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    script = (tmp_path / "fig4.gp").read_text()
+    assert "set ylabel 'F'" in script
+    assert "title 'all_up_xi0.5'" in script and "title 'all_down_xi2'" in script
+    assert {p.name for p in tmp_path.iterdir()} >= {"fig4.csv", "fig4.json", "fig4.gp"}

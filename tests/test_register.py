@@ -207,3 +207,47 @@ class TestMultiplicity:
                 su2_multiplicity(n, s2) * (s2 + 1) for s2 in range(n % 2, n + 1, 2)
             )
             assert total == 2**n
+
+
+def _raise_all(n: int, v: np.ndarray) -> np.ndarray:
+    """S^+ v by digit moves: each cell down (bit 1) in a basis state is
+    raised in turn, without a D x D matrix."""
+    out = np.zeros_like(v)
+    basis = np.arange(2**n)
+    for i in range(n):
+        bit = 1 << (n - 1 - i)
+        down = basis[(basis & bit) != 0]
+        out[down ^ bit] += v[down]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dicke_state_is_bitwise_the_raised_all_down_state(n):
+    for k in range(n + 1):
+        v = basis_state(n, [1] * n)
+        for _ in range(k):
+            v = _raise_all(n, v)
+        assert dicke_state(n, k).tobytes() == normalize(v).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_dicke_state_matches_the_dense_collective_raising(n):
+    sp = total_splus(n)
+    for k in range(n + 1):
+        v = basis_state(n, [1] * n)
+        for _ in range(k):
+            v = sp @ v
+        assert dicke_state(n, k).tobytes() == normalize(v).tobytes()
+
+
+def test_dicke_state_allocates_order_d():
+    import tracemalloc
+
+    n = 14
+    tracemalloc.start()
+    try:
+        dicke_state(n, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * 2**n  # a D x D matrix would take 4 GiB
