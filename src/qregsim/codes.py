@@ -6,8 +6,7 @@ four-cell codewords, dephasing cluster codes, and gauge transport.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +22,8 @@ from .liouvillian import LindbladSet, Liouvillian
 from .register import (
     RegisterModel,
     basis_state,
-    embed_cell_op,
+    cell_digits,
+    cell_terms,
     su2_multiplicity,
 )
 
@@ -189,32 +189,16 @@ def dephasing_cluster_code(
     check_cluster_size(n, cluster_size)
     m = cluster_size
     n_clusters = n // m
-    # Per-cluster z-spin of a bitstring chunk: (#zeros - #ones) / 2 with
-    # 0 = up.  Target must be reachable: m/2 - (number of ones) = target.
+    # A cluster's z-spin is m/2 minus its number of ones (down cells), so
+    # the target needs k ones in every cluster.
     ones_needed = m / 2.0 - float(target_zspin)
     k = int(round(ones_needed))
-    dim = 2**n
-    cols = []
-    if abs(ones_needed - k) < 1e-12 and 0 <= k <= m:
-        cluster_words = []
-        for positions in combinations(range(m), k):
-            word = ["0"] * m
-            for p in positions:
-                word[p] = "1"
-            cluster_words.append("".join(word))
-        # Lexicographic product ordering: cluster 0 varies slowest.
-        def build(prefix, cluster_index):
-            if cluster_index == n_clusters:
-                cols.append(int(prefix, 2))
-                return
-            for w in cluster_words:
-                build(prefix + w, cluster_index + 1)
-
-        build("", 0)
-        cols.sort()
-    basis = np.zeros((dim, len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        basis[c, j] = 1.0
+    cols = np.zeros(0, dtype=int)
+    if abs(ones_needed - k) < 1e-12:
+        ones = cell_digits(n).reshape(-1, n_clusters, m).sum(axis=2)
+        cols = np.flatnonzero((ones == k).all(axis=1))
+    basis = np.zeros((2**n, cols.size), dtype=complex)
+    basis[cols, np.arange(cols.size)] = 1.0
     return CodeSubspace(
         basis=basis,
         labels=tuple(float(target_zspin) for _ in range(n_clusters)),
@@ -263,10 +247,11 @@ def gauge_transport(
         )
     if model.epsilon <= 0:
         raise TooSmall("gauge transport requires a positive cell splitting")
-    gen = np.zeros((model.dim, model.dim), dtype=complex)
-    for j in range(model.n_cells):
-        if phases[j] != 0.0:
-            gen += phases[j] * embed_cell_op(model, j, model.cell_hamiltonian)
+    gen = cell_terms(
+        model.n_cells,
+        model.cell_dim,
+        [(model.cell_hamiltonian, [j], p) for j, p in enumerate(phases) if p != 0.0],
+    )
     u = scipy.linalg.expm(-1j * gen / model.epsilon)
     return CodeSubspace(
         basis=u @ code.basis, labels=code.labels, kind=code.kind

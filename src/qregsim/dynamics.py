@@ -4,17 +4,8 @@ mutually commuting (pure dephasing).
 
 RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
 ``dense`` and ``gamma`` (``Liouvillian.apply`` on D x D states) and
-``blocks``.  The block form (``liouvillian.excitation_form``) is taken
-when the cells are sigma- qubits, the Lindblad set is structured
-(D >= STRUCTURED_MIN_DIM), the Hamiltonian and every initial state have
-no entry between basis states of different excitation number Q.  Every
-term then keeps the states block-diagonal in Q, so the stepper works on
-the C(2N, N) packed block entries instead of the 4^N of D x D matrices:
-the trace check, re-Hermitization, renormalization and the generator all
-run packed, without ``Liouvillian.apply``, and ``check_state``
-diagonalizes each snapshot block by block.  Snapshots are unpacked to
-D x D only for the Trajectory.  Any other state or generator takes the
-dense or Gamma form unchanged.
+``blocks``, the packed excitation blocks of ``liouvillian.excitation_form``,
+unpacked to D x D only for the Trajectory.
 """
 
 from __future__ import annotations
@@ -50,7 +41,7 @@ from .liouvillian import (
     excitation_form,
     superoperator_matrix,
 )
-from .register import RegisterModel, register_hamiltonian
+from .register import RegisterModel, cell_digits, register_hamiltonian
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -188,9 +179,23 @@ class _BlockStack:
         return self.layout.pack(np.stack(rhos))
 
 
-def _stack(liouv: Liouvillian, rhos):
+def _rk4_groups(liouv: Liouvillian, rhos) -> list:
+    """(state indices, stack) of each RK4 run over the states ``rhos``.
+
+    The block-diagonal states step together on the block form when
+    ``excitation_form`` gives one, built once.  The others step together
+    on the dense form, or one by one on the Gamma form, whose apply is
+    memory-bound.
+    """
     blocks = excitation_form(liouv, rhos)
-    return _FullStack(liouv) if blocks is None else _BlockStack(blocks)
+    on_blocks = [blocks is not None and blocks.layout.is_block_diagonal(r) for r in rhos]
+    together = [s for s, b in enumerate(on_blocks) if b]
+    rest = [s for s, b in enumerate(on_blocks) if not b]
+    full = _FullStack(liouv)
+    groups = [(together, _BlockStack(blocks))] if together else []
+    if full.form == "gamma":
+        return groups + [([s], full) for s in rest]
+    return groups + ([(rest, full)] if rest else [])
 
 
 def _rk4(
@@ -288,7 +293,7 @@ def integrate(
     stride: int = DEFAULT_STRIDE,
 ) -> Trajectory:
     """Evolve rho0 with classical fixed-step RK4 and record snapshots on
-    the snapshot_grid schedule.
+    the snapshot_grid schedule: ``evolve`` of the one state.
 
     After each step the state is re-Hermitized and trace-renormalized; a
     trace drift beyond TRACE_TOL before renormalization raises UnstableStep.
@@ -297,9 +302,7 @@ def integrate(
     ``metadata["error_estimate"]`` is the largest trace drift |tr - 1| seen
     before renormalization, not an estimate of the truncation error.
     """
-    h, steps = snapshot_grid(t_end, dt, stride)
-    rhos = [_as_density(rho0, liouv.dim)]
-    return _rk4(liouv, rhos, h, steps, stride, _stack(liouv, rhos))[0]
+    return evolve(liouv, [rho0], t_end, dt, stride)[0]
 
 
 def evolve(
@@ -314,14 +317,14 @@ def evolve(
     spec: BathSpec | None = None,
 ) -> list[Trajectory]:
     """Evolve each initial state (vector or density matrix) on the one
-    snapshot_grid schedule; returns one Trajectory per state.
+    snapshot_grid schedule; returns one Trajectory per state, in input
+    order.
 
-    ``rk4`` steps all states together as one stack on the dense generator
-    and on the block form (module docstring), which needs every state
-    block-diagonal; otherwise it calls ``integrate`` per state on the
-    structured generator, whose Gamma-form apply is memory-bound, and
-    ``integrate`` picks the block form for a state where it can.  Either
-    way each trajectory is bitwise the one ``integrate`` gives.  ``exact``
+    ``rk4`` steps the block-diagonal states together on the block form
+    (module docstring) when the generator allows it, and the others
+    together on the dense generator or one by one on the structured one,
+    whose Gamma-form apply is memory-bound.  Each trajectory is bitwise
+    the one stepping that state alone gives.  ``exact``
     advances all states at once, stacked as the columns of a D^2 x S
     matrix, with one propagator per snapshot interval (dense
     superoperator, D <= 64).  ``dephasing`` is the closed form and needs
@@ -330,12 +333,12 @@ def evolve(
     h, steps = snapshot_grid(t_end, dt, stride)
     if method == "rk4":
         rhos = [_as_density(r, liouv.dim) for r in rho0s]
-        if not rhos:
-            return []
-        stack = _stack(liouv, rhos)
-        if stack.form == "gamma":
-            return [integrate(liouv, r, t_end, dt, stride) for r in rhos]
-        return _rk4(liouv, rhos, h, steps, stride, stack)
+        trajs = [None] * len(rhos)
+        for group, stack in _rk4_groups(liouv, rhos):
+            runs = _rk4(liouv, [rhos[s] for s in group], h, steps, stride, stack)
+            for s, traj in zip(group, runs):
+                trajs[s] = traj
+        return trajs
     times = steps * h
     if method == "dephasing":
         if model is None or spec is None:
@@ -431,14 +434,8 @@ def dephasing_solve(
     d_cell = model.cell_dim
     n = model.n_cells
     dim = model.dim
-    # Per-configuration eigenvalue table: alpha[b, i] for joint index b,
-    # digit 0 the leftmost (most significant) cell.
-    digits = np.empty((dim, n), dtype=int)
-    idx = np.arange(dim)
-    for i in range(n):
-        shift = d_cell ** (n - 1 - i)
-        digits[:, i] = (idx // shift) % d_cell
-    alpha = w_cell[digits]  # (dim, n) complex
+    # Per-configuration eigenvalue table: alpha[b, i] for joint index b.
+    alpha = w_cell[cell_digits(n, d_cell)]  # (dim, n) complex
     # Frame change to the joint eigenbasis (skipped when already there).
     if np.allclose(v_cell, np.eye(d_cell)):
         frame = None

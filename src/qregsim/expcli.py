@@ -527,8 +527,13 @@ def build_state(entry, model: RegisterModel) -> np.ndarray:
                 raise ConfigError(
                     "initial_states", f"expected su2:S,M or su2:S,M,copy, got {name!r}"
                 )
-            s, m = float(parts[0]), float(parts[1])
-            copy = int(parts[2]) if len(parts) == 3 else 0
+            try:
+                s, m = float(parts[0]), float(parts[1])
+                copy = int(parts[2]) if len(parts) == 3 else 0
+            except ValueError:
+                raise ConfigError(
+                    "initial_states", f"su2:S,M[,copy] needs numbers, got {name!r}"
+                ) from None
             return su2_basis_state(n, s, m, copy)
     except ConfigError:
         raise

@@ -32,16 +32,16 @@ on one of two paths:
 A third form, excitation blocks, serves the RK4 stepper (``dynamics``) and
 never ``apply``.  ``excitation_form(liouv, rhos)`` returns it when the
 cells are sigma- qubits, ``LindbladSet.structured`` holds, and neither H
-nor any state in ``rhos`` has an entry between basis states of different
-excitation number Q (cells up); otherwise None, and the caller keeps
-the Gamma or dense form.  H and the Lamb shift conserve Q and the
-sigma-/sigma+ sectors move it by exactly -1/+1, so such states stay
-block-diagonal in Q: C(2N, N) of the 4^N entries (``ExcitationBlocks``),
-19.6 % at N = 8.  The Gamma-form dissipator then becomes, per sector,
-gathers between the C(N, q) and C(N, q -/+ 1) bases and one
-(N x N)(N x sum_q n_{q-/+1} n_q) product per half-sector.  Its index
-tables take O(N C(2N, N)) time and are built on every call, never by
-``build_liouvillian``.
+nor some state in ``rhos`` has an entry between basis states of different
+excitation number Q (cells up).  It serves those states; the caller keeps
+the Gamma or dense form for the others, and for all on None.  H and the
+Lamb shift conserve Q and the sigma-/sigma+ sectors move it by exactly
+-1/+1, so such states stay block-diagonal in Q: C(2N, N) of the 4^N
+entries (``ExcitationBlocks``), 19.6 % at N = 8.  The Gamma-form
+dissipator then becomes, per sector, gathers between the C(N, q) and
+C(N, q -/+ 1) bases and one (N x N)(N x sum_q n_{q-/+1} n_q) product per
+half-sector.  Its index tables take O(N C(2N, N)) time and are built on
+every call, never by ``build_liouvillian``.
 
 All forms hold the same terms, so cutoff, clamping and rates agree.
 Terms from ``canonical_form`` carry rate, sector and weights; each
@@ -71,6 +71,8 @@ from .linalg import dag, herm_eig, is_hermitian, kron
 from .register import (
     SIGMA_MINUS,
     RegisterModel,
+    cell_digits,
+    cell_terms,
     embed_cell_op,
     excitation_numbers,
     register_hamiltonian,
@@ -301,49 +303,27 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
     """Self-Hamiltonian renormalization from the Delta matrices.
 
     delta_H = sum_ij (Dm_ij A_i^+ A_j + Dp_ji A_i A_j^+); returns zero when
-    the bath carries no Lamb-shift data.  Each term is an operator on cells
-    i and j alone (one cell when i = j), so its nonzero entries are placed
-    directly: a nonzero (p, q) of the d^2 x d^2 two-cell matrix lands on
-    every (row, col) pair that agrees in the other cells' digits.  That is
-    O(N^2 D) time for cell operators with few nonzeros, and one D x D array.
+    the bath carries no Lamb-shift data.  Each term acts on cells i and j
+    alone (one cell when i = j), so ``cell_terms`` places it: O(N^2 D)
+    time for cell operators with few nonzeros, and one D x D array.
     """
-    d = model.dim
-    out = np.zeros((d, d), dtype=complex)
     if not spec.has_lamb_shift:
-        return out
+        return np.zeros((model.dim, model.dim), dtype=complex)
     if spec.n != model.n_cells:
         raise DimensionMismatch("bath size does not match the register")
-    n, c = model.n_cells, model.cell_dim
-    place = c ** np.arange(n - 1, -1, -1)
-    # free[:, i]: the register basis states whose cell-i digit is 0
-    free = (np.arange(d)[:, None] // place) % c == 0
-    flat = out.reshape(-1)
     a = model.cell_op
+    terms = []
     for delta, left, right in (
         (spec.delta_minus, dag(a), a),
         (None if spec.delta_plus is None else spec.delta_plus.T, a, dag(a)),
     ):
-        if delta is None:
-            continue
-        pl, ql = np.nonzero(left)
-        pr, qr = np.nonzero(right)
-        pair = np.outer(left[pl, ql], right[pr, qr]).ravel()
-        same = left @ right
-        ps, qs = np.nonzero(same)
-        for i, j in zip(*np.nonzero(delta)):
-            # (row, col) digit offsets and values of the nonzero entries of
-            # L_i R_j, placed at every basis state whose cell i, j digits are 0
-            if i == j:
-                base = np.flatnonzero(free[:, i])
-                rows, cols, vals = ps * place[i], qs * place[i], same[ps, qs]
-            else:
-                base = np.flatnonzero(free[:, i] & free[:, j])
-                rows = np.add.outer(pl * place[i], pr * place[j]).ravel()
-                cols = np.add.outer(ql * place[i], qr * place[j]).ravel()
-                vals = pair
-            base = base[:, None]
-            flat[(base + rows) * d + base + cols] += delta[i, j] * vals
-    return out
+        if delta is not None:
+            same, pair = left @ right, kron(left, right)
+            terms += [
+                (same, [i], delta[i, j]) if i == j else (pair, [i, j], delta[i, j])
+                for i, j in zip(*np.nonzero(delta))
+            ]
+    return cell_terms(model.n_cells, model.cell_dim, terms)
 
 
 def _dense_parts(h: np.ndarray, lindblad: LindbladSet):
@@ -463,7 +443,7 @@ class _GammaForm:
             # Diagonal cell operators (sigma_z dephasing) make every term
             # elementwise: C_ab = S_ab - (S_aa + S_bb)/2 with S = beta G beta^+,
             # beta_ai the sector operator's entry at cell i's digit of a.
-            digits = (np.arange(dim)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+            digits = cell_digits(n, d)
             for a, gamma in sectors:
                 beta = np.diagonal(a)[digits]
                 s = beta @ gamma @ beta.conj().T
@@ -484,7 +464,7 @@ class _GammaForm:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         if rho.ndim == 2:
             return self._apply_one(rho)
-        if rho.shape[0] == 1:  # the one-state stack of integrate: no copy
+        if rho.shape[0] == 1:  # the one-state stack RK4 steps: no copy
             return self._apply_one(rho[0])[None]
         out = np.empty_like(rho)
         for s in range(rho.shape[0]):
@@ -791,12 +771,13 @@ class Liouvillian:
 
 
 def excitation_form(liouv: Liouvillian, rhos) -> _BlockForm | None:
-    """The generator on excitation blocks, for the D x D states ``rhos``,
-    or None unless all of these hold:
+    """The generator on excitation blocks, for those of the D x D states
+    ``rhos`` with no entry between basis states of different Q
+    (``layout.is_block_diagonal``), or None unless all of these hold:
 
     * the cells are qubits with cell operator sigma-;
     * ``liouv.lindblad.structured`` (canonical, D >= STRUCTURED_MIN_DIM);
-    * every state has no entry between basis states of different Q;
+    * at least one state has no such entry;
     * neither has the Hamiltonian.
 
     Then every term keeps the states block-diagonal: H and the Lamb shift
@@ -812,7 +793,7 @@ def excitation_form(liouv: Liouvillian, rhos) -> _BlockForm | None:
     ):
         return None
     layout = ExcitationBlocks(model.n_cells)
-    if not all(layout.is_block_diagonal(r) for r in rhos):
+    if not any(layout.is_block_diagonal(r) for r in rhos):
         return None
     if not layout.is_block_diagonal(liouv.hamiltonian):
         return None

@@ -20,11 +20,13 @@ from .errors import (
     QregError,
     TooSmall,
 )
-from .linalg import comm, dag, frob, is_hermitian, kron_all
+from .linalg import comm, frob, is_hermitian, kron_all
 
 SIGMA_Z = np.diag([0.5, -0.5]).astype(complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = SIGMA_PLUS.conj().T
+# Exchange of two qubit cells, |ab> -> |ba>.
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 # Step condition tolerance: || [H^C, A] + eps*A ||_F
 STEP_TOL = 1e-10
@@ -129,6 +131,53 @@ def dephasing_register(n: int, cell_op: np.ndarray | None = None) -> RegisterMod
     )
 
 
+def cell_digits(n: int, d: int = 2) -> np.ndarray:
+    """The (d^n, n) digit table of the register basis: entry [b, i] is the
+    level of cell i in basis state b.
+
+    Cell 0 is the most significant digit and level 0 of a qubit is |up>.
+    This is the one definition of the basis order.
+    """
+    index = np.arange(d**n)
+    # int16 and a column at a time: no d^n x n int64 temporary
+    digits = np.empty((d**n, n), dtype=np.int16)
+    for i in range(n):
+        digits[:, i] = index // d ** (n - 1 - i) % d
+    return digits
+
+
+def cell_terms(n: int, d: int, terms) -> np.ndarray:
+    """The d^n x d^n operator sum_t scale_t op_t of the cell terms
+    (op, cells, scale): op is a d^k x d^k operator on the k listed cells,
+    the first of them its most significant digit, times the identity on
+    the other cells.
+
+    The terms are added in order, each in place: every nonzero (p, q) of op
+    goes to every basis pair that holds p and q in the listed cells' digits
+    and agrees in the others', O(nnz d^(n-k)) time and no d^n x d^n product.
+    """
+    zero = cell_digits(n, d) == 0
+    out = np.zeros((d**n, d**n), dtype=complex)
+    flat = out.reshape(-1)
+    for op, cells, scale in terms:
+        cells = list(cells)
+        if len(set(cells)) != len(cells) or not all(0 <= c < n for c in cells):
+            raise IndexOutOfRange(f"cells {cells} are not distinct cells of 0..{n - 1}")
+        place = d ** (n - 1 - np.array(cells, dtype=int))
+        base = np.flatnonzero(zero[:, cells].all(axis=1))[:, None]
+        p, q = np.nonzero(op)
+        local = cell_digits(len(cells), d)
+        rows, cols = base + local[p] @ place, base + local[q] @ place
+        flat[rows * d**n + cols] += scale * op[p, q]
+    return out
+
+
+def _cell_sum(n: int, d: int, op: np.ndarray, weights=None) -> np.ndarray:
+    """sum_i w_i op_i over the n cells, every w_i 1 by default."""
+    w = np.ones(n) if weights is None else weights
+    return cell_terms(n, d, [(op, [i], w[i]) for i in range(n) if w[i] != 0])
+
+
 def embed_cell_op(
     model: RegisterModel, i: int, op: np.ndarray | None = None
 ) -> np.ndarray:
@@ -141,8 +190,7 @@ def embed_cell_op(
     a = model.cell_op if op is None else np.asarray(op, dtype=complex)
     if a.shape != (model.cell_dim, model.cell_dim):
         raise DimensionMismatch(f"single-cell operator must be {model.cell_dim}^2")
-    eye = np.eye(model.cell_dim, dtype=complex)
-    return kron_all([a if j == i else eye for j in range(model.n_cells)])
+    return cell_terms(model.n_cells, model.cell_dim, [(a, [i], 1.0)])
 
 
 def collective_op(model: RegisterModel, weights) -> np.ndarray:
@@ -152,19 +200,12 @@ def collective_op(model: RegisterModel, weights) -> np.ndarray:
         raise DimensionMismatch(
             f"need {model.n_cells} weights, got shape {w.shape}"
         )
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for i in range(model.n_cells):
-        if w[i] != 0:
-            out += w[i] * embed_cell_op(model, i)
-    return out
+    return _cell_sum(model.n_cells, model.cell_dim, model.cell_op, w)
 
 
 def free_hamiltonian(model: RegisterModel) -> np.ndarray:
     """Sum of single-cell Hamiltonians, sum_i H^C_i."""
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for i in range(model.n_cells):
-        out += embed_cell_op(model, i, model.cell_hamiltonian)
-    return out
+    return _cell_sum(model.n_cells, model.cell_dim, model.cell_hamiltonian)
 
 
 def register_hamiltonian(model: RegisterModel) -> np.ndarray:
@@ -175,24 +216,19 @@ def register_hamiltonian(model: RegisterModel) -> np.ndarray:
     return h
 
 
-def _qubit_chain_op(n: int, op: np.ndarray, i: int) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    return kron_all([op if j == i else eye for j in range(n)])
-
-
 def total_sz(n: int) -> np.ndarray:
     """Collective S^z for n qubits."""
-    return sum(_qubit_chain_op(n, SIGMA_Z, i) for i in range(n))
+    return _cell_sum(n, 2, SIGMA_Z)
 
 
 def total_splus(n: int) -> np.ndarray:
     """Collective S^+ for n qubits."""
-    return sum(_qubit_chain_op(n, SIGMA_PLUS, i) for i in range(n))
+    return _cell_sum(n, 2, SIGMA_PLUS)
 
 
 def total_sminus(n: int) -> np.ndarray:
     """Collective S^- for n qubits."""
-    return sum(_qubit_chain_op(n, SIGMA_MINUS, i) for i in range(n))
+    return _cell_sum(n, 2, SIGMA_MINUS)
 
 
 def casimir(n: int) -> np.ndarray:
@@ -218,17 +254,7 @@ def heisenberg_ring(n: int, j: float) -> np.ndarray:
     then sit at +J and -J instead of 0 and -2J.
     """
     check_ring(n)
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        k = (i + 1) % n
-        h += _qubit_chain_op(n, SIGMA_Z, i) @ _qubit_chain_op(n, SIGMA_Z, k)
-        h += 0.5 * (
-            _qubit_chain_op(n, SIGMA_PLUS, i) @ _qubit_chain_op(n, SIGMA_MINUS, k)
-            + _qubit_chain_op(n, SIGMA_MINUS, i) @ _qubit_chain_op(n, SIGMA_PLUS, k)
-        )
-        h += 0.25 * np.eye(dim)
-    return j * h
+    return j * cell_terms(n, 2, [(SWAP, [i, (i + 1) % n], 0.5) for i in range(n)])
 
 
 def su2_multiplicity(n: int, s2: int) -> int:
@@ -246,6 +272,8 @@ def su2_multiplicity(n: int, s2: int) -> int:
 
 def _twice(x, name: str) -> int:
     t = 2 * x
+    if not np.isfinite(t):
+        raise InvalidQuantumNumbers(f"{name} must be finite: {x}")
     r = round(t)
     if abs(t - r) > 1e-9:
         raise InvalidQuantumNumbers(f"{name} must be integer or half-integer: {x}")
@@ -271,8 +299,8 @@ def su2_basis_state(n: int, s, m, copy: int = 0) -> np.ndarray:
             f"copy {copy} out of range, multiplicity of spin {s} is {mult}"
         )
     dim = 2**n
-    # S^z is diagonal in the product basis; bit 1 of the index means |down>.
-    mz2 = np.array([n - 2 * bin(b).count("1") for b in range(dim)])
+    # S^z is diagonal in the product basis; digit 1 means |down>.
+    mz2 = n - 2 * cell_digits(n).sum(axis=1)
     sector = np.nonzero(mz2 == m2)[0]
     s2op = casimir(n)
     block = s2op[np.ix_(sector, sector)]
@@ -316,15 +344,13 @@ def normalize(state: np.ndarray) -> np.ndarray:
 
 def basis_state(n: int, bits) -> np.ndarray:
     """Computational product state from a bit string, 0 = |up>, cell 0 first."""
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
     if len(bits) != n:
         raise DimensionMismatch(f"need {n} symbols, got {len(bits)}")
     idx = 0
     for b in bits:
-        if b not in (0, 1):
-            raise QregError("bits must be 0 or 1")
-        idx = 2 * idx + b
+        if b not in (0, 1, "0", "1"):
+            raise QregError(f"bits must be 0 or 1, got {b!r}")
+        idx = 2 * idx + int(b)
     out = np.zeros(2**n, dtype=complex)
     out[idx] = 1.0
     return out
@@ -343,11 +369,7 @@ def pair_singlet_state(n: int) -> np.ndarray:
 
 def excitation_numbers(n: int) -> np.ndarray:
     """Number of up cells (digit 0) of each of the 2^n qubit basis states."""
-    basis = np.arange(2**n)
-    up = np.full(2**n, n)
-    for i in range(n):
-        up -= (basis >> i) & 1
-    return up
+    return n - cell_digits(n).sum(axis=1)
 
 
 def dicke_state(n: int, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from qregsim import (
     pair_singlet_state,
     pairwise_dissipator,
 )
-from qregsim import dynamics
+from qregsim import dynamics, liouvillian
 from qregsim.dynamics import Trajectory, check_state, state_defect_report
 from qregsim.errors import UnstableStep
 from qregsim.liouvillian import ExcitationBlocks, Liouvillian, excitation_form
@@ -229,6 +229,30 @@ def test_a_stack_with_one_mixing_state_steps_each_state_alone():
     liouv = build_liouvillian(qubit_register(6), random_bath(rng, 6))
     trajs = evolve(liouv, [dicke_state(6, 3), random_pure_state(rng, 64)], 0.04, 0.02, 1)
     assert [t.metadata["form"] for t in trajs] == ["blocks", "gamma"]
+
+
+def test_a_mixed_set_builds_the_block_form_once_and_keeps_input_order(monkeypatch):
+    rng = rng_for("mixed-set")
+    n = 6
+    model = qubit_register(n)
+    liouv = build_liouvillian(model, random_bath(rng, n))
+    rho0s = [expcli.build_state(name, model) for name in ("singlet", "uniform", "symmetric")]
+    built = []
+
+    class Counted(liouvillian._BlockForm):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(liouvillian, "_BlockForm", Counted)
+    trajs = evolve(liouv, rho0s, 0.06, 0.02, 2)
+    assert len(built) == 1
+    assert [t.metadata["form"] for t in trajs] == ["blocks", "gamma", "blocks"]
+    for rho0, traj in zip(rho0s, trajs):
+        alone = evolve(liouv, [rho0], 0.06, 0.02, 2)[0]
+        assert traj.metadata == alone.metadata
+        assert traj.times.tobytes() == alone.times.tobytes()
+        assert traj.states.tobytes() == alone.states.tobytes()
 
 
 def block_state(n: int, rng) -> np.ndarray:

@@ -361,6 +361,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "state", ["su2:a,0", "su2:1,0,y", "su2:1,0,1.5", "su2:inf,0", "su2:nan,0", "basis:0x"]
+)
+def test_cli_malformed_state_name_is_config_error(tmp_path, capsys, state):
+    raw = simulate_config(initial_states=[state])
+    cfg_path = _write_yaml(tmp_path / "bad_state.yaml", raw)
+    assert main(["simulate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error: initial_states")
+
+
+@pytest.mark.parametrize(
     "parameter, value",
     [("bath.gamma_plus", 0.2), ("bath.gamma_minus", -1.0)],
 )

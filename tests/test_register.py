@@ -1,5 +1,8 @@
 """Register construction: cell embeddings, collective spin operators,
-Hamiltonians, and su(2) structure."""
+Hamiltonians, and su(2) structure; the placed operators against Kronecker
+references, bit for bit."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,12 +13,18 @@ from qregsim.errors import (
     QregError,
     TooSmall,
 )
+from qregsim.bath import BathSpec
+from qregsim.codes import dephasing_cluster_code
+from qregsim.liouvillian import lamb_shift
 from qregsim.register import (
     SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_Z,
     RegisterModel,
     basis_state,
     casimir,
+    cell_digits,
+    cell_terms,
     collective_op,
     dephasing_register,
     dicke_state,
@@ -32,6 +41,8 @@ from qregsim.register import (
     total_splus,
     total_sz,
 )
+
+from helpers import random_bath, rng_for
 
 
 class TestRegisterModel:
@@ -251,3 +262,136 @@ def test_dicke_state_allocates_order_d():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 16 * 2**n  # a D x D matrix would take 4 GiB
+
+
+def kron_reference(n: int, d: int, op: np.ndarray, cells) -> np.ndarray:
+    """op on ``cells`` (the first its most significant digit) and the
+    identity elsewhere, as a sum of Kronecker chains of matrix units."""
+    k = len(cells)
+    out = np.zeros((d**n, d**n), dtype=complex)
+    for p, q in zip(*np.nonzero(op)):
+        factors = [np.eye(d, dtype=complex)] * n
+        for c, a, b in zip(cells, np.unravel_index(p, (d,) * k), np.unravel_index(q, (d,) * k)):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[a, b] = 1.0
+            factors[c] = unit
+        out += op[p, q] * reduce(np.kron, factors)
+    return out
+
+
+def sparse_operator(rng, dim: int) -> np.ndarray:
+    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    op[rng.random((dim, dim)) < 0.4] = 0
+    return op
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_placed_operators_are_the_kronecker_chains(n, d):
+    rng = rng_for(f"placement-{n}-{d}")
+    model = dephasing_register(n, cell_op=np.diag(np.arange(d, dtype=complex)))
+    for i in range(n):
+        op = sparse_operator(rng, d)
+        assert np.array_equal(embed_cell_op(model, i, op), kron_reference(n, d, op, [i]))
+    # adjacent, non-adjacent and reversed (j < i) cell pairs
+    for cells in [(n - 2, n - 1), (0, n - 1), (n - 1, 0), (n - 1, n // 3)]:
+        if len(set(cells)) < 2 or min(cells) < 0:
+            continue
+        op = sparse_operator(rng, d * d)
+        want = kron_reference(n, d, 0.7 * op, cells)
+        assert np.array_equal(cell_terms(n, d, [(op, cells, 0.7)]), want)
+
+
+def chain(n: int, op: np.ndarray, i: int) -> np.ndarray:
+    return reduce(np.kron, [op if j == i else np.eye(2, dtype=complex) for j in range(n)])
+
+
+def collective(n: int, op: np.ndarray) -> np.ndarray:
+    return sum(chain(n, op, i) for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_collective_spin_and_casimir_are_the_kronecker_sums(n):
+    sz, sp, sm = (collective(n, op) for op in (SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS))
+    assert np.array_equal(total_sz(n), sz)
+    assert np.array_equal(total_splus(n), sp)
+    assert np.array_equal(total_sminus(n), sm)
+    assert np.array_equal(casimir(n), sz @ sz + 0.5 * (sp @ sm + sm @ sp))
+    model = qubit_register(n, epsilon=0.7)
+    assert np.array_equal(free_hamiltonian(model), collective(n, 0.7 * SIGMA_Z))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_heisenberg_ring_is_the_kronecker_bond_sum(n):
+    dim = 2**n
+    h = np.zeros((dim, dim), dtype=complex)
+    for i in range(n):
+        k = (i + 1) % n
+        h += chain(n, SIGMA_Z, i) @ chain(n, SIGMA_Z, k)
+        h += 0.5 * (
+            chain(n, SIGMA_PLUS, i) @ chain(n, SIGMA_MINUS, k)
+            + chain(n, SIGMA_MINUS, i) @ chain(n, SIGMA_PLUS, k)
+        )
+        h += 0.25 * np.eye(dim)
+    assert np.array_equal(heisenberg_ring(n, 0.37), 0.37 * h)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lamb_shift_is_the_matmul_sum(n):
+    rng = rng_for(f"lamb-{n}")
+    bath = random_bath(rng, n)
+    spec = BathSpec(
+        gamma_minus=bath.gamma_minus,
+        gamma_plus=bath.gamma_plus,
+        delta_minus=0.8 * bath.gamma_minus,
+        delta_plus=-0.6 * bath.gamma_plus,
+    )
+    assert np.any(spec.gamma_plus) and np.any(spec.delta_plus)
+    a = [chain(n, SIGMA_MINUS, i) for i in range(n)]
+    ad = [x.conj().T for x in a]
+    want = np.zeros((2**n, 2**n), dtype=complex)
+    for delta, left, right in (
+        (spec.delta_minus, ad, a),
+        (spec.delta_plus.T, a, ad),
+    ):
+        for i, j in zip(*np.nonzero(delta)):
+            want += delta[i, j] * (left[i] @ right[j])
+    assert np.array_equal(lamb_shift(qubit_register(n), spec), want)
+
+
+@pytest.mark.parametrize("n, size", [(4, 2), (4, 4), (6, 2), (8, 2), (8, 4)])
+@pytest.mark.parametrize("target", [0, 1, -1])
+def test_cluster_code_selects_the_bit_strings(n, size, target):
+    want = [
+        b
+        for b in range(2**n)
+        if all(
+            size / 2 - format(b, f"0{n}b")[c : c + size].count("1") == target
+            for c in range(0, n, size)
+        )
+    ]
+    basis = dephasing_cluster_code(n, size, target).basis
+    assert np.array_equal(basis, np.eye(2**n)[:, want])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cell_digits_is_the_basis_state_order(n):
+    digits = cell_digits(n)
+    assert digits.shape == (2**n, n)
+    for b, bits in enumerate(digits):
+        assert np.flatnonzero(basis_state(n, list(bits))).tolist() == [b]
+        assert "".join(map(str, bits)) == format(b, f"0{n}b")
+    three = cell_digits(n, 3)
+    assert np.array_equal(three, np.array(np.unravel_index(np.arange(3**n), (3,) * n)).T)
+
+
+@pytest.mark.parametrize("bits", ["0x", "2 ", [0, 2], ["0", "a"]])
+def test_basis_state_rejects_other_symbols(bits):
+    with pytest.raises(QregError):
+        basis_state(2, bits)
+
+
+def test_placement_needs_distinct_cells_in_range():
+    for cells in ([1, 1], [0, 3], [-1]):
+        with pytest.raises(IndexOutOfRange):
+            cell_terms(3, 2, [(np.eye(2 ** len(cells)), cells, 1.0)])
