@@ -10,6 +10,7 @@ unpacked to D x D only for the Trajectory.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import InitVar, dataclass, field
 from typing import Any
@@ -32,6 +33,7 @@ from .linalg import (
     frob,
     hermiticity_defect,
     is_hermitian,
+    kron_all,
     unvec,
     vec,
 )
@@ -198,9 +200,7 @@ def _rk4_groups(liouv: Liouvillian, rhos) -> list:
     return groups + ([(rest, full)] if rest else [])
 
 
-def _rk4(
-    liouv: Liouvillian, rhos, h: float, steps, stride: int, stack
-) -> list[Trajectory]:
+def _rk4(rhos, h: float, steps, stride: int, stack) -> list[Trajectory]:
     """Classical fixed-step RK4 on the stack of the initial density
     matrices ``rhos``, one Trajectory per state.
 
@@ -216,14 +216,6 @@ def _rk4(
     """
     rho = stack.pack(rhos)
     n_states, n_steps = rho.shape[0], int(steps[-1])
-    scale = liouv.stability_scale
-    if n_steps and h * scale > STABILITY_BUDGET:
-        warnings.warn(
-            f"dt * spectral scale = {h * scale:.3g} exceeds "
-            f"{STABILITY_BUDGET}; results may be inaccurate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     states = np.empty((n_states, steps.shape[0]) + rho.shape[1:], dtype=complex)
     states[:, 0] = rho
     kept = 1
@@ -333,9 +325,18 @@ def evolve(
     h, steps = snapshot_grid(t_end, dt, stride)
     if method == "rk4":
         rhos = [_as_density(r, liouv.dim) for r in rho0s]
+        scale = liouv.stability_scale
+        if rhos and steps[-1] and h * scale > STABILITY_BUDGET:
+            warnings.warn(
+                f"dt * spectral scale = {h * scale:.3g} exceeds "
+                f"{STABILITY_BUDGET}; results may be inaccurate",
+                RuntimeWarning,
+                # name the line that called integrate, which calls evolve
+                stacklevel=3 if sys._getframe(1).f_code is integrate.__code__ else 2,
+            )
         trajs = [None] * len(rhos)
         for group, stack in _rk4_groups(liouv, rhos):
-            runs = _rk4(liouv, [rhos[s] for s in group], h, steps, stride, stack)
+            runs = _rk4([rhos[s] for s in group], h, steps, stride, stack)
             for s, traj in zip(group, runs):
                 trajs[s] = traj
         return trajs
@@ -440,9 +441,7 @@ def dephasing_solve(
     if np.allclose(v_cell, np.eye(d_cell)):
         frame = None
     else:
-        frame = v_cell
-        for _ in range(n - 1):
-            frame = np.kron(frame, v_cell)
+        frame = kron_all([v_cell] * n)
         rho = dag(frame) @ rho @ frame
     # Hamiltonian energies: the full register Hamiltonian must be diagonal
     # in the joint frame for the closed form to hold.

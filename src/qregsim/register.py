@@ -156,19 +156,25 @@ def cell_terms(n: int, d: int, terms) -> np.ndarray:
     goes to every basis pair that holds p and q in the listed cells' digits
     and agrees in the others', O(nnz d^(n-k)) time and no d^n x d^n product.
     """
+    dim = d**n
     zero = cell_digits(n, d) == 0
-    out = np.zeros((d**n, d**n), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
     flat = out.reshape(-1)
+    local = {}  # the digit table of k cells, per k
     for op, cells, scale in terms:
-        cells = list(cells)
-        if len(set(cells)) != len(cells) or not all(0 <= c < n for c in cells):
+        cells, k = list(cells), len(cells)
+        if len(set(cells)) != k or not all(0 <= c < n for c in cells):
             raise IndexOutOfRange(f"cells {cells} are not distinct cells of 0..{n - 1}")
-        place = d ** (n - 1 - np.array(cells, dtype=int))
-        base = np.flatnonzero(zero[:, cells].all(axis=1))[:, None]
+        if np.shape(op) != (d**k, d**k):
+            raise DimensionMismatch(f"an op on cells {cells} must be {d**k}^2")
+        if k not in local:
+            local[k] = cell_digits(k, d)
+        # offset[p]: index shift of level p of the listed cells; base: flat
+        # index of every (b, b) whose listed cells are at level 0
+        offset = local[k] @ d ** (n - 1 - np.array(cells))
+        base = np.flatnonzero(zero[:, cells].all(axis=1))[:, None] * (dim + 1)
         p, q = np.nonzero(op)
-        local = cell_digits(len(cells), d)
-        rows, cols = base + local[p] @ place, base + local[q] @ place
-        flat[rows * d**n + cols] += scale * op[p, q]
+        flat[base + (offset[p] * dim + offset[q])] += scale * op[p, q]
     return out
 
 

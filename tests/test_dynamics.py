@@ -182,6 +182,23 @@ def test_coarse_step_warns():
         integrate(liouv, psi, t_end=1.0, dt=0.2)
 
 
+def test_coarse_step_warns_once_at_the_callers_line():
+    model = qubit_register(6)
+    liouv = build_liouvillian(model, cell_limit(6, 0.5, 0.0))
+    object.__setattr__(liouv, "stability_scale", 1e3)
+    # the singlet steps on excitation blocks, the uniform state on the Gamma form
+    uniform = np.full(64, 0.125, dtype=complex)
+    rhos = [pair_singlet_state(6), uniform]
+    for run in (
+        lambda: [integrate(liouv, rhos[0], 0.01, 0.01)],
+        lambda: evolve(liouv, rhos, 0.01, 0.01),
+    ):
+        with pytest.warns(RuntimeWarning, match="spectral scale") as caught:
+            trajs = run()
+        assert [w.filename for w in caught] == [__file__]
+    assert [t.metadata["form"] for t in trajs] == ["blocks", "gamma"]
+
+
 def test_fine_step_does_not_warn():
     model = qubit_register(2, epsilon=1.0)
     liouv = build_liouvillian(model, cell_limit(2, 0.5, 0.0))

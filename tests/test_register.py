@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qregsim.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidQuantumNumbers,
     QregError,
@@ -395,3 +396,9 @@ def test_placement_needs_distinct_cells_in_range():
     for cells in ([1, 1], [0, 3], [-1]):
         with pytest.raises(IndexOutOfRange):
             cell_terms(3, 2, [(np.eye(2 ** len(cells)), cells, 1.0)])
+
+
+@pytest.mark.parametrize("dim, cells", [(2, [0, 1]), (8, [0]), (4, [2])])
+def test_placement_needs_an_operator_of_its_cells_size(dim, cells):
+    with pytest.raises(DimensionMismatch):
+        cell_terms(3, 2, [(np.eye(dim), cells, 1.0)])
