@@ -30,10 +30,10 @@ from .register import (
 KIND_SUB_DECOHERENT = "sub_decoherent"
 KIND_NOISELESS = "noiseless"
 
-# A basis column v is accepted as an eigenvector of L when
-# ||L v - label v|| <= EIGENVECTOR_TOL * max(1, ||L||).
-EIGENVECTOR_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
+# Relative tolerances of is_noiseless, scaled by max(1, largest column
+# 2-norm) of the operator (L or H') they test.
+EIGENVECTOR_TOL = 1e-9
 LEAKAGE_TOL = 1e-9
 
 
@@ -206,12 +206,19 @@ def dephasing_cluster_code(
     )
 
 
+def _scale(m: np.ndarray) -> float:
+    """max(1, largest column 2-norm of m): a lower bound of max(1, ||m||_2)
+    that needs no SVD."""
+    return max(1.0, float(np.linalg.norm(m, axis=0).max(initial=0.0)))
+
+
 def is_noiseless(code: CodeSubspace, liouv: Liouvillian) -> bool:
     """Operational noiselessness test.
 
-    True iff (a) every Lindblad operator acts as one scalar on the whole
-    code basis (sub-decoherence) and (b) the renormalized Hamiltonian maps
-    the code into itself: ||(I - P P^+) H' P|| <= 1e-9.
+    True iff (a) every Lindblad operator L acts as one scalar l on the code
+    basis P (sub-decoherence), ||L P - l P||_F <= EIGENVECTOR_TOL s(L), and
+    (b) the renormalized Hamiltonian maps the code into itself,
+    ||(I - P P^+) H' P||_F <= LEAKAGE_TOL s(H'), with s = ``_scale``.
     """
     p = code.basis
     if p.shape[1] == 0:
@@ -220,13 +227,11 @@ def is_noiseless(code: CodeSubspace, liouv: Liouvillian) -> bool:
         lp = term.op @ p
         # Shared scalar action: least-squares label is the mean diagonal.
         lab = np.trace(dag(p) @ lp) / p.shape[1]
-        scale = max(1.0, float(np.linalg.norm(term.op, 2)))
-        if frob(lp - lab * p) > EIGENVECTOR_TOL * scale:
+        if frob(lp - lab * p) > EIGENVECTOR_TOL * _scale(term.op):
             return False
     hp = liouv.hamiltonian @ p
     leak = hp - p @ (dag(p) @ hp)
-    scale = max(1.0, float(np.linalg.norm(liouv.hamiltonian, 2)))
-    return bool(frob(leak) <= LEAKAGE_TOL * scale)
+    return bool(frob(leak) <= LEAKAGE_TOL * _scale(liouv.hamiltonian))
 
 
 def gauge_transport(

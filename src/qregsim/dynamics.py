@@ -1,6 +1,8 @@
 """Time evolution: fixed-step integration, exact propagation, and the
 closed-form solver for registers whose cell operators are normal and
-mutually commuting (pure dephasing).
+mutually commuting (pure dephasing).  All three read the one
+``Liouvillian``: the closed form takes the register, the Hamiltonian and
+the per-sector rates from it.
 
 RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
 ``dense`` and ``gamma`` (``Liouvillian.apply`` on D x D states) and
@@ -18,7 +20,6 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .bath import BathSpec
 from .errors import (
     DimensionMismatch,
     NotSimultaneouslyDiagonalizable,
@@ -40,10 +41,11 @@ from .linalg import (
 from .liouvillian import (
     ExcitationBlocks,
     Liouvillian,
+    add_elementwise_rates,
     excitation_form,
     superoperator_matrix,
 )
-from .register import RegisterModel, cell_digits, register_hamiltonian
+from .register import RegisterModel
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -304,9 +306,6 @@ def evolve(
     dt: float,
     stride: int = DEFAULT_STRIDE,
     method: str = "rk4",
-    *,
-    model: RegisterModel | None = None,
-    spec: BathSpec | None = None,
 ) -> list[Trajectory]:
     """Evolve each initial state (vector or density matrix) on the one
     snapshot_grid schedule; returns one Trajectory per state, in input
@@ -319,8 +318,8 @@ def evolve(
     the one stepping that state alone gives.  ``exact``
     advances all states at once, stacked as the columns of a D^2 x S
     matrix, with one propagator per snapshot interval (dense
-    superoperator, D <= 64).  ``dephasing`` is the closed form and needs
-    the ``model`` and ``spec`` behind ``liouv``.
+    superoperator, D <= 64).  ``dephasing`` is the closed form
+    (``dephasing_solve``), read from ``liouv`` like the others.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     if method == "rk4":
@@ -342,9 +341,7 @@ def evolve(
         return trajs
     times = steps * h
     if method == "dephasing":
-        if model is None or spec is None:
-            raise QregError("the dephasing method needs model and spec")
-        return [dephasing_solve(model, spec, r, times) for r in rho0s]
+        return [dephasing_solve(liouv, r, times) for r in rho0s]
     if method != "exact":
         raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
     if len(rho0s) == 0:
@@ -406,75 +403,53 @@ def _dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dephasing_solve(
-    model: RegisterModel,
-    spec: BathSpec,
-    rho0: np.ndarray,
-    times: np.ndarray,
+    liouv: Liouvillian, rho0: np.ndarray, times: np.ndarray
 ) -> Trajectory:
-    """Closed-form evolution when every Lindblad operator commutes with
-    every other and with the Hamiltonian (mutually commuting cell ops).
+    """Closed-form evolution under a canonical generator whose Lindblad
+    operators commute with each other and with its Hamiltonian: normal,
+    mutually commuting cell operators and an H diagonal in their joint
+    eigenbasis.
 
-    In the joint eigenbasis the matrix element between configurations
-    b and b' evolves as exp{C t} with
+    The register is ``liouv.lindblad.model``.  In the joint eigenbasis the
+    matrix element between configurations b and b' evolves as exp{C t}
+    with
 
-        C = i (E_b' - E_b)                      Hamiltonian + Lamb phases
-          + <x, y>_Gm + <y, x>_Gp^T             cross terms
-          - (<x, x> + <y, y>) / 2 per kernel    decay
+        C = i (E_b' - E_b) + (the elementwise dissipator)_bb',
 
-    where x = alpha(b), y = alpha(b') are the cell-op eigenvalue vectors
-    and <u, w>_M = sum_ij M_ij u_i conj(w_j).  Re C <= 0 is the decay rate
-    -G/2; Im C carries the bath-induced coherent phases.
+    E the diagonal of ``liouv.hamiltonian`` in that basis (the Lamb shift
+    included) and the dissipator ``liouvillian.add_elementwise_rates`` of
+    the set's per-sector G.  Re C <= 0 is the decay rate -G/2; Im C
+    carries the bath-induced coherent phases.
     """
-    rho = _as_density(rho0, model.dim)
+    lset = liouv.lindblad
+    model = lset.model
+    if model is None or any(t.weights is None for t in lset):
+        raise QregError(
+            "the dephasing method needs a canonical Lindblad set (canonical_form)"
+        )
+    rho = _as_density(rho0, liouv.dim)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.shape[0] == 0:
         raise DimensionMismatch("times must be a nonempty 1-d array")
-    if spec.n != model.n_cells:
-        raise DimensionMismatch("bath size does not match the register")
     w_cell, v_cell = _dephasing_frame(model)
-    d_cell = model.cell_dim
-    n = model.n_cells
-    dim = model.dim
-    # Per-configuration eigenvalue table: alpha[b, i] for joint index b.
-    alpha = w_cell[cell_digits(n, d_cell)]  # (dim, n) complex
     # Frame change to the joint eigenbasis (skipped when already there).
-    if np.allclose(v_cell, np.eye(d_cell)):
+    h = liouv.hamiltonian
+    if np.allclose(v_cell, np.eye(model.cell_dim)):
         frame = None
     else:
-        frame = kron_all([v_cell] * n)
+        frame = kron_all([v_cell] * model.n_cells)
         rho = dag(frame) @ rho @ frame
-    # Hamiltonian energies: the full register Hamiltonian must be diagonal
-    # in the joint frame for the closed form to hold.
-    h_full = register_hamiltonian(model)
-    h_frame = dag(frame) @ h_full @ frame if frame is not None else h_full
-    h_off = h_frame - np.diag(np.diag(h_frame))
-    if frob(h_off) > 1e-10 * max(1.0, frob(h_frame)):
+        h = dag(frame) @ h @ frame
+    # The closed form holds only for an H diagonal in the joint frame.
+    h_off = h - np.diag(np.diag(h))
+    if frob(h_off) > 1e-10 * max(1.0, frob(h)):
         raise NotSimultaneouslyDiagonalizable(
-            "register Hamiltonian is not diagonal in the cell-op eigenbasis"
+            "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
         )
-    e = np.real(np.diag(h_frame))
-    if spec.has_lamb_shift:
-        dm = spec.delta_minus if spec.delta_minus is not None else 0.0
-        dp = spec.delta_plus if spec.delta_plus is not None else 0.0
-        d_tot = np.asarray(dm) + np.asarray(dp)
-        # <b| dH |b> = sum_ij D_ij conj(alpha_i) alpha_j (diagonal because
-        # products of commuting diagonal operators stay diagonal).
-        e = e + np.einsum("bi,ij,bj->b", alpha.conj(), d_tot, alpha).real
-    w_im = e[None, :] - e[:, None]  # element (b, b') rotates as e^{i(E'-E)t}
-    # Dissipative kernel contractions <u, w>_M = sum_ij M_ij u_i conj(w_j):
-    # the minus sector pairs <x, y>_Gm, the plus sector <y, x>_{Gp^T}.
-    gm = spec.gamma_minus
-    gpt = spec.gamma_plus.T
-    s_minus = np.einsum("bi,ij,cj->bc", alpha, gm, alpha.conj())
-    s_plus = np.einsum("ci,ij,bj->bc", alpha, gpt, alpha.conj())
-    diag_sum = np.real(np.diagonal(s_minus) + np.diagonal(s_plus))
-    c = (
-        1j * w_im
-        + s_minus
-        + s_plus
-        - 0.5 * (diag_sum[:, None] + diag_sum[None, :])
-    )
-    states = np.empty((t.shape[0], dim, dim), dtype=complex)
+    e = np.real(np.diag(h))
+    c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
+    add_elementwise_rates(lset, w_cell, c)
+    states = np.empty((t.shape[0], liouv.dim, liouv.dim), dtype=complex)
     for k, tk in enumerate(t):
         s = rho * np.exp(c * float(tk))
         if frame is not None:

@@ -594,7 +594,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
         bath = build_bath(cfg, overrides)
         liouv = build_liouvillian(model, bath)
         # The solver section's keys are evolve's keyword arguments.
-        trajs = evolve(liouv, psis, **solver, model=model, spec=bath)
+        trajs = evolve(liouv, psis, **solver)
         times = trajs[0].times
         for (name, psi), traj in zip(named, trajs):
             state_tag = f"_{name}" if (len(named) > 1 or suffix) else ""
@@ -606,7 +606,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
             data += [
                 [fidelity(s, psi) for s in traj.states],
                 [linear_entropy(s) for s in traj.states],
-                [register_energy(s, liouv.hamiltonian) for s in traj.states],
+                register_energy(traj.states, liouv.hamiltonian),
             ]
         # Only the observables outlive a point: drop its snapshots before
         # the next point evolves.

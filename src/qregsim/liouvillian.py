@@ -25,9 +25,10 @@ on one of two paths:
   and G contracted in one (N x N)(N x D^2) product: O(N^2 D^2) time, no
   stored D x D operators, and two N x D^2 buffers per call (16 MiB at
   N = 8, 320 MiB at N = 10).  Diagonal cell operators (sigma_z dephasing)
-  reduce the whole dissipator to one precomputed elementwise multiplier.
-  Below the crossover the dense products are faster, so small registers
-  keep the dense path.
+  reduce the whole dissipator to one precomputed elementwise multiplier,
+  ``add_elementwise_rates``, the same rates the closed-form
+  ``dynamics.dephasing_solve`` exponentiates.  Below the crossover the
+  dense products are faster, so small registers keep the dense path.
 
 A third form, excitation blocks, serves the RK4 stepper (``dynamics``) and
 never ``apply``.  ``excitation_form(liouv, rhos)`` returns it when the
@@ -43,19 +44,19 @@ C(N, q -/+ 1) bases and one (N x N)(N x sum_q n_{q-/+1} n_q) product per
 half-sector.  Its index tables take O(N C(2N, N)) time and are built on
 every call, never by ``build_liouvillian``.
 
-All forms hold the same terms, so cutoff, clamping and rates agree.
-Terms from ``canonical_form`` carry rate, sector and weights; each
-sector's D x D operators are built only when some ``op`` is first read
-(the dense path, code construction, small-register rates).  One predicate,
-``LindbladSet.structured``, selects the Gamma form here and the weight
-route of pure-state rates in ``LindbladSet.actions``.
+All forms hold the same terms, so cutoff, clamping and rates agree; the
+Gamma and block forms build their per-sector G from the term weights.
+Terms from ``canonical_form`` carry rate, sector and weights; a term
+places its D x D operator with ``register.collective_op`` only when its
+``op`` is first read (the dense path, code construction, small-register
+rates).  One predicate, ``LindbladSet.structured``, selects the Gamma
+form here and the weight route of pure-state rates in
+``LindbladSet.actions``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -73,6 +74,7 @@ from .register import (
     RegisterModel,
     cell_digits,
     cell_terms,
+    collective_op,
     embed_cell_op,
     excitation_numbers,
     register_hamiltonian,
@@ -102,19 +104,18 @@ SECTOR_PLUS = +1
 class LindbladTerm:
     """One canonical dissipator: rate, operator and sector (-1 or +1).
 
-    ``op`` is the D x D operator, or a function that builds it; a built
-    operator is cached on first access.  ``weights`` is the u with
-    op = sum_i u_i A_i^sector and ``model`` the register of the A_i, when
-    known; a lazily built operator needs ``model`` for its size.  Terms
-    from ``canonical_form`` are lazy, so sets that are never asked for
-    ``op`` (the structured path, large-register rates) build no D x D
-    matrix.
+    ``weights`` is the u with op = sum_i u_i A_i^sector and ``model`` the
+    register of the A_i, when known.  ``op`` is the D x D operator, or
+    None to have it placed from the weights (``register.collective_op``)
+    on first access and cached; that needs both.  Terms from
+    ``canonical_form`` pass None, so sets that are never asked for ``op``
+    (the structured path, large-register rates) build no D x D matrix.
     """
 
     def __init__(
         self,
         rate: float,
-        op: np.ndarray | Callable[[], np.ndarray],
+        op: np.ndarray | None,
         sector: int,
         weights: np.ndarray | None = None,
         model: RegisterModel | None = None,
@@ -123,9 +124,11 @@ class LindbladTerm:
             raise OrderingViolated(f"Lindblad rate must be >= 0, got {rate}")
         if sector not in (SECTOR_MINUS, SECTOR_PLUS):
             raise QregError(f"sector must be -1 or +1, got {sector}")
-        if callable(op):
-            if model is None:
-                raise QregError("a lazily built operator needs its register model")
+        if op is None:
+            if weights is None or model is None:
+                raise QregError(
+                    "a term without an operator needs its weights and register"
+                )
         else:
             op = np.asarray(op, dtype=complex)
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
@@ -152,14 +155,15 @@ class LindbladTerm:
 
     @property
     def op(self) -> np.ndarray:
-        if callable(self._op):
-            object.__setattr__(self, "_op", self._op())
+        if self._op is None:
+            a = _sector_cell_op(self.model, self.sector)
+            object.__setattr__(self, "_op", collective_op(self.model, self.weights, a))
         return self._op
 
     @property
     def dim(self) -> int:
         """Size D of the operator, known without building it."""
-        return self._op.shape[0] if isinstance(self._op, np.ndarray) else self.model.dim
+        return self.model.dim if self._op is None else self._op.shape[0]
 
 
 @dataclass(frozen=True)
@@ -226,33 +230,11 @@ def _sector_cell_op(model: RegisterModel, sector: int) -> np.ndarray:
     return model.cell_op if sector == SECTOR_MINUS else dag(model.cell_op)
 
 
-def _cell_ops(model: RegisterModel, sector: int) -> list[np.ndarray]:
-    a = _sector_cell_op(model, sector)
-    return [embed_cell_op(model, i, a) for i in range(model.n_cells)]
-
-
 def _row_splits(model: RegisterModel, trailing: int) -> list[tuple[int, int, int]]:
     """Per cell i, the (outer, d, inner) view of an array of d^N * trailing
     entries that puts cell i's tensor digit of the row index in the middle."""
     n, d = model.n_cells, model.cell_dim
     return [(d**i, d, d ** (n - 1 - i) * trailing) for i in range(n)]
-
-
-class _SectorOperators:
-    """Operators L_k = sum_i u_ki A_i of one sector's canonical terms,
-    built together on first request: one set of N embedded cell operators
-    serves every term and is dropped afterwards."""
-
-    def __init__(self, model: RegisterModel, sector: int, weights: list):
-        self.model, self.sector, self.weights = model, sector, weights
-        self.ops = None
-
-    def op(self, k: int) -> np.ndarray:
-        if self.ops is None:
-            cells = _cell_ops(self.model, self.sector)
-            n = self.model.n_cells
-            self.ops = [sum(u[i] * cells[i] for i in range(n)) for u in self.weights]
-        return self.ops[k]
 
 
 def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
@@ -262,8 +244,8 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
     eigenpair (lam, u) above the rate cutoff contributes the collective
     operator L = sum_i u_i A_i^sector with rate lam.  Rates within
     floating-point noise of zero are clamped.  The terms carry rate,
-    sector, weights and the register; their operators are built on
-    demand, one sector at a time, the first time any ``op`` is read.
+    sector, weights and the register; each places its operator the first
+    time its ``op`` is read.
     """
     if spec.n != model.n_cells:
         raise DimensionMismatch(
@@ -279,7 +261,6 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
     max_rate = max((float(w[0]) for _, w, _ in eigs), default=0.0)
     terms: list[LindbladTerm] = []
     for sector, w, v in eigs:
-        kept = []
         for mu in range(len(w)):
             lam = float(w[mu])
             if lam < 0:
@@ -290,12 +271,7 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
                 lam = 0.0
             if lam <= RATE_CUTOFF * max_rate or lam == 0.0:
                 continue
-            kept.append((lam, v[:, mu].copy()))
-        ops = _SectorOperators(model, sector, [u for _, u in kept])
-        terms += [
-            LindbladTerm(lam, partial(ops.op, k), sector, weights=u, model=model)
-            for k, (lam, u) in enumerate(kept)
-        ]
+            terms.append(LindbladTerm(lam, None, sector, v[:, mu].copy(), model))
     return LindbladSet(terms=tuple(terms), model=model)
 
 
@@ -399,6 +375,38 @@ def _digit_op(dst, src, moves, split, assign: bool) -> None:
                 dv[:, k] = 0
 
 
+def _sector_gammas(lindblad: LindbladSet) -> list[tuple[int, np.ndarray]]:
+    """(sector, G) for each sector with terms, G = sum_k lambda_k u_k u_k^+
+    over its terms; real when its imaginary part is zero."""
+    out = []
+    for sector in (SECTOR_MINUS, SECTOR_PLUS):
+        terms = [t for t in lindblad if t.sector == sector]
+        if terms:
+            g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
+            out.append((sector, g.real if not np.any(g.imag) else g))
+    return out
+
+
+def add_elementwise_rates(
+    lindblad: LindbladSet, cell_diag: np.ndarray, out: np.ndarray
+) -> None:
+    """out += C, the dissipator of a canonical set as an elementwise
+    multiplier, for a diagonal cell operator A = diag(cell_diag).
+
+    Then every term is elementwise: C_ab = S_ab - (S_aa + S_bb)/2 with
+    S = beta G beta^+ per sector, beta_ai the sector operator's entry
+    (A, or A^+ = conj(A) for the plus sector) at cell i's digit of a.
+    """
+    model = lindblad.model
+    digits = cell_digits(model.n_cells, model.cell_dim)
+    for sector, g in _sector_gammas(lindblad):
+        w = cell_diag if sector == SECTOR_MINUS else cell_diag.conj()
+        beta = w[digits]
+        s = beta @ g @ beta.conj().T
+        diag = np.diagonal(s)
+        out += s - 0.5 * (diag[:, None] + diag[None, :])
+
+
 def _contract(g: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     """out = g @ x for N x D^2 complex x; a real g multiplies the
     interleaved (re, im) view in one real product, a third faster."""
@@ -430,27 +438,14 @@ class _GammaForm:
             self.multiplier, self.h = -1j * (h_diag[:, None] - h_diag[None, :]), None
         else:
             self.multiplier, self.h = np.zeros((dim, dim), dtype=complex), h
-        sectors = []
-        for sector in (SECTOR_MINUS, SECTOR_PLUS):
-            terms = [t for t in lindblad if t.sector == sector]
-            if terms:
-                a = _sector_cell_op(model, sector)
-                g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
-                sectors.append((a, g.real if not np.any(g.imag) else g))
         cell = model.cell_op
         self.sectors = []
         if np.count_nonzero(cell) == np.count_nonzero(np.diagonal(cell)):
-            # Diagonal cell operators (sigma_z dephasing) make every term
-            # elementwise: C_ab = S_ab - (S_aa + S_bb)/2 with S = beta G beta^+,
-            # beta_ai the sector operator's entry at cell i's digit of a.
-            digits = cell_digits(n, d)
-            for a, gamma in sectors:
-                beta = np.diagonal(a)[digits]
-                s = beta @ gamma @ beta.conj().T
-                diag = np.diagonal(s)
-                self.multiplier += s - 0.5 * (diag[:, None] + diag[None, :])
+            # Diagonal cell operators (sigma_z dephasing): one multiplier.
+            add_elementwise_rates(lindblad, np.diagonal(cell), self.multiplier)
             return
-        for a, gamma in sectors:
+        for sector, gamma in _sector_gammas(lindblad):
+            a = _sector_cell_op(model, sector)
             moves = {
                 "a": _left_moves(a),
                 "a_dag": _left_moves(dag(a)),
@@ -666,13 +661,10 @@ class _BlockForm:
         else:
             self.multiplier = np.zeros(layout.size, dtype=complex)
             self.h = [h[np.ix_(s, s)] for s in layout.states]
-        self.sectors = []
-        for sector in (SECTOR_MINUS, SECTOR_PLUS):
-            terms = [t for t in lindblad if t.sector == sector]
-            if terms:
-                g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
-                g = g.real if not np.any(g.imag) else g
-                self.sectors.append((g, np.ascontiguousarray(g.T), layout.moves(sector)))
+        self.sectors = [
+            (g, np.ascontiguousarray(g.T), layout.moves(sector))
+            for sector, g in _sector_gammas(lindblad)
+        ]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         layout = self.layout
@@ -712,7 +704,7 @@ class Liouvillian:
 
     hamiltonian: np.ndarray
     lindblad: LindbladSet
-    dim: int = field(default=0)
+    dim: int = field(init=False)
     stability_scale: float = field(init=False, compare=False)
     _form: _DenseForm | _GammaForm = field(init=False, repr=False, compare=False)
 
@@ -723,8 +715,6 @@ class Liouvillian:
         if not is_hermitian(h, rtol=1e-10):
             raise NotHermitian("Hamiltonian must be Hermitian")
         d = h.shape[0]
-        if self.dim and self.dim != d:
-            raise DimensionMismatch("declared dimension does not match operators")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dim", d)
         if any(t.dim != d for t in self.lindblad):
@@ -846,9 +836,7 @@ def _peak_bytes(lindblad: LindbladSet) -> int:
     return (5 * len(lindblad) + 5) * matrix
 
 
-def build_liouvillian(
-    model: RegisterModel, spec: BathSpec, include_lamb_shift: bool = True
-) -> Liouvillian:
+def build_liouvillian(model: RegisterModel, spec: BathSpec) -> Liouvillian:
     """Assemble the full generator for a register-bath pair.
 
     Raises TooLarge, before allocating, when generator_bytes exceeds
@@ -862,7 +850,7 @@ def build_liouvillian(
             f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit"
         )
     h = register_hamiltonian(model)
-    if include_lamb_shift and spec.has_lamb_shift:
+    if spec.has_lamb_shift:
         h = h + lamb_shift(model, spec)
     return Liouvillian(hamiltonian=h, lindblad=lindblad)
 
@@ -879,7 +867,7 @@ def pairwise_dissipator(
              + Gp_ij A_i^+ rho A_j - Gp_ji/2 (A_i A_j^+ rho + rho A_i A_j^+)
     """
     rho = np.asarray(rho, dtype=complex)
-    a = _cell_ops(model, SECTOR_MINUS)
+    a = [embed_cell_op(model, i) for i in range(model.n_cells)]
     ad = [dag(x) for x in a]
     gm, gp = spec.gamma_minus, spec.gamma_plus
     n = model.n_cells

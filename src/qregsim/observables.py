@@ -66,15 +66,21 @@ def linear_entropy(rho: np.ndarray) -> float:
     return float(tr - tr2)
 
 
-def register_energy(rho: np.ndarray, h: np.ndarray) -> float:
-    """Energy tr(rho H) for a Hermitian register Hamiltonian."""
+def register_energy(rho: np.ndarray, h: np.ndarray) -> float | np.ndarray:
+    """Energy tr(rho H) for a Hermitian register Hamiltonian: a float for
+    one D x D state, a (T,) array for a (T, D, D) stack of snapshots.
+
+    H is checked once per call; each energy is the one-state contraction.
+    """
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, rtol=1e-10):
         raise NotHermitian("energy requires a Hermitian operator")
-    if rho.shape != h.shape:
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != h.shape:
         raise DimensionMismatch("state and Hamiltonian sizes differ")
-    return float(np.einsum("ij,ji->", rho, h).real)
+    if rho.ndim == 2:
+        return float(np.einsum("ij,ji->", rho, h).real)
+    return np.array([np.einsum("ij,ji->", r, h).real for r in rho])
 
 
 def tau_inverse_n(liouv: Liouvillian, rho: np.ndarray, n_max: int) -> np.ndarray:
@@ -141,8 +147,7 @@ def decoherence_report(
     taus = tau_inverse_n(liouv, trajectory.states[0], n_max)
     fids = np.array([fidelity(s, psi0) for s in trajectory.states])
     ents = np.array([linear_entropy(s) for s in trajectory.states])
-    h = liouv.hamiltonian
-    engs = np.array([register_energy(s, h) for s in trajectory.states])
+    engs = register_energy(trajectory.states, liouv.hamiltonian)
     return DecoherenceReport(
         tau_inverse=taus,
         fidelity_series=fids,

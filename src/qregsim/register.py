@@ -193,20 +193,25 @@ def embed_cell_op(
     """
     if not 0 <= i < model.n_cells:
         raise IndexOutOfRange(f"cell index {i} not in 0..{model.n_cells - 1}")
-    a = model.cell_op if op is None else np.asarray(op, dtype=complex)
-    if a.shape != (model.cell_dim, model.cell_dim):
-        raise DimensionMismatch(f"single-cell operator must be {model.cell_dim}^2")
-    return cell_terms(model.n_cells, model.cell_dim, [(a, [i], 1.0)])
+    return collective_op(model, np.eye(model.n_cells)[i], op)
 
 
-def collective_op(model: RegisterModel, weights) -> np.ndarray:
-    """Weighted sum of embedded cell operators, sum_i w_i A_i."""
+def collective_op(
+    model: RegisterModel, weights, op: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted sum of embedded cell operators, sum_i w_i op_i.
+
+    ``op`` defaults to the model's cell operator A.
+    """
     w = np.asarray(weights, dtype=complex)
     if w.shape != (model.n_cells,):
         raise DimensionMismatch(
             f"need {model.n_cells} weights, got shape {w.shape}"
         )
-    return _cell_sum(model.n_cells, model.cell_dim, model.cell_op, w)
+    a = model.cell_op if op is None else np.asarray(op, dtype=complex)
+    if a.shape != (model.cell_dim, model.cell_dim):
+        raise DimensionMismatch(f"single-cell operator must be {model.cell_dim}^2")
+    return _cell_sum(model.n_cells, model.cell_dim, a, w)
 
 
 def free_hamiltonian(model: RegisterModel) -> np.ndarray:

@@ -372,7 +372,7 @@ def test_criterion_08_entropy_monotone_under_dephasing(seed):
     spec = random_bath(rng, n)
     psi = random_pure_state(rng, 2**n)
     times = np.linspace(0.0, float(rng.uniform(1.0, 10.0)), 7)
-    traj = dephasing_solve(model, spec, psi, times)
+    traj = dephasing_solve(build_liouvillian(model, spec), psi, times)
     entropies = [linear_entropy(s) for s in traj.states]
     for a, b in zip(entropies, entropies[1:]):
         assert b >= a - 1e-10

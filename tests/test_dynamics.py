@@ -25,7 +25,13 @@ from qregsim.errors import (
     TooSmall,
     UnstableStep,
 )
-from qregsim.liouvillian import Liouvillian, build_liouvillian, canonical_form
+from qregsim.liouvillian import (
+    LindbladSet,
+    LindbladTerm,
+    Liouvillian,
+    build_liouvillian,
+    canonical_form,
+)
 from qregsim.observables import fidelity
 from qregsim.register import (
     basis_state,
@@ -230,9 +236,7 @@ def test_evolve_methods_share_integrate_grid(method):
     liouv = build_liouvillian(model, spec)
     rng = rng_for("evolve-grid")
     rho0s = [random_pure_state(rng, 4), random_density_matrix(rng, 4)]
-    trajs = evolve(
-        liouv, rho0s, 2.3, 0.1, stride=7, method=method, model=model, spec=spec
-    )
+    trajs = evolve(liouv, rho0s, 2.3, 0.1, stride=7, method=method)
     assert len(trajs) == len(rho0s)
     for rho0, traj in zip(rho0s, trajs):
         ref = integrate(liouv, rho0, 2.3, 0.1, stride=7)
@@ -247,8 +251,8 @@ def test_evolve_methods_share_integrate_grid(method):
 def test_evolve_argument_guards():
     liouv = _unitary_liouvillian(1)
     psi = basis_state(1, "0")
-    with pytest.raises(QregError, match="model and spec"):
-        evolve(liouv, [psi], 1.0, 0.1, method="dephasing")
+    with pytest.raises(TypeError, match="model"):
+        evolve(liouv, [psi], 1.0, 0.1, method="dephasing", model=None)
     with pytest.raises(QregError, match="unknown method"):
         evolve(liouv, [psi], 1.0, 0.1, method="euler")
     with pytest.raises(TooSmall):
@@ -294,7 +298,7 @@ def test_dephasing_product_state_fidelity():
     spec = cell_limit(n, gamma, gamma)
     psi = np.ones(2**n, dtype=complex) / np.sqrt(2.0**n)
     times = np.linspace(0.0, 8.0, 9)
-    traj = dephasing_solve(model, spec, psi, times)
+    traj = dephasing_solve(build_liouvillian(model, spec), psi, times)
     for t, state in zip(traj.times, traj.states):
         expected = ((1.0 + np.exp(-gamma * t)) / 2.0) ** n
         assert fidelity(state, psi) == pytest.approx(expected, abs=1e-10)
@@ -306,7 +310,8 @@ def test_dephasing_long_time_fidelity_floor():
     model = dephasing_register(n)
     spec = cell_limit(n, gamma, gamma)
     psi = np.ones(2**n, dtype=complex) / np.sqrt(2.0**n)
-    traj = dephasing_solve(model, spec, psi, np.array([0.0, 200.0 / gamma]))
+    liouv = build_liouvillian(model, spec)
+    traj = dephasing_solve(liouv, psi, np.array([0.0, 200.0 / gamma]))
     assert fidelity(traj.final, psi) == pytest.approx(2.0**-n, abs=1e-6)
 
 
@@ -316,7 +321,8 @@ def test_dephasing_diagonal_states_are_fixed():
     rho0 = np.diag(p / p.sum()).astype(complex)
     model = dephasing_register(3)
     spec = exponential_decay(3, 0.4, 0.2, xi=1.5)
-    traj = dephasing_solve(model, spec, rho0, np.array([0.0, 5.0, 50.0]))
+    liouv = build_liouvillian(model, spec)
+    traj = dephasing_solve(liouv, rho0, np.array([0.0, 5.0, 50.0]))
     for state in traj.states:
         assert np.max(np.abs(state - rho0)) < 1e-12
 
@@ -331,9 +337,10 @@ def test_dephasing_collective_bath_spares_balanced_coherence():
     balanced = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     ghz = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     times = np.array([0.0, 2.0])
-    traj_b = dephasing_solve(model, spec, balanced, times)
+    liouv = build_liouvillian(model, spec)
+    traj_b = dephasing_solve(liouv, balanced, times)
     assert np.max(np.abs(traj_b.final - traj_b.states[0])) < 1e-12
-    traj_g = dephasing_solve(model, spec, ghz, times)
+    traj_g = dephasing_solve(liouv, ghz, times)
     # Sum eigenvalues differ by 2, and both kernels contribute: e^{-4 gamma t}.
     assert abs(traj_g.final[0, 3]) == pytest.approx(
         0.5 * np.exp(-4.0 * gamma * 2.0), abs=1e-12
@@ -348,7 +355,7 @@ def test_dephasing_hermitian_frame_change_matches_integrator():
     rho0 = random_density_matrix(rng, 4)
     liouv = build_liouvillian(model, spec)
     times = np.array([0.0, 1.0])
-    traj = dephasing_solve(model, spec, rho0, times)
+    traj = dephasing_solve(liouv, rho0, times)
     ref = propagate_exact(liouv, rho0, 1.0)
     assert np.max(np.abs(traj.final - ref)) < 1e-9
 
@@ -362,7 +369,7 @@ def test_dephasing_with_bath_phase_shifts():
     rng = rng_for("dephasing-lamb")
     rho0 = random_density_matrix(rng, 4)
     liouv = build_liouvillian(model, spec)
-    traj = dephasing_solve(model, spec, rho0, np.array([0.0, 0.7]))
+    traj = dephasing_solve(liouv, rho0, np.array([0.0, 0.7]))
     ref = propagate_exact(liouv, rho0, 0.7)
     assert np.max(np.abs(traj.final - ref)) < 1e-9
 
@@ -372,8 +379,8 @@ def test_dephasing_matches_integrator_exponential_bath():
     spec = exponential_decay(3, 0.3, 0.1, xi=2.0)
     rng = rng_for("dephasing-vs-rk4")
     psi = random_pure_state(rng, 8)
-    traj_cf = dephasing_solve(model, spec, psi, np.array([0.0, 1.0]))
     liouv = build_liouvillian(model, spec)
+    traj_cf = dephasing_solve(liouv, psi, np.array([0.0, 1.0]))
     traj_rk = integrate(liouv, psi, t_end=1.0, dt=0.002, stride=500)
     assert np.max(np.abs(traj_cf.final - traj_rk.final)) < 1e-6
 
@@ -381,17 +388,57 @@ def test_dephasing_matches_integrator_exponential_bath():
 def test_dephasing_rejects_non_normal_cell_op():
     model = qubit_register(2, epsilon=1.0)
     psi = basis_state(2, "00")
+    liouv = build_liouvillian(model, cell_limit(2, 0.1, 0.0))
     with pytest.raises(NotSimultaneouslyDiagonalizable):
-        dephasing_solve(model, cell_limit(2, 0.1, 0.0), psi, np.array([0.0]))
+        dephasing_solve(liouv, psi, np.array([0.0]))
 
 
 def test_dephasing_argument_guards():
-    model = dephasing_register(2)
+    liouv = build_liouvillian(dephasing_register(2), cell_limit(2, 0.1, 0.1))
     psi = np.ones(4, dtype=complex) / 2.0
     with pytest.raises(DimensionMismatch):
-        dephasing_solve(model, cell_limit(2, 0.1, 0.1), psi, np.array([]))
+        dephasing_solve(liouv, psi, np.array([]))
     with pytest.raises(DimensionMismatch):
-        dephasing_solve(model, cell_limit(3, 0.1, 0.1), psi, np.array([0.0]))
+        dephasing_solve(liouv, np.ones(8) / np.sqrt(8.0), np.array([0.0]))
+    # a bath of the wrong size is refused where the generator is built
+    with pytest.raises(DimensionMismatch):
+        build_liouvillian(dephasing_register(2), cell_limit(3, 0.1, 0.1))
+
+
+def test_dephasing_needs_a_canonical_set():
+    # The closed form reads the register and the rates from the set: one
+    # without a model, or with terms that carry no weights, is refused.
+    model = dephasing_register(2)
+    liouv = build_liouvillian(model, cell_limit(2, 0.1, 0.1))
+    psi = np.ones(4, dtype=complex) / 2.0
+    ops = liouv.lindblad.operators()
+    for lset in (
+        LindbladSet(terms=liouv.lindblad.terms),
+        LindbladSet(terms=tuple(LindbladTerm(0.1, op, -1) for op in ops), model=model),
+    ):
+        bare = Liouvillian(hamiltonian=liouv.hamiltonian, lindblad=lset)
+        with pytest.raises(QregError, match="canonical"):
+            dephasing_solve(bare, psi, np.array([0.0]))
+        with pytest.raises(QregError, match="canonical"):
+            evolve(bare, [psi], 1.0, 0.1, method="dephasing")
+
+
+def test_dephasing_follows_the_generator_hamiltonian():
+    # The closed form takes its energies from the generator it is given:
+    # a hand-built H with an extra diagonal term on top of the built one
+    # (free part and Lamb shift) moves it exactly as it moves the exact
+    # propagator.
+    model = dephasing_register(3)
+    spec = exponential_decay(3, 0.3, 0.1, xi=2.0, delta_ratio=0.5)
+    built = build_liouvillian(model, spec)
+    h = built.hamiltonian + np.diag(np.linspace(-1.0, 1.0, model.dim))
+    liouv = Liouvillian(hamiltonian=h, lindblad=built.lindblad)
+    rng = rng_for("dephasing-follows-h")
+    rho0s = [random_pure_state(rng, 8), random_density_matrix(rng, 8)]
+    closed = evolve(liouv, rho0s, 2.0, 0.1, stride=5, method="dephasing")
+    exact = evolve(liouv, rho0s, 2.0, 0.1, stride=5, method="exact")
+    for a, b in zip(closed, exact):
+        assert np.max(np.abs(a.states - b.states)) < 1e-12
 
 
 def test_dephasing_purity_never_increases():
@@ -399,7 +446,7 @@ def test_dephasing_purity_never_increases():
     spec = exponential_decay(2, 0.5, 0.2, xi=1.0)
     psi = np.ones(4, dtype=complex) / 2.0
     times = np.linspace(0.0, 10.0, 60)
-    traj = dephasing_solve(model, spec, psi, times)
+    traj = dephasing_solve(build_liouvillian(model, spec), psi, times)
     purity = [float(np.real(np.trace(s @ s))) for s in traj.states]
     assert all(b <= a + 1e-10 for a, b in zip(purity, purity[1:]))
 
@@ -436,4 +483,4 @@ def test_evolve_empty_state_list(method):
     model = qubit_register(2)
     spec = cell_limit(2, 0.1, 0.0)
     liouv = build_liouvillian(model, spec)
-    assert evolve(liouv, [], 1.0, 0.1, method=method, model=model, spec=spec) == []
+    assert evolve(liouv, [], 1.0, 0.1, method=method) == []

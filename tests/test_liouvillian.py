@@ -185,7 +185,7 @@ class TestApply:
         n = 3
         spec = random_bath(rng, n)
         model = qubit_register(n)
-        liouv = build_liouvillian(model, spec, include_lamb_shift=False)
+        liouv = build_liouvillian(model, spec)
         rho = random_density_matrix(rng, 2**n)
         direct = pairwise_dissipator(model, spec, rho)
         canonical = liouv.dissipator(rho)

@@ -127,7 +127,7 @@ def test_linear_entropy_dephased_uniform_closed_form():
     model = dephasing_register(n)
     spec = cell_limit(n, gamma, gamma)
     psi = np.ones(2**n, dtype=complex) / np.sqrt(2.0**n)
-    traj = dephasing_solve(model, spec, psi, np.array([0.0, t]))
+    traj = dephasing_solve(build_liouvillian(model, spec), psi, np.array([0.0, t]))
     expected = 1.0 - np.exp(-gamma * n * t) * np.cosh(gamma * t) ** n
     assert expected == pytest.approx(0.1730546, abs=1e-7)
     assert linear_entropy(traj.final) == pytest.approx(expected, abs=1e-10)
@@ -334,6 +334,17 @@ def test_register_energy_guards():
         register_energy(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         register_energy(rho, np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        register_energy(np.stack([rho, rho]), np.eye(4))
+
+
+def test_register_energy_of_a_stack_is_each_state_alone():
+    rng = rng_for("energy-stack")
+    h = free_hamiltonian(qubit_register(3, epsilon=0.7))
+    states = np.stack([random_density_matrix(rng, 8) for _ in range(4)])
+    energies = register_energy(states, h)
+    assert energies.shape == (4,)
+    assert energies.tolist() == [register_energy(s, h) for s in states]
 
 
 def test_energy_monotone_at_zero_temperature():

@@ -108,6 +108,14 @@ class TestCollectiveOps:
         got = collective_op(model, np.ones(3))
         assert np.allclose(got, total_sminus(3))
 
+    def test_other_cell_operator(self):
+        # op replaces A as in embed_cell_op: A^+ gives the raising sum
+        model = qubit_register(3)
+        got = collective_op(model, np.ones(3), model.cell_op.conj().T)
+        assert np.array_equal(got, total_splus(3))
+        with pytest.raises(DimensionMismatch):
+            collective_op(model, np.ones(3), np.eye(3))
+
     def test_step_condition_propagates(self):
         # [H_R, L] = -eps L for any collective combination of lowering ops
         model = qubit_register(3, epsilon=0.9)

@@ -43,6 +43,7 @@ from qregsim.liouvillian import (
 )
 from qregsim.observables import pure_decoherence_rate
 from qregsim.register import (
+    collective_op,
     dephasing_register,
     embed_cell_op,
     heisenberg_ring,
@@ -368,18 +369,18 @@ def counting(calls: dict):
         yield mp
 
 
-def test_cell_operators_are_built_once_per_sector():
+def test_canonical_operators_are_placed_once_per_term():
     model = qubit_register(3)
-    calls = {"_cell_ops": 0}
+    calls = {"collective_op": 0}
     with counting(calls):
         lset = canonical_form(model, random_bath(rng_for("sector"), 3))
         minus = [t for t in lset if t.sector < 0]
         plus = [t for t in lset if t.sector > 0]
-        assert len(minus) > 1 and plus and calls["_cell_ops"] == 0
+        assert len(minus) > 1 and plus and calls["collective_op"] == 0
         ops = [t.op for t in minus]
-        assert calls["_cell_ops"] == 1 and not any(isinstance(t._op, np.ndarray) for t in plus)
+        assert calls["collective_op"] == len(minus) and not built(LindbladSet(tuple(plus)))
         lset.operators()
-        assert calls["_cell_ops"] == 2
+        assert calls["collective_op"] == len(lset)
     assert all(a is t.op for a, t in zip(ops, minus))
 
 
@@ -409,8 +410,17 @@ def test_hand_built_terms():
     assert term.op.dtype == complex and term.dim == 2 and term.weights is None
     with pytest.raises(AttributeError):
         term.rate = 1.0
-    with pytest.raises(QregError, match="register"):
-        LindbladTerm(0.3, lambda: op, liouvillian.SECTOR_MINUS)
+    # Without an operator a term is placed from its weights on first read,
+    # which needs both the weights and the register.
+    model = qubit_register(2)
+    weights = np.array([1.0, 0.5j])
+    placed = LindbladTerm(0.3, None, liouvillian.SECTOR_PLUS, weights, model)
+    assert placed.dim == 4 and not built(LindbladSet((placed,)))
+    want = collective_op(model, weights, model.cell_op.conj().T)
+    assert placed.op.tobytes() == want.tobytes()
+    for args in ((), (weights,), (None, model)):
+        with pytest.raises(QregError, match="weights and register"):
+            LindbladTerm(0.3, None, liouvillian.SECTOR_MINUS, *args)
     with pytest.raises(DimensionMismatch):
         LindbladTerm(0.3, op, -1, weights=np.ones(3), model=qubit_register(2))
     with pytest.raises(DimensionMismatch):
@@ -425,7 +435,7 @@ def test_codes_runner_builds_the_canonical_set_once():
         "codes": {"kind": "null"},
         "output": {"directory": "out", "name": "codes", "formats": ["csv"]},
     }
-    calls = {"_cell_ops": 0}
+    calls = {"collective_op": 0}
 
     def second_set(*args):
         raise AssertionError("the runner built a canonical set of its own")
@@ -435,8 +445,9 @@ def test_codes_runner_builds_the_canonical_set_once():
         table = expcli.run_codes(expcli.config_from_dict(raw))
     assert table.provenance["code"]["dim"] == 2
     # the generator's set serves the code, the rates and the verdict, and
-    # its operators are built once per sector
-    assert calls == {"_cell_ops": 2}
+    # each of its two terms (the replica bath has rank one per sector)
+    # places its operator once
+    assert calls == {"collective_op": 2}
 
 
 def product_lamb_shift(model, spec) -> np.ndarray:
