@@ -39,13 +39,14 @@ from .linalg import (
     vec,
 )
 from .liouvillian import (
+    SUPEROP_MAX_DIM,
     ExcitationBlocks,
     Liouvillian,
     add_elementwise_rates,
     excitation_form,
     superoperator_matrix,
 )
-from .register import RegisterModel
+from .register import RegisterModel, register_hamiltonian
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -342,8 +343,7 @@ def evolve(
     times = steps * h
     if method == "dephasing":
         return [dephasing_solve(liouv, r, times) for r in rho0s]
-    if method != "exact":
-        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    check_method(method, liouv.lindblad.model, liouv.hamiltonian)
     if len(rho0s) == 0:
         return []
     d = liouv.dim
@@ -373,6 +373,45 @@ def propagate_exact(liouv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarra
     return unvec(expm_action(m, float(t), vec(rho)), liouv.dim)
 
 
+def check_method(
+    method: str, model: RegisterModel | None, hamiltonian: np.ndarray | None = None
+):
+    """Raise unless ``evolve`` can run ``method`` on a generator of
+    ``model`` whose Hamiltonian is ``hamiltonian`` (default the register's
+    own, built only for dephasing): ``exact`` needs D <= SUPEROP_MAX_DIM
+    (TooLarge), ``dephasing`` a normal cell operator and an H diagonal in
+    its eigenbasis, as a Lamb shift always is there
+    (NotSimultaneouslyDiagonalizable), and ``rk4`` takes any; another name
+    is a QregError.
+
+    For dephasing returns (w, frame, h): the cell operator's eigenvalues,
+    the register's unitary eigenbasis frame (None when it is the identity)
+    and H in that frame.
+    """
+    if method == "exact":
+        d = model.dim if hamiltonian is None else hamiltonian.shape[0]
+        if d > SUPEROP_MAX_DIM:
+            raise TooLarge(
+                f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {d}"
+            )
+    elif method == "dephasing":
+        w, v = _dephasing_frame(model)
+        h = register_hamiltonian(model) if hamiltonian is None else hamiltonian
+        frame = None
+        if not np.allclose(v, np.eye(model.cell_dim)):
+            frame = kron_all([v] * model.n_cells)
+            h = dag(frame) @ h @ frame
+        # The closed form holds only for an H diagonal in the joint frame.
+        h_off = h - np.diag(np.diag(h))
+        if frob(h_off) > 1e-10 * max(1.0, frob(h)):
+            raise NotSimultaneouslyDiagonalizable(
+                "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
+            )
+        return w, frame, h
+    elif method != "rk4":
+        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+
+
 def _dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
     """Return (w, v) with w the cell-op eigenvalues and v a unitary frame
     in which the cell operator is diagonal.
@@ -381,6 +420,10 @@ def _dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
     simultaneously diagonalizable and the closed form does not apply.
     """
     a = np.asarray(model.cell_op, dtype=complex)
+    if not np.any(a - np.diag(np.diagonal(a))):
+        # Already diagonal (sigma_z): the identity frame, so no D x D
+        # change of basis.
+        return np.diagonal(a).copy(), np.eye(model.cell_dim)
     scale = max(1.0, float(np.abs(a).max()))
     if not np.allclose(a @ dag(a), dag(a) @ a, atol=1e-12 * scale * scale):
         raise NotSimultaneouslyDiagonalizable(
@@ -431,21 +474,9 @@ def dephasing_solve(
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.shape[0] == 0:
         raise DimensionMismatch("times must be a nonempty 1-d array")
-    w_cell, v_cell = _dephasing_frame(model)
-    # Frame change to the joint eigenbasis (skipped when already there).
-    h = liouv.hamiltonian
-    if np.allclose(v_cell, np.eye(model.cell_dim)):
-        frame = None
-    else:
-        frame = kron_all([v_cell] * model.n_cells)
+    w_cell, frame, h = check_method("dephasing", model, liouv.hamiltonian)
+    if frame is not None:  # to the joint eigenbasis
         rho = dag(frame) @ rho @ frame
-        h = dag(frame) @ h @ frame
-    # The closed form holds only for an H diagonal in the joint frame.
-    h_off = h - np.diag(np.diag(h))
-    if frob(h_off) > 1e-10 * max(1.0, frob(h)):
-        raise NotSimultaneouslyDiagonalizable(
-            "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
-        )
     e = np.real(np.diag(h))
     c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)

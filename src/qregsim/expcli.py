@@ -38,7 +38,7 @@ from .codes import (
     n4_code,
     null_code,
 )
-from .dynamics import evolve, snapshot_grid, step_count
+from .dynamics import check_method, evolve, snapshot_grid, step_count
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import (
     GENERATOR_MAX_BYTES,
@@ -382,6 +382,11 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     _library("solver.dt", step_count, 0.0, solver["dt"])
     _library("solver.t_end", step_count, solver["t_end"], solver["dt"])
     _library("solver.stride", snapshot_grid, 0.0, solver["dt"], solver["stride"])
+    if cfg.experiment == "simulate":
+        # Past the size guard: only the dephasing rule builds H.
+        method = solver["method"]
+        cells = build_register(cfg) if method == "dephasing" else model
+        _library("solver.method", check_method, method, cells)
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
         _library("codes.cluster_size", check_cluster_size, n, cfg.codes["cluster_size"])
 

@@ -38,11 +38,14 @@ excitation number Q (cells up).  It serves those states; the caller keeps
 the Gamma or dense form for the others, and for all on None.  H and the
 Lamb shift conserve Q and the sigma-/sigma+ sectors move it by exactly
 -1/+1, so such states stay block-diagonal in Q: C(2N, N) of the 4^N
-entries (``ExcitationBlocks``), 19.6 % at N = 8.  The Gamma-form
-dissipator then becomes, per sector, gathers between the C(N, q) and
-C(N, q -/+ 1) bases and one (N x N)(N x sum_q n_{q-/+1} n_q) product per
-half-sector.  Its index tables take O(N C(2N, N)) time and are built on
-every call, never by ``build_liouvillian``.
+entries (``ExcitationBlocks``), 19.6 % at N = 8.  There the generator is
+-B rho - rho B^+ plus, per sector, the sandwich sum_ij G_ij A_i rho A_j^+.
+The drift B = iH + sum_ij G_ij A_j^+ A_i / 2 conserves Q like H, so it is
+placed once (D x D, by ``cell_terms``) and kept as its C(N, q) x C(N, q)
+blocks; the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1)
+bases, one (N x N)(N x sum_q n_{q-/+1} n_q) product and a gathered sum
+back, per sector.  The drift and the two index tables per sector are built
+on every call, never by ``build_liouvillian``.
 
 All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
@@ -279,26 +282,30 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
     """Self-Hamiltonian renormalization from the Delta matrices.
 
     delta_H = sum_ij (Dm_ij A_i^+ A_j + Dp_ji A_i A_j^+); returns zero when
-    the bath carries no Lamb-shift data.  Each term acts on cells i and j
-    alone (one cell when i = j), so ``cell_terms`` places it: O(N^2 D)
-    time for cell operators with few nonzeros, and one D x D array.
+    the bath carries no Lamb-shift data.
     """
     if not spec.has_lamb_shift:
         return np.zeros((model.dim, model.dim), dtype=complex)
     if spec.n != model.n_cells:
         raise DimensionMismatch("bath size does not match the register")
-    a = model.cell_op
+    a, dp = model.cell_op, spec.delta_plus
+    pairs = [(spec.delta_minus, dag(a), a), (None if dp is None else dp.T, a, dag(a))]
+    return _place_pairs(model, [p for p in pairs if p[0] is not None])
+
+
+def _place_pairs(model: RegisterModel, pairs) -> np.ndarray:
+    """The D x D sum over (delta, left, right) of sum_ij delta_ij
+    left_i right_j, left and right d x d cell operators.  Each term acts on
+    cells i and j alone (one cell when i = j), so ``cell_terms`` places it:
+    O(N^2 D) time for cell operators with few nonzeros, and one D x D array.
+    """
     terms = []
-    for delta, left, right in (
-        (spec.delta_minus, dag(a), a),
-        (None if spec.delta_plus is None else spec.delta_plus.T, a, dag(a)),
-    ):
-        if delta is not None:
-            same, pair = left @ right, kron(left, right)
-            terms += [
-                (same, [i], delta[i, j]) if i == j else (pair, [i, j], delta[i, j])
-                for i, j in zip(*np.nonzero(delta))
-            ]
+    for delta, left, right in pairs:
+        same, pair = left @ right, kron(left, right)
+        terms += [
+            (same, [i], delta[i, j]) if i == j else (pair, [i, j], delta[i, j])
+            for i, j in zip(*np.nonzero(delta))
+        ]
     return cell_terms(model.n_cells, model.cell_dim, terms)
 
 
@@ -508,9 +515,9 @@ class ExcitationBlocks:
     with Q = q in ascending order, row-major, the blocks concatenated by q;
     C(2N, N) entries in all.  Packed arrays carry any leading stack axes.
 
-    ``rows`` and ``cols`` hold the basis states of each packed entry,
-    ``full`` its flat D x D index, ``transpose`` the packed index of its
-    transposed entry and ``diagonal`` the packed indices of the diagonal.
+    ``full`` holds the flat D x D index of each packed entry, ``transpose``
+    the packed index of its transposed entry and ``diagonal`` the packed
+    indices of the diagonal.
     """
 
     def __init__(self, n: int):
@@ -524,12 +531,12 @@ class ExcitationBlocks:
             self.pos[s] = np.arange(s.shape[0])
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
         self.size = int(self.offsets[-1])
-        self.rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
-        self.cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
-        self.full = self.rows * dim + self.cols
-        k = up[self.rows]
-        self.transpose = self.offsets[k] + self.pos[self.cols] * self.sizes[k] + self.pos[self.rows]
-        self.diagonal = np.flatnonzero(self.rows == self.cols)
+        rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
+        cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
+        self.full = rows * dim + cols
+        k = up[rows]
+        self.transpose = self.offsets[k] + self.pos[cols] * self.sizes[k] + self.pos[rows]
+        self.diagonal = np.flatnonzero(rows == cols)
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The packed blocks of rho (..., D, D); entries off the blocks are
@@ -564,19 +571,18 @@ class ExcitationBlocks:
         np.conjugate(out, out=out)
 
     def moves(self, s: int):
-        """Gather tables of the digit moves of a qubit cell operator A that
-        takes one digit (the source) to the other (the target) with
-        coefficient 1 and so moves Q by s: -1 for sigma-, +1 for sigma+.
+        """Gather tables of the sandwich sum_ij G_ij A_i rho A_j^+ for a
+        qubit cell operator A that takes one digit (the source) to the other
+        (the target) with coefficient 1 and so moves Q by s: -1 for sigma-,
+        +1 for sigma+.
 
-        X_i = A_i rho and Z_j^T = (rho A_j^+)^T live in the half-sector of
-        s: the blocks (q + s, q), packed by q like rho, P entries.  Returns
-        ``x`` and ``z`` (N, P), which gather X_i and Z_i^T from rho's M
-        packed entries (index M reads a zero), and the terms of
-        Y_j A_j^+ and A_j^+ Y_j from Y and of W_i A_i from W^T, each an
-        (N, P) array flattened.  A term table is ``(gather, segments)``:
-        within a block every entry has the same number c of nonzero terms
-        (the cells of its row or column state in the target or source
-        digit), so block q's terms form a (c, n_q, n_q) array at
+        X_i = A_i rho lives in the half-sector of s: the blocks (q + s, q),
+        packed by q like rho, P entries.  Returns ``x`` (N, P), which
+        gathers X_i from rho's M packed entries (index M reads a zero), and
+        the term table of Y_j A_j^+ from Y, an (N, P) array flattened.  The
+        table is ``(gather, segments)``: within a block every entry has the
+        same number c of nonzero terms (the cells of its column state in the
+        target digit), so block q's terms form a (c, n_q, n_q) array at
         ``gather[v:v + c * n_q^2]``, and ``segments`` lists
         (v, c, offset, n_q^2) per block with c > 0.  O(N C(2N, N)) work.
         """
@@ -589,50 +595,32 @@ class ExcitationBlocks:
             h_off[q + 1] = sizes[q + s] * sizes[q]
         h_off = np.cumsum(h_off)
         p = int(h_off[-1])
-        x, z = np.empty((n, p), dtype=np.intp), np.empty((n, p), dtype=np.intp)
+        x = np.empty((n, p), dtype=np.intp)
         for q in kept:
-            # X_i[a', b] = rho[src_i(a'), b] and Z_i^T[a', b] = rho[b, src_i(a')]
-            # for a' in S_{q+s} with cell i in the target digit
+            # X_i[a', b] = rho[src_i(a'), b] for a' in S_{q+s} with cell i in
+            # the target digit
             rows = self.states[q + s][None, :]
             at = (((rows & bits[:, None]) != 0) == target)[:, :, None]
             src = pos[rows ^ bits[:, None]][:, :, None]
-            col = np.arange(sizes[q])
-            here = slice(h_off[q], h_off[q + 1])
-            x[:, here] = np.where(at, self.offsets[q] + src * sizes[q] + col, m).reshape(n, -1)
-            z[:, here] = np.where(at, self.offsets[q] + col * sizes[q] + src, m).reshape(n, -1)
-
-        def cells(states, digit):
-            """The cells of each state in the digit, (c, len), and the
-            positions of the states with each of them flipped."""
-            c = np.nonzero(((states[:, None] & bits) != 0) == digit)[1]
-            c = c.reshape(len(states), -1).T.copy()
-            return c * p, pos[states ^ bits[c]]
-
-        terms = {"sandwich": ([], []), "left": ([], []), "right": ([], [])}
+            x[:, h_off[q] : h_off[q + 1]] = np.where(
+                at, self.offsets[q] + src * sizes[q] + np.arange(sizes[q]), m
+            ).reshape(n, -1)
+        gather, segments = [], []
         for q in range(n + 1):
-            states, o = self.states[q], int(self.offsets[q])
-            index = np.arange(sizes[q])
-            blocks = []  # (name, moved, its axis 1 (row) or 2 (column), fixed)
-            # (Y_j A_j^+)[a', b'] = Y_j[a', src_j(b')], cell j of b' the target;
-            # (a', src_j(b')) sits in the half-sector's column block q - s
-            cell, flip = cells(states, target)
+            states, k = self.states[q], q - s
+            # (Y_j A_j^+)[a', b'] = Y_j[a', src_j(b')] over the c cells j of
+            # b' in the target digit; (a', src_j(b')) sits in the
+            # half-sector's column block k
+            cell = np.nonzero(((states[:, None] & bits) != 0) == target)[1]
+            cell = cell.reshape(len(states), -1).T
             if cell.size:
-                k = q - s
-                blocks.append(("sandwich", cell + flip, 2, h_off[k] + index * sizes[k]))
-            # (A_j^+ Y_j)[a, b] = Y_j[A_j a, b] and
-            # (W_i A_i)[a, b] = W_i^T[A_i b, a], cell j of a (i of b) the source
-            cell, flip = cells(states, 1 - target)
-            if cell.size:
-                moved = cell + flip * sizes[q]
-                blocks.append(("left", moved, 1, h_off[q] + index))
-                blocks.append(("right", moved, 2, h_off[q] + index))
-            for name, moved, axis, fixed in blocks:
-                table = np.expand_dims(moved, 3 - axis) + np.expand_dims(fixed, axis - 1)
-                gather, segments = terms[name]
+                moved = cell * p + pos[states ^ bits[cell]]
+                fixed = h_off[k] + np.arange(sizes[q]) * sizes[k]
+                table = moved[:, None, :] + fixed[:, None]
                 v = sum(g.size for g in gather)
+                segments.append((v, len(cell), int(self.offsets[q]), table[0].size))
                 gather.append(table.ravel())
-                segments.append((v, table.shape[0], o, table[0].size))
-        return x, z, *((np.concatenate(g), sg) for g, sg in terms.values())
+        return x, (np.concatenate(gather), segments)
 
 
 def _add_terms(acc: np.ndarray, source: np.ndarray, table) -> None:
@@ -644,9 +632,14 @@ def _add_terms(acc: np.ndarray, source: np.ndarray, table) -> None:
 
 
 class _BlockForm:
-    """The generator on excitation blocks (``excitation_form``): the
-    Gamma-form dissipator with every cell operator a gather between
-    packed blocks, and the Hamiltonian term per block.
+    """The generator on excitation blocks (``excitation_form``):
+
+        L(rho) = -B rho - rho B^+ + sum_ij G_ij A_i rho A_j^+ per sector,
+
+    with A the sector's cell operator, G = sum_k lambda_k u_k u_k^+ over
+    its terms, and the drift B = iH + sum_ij G_ij A_j^+ A_i / 2 summed over
+    the sectors.  Like H, each A_j^+ A_i conserves Q, so B is kept as its
+    blocks; the sandwich is a gather between packed blocks.
 
     ``apply`` maps an (S, M) stack of packed states, each row bitwise as
     it is alone.
@@ -654,40 +647,33 @@ class _BlockForm:
 
     def __init__(self, layout: ExcitationBlocks, lindblad: LindbladSet, h):
         self.layout = layout
-        h_diag = np.diagonal(h)
-        rows, cols = layout.rows, layout.cols
-        if np.count_nonzero(h) == np.count_nonzero(h_diag):
-            self.multiplier, self.h = -1j * (h_diag[rows] - h_diag[cols]), None
-        else:
-            self.multiplier = np.zeros(layout.size, dtype=complex)
-            self.h = [h[np.ix_(s, s)] for s in layout.states]
+        model, sectors = lindblad.model, _sector_gammas(lindblad)
+        pairs = []
+        for sector, g in sectors:
+            a = _sector_cell_op(model, sector)
+            pairs.append((0.5 * g.T, dag(a), a))  # sum_ij G_ji a_i^+ a_j / 2
+        drift = _place_pairs(model, pairs)
+        drift += 1j * h
+        blocks = [drift[np.ix_(s, s)] for s in layout.states]
+        self.drift = [(b, dag(b)) for b in blocks]
         self.sectors = [
-            (g, np.ascontiguousarray(g.T), layout.moves(sector))
-            for sector, g in _sector_gammas(lindblad)
+            (np.ascontiguousarray(g.T), layout.moves(sector)) for sector, g in sectors
         ]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         layout = self.layout
         n_states, m = rho.shape[0], layout.size
-        out = self.multiplier * rho
-        if self.h is not None:
-            for h, r, o in zip(self.h, layout.blocks(rho), layout.blocks(out)):
-                o += -1j * (h @ r - r @ h)
+        out = np.empty_like(rho)
+        for (b, b_dag), r, o in zip(self.drift, layout.blocks(rho), layout.blocks(out)):
+            o[:] = -(b @ r) - r @ b_dag
         if not self.sectors:
             return out
         src = np.zeros((n_states, m + 1), dtype=complex)
         src[:, :m] = rho
-        anti = np.zeros_like(out)
-        for gamma, gamma_t, (x_at, z_at, sandwich, left, right) in self.sectors:
+        for gamma_t, (x_at, sandwich) in self.sectors:
             y = np.empty((n_states,) + x_at.shape, dtype=complex)
-            flat = y.reshape(n_states, -1)
             _contract(gamma_t, np.take(src, x_at, axis=1), y)  # Y_j = sum_i G_ij X_i
-            _add_terms(out, flat, sandwich)  # Y_j A_j^+
-            _add_terms(anti, flat, left)  # A_j^+ Y_j
-            _contract(gamma, np.take(src, z_at, axis=1), y)  # W_i^T = sum_j G_ij Z_j^T
-            _add_terms(anti, flat, right)  # W_i A_i
-        anti *= -0.5
-        out += anti
+            _add_terms(out, y.reshape(n_states, -1), sandwich)  # Y_j A_j^+
         return out
 
 

@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, TooLarge
+from .errors import DimensionMismatch, NotHermitian, TooLarge, TooSmall
 from .linalg import is_hermitian
 from .liouvillian import LindbladSet, Liouvillian
 
@@ -92,7 +92,7 @@ def tau_inverse_n(liouv: Liouvillian, rho: np.ndarray, n_max: int) -> np.ndarray
     for n = 1..n_max, computed by repeated application of the generator.
     """
     if n_max < 1:
-        raise TooLarge(f"n_max must be >= 1, got {n_max}")
+        raise TooSmall(f"n_max must be >= 1, got {n_max}")
     if n_max > N_MAX:
         raise TooLarge(f"n_max must be <= {N_MAX}, got {n_max}")
     rho = np.asarray(rho, dtype=complex)

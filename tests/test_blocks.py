@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qregsim import (
     build_liouvillian,
+    cell_limit,
     dicke_state,
     evolve,
     exponential_decay,
@@ -120,6 +121,19 @@ def test_blocks_at_the_native_crossover(seed, phased):
     rho = block_diagonal(random_operator(rng, liouv.dim))
     want = liouv.apply(rho)
     assert np.abs(block_apply(liouv, rho) - want).max() <= TOL * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_blocks_without_a_lindblad_sector(ring):
+    # A zero-rate bath leaves no sector: the block form is the drift iH alone.
+    rng = rng_for(f"no-sector-{ring}")
+    for n in (3, 4, 5, 6):
+        model = qubit_register(n, interaction=heisenberg_ring(n, 0.3) if ring else None)
+        spec = cell_limit(n, 0.0, 0.0)
+        assert_forms_agree(model, spec, rng)
+    liouv = build_liouvillian(model, spec)
+    assert len(liouv.lindblad) == 0
+    assert form_of(liouv, pair_singlet_state(n)) == "blocks"
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])

@@ -663,6 +663,11 @@ REJECTIONS = [
     ("sim", {"output.formats": ["csv", "png"]}, "output.formats"),
     ("sim", {"output.name": ""}, "output.name"),
     ("sim", {"output.name": 7}, "output.name"),
+    # a solver.method the register cannot take: D = 128 > SUPEROP_MAX_DIM,
+    # sigma- is not normal, a ring is not diagonal in the sigma_z frame
+    ("sim", {"register.n": 7, "solver.method": "exact"}, "solver.method"),
+    ("sim", {"solver.method": "dephasing"}, "solver.method"),
+    ("ring", {"register.kind": "dephasing", "solver.method": "dephasing"}, "solver.method"),
 ]
 
 _SUBCOMMAND = {"tau": "tau-sweep", "codes": "codes"}
@@ -886,6 +891,30 @@ def test_oversized_register_is_config_error(tmp_path, capsys, register):
     cfg_path = _write_yaml(tmp_path / "big.yaml", raw)
     assert main(["simulate", "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith("config error: register.n")
+
+
+@pytest.mark.parametrize(
+    "register, method",
+    [
+        ({"n": 40}, "exact"),
+        ({"n": 40, "kind": "dephasing", "interaction": {"kind": "heisenberg_ring"}}, "dephasing"),
+    ],
+    ids=["exact", "dephasing_ring"],
+)
+def test_size_guard_precedes_the_method_rule(register, method):
+    import tracemalloc
+
+    raw = simulate_config(register=register, initial_states=["all_up"])
+    raw["solver"]["method"] = method
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "register.n"
+    assert peak < 2**20
 
 
 def test_oversized_codes_register_is_config_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from helpers import random_bath, random_density_matrix, random_pure_state, rng_f
 import qregsim
 from qregsim.bath import cell_limit, exponential_decay, replica_symmetric
 from qregsim.dynamics import dephasing_solve, integrate, propagate_exact
-from qregsim.errors import DimensionMismatch, NotHermitian, TooLarge
+from qregsim.errors import DimensionMismatch, NotHermitian, TooLarge, TooSmall
 from qregsim.liouvillian import (
     Liouvillian,
     build_liouvillian,
@@ -200,7 +200,7 @@ def test_tau_inverse_order_guards():
     rho = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(TooLarge):
         tau_inverse_n(liouv, rho, 7)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooSmall):
         tau_inverse_n(liouv, rho, 0)
 
 
