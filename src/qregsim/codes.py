@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -17,7 +16,7 @@ from .errors import (
     InvalidQuantumNumbers,
     TooSmall,
 )
-from .linalg import common_nullspace, dag, frob, is_hermitian
+from .linalg import common_nullspace, dag, expm, frob, is_hermitian
 from .liouvillian import LindbladSet, Liouvillian
 from .register import (
     RegisterModel,
@@ -257,7 +256,7 @@ def gauge_transport(
         model.cell_dim,
         [(model.cell_hamiltonian, [j], p) for j, p in enumerate(phases) if p != 0.0],
     )
-    u = scipy.linalg.expm(-1j * gen / model.epsilon)
+    u = expm(-1j * gen / model.epsilon)
     return CodeSubspace(
         basis=u @ code.basis, labels=code.labels, kind=code.kind
     )

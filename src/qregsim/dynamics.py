@@ -18,7 +18,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -35,6 +34,8 @@ from .linalg import (
     hermiticity_defect,
     is_hermitian,
     kron_all,
+    load_expm,
+    schur,
     unvec,
     vec,
 )
@@ -320,7 +321,8 @@ def evolve(
     advances all states at once, stacked as the columns of a D^2 x S
     matrix, with one propagator per snapshot interval (dense
     superoperator, D <= 64).  ``dephasing`` is the closed form
-    (``dephasing_solve``), read from ``liouv`` like the others.
+    (``dephasing_solve``), read from ``liouv`` like the others and prepared
+    once for all states.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     if method == "rk4":
@@ -342,8 +344,10 @@ def evolve(
         return trajs
     times = steps * h
     if method == "dephasing":
-        return [dephasing_solve(liouv, r, times) for r in rho0s]
-    check_method(method, liouv.lindblad.model, liouv.hamiltonian)
+        rhos = [_as_density(r, liouv.dim) for r in rho0s]
+        closed = _closed_form(liouv) if rhos else None
+        return [_closed_trajectory(closed, r, times) for r in rhos]
+    expm = check_method(method, liouv.lindblad.model, liouv.hamiltonian)
     if len(rho0s) == 0:
         return []
     d = liouv.dim
@@ -354,7 +358,7 @@ def evolve(
     propagators: dict[int, np.ndarray] = {}
     for k, dk in enumerate(np.diff(steps).tolist(), start=1):
         if dk not in propagators:
-            propagators[dk] = scipy.linalg.expm(m * (dk * h))
+            propagators[dk] = expm(m * (dk * h))
         snaps[k] = propagators[dk] @ snaps[k - 1]
     # Column-stacked vec: entry j*d + i of a column is rho[i, j].
     states = snaps.reshape(steps.shape[0], d, d, -1).transpose(3, 0, 2, 1)
@@ -384,6 +388,8 @@ def check_method(
     (NotSimultaneouslyDiagonalizable), and ``rk4`` takes any; another name
     is a QregError.
 
+    For exact returns the matrix exponential, loaded here (it imports
+    SciPy) so that a run checked at load exponentiates without importing.
     For dephasing returns (w, frame, h): the cell operator's eigenvalues,
     the register's unitary eigenbasis frame (None when it is the identity)
     and H in that frame.
@@ -394,8 +400,9 @@ def check_method(
             raise TooLarge(
                 f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {d}"
             )
+        return load_expm()
     elif method == "dephasing":
-        w, v = _dephasing_frame(model)
+        w, v = dephasing_frame(model)
         h = register_hamiltonian(model) if hamiltonian is None else hamiltonian
         frame = None
         if not np.allclose(v, np.eye(model.cell_dim)):
@@ -412,12 +419,14 @@ def check_method(
         raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
 
 
-def _dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
+def dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
     """Return (w, v) with w the cell-op eigenvalues and v a unitary frame
     in which the cell operator is diagonal.
 
     Requires the cell operator to be normal; otherwise the register is not
-    simultaneously diagonalizable and the closed form does not apply.
+    simultaneously diagonalizable and the closed form does not apply
+    (NotSimultaneouslyDiagonalizable).  Reads only the d x d cell operator,
+    so it rules a register out before its Hamiltonian is built.
     """
     a = np.asarray(model.cell_op, dtype=complex)
     if not np.any(a - np.diag(np.diagonal(a))):
@@ -434,9 +443,7 @@ def _dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
         return w_r.astype(complex), v
     # Normal but not Hermitian: the complex Schur form is diagonal with a
     # unitary frame.
-    import scipy.linalg
-
-    t, z = scipy.linalg.schur(a, output="complex")
+    t, z = schur(a)
     off = t - np.diag(np.diag(t))
     if frob(off) > 1e-10 * max(1.0, frob(t)):
         raise NotSimultaneouslyDiagonalizable(
@@ -464,23 +471,37 @@ def dephasing_solve(
     the set's per-sector G.  Re C <= 0 is the decay rate -G/2; Im C
     carries the bath-induced coherent phases.
     """
+    rho = _as_density(rho0, liouv.dim)
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.shape[0] == 0:
+        raise DimensionMismatch("times must be a nonempty 1-d array")
+    return _closed_trajectory(_closed_form(liouv), rho, t)
+
+
+def _closed_form(liouv: Liouvillian) -> tuple[np.ndarray | None, np.ndarray]:
+    """(frame, C) of ``dephasing_solve`` for ``liouv``: the joint
+    eigenbasis frame (None when it is the identity) and the D x D matrix C
+    of the exponents in that frame."""
     lset = liouv.lindblad
     model = lset.model
     if model is None or any(t.weights is None for t in lset):
         raise QregError(
             "the dephasing method needs a canonical Lindblad set (canonical_form)"
         )
-    rho = _as_density(rho0, liouv.dim)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.shape[0] == 0:
-        raise DimensionMismatch("times must be a nonempty 1-d array")
     w_cell, frame, h = check_method("dephasing", model, liouv.hamiltonian)
-    if frame is not None:  # to the joint eigenbasis
-        rho = dag(frame) @ rho @ frame
     e = np.real(np.diag(h))
     c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)
-    states = np.empty((t.shape[0], liouv.dim, liouv.dim), dtype=complex)
+    return frame, c
+
+
+def _closed_trajectory(closed, rho: np.ndarray, t: np.ndarray) -> Trajectory:
+    """The Trajectory of the D x D state ``rho`` at the times ``t`` under
+    the closed form ``closed`` (``_closed_form``)."""
+    frame, c = closed
+    if frame is not None:  # to the joint eigenbasis
+        rho = dag(frame) @ rho @ frame
+    states = np.empty((t.shape[0],) + rho.shape, dtype=complex)
     for k, tk in enumerate(t):
         s = rho * np.exp(c * float(tk))
         if frame is not None:

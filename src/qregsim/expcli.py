@@ -38,7 +38,7 @@ from .codes import (
     n4_code,
     null_code,
 )
-from .dynamics import check_method, evolve, snapshot_grid, step_count
+from .dynamics import check_method, dephasing_frame, evolve, snapshot_grid, step_count
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import (
     GENERATOR_MAX_BYTES,
@@ -383,10 +383,15 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     _library("solver.t_end", step_count, solver["t_end"], solver["dt"])
     _library("solver.stride", snapshot_grid, 0.0, solver["dt"], solver["stride"])
     if cfg.experiment == "simulate":
-        # Past the size guard: only the dephasing rule builds H.
+        # Past the size guard.  The dephasing rule tests the d x d cell
+        # operator before it builds the register's H (a ring's SU(2) check
+        # is O(D^3)); the exact rule loads the exponential, so the run
+        # imports nothing.
         method = solver["method"]
-        cells = build_register(cfg) if method == "dephasing" else model
-        _library("solver.method", check_method, method, cells)
+        if method == "dephasing":
+            _library("solver.method", dephasing_frame, model)
+            model = build_register(cfg)
+        _library("solver.method", check_method, method, model)
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
         _library("codes.cluster_size", check_cluster_size, n, cfg.codes["cluster_size"])
 
@@ -810,10 +815,14 @@ def emit_outputs(
                     written.append(bpath)
         if "json" in formats:
             path = directory / f"{name}.json"
+            prov = table.provenance
+            if "code" in prov:  # the basis is <name>_basis.csv, not JSON
+                code = {k: v for k, v in prov["code"].items() if k != "basis_re_im"}
+                prov = {**prov, "code": code}
             sidecar = {
                 "columns": list(table.columns),
                 "n_rows": int(table.values.shape[0]),
-                "provenance": table.provenance,
+                "provenance": prov,
                 "wall_time_s": wall_time,
             }
             with path.open("w") as fh:

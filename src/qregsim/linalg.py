@@ -3,6 +3,11 @@
 All operators in the package are plain ``numpy`` arrays with complex128
 entries.  The helpers here are pure functions and are safe to call from
 concurrent sweep workers.
+
+This is the one module that uses SciPy, for the matrix exponential and the
+complex Schur form, and it imports ``scipy.linalg`` only when one of them is
+first needed: the import is most of a cold start, and RK4 simulate,
+tau_sweep and codes runs need neither.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotHermitian
 
@@ -117,6 +121,29 @@ def common_nullspace(ops, dim: int | None = None) -> np.ndarray:
     return basis
 
 
+def load_expm():
+    """SciPy's scaling-and-squaring Pade exponential, importing
+    ``scipy.linalg`` on the first call.  A run that will exponentiate loads
+    it while it is checked (``dynamics.check_method``), not in its first
+    propagator."""
+    import scipy.linalg
+
+    return scipy.linalg.expm
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential exp(a)."""
+    return load_expm()(a)
+
+
+def schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form: (t, z) with a = z t z^dagger, t upper
+    triangular and z unitary."""
+    import scipy.linalg
+
+    return scipy.linalg.schur(a, output="complex")
+
+
 def expm_action(m: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """exp(m*t) @ v via the scaling-and-squaring Pade exponential."""
     m = np.asarray(m, dtype=complex)
@@ -127,7 +154,7 @@ def expm_action(m: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"operand rows {v.shape[0]} do not match matrix size {m.shape[0]}"
         )
-    return scipy.linalg.expm(m * t) @ v
+    return expm(m * t) @ v
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

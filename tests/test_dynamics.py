@@ -374,6 +374,36 @@ def test_dephasing_with_bath_phase_shifts():
     assert np.max(np.abs(traj.final - ref)) < 1e-9
 
 
+@pytest.mark.parametrize("cell_op", [None, SX_HALF], ids=["sigma_z", "sigma_x"])
+def test_dephasing_evolve_prepares_once_per_generator(monkeypatch, cell_op):
+    # evolve checks the generator and fills the closed form's rates once
+    # per call, and each trajectory is bitwise dephasing_solve of its state
+    # alone, in the identity frame (sigma_z) and a rotated one (sigma_x).
+    from qregsim import dynamics
+
+    model = dephasing_register(3, cell_op=cell_op)
+    liouv = build_liouvillian(model, exponential_decay(3, 0.3, 0.1, xi=2.0, delta_ratio=0.5))
+    rng = rng_for("dephasing-evolve")
+    rho0s = [random_density_matrix(rng, 8), random_pure_state(rng, 8), basis_state(3, "010")]
+    calls = {"check_method": 0, "add_elementwise_rates": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    trajs = evolve(liouv, rho0s, 2.0, 0.1, stride=5, method="dephasing")
+    assert calls == {"check_method": 1, "add_elementwise_rates": 1}
+    monkeypatch.undo()
+    for rho0, traj in zip(rho0s, trajs):
+        alone = dephasing_solve(liouv, rho0, traj.times)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.states, alone.states)
+        assert traj.metadata == alone.metadata
+
+
 def test_dephasing_matches_integrator_exponential_bath():
     model = dephasing_register(3)
     spec = exponential_decay(3, 0.3, 0.1, xi=2.0)

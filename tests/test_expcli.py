@@ -443,6 +443,36 @@ def test_cli_codes_prints_summary_and_basis(tmp_path, capsys):
     assert len(basis_csv.strip().splitlines()) == 1 + 4
 
 
+def test_codes_sidecar_leaves_the_basis_to_its_csv(tmp_path):
+    # The basis is written once, to <name>_basis.csv, which reads back the
+    # code's basis bit for bit; the JSON sidecar holds the rest of the code
+    # block.
+    from qregsim.codes import null_code
+    from qregsim.expcli import build_bath, build_register, emit_outputs
+    from qregsim.liouvillian import build_liouvillian
+
+    raw = {
+        "experiment": "codes",
+        "register": {"n": 4, "kind": "qubit"},
+        "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+        "codes": {"kind": "null"},
+        "output": {"name": "codes", "formats": ["csv", "json"]},
+    }
+    cfg = config_from_dict(raw)
+    table = run_codes(cfg)
+    emit_outputs(table, cfg, out_dir=str(tmp_path))
+    sidecar = json.loads((tmp_path / "codes.json").read_text())
+    code_block = sidecar["provenance"]["code"]
+    assert "basis_re_im" not in code_block
+    assert code_block["dim"] == 2 and code_block["noiseless"] is True
+    assert "basis_re_im" in table.provenance["code"]
+    basis = null_code(build_liouvillian(build_register(cfg), build_bath(cfg)).lindblad).basis
+    lines = (tmp_path / "codes_basis.csv").read_text().splitlines()
+    assert lines[0] == "col0_re,col0_im,col1_re,col1_im"
+    pairs = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(pairs[:, 0::2] + 1j * pairs[:, 1::2], basis)
+
+
 def test_cli_tau_sweep_plot_script_overlays_states(tmp_path):
     cfg = load_preset("fig1")
     raw = cfg.to_dict()
@@ -914,6 +944,28 @@ def test_size_guard_precedes_the_method_rule(register, method):
     finally:
         tracemalloc.stop()
     assert info.value.field == "register.n"
+    assert peak < 2**20
+
+
+def test_dephasing_rule_tests_the_cell_operator_before_the_register():
+    # sigma- is not normal, so the 2 x 2 cell operator rejects the config
+    # before the ring and its O(D^3) SU(2) check are built (D = 1024).
+    import tracemalloc
+
+    raw = simulate_config(
+        register={"n": 10, "kind": "qubit", "interaction": {"kind": "heisenberg_ring"}},
+        initial_states=["all_up"],
+    )
+    raw["solver"]["method"] = "dephasing"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "solver.method"
+    assert "normal" in str(info.value)
     assert peak < 2**20
 
 
