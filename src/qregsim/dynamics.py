@@ -7,7 +7,9 @@ the per-sector rates from it.
 RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
 ``dense`` and ``gamma`` (``Liouvillian.apply`` on D x D states) and
 ``blocks``, the packed excitation blocks of ``liouvillian.excitation_form``,
-unpacked to D x D only for the Trajectory.
+unpacked to D x D only for the Trajectory.  The exact solver records
+``blocks`` when it exponentiates the generator on the packed blocks and
+``dense`` for the full superoperator.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .linalg import (
     vec,
 )
 from .liouvillian import (
+    STRUCTURED_MIN_DIM,
     SUPEROP_MAX_DIM,
     ExcitationBlocks,
     Liouvillian,
@@ -57,6 +60,11 @@ STABILITY_BUDGET = 0.1
 DEFAULT_STRIDE = 10
 # Most steps one schedule may hold; snapshot_grid raises TooLarge beyond it.
 MAX_STEPS = 10**7
+# Most D x D entries per stacked apply while the exact solver builds its
+# sector generator: unit matrices go through Liouvillian.apply in chunks.
+# At N = 4 (4 units a call) the tracemalloc peak of an exact run is 0.8 MB;
+# with all 70 units in one call, 5.0 MB.
+SECTOR_CHUNK_ENTRIES = 2**10
 
 
 @dataclass(frozen=True)
@@ -318,11 +326,17 @@ def evolve(
     together on the dense generator or one by one on the structured one,
     whose Gamma-form apply is memory-bound.  Each trajectory is bitwise
     the one stepping that state alone gives.  ``exact``
-    advances all states at once, stacked as the columns of a D^2 x S
-    matrix, with one propagator per snapshot interval (dense
-    superoperator, D <= 64).  ``dephasing`` is the closed form
-    (``dephasing_solve``), read from ``liouv`` like the others and prepared
-    once for all states.
+    advances all states at once, stacked as the columns of one matrix,
+    with one propagator per distinct snapshot interval (D <= 64).  On a
+    qubit register whose states are all block-diagonal in the excitation
+    number and whose generator keeps them so (``_exact_generator``), it
+    exponentiates the C(2N, N)-square generator on the packed blocks,
+    ``metadata["form"] == "blocks"``; otherwise the D^2 x D^2
+    ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is the closed
+    form (``dephasing_solve``), read from ``liouv`` like the others and
+    prepared once for all states.  From D = STRUCTURED_MIN_DIM on, the
+    exact and closed-form snapshots of qubit registers are checked block
+    by block (``check_state``).
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     if method == "rk4":
@@ -351,8 +365,13 @@ def evolve(
     if len(rho0s) == 0:
         return []
     d = liouv.dim
-    m = superoperator_matrix(liouv)
-    cols = np.stack([vec(_as_density(r, d)) for r in rho0s], axis=1)
+    rhos = np.stack([_as_density(r, d) for r in rho0s])
+    layout, m = _exact_generator(liouv, rhos)
+    if layout is None:
+        # Column-stacked vec: entry j*d + i of a column is rho[i, j].
+        cols = rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T
+    else:
+        cols = layout.pack(rhos).T
     snaps = np.empty((steps.shape[0],) + cols.shape, dtype=complex)
     snaps[0] = cols
     propagators: dict[int, np.ndarray] = {}
@@ -360,10 +379,62 @@ def evolve(
         if dk not in propagators:
             propagators[dk] = expm(m * (dk * h))
         snaps[k] = propagators[dk] @ snaps[k - 1]
-    # Column-stacked vec: entry j*d + i of a column is rho[i, j].
-    states = snaps.reshape(steps.shape[0], d, d, -1).transpose(3, 0, 2, 1)
-    meta = {"method": "exact", "dt": h, "n_steps": int(steps[-1])}
-    return [Trajectory(times=times, states=s, metadata=meta) for s in states]
+    runs = snaps.transpose(2, 0, 1)  # (state, snapshot, entry)
+    if layout is None:
+        states = runs.reshape(runs.shape[:2] + (d, d)).swapaxes(2, 3)
+    else:
+        states = layout.unpack(runs)
+    form = "dense" if layout is None else "blocks"
+    meta = {"method": "exact", "form": form, "dt": h, "n_steps": int(steps[-1])}
+    # Per-block eigenvalues pay off only from D = STRUCTURED_MIN_DIM on.
+    check = layout if d >= STRUCTURED_MIN_DIM else None
+    return [
+        Trajectory(times=times, states=s, metadata=dict(meta), blocks=check)
+        for s in states
+    ]
+
+
+def _exact_generator(liouv: Liouvillian, rhos: np.ndarray):
+    """(layout, M): the matrix the exact solver exponentiates.
+
+    For a qubit register whose states ``rhos`` are all block-diagonal
+    (``ExcitationBlocks.is_block_diagonal``), and whose generator keeps the
+    excitation sector invariant (``_sector_generator``), layout is the
+    ``ExcitationBlocks`` and M the C(2N, N)-square generator on the
+    packed sector.  Otherwise layout is None and M the D^2 x D^2
+    ``superoperator_matrix``.
+    """
+    model = liouv.lindblad.model
+    if model is not None and model.cell_dim == 2 and model.dim == liouv.dim:
+        layout = ExcitationBlocks(model.n_cells)
+        if all(layout.is_block_diagonal(r) for r in rhos):
+            m = _sector_generator(liouv, layout)
+            if m is not None:
+                return layout, m
+    return None, superoperator_matrix(liouv)
+
+
+def _sector_generator(liouv: Liouvillian, layout: ExcitationBlocks):
+    """The matrix M with M pack(rho) = pack(L(rho)) on the packed sector of
+    ``layout``, or None unless the sector is invariant.
+
+    Column j is pack(L(unpack(e_j))), e_j the j-th packed unit, through
+    ``Liouvillian.apply`` in chunks of SECTOR_CHUNK_ENTRIES.  The sector
+    is invariant when no image has an entry between different excitation
+    numbers, tested as exactly zero.
+    """
+    size = layout.size
+    m = np.empty((size, size), dtype=complex)
+    chunk = max(1, SECTOR_CHUNK_ENTRIES // liouv.dim**2)
+    for start in range(0, size, chunk):
+        cols = np.arange(start, min(start + chunk, size))
+        units = np.zeros((cols.shape[0], size), dtype=complex)
+        units[np.arange(cols.shape[0]), cols] = 1.0
+        images = liouv.apply(layout.unpack(units))
+        if not layout.is_block_diagonal(images):
+            return None
+        m[:, cols] = layout.pack(images).T
+    return m
 
 
 def propagate_exact(liouv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -478,10 +549,11 @@ def dephasing_solve(
     return _closed_trajectory(_closed_form(liouv), rho, t)
 
 
-def _closed_form(liouv: Liouvillian) -> tuple[np.ndarray | None, np.ndarray]:
-    """(frame, C) of ``dephasing_solve`` for ``liouv``: the joint
-    eigenbasis frame (None when it is the identity) and the D x D matrix C
-    of the exponents in that frame."""
+def _closed_form(liouv: Liouvillian):
+    """(frame, C, blocks) of ``dephasing_solve`` for ``liouv``: the joint
+    eigenbasis frame (None when it is the identity), the D x D matrix C
+    of the exponents in that frame, and the ``ExcitationBlocks`` that
+    ``check_state`` reads (qubit cells, D >= STRUCTURED_MIN_DIM) or None."""
     lset = liouv.lindblad
     model = lset.model
     if model is None or any(t.weights is None for t in lset):
@@ -492,13 +564,14 @@ def _closed_form(liouv: Liouvillian) -> tuple[np.ndarray | None, np.ndarray]:
     e = np.real(np.diag(h))
     c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)
-    return frame, c
+    qubits = model.cell_dim == 2 and model.dim >= STRUCTURED_MIN_DIM
+    return frame, c, ExcitationBlocks(model.n_cells) if qubits else None
 
 
 def _closed_trajectory(closed, rho: np.ndarray, t: np.ndarray) -> Trajectory:
     """The Trajectory of the D x D state ``rho`` at the times ``t`` under
     the closed form ``closed`` (``_closed_form``)."""
-    frame, c = closed
+    frame, c, blocks = closed
     if frame is not None:  # to the joint eigenbasis
         rho = dag(frame) @ rho @ frame
     states = np.empty((t.shape[0],) + rho.shape, dtype=complex)
@@ -507,7 +580,9 @@ def _closed_trajectory(closed, rho: np.ndarray, t: np.ndarray) -> Trajectory:
         if frame is not None:
             s = frame @ s @ dag(frame)
         states[k] = s
-    return Trajectory(times=t, states=states, metadata={"method": "dephasing"})
+    return Trajectory(
+        times=t, states=states, metadata={"method": "dephasing"}, blocks=blocks
+    )
 
 
 def state_defect_report(

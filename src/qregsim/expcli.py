@@ -598,7 +598,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     ]
     psis = [psi for _, psi in named]
     solver = cfg.solver
-    columns, data = ["t"], []
+    columns, data, forms = ["t"], [], []
     for overrides in _sweep_overrides(cfg) or [None]:
         suffix = "".join(f"_{k}{v:g}" for k, v in (overrides or {}).items())
         bath = build_bath(cfg, overrides)
@@ -606,6 +606,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
         # The solver section's keys are evolve's keyword arguments.
         trajs = evolve(liouv, psis, **solver)
         times = trajs[0].times
+        forms.append([t.metadata.get("form") for t in trajs])
         for (name, psi), traj in zip(named, trajs):
             state_tag = f"_{name}" if (len(named) > 1 or suffix) else ""
             columns += [
@@ -622,7 +623,13 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
         # the next point evolves.
         trajs = traj = None
     values = np.column_stack([times] + data)
-    meta = {"method": solver["method"], "dt": solver["dt"], "stride": solver["stride"]}
+    meta = {
+        "method": solver["method"],
+        "dt": solver["dt"],
+        "stride": solver["stride"],
+        # per bath point, the generator form each state's trajectory ran on
+        "forms": forms,
+    }
     return ResultTable(
         columns=tuple(columns), values=values, provenance=_provenance(cfg, meta)
     )

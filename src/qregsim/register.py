@@ -8,6 +8,7 @@ and the leftmost symbol of a product label is cell 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -136,13 +137,20 @@ def cell_digits(n: int, d: int = 2) -> np.ndarray:
     level of cell i in basis state b.
 
     Cell 0 is the most significant digit and level 0 of a qubit is |up>.
-    This is the one definition of the basis order.
+    This is the one definition of the basis order.  The table is built once
+    per (n, d) and shared, so it is read-only.
     """
+    return _digit_table(n, d)
+
+
+@lru_cache(maxsize=4)
+def _digit_table(n: int, d: int) -> np.ndarray:
     index = np.arange(d**n)
     # int16 and a column at a time: no d^n x n int64 temporary
     digits = np.empty((d**n, n), dtype=np.int16)
     for i in range(n):
         digits[:, i] = index // d ** (n - 1 - i) % d
+    digits.setflags(write=False)
     return digits
 
 

@@ -2,8 +2,10 @@
 the C(2N, N) packed block entries of block-diagonal qubit states.  Checked
 against the Gamma form, the dense generator and the independent pairwise
 dissipator; stacked against per-state integration, bit for bit, and
-against the Gamma-form trajectory; the predicate's fallbacks; and the
-block-by-block eigenvalue check of ``check_state``."""
+against the Gamma-form trajectory; the predicate's fallbacks; the
+block-by-block eigenvalue check of ``check_state``; and the exact solver
+on the excitation sector against ``propagate_exact``, with its
+fallbacks."""
 
 from math import comb
 
@@ -22,13 +24,17 @@ from qregsim import (
     integrate,
     pair_singlet_state,
     pairwise_dissipator,
+    propagate_exact,
 )
 from qregsim import dynamics, liouvillian
 from qregsim.dynamics import Trajectory, check_state, state_defect_report
 from qregsim.errors import UnstableStep
 from qregsim.liouvillian import ExcitationBlocks, Liouvillian, excitation_form
 from qregsim.register import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     dephasing_register,
+    embed_cell_op,
     excitation_numbers,
     heisenberg_ring,
     qubit_register,
@@ -349,7 +355,7 @@ def test_rk4_metadata_names_the_form():
     traj = evolve(dense, [pair_singlet_state(2)], 0.04, 0.02, 1)[0]
     assert traj.metadata["form"] == "dense"
     exact = evolve(dense, [pair_singlet_state(2)], 0.04, 0.02, 1, "exact")[0]
-    assert "form" not in exact.metadata
+    assert exact.metadata["form"] == "blocks"
 
 
 def test_large_rk4_workload_takes_the_block_form(monkeypatch):
@@ -376,3 +382,90 @@ def test_large_rk4_workload_takes_the_block_form(monkeypatch):
     table = expcli.run_simulate(expcli.config_from_dict(raw))
     assert forms == ["blocks", "blocks"] and applies == []
     assert table.values.shape == (3, 7)
+
+
+# The exact solver on the excitation sector: C(2N, N)-square generator
+# instead of the D^2 x D^2 superoperator, when the states and the
+# generator's images of the packed units are block-diagonal.
+
+
+def assert_exact_is_propagate_exact(liouv, states, form: str) -> None:
+    trajs = evolve(liouv, states, 1.0, 0.1, stride=4, method="exact")
+    for psi, traj in zip(states, trajs):
+        assert traj.metadata["form"] == form
+        for t, state in zip(traj.times, traj.states):
+            ref = propagate_exact(liouv, psi, float(t))
+            assert np.abs(state - ref).max() <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("register", [qubit_register, dephasing_register])
+def test_exact_sector_is_propagate_exact(register, n):
+    rng = rng_for(f"exact-sector-{register.__name__}-{n}")
+    liouv = build_liouvillian(
+        register(n), exponential_decay(n, 0.1, 0.03, 1.5, delta_ratio=0.5)
+    )
+    states = [dicke_state(n, n // 2), dicke_state(n, n), block_state(n, rng)]
+    assert_exact_is_propagate_exact(liouv, states, "blocks")
+
+
+@pytest.mark.parametrize("case", ["h_moves_q", "state_moves_q"])
+def test_exact_falls_back_to_the_superoperator(case):
+    n = 3
+    model = qubit_register(n)
+    liouv = build_liouvillian(model, exponential_decay(n, 0.1, 0.02, 1.0))
+    states = [dicke_state(n, 1)]
+    if case == "h_moves_q":
+        # sigma_x on one cell: the states are block-diagonal, the images not
+        sigma_x = SIGMA_PLUS + SIGMA_MINUS
+        h = liouv.hamiltonian + 0.3 * embed_cell_op(model, 1, sigma_x)
+        liouv = Liouvillian(hamiltonian=h, lindblad=liouv.lindblad)
+    else:
+        states.append(np.full(2**n, 2 ** (-n / 2), dtype=complex))  # uniform
+    assert_exact_is_propagate_exact(liouv, states, "dense")
+
+
+@pytest.mark.parametrize(
+    "min_dim, sizes", [(64, [(16, 16)]), (16, [(comb(4, q),) * 2 for q in range(5)])]
+)
+def test_exact_checks_snapshots_per_block_from_the_crossover(min_dim, sizes, monkeypatch):
+    liouv = build_liouvillian(qubit_register(4), exponential_decay(4, 0.1, 0.02, 1.0))
+    monkeypatch.setattr(dynamics, "STRUCTURED_MIN_DIM", min_dim)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape) or eigvalsh(m))
+    traj = evolve(liouv, [dicke_state(4, 2)], 0.2, 0.1, stride=1, method="exact")[0]
+    assert traj.metadata["form"] == "blocks"
+    assert seen == sizes * len(traj)
+
+
+@pytest.mark.parametrize("n, sizes", [(6, [comb(6, q) for q in range(7)]), (4, [16])])
+def test_dephasing_checks_snapshots_per_block(n, sizes, monkeypatch):
+    liouv = build_liouvillian(dephasing_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
+    uniform = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[0]) or eigvalsh(m))
+    block, mixing = evolve(liouv, [dicke_state(n, 2), uniform], 1.0, 0.5, 1, "dephasing")
+    # the uniform state's snapshots are not block-diagonal: full checks
+    assert seen == sizes * len(block) + [2**n] * len(mixing)
+
+
+def test_exact_sweep_workload_takes_the_sector(monkeypatch):
+    raw = {
+        "experiment": "simulate",
+        "register": {"n": 4, "kind": "qubit"},
+        "bath": {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02, "xi": 1.0},
+        "initial_states": ["singlet", "symmetric"],
+        "solver": {"method": "exact", "dt": 0.01, "t_end": 10.0, "stride": 100},
+        "sweep": {"parameter": "bath.xi", "values": [1.0, 10.0]},
+        "output": {"name": "exact_sweep"},
+    }
+
+    def refuse(liouv):
+        raise AssertionError("the full superoperator was built")
+
+    monkeypatch.setattr(dynamics, "superoperator_matrix", refuse)
+    table = expcli.run_simulate(expcli.config_from_dict(raw))
+    assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]] * 2
+    assert table.values.shape == (11, 13)

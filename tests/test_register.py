@@ -394,6 +394,15 @@ def test_cell_digits_is_the_basis_state_order(n):
     assert np.array_equal(three, np.array(np.unravel_index(np.arange(3**n), (3,) * n)).T)
 
 
+def test_cell_digits_is_built_once_and_read_only():
+    digits = cell_digits(5, 3)
+    assert cell_digits(5, 3) is digits
+    assert not digits.flags.writeable
+    with pytest.raises(ValueError):
+        digits[0, 0] = 1
+    assert cell_digits(5) is cell_digits(5, 2) and not cell_digits(5).flags.writeable
+
+
 @pytest.mark.parametrize("bits", ["0x", "2 ", [0, 2], ["0", "a"]])
 def test_basis_state_rejects_other_symbols(bits):
     with pytest.raises(QregError):
