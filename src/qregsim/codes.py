@@ -16,13 +16,14 @@ from .errors import (
     InvalidQuantumNumbers,
     TooSmall,
 )
-from .linalg import common_nullspace, dag, expm, frob, is_hermitian
+from .linalg import common_nullspace, dag, expm, frob, is_hermitian, restrict_kernel
 from .liouvillian import LindbladSet, Liouvillian
 from .register import (
     RegisterModel,
     basis_state,
     cell_digits,
     cell_terms,
+    excitation_sectors,
     su2_multiplicity,
 )
 
@@ -107,16 +108,58 @@ def simultaneous_eigenspace(lindblad: LindbladSet, labels) -> CodeSubspace:
 
 
 def null_code(lindblad: LindbladSet) -> CodeSubspace:
-    """Intersection of the kernels of all Lindblad operators."""
-    ops = lindblad.operators()
-    if not ops:
+    """Intersection of the kernels of all Lindblad operators.
+
+    When ``LindbladSet.excitation_blocks`` gives the operators' blocks (a
+    canonical set on qubit cells whose sector operators each move the
+    excitation number Q by a fixed amount: sigma-/sigma+, or diagonal like
+    sigma_z), each L_k maps every Q-sector into one other, so the kernel is
+    the direct sum of the per-sector kernels (``_sector_nullspace``): no
+    D x D operator is placed and no D x D SVD is taken.  Every other set
+    (hand-built, d > 2, sigma_x-like cells) goes through
+    ``linalg.common_nullspace`` on its operators.  Both cut the rank of
+    L_k at NULLSPACE_RCOND ||L_k||_2.
+    """
+    if not len(lindblad):
         raise DimensionMismatch("cannot build a code from an empty set")
-    basis = common_nullspace(ops, dim=ops[0].shape[0])
+    blocks = lindblad.excitation_blocks()
+    if blocks is None:
+        ops = lindblad.operators()
+        basis = common_nullspace(ops, dim=ops[0].shape[0])
+    else:
+        basis = _sector_nullspace(blocks, lindblad.model.n_cells)
     return CodeSubspace(
         basis=basis,
-        labels=tuple(0.0 for _ in ops),
+        labels=tuple(0.0 for _ in lindblad),
         kind=KIND_SUB_DECOHERENT,
     )
+
+
+def _sector_nullspace(blocks, n: int) -> np.ndarray:
+    """The common kernel of operators given as blocks between Q-sectors
+    (``LindbladSet.excitation_blocks``), as orthonormal columns in the
+    2^n rows of the register basis, ordered by sector.
+
+    ``common_nullspace``'s iteration, run on every sector's C(n, q) states
+    at once.  ||L_k||_2 is the largest singular value over L_k's blocks,
+    exact since they map distinct sectors to distinct ones.
+    """
+    states, _ = excitation_sectors(n)
+    bases = [np.eye(len(rows), dtype=complex) for rows in states]
+    for term in blocks:
+        live = [q for q in term if bases[q].shape[1]]
+        if not live:
+            continue
+        opnorm = max(np.linalg.norm(b, 2) for b in term.values())
+        if opnorm != 0.0:
+            for q in live:
+                bases[q] = restrict_kernel(bases[q], term[q], opnorm)
+    out = np.zeros((2**n, sum(b.shape[1] for b in bases)), dtype=complex)
+    col = 0
+    for rows, basis in zip(states, bases):
+        out[rows, col : col + basis.shape[1]] = basis
+        col += basis.shape[1]
+    return out
 
 
 def multiplicity(n: int, s) -> int:

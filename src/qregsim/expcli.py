@@ -646,13 +646,13 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
         (_state_column_name(s, i), build_state(s, model))
         for i, s in enumerate(cfg.initial_states)
     ]
+    # (D, S) with each state's column contiguous, as the state alone
+    psis = np.array([psi for _, psi in named]).T
     leaf = cfg.sweep["parameter"].split(".", 1)[1]
     rows = []
     for overrides in _sweep_overrides(cfg):
         lset = canonical_form(model, build_bath(cfg, overrides))
-        rows.append(
-            [overrides[leaf]] + [pure_decoherence_rate(lset, psi) for _, psi in named]
-        )
+        rows.append([overrides[leaf], *pure_decoherence_rate(lset, psis)])
     columns = [leaf] + [f"rate_{name}" for name, _ in named]
     return ResultTable(
         columns=tuple(columns),
@@ -683,15 +683,15 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
         )
     else:
         code = n4_code()
+    # Rated before is_noiseless, which caches the terms' D x D operators.
+    rates = pure_decoherence_rate(lset, code.basis)
     verdict = is_noiseless(code, liouv)
     labels = [complex(x) for x in code.labels]
     columns = ["col", "decoherence_rate", "dim", "noiseless"]
     for j in range(len(labels)):
         columns += [f"label{j}_re", f"label{j}_im"]
     rows = []
-    for k in range(code.dim):
-        psi = code.basis[:, k]
-        rate = pure_decoherence_rate(lset, psi)
+    for k, rate in enumerate(rates):
         row = [float(k), rate, float(code.dim), float(verdict)]
         for lab in labels:
             row += [lab.real, lab.imag]
@@ -707,9 +707,7 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
         "kind": code.kind,
         "noiseless": bool(verdict),
         "labels": [[lab.real, lab.imag] for lab in labels],
-        "basis_re_im": [
-            [[float(z.real), float(z.imag)] for z in row] for row in code.basis
-        ],
+        "basis_re_im": np.stack([code.basis.real, code.basis.imag], -1),
     }
     return ResultTable(columns=tuple(columns), values=values, provenance=prov)
 
@@ -808,17 +806,13 @@ def emit_outputs(
             _write_csv(path, table.columns, table.values)
             written.append(path)
             if "code" in table.provenance:
-                basis = table.provenance["code"]["basis_re_im"]
-                ncols = len(basis[0]) if basis else 0
-                if ncols:
+                basis = table.provenance["code"]["basis_re_im"]  # (D, dim, 2)
+                if basis.shape[1]:
                     bpath = directory / f"{name}_basis.csv"
                     header = []
-                    for j in range(ncols):
+                    for j in range(basis.shape[1]):
                         header += [f"col{j}_re", f"col{j}_im"]
-                    flat = [
-                        [x for pair in row for x in pair] for row in basis
-                    ]
-                    _write_csv(bpath, header, flat)
+                    _write_csv(bpath, header, basis.reshape(basis.shape[0], -1).tolist())
                     written.append(bpath)
         if "json" in formats:
             path = directory / f"{name}.json"

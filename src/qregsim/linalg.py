@@ -107,18 +107,25 @@ def common_nullspace(ops, dim: int | None = None) -> np.ndarray:
     for op in ops:
         if basis.shape[1] == 0:
             break
-        # The rank cutoff is relative to the operator's own largest singular
-        # value, not that of the restricted block: when op annihilates the
-        # whole current basis the restricted block is pure round-off and a
-        # block-relative cutoff would spuriously report full rank.
         opnorm = np.linalg.norm(op, 2)
-        if opnorm == 0.0:
-            continue
-        m = op @ basis
-        _, s, vh = np.linalg.svd(m)
-        rank = int(np.sum(s > NULLSPACE_RCOND * opnorm))
-        basis = basis @ dag(vh)[:, rank:]
+        if opnorm != 0.0:
+            basis = restrict_kernel(basis, op, opnorm)
     return basis
+
+
+def restrict_kernel(basis: np.ndarray, op: np.ndarray, opnorm: float) -> np.ndarray:
+    """The columns of ``basis`` (orthonormal) spanning its part of the
+    kernel of ``op``: one SVD of op @ basis, singular values up to
+    NULLSPACE_RCOND * opnorm counted as zero.
+
+    The cutoff is relative to ``opnorm``, the 2-norm of the operator op is
+    taken from, not that of the restricted block: when op annihilates the
+    whole basis the restricted block is pure round-off and a block-relative
+    cutoff would spuriously report full rank.
+    """
+    _, s, vh = np.linalg.svd(op @ basis)
+    rank = int(np.sum(s > NULLSPACE_RCOND * opnorm))
+    return basis @ dag(vh)[:, rank:]
 
 
 def load_expm():

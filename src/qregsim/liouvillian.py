@@ -51,10 +51,12 @@ All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
 Terms from ``canonical_form`` carry rate, sector and weights; a term
 places its D x D operator with ``register.collective_op`` only when its
-``op`` is first read (the dense path, code construction, small-register
-rates).  One predicate, ``LindbladSet.structured``, selects the Gamma
-form here and the weight route of pure-state rates in
-``LindbladSet.actions``.
+``op`` is first read (the dense path, ``codes.is_noiseless``, codes of
+sets without excitation blocks, small-register rates).  One predicate,
+``LindbladSet.structured``, selects the Gamma form here and the weight
+route of pure-state rates, ``LindbladSet.sector_actions``.  Null codes of
+canonical qubit sets come from ``LindbladSet.excitation_blocks``: each
+term's blocks between excitation sectors, from its weights.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .register import (
     collective_op,
     embed_cell_op,
     excitation_numbers,
+    excitation_sectors,
     register_hamiltonian,
 )
 
@@ -198,34 +201,94 @@ class LindbladSet:
         """Whether the set is used through its weights, never its operators:
         it names its register, every term carries weights, and D >=
         STRUCTURED_MIN_DIM (read at call time).  ``Liouvillian`` then
-        applies it in the Gamma form and ``actions`` works cell by cell."""
+        applies it in the Gamma form and ``sector_actions`` works cell by
+        cell."""
         return (
             self.model is not None
             and self.model.dim >= STRUCTURED_MIN_DIM
             and all(t.weights is not None for t in self.terms)
         )
 
-    def actions(self, psi: np.ndarray) -> list[np.ndarray]:
-        """L_k psi for every term k, in term order.
+    def sector_actions(self, psi: np.ndarray):
+        """For a structured set, per sector with terms: the terms' rates
+        (K_s,) and their L_k psi on the columns of a (D, S) stack, as one
+        (K_s, D, S) array; yielded one sector at a time.
 
-        A structured set computes X_i = A_i psi once per cell and sector,
-        as cell-local digit moves on psi, and L_k psi = sum_i u_ki X_i;
-        it builds no operator.  Any other set multiplies by each ``op``.
+        X_i = A_i psi comes from cell-local digit moves on all S columns at
+        once, and L_k psi = sum_i u_ki X_i from one (K_s x N)(N x D S)
+        product; no operator is built.
         """
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        if any(t.dim != psi.shape[0] for t in self.terms):
-            raise DimensionMismatch("Lindblad operator does not match state")
-        if not self.structured:
-            return [t.op @ psi for t in self.terms]
+        psi = np.ascontiguousarray(psi)
+        n = self.model.n_cells
+        for sector in (SECTOR_MINUS, SECTOR_PLUS):
+            terms = [t for t in self.terms if t.sector == sector]
+            if terms:
+                weights = np.array([t.weights for t in terms])
+                lpsi = weights @ _cell_actions(self.model, sector, psi).reshape(n, -1)
+                yield np.array([t.rate for t in terms]), lpsi.reshape((len(terms),) + psi.shape)
+
+    def excitation_blocks(self) -> list[dict[int, np.ndarray]] | None:
+        """Each term's operator as its blocks between excitation sectors, or
+        None unless the set is canonical on qubit cells and each sector's
+        cell operator moves Q by a fixed amount s (``_q_shift``).
+
+        Q counts the cells up (digit 0) and S_q is the set of basis states
+        with Q = q, in ascending order.  Entry q of a term's dict is the
+        C(N, q + s) x C(N, q) block of L_k from S_q to S_{q+s}; L_k
+        annihilates the sectors without an entry.  The blocks of all cells,
+        X_i, come from the cell operator's digit moves on S_q, and a
+        sector's terms take theirs as one weights product, so no D x D
+        operator is placed.
+        """
         model = self.model
-        cells = {}
-        for sector in {t.sector for t in self.terms}:
-            moves = _left_moves(_sector_cell_op(model, sector))
-            x = np.empty((model.n_cells, psi.shape[0]), dtype=complex)
-            for i, split in enumerate(_row_splits(model, 1)):
-                _digit_op(x[i], psi, moves, split, True)
-            cells[sector] = x
-        return [t.weights @ cells[t.sector] for t in self.terms]
+        if (
+            model is None
+            or model.cell_dim != 2
+            or any(t.weights is None for t in self.terms)
+        ):
+            return None
+        cell_ops = {t.sector: _sector_cell_op(model, t.sector) for t in self.terms}
+        shifts = {sector: _q_shift(a) for sector, a in cell_ops.items()}
+        if None in shifts.values():
+            return None
+        n = model.n_cells
+        states, pos = excitation_sectors(n)
+        bits = 1 << np.arange(n - 1, -1, -1)
+        out = [{} for _ in self.terms]
+        for sector, a in cell_ops.items():
+            s = shifts[sector]
+            kept = [k for k, t in enumerate(self.terms) if t.sector == sector]
+            weights = np.array([self.terms[k].weights for k in kept])
+            for q in range(max(0, -s), min(n, n - s) + 1):
+                src, size = states[q], (len(states[q + s]), len(states[q]))
+                x = np.zeros((n,) + size, dtype=complex)
+                level = (src & bits[:, None]) != 0  # (cell, column)
+                for to, frm, c in _left_moves(a):
+                    cell, col = np.nonzero(level == frm)
+                    x[cell, pos[src[col] + (to - frm) * bits[cell]], col] = c
+                blocks = (weights @ x.reshape(n, -1)).reshape((len(kept),) + size)
+                for k, block in zip(kept, blocks):
+                    out[k][q] = block
+        return out
+
+
+def _cell_actions(model: RegisterModel, sector: int, psi: np.ndarray) -> np.ndarray:
+    """X_i = A_i psi for every cell i, (N, D, S) for a (D, S) stack, A the
+    sector's cell operator, by digit moves."""
+    moves = _left_moves(_sector_cell_op(model, sector))
+    x = np.empty((model.n_cells,) + psi.shape, dtype=complex)
+    for i, split in enumerate(_row_splits(model, psi.shape[1])):
+        _digit_op(x[i], psi, moves, split, True)
+    return x
+
+
+def _q_shift(a: np.ndarray) -> int | None:
+    """The fixed amount a qubit cell operator moves the excitation number
+    Q (cells up, level 0) by: -1 for sigma-, +1 for sigma+, 0 for a
+    diagonal operator such as sigma_z; None when its entries move Q by
+    different amounts (sigma_x) or it has none."""
+    shifts = {frm - to for to, frm, _ in _left_moves(a)}
+    return shifts.pop() if len(shifts) == 1 else None
 
 
 def _sector_cell_op(model: RegisterModel, sector: int) -> np.ndarray:
@@ -525,10 +588,7 @@ class ExcitationBlocks:
         self.n, self.dim = n, dim
         up = excitation_numbers(n)
         self.sizes = np.bincount(up, minlength=n + 1)
-        self.states = [np.flatnonzero(up == q) for q in range(n + 1)]
-        self.pos = np.empty(dim, dtype=np.intp)
-        for s in self.states:
-            self.pos[s] = np.arange(s.shape[0])
+        self.states, self.pos = excitation_sectors(n)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
         self.size = int(self.offsets[-1])
         rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
@@ -797,20 +857,25 @@ def rates_bytes(
 ) -> int:
     """Estimated peak bytes of first-order decoherence rates: n_states
     state vectors held at once, one ``pure_decoherence_rate`` call on
-    ``canonical_form(model, spec)``, and ``matrices`` D x D complex arrays
-    the caller builds beside them (a dense state builder or interaction).
+    ``canonical_form(model, spec)`` with their (D, n_states) stack, and
+    ``matrices`` D x D complex arrays the caller builds beside them (a
+    dense state builder or interaction).
 
     Each sector with a nonzero bath matrix has at most N terms (exactly N
     when the matrix has full rank), counted without diagonalizing it.  A
-    structured set takes N vectors per sector for the cell actions, one
-    per term for L_k psi, and three for the state and numpy's temporaries
-    (measured at N = 6-8); a smaller set builds its K operators instead.
+    structured set holds, per state, the N cell actions of one sector, one
+    L_k psi per term and three copies of the state (the caller's vector,
+    the stack and its contiguous copy), plus four vectors of digit tables
+    and numpy temporaries (measured at N = 8-12, 1-4 states).  A smaller
+    set takes the states one at a time and builds its K operators instead.
     """
     n, vector = model.n_cells, 16 * model.dim
     terms = n * sum(bool(np.any(g)) for g in (spec.gamma_minus, spec.gamma_plus))
-    need = (n_states + 2 * terms + 3) * vector
     if model.dim < STRUCTURED_MIN_DIM:
-        need += terms * model.dim * vector
+        need = (n_states + 2 * terms + 3 + terms * model.dim) * vector
+    else:
+        cells = n if terms else 0
+        need = (n_states * (cells + terms + 3) + 4) * vector
     return need + matrices * model.dim * vector
 
 

@@ -110,27 +110,42 @@ def tau_inverse_n(liouv: Liouvillian, rho: np.ndarray, n_max: int) -> np.ndarray
     return out
 
 
-def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float:
+def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float | np.ndarray:
     """First-order decoherence rate of a pure state,
 
         1/tau_1 = 2 sum_k lambda_k (<L_k^+ L_k> - |<L_k>|^2),
 
     a sum of nonnegative variance terms; zero exactly when psi is a
-    simultaneous eigenvector of every Lindblad operator.
+    simultaneous eigenvector of every Lindblad operator.  A float for one
+    state (D,), an (S,) array for the columns of a (D, S) stack.
 
-    The L_k psi come from ``LindbladSet.actions``: for a set with
-    ``structured`` true (canonical, D >= STRUCTURED_MIN_DIM) they are
-    formed from the term weights and cell-local actions on psi, and no
-    D x D operator is built; below the crossover, and for hand-built sets,
-    each operator multiplies psi.
+    A set with ``structured`` true (canonical, D >= STRUCTURED_MIN_DIM)
+    forms the L_k psi from the term weights and cell-local actions
+    (``LindbladSet.sector_actions``), for all S columns in one digit-move
+    pass and one weights product per sector, and builds no D x D operator.
+    Below the crossover, and for hand-built sets, each operator multiplies
+    each state, one column at a time.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    total = 0.0
-    for term, lpsi in zip(lindblad, lindblad.actions(psi)):
-        mean = complex(psi.conj() @ lpsi)
-        second = float((lpsi.conj() @ lpsi).real)
-        total += term.rate * (second - abs(mean) ** 2)
-    return 2.0 * total
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or any(t.dim != psi.shape[0] for t in lindblad):
+        raise DimensionMismatch("Lindblad operator does not match state")
+    if not lindblad.structured:
+        if psi.ndim == 2:
+            return np.array([pure_decoherence_rate(lindblad, col) for col in psi.T])
+        total = 0.0
+        for term in lindblad:
+            lpsi = term.op @ psi
+            mean = complex(psi.conj() @ lpsi)
+            second = float((lpsi.conj() @ lpsi).real)
+            total += term.rate * (second - abs(mean) ** 2)
+        return 2.0 * total
+    stack = psi.reshape(psi.shape[0], -1)
+    total = np.zeros(stack.shape[1])
+    for rates, lpsi in lindblad.sector_actions(stack):
+        mean = np.einsum("ds,kds->ks", stack.conj(), lpsi)
+        second = np.einsum("kds,kds->ks", lpsi.conj(), lpsi).real
+        total += rates @ (second - np.abs(mean) ** 2)
+    return 2.0 * total if psi.ndim == 2 else float(2.0 * total[0])
 
 
 def decoherence_report(

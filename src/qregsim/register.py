@@ -391,6 +391,17 @@ def excitation_numbers(n: int) -> np.ndarray:
     return n - cell_digits(n).sum(axis=1)
 
 
+def excitation_sectors(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """S_q, the basis states of n qubits with Q = q cells up in ascending
+    order, for q = 0..n, and each basis state's position in its S_q."""
+    up = excitation_numbers(n)
+    states = [np.flatnonzero(up == q) for q in range(n + 1)]
+    pos = np.empty(2**n, dtype=np.intp)
+    for s in states:
+        pos[s] = np.arange(s.shape[0])
+    return states, pos
+
+
 def dicke_state(n: int, k: int) -> np.ndarray:
     """Normalized (S^+)^k |down...down>, the symmetric state with m = k - n/2.
 

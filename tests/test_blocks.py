@@ -469,3 +469,21 @@ def test_exact_sweep_workload_takes_the_sector(monkeypatch):
     table = expcli.run_simulate(expcli.config_from_dict(raw))
     assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]] * 2
     assert table.values.shape == (11, 13)
+
+
+def test_block_sector_generator_is_the_column_build(monkeypatch):
+    """At N = 6 (sigma- cells, D = 64) the sector generator comes from the
+    block form on stacks of packed units, never from Liouvillian.apply,
+    and equals the column build with its exact-zero image test."""
+    n = 6
+    liouv = build_liouvillian(
+        qubit_register(n), exponential_decay(n, 0.1, 0.03, 1.5, delta_ratio=0.5)
+    )
+    layout = ExcitationBlocks(n)
+    rhos = [np.outer(psi, psi.conj()) for psi in (dicke_state(n, 3), pair_singlet_state(n))]
+    with monkeypatch.context() as mp:
+        mp.setattr(Liouvillian, "apply", lambda self, rho: pytest.fail("apply was called"))
+        blocks = dynamics._sector_generator(liouv, layout, rhos)
+    monkeypatch.setattr(dynamics, "excitation_form", lambda liouv, rhos: None)
+    columns = dynamics._sector_generator(liouv, layout, rhos)
+    assert np.abs(blocks - columns).max() <= TOL * max(1.0, np.abs(columns).max())

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from helpers import random_phases, rng_for
 
-from qregsim.bath import cell_limit, clustered, gauge_phased, replica_symmetric
+from qregsim.bath import (
+    cell_limit,
+    clustered,
+    exponential_decay,
+    gauge_phased,
+    replica_symmetric,
+)
 from qregsim.codes import (
     KIND_NOISELESS,
     KIND_SUB_DECOHERENT,
@@ -27,7 +33,14 @@ from qregsim.errors import (
     InvalidQuantumNumbers,
     TooSmall,
 )
-from qregsim.liouvillian import Liouvillian, build_liouvillian, canonical_form
+from qregsim.linalg import common_nullspace
+from qregsim.liouvillian import (
+    LindbladSet,
+    LindbladTerm,
+    Liouvillian,
+    build_liouvillian,
+    canonical_form,
+)
 from qregsim.observables import pure_decoherence_rate
 from qregsim.register import (
     basis_state,
@@ -42,6 +55,8 @@ from qregsim.register import (
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# Hops between neighbouring levels of a three-level cell.
+SX3 = np.eye(3, k=1) + np.eye(3, k=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +142,76 @@ def test_null_code_annihilation():
     code = null_code(lind)
     for op in lind.operators():
         assert np.max(np.abs(op @ code.basis)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# null codes by excitation sector
+
+
+def projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.conj().T
+
+
+def sector_cases():
+    for n in range(2, 7):
+        for register in (qubit_register, dephasing_register):
+            for gp in (0.0, 0.1):
+                yield register, n, "exponential", gp
+                yield register, n, "replica", gp
+                if n % 2 == 0:
+                    yield register, n, "clustered", gp
+        yield qubit_register, n, "phased", 0.0
+
+
+def sector_bath(kind: str, n: int, gp: float):
+    if kind == "exponential":
+        return exponential_decay(n, 0.4, gp, 1.5)
+    if kind == "replica":
+        return replica_symmetric(n, 0.4, gp)
+    if kind == "clustered":
+        return clustered([range(n // 2), range(n // 2, n)], 0.4, gp)
+    return gauge_phased(replica_symmetric(n, 0.4, gp), random_phases(rng_for(n), n))
+
+
+@pytest.mark.parametrize("register, n, kind, gp", list(sector_cases()))
+def test_sector_null_code_is_common_nullspace(register, n, kind, gp):
+    lset = canonical_form(register(n), sector_bath(kind, n, gp))
+    assert lset.excitation_blocks() is not None
+    code = null_code(lset)
+    want = common_nullspace(lset.operators(), dim=2**n)
+    assert code.dim == want.shape[1]
+    assert np.abs(projector(code.basis) - projector(want)).max() <= 1e-10
+    for op in lset.operators():
+        assert np.abs(op @ code.basis).max(initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["hand_built", "sigma_x", "three_level"])
+def test_null_code_falls_back_to_common_nullspace(case):
+    if case == "hand_built":
+        ops = [total_splus(4), total_sminus(4), total_sz(4)]
+        lset = LindbladSet(terms=tuple(LindbladTerm(1.0, op, -1) for op in ops))
+    else:
+        cell = SX if case == "sigma_x" else np.diag([1.0, 0.0, -1.0]) + 0.5 * SX3
+        lset = canonical_form(dephasing_register(4, cell), cell_limit(4, 0.4, 0.1))
+    assert lset.excitation_blocks() is None
+    want = common_nullspace(lset.operators(), dim=lset.terms[0].dim)
+    assert np.array_equal(null_code(lset).basis, want)
+
+
+def test_n8_null_code_places_no_operator_and_takes_no_full_svd(monkeypatch):
+    def refuse(term):
+        raise AssertionError("a term's D x D operator was read")
+
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(LindbladTerm, "op", property(refuse))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: shapes.append(m.shape) or svd(m, *a, **k))
+    lset = canonical_form(qubit_register(8), replica_symmetric(8, 0.4, 0.1))
+    code = null_code(lset)
+    assert code.dim == 14 and shapes
+    assert max(max(s) for s in shapes) <= 70  # C(8, 4)
+    rates = pure_decoherence_rate(lset, code.basis)
+    assert np.abs(rates).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1054,6 +1054,60 @@ def test_readme_field_table_matches_fields():
     assert listed == [f.path for f in FIELDS]
 
 
+def test_codes_basis_is_one_array_written_as_before(tmp_path):
+    # The provenance keeps the basis as a (D, dim, 2) float array; the
+    # basis CSV holds each row's (re, im) pairs as repr of Python floats,
+    # the bytes the nested-list form wrote.
+    from qregsim.expcli import emit_outputs
+
+    raw = {
+        "experiment": "codes",
+        "register": {"n": 6, "kind": "qubit"},
+        "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+        "codes": {"kind": "null"},
+        "output": {"name": "codes", "formats": ["csv"]},
+    }
+    cfg = config_from_dict(raw)
+    table = run_codes(cfg)
+    stored = table.provenance["code"]["basis_re_im"]
+    assert isinstance(stored, np.ndarray) and stored.dtype == float
+    assert stored.shape == (64, 5, 2)
+    emit_outputs(table, cfg, out_dir=str(tmp_path))
+    header = ",".join(f"col{j}_{part}" for j in range(5) for part in ("re", "im"))
+    rows = [",".join(repr(float(x)) for pair in row for x in pair) for row in stored]
+    want = "\r\n".join([header] + rows) + "\r\n"
+    assert (tmp_path / "codes_basis.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("experiment", ["tau_sweep", "codes"])
+def test_runners_rate_all_states_in_one_call(tmp_path, monkeypatch, experiment):
+    # tau_sweep rates its states once per bath point and codes its basis
+    # columns once, as the columns of one (D, S) stack.
+    from qregsim import expcli
+
+    calls = []
+    rate = expcli.pure_decoherence_rate
+    monkeypatch.setattr(
+        expcli, "pure_decoherence_rate", lambda lset, psi: calls.append(psi.shape) or rate(lset, psi)
+    )
+    if experiment == "tau_sweep":
+        cfg = config_from_dict(_tau_sweep_config(tmp_path, {"n": 6}, ["singlet", "symmetric", "uniform"]))
+        table = run_tau_sweep(cfg)
+        assert calls == [(64, 3)] * 2
+        assert table.values.shape == (2, 4)
+    else:
+        raw = {
+            "experiment": "codes",
+            "register": {"n": 6, "kind": "qubit"},
+            "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+            "codes": {"kind": "null"},
+            "output": {"name": "codes"},
+        }
+        table = run_codes(config_from_dict(raw))
+        assert calls == [(64, 5)]
+        assert np.all(table.values[:, 1] <= 1e-12)
+
+
 def _tau_sweep_config(tmp_path, register: dict, states: list) -> dict:
     return {
         "experiment": "tau_sweep",

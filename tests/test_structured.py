@@ -53,6 +53,8 @@ from qregsim.register import (
 from helpers import random_bath, random_phases, random_pure_state, rng_for
 
 TOL = 1e-12
+# Hermitian cell operator of a three-level dephasing register.
+SX3 = np.eye(3, k=1) + np.eye(3, k=-1)
 
 
 @contextmanager
@@ -312,6 +314,36 @@ def test_weight_route_rate_native(n, examples):
         assert_weight_route(qubit_register(n), spec, rng, native=True)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [qubit_register(6), dephasing_register(6), qubit_register(4), dephasing_register(2, SX3)],
+    ids=["qubit6", "sigma_z6", "qubit4", "three_level"],
+)
+def test_batched_rates_are_the_per_state_rates(model, monkeypatch):
+    """A (D, S) stack gives S rates: a structured set in one digit-move
+    pass per sector over all columns, equal to each state alone and to the
+    operator formula to TOL; a smaller set state by state, bit for bit."""
+    n = model.n_cells
+    rng = rng_for(f"batched-{model.cell_dim}-{n}")
+    lset = canonical_form(model, gauge_phased(random_bath(rng, n), random_phases(rng, n)))
+    psis = np.stack([random_pure_state(rng, model.dim) for _ in range(5)], axis=1)
+    moves = []
+    digit_op = liouvillian._digit_op
+    monkeypatch.setattr(liouvillian, "_digit_op", lambda *a: moves.append(a) or digit_op(*a))
+    rates = pure_decoherence_rate(lset, psis)
+    sectors = len({t.sector for t in lset})
+    assert rates.shape == (5,)
+    assert len(moves) == (n * sectors if lset.structured else 0)
+    for rate, psi in zip(rates, psis.T):
+        alone = pure_decoherence_rate(lset, psi.copy())
+        if lset.structured:
+            assert abs(rate - alone) <= TOL * max(1.0, abs(alone))
+        else:
+            assert rate == alone
+        want = operator_rate(lset, psi)
+        assert abs(rate - want) <= TOL * max(1.0, abs(want))
 
 
 def test_weight_route_rejects_a_mismatched_state():
