@@ -60,15 +60,6 @@ STABILITY_BUDGET = 0.1
 DEFAULT_STRIDE = 10
 # Most steps one schedule may hold; snapshot_grid raises TooLarge beyond it.
 MAX_STEPS = 10**7
-# Most D x D entries per stacked apply while the exact solver builds its
-# sector generator: unit matrices go through Liouvillian.apply in chunks.
-# At N = 4 (4 units a call) the tracemalloc peak of an exact run is 0.8 MB;
-# with all 70 units in one call, 5.0 MB.
-SECTOR_CHUNK_ENTRIES = 2**10
-# Most packed entries per block-form apply while the exact solver builds its
-# sector generator from the packed identity.  At N = 6 (17 units a call,
-# 1 BLAS thread) M takes 0.13 s and 3 MB beside it; one unit a call, 0.8 s.
-BLOCK_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -166,11 +157,15 @@ class _FullStack:
 
     def __init__(self, liouv: Liouvillian):
         self.apply = liouv.apply
-        self.form = "gamma" if liouv.lindblad.structured else "dense"
+        self.form = "gamma" if liouv.structured else "dense"
         self.layout = None
 
     def pack(self, rhos):
         return np.stack(rhos)
+
+    def stepper(self, rho):
+        """(f, None, None) for ``_rk4``: f(x, out) = L(x), a new array."""
+        return (lambda x, out: self.apply(x)), None, None
 
     def trace(self, rho):
         return rho.trace(axis1=1, axis2=2)
@@ -189,12 +184,18 @@ class _BlockStack:
     form = "blocks"
 
     def __init__(self, blocks):
-        self.apply = blocks.apply
+        self.blocks = blocks
         self.layout = layout = blocks.layout
         self.trace, self.adjoint, self.unpack = layout.trace, layout.adjoint, layout.unpack
 
     def pack(self, rhos):
         return self.layout.pack(np.stack(rhos))
+
+    def stepper(self, rho):
+        """(f, out, out2) for ``_rk4``: f(x, out) = L(x) written to out,
+        one of the two output stacks, through one workspace."""
+        apply, work = self.blocks.apply, self.blocks.workspace(rho.shape[0])
+        return (lambda x, out: apply(x, out, work)), np.empty_like(rho), np.empty_like(rho)
 
 
 def _rk4_groups(liouv: Liouvillian, rhos) -> list:
@@ -227,36 +228,37 @@ def _rk4(rhos, h: float, steps, stride: int, stack) -> list[Trajectory]:
     operations and operand order of stepping each state alone, so each
     trajectory is bitwise the single-state one.  At most four stacks are
     live during an apply: the state, the stage input, the accumulated sum
-    and the apply's result.  The trace check, re-Hermitization,
-    renormalization and ``error_estimate`` are per state.
+    and the apply's result; the block form writes them into two stacks and
+    one workspace kept for the run (``stack.stepper``).  The trace check,
+    re-Hermitization, renormalization and ``error_estimate`` are per state.
     """
     rho = stack.pack(rhos)
+    f, acc_out, k_out = stack.stepper(rho)
     n_states, n_steps = rho.shape[0], int(steps[-1])
     states = np.empty((n_states, steps.shape[0]) + rho.shape[1:], dtype=complex)
     states[:, 0] = rho
     kept = 1
-    f = stack.apply
     half, sixth = 0.5 * h, h / 6.0
     stage = np.empty_like(rho)
     norm_shape = (n_states,) + (1,) * (rho.ndim - 1)
     max_drift = [0.0] * n_states
     for k in range(1, n_steps + 1):
-        acc = f(rho)  # k1
+        acc = f(rho, acc_out)  # k1
         np.multiply(acc, half, out=stage)
         stage += rho
-        kj = f(stage)  # k2
+        kj = f(stage, k_out)  # k2
         np.multiply(kj, half, out=stage)
         stage += rho
         kj *= 2.0
         acc += kj
         del kj  # free k2 before k3 is allocated
-        kj = f(stage)  # k3
+        kj = f(stage, k_out)  # k3
         np.multiply(kj, h, out=stage)
         stage += rho
         kj *= 2.0
         acc += kj
         del kj
-        acc += f(stage)  # k4
+        acc += f(stage, k_out)  # k4
         acc *= sixth
         rho += acc
         tr = stack.trace(rho).tolist()
@@ -275,6 +277,8 @@ def _rk4(rhos, h: float, steps, stride: int, stack) -> list[Trajectory]:
         if k == steps[kept]:
             states[:, kept] = rho
             kept += 1
+    # free the stepping buffers before the snapshots are unpacked
+    f = acc = acc_out = k_out = stage = rho = None
     return [
         Trajectory(
             times=steps * h,
@@ -329,13 +333,11 @@ def evolve(
     (module docstring) when the generator allows it, and the others
     together on the dense generator or one by one on the structured one,
     whose Gamma-form apply is memory-bound.  Each trajectory is bitwise
-    the one stepping that state alone gives.  ``exact``
-    advances all states at once, stacked as the columns of one matrix,
-    with one propagator per distinct snapshot interval (D <= 64).  On a
-    qubit register whose states are all block-diagonal in the excitation
-    number and whose generator keeps them so (``_exact_generator``), it
-    exponentiates the C(2N, N)-square generator on the packed blocks,
-    ``metadata["form"] == "blocks"``; otherwise the D^2 x D^2
+    the one stepping that state alone gives.  ``exact`` advances all
+    states at once, stacked as the columns of one matrix, with one
+    propagator per distinct snapshot interval (D <= 64): on the packed
+    excitation sector when ``_exact_generator`` allows it,
+    ``metadata["form"] == "blocks"``, otherwise through the D^2 x D^2
     ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is the closed
     form (``dephasing_solve``), read from ``liouv`` like the others and
     prepared once for all states.  From D = STRUCTURED_MIN_DIM on, the
@@ -399,58 +401,55 @@ def evolve(
 
 
 def _exact_generator(liouv: Liouvillian, rhos: np.ndarray):
-    """(layout, M): the matrix the exact solver exponentiates.
-
-    For a qubit register whose states ``rhos`` are all block-diagonal
-    (``ExcitationBlocks.is_block_diagonal``), and whose generator keeps the
-    excitation sector invariant (``_sector_generator``), layout is the
-    ``ExcitationBlocks`` and M the C(2N, N)-square generator on the
-    packed sector.  Otherwise layout is None and M the D^2 x D^2
-    ``superoperator_matrix``.
-    """
-    model = liouv.lindblad.model
-    if model is not None and model.cell_dim == 2 and model.dim == liouv.dim:
+    """(layout, M): the matrix the exact solver exponentiates.  M is the
+    C(2N, N)-square generator on the packed sector of the layout
+    ``ExcitationBlocks`` (``_sector_generator``) when
+    ``LindbladSet.excitation_blocks`` gives the terms' blocks and neither
+    H nor a state in ``rhos`` has an entry between different excitation
+    numbers (exact zeros); otherwise layout is None and M the D^2 x D^2
+    ``superoperator_matrix``."""
+    blocks, model = liouv.lindblad.excitation_blocks(), liouv.lindblad.model
+    if blocks is not None and model.dim == liouv.dim:
         layout = ExcitationBlocks(model.n_cells)
-        if all(layout.is_block_diagonal(r) for r in rhos):
-            m = _sector_generator(liouv, layout, rhos)
-            if m is not None:
-                return layout, m
+        if all(layout.is_block_diagonal(r) for r in [liouv.hamiltonian, *rhos]):
+            return layout, _sector_generator(liouv, layout, blocks)
     return None, superoperator_matrix(liouv)
 
 
-def _sector_generator(liouv: Liouvillian, layout: ExcitationBlocks, rhos):
+def _sector_generator(liouv: Liouvillian, layout: ExcitationBlocks, blocks):
     """The matrix M with M pack(rho) = pack(L(rho)) on the packed sector of
-    ``layout``, or None unless the sector is invariant.
+    ``layout``, from the term blocks ``blocks`` (``excitation_blocks``) and
+    the diagonal blocks H_q of H.
 
-    Column j is the image of e_j, the j-th packed unit.  When
-    ``excitation_form`` gives the block form for the block-diagonal states
-    ``rhos`` (sigma- cells, D >= STRUCTURED_MIN_DIM), the sector is
-    invariant by construction and the form maps stacks of units, chunks of
-    BLOCK_CHUNK_ENTRIES packed entries; row j of the result is column j of
-    M.  Otherwise each column is pack(L(unpack(e_j))), through
-    ``Liouvillian.apply`` in chunks of SECTOR_CHUNK_ENTRIES, and the sector
-    is invariant when no image has an entry between different excitation
-    numbers, tested as exactly zero.
+    Packing is row-major, so pack(A X C) = (A (x) C^T) pack(X).  The terms
+    J_k of a sector, mapping S_q to S_{q+s}, add sum_k lambda_k J_k (x)
+    conj(J_k) to the (q + s, q) block of M, one product per q; the diagonal
+    block q is -(B_q (x) I + I (x) conj(B_q)) with the drift
+    B_q = i H_q + sum_k lambda_k J_k^+ J_k / 2.
     """
-    size = layout.size
-    m = np.empty((size, size), dtype=complex)
-    blocks = excitation_form(liouv, rhos)
-    if blocks is None:
-        chunk = max(1, SECTOR_CHUNK_ENTRIES // liouv.dim**2)
-    else:
-        chunk = max(1, BLOCK_CHUNK_ENTRIES // size)
-    for start in range(0, size, chunk):
-        cols = np.arange(start, min(start + chunk, size))
-        units = np.zeros((cols.shape[0], size), dtype=complex)
-        units[np.arange(cols.shape[0]), cols] = 1.0
-        if blocks is None:
-            images = liouv.apply(layout.unpack(units))
-            if not layout.is_block_diagonal(images):
-                return None
-            images = layout.pack(images)
-        else:
-            images = blocks.apply(units)
-        m[:, cols] = images.T
+    at = [slice(o, o + w * w) for o, w in zip(layout.offsets, layout.sizes)]
+    m = np.zeros((layout.size, layout.size), dtype=complex)
+    drift = [1j * liouv.hamiltonian[np.ix_(s, s)] for s in layout.states]
+    terms = liouv.lindblad.terms
+    for sector in sorted({t.sector for t in terms}):
+        kept = [k for k, t in enumerate(terms) if t.sector == sector]
+        rates = np.array([terms[k].rate for k in kept])[:, None, None]
+        # a term has blocks for q = max(0, -s)..min(N, N - s)
+        shift = (0 in blocks[kept[0]]) - (layout.n in blocks[kept[0]])
+        for q in blocks[kept[0]]:
+            j = np.stack([blocks[k][q] for k in kept])  # (K, C(N, q + s), C(N, q))
+            n_terms, rows, cols = j.shape
+            weighted = (rates * j).reshape(n_terms, -1)
+            conj = j.conj().reshape(n_terms, -1)
+            drift[q] += 0.5 * (conj.reshape(-1, cols).T @ weighted.reshape(-1, cols))
+            # sum_k lambda_k J_k[a, b] conj(J_k[c, d]) at ((a, c), (b, d))
+            kron = (weighted.T @ conj).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
+            m[at[q + shift], at[q]] += kron.reshape(rows * rows, cols * cols)
+    for q, b in enumerate(drift):
+        i = np.arange(b.shape[0])
+        block = m[at[q], at[q]].reshape((len(i),) * 4)  # [a, c, b, d] at ((a, c), (b, d))
+        block[:, i, :, i] -= b  # B (x) I
+        block[i, :, i, :] -= b.conj()  # I (x) conj(B)
     return m
 
 

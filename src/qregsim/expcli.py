@@ -396,9 +396,16 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
         _library("codes.cluster_size", check_cluster_size, n, cfg.codes["cluster_size"])
 
 
+# libyaml's emitter writes the same text as PyYAML's own, several times
+# faster; the pure-Python SafeDumper serves where libyaml is absent.
+CONFIG_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical YAML serialization (stable key order)."""
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=False)
+    return yaml.dump(
+        cfg.to_dict(), Dumper=CONFIG_DUMPER, sort_keys=True, default_flow_style=False
+    )
 
 
 def _parse_yaml(text: str):

@@ -9,7 +9,8 @@ collective combinations L_k = sum_i u_i A_i of the cell operators, weighted
 by eigenvectors u of the bath coefficient matrices.
 
 ``Liouvillian.apply`` evaluates L(rho), for one state or an (S, D, D) stack,
-on one of two paths:
+on one of two paths, chosen when the ``Liouvillian`` is built and built on
+the first ``apply``:
 
 * dense: the K Lindblad operators are stored as D x D matrices and each call
   does 2K + 2 dense products, O(K D^3) time, broadcast over a stack; the
@@ -32,7 +33,7 @@ on one of two paths:
 
 A third form, excitation blocks, serves the RK4 stepper (``dynamics``) and
 never ``apply``.  ``excitation_form(liouv, rhos)`` returns it when the
-cells are sigma- qubits, ``LindbladSet.structured`` holds, and neither H
+cells are sigma- qubits, ``Liouvillian.structured`` holds, and neither H
 nor some state in ``rhos`` has an entry between basis states of different
 excitation number Q (cells up).  It serves those states; the caller keeps
 the Gamma or dense form for the others, and for all on None.  H and the
@@ -55,13 +56,15 @@ places its D x D operator with ``register.collective_op`` only when its
 sets without excitation blocks, small-register rates).  One predicate,
 ``LindbladSet.structured``, selects the Gamma form here and the weight
 route of pure-state rates, ``LindbladSet.sector_actions``.  Null codes of
-canonical qubit sets come from ``LindbladSet.excitation_blocks``: each
-term's blocks between excitation sectors, from its weights.
+canonical qubit sets and the exact solver's sector generator come from
+``LindbladSet.excitation_blocks``: each term's blocks between excitation
+sectors, from its weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -627,7 +630,7 @@ class ExcitationBlocks:
 
     def adjoint(self, packed: np.ndarray, out: np.ndarray) -> None:
         """out = the packed conjugate transpose of packed."""
-        np.take(packed, self.transpose, axis=-1, out=out)
+        np.take(packed, self.transpose, axis=-1, out=out, mode="wrap")
         np.conjugate(out, out=out)
 
     def moves(self, s: int):
@@ -683,14 +686,6 @@ class ExcitationBlocks:
         return x, (np.concatenate(gather), segments)
 
 
-def _add_terms(acc: np.ndarray, source: np.ndarray, table) -> None:
-    """acc (S, M) += the per-entry sums of a term table over source."""
-    gather, segments = table
-    terms = np.take(source, gather, axis=1)
-    for v, c, o, size in segments:
-        acc[:, o : o + size] += terms[:, v : v + c * size].reshape(-1, c, size).sum(axis=1)
-
-
 class _BlockForm:
     """The generator on excitation blocks (``excitation_form``):
 
@@ -702,7 +697,9 @@ class _BlockForm:
     blocks; the sandwich is a gather between packed blocks.
 
     ``apply`` maps an (S, M) stack of packed states, each row bitwise as
-    it is alone.
+    it is alone, through the buffers of ``workspace(S)``: a stepper passes
+    one workspace and its own output arrays to every call, so no call
+    allocates a stack-sized array.
     """
 
     def __init__(self, layout: ExcitationBlocks, lindblad: LindbladSet, h):
@@ -720,20 +717,55 @@ class _BlockForm:
             (np.ascontiguousarray(g.T), layout.moves(sector)) for sector, g in sectors
         ]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
+    def workspace(self, n_states: int) -> dict[str, np.ndarray]:
+        """The buffers ``apply`` uses for a stack of n_states, shared by
+        the two sectors, whose X gathers and term tables have one size
+        (q -> N - q maps one sector's blocks onto the other's): the state
+        with a trailing zero entry, X_i and Y_j, the gathered terms, and
+        one scratch of the largest block."""
+        layout = self.layout
+        work = {
+            "src": np.zeros((n_states, layout.size + 1), dtype=complex),
+            "block": np.empty((n_states, int(layout.sizes.max()) ** 2), dtype=complex),
+        }
+        if self.sectors:
+            x_at, (gather, _) = self.sectors[0][1]
+            work["x"] = np.empty((n_states,) + x_at.shape, dtype=complex)
+            work["y"] = np.empty_like(work["x"])
+            work["terms"] = np.empty((n_states, gather.shape[0]), dtype=complex)
+        return work
+
+    def apply(self, rho: np.ndarray, out=None, work=None) -> np.ndarray:
+        """L(rho) for the (S, M) stack rho, into ``out`` when given, through
+        ``work`` (``workspace(S)``) when given."""
         layout = self.layout
         n_states, m = rho.shape[0], layout.size
-        out = np.empty_like(rho)
+        if out is None:
+            out = np.empty_like(rho)
+        if work is None:
+            work = self.workspace(n_states)
+        scratch = work["block"]
         for (b, b_dag), r, o in zip(self.drift, layout.blocks(rho), layout.blocks(out)):
-            o[:] = -(b @ r) - r @ b_dag
+            np.matmul(b, r, out=o)
+            np.negative(o, out=o)
+            right = scratch[:, : r[0].size].reshape(r.shape)
+            np.matmul(r, b_dag, out=right)
+            o -= right  # -(B rho) - rho B^+
         if not self.sectors:
             return out
-        src = np.zeros((n_states, m + 1), dtype=complex)
+        src, x, y = work["src"], work["x"], work["y"]
         src[:, :m] = rho
-        for gamma_t, (x_at, sandwich) in self.sectors:
-            y = np.empty((n_states,) + x_at.shape, dtype=complex)
-            _contract(gamma_t, np.take(src, x_at, axis=1), y)  # Y_j = sum_i G_ij X_i
-            _add_terms(out, y.reshape(n_states, -1), sandwich)  # Y_j A_j^+
+        for gamma_t, (x_at, (gather, segments)) in self.sectors:
+            # mode="wrap" lets take write straight into out (the default
+            # "raise" buffers it); every index is in range
+            np.take(src, x_at, axis=1, out=x, mode="wrap")
+            _contract(gamma_t, x, y)  # Y_j = sum_i G_ij X_i
+            terms = work["terms"]
+            np.take(y.reshape(n_states, -1), gather, axis=1, out=terms, mode="wrap")
+            for v, c, o, size in segments:  # Y_j A_j^+, summed per entry
+                part = scratch[:, :size]
+                np.sum(terms[:, v : v + c * size].reshape(n_states, c, size), axis=1, out=part)
+                out[:, o : o + size] += part
         return out
 
 
@@ -744,15 +776,18 @@ class Liouvillian:
     A Lindblad set for which ``LindbladSet.structured`` holds (from
     ``canonical_form``, D >= STRUCTURED_MIN_DIM) is applied in the
     structured Gamma form; any other set through its stacked dense
-    operators.  ``stability_scale`` is the largest rate plus the spectral
-    radius of H, computed once here.
+    operators.  ``structured`` records that choice, made here; the form
+    itself is built on the first ``apply``, so callers that never apply
+    (the block stepper, the exact solver on the excitation sector,
+    ``codes``, ``dephasing_solve``) place no D x D operator for it.
+    ``stability_scale``, the largest rate plus the spectral radius of H,
+    is computed on first read (a dense ``eigvalsh`` unless H is diagonal).
     """
 
     hamiltonian: np.ndarray
     lindblad: LindbladSet
     dim: int = field(init=False)
-    stability_scale: float = field(init=False, compare=False)
-    _form: _DenseForm | _GammaForm = field(init=False, repr=False, compare=False)
+    structured: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -765,23 +800,26 @@ class Liouvillian:
         object.__setattr__(self, "dim", d)
         if any(t.dim != d for t in self.lindblad):
             raise DimensionMismatch("Lindblad operator size mismatch")
-        h_diag = np.diagonal(h)
-        if np.count_nonzero(h) != np.count_nonzero(h_diag):
-            h_diag = None
-            radius = np.abs(np.linalg.eigvalsh(h)).max(initial=0.0)
+        structured = self.lindblad.structured
+        if structured and self.lindblad.model.dim != d:
+            raise DimensionMismatch("Lindblad set and Hamiltonian sizes differ")
+        object.__setattr__(self, "structured", structured)
+
+    @cached_property
+    def stability_scale(self) -> float:
+        h_diag = _diagonal(self.hamiltonian)
+        if h_diag is None:
+            radius = np.abs(np.linalg.eigvalsh(self.hamiltonian)).max(initial=0.0)
         else:
             radius = np.abs(h_diag).max(initial=0.0)
-        object.__setattr__(
-            self, "stability_scale", self.lindblad.max_rate() + float(radius)
-        )
-        model = self.lindblad.model
-        if self.lindblad.structured:
-            if model.dim != d:
-                raise DimensionMismatch("Lindblad set and Hamiltonian sizes differ")
-            form = _GammaForm(model, self.lindblad, h, h_diag)
-        else:
-            form = _DenseForm(h, self.lindblad)
-        object.__setattr__(self, "_form", form)
+        return self.lindblad.max_rate() + float(radius)
+
+    @cached_property
+    def _form(self) -> _DenseForm | _GammaForm:
+        h = self.hamiltonian
+        if self.structured:
+            return _GammaForm(self.lindblad.model, self.lindblad, h, _diagonal(h))
+        return _DenseForm(h, self.lindblad)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate L(rho) without materializing the superoperator.
@@ -806,13 +844,19 @@ class Liouvillian:
         )
 
 
+def _diagonal(h: np.ndarray) -> np.ndarray | None:
+    """The diagonal of h, or None when h has a nonzero entry off it."""
+    h_diag = np.diagonal(h)
+    return h_diag if np.count_nonzero(h) == np.count_nonzero(h_diag) else None
+
+
 def excitation_form(liouv: Liouvillian, rhos) -> _BlockForm | None:
     """The generator on excitation blocks, for those of the D x D states
     ``rhos`` with no entry between basis states of different Q
     (``layout.is_block_diagonal``), or None unless all of these hold:
 
     * the cells are qubits with cell operator sigma-;
-    * ``liouv.lindblad.structured`` (canonical, D >= STRUCTURED_MIN_DIM);
+    * ``liouv.structured`` (canonical, D >= STRUCTURED_MIN_DIM at build);
     * at least one state has no such entry;
     * neither has the Hamiltonian.
 
@@ -823,7 +867,7 @@ def excitation_form(liouv: Liouvillian, rhos) -> _BlockForm | None:
     lset = liouv.lindblad
     model = lset.model
     if not (
-        lset.structured
+        liouv.structured
         and model.cell_dim == 2
         and np.array_equal(model.cell_op, SIGMA_MINUS)
     ):

@@ -5,7 +5,8 @@ dissipator; stacked against per-state integration, bit for bit, and
 against the Gamma-form trajectory; the predicate's fallbacks; the
 block-by-block eigenvalue check of ``check_state``; and the exact solver
 on the excitation sector against ``propagate_exact``, with its
-fallbacks."""
+fallbacks, and its generator against the column build and the pairwise
+dissipator."""
 
 from math import comb
 
@@ -384,9 +385,9 @@ def test_large_rk4_workload_takes_the_block_form(monkeypatch):
     assert table.values.shape == (3, 7)
 
 
-# The exact solver on the excitation sector: C(2N, N)-square generator
-# instead of the D^2 x D^2 superoperator, when the states and the
-# generator's images of the packed units are block-diagonal.
+# The exact solver on the excitation sector: C(2N, N)-square generator,
+# assembled from the terms' excitation blocks, instead of the D^2 x D^2
+# superoperator, when the states and H are block-diagonal.
 
 
 def assert_exact_is_propagate_exact(liouv, states, form: str) -> None:
@@ -471,19 +472,61 @@ def test_exact_sweep_workload_takes_the_sector(monkeypatch):
     assert table.values.shape == (11, 13)
 
 
-def test_block_sector_generator_is_the_column_build(monkeypatch):
-    """At N = 6 (sigma- cells, D = 64) the sector generator comes from the
-    block form on stacks of packed units, never from Liouvillian.apply,
-    and equals the column build with its exact-zero image test."""
-    n = 6
-    liouv = build_liouvillian(
-        qubit_register(n), exponential_decay(n, 0.1, 0.03, 1.5, delta_ratio=0.5)
+def sector_columns(liouv, layout: ExcitationBlocks) -> np.ndarray:
+    """The sector generator column by column: pack(L(unpack(e_j))) for the
+    packed units e_j, through Liouvillian.apply in chunks of 64 units."""
+    units = np.eye(layout.size, dtype=complex)
+    return np.concatenate(
+        [layout.pack(liouv.apply(layout.unpack(units[j : j + 64]))) for j in range(0, layout.size, 64)]
+    ).T
+
+
+def test_block_sector_generator_is_the_column_build():
+    """M from the term blocks = the column build from Liouvillian.apply =
+    the pairwise dissipator plus the H term on random block-diagonal
+    states, to TOL relative: sigma- and sigma_z registers at N = 2-6, with
+    gamma+ = 0 and > 0, a Lamb shift and a gauge-phased bath."""
+    rng = rng_for("sector-generator")
+    variants = [(False, 0.0, False), (True, 0.5, False), (True, -0.7, True)]
+    cases = [(n, v) for n in (2, 3, 4) for v in variants] + [(5, variants[2]), (6, variants[1])]
+    for register, n, (plus, lamb, phased) in [
+        (register, n, v) for register in (qubit_register, dephasing_register) for n, v in cases
+    ]:
+        model = register(n)
+        spec = random_bath(rng, n, with_plus=plus)
+        if phased:
+            spec = gauge_phased(spec, random_phases(rng, n))
+        if lamb:
+            spec = with_lamb_shift(spec, lamb)
+        liouv = build_liouvillian(model, spec)
+        rhos = [block_state(n, rng), block_diagonal(random_operator(rng, 2**n))]
+        layout, m = dynamics._exact_generator(liouv, np.stack(rhos))
+        assert layout is not None
+        columns = sector_columns(liouv, layout)
+        scale = max(1.0, float(np.abs(columns).max()))
+        assert np.abs(m - columns).max() <= TOL * scale
+        h = liouv.hamiltonian
+        for rho in rhos:
+            want = pairwise_dissipator(model, spec, rho) - 1j * (h @ rho - rho @ h)
+            got = m @ layout.pack(rho)
+            assert np.abs(got - layout.pack(want)).max() <= TOL * max(1.0, np.abs(want).max())
+
+
+def test_exact_places_no_operator(monkeypatch):
+    """The N = 4 exact sweep builds its sector generator from the term
+    weights: no Lindblad operator is placed and no form applied."""
+    raw = {
+        "experiment": "simulate",
+        "register": {"n": 4, "kind": "qubit"},
+        "bath": {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02, "xi": 1.0},
+        "initial_states": ["singlet", "symmetric"],
+        "solver": {"method": "exact", "dt": 0.01, "t_end": 1.0, "stride": 10},
+        "sweep": {"parameter": "bath.xi", "values": [1.0, 10.0]},
+        "output": {"name": "exact_sweep"},
+    }
+    monkeypatch.setattr(
+        liouvillian.LindbladTerm, "op", property(lambda self: pytest.fail("op was placed"))
     )
-    layout = ExcitationBlocks(n)
-    rhos = [np.outer(psi, psi.conj()) for psi in (dicke_state(n, 3), pair_singlet_state(n))]
-    with monkeypatch.context() as mp:
-        mp.setattr(Liouvillian, "apply", lambda self, rho: pytest.fail("apply was called"))
-        blocks = dynamics._sector_generator(liouv, layout, rhos)
-    monkeypatch.setattr(dynamics, "excitation_form", lambda liouv, rhos: None)
-    columns = dynamics._sector_generator(liouv, layout, rhos)
-    assert np.abs(blocks - columns).max() <= TOL * max(1.0, np.abs(columns).max())
+    monkeypatch.setattr(Liouvillian, "apply", lambda self, rho: pytest.fail("apply was called"))
+    table = expcli.run_simulate(expcli.config_from_dict(raw))
+    assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]] * 2

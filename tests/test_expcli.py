@@ -9,6 +9,7 @@ import yaml
 from qregsim.dynamics import snapshot_grid
 from qregsim.errors import ConfigError, DimensionMismatch, QregError
 from qregsim.expcli import (
+    CONFIG_DUMPER,
     PRESETS,
     ResultTable,
     build_state,
@@ -893,6 +894,15 @@ def test_normalized_config_serialization_is_pinned():
         cfg = load_preset(key.split(":")[1]) if raw is None else config_from_dict(raw)
         got[key] = config_hash(cfg)
     assert got == SERIALIZED_SHA256
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml is absent")
+def test_libyaml_serialization_is_the_pure_python_text():
+    assert CONFIG_DUMPER is yaml.CSafeDumper
+    for key, raw in _accepted_examples().items():
+        cfg = load_preset(key.split(":")[1]) if raw is None else config_from_dict(raw)
+        want = yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=False)
+        assert serialize_config(cfg) == want, key
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Structured (Gamma-form) generator: agreement with the dense canonical
 generator and the independent pairwise dissipator on non-Hermitian input,
-the crossover between the two paths, the cached stability scale, and the
-generator size guard.  Also the weight route of pure-state rates against
-the operator formula, lazily built canonical operators, and the
-O(N^2 D^2) Lamb shift against the product formula."""
+the crossover between the two paths, the cached stability scale, the
+forms and the scale built on first use, and the generator size guard.
+Also the weight route of pure-state rates against the operator formula,
+lazily built canonical operators, and the O(N^2 D^2) Lamb shift against
+the product formula."""
 
 import os
 import subprocess
@@ -198,6 +199,42 @@ def test_stability_scale_is_rate_plus_spectral_norm(ring):
     liouv = build_liouvillian(model, replica_symmetric(n, 0.2, 0.1, delta_ratio=0.3))
     want = liouv.lindblad.max_rate() + np.linalg.norm(liouv.hamiltonian, 2)
     assert abs(liouv.stability_scale - want) <= 1e-12 * want
+
+
+def test_forms_and_the_stability_scale_are_built_on_first_use(monkeypatch):
+    """build_liouvillian at N = 10 with a Lamb shift (H not diagonal)
+    runs no eigvalsh and builds no form, under a peak of four D x D
+    arrays (the Hamiltonian, the Lamb shift, their sum and a temporary);
+    reading stability_scale runs one eigvalsh, the first apply (or _form)
+    builds the form, and both are cached."""
+    n = 10
+    model, spec = qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0, delta_ratio=0.5)
+    small = (qubit_register(3), exponential_decay(3, 0.1, 0.02, 1.0))
+    events = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: events.append("eigvalsh") or eigvalsh(m))
+    for cls in (_GammaForm, _DenseForm):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *a, init=init: events.append(type(self)) or init(self, *a)
+        )
+    tracemalloc.start()
+    try:
+        liouv = build_liouvillian(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events == [] and liouv.structured
+    assert peak <= 4 * 16 * 4**n
+    scale = liouv.stability_scale
+    assert liouv.stability_scale == scale and events == ["eigvalsh"]
+    assert isinstance(liouv._form, _GammaForm) and liouv._form is liouv._form
+    assert events == ["eigvalsh", _GammaForm]
+    small = build_liouvillian(*small)
+    assert events == ["eigvalsh", _GammaForm]
+    rho = np.eye(8, dtype=complex) / 8
+    assert small.apply(rho).tobytes() == small.apply(rho).tobytes()
+    assert events == ["eigvalsh", _GammaForm, _DenseForm]
 
 
 class TestSizeGuard:
