@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -122,12 +123,12 @@ def null_code(lindblad: LindbladSet) -> CodeSubspace:
     """
     if not len(lindblad):
         raise DimensionMismatch("cannot build a code from an empty set")
-    blocks = lindblad.excitation_blocks()
-    if blocks is None:
+    sectors = lindblad.excitation_blocks()
+    if sectors is None:
         ops = lindblad.operators()
         basis = common_nullspace(ops, dim=ops[0].shape[0])
     else:
-        basis = _sector_nullspace(blocks, lindblad.model.n_cells)
+        basis = _sector_nullspace(lindblad, sectors)
     return CodeSubspace(
         basis=basis,
         labels=tuple(0.0 for _ in lindblad),
@@ -135,25 +136,30 @@ def null_code(lindblad: LindbladSet) -> CodeSubspace:
     )
 
 
-def _sector_nullspace(blocks, n: int) -> np.ndarray:
-    """The common kernel of operators given as blocks between Q-sectors
-    (``LindbladSet.excitation_blocks``), as orthonormal columns in the
-    2^n rows of the register basis, ordered by sector.
+def _sector_nullspace(lindblad: LindbladSet, sectors) -> np.ndarray:
+    """The common kernel of the set's operators, given as their blocks
+    between Q-sectors (``sectors``, ``LindbladSet.excitation_blocks``), as
+    orthonormal columns in the 2^n rows of the register basis, ordered by
+    sector.
 
-    ``common_nullspace``'s iteration, run on every sector's C(n, q) states
-    at once.  ||L_k||_2 is the largest singular value over L_k's blocks,
-    exact since they map distinct sectors to distinct ones.
+    ``common_nullspace``'s iteration, in the set's term order, run on every
+    sector's C(n, q) states at once.  ||L_k||_2 is the largest singular
+    value over L_k's blocks, exact since they map distinct sectors to
+    distinct ones.
     """
+    n = lindblad.model.n_cells
     states, _ = excitation_sectors(n)
     bases = [np.eye(len(rows), dtype=complex) for rows in states]
-    for term in blocks:
-        live = [q for q in term if bases[q].shape[1]]
+    place = {sector: count() for sector in sectors}  # a term's index in its stacks
+    for t in lindblad:
+        k, blocks = next(place[t.sector]), sectors[t.sector][2]
+        live = [q for q in blocks if bases[q].shape[1]]
         if not live:
             continue
-        opnorm = max(np.linalg.norm(b, 2) for b in term.values())
+        opnorm = max(np.linalg.norm(b[k], 2) for b in blocks.values())
         if opnorm != 0.0:
             for q in live:
-                bases[q] = restrict_kernel(bases[q], term[q], opnorm)
+                bases[q] = restrict_kernel(bases[q], blocks[q][k], opnorm)
     out = np.zeros((2**n, sum(b.shape[1] for b in bases)), dtype=complex)
     col = 0
     for rows, basis in zip(states, bases):

@@ -9,14 +9,16 @@ RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
 ``blocks``, the packed excitation blocks of ``liouvillian.excitation_form``,
 unpacked to D x D only for the Trajectory.  The exact solver records
 ``blocks`` when it exponentiates the generator on the packed blocks and
-``dense`` for the full superoperator.
+``dense`` for the full superoperator.  Whether a generator keeps the
+blocks is ``Liouvillian.block_layout``'s rule; each solver only asks
+whether its states are block-diagonal.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -44,10 +46,10 @@ from .linalg import (
 from .liouvillian import (
     STRUCTURED_MIN_DIM,
     SUPEROP_MAX_DIM,
-    ExcitationBlocks,
     Liouvillian,
     add_elementwise_rates,
     excitation_form,
+    excitation_layout,
     superoperator_matrix,
 )
 from .register import RegisterModel, register_hamiltonian
@@ -68,17 +70,14 @@ class Trajectory:
 
     Every stored state must satisfy the density-matrix invariants
     (|tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect
-    <= 1e-9); construction fails otherwise.  With ``blocks`` (not stored)
-    the eigenvalues of states with no entry between different excitation
-    numbers are found block by block (``check_state``).
+    <= 1e-9); construction fails otherwise (``check_state``).
     """
 
     times: np.ndarray
     states: np.ndarray
     metadata: dict[str, Any] = field(default_factory=dict)
-    blocks: InitVar[ExcitationBlocks | None] = None
 
-    def __post_init__(self, blocks):
+    def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.states, dtype=complex)
         if s.ndim != 3 or s.shape[1] != s.shape[2]:
@@ -88,7 +87,7 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         for k in range(s.shape[0]):
-            check_state(s[k], blocks)
+            check_state(s[k])
 
     def __len__(self):
         return self.times.shape[0]
@@ -158,7 +157,6 @@ class _FullStack:
     def __init__(self, liouv: Liouvillian):
         self.apply = liouv.apply
         self.form = "gamma" if liouv.structured else "dense"
-        self.layout = None
 
     def pack(self, rhos):
         return np.stack(rhos)
@@ -177,41 +175,20 @@ class _FullStack:
         return states
 
 
-class _BlockStack:
-    """The (S, C(2N, N)) stack of packed excitation blocks the block form
-    steps (``excitation_form``)."""
-
-    form = "blocks"
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.layout = layout = blocks.layout
-        self.trace, self.adjoint, self.unpack = layout.trace, layout.adjoint, layout.unpack
-
-    def pack(self, rhos):
-        return self.layout.pack(np.stack(rhos))
-
-    def stepper(self, rho):
-        """(f, out, out2) for ``_rk4``: f(x, out) = L(x) written to out,
-        one of the two output stacks, through one workspace."""
-        apply, work = self.blocks.apply, self.blocks.workspace(rho.shape[0])
-        return (lambda x, out: apply(x, out, work)), np.empty_like(rho), np.empty_like(rho)
-
-
 def _rk4_groups(liouv: Liouvillian, rhos) -> list:
     """(state indices, stack) of each RK4 run over the states ``rhos``.
 
     The block-diagonal states step together on the block form when
-    ``excitation_form`` gives one, built once.  The others step together
-    on the dense form, or one by one on the Gamma form, whose apply is
-    memory-bound.
+    ``excitation_form`` gives one (each state tested once).  The others
+    step together on the dense form, or one by one on the Gamma form,
+    whose apply is memory-bound.
     """
-    blocks = excitation_form(liouv, rhos)
+    blocks = excitation_form(liouv)
     on_blocks = [blocks is not None and blocks.layout.is_block_diagonal(r) for r in rhos]
     together = [s for s, b in enumerate(on_blocks) if b]
     rest = [s for s, b in enumerate(on_blocks) if not b]
     full = _FullStack(liouv)
-    groups = [(together, _BlockStack(blocks))] if together else []
+    groups = [(together, blocks)] if together else []
     if full.form == "gamma":
         return groups + [([s], full) for s in rest]
     return groups + ([(rest, full)] if rest else [])
@@ -291,7 +268,6 @@ def _rk4(rhos, h: float, steps, stride: int, stack) -> list[Trajectory]:
                 "stride": stride,
                 "error_estimate": max_drift[s],
             },
-            blocks=stack.layout,
         )
         for s in range(n_states)
     ]
@@ -336,21 +312,20 @@ def evolve(
     the one stepping that state alone gives.  ``exact`` advances all
     states at once, stacked as the columns of one matrix, with one
     propagator per distinct snapshot interval (D <= 64): on the packed
-    excitation sector when ``_exact_generator`` allows it,
-    ``metadata["form"] == "blocks"``, otherwise through the D^2 x D^2
-    ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is the closed
-    form (``dephasing_solve``), read from ``liouv`` like the others and
-    prepared once for all states.  From D = STRUCTURED_MIN_DIM on, the
-    exact and closed-form snapshots of qubit registers are checked block
-    by block (``check_state``).
+    excitation sector when ``liouv.block_layout`` holds and every state is
+    block-diagonal, ``metadata["form"] == "blocks"``, otherwise through
+    the D^2 x D^2 ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is
+    the closed form (``dephasing_solve``), read from ``liouv`` like the
+    others and prepared once for all states.  Every snapshot is checked
+    by ``check_state``.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     if method == "rk4":
         rhos = [_as_density(r, liouv.dim) for r in rho0s]
-        scale = liouv.stability_scale
-        if rhos and steps[-1] and h * scale > STABILITY_BUDGET:
+        # read the scale only when there is a step: it may take a dense eigvalsh
+        if rhos and steps[-1] and h * liouv.stability_scale > STABILITY_BUDGET:
             warnings.warn(
-                f"dt * spectral scale = {h * scale:.3g} exceeds "
+                f"dt * spectral scale = {h * liouv.stability_scale:.3g} exceeds "
                 f"{STABILITY_BUDGET}; results may be inaccurate",
                 RuntimeWarning,
                 # name the line that called integrate, which calls evolve
@@ -392,34 +367,26 @@ def evolve(
         states = layout.unpack(runs)
     form = "dense" if layout is None else "blocks"
     meta = {"method": "exact", "form": form, "dt": h, "n_steps": int(steps[-1])}
-    # Per-block eigenvalues pay off only from D = STRUCTURED_MIN_DIM on.
-    check = layout if d >= STRUCTURED_MIN_DIM else None
-    return [
-        Trajectory(times=times, states=s, metadata=dict(meta), blocks=check)
-        for s in states
-    ]
+    return [Trajectory(times=times, states=s, metadata=dict(meta)) for s in states]
 
 
 def _exact_generator(liouv: Liouvillian, rhos: np.ndarray):
     """(layout, M): the matrix the exact solver exponentiates.  M is the
-    C(2N, N)-square generator on the packed sector of the layout
-    ``ExcitationBlocks`` (``_sector_generator``) when
-    ``LindbladSet.excitation_blocks`` gives the terms' blocks and neither
-    H nor a state in ``rhos`` has an entry between different excitation
+    C(2N, N)-square generator on the packed sector of
+    ``liouv.block_layout`` (``_sector_generator``) when that is not None
+    and no state in ``rhos`` has an entry between different excitation
     numbers (exact zeros); otherwise layout is None and M the D^2 x D^2
     ``superoperator_matrix``."""
-    blocks, model = liouv.lindblad.excitation_blocks(), liouv.lindblad.model
-    if blocks is not None and model.dim == liouv.dim:
-        layout = ExcitationBlocks(model.n_cells)
-        if all(layout.is_block_diagonal(r) for r in [liouv.hamiltonian, *rhos]):
-            return layout, _sector_generator(liouv, layout, blocks)
+    layout = liouv.block_layout
+    if layout is not None and all(layout.is_block_diagonal(r) for r in rhos):
+        return layout, _sector_generator(liouv, layout)
     return None, superoperator_matrix(liouv)
 
 
-def _sector_generator(liouv: Liouvillian, layout: ExcitationBlocks, blocks):
+def _sector_generator(liouv: Liouvillian, layout):
     """The matrix M with M pack(rho) = pack(L(rho)) on the packed sector of
-    ``layout``, from the term blocks ``blocks`` (``excitation_blocks``) and
-    the diagonal blocks H_q of H.
+    ``layout``, from the term blocks (``LindbladSet.excitation_blocks``)
+    and the diagonal blocks H_q of H.
 
     Packing is row-major, so pack(A X C) = (A (x) C^T) pack(X).  The terms
     J_k of a sector, mapping S_q to S_{q+s}, add sum_k lambda_k J_k (x)
@@ -430,14 +397,9 @@ def _sector_generator(liouv: Liouvillian, layout: ExcitationBlocks, blocks):
     at = [slice(o, o + w * w) for o, w in zip(layout.offsets, layout.sizes)]
     m = np.zeros((layout.size, layout.size), dtype=complex)
     drift = [1j * liouv.hamiltonian[np.ix_(s, s)] for s in layout.states]
-    terms = liouv.lindblad.terms
-    for sector in sorted({t.sector for t in terms}):
-        kept = [k for k, t in enumerate(terms) if t.sector == sector]
-        rates = np.array([terms[k].rate for k in kept])[:, None, None]
-        # a term has blocks for q = max(0, -s)..min(N, N - s)
-        shift = (0 in blocks[kept[0]]) - (layout.n in blocks[kept[0]])
-        for q in blocks[kept[0]]:
-            j = np.stack([blocks[k][q] for k in kept])  # (K, C(N, q + s), C(N, q))
+    for shift, rates, blocks in liouv.lindblad.excitation_blocks().values():
+        rates = rates[:, None, None]
+        for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
             n_terms, rows, cols = j.shape
             weighted = (rates * j).reshape(n_terms, -1)
             conj = j.conj().reshape(n_terms, -1)
@@ -566,10 +528,9 @@ def dephasing_solve(
 
 
 def _closed_form(liouv: Liouvillian):
-    """(frame, C, blocks) of ``dephasing_solve`` for ``liouv``: the joint
-    eigenbasis frame (None when it is the identity), the D x D matrix C
-    of the exponents in that frame, and the ``ExcitationBlocks`` that
-    ``check_state`` reads (qubit cells, D >= STRUCTURED_MIN_DIM) or None."""
+    """(frame, C) of ``dephasing_solve`` for ``liouv``: the joint
+    eigenbasis frame (None when it is the identity) and the D x D matrix C
+    of the exponents in that frame."""
     lset = liouv.lindblad
     model = lset.model
     if model is None or any(t.weights is None for t in lset):
@@ -580,14 +541,13 @@ def _closed_form(liouv: Liouvillian):
     e = np.real(np.diag(h))
     c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)
-    qubits = model.cell_dim == 2 and model.dim >= STRUCTURED_MIN_DIM
-    return frame, c, ExcitationBlocks(model.n_cells) if qubits else None
+    return frame, c
 
 
 def _closed_trajectory(closed, rho: np.ndarray, t: np.ndarray) -> Trajectory:
     """The Trajectory of the D x D state ``rho`` at the times ``t`` under
     the closed form ``closed`` (``_closed_form``)."""
-    frame, c, blocks = closed
+    frame, c = closed
     if frame is not None:  # to the joint eigenbasis
         rho = dag(frame) @ rho @ frame
     states = np.empty((t.shape[0],) + rho.shape, dtype=complex)
@@ -596,27 +556,28 @@ def _closed_trajectory(closed, rho: np.ndarray, t: np.ndarray) -> Trajectory:
         if frame is not None:
             s = frame @ s @ dag(frame)
         states[k] = s
-    return Trajectory(
-        times=t, states=states, metadata={"method": "dephasing"}, blocks=blocks
-    )
+    return Trajectory(times=t, states=states, metadata={"method": "dephasing"})
 
 
-def state_defect_report(
-    rho: np.ndarray, blocks: ExcitationBlocks | None = None
-) -> dict[str, float]:
+def state_defect_report(rho: np.ndarray) -> dict[str, float]:
     """Trace, positivity, and Hermiticity defects of a density matrix.
 
-    With ``blocks``, and no nonzero entry of rho between different
-    excitation numbers, the smallest eigenvalue is the smallest over the
-    blocks: the spectrum of a block-diagonal matrix is the union of its
-    blocks' spectra.  Otherwise the whole matrix is diagonalized.
+    When D is a power of two and at least STRUCTURED_MIN_DIM (read at call
+    time), and rho is exactly zero between different excitation numbers
+    (the blocks of ``excitation_layout(log2 D)``), the smallest eigenvalue
+    is the smallest over the blocks: the spectrum of a block-diagonal
+    matrix is the union of its blocks' spectra, whatever the matrix.
+    Otherwise the whole matrix is diagonalized.
     """
     rho = np.asarray(rho, dtype=complex)
     herm = hermiticity_defect(rho)
-    if blocks is not None and blocks.is_block_diagonal(rho):
+    d = rho.shape[0]
+    qubits = d >= STRUCTURED_MIN_DIM and d & (d - 1) == 0  # D = 2^N
+    layout = excitation_layout(d.bit_length() - 1) if qubits else None
+    if layout is not None and layout.is_block_diagonal(rho):
         eig_min = min(
             np.linalg.eigvalsh(0.5 * (b + dag(b))).min()
-            for b in blocks.blocks(blocks.pack(rho))
+            for b in layout.blocks(layout.pack(rho))
         )
     else:
         eig_min = np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min()
@@ -627,13 +588,13 @@ def state_defect_report(
     }
 
 
-def check_state(rho: np.ndarray, blocks: ExcitationBlocks | None = None) -> None:
+def check_state(rho: np.ndarray) -> None:
     """Raise UnstableStep unless rho satisfies the state invariants:
     |tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect <= 1e-9.
-    ``blocks`` lets a block-diagonal rho be diagonalized block by block
+    A large block-diagonal rho is diagonalized block by block
     (``state_defect_report``).
     """
-    rep = state_defect_report(rho, blocks)
+    rep = state_defect_report(rho)
     if rep["trace_defect"] > 1e-8:
         raise UnstableStep(f"trace defect {rep['trace_defect']:.3e} > 1e-8")
     if rep["min_eigenvalue"] < -1e-7:

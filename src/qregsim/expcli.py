@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -64,12 +63,13 @@ from .register import (
     pair_singlet_state,
     qubit_register,
     su2_basis_state,
+    su2_bytes,
 )
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5")
 # D x D complex arrays heisenberg_ring with the register's commutation
-# check, or su2_basis_state's Casimir, hold at once: at most 7.2 measured
-# (tracemalloc peak over 16 D^2 bytes) at N = 6-8.
+# check holds at once: at most 6.1 measured (tracemalloc peak over 16 D^2
+# bytes) at N = 6-9.  su2_basis_state works on its S^z sector (under 0.4).
 DENSE_BUILDER_MATRICES = 8
 
 # --------------------------------------------------------------------------
@@ -337,7 +337,8 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     the register is sized without its interaction term, which is built
     only by the runners.  A tau_sweep run must fit it with its state
     vectors and rates (``rates_bytes``), counting DENSE_BUILDER_MATRICES
-    more when it builds a ring interaction or an su2 state.
+    more when it builds a ring interaction, and ``su2_bytes`` more when it
+    builds an su2 state, on its S^z sector.
     """
     reg, bath, solver = cfg.register, cfg.bath, cfg.solver
     n = reg["n"]
@@ -357,14 +358,14 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     model = _cells(reg)
     base = _library(own, build_bath, cfg)
     if cfg.experiment == "tau_sweep":  # the one experiment without a generator
-        dense = reg["interaction"]["kind"] != "none" or any(
-            isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states
-        )
-        size = partial(
-            rates_bytes,
-            n_states=len(cfg.initial_states),
-            matrices=DENSE_BUILDER_MATRICES if dense else 0,
-        )
+        ring = reg["interaction"]["kind"] != "none"
+        su2 = any(isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states)
+        matrices = DENSE_BUILDER_MATRICES if ring else 0
+        builder = su2_bytes(n) if su2 else 0
+
+        def size(model, spec):
+            return rates_bytes(model, spec, len(cfg.initial_states), matrices) + builder
+
         what = "decoherence rates for {} cells need"
     else:
         size, what = generator_bytes, "generator for {} cells needs"

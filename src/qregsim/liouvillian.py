@@ -32,21 +32,19 @@ the first ``apply``:
   dense products are faster, so small registers keep the dense path.
 
 A third form, excitation blocks, serves the RK4 stepper (``dynamics``) and
-never ``apply``.  ``excitation_form(liouv, rhos)`` returns it when the
-cells are sigma- qubits, ``Liouvillian.structured`` holds, and neither H
-nor some state in ``rhos`` has an entry between basis states of different
-excitation number Q (cells up).  It serves those states; the caller keeps
-the Gamma or dense form for the others, and for all on None.  H and the
-Lamb shift conserve Q and the sigma-/sigma+ sectors move it by exactly
--1/+1, so such states stay block-diagonal in Q: C(2N, N) of the 4^N
-entries (``ExcitationBlocks``), 19.6 % at N = 8.  There the generator is
--B rho - rho B^+ plus, per sector, the sandwich sum_ij G_ij A_i rho A_j^+.
-The drift B = iH + sum_ij G_ij A_j^+ A_i / 2 conserves Q like H, so it is
-placed once (D x D, by ``cell_terms``) and kept as its C(N, q) x C(N, q)
-blocks; the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1)
-bases, one (N x N)(N x sum_q n_{q-/+1} n_q) product and a gathered sum
-back, per sector.  The drift and the two index tables per sector are built
-on every call, never by ``build_liouvillian``.
+never ``apply``.  ``Liouvillian.block_layout`` is the one rule for whether
+a generator keeps states block-diagonal in the excitation number Q (cells
+up); such states take C(2N, N) of the 4^N entries (``ExcitationBlocks``,
+one per N from ``excitation_layout``), 19.6 % at N = 8.  For sigma- cells
+and ``Liouvillian.structured``, ``excitation_form`` steps them on
+-B rho - rho B^+ plus, per sector, the sandwich sum_ij G_ij A_i rho A_j^+;
+the caller keeps the Gamma or dense form for the other states.  The drift
+B = iH + sum_ij G_ij A_j^+ A_i / 2 conserves Q like H, so it is placed
+once (D x D, by ``cell_terms``) and kept as its C(N, q) x C(N, q) blocks;
+the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1) bases, one
+(N x N)(N x sum_q n_{q-/+1} n_q) product and a gathered sum back, per
+sector.  The drift and the index tables are built on the form's first
+use, never by ``build_liouvillian``.
 
 All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
@@ -57,14 +55,14 @@ sets without excitation blocks, small-register rates).  One predicate,
 ``LindbladSet.structured``, selects the Gamma form here and the weight
 route of pure-state rates, ``LindbladSet.sector_actions``.  Null codes of
 canonical qubit sets and the exact solver's sector generator come from
-``LindbladSet.excitation_blocks``: each term's blocks between excitation
-sectors, from its weights.
+``LindbladSet.excitation_blocks``: each sector's term blocks between
+excitation sectors, from the weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,6 +84,7 @@ from .register import (
     embed_cell_op,
     excitation_numbers,
     excitation_sectors,
+    place_values,
     register_hamiltonian,
 )
 
@@ -230,48 +229,51 @@ class LindbladSet:
                 lpsi = weights @ _cell_actions(self.model, sector, psi).reshape(n, -1)
                 yield np.array([t.rate for t in terms]), lpsi.reshape((len(terms),) + psi.shape)
 
-    def excitation_blocks(self) -> list[dict[int, np.ndarray]] | None:
-        """Each term's operator as its blocks between excitation sectors, or
-        None unless the set is canonical on qubit cells and each sector's
-        cell operator moves Q by a fixed amount s (``_q_shift``).
+    def _q_shifts(self) -> dict[int, int] | None:
+        """{sector: s} for the sectors with terms, in the order -1, +1, s
+        the fixed amount its cell operator moves Q by (``_q_shift``); None
+        unless the set names a qubit register, every term carries weights
+        and every such s exists."""
+        model = self.model
+        if model is None or model.cell_dim != 2 or any(t.weights is None for t in self):
+            return None
+        shifts = {k: _q_shift(_sector_cell_op(model, k)) for k in sorted({t.sector for t in self})}
+        return None if None in shifts.values() else shifts
+
+    def excitation_blocks(self) -> dict[int, tuple] | None:
+        """The terms' operators as their blocks between excitation sectors,
+        or None when ``_q_shifts`` is None.
 
         Q counts the cells up (digit 0) and S_q is the set of basis states
-        with Q = q, in ascending order.  Entry q of a term's dict is the
-        C(N, q + s) x C(N, q) block of L_k from S_q to S_{q+s}; L_k
-        annihilates the sectors without an entry.  The blocks of all cells,
-        X_i, come from the cell operator's digit moves on S_q, and a
-        sector's terms take theirs as one weights product, so no D x D
-        operator is placed.
+        with Q = q, in ascending order.  Per sector with terms, in the
+        order -1, +1: (s, rates, blocks), its shift, its K terms' rates in
+        the set's order and, for each q the terms map from, the
+        (K, C(N, q + s), C(N, q)) stack of their blocks from S_q to
+        S_{q+s}.  The blocks of all cells, X_i, come from the cell
+        operator's digit moves on S_q, and the terms take theirs as one
+        weights product, so no D x D operator is placed.
         """
-        model = self.model
-        if (
-            model is None
-            or model.cell_dim != 2
-            or any(t.weights is None for t in self.terms)
-        ):
+        shifts = self._q_shifts()
+        if shifts is None:
             return None
-        cell_ops = {t.sector: _sector_cell_op(model, t.sector) for t in self.terms}
-        shifts = {sector: _q_shift(a) for sector, a in cell_ops.items()}
-        if None in shifts.values():
-            return None
-        n = model.n_cells
+        n = self.model.n_cells
         states, pos = excitation_sectors(n)
-        bits = 1 << np.arange(n - 1, -1, -1)
-        out = [{} for _ in self.terms]
-        for sector, a in cell_ops.items():
-            s = shifts[sector]
-            kept = [k for k, t in enumerate(self.terms) if t.sector == sector]
-            weights = np.array([self.terms[k].weights for k in kept])
+        bits = place_values(n)
+        out = {}
+        for sector, s in shifts.items():
+            moves = _left_moves(_sector_cell_op(self.model, sector))
+            terms = [t for t in self.terms if t.sector == sector]
+            weights = np.array([t.weights for t in terms])
+            blocks = {}
             for q in range(max(0, -s), min(n, n - s) + 1):
                 src, size = states[q], (len(states[q + s]), len(states[q]))
                 x = np.zeros((n,) + size, dtype=complex)
                 level = (src & bits[:, None]) != 0  # (cell, column)
-                for to, frm, c in _left_moves(a):
+                for to, frm, c in moves:
                     cell, col = np.nonzero(level == frm)
                     x[cell, pos[src[col] + (to - frm) * bits[cell]], col] = c
-                blocks = (weights @ x.reshape(n, -1)).reshape((len(kept),) + size)
-                for k, block in zip(kept, blocks):
-                    out[k][q] = block
+                blocks[q] = (weights @ x.reshape(n, -1)).reshape((len(terms),) + size)
+            out[sector] = (s, np.array([t.rate for t in terms]), blocks)
         return out
 
 
@@ -583,7 +585,8 @@ class ExcitationBlocks:
 
     ``full`` holds the flat D x D index of each packed entry, ``transpose``
     the packed index of its transposed entry and ``diagonal`` the packed
-    indices of the diagonal.
+    indices of the diagonal.  ``excitation_layout`` keeps one, read-only,
+    per N.
     """
 
     def __init__(self, n: int):
@@ -600,6 +603,8 @@ class ExcitationBlocks:
         k = up[rows]
         self.transpose = self.offsets[k] + self.pos[cols] * self.sizes[k] + self.pos[rows]
         self.diagonal = np.flatnonzero(rows == cols)
+        for table in (self.sizes, self.offsets, self.full, self.transpose, self.diagonal):
+            table.setflags(write=False)
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The packed blocks of rho (..., D, D); entries off the blocks are
@@ -650,7 +655,7 @@ class ExcitationBlocks:
         (v, c, offset, n_q^2) per block with c > 0.  O(N C(2N, N)) work.
         """
         n, m, sizes, pos = self.n, self.size, self.sizes, self.pos
-        bits = 1 << np.arange(n - 1, -1, -1)
+        bits = place_values(n)
         target = 1 if s < 0 else 0  # digit 1 is down
         kept = [q for q in range(n + 1) if 0 <= q + s <= n]
         h_off = np.zeros(n + 2, dtype=np.intp)
@@ -686,6 +691,12 @@ class ExcitationBlocks:
         return x, (np.concatenate(gather), segments)
 
 
+@lru_cache(maxsize=4)
+def excitation_layout(n: int) -> ExcitationBlocks:
+    """The ``ExcitationBlocks`` of n qubits, built once per n and shared."""
+    return ExcitationBlocks(n)
+
+
 class _BlockForm:
     """The generator on excitation blocks (``excitation_form``):
 
@@ -694,28 +705,51 @@ class _BlockForm:
     with A the sector's cell operator, G = sum_k lambda_k u_k u_k^+ over
     its terms, and the drift B = iH + sum_ij G_ij A_j^+ A_i / 2 summed over
     the sectors.  Like H, each A_j^+ A_i conserves Q, so B is kept as its
-    blocks; the sandwich is a gather between packed blocks.
+    blocks; the sandwich is a gather between packed blocks.  Both are
+    built on first use (``_tables``).
 
     ``apply`` maps an (S, M) stack of packed states, each row bitwise as
     it is alone, through the buffers of ``workspace(S)``: a stepper passes
     one workspace and its own output arrays to every call, so no call
-    allocates a stack-sized array.
+    allocates a stack-sized array.  ``pack``, ``stepper``, ``trace``,
+    ``adjoint`` and ``unpack`` are the stack the RK4 stepper runs on.
     """
 
-    def __init__(self, layout: ExcitationBlocks, lindblad: LindbladSet, h):
-        self.layout = layout
-        model, sectors = lindblad.model, _sector_gammas(lindblad)
+    form = "blocks"
+
+    def __init__(self, liouv: Liouvillian):
+        self.layout = layout = liouv.block_layout
+        self.lindblad, self.h = liouv.lindblad, liouv.hamiltonian
+        self.trace, self.adjoint, self.unpack = layout.trace, layout.adjoint, layout.unpack
+
+    @cached_property
+    def _tables(self):
+        """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
+        terms (G^T, its gather tables).  The D x D drift is placed and
+        dropped before the tables are built."""
+        model, layout = self.lindblad.model, self.layout
+        sectors = _sector_gammas(self.lindblad)
         pairs = []
         for sector, g in sectors:
             a = _sector_cell_op(model, sector)
             pairs.append((0.5 * g.T, dag(a), a))  # sum_ij G_ji a_i^+ a_j / 2
         drift = _place_pairs(model, pairs)
-        drift += 1j * h
+        drift += 1j * self.h
         blocks = [drift[np.ix_(s, s)] for s in layout.states]
-        self.drift = [(b, dag(b)) for b in blocks]
-        self.sectors = [
-            (np.ascontiguousarray(g.T), layout.moves(sector)) for sector, g in sectors
-        ]
+        del drift
+        return (
+            [(b, dag(b)) for b in blocks],
+            [(np.ascontiguousarray(g.T), layout.moves(sector)) for sector, g in sectors],
+        )
+
+    def pack(self, rhos):
+        return self.layout.pack(np.stack(rhos))
+
+    def stepper(self, rho):
+        """(f, out, out2) for the RK4 stepper: f(x, out) = L(x) written to
+        out, one of the two output stacks, through one workspace."""
+        work = self.workspace(rho.shape[0])
+        return (lambda x, out: self.apply(x, out, work)), np.empty_like(rho), np.empty_like(rho)
 
     def workspace(self, n_states: int) -> dict[str, np.ndarray]:
         """The buffers ``apply`` uses for a stack of n_states, shared by
@@ -728,8 +762,9 @@ class _BlockForm:
             "src": np.zeros((n_states, layout.size + 1), dtype=complex),
             "block": np.empty((n_states, int(layout.sizes.max()) ** 2), dtype=complex),
         }
-        if self.sectors:
-            x_at, (gather, _) = self.sectors[0][1]
+        sectors = self._tables[1]
+        if sectors:
+            x_at, (gather, _) = sectors[0][1]
             work["x"] = np.empty((n_states,) + x_at.shape, dtype=complex)
             work["y"] = np.empty_like(work["x"])
             work["terms"] = np.empty((n_states, gather.shape[0]), dtype=complex)
@@ -745,17 +780,18 @@ class _BlockForm:
         if work is None:
             work = self.workspace(n_states)
         scratch = work["block"]
-        for (b, b_dag), r, o in zip(self.drift, layout.blocks(rho), layout.blocks(out)):
+        drift, sectors = self._tables
+        for (b, b_dag), r, o in zip(drift, layout.blocks(rho), layout.blocks(out)):
             np.matmul(b, r, out=o)
             np.negative(o, out=o)
             right = scratch[:, : r[0].size].reshape(r.shape)
             np.matmul(r, b_dag, out=right)
             o -= right  # -(B rho) - rho B^+
-        if not self.sectors:
+        if not sectors:
             return out
         src, x, y = work["src"], work["x"], work["y"]
         src[:, :m] = rho
-        for gamma_t, (x_at, (gather, segments)) in self.sectors:
+        for gamma_t, (x_at, (gather, segments)) in sectors:
             # mode="wrap" lets take write straight into out (the default
             # "raise" buffers it); every index is in range
             np.take(src, x_at, axis=1, out=x, mode="wrap")
@@ -781,7 +817,8 @@ class Liouvillian:
     (the block stepper, the exact solver on the excitation sector,
     ``codes``, ``dephasing_solve``) place no D x D operator for it.
     ``stability_scale``, the largest rate plus the spectral radius of H,
-    is computed on first read (a dense ``eigvalsh`` unless H is diagonal).
+    is computed on first read (a dense ``eigvalsh`` unless H is diagonal),
+    and so is ``block_layout``.
     """
 
     hamiltonian: np.ndarray
@@ -813,6 +850,21 @@ class Liouvillian:
         else:
             radius = np.abs(h_diag).max(initial=0.0)
         return self.lindblad.max_rate() + float(radius)
+
+    @cached_property
+    def block_layout(self) -> ExcitationBlocks | None:
+        """The ``excitation_layout`` of the register when the generator
+        keeps states block-diagonal in the excitation number Q, else None:
+        the one rule.  It holds when the set's register has this D,
+        ``LindbladSet._q_shifts`` exist (qubit cells, weights, a fixed Q
+        shift s per sector) and H is exactly zero between different Q;
+        then a term maps S_q to S_{q+s} and H keeps it.
+        """
+        model = self.lindblad.model
+        if self.lindblad._q_shifts() is None or model.dim != self.dim:
+            return None
+        layout = excitation_layout(model.n_cells)
+        return layout if layout.is_block_diagonal(self.hamiltonian) else None
 
     @cached_property
     def _form(self) -> _DenseForm | _GammaForm:
@@ -850,34 +902,17 @@ def _diagonal(h: np.ndarray) -> np.ndarray | None:
     return h_diag if np.count_nonzero(h) == np.count_nonzero(h_diag) else None
 
 
-def excitation_form(liouv: Liouvillian, rhos) -> _BlockForm | None:
-    """The generator on excitation blocks, for those of the D x D states
-    ``rhos`` with no entry between basis states of different Q
-    (``layout.is_block_diagonal``), or None unless all of these hold:
-
-    * the cells are qubits with cell operator sigma-;
-    * ``liouv.structured`` (canonical, D >= STRUCTURED_MIN_DIM at build);
-    * at least one state has no such entry;
-    * neither has the Hamiltonian.
-
-    Then every term keeps the states block-diagonal: H and the Lamb shift
-    conserve Q, and the sigma-/sigma+ sectors move it by exactly -1/+1.
-    The index tables are built here, on every call.
+def excitation_form(liouv: Liouvillian) -> _BlockForm | None:
+    """The generator on excitation blocks, for the states with no entry
+    between different Q (``layout.is_block_diagonal``), or None unless
+    ``liouv.structured`` (canonical, D >= STRUCTURED_MIN_DIM at build), the
+    cells are sigma- and ``liouv.block_layout`` holds.  The first two are
+    tested first, so a smaller register builds no layout.
     """
-    lset = liouv.lindblad
-    model = lset.model
-    if not (
-        liouv.structured
-        and model.cell_dim == 2
-        and np.array_equal(model.cell_op, SIGMA_MINUS)
-    ):
-        return None
-    layout = ExcitationBlocks(model.n_cells)
-    if not any(layout.is_block_diagonal(r) for r in rhos):
-        return None
-    if not layout.is_block_diagonal(liouv.hamiltonian):
-        return None
-    return _BlockForm(layout, lset, liouv.hamiltonian)
+    model = liouv.lindblad.model
+    if liouv.structured and np.array_equal(model.cell_op, SIGMA_MINUS) and liouv.block_layout:
+        return _BlockForm(liouv)
+    return None
 
 
 def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:

@@ -148,10 +148,17 @@ def _digit_table(n: int, d: int) -> np.ndarray:
     index = np.arange(d**n)
     # int16 and a column at a time: no d^n x n int64 temporary
     digits = np.empty((d**n, n), dtype=np.int16)
-    for i in range(n):
-        digits[:, i] = index // d ** (n - 1 - i) % d
+    for i, place in enumerate(place_values(n, d)):
+        digits[:, i] = index // place % d
     digits.setflags(write=False)
     return digits
+
+
+def place_values(n: int, d: int = 2) -> np.ndarray:
+    """d^(n - 1 - i), the weight of cell i's digit in a basis index: state b
+    is sum_i cell_digits(n, d)[b, i] * place_values(n, d)[i].  For qubits
+    these are the bit masks of the cells."""
+    return d ** np.arange(n - 1, -1, -1)
 
 
 def cell_terms(n: int, d: int, terms) -> np.ndarray:
@@ -166,6 +173,7 @@ def cell_terms(n: int, d: int, terms) -> np.ndarray:
     """
     dim = d**n
     zero = cell_digits(n, d) == 0
+    place = place_values(n, d)
     out = np.zeros((dim, dim), dtype=complex)
     flat = out.reshape(-1)
     local = {}  # the digit table of k cells, per k
@@ -179,7 +187,7 @@ def cell_terms(n: int, d: int, terms) -> np.ndarray:
             local[k] = cell_digits(k, d)
         # offset[p]: index shift of level p of the listed cells; base: flat
         # index of every (b, b) whose listed cells are at level 0
-        offset = local[k] @ d ** (n - 1 - np.array(cells))
+        offset = local[k] @ place[cells]
         base = np.flatnonzero(zero[:, cells].all(axis=1))[:, None] * (dim + 1)
         p, q = np.nonzero(op)
         flat[base + (offset[p] * dim + offset[q])] += scale * op[p, q]
@@ -317,12 +325,7 @@ def su2_basis_state(n: int, s, m, copy: int = 0) -> np.ndarray:
         raise InvalidQuantumNumbers(
             f"copy {copy} out of range, multiplicity of spin {s} is {mult}"
         )
-    dim = 2**n
-    # S^z is diagonal in the product basis; digit 1 means |down>.
-    mz2 = n - 2 * cell_digits(n).sum(axis=1)
-    sector = np.nonzero(mz2 == m2)[0]
-    s2op = casimir(n)
-    block = s2op[np.ix_(sector, sector)]
+    sector, block = _casimir_block(n, (n + m2) // 2)
     w, v = np.linalg.eigh(block)
     target = (s2 / 2) * (s2 / 2 + 1)
     cols = [v[:, k] for k in range(len(w)) if abs(w[k] - target) < 0.5]
@@ -347,9 +350,37 @@ def su2_basis_state(n: int, s, m, copy: int = 0) -> np.ndarray:
         lead = c[leading(c)]
         c = c * (abs(lead) / lead)
         ortho.append(c)
-    out = np.zeros(dim, dtype=complex)
+    out = np.zeros(2**n, dtype=complex)
     out[sector] = ortho[copy]
     return out
+
+
+def _casimir_block(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_q (``excitation_sectors``), the states with S^z = q - n/2, and the
+    block of S^2 on it, S^2 = sum_{i<j} P_ij + n(4 - n)/4 with P_ij the swap
+    of cells i and j, which keeps S_q.  O(n^2 C(n, q)) time and no D x D
+    array; its entries, quarter integers, are exactly those of
+    ``casimir(n)``.  Complex, as that block is, so ``eigh`` takes the same
+    path."""
+    states, pos = excitation_sectors(n)
+    sector, bits = states[q], place_values(n)
+    cols = np.arange(len(sector))
+    block = np.zeros((len(sector), len(sector)), dtype=complex)
+    block[cols, cols] = n * (4 - n) / 4
+    for i in range(n):
+        for j in range(i + 1, n):
+            differ = ((sector & bits[i]) == 0) != ((sector & bits[j]) == 0)
+            swapped = np.where(differ, sector ^ (bits[i] | bits[j]), sector)
+            block[pos[swapped], cols] += 1
+    return sector, block
+
+
+def su2_bytes(n: int) -> int:
+    """Peak bytes of ``su2_basis_state`` on n qubits, for any (s, m): the
+    largest S^z block, its eigenvectors and LAPACK's copy of it, each
+    C(n, n // 2)^2 complex entries (the traced peak is 2.2-2.3 such blocks
+    at n = 8-12)."""
+    return 3 * 16 * comb(n, n // 2) ** 2
 
 
 def normalize(state: np.ndarray) -> np.ndarray:
@@ -391,14 +422,18 @@ def excitation_numbers(n: int) -> np.ndarray:
     return n - cell_digits(n).sum(axis=1)
 
 
-def excitation_sectors(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+@lru_cache(maxsize=4)
+def excitation_sectors(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """S_q, the basis states of n qubits with Q = q cells up in ascending
-    order, for q = 0..n, and each basis state's position in its S_q."""
+    order, for q = 0..n, and each basis state's position in its S_q.
+    Built once per n and shared, so the arrays are read-only."""
     up = excitation_numbers(n)
-    states = [np.flatnonzero(up == q) for q in range(n + 1)]
+    states = tuple(np.flatnonzero(up == q) for q in range(n + 1))
     pos = np.empty(2**n, dtype=np.intp)
     for s in states:
         pos[s] = np.arange(s.shape[0])
+        s.setflags(write=False)
+    pos.setflags(write=False)
     return states, pos
 
 

@@ -2,11 +2,11 @@
 the C(2N, N) packed block entries of block-diagonal qubit states.  Checked
 against the Gamma form, the dense generator and the independent pairwise
 dissipator; stacked against per-state integration, bit for bit, and
-against the Gamma-form trajectory; the predicate's fallbacks; the
-block-by-block eigenvalue check of ``check_state``; and the exact solver
-on the excitation sector against ``propagate_exact``, with its
-fallbacks, and its generator against the column build and the pairwise
-dissipator."""
+against the Gamma-form trajectory; the one rule ``block_layout`` and the
+fallbacks; the block-by-block eigenvalue check of ``check_state``; and the
+exact solver on the excitation sector against ``propagate_exact``, with
+its fallbacks, and its generator against the column build and the
+pairwise dissipator."""
 
 from math import comb
 
@@ -30,7 +30,14 @@ from qregsim import (
 from qregsim import dynamics, liouvillian
 from qregsim.dynamics import Trajectory, check_state, state_defect_report
 from qregsim.errors import UnstableStep
-from qregsim.liouvillian import ExcitationBlocks, Liouvillian, excitation_form
+from qregsim.liouvillian import (
+    ExcitationBlocks,
+    LindbladSet,
+    LindbladTerm,
+    Liouvillian,
+    excitation_form,
+    excitation_layout,
+)
 from qregsim.register import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -61,8 +68,8 @@ def block_diagonal(rho: np.ndarray) -> np.ndarray:
 
 
 def block_apply(liouv, rho: np.ndarray) -> np.ndarray:
-    form = excitation_form(liouv, [rho])
-    assert form is not None
+    form = excitation_form(liouv)
+    assert form is not None and form.layout.is_block_diagonal(rho)
     layout = form.layout
     return layout.unpack(form.apply(layout.pack(rho)[None]))[0]
 
@@ -145,7 +152,8 @@ def test_blocks_without_a_lindblad_sector(ring):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_layout(n):
-    layout = ExcitationBlocks(n)
+    layout = excitation_layout(n)
+    assert excitation_layout(n) is layout and not layout.full.flags.writeable
     assert layout.size == comb(2 * n, n)
     assert [len(s) for s in layout.states] == [comb(n, q) for q in range(n + 1)]
     rng = rng_for(f"layout-{n}")
@@ -187,7 +195,7 @@ def test_block_evolve_is_per_state_integrate_and_the_gamma_trajectory(ring, lamb
         assert traj.times.tobytes() == alone.times.tobytes()
         assert traj.metadata == alone.metadata
         assert traj.states.tobytes() == alone.states.tobytes()
-    monkeypatch.setattr(dynamics, "excitation_form", lambda liouv, rhos: None)
+    monkeypatch.setattr(dynamics, "excitation_form", lambda liouv: None)
     gamma = evolve(liouv, rho0s, 0.1, 0.02, 2, "rk4")
     for rho0, traj, other in zip(rho0s, trajs, gamma):
         assert other.metadata["form"] == "gamma"
@@ -245,6 +253,50 @@ def test_fallbacks():
     assert form_of(small, pair_singlet_state(4)) == "dense"
 
 
+def rule_case(case: str, n: int) -> Liouvillian:
+    """A generator of n cells for each kind of case the block rule sorts."""
+    sigma_x = SIGMA_PLUS + SIGMA_MINUS
+    bath = exponential_decay(n, 0.1, 0.03, 1.5)
+    if case == "minus":
+        return build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.0, 1.5))
+    if case == "lamb":
+        bath = exponential_decay(n, 0.1, 0.03, 1.5, delta_ratio=0.5)
+    if case == "phased":
+        bath = gauge_phased(bath, random_phases(rng_for(f"rule-{n}"), n))
+    model = {
+        "ring": qubit_register(n, interaction=heisenberg_ring(n, 0.3)),
+        "sigma_z": dephasing_register(n),
+        "sigma_x": dephasing_register(n, cell_op=sigma_x),
+    }.get(case, qubit_register(n))
+    liouv = build_liouvillian(model, bath)
+    if case == "hand_built":  # operators without weights or register
+        terms = (LindbladTerm(t.rate, t.op, t.sector) for t in liouv.lindblad)
+        return Liouvillian(hamiltonian=liouv.hamiltonian, lindblad=LindbladSet(tuple(terms)))
+    if case == "h_moves_q":
+        h = liouv.hamiltonian + 0.3 * embed_cell_op(model, 1, sigma_x)
+        return Liouvillian(hamiltonian=h, lindblad=liouv.lindblad)
+    return liouv
+
+
+@pytest.mark.parametrize(
+    "case, kept",
+    [("minus", True), ("plus", True), ("lamb", True), ("phased", True), ("ring", True),
+     ("sigma_z", True), ("sigma_x", False), ("hand_built", False), ("h_moves_q", False)],
+)
+def test_block_layout_is_the_one_rule(case, kept):
+    """block_layout is set exactly when exact (N = 4) runs a Dicke state on
+    the sector and RK4 (N = 6) on blocks; RK4 also needs sigma- cells."""
+    small, large = rule_case(case, 4), rule_case(case, 6)
+    assert (small.block_layout is not None) == (large.block_layout is not None) == kept
+    exact = evolve(small, [dicke_state(4, 2)], 0.04, 0.02, 1, "exact")[0]
+    assert exact.metadata["form"] == ("blocks" if kept else "dense")
+    rk4 = form_of(large, dicke_state(6, 3))
+    if kept and case != "sigma_z":
+        assert rk4 == "blocks"
+    else:
+        assert rk4 == ("gamma" if large.structured else "dense")
+
+
 def test_a_stack_with_one_mixing_state_steps_each_state_alone():
     rng = rng_for("mixed-stack")
     liouv = build_liouvillian(qubit_register(6), random_bath(rng, 6))
@@ -280,74 +332,96 @@ def block_state(n: int, rng) -> np.ndarray:
     return block_diagonal(random_density_matrix(rng, 2**n))
 
 
-def message(rho, blocks) -> str:
+def message(rho) -> str:
     with pytest.raises(UnstableStep) as info:
-        check_state(rho, blocks)
+        check_state(rho)
     return str(info.value)
 
 
-@pytest.mark.parametrize("n", [3, 6])
+def unblocked(check, rho):
+    """check(rho) with the whole matrix diagonalized."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "STRUCTURED_MIN_DIM", 2**62)
+        return check(rho)
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape) or eigvalsh(m))
+    return seen
+
+
+def block_sizes(n: int) -> list:
+    return [(comb(n, q),) * 2 for q in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [6, 7])
 def test_block_check_reports_as_the_full_check(n):
     rng = rng_for(f"block-check-{n}")
-    layout = ExcitationBlocks(n)
+    layout = excitation_layout(n)
     rho = block_state(n, rng)
-    full, blocked = state_defect_report(rho), state_defect_report(rho, layout)
+    full, blocked = unblocked(state_defect_report, rho), state_defect_report(rho)
     assert blocked["trace_defect"] == full["trace_defect"]
     assert blocked["hermiticity_defect"] == full["hermiticity_defect"]
     assert abs(blocked["min_eigenvalue"] - full["min_eigenvalue"]) <= 1e-14
-    check_state(rho, layout)
-    assert message(1.1 * rho, layout) == message(1.1 * rho, None)
+    check_state(rho)
+    assert message(1.1 * rho) == unblocked(message, 1.1 * rho)
     skew = rho.copy()
     s = layout.states[1]
     skew[s[0], s[-1]] += 1e-6
-    assert "hermiticity defect" in message(skew, layout)
-    assert message(skew, layout) == message(skew, None)
+    assert "hermiticity defect" in message(skew)
+    assert message(skew) == unblocked(message, skew)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
-def test_negative_eigenvalue_inside_one_block(q):
-    n = 4
+def test_negative_eigenvalue_inside_one_block(q, monkeypatch):
+    n = 6
     rng = rng_for(f"negative-{q}")
-    layout = ExcitationBlocks(n)
+    s = excitation_layout(n).states[q]
     rho = block_state(n, rng)
-    s = layout.states[q]
     w, v = np.linalg.eigh(rho[np.ix_(s, s)])
     # push the block's lowest eigenvalue to -1e-3
     rho[np.ix_(s, s)] -= (w[0] + 1e-3) * np.outer(v[:, 0], v[:, 0].conj())
     rho /= np.trace(rho).real
-    text = message(rho, layout)
-    assert text.startswith("negative eigenvalue") and text == message(rho, None)
+    seen = count_eigvalsh(monkeypatch)
+    text = message(rho)
+    assert seen == block_sizes(n)
+    assert text.startswith("negative eigenvalue") and text == unblocked(message, rho)
 
 
 def test_an_off_block_entry_triggers_the_full_check(monkeypatch):
-    n = 4
-    layout = ExcitationBlocks(n)
-    rho = np.zeros((16, 16), dtype=complex)
+    n = 6
+    layout = excitation_layout(n)
+    rho = np.zeros((64, 64), dtype=complex)
     a, b = layout.states[1][0], layout.states[2][0]
     rho[a, a] = rho[b, b] = 0.5
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape) or eigvalsh(m))
-    check_state(rho, layout)
-    assert seen == [(comb(n, q), comb(n, q)) for q in range(n + 1)]
+    seen = count_eigvalsh(monkeypatch)
+    check_state(rho)
+    assert seen == block_sizes(n)
     # blocks of [[0.5, 0.6], [0.6, 0.5]] between the two states: eigenvalue -0.1
     rho[a, b] = rho[b, a] = 0.6
     seen.clear()
-    assert message(rho, layout).startswith("negative eigenvalue -1.000e-01")
-    assert seen == [(16, 16)]
+    assert message(rho).startswith("negative eigenvalue -1.000e-01")
+    assert seen == [(64, 64)]
+
+
+def test_below_the_crossover_check_state_diagonalizes_once(monkeypatch):
+    # D = 32 < STRUCTURED_MIN_DIM: one full eigvalsh, and no layout built
+    monkeypatch.setattr(dynamics, "excitation_layout", lambda n: pytest.fail("layout built"))
+    seen = count_eigvalsh(monkeypatch)
+    psi = dicke_state(5, 2)
+    check_state(np.outer(psi, psi.conj()))
+    assert seen == [(32, 32)]
 
 
 def test_trajectory_checks_block_by_block(monkeypatch):
     n = 6
     rng = rng_for("trajectory-blocks")
-    layout = ExcitationBlocks(n)
     states = np.stack([block_state(n, rng), block_state(n, rng)])
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[0]) or eigvalsh(m))
-    Trajectory(times=np.array([0.0, 1.0]), states=states, blocks=layout)
-    assert seen == [comb(n, q) for q in range(n + 1)] * 2
-    assert "blocks" not in vars(Trajectory(times=np.array([0.0]), states=states[:1]))
+    seen = count_eigvalsh(monkeypatch)
+    Trajectory(times=np.array([0.0, 1.0]), states=states)
+    assert seen == block_sizes(n) * 2
 
 
 def test_rk4_metadata_names_the_form():

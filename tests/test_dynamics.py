@@ -36,6 +36,7 @@ from qregsim.observables import fidelity
 from qregsim.register import (
     basis_state,
     dephasing_register,
+    dicke_state,
     pair_singlet_state,
     qubit_register,
 )
@@ -506,6 +507,22 @@ def test_integrate_uses_the_generator_stability_scale():
     object.__setattr__(liouv, "stability_scale", 1e3)
     with pytest.warns(RuntimeWarning, match="spectral scale"):
         integrate(liouv, basis_state(2, "01"), t_end=0.01, dt=0.01)
+
+
+def test_rk4_reads_the_stability_scale_only_when_it_steps(monkeypatch):
+    # The Lamb shift makes H non-diagonal: the scale is a dense eigvalsh.
+    n = 6
+    spec = exponential_decay(n, 0.1, 0.02, 1.0, delta_ratio=0.5)
+    liouv = build_liouvillian(qubit_register(n), spec)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[0]) or eigvalsh(m))
+    psi = dicke_state(n, 3)  # checked block by block, never at 2^n
+    evolve(liouv, [psi], 0.0, 0.01)
+    evolve(liouv, [], 1.0, 0.01)
+    assert 2**n not in seen
+    integrate(liouv, psi, 0.01, 0.01)
+    assert seen.count(2**n) == 1
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact", "dephasing"])

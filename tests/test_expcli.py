@@ -1133,8 +1133,8 @@ def _tau_sweep_config(tmp_path, register: dict, states: list) -> dict:
     "register, states",
     [({"n": 30}, ["singlet"]), ({"n": 24}, ["uniform", "symmetric"]),
      ({"n": 12, "interaction": {"kind": "heisenberg_ring"}}, ["singlet"]),
-     ({"n": 12}, ["su2:0,0"])],
-    ids=["n30", "n24", "ring12", "su2_12"],
+     ({"n": 16}, ["su2:0,0"])],
+    ids=["n30", "n24", "ring12", "su2_16"],
 )
 def test_oversized_tau_sweep_is_config_error(tmp_path, capsys, register, states):
     import tracemalloc
@@ -1155,6 +1155,14 @@ def test_oversized_tau_sweep_is_config_error(tmp_path, capsys, register, states)
     assert capsys.readouterr().err.startswith("config error: register.n")
 
 
+def test_su2_tau_sweep_at_n12_loads_and_runs(tmp_path):
+    # su2 states are built on their S^z sector (su2_bytes: 41 MB at N = 12),
+    # not from D x D Casimir products, so N = 12 fits the size rule.
+    cfg = config_from_dict(_tau_sweep_config(tmp_path, {"n": 12}, ["su2:0,0"]))
+    table = run_tau_sweep(cfg)
+    assert table.values.shape[0] == 2 and np.all(np.isfinite(table.values))
+
+
 @pytest.mark.parametrize(
     "register, states",
     [({"n": 10}, ["singlet", "symmetric"]), ({"n": 12}, ["uniform"]),
@@ -1167,15 +1175,15 @@ def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
 
     from qregsim.expcli import DENSE_BUILDER_MATRICES, build_bath, _cells
     from qregsim.liouvillian import rates_bytes
+    from qregsim.register import su2_bytes
 
     cfg = config_from_dict(_tau_sweep_config(tmp_path, register, states))
-    dense = register.get("interaction") or any(s.startswith("su2:") for s in states)
     need = rates_bytes(
         _cells(cfg.register),
         build_bath(cfg),
         len(states),
-        DENSE_BUILDER_MATRICES if dense else 0,
-    )
+        DENSE_BUILDER_MATRICES if register.get("interaction") else 0,
+    ) + (su2_bytes(register["n"]) if any(s.startswith("su2:") for s in states) else 0)
     tracemalloc.start()
     try:
         run_tau_sweep(cfg)

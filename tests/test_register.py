@@ -30,10 +30,13 @@ from qregsim.register import (
     dephasing_register,
     dicke_state,
     embed_cell_op,
+    excitation_numbers,
+    excitation_sectors,
     free_hamiltonian,
     heisenberg_ring,
     normalize,
     pair_singlet_state,
+    place_values,
     qubit_register,
     register_hamiltonian,
     su2_basis_state,
@@ -41,6 +44,7 @@ from qregsim.register import (
     total_sminus,
     total_splus,
     total_sz,
+    _casimir_block,
 )
 
 from helpers import random_bath, rng_for
@@ -328,6 +332,28 @@ def test_collective_spin_and_casimir_are_the_kronecker_sums(n):
     assert np.array_equal(casimir(n), sz @ sz + 0.5 * (sp @ sm + sm @ sp))
     model = qubit_register(n, epsilon=0.7)
     assert np.array_equal(free_hamiltonian(model), collective(n, 0.7 * SIGMA_Z))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_su2_sector_block_is_the_casimir_block(n):
+    # su2_basis_state diagonalizes this block; equal entries and dtype give
+    # the bits the D x D Casimir's block gave
+    s2 = casimir(n)
+    for q in range(n + 1):
+        sector, block = _casimir_block(n, q)
+        assert np.array_equal(sector, excitation_sectors(n)[0][q])
+        want = s2[np.ix_(sector, sector)]
+        assert block.dtype == want.dtype and np.array_equal(block, want)
+
+
+def test_place_values_and_excitation_sectors_are_the_digit_order():
+    digits = cell_digits(5, 3)
+    assert np.array_equal(digits @ place_values(5, 3), np.arange(3**5))
+    states, pos = excitation_sectors(6)
+    assert excitation_sectors(6)[1] is pos and not pos.flags.writeable
+    for q, s in enumerate(states):
+        assert np.array_equal(s, np.flatnonzero(excitation_numbers(6) == q))
+        assert np.array_equal(pos[s], np.arange(len(s)))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
