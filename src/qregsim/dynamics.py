@@ -5,19 +5,26 @@ mutually commuting (pure dephasing).  All three read the one
 the per-sector rates from it.
 
 RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
-``dense`` and ``gamma`` (``Liouvillian.apply`` on D x D states) and
-``blocks``, the packed excitation blocks of ``liouvillian.excitation_form``,
-unpacked to D x D only for the Trajectory.  The exact solver records
-``blocks`` when it exponentiates the generator on the packed blocks and
-``dense`` for the full superoperator.  Whether a generator keeps the
-blocks is ``Liouvillian.block_layout``'s rule; each solver only asks
-whether its states are block-diagonal.
+``dense`` (``Liouvillian.apply``, or one ``_DenseForm`` over the dense
+generators of a sweep) and ``gamma`` on D x D states, and ``blocks``, the
+packed excitation blocks of ``liouvillian.excitation_form``, unpacked to
+D x D only for the sink.  The exact solver records ``blocks`` when it
+exponentiates the generator on the packed blocks and ``dense`` for the
+full superoperator.  Whether a generator keeps the blocks is
+``Liouvillian.block_layout``'s rule; each solver only asks whether its
+states are block-diagonal.
+
+``evolve_into`` is the one entry point: every solver hands each snapshot,
+checked once by ``check_state``, to a sink.  ``evolve`` stores them in
+Trajectories, ``integrate`` is ``evolve`` of one state, and the CLI's
+runner turns them into observables as they come.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,6 +54,7 @@ from .liouvillian import (
     STRUCTURED_MIN_DIM,
     SUPEROP_MAX_DIM,
     Liouvillian,
+    _DenseForm,
     add_elementwise_rates,
     excitation_form,
     excitation_layout,
@@ -88,6 +96,15 @@ class Trajectory:
         object.__setattr__(self, "states", s)
         for k in range(s.shape[0]):
             check_state(s[k])
+
+    @classmethod
+    def _prechecked(cls, times, states, metadata) -> Trajectory:
+        """A Trajectory of snapshots ``check_state`` has already passed
+        (``evolve``), built without checking them again."""
+        traj = object.__new__(cls)
+        for name, value in (("times", times), ("states", states), ("metadata", metadata)):
+            object.__setattr__(traj, name, value)
+        return traj
 
     def __len__(self):
         return self.times.shape[0]
@@ -152,18 +169,19 @@ def snapshot_grid(
 
 
 class _FullStack:
-    """The (S, D, D) stack the dense and Gamma forms step."""
+    """The (R, D, D) stack the dense and Gamma forms step, with ``apply``
+    its generator's map."""
 
-    def __init__(self, liouv: Liouvillian):
-        self.apply = liouv.apply
-        self.form = "gamma" if liouv.structured else "dense"
+    def __init__(self, apply, form: str):
+        self.apply, self.form = apply, form
 
     def pack(self, rhos):
         return np.stack(rhos)
 
     def stepper(self, rho):
-        """(f, None, None) for ``_rk4``: f(x, out) = L(x), a new array."""
-        return (lambda x, out: self.apply(x)), None, None
+        """(f, None, None, 0) for ``_Run.rk4``: f(x, out) = L(x), a new
+        array, and no buffer kept for the run."""
+        return (lambda x, out: self.apply(x)), None, None, 0
 
     def trace(self, rho):
         return rho.trace(axis1=1, axis2=2)
@@ -176,101 +194,200 @@ class _FullStack:
 
 
 def _rk4_groups(liouv: Liouvillian, rhos) -> list:
-    """(state indices, stack) of each RK4 run over the states ``rhos``.
+    """(states, stack) of each RK4 run of a generator that steps alone.
 
     The block-diagonal states step together on the block form when
     ``excitation_form`` gives one (each state tested once).  The others
-    step together on the dense form, or one by one on the Gamma form,
-    whose apply is memory-bound.
+    step together on a dense form, or one by one on the Gamma form, whose
+    apply is memory-bound.
     """
     blocks = excitation_form(liouv)
     on_blocks = [blocks is not None and blocks.layout.is_block_diagonal(r) for r in rhos]
     together = [s for s, b in enumerate(on_blocks) if b]
     rest = [s for s, b in enumerate(on_blocks) if not b]
-    full = _FullStack(liouv)
     groups = [(together, blocks)] if together else []
-    if full.form == "gamma":
+    if liouv.structured:
+        full = _FullStack(liouv.apply, "gamma")
         return groups + [([s], full) for s in rest]
-    return groups + ([(rest, full)] if rest else [])
+    return groups + ([(rest, _FullStack(liouv.apply, "dense"))] if rest else [])
 
 
-def _rk4(rhos, h: float, steps, stride: int, stack) -> list[Trajectory]:
-    """Classical fixed-step RK4 on the stack of the initial density
-    matrices ``rhos``, one Trajectory per state.
+def _dense_stack(points) -> _FullStack:
+    """The stack of the dense points ((index, generator) pairs, one K):
+    one ``_DenseForm`` of them all, built for this run and not kept on the
+    generators; a single generator steps through its own ``apply``, whose
+    form it keeps for later calls."""
+    if len(points) == 1:
+        return _FullStack(points[0][1].apply, "dense")
+    form = _DenseForm([(liouv.hamiltonian, liouv.lindblad) for _, liouv in points])
+    return _FullStack(form.apply, "dense")
 
-    ``stack`` is the layout: the (S, D, D) stack of the dense and Gamma
-    forms, or the packed excitation blocks of the block form, unpacked to
-    D x D only for the Trajectory.  Every stage input and the sum
-    k1 + 2k2 + 2k3 + k4 are built in place, left to right, with the
-    operations and operand order of stepping each state alone, so each
-    trajectory is bitwise the single-state one.  At most four stacks are
-    live during an apply: the state, the stage input, the accumulated sum
-    and the apply's result; the block form writes them into two stacks and
-    one workspace kept for the run (``stack.stepper``).  The trace check,
-    re-Hermitization, renormalization and ``error_estimate`` are per state.
-    """
-    rho = stack.pack(rhos)
-    f, acc_out, k_out = stack.stepper(rho)
-    n_states, n_steps = rho.shape[0], int(steps[-1])
-    states = np.empty((n_states, steps.shape[0]) + rho.shape[1:], dtype=complex)
-    states[:, 0] = rho
-    kept = 1
-    half, sixth = 0.5 * h, h / 6.0
-    stage = np.empty_like(rho)
-    norm_shape = (n_states,) + (1,) * (rho.ndim - 1)
-    max_drift = [0.0] * n_states
-    for k in range(1, n_steps + 1):
-        acc = f(rho, acc_out)  # k1
-        np.multiply(acc, half, out=stage)
-        stage += rho
-        kj = f(stage, k_out)  # k2
-        np.multiply(kj, half, out=stage)
-        stage += rho
-        kj *= 2.0
-        acc += kj
-        del kj  # free k2 before k3 is allocated
-        kj = f(stage, k_out)  # k3
-        np.multiply(kj, h, out=stage)
-        stage += rho
-        kj *= 2.0
-        acc += kj
-        del kj
-        acc += f(stage, k_out)  # k4
-        acc *= sixth
-        rho += acc
-        tr = stack.trace(rho).tolist()
-        drift = [abs(t - 1.0) for t in tr]
-        worst = max(range(n_states), key=drift.__getitem__)
-        if drift[worst] > TRACE_TOL:
-            raise UnstableStep(
-                f"trace drifted to {tr[worst]:.8f} at step {k} (t = {k * h:.6g}) "
-                f"in state {worst}; reduce dt"
-            )
-        max_drift = [max(m, d) for m, d in zip(max_drift, drift)]
-        stack.adjoint(rho, stage)
-        stage += rho
-        stage *= 0.5
-        np.divide(stage, np.array([t.real for t in tr]).reshape(norm_shape), out=rho)
-        if k == steps[kept]:
-            states[:, kept] = rho
-            kept += 1
-    # free the stepping buffers before the snapshots are unpacked
-    f = acc = acc_out = k_out = stage = rho = None
-    return [
-        Trajectory(
-            times=steps * h,
-            states=stack.unpack(states[s]),
-            metadata={
+
+def _outside_level() -> int:
+    """The ``stacklevel`` that makes a warning raised in the calling
+    function name the first frame outside this module."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+class _Run:
+    """One ``evolve_into`` call: the snapshot schedule, the D x D initial
+    states, the sink and each generator's metadata per state."""
+
+    def __init__(self, rhos, h: float, steps, stride: int, sink, named: bool):
+        self.rhos, self.h, self.steps, self.stride = rhos, h, steps, stride
+        self.sink, self.named = sink, named
+        self.metas: list[list] = []
+
+    def emit(self, liouv: Liouvillian, p: int, s: int, k: int, rho: np.ndarray) -> None:
+        """Check snapshot k of state s under the p-th generator once, then
+        hand it to the sink."""
+        check_state(rho)
+        self.sink(liouv, p, s, k, rho)
+
+    def emit_stack(self, rows, k: int, snaps) -> None:
+        """``emit`` snapshot k of each row ((generator, index, state)), from
+        ``snaps``, their D x D snapshots in row order."""
+        for (liouv, p, s), rho in zip(rows, snaps):
+            self.emit(liouv, p, s, k, rho)
+
+    def rk4(self, points, states, stack) -> None:
+        """Classical fixed-step RK4 on one stack: the initial states
+        numbered ``states`` under each generator of ``points`` ((index,
+        generator) pairs), point-major, all in one array.
+
+        ``stack`` is the layout: the (R, D, D) stack of the dense and Gamma
+        forms, or the packed excitation blocks of the block form, unpacked
+        to D x D only for the sink, one state at a time.  Every stage input
+        and the sum k1 + 2k2 + 2k3 + k4 are built in place, left to right,
+        with the operations and operand order of stepping each state alone,
+        so each state's snapshots are bitwise the single-state ones.  At
+        most four stacks are live during an apply: the state, the stage
+        input, the accumulated sum and the apply's result; the block form
+        writes them into two stacks and one workspace kept for the run
+        (``stack.stepper``).  The trace check, re-Hermitization,
+        renormalization and ``error_estimate`` are per state.
+
+        Each snapshot goes to the sink when its step is done, with two
+        exceptions, kept packed: snapshot 0 waits for the first step's
+        trace check, so a state whose trace is off is named with the step
+        and state that drifted; and when all the run's snapshots take no
+        more bytes than the buffers kept for it (a short block-form run),
+        they wait until those buffers are freed.
+        """
+        h, steps = self.h, self.steps
+        rows = [(liouv, p, s) for p, liouv in points for s in states]
+        rho = stack.pack([self.rhos[s] for _, _, s in rows])
+        n_steps = int(steps[-1])
+        # no step, no buffers: a block form builds no tables for snapshot 0
+        f, acc_out, k_out, kept_bytes = stack.stepper(rho) if n_steps else (None,) * 3 + (0,)
+        hold = rho.nbytes * len(steps) <= kept_bytes
+        pending = [rho.copy()]  # packed snapshots 0, 1, ... not yet emitted
+        kept = 1
+        half, sixth = 0.5 * h, h / 6.0
+        stage = np.empty_like(rho)
+        norm_shape = (len(rows),) + (1,) * (rho.ndim - 1)
+        max_drift = [0.0] * len(rows)
+        for k in range(1, n_steps + 1):
+            acc = f(rho, acc_out)  # k1
+            np.multiply(acc, half, out=stage)
+            stage += rho
+            kj = f(stage, k_out)  # k2
+            np.multiply(kj, half, out=stage)
+            stage += rho
+            kj *= 2.0
+            acc += kj
+            del kj  # free k2 before k3 is allocated
+            kj = f(stage, k_out)  # k3
+            np.multiply(kj, h, out=stage)
+            stage += rho
+            kj *= 2.0
+            acc += kj
+            del kj
+            acc += f(stage, k_out)  # k4
+            acc *= sixth
+            rho += acc
+            tr = stack.trace(rho).tolist()
+            drift = [abs(t - 1.0) for t in tr]
+            worst = max(range(len(rows)), key=drift.__getitem__)
+            if drift[worst] > TRACE_TOL:
+                _, p, s = rows[worst]
+                where = f"state {s} of generator {p}" if self.named else f"state {s}"
+                raise UnstableStep(
+                    f"trace drifted to {tr[worst]:.8f} at step {k} (t = {k * h:.6g}) "
+                    f"in {where}; reduce dt"
+                )
+            max_drift = [max(m, d) for m, d in zip(max_drift, drift)]
+            if pending and not hold:
+                self.emit_stack(rows, 0, map(stack.unpack, pending.pop()))
+            stack.adjoint(rho, stage)
+            stage += rho
+            stage *= 0.5
+            np.divide(stage, np.array([t.real for t in tr]).reshape(norm_shape), out=rho)
+            if k == steps[kept]:
+                if hold:
+                    pending.append(rho.copy())
+                else:
+                    self.emit_stack(rows, kept, map(stack.unpack, rho))
+                kept += 1
+        # free the stepping buffers before the held snapshots are unpacked
+        f = acc = acc_out = k_out = stage = rho = None
+        for k, packed in enumerate(pending):
+            self.emit_stack(rows, k, map(stack.unpack, packed))
+        for (_, p, s), drift in zip(rows, max_drift):
+            self.metas[p][s] = {
                 "method": "rk4",
                 "form": stack.form,
                 "dt": h,
                 "n_steps": n_steps,
-                "stride": stride,
-                "error_estimate": max_drift[s],
-            },
-        )
-        for s in range(n_states)
-    ]
+                "stride": self.stride,
+                "error_estimate": drift,
+            }
+
+    def exact(self, p: int, liouv: Liouvillian, expm) -> None:
+        """All states at once, stacked as the columns of one matrix, with
+        one propagator per distinct snapshot interval: on the packed
+        excitation sector or through the full superoperator
+        (``_exact_generator``).  Each snapshot is unpacked as it is made."""
+        h, steps, d = self.h, self.steps, liouv.dim
+        rhos = np.stack(self.rhos)
+        layout, m = _exact_generator(liouv, rhos)
+        if layout is None:
+            # Column-stacked vec: entry j*d + i of a column is rho[i, j].
+            cols = rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T
+
+            def unpack(cols):
+                return cols.T.reshape(-1, d, d).swapaxes(1, 2)
+
+        else:
+            cols = layout.pack(rhos).T
+
+            def unpack(cols):
+                return layout.unpack(cols.T)
+
+        rows = [(liouv, p, s) for s in range(len(rhos))]
+        cols = np.ascontiguousarray(cols)
+        self.emit_stack(rows, 0, unpack(cols))
+        propagators: dict[int, np.ndarray] = {}
+        for k, dk in enumerate(np.diff(steps).tolist(), start=1):
+            if dk not in propagators:
+                propagators[dk] = expm(m * (dk * h))
+            cols = propagators[dk] @ cols
+            self.emit_stack(rows, k, unpack(cols))
+        form = "dense" if layout is None else "blocks"
+        meta = {"method": "exact", "form": form, "dt": h, "n_steps": int(steps[-1])}
+        self.metas[p] = [dict(meta) for _ in rows]
+
+    def closed(self, p: int, liouv: Liouvillian) -> None:
+        """The closed form (``dephasing_solve``), prepared once for all
+        states."""
+        closed, times = _closed_form(liouv), self.steps * self.h
+        for s, rho in enumerate(self.rhos):
+            for k, snap in enumerate(_closed_snapshots(closed, rho, times)):
+                self.emit(liouv, p, s, k, snap)
+        self.metas[p] = [{"method": "dephasing"} for _ in self.rhos]
 
 
 def integrate(
@@ -294,80 +411,132 @@ def integrate(
 
 
 def evolve(
-    liouv: Liouvillian,
+    liouv: Liouvillian | Iterable[Liouvillian],
     rho0s,
     t_end: float,
     dt: float,
     stride: int = DEFAULT_STRIDE,
     method: str = "rk4",
-) -> list[Trajectory]:
+) -> list:
     """Evolve each initial state (vector or density matrix) on the one
-    snapshot_grid schedule; returns one Trajectory per state, in input
-    order.
+    snapshot_grid schedule under one ``Liouvillian``, or under each of a
+    sequence of them with one D; returns one Trajectory per state, in
+    input order, or that list per generator.
 
-    ``rk4`` steps the block-diagonal states together on the block form
-    (module docstring) when the generator allows it, and the others
-    together on the dense generator or one by one on the structured one,
-    whose Gamma-form apply is memory-bound.  Each trajectory is bitwise
-    the one stepping that state alone gives.  ``exact`` advances all
+    ``evolve_into`` with a sink that stores every snapshot: its checks
+    stand, so the Trajectories are not checked again.
+    """
+    h, steps = snapshot_grid(t_end, dt, stride)
+    times = steps * h
+    stored: dict[int, np.ndarray] = {}
+
+    def store(liouv, p, s, k, rho):
+        if p not in stored:
+            stored[p] = np.empty((len(rho0s), len(times)) + rho.shape, dtype=complex)
+        stored[p][s, k] = rho
+
+    metas = evolve_into(liouv, rho0s, store, t_end, dt, stride, method)
+    trajs = [
+        [Trajectory._prechecked(times.copy(), stored[p][s], meta) for s, meta in enumerate(point)]
+        for p, point in enumerate(metas)
+    ]
+    return trajs[0] if isinstance(liouv, Liouvillian) else trajs
+
+
+def evolve_into(
+    liouvs: Liouvillian | Iterable[Liouvillian],
+    rho0s,
+    sink,
+    t_end: float,
+    dt: float,
+    stride: int = DEFAULT_STRIDE,
+    method: str = "rk4",
+) -> list[list[dict]]:
+    """Evolve each initial state (vector or density matrix) under one
+    ``Liouvillian``, or under each of an iterable of them with one D, on
+    the one snapshot_grid schedule, and hand every snapshot to ``sink``
+    once ``check_state`` has passed it:
+
+        sink(liouv, p, s, k, rho)
+
+    with ``liouv`` the p-th generator and ``rho`` the D x D snapshot k of
+    initial state s, valid only during the call (it may be a view of the
+    stepping stack).  Returns each generator's metadata, one dict per
+    state, in input order.
+
+    ``rk4`` steps the dense generators below STRUCTURED_MIN_DIM that have
+    the same number K of terms as one stack of all their states (P
+    generators, S states: a (P S, D, D) stack, ``_DenseForm``).  Any other
+    generator steps alone, and is dropped before the next one is drawn,
+    so an iterable that builds each generator on demand (as the CLI's
+    runner passes) never holds two of them at D >= STRUCTURED_MIN_DIM: the
+    block-diagonal states together on the block form (module docstring)
+    when the generator allows it, and the others together on a dense
+    generator or one by one on the structured one, whose Gamma-form apply
+    is memory-bound.  Each state's snapshots are bitwise the ones stepping
+    that state alone under its generator gives.  ``exact`` advances all
     states at once, stacked as the columns of one matrix, with one
     propagator per distinct snapshot interval (D <= 64): on the packed
     excitation sector when ``liouv.block_layout`` holds and every state is
-    block-diagonal, ``metadata["form"] == "blocks"``, otherwise through
-    the D^2 x D^2 ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is
-    the closed form (``dephasing_solve``), read from ``liouv`` like the
-    others and prepared once for all states.  Every snapshot is checked
-    by ``check_state``.
+    block-diagonal, ``form == "blocks"``, otherwise through the D^2 x D^2
+    ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is the closed
+    form (``dephasing_solve``), read from each generator like the others
+    and prepared once for all states.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
-    if method == "rk4":
-        rhos = [_as_density(r, liouv.dim) for r in rho0s]
-        # read the scale only when there is a step: it may take a dense eigvalsh
-        if rhos and steps[-1] and h * liouv.stability_scale > STABILITY_BUDGET:
-            warnings.warn(
-                f"dt * spectral scale = {h * liouv.stability_scale:.3g} exceeds "
-                f"{STABILITY_BUDGET}; results may be inaccurate",
-                RuntimeWarning,
-                # name the line that called integrate, which calls evolve
-                stacklevel=3 if sys._getframe(1).f_code is integrate.__code__ else 2,
-            )
-        trajs = [None] * len(rhos)
-        for group, stack in _rk4_groups(liouv, rhos):
-            runs = _rk4([rhos[s] for s in group], h, steps, stride, stack)
-            for s, traj in zip(group, runs):
-                trajs[s] = traj
-        return trajs
-    times = steps * h
-    if method == "dephasing":
-        rhos = [_as_density(r, liouv.dim) for r in rho0s]
-        closed = _closed_form(liouv) if rhos else None
-        return [_closed_trajectory(closed, r, times) for r in rhos]
-    expm = check_method(method, liouv.lindblad.model, liouv.hamiltonian)
-    if len(rho0s) == 0:
-        return []
-    d = liouv.dim
-    rhos = np.stack([_as_density(r, d) for r in rho0s])
-    layout, m = _exact_generator(liouv, rhos)
-    if layout is None:
-        # Column-stacked vec: entry j*d + i of a column is rho[i, j].
-        cols = rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T
-    else:
-        cols = layout.pack(rhos).T
-    snaps = np.empty((steps.shape[0],) + cols.shape, dtype=complex)
-    snaps[0] = cols
-    propagators: dict[int, np.ndarray] = {}
-    for k, dk in enumerate(np.diff(steps).tolist(), start=1):
-        if dk not in propagators:
-            propagators[dk] = expm(m * (dk * h))
-        snaps[k] = propagators[dk] @ snaps[k - 1]
-    runs = snaps.transpose(2, 0, 1)  # (state, snapshot, entry)
-    if layout is None:
-        states = runs.reshape(runs.shape[:2] + (d, d)).swapaxes(2, 3)
-    else:
-        states = layout.unpack(runs)
-    form = "dense" if layout is None else "blocks"
-    meta = {"method": "exact", "form": form, "dt": h, "n_steps": int(steps[-1])}
-    return [Trajectory(times=times, states=s, metadata=dict(meta)) for s in states]
+    if method not in ("rk4", "exact", "dephasing"):
+        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    single = isinstance(liouvs, Liouvillian)
+    generators = iter([liouvs] if single else liouvs)
+    run, dim = None, None
+    dense: dict[int, list] = {}  # K -> (index, generator) of the dense points
+    while (liouv := next(generators, None)) is not None:
+        if run is None:
+            dim = liouv.dim
+            rhos = [_as_density(r, dim) for r in rho0s]
+            run = _Run(rhos, h, steps, stride, sink, not single)
+        elif liouv.dim != dim:
+            raise DimensionMismatch(f"generator {len(run.metas)} has D = {liouv.dim}, not {dim}")
+        p = len(run.metas)
+        run.metas.append([None] * len(run.rhos))
+        # dense forms below STRUCTURED_MIN_DIM, where P of them take little
+        # memory, wait to step as one stack; a hand-built set above runs alone
+        if method == "rk4" and run.rhos and not liouv.structured and dim < STRUCTURED_MIN_DIM:
+            _check_step(liouv, h, steps)
+            dense.setdefault(len(liouv.lindblad), []).append((p, liouv))
+        else:
+            _alone(run, method, p, liouv)
+        liouv = None  # drop it before the next one is built
+    for points in dense.values():
+        run.rk4(points, list(range(len(run.rhos))), _dense_stack(points))
+    return [] if run is None else run.metas
+
+
+def _check_step(liouv: Liouvillian, h: float, steps) -> None:
+    """Warn when h * ``stability_scale`` exceeds STABILITY_BUDGET; the
+    scale is read only when there is a step, as it may take a dense
+    eigvalsh."""
+    if steps[-1] and h * liouv.stability_scale > STABILITY_BUDGET:
+        warnings.warn(
+            f"dt * spectral scale = {h * liouv.stability_scale:.3g} exceeds "
+            f"{STABILITY_BUDGET}; results may be inaccurate",
+            RuntimeWarning,
+            stacklevel=_outside_level(),
+        )
+
+
+def _alone(run: _Run, method: str, p: int, liouv: Liouvillian) -> None:
+    """Run the p-th generator by itself; its forms die with this call."""
+    if method == "exact":
+        expm = check_method(method, liouv.lindblad.model, liouv.hamiltonian)
+        if run.rhos:
+            run.exact(p, liouv, expm)
+    elif run.rhos and method == "dephasing":
+        run.closed(p, liouv)
+    elif run.rhos:
+        _check_step(liouv, run.h, run.steps)
+        for states, stack in _rk4_groups(liouv, run.rhos):
+            run.rk4([(p, liouv)], states, stack)
 
 
 def _exact_generator(liouv: Liouvillian, rhos: np.ndarray):
@@ -524,7 +693,8 @@ def dephasing_solve(
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.shape[0] == 0:
         raise DimensionMismatch("times must be a nonempty 1-d array")
-    return _closed_trajectory(_closed_form(liouv), rho, t)
+    states = np.stack(list(_closed_snapshots(_closed_form(liouv), rho, t)))
+    return Trajectory(times=t, states=states, metadata={"method": "dephasing"})
 
 
 def _closed_form(liouv: Liouvillian):
@@ -544,19 +714,15 @@ def _closed_form(liouv: Liouvillian):
     return frame, c
 
 
-def _closed_trajectory(closed, rho: np.ndarray, t: np.ndarray) -> Trajectory:
-    """The Trajectory of the D x D state ``rho`` at the times ``t`` under
-    the closed form ``closed`` (``_closed_form``)."""
+def _closed_snapshots(closed, rho: np.ndarray, t: np.ndarray):
+    """The snapshots of the D x D state ``rho`` at the times t under the
+    closed form ``closed`` (``_closed_form``), one at a time."""
     frame, c = closed
     if frame is not None:  # to the joint eigenbasis
         rho = dag(frame) @ rho @ frame
-    states = np.empty((t.shape[0],) + rho.shape, dtype=complex)
-    for k, tk in enumerate(t):
+    for tk in t:
         s = rho * np.exp(c * float(tk))
-        if frame is not None:
-            s = frame @ s @ dag(frame)
-        states[k] = s
-    return Trajectory(times=t, states=states, metadata={"method": "dephasing"})
+        yield s if frame is None else frame @ s @ dag(frame)
 
 
 def state_defect_report(rho: np.ndarray) -> dict[str, float]:

@@ -37,7 +37,7 @@ from .codes import (
     n4_code,
     null_code,
 )
-from .dynamics import check_method, dephasing_frame, evolve, snapshot_grid, step_count
+from .dynamics import check_method, dephasing_frame, evolve_into, snapshot_grid, step_count
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import (
     GENERATOR_MAX_BYTES,
@@ -67,10 +67,6 @@ from .register import (
 )
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5")
-# D x D complex arrays heisenberg_ring with the register's commutation
-# check holds at once: at most 6.1 measured (tracemalloc peak over 16 D^2
-# bytes) at N = 6-9.  su2_basis_state works on its S^z sector (under 0.4).
-DENSE_BUILDER_MATRICES = 8
 
 # --------------------------------------------------------------------------
 # Config parsing and validation
@@ -336,9 +332,9 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     codes runs every bath point's generator must fit GENERATOR_MAX_BYTES;
     the register is sized without its interaction term, which is built
     only by the runners.  A tau_sweep run must fit it with its state
-    vectors and rates (``rates_bytes``), counting DENSE_BUILDER_MATRICES
-    more when it builds a ring interaction, and ``su2_bytes`` more when it
-    builds an su2 state, on its S^z sector.
+    vectors and rates (``rates_bytes``, which counts a ring interaction's
+    builder), and ``su2_bytes`` more when it builds an su2 state, on its
+    S^z sector.
     """
     reg, bath, solver = cfg.register, cfg.bath, cfg.solver
     n = reg["n"]
@@ -360,11 +356,10 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "tau_sweep":  # the one experiment without a generator
         ring = reg["interaction"]["kind"] != "none"
         su2 = any(isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states)
-        matrices = DENSE_BUILDER_MATRICES if ring else 0
         builder = su2_bytes(n) if su2 else 0
 
         def size(model, spec):
-            return rates_bytes(model, spec, len(cfg.initial_states), matrices) + builder
+            return rates_bytes(model, spec, len(cfg.initial_states), ring) + builder
 
         what = "decoherence rates for {} cells need"
     else:
@@ -431,10 +426,6 @@ def _read_preset(name: str) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     return config_from_dict(_parse_yaml(text))
-
-
-def load_config(path: Path) -> ExperimentConfig:
-    return parse_config(_read_config(path))
 
 
 def load_preset(name: str) -> ExperimentConfig:
@@ -598,7 +589,12 @@ def _provenance(cfg: ExperimentConfig, solver_meta: dict | None = None) -> dict:
 
 def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     """Trajectory observables; columns t, then F/delta/E per state (and per
-    sweep value when a sweep is present, sweep-major)."""
+    sweep value when a sweep is present, sweep-major).
+
+    One ``evolve_into`` call runs every bath point, each generator built
+    when the solver draws it; the sink turns each snapshot into F, delta
+    and E as it arrives, so no snapshot outlives its step.
+    """
     model = build_register(cfg)
     named = [
         (_state_column_name(s, i), build_state(s, model))
@@ -606,37 +602,34 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     ]
     psis = [psi for _, psi in named]
     solver = cfg.solver
-    columns, data, forms = ["t"], [], []
-    for overrides in _sweep_overrides(cfg) or [None]:
+    points = _sweep_overrides(cfg) or [None]
+    h, steps = snapshot_grid(solver["t_end"], solver["dt"], solver["stride"])
+    # [observable, point, state, snapshot] for F, delta and E
+    series = np.empty((3, len(points), len(psis), len(steps)))
+    f, delta, e = series
+
+    def observe(liouv, p, s, k, rho):
+        f[p, s, k] = fidelity(rho, psis[s])
+        delta[p, s, k] = linear_entropy(rho)
+        e[p, s, k] = register_energy(rho, liouv)
+
+    liouvs = (build_liouvillian(model, build_bath(cfg, o)) for o in points)
+    # The solver section's keys are evolve_into's keyword arguments.
+    metas = evolve_into(liouvs, psis, observe, **solver)
+    columns, data = ["t"], []
+    for p, overrides in enumerate(points):
         suffix = "".join(f"_{k}{v:g}" for k, v in (overrides or {}).items())
-        bath = build_bath(cfg, overrides)
-        liouv = build_liouvillian(model, bath)
-        # The solver section's keys are evolve's keyword arguments.
-        trajs = evolve(liouv, psis, **solver)
-        times = trajs[0].times
-        forms.append([t.metadata.get("form") for t in trajs])
-        for (name, psi), traj in zip(named, trajs):
+        for s, (name, _) in enumerate(named):
             state_tag = f"_{name}" if (len(named) > 1 or suffix) else ""
-            columns += [
-                f"F{state_tag}{suffix}",
-                f"delta{state_tag}{suffix}",
-                f"E{state_tag}{suffix}",
-            ]
-            data += [
-                [fidelity(s, psi) for s in traj.states],
-                [linear_entropy(s) for s in traj.states],
-                register_energy(traj.states, liouv.hamiltonian),
-            ]
-        # Only the observables outlive a point: drop its snapshots before
-        # the next point evolves.
-        trajs = traj = None
-    values = np.column_stack([times] + data)
+            columns += [f"{obs}{state_tag}{suffix}" for obs in ("F", "delta", "E")]
+            data += list(series[:, p, s])
+    values = np.column_stack([steps * h] + data)
     meta = {
         "method": solver["method"],
         "dt": solver["dt"],
         "stride": solver["stride"],
         # per bath point, the generator form each state's trajectory ran on
-        "forms": forms,
+        "forms": [[m.get("form") for m in point] for point in metas],
     }
     return ResultTable(
         columns=tuple(columns), values=values, provenance=_provenance(cfg, meta)

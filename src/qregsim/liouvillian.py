@@ -15,7 +15,9 @@ the first ``apply``:
 * dense: the K Lindblad operators are stored as D x D matrices and each call
   does 2K + 2 dense products, O(K D^3) time, broadcast over a stack; the
   stored operators take 2K D^2 complex entries (32 MiB at N = 8, 640 MiB
-  at N = 10 for K = 2N).
+  at N = 10 for K = 2N).  The RK4 stepper also stacks the dense forms of
+  several generators with one D and one K (``_DenseForm``), for the
+  states of all of them at once.
 * structured (Gamma form): for a generator from ``canonical_form`` with
   D >= STRUCTURED_MIN_DIM the dissipator is applied pairwise, per sector,
 
@@ -43,8 +45,9 @@ B = iH + sum_ij G_ij A_j^+ A_i / 2 conserves Q like H, so it is placed
 once (D x D, by ``cell_terms``) and kept as its C(N, q) x C(N, q) blocks;
 the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1) bases, one
 (N x N)(N x sum_q n_{q-/+1} n_q) product and a gathered sum back, per
-sector.  The drift and the index tables are built on the form's first
-use, never by ``build_liouvillian``.
+sector.  The drift is built on the form's first use, never by
+``build_liouvillian``; the index tables depend on N alone and are kept with
+the layout (``ExcitationBlocks.gather_tables``).
 
 All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
@@ -390,29 +393,37 @@ def _dense_parts(h: np.ndarray, lindblad: LindbladSet):
 
 
 class _DenseForm:
-    """Dense generator: L(rho) = -B rho - rho B^+ + sum_k L_k rho L_k^+ with
-    the sqrt(rate)-scaled operators stacked.
+    """Dense generator of P points with one D and one number K of terms:
+    L_p(rho) = -B_p rho - rho B_p^+ + sum_k L_pk rho L_pk^+ with the
+    sqrt(rate)-scaled operators stacked, the drifts as (P, 1, 1, D, D) and
+    the jump operators as (P, K, 1, D, D); one point keeps (D, D) and
+    (K, 1, D, D), which broadcast against a stack with fewer axes.
 
-    A stack of S states is one broadcast product per factor, (K, 1, D, D)
-    against (S, D, D); each (k, s) product and the sum over k round exactly
-    as for the state alone.
+    ``apply`` maps a point-major (P S, D, D) stack, S states per point (for
+    one point also a single D x D state), by one broadcast product per
+    factor; each (p, k, s) product and the sum over k round exactly as for
+    the state alone on its own point.
     """
 
-    def __init__(self, h: np.ndarray, lindblad: LindbladSet):
-        self.drift, ops = _dense_parts(h, lindblad)
-        self.drift_dag = dag(self.drift)
-        d = h.shape[0]
-        self.jump = np.stack(ops) if ops else np.zeros((0, d, d), dtype=complex)
-        self.jump_dag = self.jump.conj().transpose(0, 2, 1)
+    def __init__(self, parts):
+        """``parts``: the (H, Lindblad set) of each point."""
+        drifts, jumps = zip(*(_dense_parts(h, lindblad) for h, lindblad in parts))
+        d, n_points, n_jumps = drifts[0].shape[0], len(parts), len(jumps[0])
+        lead = (n_points,) if n_points > 1 else ()
+        self.shape = lead + (1, -1, d, d) if lead else (-1, d, d)  # of a stack
+        self.drift = np.stack(drifts).reshape(lead + (1, 1, d, d) if lead else (d, d))
+        self.drift_dag = self.drift.conj().swapaxes(-1, -2)
+        self.jump = np.array(jumps, dtype=complex).reshape(lead + (n_jumps, 1, d, d))
+        self.jump_dag = self.jump.conj().swapaxes(-1, -2)
+        self.k_axis = len(lead)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = -(self.drift @ rho) - rho @ self.drift_dag
-        if len(self.jump):
-            jump, jump_dag = self.jump, self.jump_dag
-            if rho.ndim == 3:
-                jump, jump_dag = jump[:, None], jump_dag[:, None]
-            out += (jump @ rho @ jump_dag).sum(axis=0)
-        return out
+        x = rho.reshape(self.shape)
+        out = -(self.drift @ x) - x @ self.drift_dag
+        if self.jump.shape[self.k_axis]:
+            k = self.k_axis
+            out += (self.jump @ x @ self.jump_dag).sum(axis=k, keepdims=k > 0)
+        return out.reshape(rho.shape)
 
 
 def _left_moves(a: np.ndarray):
@@ -586,7 +597,8 @@ class ExcitationBlocks:
     ``full`` holds the flat D x D index of each packed entry, ``transpose``
     the packed index of its transposed entry and ``diagonal`` the packed
     indices of the diagonal.  ``excitation_layout`` keeps one, read-only,
-    per N.
+    per N, and with it the sandwich tables of each Q shift
+    (``gather_tables``), which depend on N alone.
     """
 
     def __init__(self, n: int):
@@ -605,6 +617,7 @@ class ExcitationBlocks:
         self.diagonal = np.flatnonzero(rows == cols)
         for table in (self.sizes, self.offsets, self.full, self.transpose, self.diagonal):
             table.setflags(write=False)
+        self._gather: dict[int, tuple] = {}
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The packed blocks of rho (..., D, D); entries off the blocks are
@@ -690,6 +703,15 @@ class ExcitationBlocks:
                 gather.append(table.ravel())
         return x, (np.concatenate(gather), segments)
 
+    def gather_tables(self, s: int):
+        """``moves(s)``, built on first use and kept with the layout: every
+        block form of these N qubits shares them, and none writes them.
+        They stay writeable because ``np.take`` copies a read-only index
+        array on every call (0.73 MB per apply at N = 8)."""
+        if s not in self._gather:
+            self._gather[s] = self.moves(s)
+        return self._gather[s]
+
 
 @lru_cache(maxsize=4)
 def excitation_layout(n: int) -> ExcitationBlocks:
@@ -706,7 +728,8 @@ class _BlockForm:
     its terms, and the drift B = iH + sum_ij G_ij A_j^+ A_i / 2 summed over
     the sectors.  Like H, each A_j^+ A_i conserves Q, so B is kept as its
     blocks; the sandwich is a gather between packed blocks.  Both are
-    built on first use (``_tables``).
+    ready on first use (``_tables``): the drift built for this form, the
+    gather tables the layout's own (``ExcitationBlocks.gather_tables``).
 
     ``apply`` maps an (S, M) stack of packed states, each row bitwise as
     it is alone, through the buffers of ``workspace(S)``: a stepper passes
@@ -739,17 +762,20 @@ class _BlockForm:
         del drift
         return (
             [(b, dag(b)) for b in blocks],
-            [(np.ascontiguousarray(g.T), layout.moves(sector)) for sector, g in sectors],
+            [(np.ascontiguousarray(g.T), layout.gather_tables(sector)) for sector, g in sectors],
         )
 
     def pack(self, rhos):
         return self.layout.pack(np.stack(rhos))
 
     def stepper(self, rho):
-        """(f, out, out2) for the RK4 stepper: f(x, out) = L(x) written to
-        out, one of the two output stacks, through one workspace."""
+        """(f, out, out2, kept) for the RK4 stepper: f(x, out) = L(x)
+        written to out, one of the two output stacks, through one
+        workspace; kept is the bytes of those three."""
         work = self.workspace(rho.shape[0])
-        return (lambda x, out: self.apply(x, out, work)), np.empty_like(rho), np.empty_like(rho)
+        kept = sum(a.nbytes for a in work.values()) + 2 * rho.nbytes
+        f = lambda x, out: self.apply(x, out, work)  # noqa: E731
+        return f, np.empty_like(rho), np.empty_like(rho), kept
 
     def workspace(self, n_states: int) -> dict[str, np.ndarray]:
         """The buffers ``apply`` uses for a stack of n_states, shared by
@@ -871,7 +897,7 @@ class Liouvillian:
         h = self.hamiltonian
         if self.structured:
             return _GammaForm(self.lindblad.model, self.lindblad, h, _diagonal(h))
-        return _DenseForm(h, self.lindblad)
+        return _DenseForm([(h, self.lindblad)])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate L(rho) without materializing the superoperator.
@@ -931,14 +957,20 @@ def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
     return _peak_bytes(canonical_form(model, spec))
 
 
-def rates_bytes(
-    model: RegisterModel, spec: BathSpec, n_states: int, matrices: int = 0
-) -> int:
+# D x D complex arrays heisenberg_ring with the register's commutation
+# check holds at once: at most 6.1 measured (tracemalloc peak over 16 D^2
+# bytes) at N = 6-9.
+RING_BUILDER_MATRICES = 8
+
+
+def rates_bytes(model: RegisterModel, spec: BathSpec, n_states: int, ring: bool = False) -> int:
     """Estimated peak bytes of first-order decoherence rates: n_states
     state vectors held at once, one ``pure_decoherence_rate`` call on
-    ``canonical_form(model, spec)`` with their (D, n_states) stack, and
-    ``matrices`` D x D complex arrays the caller builds beside them (a
-    dense state builder or interaction).
+    ``canonical_form(model, spec)`` with their (D, n_states) stack, the
+    basis tables state builders leave cached (``cell_digits``, 2 N D
+    bytes, and ``excitation_sectors``, 16 D bytes), and, when ``ring``,
+    the RING_BUILDER_MATRICES D x D arrays a Heisenberg ring interaction's
+    builder holds beside them.
 
     Each sector with a nonzero bath matrix has at most N terms (exactly N
     when the matrix has full rank), counted without diagonalizing it.  A
@@ -955,7 +987,8 @@ def rates_bytes(
     else:
         cells = n if terms else 0
         need = (n_states * (cells + terms + 3) + 4) * vector
-    return need + matrices * model.dim * vector
+    tables = (2 * n + 16) * model.dim
+    return need + tables + (RING_BUILDER_MATRICES * model.dim * vector if ring else 0)
 
 
 def _peak_bytes(lindblad: LindbladSet) -> int:

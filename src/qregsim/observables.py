@@ -66,16 +66,22 @@ def linear_entropy(rho: np.ndarray) -> float:
     return float(tr - tr2)
 
 
-def register_energy(rho: np.ndarray, h: np.ndarray) -> float | np.ndarray:
+def register_energy(rho: np.ndarray, h: np.ndarray | Liouvillian) -> float | np.ndarray:
     """Energy tr(rho H) for a Hermitian register Hamiltonian: a float for
     one D x D state, a (T,) array for a (T, D, D) stack of snapshots.
 
     H is checked once per call; each energy is the one-state contraction.
+    For a ``Liouvillian`` H is its Hamiltonian, which its constructor
+    checked to the same tolerance, so a caller that takes one snapshot at
+    a time checks it once per generator.
     """
     rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, rtol=1e-10):
-        raise NotHermitian("energy requires a Hermitian operator")
+    if isinstance(h, Liouvillian):
+        h = h.hamiltonian
+    else:
+        h = np.asarray(h, dtype=complex)
+        if not is_hermitian(h, rtol=1e-10):
+            raise NotHermitian("energy requires a Hermitian operator")
     if rho.ndim not in (2, 3) or rho.shape[-2:] != h.shape:
         raise DimensionMismatch("state and Hamiltonian sizes differ")
     if rho.ndim == 2:

@@ -213,13 +213,14 @@ def test_block_tables_are_built_by_evolve_alone(monkeypatch):
     monkeypatch.setattr(
         ExcitationBlocks, "moves", lambda self, s: calls.append(s) or moves(self, s)
     )
+    excitation_layout.cache_clear()  # tables an earlier test built go with it
     liouv = build_liouvillian(qubit_register(8), exponential_decay(8, 0.1, 0.02, 1.0))
     assert calls == []
     psi = dicke_state(8, 4)
     for _ in range(2):
         assert evolve(liouv, [psi], 0.02, 0.02, 1)[0].metadata["form"] == "blocks"
-    # one table per sector, rebuilt on every call
-    assert calls == [-1, 1, -1, 1]
+    # one table per sector, kept with the layout for every later call
+    assert calls == [-1, 1]
 
 
 def form_of(liouv, rho0) -> str:
@@ -443,14 +444,14 @@ def test_large_rk4_workload_takes_the_block_form(monkeypatch):
         "output": {"name": "large"},
     }
     forms = []
-    real = dynamics.evolve
+    real = dynamics.evolve_into
 
     def spy(*args, **kwargs):
-        trajs = real(*args, **kwargs)
-        forms.extend(t.metadata["form"] for t in trajs)
-        return trajs
+        metas = real(*args, **kwargs)
+        forms.extend(m["form"] for point in metas for m in point)
+        return metas
 
-    monkeypatch.setattr(expcli, "evolve", spy)
+    monkeypatch.setattr(expcli, "evolve_into", spy)
     applies = []
     apply = Liouvillian.apply
     monkeypatch.setattr(Liouvillian, "apply", lambda self, rho: applies.append(1) or apply(self, rho))

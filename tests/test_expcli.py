@@ -1167,23 +1167,27 @@ def test_su2_tau_sweep_at_n12_loads_and_runs(tmp_path):
     "register, states",
     [({"n": 10}, ["singlet", "symmetric"]), ({"n": 12}, ["uniform"]),
      ({"n": 8, "interaction": {"kind": "heisenberg_ring"}}, ["singlet"]),
-     ({"n": 8}, ["su2:1,0", "all_up"])],
-    ids=["n10", "n12", "ring8", "su2_8"],
+     ({"n": 8}, ["su2:1,0", "all_up"]), ({"n": 8}, ["symmetric", "all_up"])],
+    ids=["n10", "n12", "ring8", "su2_8", "symmetric_8"],
 )
 def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
     import tracemalloc
 
-    from qregsim.expcli import DENSE_BUILDER_MATRICES, build_bath, _cells
+    from qregsim.expcli import build_bath, _cells
     from qregsim.liouvillian import rates_bytes
-    from qregsim.register import su2_bytes
+    from qregsim.register import _digit_table, excitation_sectors, su2_bytes
 
     cfg = config_from_dict(_tau_sweep_config(tmp_path, register, states))
     need = rates_bytes(
         _cells(cfg.register),
         build_bath(cfg),
         len(states),
-        DENSE_BUILDER_MATRICES if register.get("interaction") else 0,
+        ring="interaction" in register,
     ) + (su2_bytes(register["n"]) if any(s.startswith("su2:") for s in states) else 0)
+    # as the first run in a process: the state builders' cached basis tables
+    # are built inside the traced run
+    _digit_table.cache_clear()
+    excitation_sectors.cache_clear()
     tracemalloc.start()
     try:
         run_tau_sweep(cfg)

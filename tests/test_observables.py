@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from helpers import random_bath, random_density_matrix, random_pure_state, rng_for
 
 import qregsim
+from qregsim import observables
 from qregsim.bath import cell_limit, exponential_decay, replica_symmetric
 from qregsim.dynamics import dephasing_solve, integrate, propagate_exact
 from qregsim.errors import DimensionMismatch, NotHermitian, TooLarge, TooSmall
@@ -345,6 +346,17 @@ def test_register_energy_of_a_stack_is_each_state_alone():
     energies = register_energy(states, h)
     assert energies.shape == (4,)
     assert energies.tolist() == [register_energy(s, h) for s in states]
+
+
+def test_register_energy_of_a_generator_reads_its_checked_hamiltonian(monkeypatch):
+    rng = rng_for("energy-generator")
+    liouv = build_liouvillian(qubit_register(3), exponential_decay(3, 0.1, 0.02, 1.0, 0.5))
+    states = np.stack([random_density_matrix(rng, 8) for _ in range(3)])
+    want = register_energy(states, liouv.hamiltonian)
+    # the Liouvillian's constructor checked H: no second check
+    monkeypatch.setattr(observables, "is_hermitian", lambda *a, **k: pytest.fail("checked"))
+    assert register_energy(states, liouv).tolist() == want.tolist()
+    assert register_energy(states[0], liouv) == want[0]
 
 
 def test_energy_monotone_at_zero_temperature():

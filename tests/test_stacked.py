@@ -1,14 +1,29 @@
 """Stacked RK4: ``evolve(..., "rk4")`` steps all initial states of a dense
-generator as one (S, D, D) stack and must reproduce, bit for bit, each
-state stepped alone with the expression form of RK4.  Also ``apply`` on
-stacks on both generator paths, its shape guard, and the per-state trace
-check."""
+generator as one (S, D, D) stack, and the states of every dense generator
+of a sweep with one K as one (P S, D, D) stack, and must reproduce, bit for
+bit, each state stepped alone with the expression form of RK4 and each
+generator run on its own.  Also ``apply`` on stacks on both generator
+paths, its shape guard, the per-state trace check, and the runner's
+snapshot sink: its peak memory against the number of bath points, and a
+snapshot that fails ``check_state``."""
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qregsim import build_liouvillian, evolve, expcli, integrate, qubit_register
+from qregsim import (
+    build_liouvillian,
+    dicke_state,
+    evolve,
+    evolve_into,
+    exponential_decay,
+    expcli,
+    integrate,
+    qubit_register,
+)
 from qregsim.dynamics import snapshot_grid
 from qregsim.errors import DimensionMismatch, UnstableStep
 from qregsim.linalg import dag
@@ -18,6 +33,7 @@ from qregsim.liouvillian import (
     LindbladSet,
     LindbladTerm,
     Liouvillian,
+    _BlockForm,
     _DenseForm,
     _GammaForm,
 )
@@ -168,3 +184,167 @@ def test_bad_trace_in_the_stack_names_its_state(seed):
     good = random_density_matrix(rng, 4)
     with pytest.raises(UnstableStep, match=r"to 1\.5.* at step 1 .*in state 1;"):
         evolve(liouv, [good, 1.5 * good, good], 1.0, 0.01, 10, "rk4")
+
+
+# Sweeps: one evolve over P generators steps the dense ones with one K as
+# one (P S, D, D) stack, bitwise each generator's own run.
+
+
+def assert_sweep_is_per_point(liouvs, rho0s, t_end, dt, stride):
+    sweep = evolve(liouvs, rho0s, t_end, dt, stride, "rk4")
+    assert len(sweep) == len(liouvs)
+    for liouv, trajs in zip(liouvs, sweep):
+        alone = evolve(liouv, rho0s, t_end, dt, stride, "rk4")
+        assert len(trajs) == len(rho0s)
+        for got, want in zip(trajs, alone):
+            assert got.metadata == want.metadata  # form, error_estimate, ...
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
+
+
+def record_dense_applies(monkeypatch) -> list:
+    seen = []
+    apply = _DenseForm.apply
+    monkeypatch.setattr(
+        _DenseForm, "apply", lambda self, rho: seen.append(rho.shape) or apply(self, rho)
+    )
+    return seen
+
+
+@pytest.mark.parametrize(
+    "gamma_plus, ratio", [(0.0, 0.0), (0.02, 0.0), (0.02, 0.5)], ids=["zero_T", "finite_T", "lamb"]
+)
+def test_sweep_is_bitwise_the_per_point_runs(gamma_plus, ratio, monkeypatch):
+    n = 4
+    liouvs = [
+        build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, gamma_plus, xi, ratio))
+        for xi in (1.0, 10.0, 100.0)
+    ]
+    rho0s = [expcli.build_state(s, qubit_register(n)) for s in ("singlet", "symmetric")]
+    seen = record_dense_applies(monkeypatch)
+    assert_sweep_is_per_point(liouvs, rho0s, 0.3, 0.01, 7)
+    # 30 steps of four applies: one (6, 16, 16) stack for the sweep, then
+    # (2, 16, 16) for each point alone
+    assert seen == [(6, 16, 16)] * 120 + [(2, 16, 16)] * 360
+
+
+def test_gamma_plus_sweep_steps_each_k_as_its_own_stack(monkeypatch):
+    n = 3
+    rng = rng_for("mixed-k")
+    values = [0.0, 0.02, 0.0, 0.05]
+    liouvs = [
+        build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, gp, 2.0)) for gp in values
+    ]
+    assert [len(l.lindblad) for l in liouvs] == [3, 6, 3, 6]
+    rho0s = [random_pure_state(rng, 8), random_density_matrix(rng, 8)]
+    seen = record_dense_applies(monkeypatch)
+    assert_sweep_is_per_point(liouvs, rho0s, 0.1, 0.02, 2)
+    assert seen[:40] == [(4, 8, 8)] * 40  # two points per K, 5 steps each
+
+
+def test_sweep_of_one_generator_and_mixed_sizes():
+    rng = rng_for("sweep-shapes")
+    liouv = build_liouvillian(qubit_register(2), random_bath(rng, 2))
+    psi = random_pure_state(rng, 4)
+    (trajs,) = evolve([liouv], [psi], 0.04, 0.02, 1)
+    assert trajs[0].states.tobytes() == integrate(liouv, psi, 0.04, 0.02, 1).states.tobytes()
+    other = build_liouvillian(qubit_register(3), random_bath(rng, 3))
+    with pytest.raises(DimensionMismatch, match="generator 1 has D = 8"):
+        evolve([liouv, other], [psi], 0.04, 0.02, 1)
+    assert evolve([], [psi], 0.04, 0.02, 1) == []
+
+
+def simulate_peak(n: int, xis, t_end: float, dt: float) -> int:
+    """tracemalloc peak of a second run_simulate of the singlet and Dicke
+    states over the bath points ``xis`` (the first builds the caches)."""
+    cfg = expcli.config_from_dict(
+        {
+            "experiment": "simulate",
+            "register": {"n": n},
+            "bath": {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02},
+            "initial_states": ["singlet", "symmetric"],
+            "solver": {"dt": dt, "t_end": t_end, "stride": 1},
+            "sweep": {"parameter": "bath.xi", "values": list(xis)},
+        }
+    )
+    expcli.run_simulate(cfg)
+    tracemalloc.start()
+    try:
+        expcli.run_simulate(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_sweep_peak_holds_no_snapshots():
+    # 201 snapshots of 2 states at D = 16: 1.6 MB per bath point.  The three
+    # points step as one stack, which costs their generators and stacks
+    # (about 0.6 MB), but no point's snapshots are kept.
+    snapshots = 2 * 201 * 16 * 16**2
+    one = simulate_peak(4, [1.0], 2.0, 0.01)
+    three = simulate_peak(4, [1.0, 10.0, 100.0], 2.0, 0.01)
+    assert one < snapshots
+    assert three - one < snapshots
+
+
+@pytest.mark.parametrize("t_end", [0.04, 0.6], ids=["held", "streamed"])
+def test_block_sweep_peak_does_not_grow_with_points(t_end):
+    # N = 8 on excitation blocks: each generator is built, run and dropped
+    # before the next, so a second point adds less than one D x D array (a
+    # generator holds at least its Hamiltonian).  3 snapshots per state wait
+    # packed for the workspace to be freed; 31 go to the sink as they come.
+    one = simulate_peak(8, [1.0], t_end, 0.02)
+    two = simulate_peak(8, [1.0, 10.0], t_end, 0.02)
+    assert two - one < 16 * 256**2
+
+
+@pytest.mark.parametrize("t_end, held", [(0.04, True), (0.8, False)])
+def test_block_snapshots_wait_packed_only_in_short_runs(t_end, held, monkeypatch):
+    # N = 6, 2 states: 3 packed snapshots (89 KB) fit in the 494 KB of
+    # workspace and stacks the run keeps, 41 (1.2 MB) do not.  Held ones reach the sink
+    # after the last apply, the others as their step ends; snapshot 0 after
+    # the first step's trace check.
+    liouv = build_liouvillian(qubit_register(6), exponential_decay(6, 0.1, 0.02, 1.0))
+    psis = [dicke_state(6, 3), dicke_state(6, 2)]
+    applies, seen = [], []
+    apply = _BlockForm.apply
+    monkeypatch.setattr(
+        _BlockForm, "apply", lambda self, *a: applies.append(1) or apply(self, *a)
+    )
+    snaps = {}
+
+    def sink(liouv, p, s, k, rho):
+        seen.append((k, s, len(applies)))
+        snaps[s, k] = rho.copy()
+
+    (metas,) = evolve_into(liouv, psis, sink, t_end, 0.02, 1)
+    assert [m["form"] for m in metas] == ["blocks", "blocks"]
+    n_steps = round(t_end / 0.02)
+    if held:
+        want = [(k, s, 4 * n_steps) for k in range(n_steps + 1) for s in (0, 1)]
+    else:
+        want = [(k, s, 4 * max(k, 1)) for k in range(n_steps + 1) for s in (0, 1)]
+    assert seen == want
+    # both ways give the snapshots evolve stores
+    for s, traj in enumerate(evolve(liouv, psis, t_end, 0.02, 1)):
+        for k, state in enumerate(traj.states):
+            assert state.tobytes() == snaps[s, k].tobytes()
+
+
+def test_a_snapshot_that_fails_check_state_raises_through_the_runner():
+    # gamma * dt = 3 is past RK4's stability limit: the trace stays 1 while
+    # the up population grows, so check_state, not the trace check, fails.
+    cfg = expcli.config_from_dict(
+        {
+            "experiment": "simulate",
+            "register": {"n": 2},
+            "bath": {"model": "cell_limit", "gamma_minus": 0.1},
+            "initial_states": ["all_up", "singlet"],
+            "solver": {"dt": 0.5, "t_end": 10.0, "stride": 1},
+            "sweep": {"parameter": "bath.gamma_minus", "values": [0.1, 6.0]},
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(UnstableStep, match="negative eigenvalue"):
+            expcli.run_simulate(cfg)

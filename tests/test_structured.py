@@ -171,14 +171,14 @@ def test_superoperator_matches_structured_apply_at_crossover():
 
 def test_path_choice():
     small = build_liouvillian(qubit_register(5), exponential_decay(5, 0.1, 0.02, 1.0))
-    assert small._form.jump.shape == (10, 32, 32)
+    assert small._form.jump.shape == (10, 1, 32, 32)
     model = qubit_register(6)
     lset = canonical_form(model, exponential_decay(6, 0.1, 0.02, 1.0))
     h = np.diag(np.arange(64.0))
     assert isinstance(Liouvillian(hamiltonian=h, lindblad=lset)._form, _GammaForm)
     # a hand-built set carries no register, so it stays on the dense path
     hand = Liouvillian(hamiltonian=h, lindblad=LindbladSet(terms=lset.terms))
-    assert hand._form.jump.shape == (12, 64, 64)
+    assert hand._form.jump.shape == (12, 1, 64, 64)
 
 
 def test_canonical_terms_carry_their_weights():
