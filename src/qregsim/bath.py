@@ -26,13 +26,9 @@ from .linalg import is_hermitian
 PSD_RTOL = 1e-10
 
 
-def _min_max_eig(m: np.ndarray) -> tuple[float, float]:
-    w = np.linalg.eigvalsh(m)
-    return float(w[0]), float(w[-1])
-
-
 def _require_psd(m: np.ndarray, what: str) -> None:
-    lo, hi = _min_max_eig(m)
+    w = np.linalg.eigvalsh(m)
+    lo, hi = float(w[0]), float(w[-1])
     if lo < -PSD_RTOL * max(hi, abs(lo), 1e-300):
         raise OrderingViolated(
             f"{what} must be positive semidefinite, min eigenvalue {lo:.3e}"

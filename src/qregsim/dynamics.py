@@ -129,12 +129,17 @@ def _as_density(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """Number of equal steps snapshot_grid splits t_end into:
-    round(t_end / dt), at least one when t_end > 0.
+def snapshot_grid(
+    t_end: float, dt: float, stride: int = DEFAULT_STRIDE
+) -> tuple[float, np.ndarray]:
+    """Step size h and the indices of the steps kept as snapshots.
 
-    Raises TooSmall/TooLarge for a nonpositive dt, a negative t_end, a
-    non-finite ratio, or more than MAX_STEPS steps.
+    t_end is split into round(t_end / dt) equal steps, at least one when
+    t_end > 0; step 0, every stride-th step and the final step are kept.
+
+    Raises TooSmall/TooLarge, in this order, for a nonpositive dt, a
+    negative t_end, a non-finite ratio, more than MAX_STEPS steps, or a
+    stride that is not a whole number >= 1.
     """
     if not dt > 0:
         raise TooSmall(f"dt must be positive, got {dt}")
@@ -147,20 +152,10 @@ def step_count(t_end: float, dt: float) -> int:
         raise TooLarge(
             f"t_end / dt = {t_end / dt:.3g} steps, more than the {MAX_STEPS} allowed"
         )
-    return max(n_steps, 1) if t_end > 0 else 0
-
-
-def snapshot_grid(
-    t_end: float, dt: float, stride: int = DEFAULT_STRIDE
-) -> tuple[float, np.ndarray]:
-    """Step size h and the indices of the steps kept as snapshots.
-
-    t_end is split into step_count(t_end, dt) equal steps; step 0, every
-    stride-th step and the final step are kept.
-    """
-    n_steps = step_count(t_end, dt)
-    if stride < 1:
-        raise TooSmall(f"stride must be >= 1, got {stride}")
+    n_steps = max(n_steps, 1) if t_end > 0 else 0
+    # a fractional stride would keep times between steps
+    if not (stride >= 1 and stride % 1 == 0):
+        raise TooSmall(f"stride must be a whole number >= 1, got {stride}")
     h = t_end / n_steps if n_steps else 0.0
     steps = np.arange(0, n_steps + 1, stride)
     if steps[-1] != n_steps:
@@ -241,17 +236,13 @@ class _Run:
         self.sink, self.named = sink, named
         self.metas: list[list] = []
 
-    def emit(self, liouv: Liouvillian, p: int, s: int, k: int, rho: np.ndarray) -> None:
-        """Check snapshot k of state s under the p-th generator once, then
-        hand it to the sink."""
-        check_state(rho)
-        self.sink(liouv, p, s, k, rho)
-
     def emit_stack(self, rows, k: int, snaps) -> None:
-        """``emit`` snapshot k of each row ((generator, index, state)), from
-        ``snaps``, their D x D snapshots in row order."""
+        """Check snapshot k of each row ((generator, index, state)) once,
+        then hand it to the sink; ``snaps`` are their D x D snapshots in
+        row order."""
         for (liouv, p, s), rho in zip(rows, snaps):
-            self.emit(liouv, p, s, k, rho)
+            check_state(rho)
+            self.sink(liouv, p, s, k, rho)
 
     def rk4(self, points, states, stack) -> None:
         """Classical fixed-step RK4 on one stack: the initial states
@@ -266,7 +257,7 @@ class _Run:
         so each state's snapshots are bitwise the single-state ones.  At
         most four stacks are live during an apply: the state, the stage
         input, the accumulated sum and the apply's result; the block form
-        writes them into two stacks and one workspace kept for the run
+        writes them into two stacks and the buffers kept for the run
         (``stack.stepper``).  The trace check, re-Hermitization,
         renormalization and ``error_estimate`` are per state.
 
@@ -386,7 +377,7 @@ class _Run:
         closed, times = _closed_form(liouv), self.steps * self.h
         for s, rho in enumerate(self.rhos):
             for k, snap in enumerate(_closed_snapshots(closed, rho, times)):
-                self.emit(liouv, p, s, k, snap)
+                self.emit_stack([(liouv, p, s)], k, [snap])
         self.metas[p] = [{"method": "dephasing"} for _ in self.rhos]
 
 
@@ -418,16 +409,17 @@ def evolve(
     stride: int = DEFAULT_STRIDE,
     method: str = "rk4",
 ) -> list:
-    """Evolve each initial state (vector or density matrix) on the one
-    snapshot_grid schedule under one ``Liouvillian``, or under each of a
-    sequence of them with one D; returns one Trajectory per state, in
-    input order, or that list per generator.
+    """Evolve each initial state (vector or density matrix, from any
+    iterable) on the one snapshot_grid schedule under one ``Liouvillian``,
+    or under each of a sequence of them with one D; returns one Trajectory
+    per state, in input order, or that list per generator.
 
     ``evolve_into`` with a sink that stores every snapshot: its checks
     stand, so the Trajectories are not checked again.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     times = steps * h
+    rho0s = list(rho0s)  # the sink sizes the store by len(rho0s)
     stored: dict[int, np.ndarray] = {}
 
     def store(liouv, p, s, k, rho):
@@ -740,10 +732,12 @@ def state_defect_report(rho: np.ndarray) -> dict[str, float]:
     d = rho.shape[0]
     qubits = d >= STRUCTURED_MIN_DIM and d & (d - 1) == 0  # D = 2^N
     layout = excitation_layout(d.bit_length() - 1) if qubits else None
-    if layout is not None and layout.is_block_diagonal(rho):
+    packed = None if layout is None else layout.pack(rho)
+    # block-diagonal: packing dropped no nonzero entry
+    if packed is not None and np.count_nonzero(rho) == np.count_nonzero(packed):
         eig_min = min(
             np.linalg.eigvalsh(0.5 * (b + dag(b))).min()
-            for b in layout.blocks(layout.pack(rho))
+            for b in layout.blocks(packed)
         )
     else:
         eig_min = np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min()

@@ -37,7 +37,7 @@ from .codes import (
     n4_code,
     null_code,
 )
-from .dynamics import check_method, dephasing_frame, evolve_into, snapshot_grid, step_count
+from .dynamics import check_method, dephasing_frame, evolve_into, snapshot_grid
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import (
     GENERATOR_MAX_BYTES,
@@ -375,8 +375,8 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
             f"the {what.format(n)} about {need / 2**30:.3g} GiB, "
             f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit",
         )
-    _library("solver.dt", step_count, 0.0, solver["dt"])
-    _library("solver.t_end", step_count, solver["t_end"], solver["dt"])
+    _library("solver.dt", snapshot_grid, 0.0, solver["dt"])
+    _library("solver.t_end", snapshot_grid, solver["t_end"], solver["dt"])
     _library("solver.stride", snapshot_grid, 0.0, solver["dt"], solver["stride"])
     if cfg.experiment == "simulate":
         # Past the size guard.  The dephasing rule tests the d x d cell
@@ -691,16 +691,11 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
     columns = ["col", "decoherence_rate", "dim", "noiseless"]
     for j in range(len(labels)):
         columns += [f"label{j}_re", f"label{j}_im"]
-    rows = []
-    for k, rate in enumerate(rates):
-        row = [float(k), rate, float(code.dim), float(verdict)]
-        for lab in labels:
-            row += [lab.real, lab.imag]
-        rows.append(row)
-    values = (
-        np.asarray(rows, dtype=float)
-        if rows
-        else np.zeros((0, len(columns)))
+    n_cols = len(rates)
+    values = np.column_stack(
+        [np.arange(n_cols, dtype=float), rates]
+        + [np.full(n_cols, x) for x in (float(code.dim), float(verdict))]
+        + [np.full(n_cols, part) for lab in labels for part in (lab.real, lab.imag)]
     )
     prov = _provenance(cfg, {"code_kind": kind})
     prov["code"] = {

@@ -50,22 +50,6 @@ def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
     return hermiticity_defect(m) <= rtol * scale
 
 
-def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise NotHermitian(
-            f"{what} is not Hermitian: defect {hermiticity_defect(m):.3e} "
-            f"exceeds {HERM_RTOL:.0e} * norm"
-        )
-    return m
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (m + m^dagger)/2."""
-    return 0.5 * (m + dag(m))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, (a (x) b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -80,10 +64,19 @@ def herm_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues descending, orthonormal eigenvector columns in the
-    matching order).  Raises NotHermitian beyond the relative tolerance.
+    matching order).  Raises DimensionMismatch unless m is square and
+    NotHermitian beyond the relative tolerance; m is projected onto its
+    Hermitian part, (m + m^dagger)/2, before it is diagonalized.
     """
-    require_hermitian(m)
-    w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
+    if not is_hermitian(m):
+        raise NotHermitian(
+            f"matrix is not Hermitian: defect {hermiticity_defect(m):.3e} "
+            f"exceeds {HERM_RTOL:.0e} * norm"
+        )
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (m + dag(m)))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 

@@ -594,11 +594,10 @@ class ExcitationBlocks:
     with Q = q in ascending order, row-major, the blocks concatenated by q;
     C(2N, N) entries in all.  Packed arrays carry any leading stack axes.
 
-    ``full`` holds the flat D x D index of each packed entry, ``transpose``
-    the packed index of its transposed entry and ``diagonal`` the packed
-    indices of the diagonal.  ``excitation_layout`` keeps one, read-only,
-    per N, and with it the sandwich tables of each Q shift
-    (``gather_tables``), which depend on N alone.
+    ``full`` holds the flat D x D index of each packed entry and
+    ``diagonal`` the packed indices of the diagonal.  ``excitation_layout``
+    keeps one, read-only, per N, and with it the sandwich tables of each Q
+    shift (``gather_tables``), which depend on N alone.
     """
 
     def __init__(self, n: int):
@@ -612,10 +611,8 @@ class ExcitationBlocks:
         rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
         cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
         self.full = rows * dim + cols
-        k = up[rows]
-        self.transpose = self.offsets[k] + self.pos[cols] * self.sizes[k] + self.pos[rows]
         self.diagonal = np.flatnonzero(rows == cols)
-        for table in (self.sizes, self.offsets, self.full, self.transpose, self.diagonal):
+        for table in (self.sizes, self.offsets, self.full, self.diagonal):
             table.setflags(write=False)
         self._gather: dict[int, tuple] = {}
 
@@ -647,8 +644,9 @@ class ExcitationBlocks:
         return np.take(packed, self.diagonal, axis=-1).sum(axis=-1)
 
     def adjoint(self, packed: np.ndarray, out: np.ndarray) -> None:
-        """out = the packed conjugate transpose of packed."""
-        np.take(packed, self.transpose, axis=-1, out=out, mode="wrap")
+        """out = the packed conjugate transpose of packed, block by block."""
+        for block, o in zip(self.blocks(packed), self.blocks(out)):
+            np.copyto(o, block.swapaxes(-1, -2))
         np.conjugate(out, out=out)
 
     def moves(self, s: int):
@@ -732,10 +730,10 @@ class _BlockForm:
     gather tables the layout's own (``ExcitationBlocks.gather_tables``).
 
     ``apply`` maps an (S, M) stack of packed states, each row bitwise as
-    it is alone, through the buffers of ``workspace(S)``: a stepper passes
-    one workspace and its own output arrays to every call, so no call
-    allocates a stack-sized array.  ``pack``, ``stepper``, ``trace``,
-    ``adjoint`` and ``unpack`` are the stack the RK4 stepper runs on.
+    it is alone, into an output stack through buffers ``stepper`` builds
+    once for the run, so no call allocates a stack-sized array.  ``pack``,
+    ``stepper``, ``trace``, ``adjoint`` and ``unpack`` are the stack the
+    RK4 stepper runs on.
     """
 
     form = "blocks"
@@ -770,20 +768,14 @@ class _BlockForm:
 
     def stepper(self, rho):
         """(f, out, out2, kept) for the RK4 stepper: f(x, out) = L(x)
-        written to out, one of the two output stacks, through one
-        workspace; kept is the bytes of those three."""
-        work = self.workspace(rho.shape[0])
-        kept = sum(a.nbytes for a in work.values()) + 2 * rho.nbytes
-        f = lambda x, out: self.apply(x, out, work)  # noqa: E731
-        return f, np.empty_like(rho), np.empty_like(rho), kept
+        written to out, one of the two output stacks of rho's shape, through
+        one set of buffers; kept is the bytes of all three.
 
-    def workspace(self, n_states: int) -> dict[str, np.ndarray]:
-        """The buffers ``apply`` uses for a stack of n_states, shared by
-        the two sectors, whose X gathers and term tables have one size
-        (q -> N - q maps one sector's blocks onto the other's): the state
-        with a trailing zero entry, X_i and Y_j, the gathered terms, and
-        one scratch of the largest block."""
-        layout = self.layout
+        The buffers serve both sectors, whose X gathers and term tables
+        have one size (q -> N - q maps one sector's blocks onto the
+        other's): the state with a trailing zero entry, X_i and Y_j, the
+        gathered terms, and one scratch of the largest block."""
+        layout, n_states = self.layout, rho.shape[0]
         work = {
             "src": np.zeros((n_states, layout.size + 1), dtype=complex),
             "block": np.empty((n_states, int(layout.sizes.max()) ** 2), dtype=complex),
@@ -794,17 +786,15 @@ class _BlockForm:
             work["x"] = np.empty((n_states,) + x_at.shape, dtype=complex)
             work["y"] = np.empty_like(work["x"])
             work["terms"] = np.empty((n_states, gather.shape[0]), dtype=complex)
-        return work
+        kept = sum(a.nbytes for a in work.values()) + 2 * rho.nbytes
+        f = lambda x, out: self.apply(x, out, work)  # noqa: E731
+        return f, np.empty_like(rho), np.empty_like(rho), kept
 
-    def apply(self, rho: np.ndarray, out=None, work=None) -> np.ndarray:
-        """L(rho) for the (S, M) stack rho, into ``out`` when given, through
-        ``work`` (``workspace(S)``) when given."""
+    def apply(self, rho: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
+        """L(rho) for the (S, M) stack rho, into ``out``, through the
+        buffers ``work`` that ``stepper`` builds for S states."""
         layout = self.layout
         n_states, m = rho.shape[0], layout.size
-        if out is None:
-            out = np.empty_like(rho)
-        if work is None:
-            work = self.workspace(n_states)
         scratch = work["block"]
         drift, sectors = self._tables
         for (b, b_dag), r, o in zip(drift, layout.blocks(rho), layout.blocks(out)):

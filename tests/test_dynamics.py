@@ -249,6 +249,41 @@ def test_evolve_methods_share_integrate_grid(method):
             assert np.max(np.abs(state - propagate_exact(liouv, rho0, t))) < 1e-10
 
 
+@pytest.mark.parametrize("method", ["rk4", "exact", "dephasing"])
+def test_evolve_takes_only_whole_strides(method):
+    # A fractional stride would keep times between steps, which rk4 never
+    # writes: it is refused before any generator is drawn.  A whole-number
+    # float acts as its integer.
+    liouv = build_liouvillian(dephasing_register(2), exponential_decay(2, 0.3, 0.1, xi=2.0))
+    psi = random_pure_state(rng_for("whole-stride"), 4)
+
+    def generators():
+        pytest.fail("a generator was drawn")
+        yield liouv
+
+    for stride in (2.5, 0.5, float("nan"), float("inf")):
+        with pytest.raises(TooSmall, match="whole number"):
+            evolve(generators(), [psi], 1.0, 0.1, stride=stride, method=method)
+    whole = evolve(liouv, [psi], 1.0, 0.1, stride=2.0, method=method)[0]
+    ref = evolve(liouv, [psi], 1.0, 0.1, stride=2, method=method)[0]
+    assert np.array_equal(whole.times, ref.times)
+    assert np.array_equal(whole.states, ref.states)
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact", "dephasing"])
+def test_evolve_takes_an_iterator_of_states(method):
+    liouv = build_liouvillian(dephasing_register(2), exponential_decay(2, 0.3, 0.1, xi=2.0))
+    rng = rng_for("state-iterator")
+    rho0s = [random_pure_state(rng, 4), random_density_matrix(rng, 4)]
+    got = evolve(liouv, (r for r in rho0s), 1.0, 0.1, stride=3, method=method)
+    want = evolve(liouv, rho0s, 1.0, 0.1, stride=3, method=method)
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
+        assert a.metadata == b.metadata
+
+
 def test_evolve_argument_guards():
     liouv = _unitary_liouvillian(1)
     psi = basis_state(1, "0")
@@ -359,6 +394,21 @@ def test_dephasing_hermitian_frame_change_matches_integrator():
     traj = dephasing_solve(liouv, rho0, times)
     ref = propagate_exact(liouv, rho0, 1.0)
     assert np.max(np.abs(traj.final - ref)) < 1e-9
+
+
+@pytest.mark.parametrize("delta_ratio", [0.0, 0.5], ids=["plain", "lamb"])
+def test_dephasing_schur_frame_matches_exact_propagation(delta_ratio):
+    # i sigma_y is normal but neither Hermitian nor diagonal: its frame
+    # comes from the complex Schur form.  The Lamb shift's A_i^+ A_j are
+    # diagonal in that frame too.
+    model = dephasing_register(3, cell_op=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    spec = exponential_decay(3, 0.3, 0.1, xi=2.0, delta_ratio=delta_ratio)
+    liouv = build_liouvillian(model, spec)
+    assert np.any(liouv.hamiltonian) == spec.has_lamb_shift
+    rho0 = random_density_matrix(rng_for("dephasing-schur"), 8)
+    traj = evolve(liouv, [rho0], 2.0, 0.1, stride=7, method="dephasing")[0]
+    for t, state in zip(traj.times, traj.states):
+        assert np.max(np.abs(state - propagate_exact(liouv, rho0, t))) < 1e-12
 
 
 def test_dephasing_with_bath_phase_shifts():

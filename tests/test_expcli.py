@@ -15,6 +15,7 @@ from qregsim.expcli import (
     build_state,
     config_from_dict,
     config_hash,
+    emit_outputs,
     load_preset,
     main,
     parse_config,
@@ -23,6 +24,7 @@ from qregsim.expcli import (
     run_tau_sweep,
     serialize_config,
 )
+from qregsim.codes import n4_code
 from qregsim.register import basis_state, pair_singlet_state, qubit_register
 
 
@@ -129,6 +131,9 @@ def test_build_state_named_forms():
     amp = build_state([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], model)
     assert np.linalg.norm(amp) == pytest.approx(1.0)
     assert amp[0] == pytest.approx(1 / np.sqrt(2))
+    basis = n4_code().basis
+    for k in (0, 1):
+        assert np.array_equal(build_state(f"codeword{k}", qubit_register(4)), basis[:, k])
 
 
 def test_build_state_guards():
@@ -143,6 +148,11 @@ def test_build_state_guards():
         build_state([[0.0, 0.0]] * 8, model)
     with pytest.raises(ConfigError, match="cannot build"):
         build_state("su2:7,0", model)
+    with pytest.raises(ConfigError, match="codewords are defined for n = 4"):
+        build_state("codeword0", model)
+    for name in ("su2:1", "su2:1,0,0,0"):
+        with pytest.raises(ConfigError, match="expected su2:S,M or su2:S,M,copy"):
+            build_state(name, model)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +257,36 @@ def test_codes_runner_singlet_code():
     code_block = table.provenance["code"]
     assert code_block["dim"] == 2 and code_block["noiseless"] is True
     assert len(code_block["basis_re_im"]) == 16
+
+
+def test_codes_runner_cluster_code(tmp_path):
+    # Size-2 clusters of N = 4 dephasing cells under a bath clustered as
+    # [[0, 1], [2, 3]]: a noiseless code of dimension 4, every rate zero.
+    raw = {
+        "experiment": "codes",
+        "register": {"n": 4, "kind": "dephasing"},
+        "bath": {
+            "model": "clustered",
+            "gamma_minus": 0.4,
+            "gamma_plus": 0.1,
+            "partition": [[0, 1], [2, 3]],
+        },
+        "codes": {"kind": "cluster", "cluster_size": 2},
+        "output": {"name": "cluster4", "formats": ["gnuplot"]},
+    }
+    cfg = config_from_dict(raw)
+    table = run_codes(cfg)
+    assert table.values.shape == (4, len(table.columns))
+    assert table.values[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert np.all(table.values[:, 1] == 0.0)
+    assert np.all(table.values[:, 2:4] == [4.0, 1.0])
+    assert table.provenance["code"]["kind"] == "sub_decoherent"
+    emit_outputs(table, cfg, out_dir=str(tmp_path))
+    script = (tmp_path / "cluster4.gp").read_text()
+    assert script.endswith(
+        "set xlabel 'basis column'\nset ylabel 'decoherence rate'\n"
+        "plot 'cluster4.csv' using 1:2 with points pointtype 7 title 'rate'\n"
+    )
 
 
 def test_codes_runner_empty_code_reports_cleanly():
@@ -1195,6 +1235,27 @@ def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
     finally:
         tracemalloc.stop()
     assert peak <= need <= 2 * peak
+
+
+@pytest.mark.parametrize(
+    "name, lines",
+    [
+        ("fig4", ["set ylabel 'F_singlet - F_symmetric'",
+                  "plot 'fig4.csv' using 1:($14-$17) with lines title 'xi=100', \\",
+                  "     'fig4.csv' using 1:($8-$11) with lines title 'xi=10', \\",
+                  "     'fig4.csv' using 1:($2-$5) with lines title 'xi=1'"]),
+        ("fig5", ["set ylabel 'delta_symmetric - delta_singlet'",
+                  "plot 'fig5.csv' using 1:($18-$15) with lines title 'xi=100', \\",
+                  "     'fig5.csv' using 1:($12-$9) with lines title 'xi=10', \\",
+                  "     'fig5.csv' using 1:($6-$3) with lines title 'xi=1'"]),
+    ],
+)
+def test_cli_fig_pair_plots_one_difference_per_xi(tmp_path, name, lines):
+    # fig4 and fig5 draw the difference of their two states per sweep
+    # value, the largest xi first; two steps give the preset's columns.
+    assert main(["simulate", "--preset", name, "--t-end", "0.02", "--out", str(tmp_path)]) == 0
+    script = (tmp_path / f"{name}.gp").read_text().splitlines()
+    assert script[-5:] == ["set xlabel 't'"] + lines
 
 
 def test_cli_fig_named_sweep_without_the_pair_plots_per_state(tmp_path, capsys):
