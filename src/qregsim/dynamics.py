@@ -40,12 +40,12 @@ from .errors import (
 )
 from .linalg import (
     dag,
+    expm,
     expm_action,
     frob,
     hermiticity_defect,
     is_hermitian,
     kron_all,
-    load_expm,
     schur,
     unvec,
     vec,
@@ -56,6 +56,7 @@ from .liouvillian import (
     Liouvillian,
     _DenseForm,
     add_elementwise_rates,
+    drift_blocks,
     excitation_form,
     excitation_layout,
     superoperator_matrix,
@@ -337,10 +338,10 @@ class _Run:
                 "error_estimate": drift,
             }
 
-    def exact(self, p: int, liouv: Liouvillian, expm) -> None:
+    def exact(self, p: int, liouv: Liouvillian) -> None:
         """All states at once, stacked as the columns of one matrix, with
-        one propagator per distinct snapshot interval: on the packed
-        excitation sector or through the full superoperator
+        one propagator ``expm`` per distinct snapshot interval: on the
+        packed excitation sector or through the full superoperator
         (``_exact_generator``).  Each snapshot is unpacked as it is made."""
         h, steps, d = self.h, self.steps, liouv.dim
         rhos = np.stack(self.rhos)
@@ -468,7 +469,8 @@ def evolve_into(
     is memory-bound.  Each state's snapshots are bitwise the ones stepping
     that state alone under its generator gives.  ``exact`` advances all
     states at once, stacked as the columns of one matrix, with one
-    propagator per distinct snapshot interval (D <= 64): on the packed
+    propagator per distinct snapshot interval (D <= 64), the NumPy
+    ``linalg.expm`` of the generator times that interval: on the packed
     excitation sector when ``liouv.block_layout`` holds and every state is
     block-diagonal, ``form == "blocks"``, otherwise through the D^2 x D^2
     ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is the closed
@@ -520,9 +522,9 @@ def _check_step(liouv: Liouvillian, h: float, steps) -> None:
 def _alone(run: _Run, method: str, p: int, liouv: Liouvillian) -> None:
     """Run the p-th generator by itself; its forms die with this call."""
     if method == "exact":
-        expm = check_method(method, liouv.lindblad.model, liouv.hamiltonian)
+        check_method(method, liouv.lindblad.model, liouv.hamiltonian)
         if run.rhos:
-            run.exact(p, liouv, expm)
+            run.exact(p, liouv)
     elif run.rhos and method == "dephasing":
         run.closed(p, liouv)
     elif run.rhos:
@@ -547,28 +549,26 @@ def _exact_generator(liouv: Liouvillian, rhos: np.ndarray):
 def _sector_generator(liouv: Liouvillian, layout):
     """The matrix M with M pack(rho) = pack(L(rho)) on the packed sector of
     ``layout``, from the term blocks (``LindbladSet.excitation_blocks``)
-    and the diagonal blocks H_q of H.
+    and the drift blocks B_q of ``drift_blocks``, the block form's own.
 
     Packing is row-major, so pack(A X C) = (A (x) C^T) pack(X).  The terms
     J_k of a sector, mapping S_q to S_{q+s}, add sum_k lambda_k J_k (x)
     conj(J_k) to the (q + s, q) block of M, one product per q; the diagonal
-    block q is -(B_q (x) I + I (x) conj(B_q)) with the drift
-    B_q = i H_q + sum_k lambda_k J_k^+ J_k / 2.
+    block q is -(B_q (x) I + I (x) conj(B_q)).
     """
     at = [slice(o, o + w * w) for o, w in zip(layout.offsets, layout.sizes)]
     m = np.zeros((layout.size, layout.size), dtype=complex)
-    drift = [1j * liouv.hamiltonian[np.ix_(s, s)] for s in layout.states]
-    for shift, rates, blocks in liouv.lindblad.excitation_blocks().values():
+    excitation = liouv.lindblad.excitation_blocks()
+    for shift, rates, blocks in excitation.values():
         rates = rates[:, None, None]
         for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
             n_terms, rows, cols = j.shape
             weighted = (rates * j).reshape(n_terms, -1)
             conj = j.conj().reshape(n_terms, -1)
-            drift[q] += 0.5 * (conj.reshape(-1, cols).T @ weighted.reshape(-1, cols))
             # sum_k lambda_k J_k[a, b] conj(J_k[c, d]) at ((a, c), (b, d))
             kron = (weighted.T @ conj).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
             m[at[q + shift], at[q]] += kron.reshape(rows * rows, cols * cols)
-    for q, b in enumerate(drift):
+    for q, b in enumerate(drift_blocks(liouv.hamiltonian, layout, excitation)):
         i = np.arange(b.shape[0])
         block = m[at[q], at[q]].reshape((len(i),) * 4)  # [a, c, b, d] at ((a, c), (b, d))
         block[:, i, :, i] -= b  # B (x) I
@@ -598,11 +598,9 @@ def check_method(
     (NotSimultaneouslyDiagonalizable), and ``rk4`` takes any; another name
     is a QregError.
 
-    For exact returns the matrix exponential, loaded here (it imports
-    SciPy) so that a run checked at load exponentiates without importing.
-    For dephasing returns (w, frame, h): the cell operator's eigenvalues,
-    the register's unitary eigenbasis frame (None when it is the identity)
-    and H in that frame.
+    Returns None, except for dephasing: (w, frame, h), the cell
+    operator's eigenvalues, the register's unitary eigenbasis frame (None
+    when it is the identity) and H in that frame.
     """
     if method == "exact":
         d = model.dim if hamiltonian is None else hamiltonian.shape[0]
@@ -610,7 +608,6 @@ def check_method(
             raise TooLarge(
                 f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {d}"
             )
-        return load_expm()
     elif method == "dephasing":
         w, v = dephasing_frame(model)
         h = register_hamiltonian(model) if hamiltonian is None else hamiltonian

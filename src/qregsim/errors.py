@@ -45,6 +45,10 @@ class EmptyModeList(QregError):
     """Microscopic coefficient assembly needs at least one bath mode."""
 
 
+class NotFinite(QregError):
+    """A matrix has a NaN or infinite entry."""
+
+
 class UnstableStep(QregError):
     """Integrator trace drifted beyond tolerance within a single step."""
 

@@ -381,8 +381,7 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "simulate":
         # Past the size guard.  The dephasing rule tests the d x d cell
         # operator before it builds the register's H (a ring's SU(2) check
-        # is O(D^3)); the exact rule loads the exponential, so the run
-        # imports nothing.
+        # is O(D^3)).
         method = solver["method"]
         if method == "dephasing":
             _library("solver.method", dephasing_frame, model)

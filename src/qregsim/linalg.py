@@ -1,13 +1,15 @@
 """Dense complex linear algebra substrate.
 
 All operators in the package are plain ``numpy`` arrays with complex128
-entries.  The helpers here are pure functions and are safe to call from
-concurrent sweep workers.
+entries, and the helpers here are pure functions.
 
-This is the one module that uses SciPy, for the matrix exponential and the
-complex Schur form, and it imports ``scipy.linalg`` only when one of them is
-first needed: the import is most of a cold start, and RK4 simulate,
-tau_sweep and codes runs need neither.
+``expm``, the exponential the solvers and ``codes`` use, is NumPy alone.
+This is the one module that uses SciPy, and it imports ``scipy.linalg``
+only on the first call that needs it: the import is most of a cold start.
+Two paths do: ``expm_action``, the reference propagator the acceptance
+suite checks the solvers against, which keeps SciPy's exponential so the
+check stays independent of ``expm``, and ``schur``, the frame of a normal,
+non-Hermitian dephasing cell operator.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotFinite, NotHermitian
 
 # Relative hermiticity tolerance; scaled inputs behave uniformly.
 HERM_RTOL = 1e-12
@@ -121,19 +123,104 @@ def restrict_kernel(basis: np.ndarray, op: np.ndarray, opnorm: float) -> np.ndar
     return basis @ dag(vh)[:, rank:]
 
 
-def load_expm():
-    """SciPy's scaling-and-squaring Pade exponential, importing
-    ``scipy.linalg`` on the first call.  A run that will exponentiate loads
-    it while it is checked (``dynamics.check_method``), not in its first
-    propagator."""
-    import scipy.linalg
-
-    return scipy.linalg.expm
+# Higham (2005), "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26, 1179: per Pade degree m, the
+# largest 1-norm theta_m for which r_m(A) meets double-precision backward
+# error, and the coefficients b_0..b_m of the numerator of r_m.
+PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (
+        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+    ),
+    13: (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0,
+    ),
+}
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential exp(a)."""
-    return load_expm()(a)
+    """Matrix exponential exp(a) by scaling and squaring with a diagonal
+    Pade approximant (Higham 2005): the lowest degree m in 3, 5, 7, 9
+    whose PADE_THETA bounds the 1-norm, otherwise m = 13 on a / 2^s with
+    the least s that brings the norm within theta_13, squared s times.
+
+    r_m(a) = (V - U)^-1 (V + U), with U and V the odd and even parts of
+    the numerator, from Higham's products: the powers a^2 .. a^(m-1)
+    (a^2, a^4, a^6 for m = 13, where a^6 also multiplies the upper half of
+    each part).  Every sum of powers is formed in place (``_combine``), so
+    a call holds at most six n x n arrays.  A diagonal a gives the
+    exponentials of its entries.  Raises DimensionMismatch unless a is
+    square and NotFinite if it has a NaN or infinite entry.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise NotFinite("cannot exponentiate a matrix with a NaN or infinite entry")
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        # diagonal: exact, and spared the scaling a wide spread of entries
+        # would force on the small ones
+        return np.diag(np.exp(np.diagonal(a)))
+    m = next((m for m in (3, 5, 7, 9) if norm <= PADE_THETA[m]), 13)
+    s = 0 if norm <= PADE_THETA[13] else int(np.ceil(np.log2(norm / PADE_THETA[13])))
+    b = PADE_COEFFS[m]
+    # a / 2^s is kept only for its square: U = (a U') / 2^s below
+    scaled = a * 2.0**-s if s else a
+    powers = [scaled @ scaled]
+    del scaled
+    while len(powers) < (m // 2 if m < 13 else 3):
+        powers.append(powers[0] @ powers[-1])
+    if m < 13:
+        u = _combine(np.empty_like(powers[0]), b[1::2], powers)
+        v = _combine(powers[0], b[0::2], powers)  # in place over a^2
+    else:  # U / a = a^6 (b13 a^6 + b11 a^4 + b9 a^2) + b7 a^6 + ..., V alike
+        inner = _combine(np.empty_like(powers[0]), (0.0,) + b[9::2], powers)
+        u = powers[2] @ inner
+        u += _combine(inner, b[1:8:2], powers)
+        _combine(inner, (0.0,) + b[8::2], powers)
+        v = powers[2] @ inner
+        v += _combine(inner, b[0:7:2], powers)
+        del inner
+    del powers
+    odd = a @ u  # U
+    odd *= 2.0**-s
+    p = np.add(v, odd, out=u)  # V + U
+    v -= odd  # V - U
+    del a, u, odd
+    x = np.linalg.solve(v, p)
+    del v
+    for _ in range(s):
+        np.matmul(x, x, out=p)
+        x, p = p, x
+    return x
+
+
+def _combine(out: np.ndarray, c, powers) -> np.ndarray:
+    """out = c[0] I + sum_j c[j + 1] powers[j], written in place from the
+    lowest power up as ((powers[0] c1/c2 + powers[1]) c2/c3 + ...) c_k,
+    so out may be powers[0]; returns out."""
+    ratios = [c[j] / c[j + 1] for j in range(1, len(c) - 1)] + [c[-1]]
+    np.multiply(powers[0], ratios[0], out=out)
+    for power, ratio in zip(powers[1:], ratios[1:]):
+        out += power
+        out *= ratio
+    diagonal = np.einsum("ii->i", out)  # a writeable view
+    diagonal += c[0]
+    return out
 
 
 def schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +232,10 @@ def schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm_action(m: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-    """exp(m*t) @ v via the scaling-and-squaring Pade exponential."""
+    """exp(m*t) @ v via SciPy's scaling-and-squaring Pade exponential,
+    imported on the first call."""
+    import scipy.linalg
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {m.shape}")
@@ -154,7 +244,7 @@ def expm_action(m: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"operand rows {v.shape[0]} do not match matrix size {m.shape[0]}"
         )
-    return expm(m * t) @ v
+    return scipy.linalg.expm(m * t) @ v
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -597,7 +597,10 @@ class ExcitationBlocks:
     ``full`` holds the flat D x D index of each packed entry and
     ``diagonal`` the packed indices of the diagonal.  ``excitation_layout``
     keeps one, read-only, per N, and with it the sandwich tables of each Q
-    shift (``gather_tables``), which depend on N alone.
+    shift (``gather_tables``), which depend on N alone.  The two index
+    tables are read-only views of writeable private bases, which ``pack``,
+    ``unpack`` and ``trace`` index with: ``np.take`` copies a read-only
+    index array on every call.
     """
 
     def __init__(self, n: int):
@@ -610,8 +613,9 @@ class ExcitationBlocks:
         self.size = int(self.offsets[-1])
         rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
         cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
-        self.full = rows * dim + cols
-        self.diagonal = np.flatnonzero(rows == cols)
+        self._full = rows * dim + cols
+        self._diagonal = np.flatnonzero(rows == cols)
+        self.full, self.diagonal = self._full.view(), self._diagonal.view()
         for table in (self.sizes, self.offsets, self.full, self.diagonal):
             table.setflags(write=False)
         self._gather: dict[int, tuple] = {}
@@ -620,12 +624,12 @@ class ExcitationBlocks:
         """The packed blocks of rho (..., D, D); entries off the blocks are
         dropped."""
         flat = rho.reshape(rho.shape[:-2] + (-1,))
-        return np.take(flat, self.full, axis=-1)
+        return np.take(flat, self._full, axis=-1)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """(..., D, D) matrices with the packed blocks and zeros elsewhere."""
         out = np.zeros(packed.shape[:-1] + (self.dim**2,), dtype=packed.dtype)
-        out[..., self.full] = packed
+        out[..., self._full] = packed
         return out.reshape(packed.shape[:-1] + (self.dim, self.dim))
 
     def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
@@ -641,7 +645,7 @@ class ExcitationBlocks:
         return np.count_nonzero(rho) == np.count_nonzero(self.pack(rho))
 
     def trace(self, packed: np.ndarray) -> np.ndarray:
-        return np.take(packed, self.diagonal, axis=-1).sum(axis=-1)
+        return np.take(packed, self._diagonal, axis=-1).sum(axis=-1)
 
     def adjoint(self, packed: np.ndarray, out: np.ndarray) -> None:
         """out = the packed conjugate transpose of packed, block by block."""
@@ -711,6 +715,22 @@ class ExcitationBlocks:
         return self._gather[s]
 
 
+def drift_blocks(h: np.ndarray, layout: ExcitationBlocks, excitation: dict) -> list:
+    """The blocks B_q, q = 0..N, of the drift B = iH + sum_k lambda_k
+    L_k^+ L_k / 2 on the sectors of ``layout``: iH_q, H_q the diagonal
+    block of h, plus sum_k lambda_k J_k^+ J_k / 2 over each sector's
+    term blocks J_k from S_q (``LindbladSet.excitation_blocks``, given as
+    ``excitation``), one product of the stacked blocks per q.  No D x D
+    operator is placed."""
+    drift = [1j * h[np.ix_(s, s)] for s in layout.states]
+    for _, rates, blocks in excitation.values():
+        for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
+            cols = j.shape[2]
+            weighted = (rates[:, None, None] * j).reshape(-1, cols)
+            drift[q] += 0.5 * (j.conj().reshape(-1, cols).T @ weighted)
+    return drift
+
+
 @lru_cache(maxsize=4)
 def excitation_layout(n: int) -> ExcitationBlocks:
     """The ``ExcitationBlocks`` of n qubits, built once per n and shared."""
@@ -723,9 +743,10 @@ class _BlockForm:
         L(rho) = -B rho - rho B^+ + sum_ij G_ij A_i rho A_j^+ per sector,
 
     with A the sector's cell operator, G = sum_k lambda_k u_k u_k^+ over
-    its terms, and the drift B = iH + sum_ij G_ij A_j^+ A_i / 2 summed over
-    the sectors.  Like H, each A_j^+ A_i conserves Q, so B is kept as its
-    blocks; the sandwich is a gather between packed blocks.  Both are
+    its terms, and the drift B = iH + sum_k lambda_k L_k^+ L_k / 2 summed
+    over the sectors.  Like H, each L_k^+ L_k conserves Q, so B is built as
+    its blocks (``drift_blocks``, as the exact solver's sector generator
+    builds it); the sandwich is a gather between packed blocks.  Both are
     ready on first use (``_tables``): the drift built for this form, the
     gather tables the layout's own (``ExcitationBlocks.gather_tables``).
 
@@ -746,21 +767,15 @@ class _BlockForm:
     @cached_property
     def _tables(self):
         """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
-        terms (G^T, its gather tables).  The D x D drift is placed and
-        dropped before the tables are built."""
-        model, layout = self.lindblad.model, self.layout
-        sectors = _sector_gammas(self.lindblad)
-        pairs = []
-        for sector, g in sectors:
-            a = _sector_cell_op(model, sector)
-            pairs.append((0.5 * g.T, dag(a), a))  # sum_ij G_ji a_i^+ a_j / 2
-        drift = _place_pairs(model, pairs)
-        drift += 1j * self.h
-        blocks = [drift[np.ix_(s, s)] for s in layout.states]
-        del drift
+        terms (G^T, its gather tables)."""
+        layout = self.layout
+        drift = drift_blocks(self.h, layout, self.lindblad.excitation_blocks())
         return (
-            [(b, dag(b)) for b in blocks],
-            [(np.ascontiguousarray(g.T), layout.gather_tables(sector)) for sector, g in sectors],
+            [(b, dag(b)) for b in drift],
+            [
+                (np.ascontiguousarray(g.T), layout.gather_tables(sector))
+                for sector, g in _sector_gammas(self.lindblad)
+            ],
         )
 
     def pack(self, rhos):

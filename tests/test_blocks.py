@@ -8,6 +8,7 @@ exact solver on the excitation sector against ``propagate_exact``, with
 its fallbacks, and its generator against the column build and the
 pairwise dissipator."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -168,6 +169,24 @@ def test_layout(n):
     assert np.array_equal(out, layout.pack(rho.conj().T))
     for q, block in enumerate(layout.blocks(packed)):
         assert np.array_equal(block, rho[np.ix_(layout.states[q], layout.states[q])])
+
+
+def test_pack_does_not_copy_its_table():
+    # np.take copies a read-only index array on every call; pack (and
+    # trace) index with the writeable base of the read-only full view.
+    layout = excitation_layout(8)
+    rho = np.stack([block_diagonal(random_operator(rng_for(f"pack-{s}"), 256)) for s in range(2)])
+    layout.pack(rho)  # warm up
+    tracemalloc.start()
+    try:
+        packed = layout.pack(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= packed.nbytes + 4096  # the copy of full would be 103 KB
+    assert packed.flags.c_contiguous
+    assert np.array_equal(packed, np.stack([r.reshape(-1)[layout.full] for r in rho]))
+    assert np.array_equal(layout.trace(packed), [p[layout.diagonal].sum() for p in packed])
 
 
 def block_states(rng, n: int) -> list:

@@ -60,29 +60,35 @@ print(before, "scipy.linalg" in sys.modules)
 """
 
 
-@pytest.mark.parametrize(
-    "method, loaded", [("exact", "True"), ("rk4", "False")], ids=["exact", "rk4"]
-)
-def test_an_exact_config_loads_the_exponential_at_load(method, loaded):
-    # An exact run imports SciPy while its config is checked, so the run
-    # itself allocates nothing for the import; an rk4 config never does.
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_an_exact_config_loads_the_exponential_at_load(method):
+    # Checking a config imports no SciPy, whatever its method: the exact
+    # solver's exponential is NumPy alone.
     proc = _run(["-c", _EXACT_LOAD % method])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", loaded]
+    assert proc.stdout.split() == ["False", "False"]
 
 
-def test_check_method_exact_returns_the_loaded_exponential():
+def test_evolve_exact_loads_no_scipy():
+    # Both exact paths, the excitation sector (a block-diagonal state) and
+    # the full superoperator (uniform), exponentiate without SciPy.
     script = (
-        "import sys, numpy as np\n"
-        "from qregsim.dynamics import check_method\n"
-        "from qregsim.register import qubit_register\n"
-        "expm = check_method('exact', qubit_register(2))\n"
-        "import scipy.linalg\n"
-        "print(expm is scipy.linalg.expm, np.allclose(expm(np.zeros((2, 2))), np.eye(2)))\n"
+        "import sys\n"
+        "from qregsim.bath import exponential_decay\n"
+        "from qregsim.dynamics import evolve\n"
+        "from qregsim.liouvillian import build_liouvillian\n"
+        "from qregsim.register import pair_singlet_state, qubit_register\n"
+        "import numpy as np\n"
+        "model = qubit_register(2)\n"
+        "liouv = build_liouvillian(model, exponential_decay(2, 0.1, 0.02, 1.0))\n"
+        "for rho in (pair_singlet_state(2), np.full((4, 4), 0.25)):\n"
+        "    (traj,) = evolve(liouv, [rho], 1.0, 0.01, 50, method='exact')\n"
+        "    print(traj.metadata['form'])\n"
+        "print('scipy' in sys.modules)\n"
     )
     proc = _run(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["blocks", "dense", "False"]
 
 
 def test_only_linalg_names_scipy():

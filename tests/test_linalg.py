@@ -1,13 +1,21 @@
 """Dense linear-algebra kernel: kron, Hermitian eigensolver, nullspaces,
-matrix exponential action."""
+matrix exponential and its action."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
-from qregsim.errors import DimensionMismatch, NotHermitian
+from qregsim.bath import exponential_decay
+from qregsim.dynamics import _sector_generator
+from qregsim.errors import DimensionMismatch, NotFinite, NotHermitian
+from qregsim.liouvillian import build_liouvillian
 from qregsim.linalg import (
+    PADE_THETA,
     common_nullspace,
+    expm,
     expm_action,
     herm_eig,
     kron,
@@ -19,6 +27,7 @@ from qregsim.register import (
     SIGMA_PLUS,
     SIGMA_Z,
     pair_singlet_state,
+    qubit_register,
     total_sminus,
     total_splus,
 )
@@ -160,6 +169,86 @@ class TestExpmAction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expm_action(np.eye(3, dtype=complex), 1.0, np.ones(4, dtype=complex))
+
+
+def _sector_matrix(n: int, t: float) -> np.ndarray:
+    """t times the exact solver's sector generator of n qubits under an
+    exponential bath (xi = 1), as exact_sweep exponentiates it."""
+    liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
+    return t * _sector_generator(liouv, liouv.block_layout)
+
+
+def _assert_matches_scipy(a: np.ndarray) -> None:
+    want = scipy.linalg.expm(a)
+    assert np.abs(expm(a) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestExpm:
+    # 1-norms just below each Pade degree's bound, then above theta_13,
+    # where the argument is scaled by 2^-s with s >= 1 and squared back.
+    @pytest.mark.parametrize(
+        "norm",
+        [0.99 * PADE_THETA[m] for m in (3, 5, 7, 9)] + [1.5 * PADE_THETA[13], 50.0],
+    )
+    @pytest.mark.parametrize("n", [2, 7, 30])
+    def test_matches_scipy_on_each_degree(self, norm, n):
+        rng = rng_for(f"expm{n}")
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        _assert_matches_scipy(a * (norm / np.abs(a).sum(axis=0).max()))
+
+    def test_zero_matrix_is_the_identity(self):
+        assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
+
+    def test_diagonal_is_exact(self):
+        # A norm of 1e3 would scale by 2^-8 and square eight times; the
+        # entries' own exponentials lose nothing on the small one.
+        d = np.array([-1e3, -3.0, 0.5j])
+        assert np.array_equal(expm(np.diag(d)), np.diag(np.exp(d)))
+
+    def test_one_by_one(self):
+        _assert_matches_scipy(np.array([[0.3 - 2.0j]]))
+        _assert_matches_scipy(np.array([[-40.0 + 7.0j]]))
+
+    def test_nilpotent_jordan_block(self):
+        # exp(J) = sum_k J^k / k!, J the 6 x 6 upper shift times 3
+        j = np.diag(np.full(5, 3.0), 1)
+        _assert_matches_scipy(j)
+        closed = sum(np.linalg.matrix_power(j, k) / np.prod(np.arange(1, k + 1)) for k in range(6))
+        assert np.allclose(expm(j), closed, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_scipy_on_sector_generators(self, n, t):
+        _assert_matches_scipy(_sector_matrix(n, t))
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatch):
+            expm(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            expm(np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        # inf would otherwise reach the scaling exponent, log2(inf), and nan
+        # would pass the degree tests and return nan silently.
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(NotFinite):
+            expm(a)
+
+    def test_peak_memory_no_higher_than_scipy(self):
+        # The exact_sweep generator: 70 x 70 at N = 4, one snapshot interval.
+        a = _sector_matrix(4, 1.0)
+        peaks = []
+        for f in (scipy.linalg.expm, expm):
+            f(a)  # warm either path's caches
+            tracemalloc.start()
+            try:
+                f(a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 def test_vec_unvec_roundtrip():
