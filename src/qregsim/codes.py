@@ -21,6 +21,7 @@ from .linalg import common_nullspace, dag, expm, frob, is_hermitian, restrict_ke
 from .liouvillian import LindbladSet, Liouvillian
 from .register import (
     RegisterModel,
+    _twice,
     basis_state,
     cell_digits,
     cell_terms,
@@ -173,13 +174,11 @@ def multiplicity(n: int, s) -> int:
 
     Equals (2s+1) n! / ((n/2+s+1)! (n/2-s)!) evaluated in integer
     arithmetic; the identity sum_s multiplicity * (2s+1) = 2^n holds.
+    s is parsed by the rule ``su2_basis_state`` uses (``register._twice``).
     """
     if n < 1:
         raise TooSmall(f"need n >= 1, got {n}")
-    s2 = int(round(2 * float(s)))
-    if abs(2 * float(s) - s2) > 1e-12:
-        raise InvalidQuantumNumbers(f"spin {s} is not a half-integer")
-    return su2_multiplicity(n, s2)
+    return su2_multiplicity(n, _twice(s, "s"))
 
 
 def n4_codewords() -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +210,10 @@ def n4_code() -> CodeSubspace:
     )
 
 
-def check_cluster_size(n: int, cluster_size: int) -> None:
+def check_cluster_size(n: int, cluster_size: int, target_zspin: float = 0.0) -> None:
     """Raise InvalidClusterSize unless cluster_size is a positive even
-    integer that divides n."""
+    integer that divides n, and InvalidQuantumNumbers unless target_zspin
+    is finite."""
     if cluster_size < 1 or cluster_size % 2 != 0:
         raise InvalidClusterSize(
             f"cluster size must be a positive even integer, got {cluster_size}"
@@ -222,6 +222,8 @@ def check_cluster_size(n: int, cluster_size: int) -> None:
         raise InvalidClusterSize(
             f"{n} cells cannot be split into clusters of {cluster_size}"
         )
+    if not np.isfinite(target_zspin):
+        raise InvalidQuantumNumbers(f"the target z-spin must be finite, got {target_zspin}")
 
 
 def dephasing_cluster_code(
@@ -234,7 +236,7 @@ def dephasing_cluster_code(
     eigenvalues (+-1/2) inside every cluster equals target_zspin.  For
     target 0 the dimension is C(m, m/2)^(n/m).
     """
-    check_cluster_size(n, cluster_size)
+    check_cluster_size(n, cluster_size, target_zspin)
     m = cluster_size
     n_clusters = n // m
     # A cluster's z-spin is m/2 minus its number of ones (down cells), so

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .linalg import (
     dag,
+    exact_diagonal,
     expm,
     expm_action,
     frob,
@@ -636,10 +637,10 @@ def dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
     so it rules a register out before its Hamiltonian is built.
     """
     a = np.asarray(model.cell_op, dtype=complex)
-    if not np.any(a - np.diag(np.diagonal(a))):
+    if (w := exact_diagonal(a)) is not None:
         # Already diagonal (sigma_z): the identity frame, so no D x D
         # change of basis.
-        return np.diagonal(a).copy(), np.eye(model.cell_dim)
+        return w.copy(), np.eye(model.cell_dim)
     scale = max(1.0, float(np.abs(a).max()))
     if not np.allclose(a @ dag(a), dag(a) @ a, atol=1e-12 * scale * scale):
         raise NotSimultaneouslyDiagonalizable(
@@ -691,12 +692,11 @@ def _closed_form(liouv: Liouvillian):
     eigenbasis frame (None when it is the identity) and the D x D matrix C
     of the exponents in that frame."""
     lset = liouv.lindblad
-    model = lset.model
-    if model is None or any(t.weights is None for t in lset):
+    if lset.sectors is None:
         raise QregError(
             "the dephasing method needs a canonical Lindblad set (canonical_form)"
         )
-    w_cell, frame, h = check_method("dephasing", model, liouv.hamiltonian)
+    w_cell, frame, h = check_method("dephasing", lset.model, liouv.hamiltonian)
     e = np.real(np.diag(h))
     c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)

@@ -40,9 +40,9 @@ from .codes import (
 from .dynamics import check_method, dephasing_frame, evolve_into, snapshot_grid
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import (
-    GENERATOR_MAX_BYTES,
     build_liouvillian,
     canonical_form,
+    check_budget,
     generator_bytes,
     rates_bytes,
 )
@@ -329,12 +329,14 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     """Ranges and consistency, by the library's own builders and guards.
 
     Each call isolates one field, so an error names it.  For simulate and
-    codes runs every bath point's generator must fit GENERATOR_MAX_BYTES;
-    the register is sized without its interaction term, which is built
-    only by the runners.  A tau_sweep run must fit it with its state
-    vectors and rates (``rates_bytes``, which counts a ring interaction's
-    builder), and ``su2_bytes`` more when it builds an su2 state, on its
-    S^z sector.
+    codes runs every bath point's generator must fit the budget
+    (``check_budget``); the register is sized without its interaction
+    term, which is built only by the runners.  A tau_sweep run must fit it
+    with its state vectors and rates (``rates_bytes``, which counts a ring
+    interaction's builder), and ``su2_bytes`` more when it builds an su2
+    state, on its S^z sector.  The register is first sized with no bath,
+    a lower bound that reads n alone, so an oversized one is refused
+    before a bath builds its N x N matrices.
     """
     reg, bath, solver = cfg.register, cfg.bath, cfg.solver
     n = reg["n"]
@@ -342,6 +344,7 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     _library("register.epsilon", qubit_register, 1, reg["epsilon"])
     if reg["interaction"]["kind"] == "heisenberg_ring":
         _library("register.interaction.kind", check_ring, n)
+        _library("register.interaction.j", check_ring, n, reg["interaction"]["j"])
     gm, gp = bath["gamma_minus"], bath["gamma_plus"]
     _library("bath.gamma_minus", cell_limit, 1, gm, 0.0)
     _library("bath.gamma_plus", cell_limit, 1, gm, gp)
@@ -352,7 +355,6 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
         "bath.model",
     )
     model = _cells(reg)
-    base = _library(own, build_bath, cfg)
     if cfg.experiment == "tau_sweep":  # the one experiment without a generator
         ring = reg["interaction"]["kind"] != "none"
         su2 = any(isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states)
@@ -361,20 +363,16 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
         def size(model, spec):
             return rates_bytes(model, spec, len(cfg.initial_states), ring) + builder
 
-        what = "decoherence rates for {} cells need"
+        what = f"decoherence rates for {n} cells need"
     else:
-        size, what = generator_bytes, "generator for {} cells needs"
+        size, what = generator_bytes, f"generator for {n} cells needs"
+    _library("register.n", check_budget, size(model, None), what)
     # Sizing also pairs bath and register: a partition may list other cells.
-    need = _library(own, size, model, base)
+    need = _library(own, size, model, _library(own, build_bath, cfg))
     for overrides in _sweep_overrides(cfg):
         spec = _library("sweep.values", build_bath, cfg, overrides)
         need = max(need, size(model, spec))
-    if need > GENERATOR_MAX_BYTES:
-        raise ConfigError(
-            "register.n",
-            f"the {what.format(n)} about {need / 2**30:.3g} GiB, "
-            f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit",
-        )
+    _library("register.n", check_budget, need, what)
     _library("solver.dt", snapshot_grid, 0.0, solver["dt"])
     _library("solver.t_end", snapshot_grid, solver["t_end"], solver["dt"])
     _library("solver.stride", snapshot_grid, 0.0, solver["dt"], solver["stride"])
@@ -388,7 +386,9 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
             model = build_register(cfg)
         _library("solver.method", check_method, method, model)
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
-        _library("codes.cluster_size", check_cluster_size, n, cfg.codes["cluster_size"])
+        cluster, target = cfg.codes["cluster_size"], cfg.codes["target_zspin"]
+        _library("codes.cluster_size", check_cluster_size, n, cluster)
+        _library("codes.target_zspin", check_cluster_size, n, cluster, target)
 
 
 # libyaml's emitter writes the same text as PyYAML's own, several times
@@ -479,9 +479,8 @@ def build_bath(cfg: ExperimentConfig, overrides: dict | None = None) -> BathSpec
         return exponential_decay(n, gm, gp, b["xi"], ratio)
     if model_id == "clustered":
         return clustered(b["partition"], gm, gp, ratio)
-    if model_id == "gauge_phased":
-        return gauge_phased(replica_symmetric(n, gm, gp, ratio), b["phases"])
-    raise ConfigError("bath.model", f"unhandled bath model {model_id!r}")
+    # gauge_phased, the last of the models FIELDS admits
+    return gauge_phased(replica_symmetric(n, gm, gp, ratio), b["phases"])
 
 
 def _state_column_name(entry, index: int) -> str:
@@ -501,9 +500,7 @@ def build_state(entry, model: RegisterModel) -> np.ndarray:
             raise ConfigError(
                 "initial_states", f"amplitude list has length {amps.shape[0]}, need {dim}"
             )
-        if np.linalg.norm(amps) == 0:
-            raise ConfigError("initial_states", "amplitude list cannot be all zero")
-        return normalize(amps)
+        return _library("initial_states", normalize, amps)
     name = entry
     try:
         if name == "all_up":
@@ -517,7 +514,7 @@ def build_state(entry, model: RegisterModel) -> np.ndarray:
         if name == "triplet":
             if n != 2:
                 raise ConfigError("initial_states", "triplet is defined for n = 2")
-            return normalize(basis_state(2, "01") + basis_state(2, "10"))
+            return dicke_state(2, 1)
         if name == "symmetric":
             return dicke_state(n, n // 2)
         if name in ("codeword0", "codeword1"):

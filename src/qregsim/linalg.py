@@ -52,6 +52,12 @@ def is_hermitian(m: np.ndarray, rtol: float = HERM_RTOL) -> bool:
     return hermiticity_defect(m) <= rtol * scale
 
 
+def exact_diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a, or None when a has a nonzero entry off it."""
+    diagonal = np.diagonal(a)
+    return diagonal if np.count_nonzero(a) == np.count_nonzero(diagonal) else None
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, (a (x) b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -171,10 +177,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     if not np.isfinite(norm):
         raise NotFinite("cannot exponentiate a matrix with a NaN or infinite entry")
-    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
-        # diagonal: exact, and spared the scaling a wide spread of entries
-        # would force on the small ones
-        return np.diag(np.exp(np.diagonal(a)))
+    if (diagonal := exact_diagonal(a)) is not None:
+        # exact, and spared the scaling a wide spread of entries would force
+        # on the small ones
+        return np.diag(np.exp(diagonal))
     m = next((m for m in (3, 5, 7, 9) if norm <= PADE_THETA[m]), 13)
     s = 0 if norm <= PADE_THETA[13] else int(np.ceil(np.log2(norm / PADE_THETA[13])))
     b = PADE_COEFFS[m]

@@ -59,12 +59,14 @@ sets without excitation blocks, small-register rates).  One predicate,
 route of pure-state rates, ``LindbladSet.sector_actions``.  Null codes of
 canonical qubit sets and the exact solver's sector generator come from
 ``LindbladSet.excitation_blocks``: each sector's term blocks between
-excitation sectors, from the weights.
+excitation sectors, from the weights.  All of these read the terms
+grouped by sector once per set, ``LindbladSet.sectors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -77,7 +79,7 @@ from .errors import (
     QregError,
     TooLarge,
 )
-from .linalg import dag, herm_eig, is_hermitian, kron
+from .linalg import dag, exact_diagonal, herm_eig, is_hermitian, kron
 from .register import (
     SIGMA_MINUS,
     RegisterModel,
@@ -201,18 +203,30 @@ class LindbladSet:
     def max_rate(self) -> float:
         return max((t.rate for t in self.terms), default=0.0)
 
+    @cached_property
+    def sectors(self) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
+        """Per sector with terms, in the order -1, +1: its terms' rates
+        (K_s,) and weights (K_s, N) in the set's order, grouped once and
+        shared, so no caller writes them; None unless the set names its
+        register and every term carries weights."""
+        if self.model is None or any(t.weights is None for t in self.terms):
+            return None
+        groups = {k: [t for t in self.terms if t.sector == k] for k in (SECTOR_MINUS, SECTOR_PLUS)}
+        return {
+            k: (np.array([t.rate for t in g]), np.array([t.weights for t in g]))
+            for k, g in groups.items()
+            if g
+        }
+
     @property
     def structured(self) -> bool:
         """Whether the set is used through its weights, never its operators:
-        it names its register, every term carries weights, and D >=
-        STRUCTURED_MIN_DIM (read at call time).  ``Liouvillian`` then
-        applies it in the Gamma form and ``sector_actions`` works cell by
-        cell."""
-        return (
-            self.model is not None
-            and self.model.dim >= STRUCTURED_MIN_DIM
-            and all(t.weights is not None for t in self.terms)
-        )
+        D >= STRUCTURED_MIN_DIM (read at call time) and ``sectors`` exists,
+        tested in that order so a smaller set groups no terms here.
+        ``Liouvillian`` then applies it in the Gamma form and
+        ``sector_actions`` works cell by cell."""
+        model = self.model
+        return model is not None and model.dim >= STRUCTURED_MIN_DIM and self.sectors is not None
 
     def sector_actions(self, psi: np.ndarray):
         """For a structured set, per sector with terms: the terms' rates
@@ -225,22 +239,18 @@ class LindbladSet:
         """
         psi = np.ascontiguousarray(psi)
         n = self.model.n_cells
-        for sector in (SECTOR_MINUS, SECTOR_PLUS):
-            terms = [t for t in self.terms if t.sector == sector]
-            if terms:
-                weights = np.array([t.weights for t in terms])
-                lpsi = weights @ _cell_actions(self.model, sector, psi).reshape(n, -1)
-                yield np.array([t.rate for t in terms]), lpsi.reshape((len(terms),) + psi.shape)
+        for sector, (rates, weights) in self.sectors.items():
+            lpsi = weights @ _cell_actions(self.model, sector, psi).reshape(n, -1)
+            yield rates, lpsi.reshape((len(rates),) + psi.shape)
 
     def _q_shifts(self) -> dict[int, int] | None:
         """{sector: s} for the sectors with terms, in the order -1, +1, s
         the fixed amount its cell operator moves Q by (``_q_shift``); None
-        unless the set names a qubit register, every term carries weights
-        and every such s exists."""
-        model = self.model
-        if model is None or model.cell_dim != 2 or any(t.weights is None for t in self):
+        unless ``sectors`` exists, the register's cells are qubits and every
+        such s exists."""
+        if self.sectors is None or self.model.cell_dim != 2:
             return None
-        shifts = {k: _q_shift(_sector_cell_op(model, k)) for k in sorted({t.sector for t in self})}
+        shifts = {k: _q_shift(_sector_cell_op(self.model, k)) for k in self.sectors}
         return None if None in shifts.values() else shifts
 
     def excitation_blocks(self) -> dict[int, tuple] | None:
@@ -265,8 +275,7 @@ class LindbladSet:
         out = {}
         for sector, s in shifts.items():
             moves = _left_moves(_sector_cell_op(self.model, sector))
-            terms = [t for t in self.terms if t.sector == sector]
-            weights = np.array([t.weights for t in terms])
+            rates, weights = self.sectors[sector]
             blocks = {}
             for q in range(max(0, -s), min(n, n - s) + 1):
                 src, size = states[q], (len(states[q + s]), len(states[q]))
@@ -275,16 +284,16 @@ class LindbladSet:
                 for to, frm, c in moves:
                     cell, col = np.nonzero(level == frm)
                     x[cell, pos[src[col] + (to - frm) * bits[cell]], col] = c
-                blocks[q] = (weights @ x.reshape(n, -1)).reshape((len(terms),) + size)
-            out[sector] = (s, np.array([t.rate for t in terms]), blocks)
+                blocks[q] = (weights @ x.reshape(n, -1)).reshape((len(rates),) + size)
+            out[sector] = (s, rates, blocks)
         return out
 
 
-def _cell_actions(model: RegisterModel, sector: int, psi: np.ndarray) -> np.ndarray:
+def _cell_actions(model: RegisterModel, sector: int, psi: np.ndarray, out=None) -> np.ndarray:
     """X_i = A_i psi for every cell i, (N, D, S) for a (D, S) stack, A the
-    sector's cell operator, by digit moves."""
+    sector's cell operator, by digit moves; written to ``out`` when given."""
     moves = _left_moves(_sector_cell_op(model, sector))
-    x = np.empty((model.n_cells,) + psi.shape, dtype=complex)
+    x = np.empty((model.n_cells,) + psi.shape, dtype=complex) if out is None else out
     for i, split in enumerate(_row_splits(model, psi.shape[1])):
         _digit_op(x[i], psi, moves, split, True)
     return x
@@ -465,11 +474,9 @@ def _sector_gammas(lindblad: LindbladSet) -> list[tuple[int, np.ndarray]]:
     """(sector, G) for each sector with terms, G = sum_k lambda_k u_k u_k^+
     over its terms; real when its imaginary part is zero."""
     out = []
-    for sector in (SECTOR_MINUS, SECTOR_PLUS):
-        terms = [t for t in lindblad if t.sector == sector]
-        if terms:
-            g = sum(t.rate * np.outer(t.weights, t.weights.conj()) for t in terms)
-            out.append((sector, g.real if not np.any(g.imag) else g))
+    for sector, (rates, weights) in lindblad.sectors.items():
+        g = sum(rate * np.outer(w, w.conj()) for rate, w in zip(rates, weights))
+        out.append((sector, g.real if not np.any(g.imag) else g))
     return out
 
 
@@ -515,7 +522,7 @@ class _GammaForm:
 
     def __init__(self, model: RegisterModel, lindblad: LindbladSet, h, h_diag):
         n, d, dim = model.n_cells, model.cell_dim, model.dim
-        self.n, self.dim = n, dim
+        self.model, self.n, self.dim = model, n, dim
         self.rows = _row_splits(model, dim)
         self.cols = [(dim * d**i, d, d ** (n - 1 - i)) for i in range(n)]
         # Terms applied as one elementwise multiplier: -i[H, rho] when H is
@@ -524,23 +531,21 @@ class _GammaForm:
             self.multiplier, self.h = -1j * (h_diag[:, None] - h_diag[None, :]), None
         else:
             self.multiplier, self.h = np.zeros((dim, dim), dtype=complex), h
-        cell = model.cell_op
         self.sectors = []
-        if np.count_nonzero(cell) == np.count_nonzero(np.diagonal(cell)):
+        if (cell_diag := exact_diagonal(model.cell_op)) is not None:
             # Diagonal cell operators (sigma_z dephasing): one multiplier.
-            add_elementwise_rates(lindblad, np.diagonal(cell), self.multiplier)
+            add_elementwise_rates(lindblad, cell_diag, self.multiplier)
             return
         for sector, gamma in _sector_gammas(lindblad):
             a = _sector_cell_op(model, sector)
             moves = {
-                "a": _left_moves(a),
                 "a_dag": _left_moves(dag(a)),
                 # also the right action of a^+ on columns: (M @ a^+)[digit p]
                 # gets conj(a[p, q]) M[digit q]
                 "a_conj": _left_moves(a.conj()),
                 "a_t": _left_moves(a.T),
             }
-            self.sectors.append((gamma, np.ascontiguousarray(gamma.T), moves))
+            self.sectors.append((sector, gamma, np.ascontiguousarray(gamma.T), moves))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         if rho.ndim == 2:
@@ -566,9 +571,8 @@ class _GammaForm:
         xf, yf = x.reshape(n, -1), y.reshape(n, -1)
         anti = np.zeros_like(out)
         anti_t = np.zeros_like(out)
-        for gamma, gamma_t, mv in self.sectors:
-            for i in range(n):
-                _digit_op(x[i], rho, mv["a"], rows[i], True)  # X_i = A_i rho
+        for sector, gamma, gamma_t, mv in self.sectors:
+            _cell_actions(self.model, sector, rho, x)  # X_i = A_i rho
             _contract(gamma_t, xf, yf)  # Y_j = sum_i G_ij X_i
             for j in range(n):
                 _digit_op(out, y[j], mv["a_conj"], cols[j], False)  # Y_j A_j^+
@@ -875,7 +879,7 @@ class Liouvillian:
 
     @cached_property
     def stability_scale(self) -> float:
-        h_diag = _diagonal(self.hamiltonian)
+        h_diag = exact_diagonal(self.hamiltonian)
         if h_diag is None:
             radius = np.abs(np.linalg.eigvalsh(self.hamiltonian)).max(initial=0.0)
         else:
@@ -901,7 +905,7 @@ class Liouvillian:
     def _form(self) -> _DenseForm | _GammaForm:
         h = self.hamiltonian
         if self.structured:
-            return _GammaForm(self.lindblad.model, self.lindblad, h, _diagonal(h))
+            return _GammaForm(self.lindblad.model, self.lindblad, h, exact_diagonal(h))
         return _DenseForm([(h, self.lindblad)])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -927,12 +931,6 @@ class Liouvillian:
         )
 
 
-def _diagonal(h: np.ndarray) -> np.ndarray | None:
-    """The diagonal of h, or None when h has a nonzero entry off it."""
-    h_diag = np.diagonal(h)
-    return h_diag if np.count_nonzero(h) == np.count_nonzero(h_diag) else None
-
-
 def excitation_form(liouv: Liouvillian) -> _BlockForm | None:
     """The generator on excitation blocks, for the states with no entry
     between different Q (``layout.is_block_diagonal``), or None unless
@@ -946,8 +944,9 @@ def excitation_form(liouv: Liouvillian) -> _BlockForm | None:
     return None
 
 
-def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
-    """Estimated peak bytes of build_liouvillian and one apply call.
+def generator_bytes(model: RegisterModel, spec: BathSpec | None) -> int:
+    """Estimated peak bytes of build_liouvillian and one apply call; with
+    ``spec`` None, of a set with no terms, a lower bound for every bath.
 
     Counts D x D complex matrices; the apply call dominates on both paths.
     The path is the one ``canonical_form(model, spec).structured`` picks;
@@ -959,7 +958,7 @@ def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
     terms), the stacked jump operators and their adjoints, the two stacked
     sandwich temporaries, and five D x D arrays.
     """
-    return _peak_bytes(canonical_form(model, spec))
+    return _peak_bytes(LindbladSet((), model) if spec is None else canonical_form(model, spec))
 
 
 # D x D complex arrays heisenberg_ring with the register's commutation
@@ -968,7 +967,9 @@ def generator_bytes(model: RegisterModel, spec: BathSpec) -> int:
 RING_BUILDER_MATRICES = 8
 
 
-def rates_bytes(model: RegisterModel, spec: BathSpec, n_states: int, ring: bool = False) -> int:
+def rates_bytes(
+    model: RegisterModel, spec: BathSpec | None, n_states: int, ring: bool = False
+) -> int:
     """Estimated peak bytes of first-order decoherence rates: n_states
     state vectors held at once, one ``pure_decoherence_rate`` call on
     ``canonical_form(model, spec)`` with their (D, n_states) stack, the
@@ -984,9 +985,11 @@ def rates_bytes(model: RegisterModel, spec: BathSpec, n_states: int, ring: bool 
     the stack and its contiguous copy), plus four vectors of digit tables
     and numpy temporaries (measured at N = 8-12, 1-4 states).  A smaller
     set takes the states one at a time and builds its K operators instead.
+    With ``spec`` None no term is counted: a lower bound for every bath.
     """
     n, vector = model.n_cells, 16 * model.dim
-    terms = n * sum(bool(np.any(g)) for g in (spec.gamma_minus, spec.gamma_plus))
+    gammas = () if spec is None else (spec.gamma_minus, spec.gamma_plus)
+    terms = n * sum(bool(np.any(g)) for g in gammas)
     if model.dim < STRUCTURED_MIN_DIM:
         need = (n_states + 2 * terms + 3 + terms * model.dim) * vector
     else:
@@ -994,6 +997,16 @@ def rates_bytes(model: RegisterModel, spec: BathSpec, n_states: int, ring: bool 
         need = (n_states * (cells + terms + 3) + 4) * vector
     tables = (2 * n + 16) * model.dim
     return need + tables + (RING_BUILDER_MATRICES * model.dim * vector if ring else 0)
+
+
+def check_budget(need: int, what: str) -> None:
+    """Raise TooLarge, "the <what> about X GiB, over the 2 GiB limit", when
+    ``need`` bytes, a Python int of any size, exceed GENERATOR_MAX_BYTES."""
+    if need > GENERATOR_MAX_BYTES:
+        raise TooLarge(
+            f"the {what} about {Decimal(need) / 2**30:.3g} GiB, "
+            f"over the {GENERATOR_MAX_BYTES // 2**30} GiB limit"
+        )
 
 
 def _peak_bytes(lindblad: LindbladSet) -> int:
@@ -1008,15 +1021,10 @@ def build_liouvillian(model: RegisterModel, spec: BathSpec) -> Liouvillian:
     """Assemble the full generator for a register-bath pair.
 
     Raises TooLarge, before allocating, when generator_bytes exceeds
-    GENERATOR_MAX_BYTES.
+    GENERATOR_MAX_BYTES (``check_budget``).
     """
     lindblad = canonical_form(model, spec)
-    need = _peak_bytes(lindblad)
-    if need > GENERATOR_MAX_BYTES:
-        raise TooLarge(
-            f"the generator for D = {model.dim} needs about {need / 2**30:.1f} GiB, "
-            f"over the {GENERATOR_MAX_BYTES / 2**30:.0f} GiB limit"
-        )
+    check_budget(_peak_bytes(lindblad), f"generator for {model.n_cells} cells needs")
     h = register_hamiltonian(model)
     if spec.has_lamb_shift:
         h = h + lamb_shift(model, spec)

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidQuantumNumbers,
+    NotFinite,
     NotHermitian,
     QregError,
     TooSmall,
@@ -46,6 +47,9 @@ class RegisterModel:
     cell_hamiltonian : d x d single-cell Hamiltonian H^C.
     epsilon : energy quantum of the step condition [H^C, A] = -eps A.
     interaction : optional D x D register Hamiltonian term (D = d^N).
+
+    Every entry must be finite (NotFinite): a NaN would pass the
+    tolerance tests below, which compare with ``>``.
     """
 
     n_cells: int
@@ -67,6 +71,9 @@ class RegisterModel:
             raise DimensionMismatch(
                 f"cell operators must be {d}x{d}, got {a.shape} and {h.shape}"
             )
+        for name, value in (("epsilon", self.epsilon), ("cell_op", a), ("cell_hamiltonian", h)):
+            if not np.all(np.isfinite(value)):
+                raise NotFinite(f"{name} must be finite")
         if not is_hermitian(h):
             raise NotHermitian("cell Hamiltonian must be Hermitian")
         if self.epsilon < 0:
@@ -84,6 +91,8 @@ class RegisterModel:
                 raise DimensionMismatch(
                     f"interaction must be {self.dim}x{self.dim}, got {w.shape}"
                 )
+            if not np.all(np.isfinite(w)):
+                raise NotFinite("interaction must be finite")
             if not is_hermitian(w):
                 raise NotHermitian("interaction must be Hermitian")
             if d == 2 and np.array_equal(a, SIGMA_MINUS):
@@ -266,10 +275,13 @@ def casimir(n: int) -> np.ndarray:
     return sz @ sz + 0.5 * (sp @ sm + sm @ sp)
 
 
-def check_ring(n: int) -> None:
-    """Raise TooSmall unless n qubits can form a ring (n >= 3)."""
+def check_ring(n: int, j: float = 1.0) -> None:
+    """Raise TooSmall unless n qubits can form a ring (n >= 3), and
+    NotFinite unless the coupling j is finite."""
     if n < 3:
         raise TooSmall(f"a ring needs at least 3 qubits, got {n}")
+    if not np.isfinite(j):
+        raise NotFinite(f"the ring coupling j must be finite, got {j}")
 
 
 def heisenberg_ring(n: int, j: float) -> np.ndarray:
@@ -280,7 +292,7 @@ def heisenberg_ring(n: int, j: float) -> np.ndarray:
     term equals half the two-qubit swap; for n = 4 the two singlet codewords
     then sit at +J and -J instead of 0 and -2J.
     """
-    check_ring(n)
+    check_ring(n, j)
     return j * cell_terms(n, 2, [(SWAP, [i, (i + 1) % n], 0.5) for i in range(n)])
 
 
@@ -386,6 +398,8 @@ def su2_bytes(n: int) -> int:
 def normalize(state: np.ndarray) -> np.ndarray:
     """Unit-norm copy of a state vector."""
     v = np.asarray(state, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise NotFinite("cannot normalize a vector with a NaN or infinite entry")
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise QregError("cannot normalize the zero vector")

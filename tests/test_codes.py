@@ -49,6 +49,7 @@ from qregsim.register import (
     pair_singlet_state,
     qubit_register,
     register_hamiltonian,
+    su2_basis_state,
     total_sminus,
     total_splus,
     total_sz,
@@ -244,6 +245,15 @@ def test_multiplicity_guards():
         multiplicity(0, 0)
     with pytest.raises(InvalidQuantumNumbers):
         multiplicity(4, 0.3)
+    for s in (float("inf"), float("nan")):
+        with pytest.raises(InvalidQuantumNumbers):
+            multiplicity(4, s)
+
+
+def test_multiplicity_reads_s_as_su2_basis_state_does():
+    # register._twice's tolerance: an s that su2_basis_state accepts
+    assert multiplicity(3, 0.5 + 1e-10) == 2
+    assert su2_basis_state(3, 0.5 + 1e-10, 0.5).shape == (8,)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +320,9 @@ def test_cluster_code_guards():
         dephasing_cluster_code(4, 3)
     with pytest.raises(InvalidClusterSize):
         dephasing_cluster_code(6, 4)
+    for target in (float("nan"), float("inf")):
+        with pytest.raises(InvalidQuantumNumbers):
+            dephasing_cluster_code(4, 2, target)
 
 
 def test_cluster_code_is_dark_for_clustered_bath():

@@ -739,6 +739,14 @@ REJECTIONS = [
     ("sim", {"register.n": 7, "solver.method": "exact"}, "solver.method"),
     ("sim", {"solver.method": "dephasing"}, "solver.method"),
     ("ring", {"register.kind": "dephasing", "solver.method": "dephasing"}, "solver.method"),
+    # sized before any bath is built; non-finite values the library rejects
+    ("sim", {"register.n": 1000}, "register.n"),
+    ("codes", {"register.n": 1000}, "register.n"),
+    ("tau", {"register.n": 1000}, "register.n"),
+    ("codes", {"codes.target_zspin": float("nan")}, "codes.target_zspin"),
+    ("codes", {"codes.target_zspin": float("inf")}, "codes.target_zspin"),
+    ("ring", {"register.interaction.j": float("nan")}, "register.interaction.j"),
+    ("ring", {"register.interaction.j": float("inf")}, "register.interaction.j"),
 ]
 
 _SUBCOMMAND = {"tau": "tau-sweep", "codes": "codes"}
@@ -973,6 +981,29 @@ def test_oversized_register_is_config_error(tmp_path, capsys, register):
     assert capsys.readouterr().err.startswith("config error: register.n")
 
 
+@pytest.mark.parametrize("n", [1000, 100000])
+@pytest.mark.parametrize("base", ["sim", "codes", "tau"])
+def test_register_too_large_for_any_bath_is_refused_before_the_bath(tmp_path, capsys, base, n):
+    # The register is sized with no bath first: an N x N bath matrix at
+    # N = 10^5 would take 160 GB, and the float of the estimate overflows.
+    import tracemalloc
+
+    raw = _mutated(base, {"register.n": n})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "register.n"
+    assert "GiB" in str(info.value)
+    assert peak < 2**20
+    cfg_path = _write_yaml(tmp_path / "big.yaml", raw)
+    assert main([_SUBCOMMAND.get(base, "simulate"), "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error: register.n")
+
+
 @pytest.mark.parametrize(
     "register, method",
     [
@@ -1079,6 +1110,14 @@ def test_cli_runs_amplitude_states(tmp_path):
     cfg = config_from_dict(sidecar["provenance"]["config"])
     assert cfg.initial_states[0] == ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("amps", [[0, 0, 0, 0], [float("nan"), 0, 0, 1]], ids=["zero", "nan"])
+def test_cli_refuses_an_amplitude_list_normalize_refuses(tmp_path, capsys, amps):
+    raw = simulate_config(initial_states=[amps])
+    cfg_path = _write_yaml(tmp_path / "amps.yaml", raw)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: initial_states")
 
 
 def test_cli_overrides_apply_before_validation(tmp_path):

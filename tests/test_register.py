@@ -11,6 +11,7 @@ from qregsim.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidQuantumNumbers,
+    NotFinite,
     QregError,
     TooSmall,
 )
@@ -61,6 +62,16 @@ class TestRegisterModel:
                 cell_hamiltonian=SIGMA_Z,
                 epsilon=1.0,
             )
+
+    def test_non_finite_entries_are_rejected(self):
+        # NaN > STEP_TOL is false, so a NaN would pass the step condition
+        nan_op = np.full((2, 2), np.nan)
+        fields = {"cell_op": SIGMA_MINUS, "cell_hamiltonian": SIGMA_Z, "epsilon": 1.0}
+        for name, bad in (("cell_op", nan_op), ("cell_hamiltonian", nan_op), ("epsilon", np.nan)):
+            with pytest.raises(NotFinite):
+                RegisterModel(n_cells=1, cell_dim=2, **{**fields, name: bad})
+        with pytest.raises(NotFinite):
+            qubit_register(2, interaction=np.full((4, 4), np.inf))
 
     def test_qubit_register_defaults(self):
         model = qubit_register(3, epsilon=0.7)
@@ -172,6 +183,11 @@ class TestHeisenbergRing:
     def test_ring_needs_three_cells(self):
         with pytest.raises(TooSmall):
             heisenberg_ring(2, 1.0)
+
+    def test_ring_coupling_must_be_finite(self):
+        for j in (np.nan, np.inf):
+            with pytest.raises(NotFinite):
+                heisenberg_ring(3, j)
 
 
 class TestStates:
