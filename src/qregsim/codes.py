@@ -256,32 +256,79 @@ def dephasing_cluster_code(
     )
 
 
-def _scale(m: np.ndarray) -> float:
-    """max(1, largest column 2-norm of m): a lower bound of max(1, ||m||_2)
-    that needs no SVD."""
-    return max(1.0, float(np.linalg.norm(m, axis=0).max(initial=0.0)))
+def _scale(col_norms: np.ndarray) -> float:
+    """max(1, largest column 2-norm), given the column 2-norms of an
+    operator: a lower bound of max(1, ||op||_2) that needs no SVD."""
+    return max(1.0, float(col_norms.max(initial=0.0)))
+
+
+def _term_actions(lindblad: LindbladSet, p: np.ndarray):
+    """(L_k P, the column 2-norms of L_k) per term.  A structured set gives
+    both from its weights (``LindbladSet.sector_actions`` and
+    ``column_norms``) and places no operator; any other set multiplies by
+    each term's D x D ``op``."""
+    if lindblad.structured:
+        for (_, lp), norms in zip(lindblad.sector_actions(p), lindblad.column_norms()):
+            yield from zip(lp, norms)
+    else:
+        for term in lindblad:
+            yield term.op @ p, np.linalg.norm(term.op, axis=0)
+
+
+def noiseless_test(code: CodeSubspace, liouv: Liouvillian) -> tuple[bool, dict]:
+    """The ``is_noiseless`` verdict and the residuals behind it,
+    {"eigenvector": worst ||L P - l P||_F / (EIGENVECTOR_TOL s(L)) over the
+    terms, "leakage": ||(I - P P^+) H' P||_F / (LEAKAGE_TOL s(H'))}; a
+    residual above 1 fails its test.  An empty code is not noiseless and
+    has None residuals.  Raises DimensionMismatch, before any work, for a
+    code from a register of another dimension.
+    """
+    p = code.basis
+    if code.ambient_dim != liouv.dim:
+        raise DimensionMismatch(
+            f"code basis has {code.ambient_dim} rows, the generator dimension is {liouv.dim}"
+        )
+    if p.shape[1] == 0:
+        return False, {"eigenvector": None, "leakage": None}
+    verdict, worst = True, 0.0
+    for lp, norms in _term_actions(liouv.lindblad, p):
+        # Shared scalar action: least-squares label is the mean diagonal.
+        lab = np.vdot(p, lp) / p.shape[1]
+        residual, tol = frob(lp - lab * p), EIGENVECTOR_TOL * _scale(norms)
+        if residual > tol:
+            verdict = False
+        worst = max(worst, residual / tol)
+    h = liouv.hamiltonian
+    hp = h @ p
+    # Column sums of squares of the real and imaginary views: no D x D
+    # temporary.
+    h_norms = np.sqrt(np.einsum("ij,ij->j", h.real, h.real) + np.einsum("ij,ij->j", h.imag, h.imag))
+    leak, tol = frob(hp - p @ (dag(p) @ hp)), LEAKAGE_TOL * _scale(h_norms)
+    verdict = verdict and bool(leak <= tol)
+    return verdict, {"eigenvector": worst, "leakage": leak / tol}
 
 
 def is_noiseless(code: CodeSubspace, liouv: Liouvillian) -> bool:
-    """Operational noiselessness test.
+    """Operational noiselessness test (Zanardi and Rasetti, PRL 79, 3306
+    (1997)).
 
     True iff (a) every Lindblad operator L acts as one scalar l on the code
     basis P (sub-decoherence), ||L P - l P||_F <= EIGENVECTOR_TOL s(L), and
     (b) the renormalized Hamiltonian maps the code into itself,
-    ||(I - P P^+) H' P||_F <= LEAKAGE_TOL s(H'), with s = ``_scale``.
+    ||(I - P P^+) H' P||_F <= LEAKAGE_TOL s(H'), with s(M) = max(1, largest
+    column 2-norm of M).
+
+    Two routes give L P and s(L), with the same comparisons, chosen as in
+    ``pure_decoherence_rate``.  A set with ``LindbladSet.structured`` true
+    (canonical, D >= STRUCTURED_MIN_DIM) takes L P for all code columns
+    from one digit-move pass and one weights product per sector
+    (``sector_actions``) and s(L) from the weights and the cell operator in
+    O(K N D) (``column_norms``): no D x D operator is placed.  Hand-built
+    sets and smaller registers multiply by each term's ``op``.  s(H') comes
+    from the column sums of squares of H'.  ``noiseless_test`` also
+    returns the residuals.
     """
-    p = code.basis
-    if p.shape[1] == 0:
-        return False
-    for term in liouv.lindblad:
-        lp = term.op @ p
-        # Shared scalar action: least-squares label is the mean diagonal.
-        lab = np.trace(dag(p) @ lp) / p.shape[1]
-        if frob(lp - lab * p) > EIGENVECTOR_TOL * _scale(term.op):
-            return False
-    hp = liouv.hamiltonian @ p
-    leak = hp - p @ (dag(p) @ hp)
-    return bool(frob(leak) <= LEAKAGE_TOL * _scale(liouv.hamiltonian))
+    return noiseless_test(code, liouv)[0]
 
 
 def gauge_transport(

@@ -33,8 +33,8 @@ from .bath import (
 from .codes import (
     check_cluster_size,
     dephasing_cluster_code,
-    is_noiseless,
     n4_code,
+    noiseless_test,
     null_code,
 )
 from .dynamics import check_method, dephasing_frame, evolve_into, snapshot_grid
@@ -680,9 +680,8 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
         )
     else:
         code = n4_code()
-    # Rated before is_noiseless, which caches the terms' D x D operators.
     rates = pure_decoherence_rate(lset, code.basis)
-    verdict = is_noiseless(code, liouv)
+    verdict, residuals = noiseless_test(code, liouv)
     labels = [complex(x) for x in code.labels]
     columns = ["col", "decoherence_rate", "dim", "noiseless"]
     for j in range(len(labels)):
@@ -698,6 +697,7 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
         "dim": code.dim,
         "kind": code.kind,
         "noiseless": bool(verdict),
+        "residuals": residuals,
         "labels": [[lab.real, lab.imag] for lab in labels],
         "basis_re_im": np.stack([code.basis.real, code.basis.imag], -1),
     }

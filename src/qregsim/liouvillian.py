@@ -53,13 +53,14 @@ All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
 Terms from ``canonical_form`` carry rate, sector and weights; a term
 places its D x D operator with ``register.collective_op`` only when its
-``op`` is first read (the dense path, ``codes.is_noiseless``, codes of
-sets without excitation blocks, small-register rates).  One predicate,
+``op`` is first read (the dense path, codes of sets without excitation
+blocks, small-register rates and noiseless tests).  One predicate,
 ``LindbladSet.structured``, selects the Gamma form here and the weight
-route of pure-state rates, ``LindbladSet.sector_actions``.  Null codes of
-canonical qubit sets and the exact solver's sector generator come from
-``LindbladSet.excitation_blocks``: each sector's term blocks between
-excitation sectors, from the weights.  All of these read the terms
+route of pure-state rates and of ``codes.is_noiseless``
+(``LindbladSet.sector_actions``, ``LindbladSet.column_norms``).  Null
+codes of canonical qubit sets and the exact solver's sector generator
+come from ``LindbladSet.excitation_blocks``: each sector's term blocks
+between excitation sectors, from the weights.  All of these read the terms
 grouped by sector once per set, ``LindbladSet.sectors``.
 """
 
@@ -242,6 +243,29 @@ class LindbladSet:
         for sector, (rates, weights) in self.sectors.items():
             lpsi = weights @ _cell_actions(self.model, sector, psi).reshape(n, -1)
             yield rates, lpsi.reshape((len(rates),) + psi.shape)
+
+    def column_norms(self):
+        """For a set with ``sectors``, per sector with terms in the order
+        of ``sector_actions``: the 2-norms of the terms' operator columns,
+        (K_s, D); yielded one sector at a time, no operator built.
+
+        Column j of L = sum_i u_i A_i is (sum_i u_i A[d_i, d_i]) e_j plus,
+        per cell i, u_i times the off-diagonal entries of A's column d_i,
+        d_i cell i's digit of j (``cell_digits``).  Those moves change one
+        digit each, so they land on distinct basis states and
+
+            ||L e_j||^2 = |sum_i u_i A[d_i, d_i]|^2
+                          + sum_i |u_i|^2 sum_{t != d_i} |A[t, d_i]|^2,
+
+        O(K N D) in all.
+        """
+        digits = cell_digits(self.model.n_cells, self.model.cell_dim)
+        for sector, (_, weights) in self.sectors.items():
+            a = _sector_cell_op(self.model, sector)
+            diag = np.diagonal(a)
+            off = (np.abs(a - np.diag(diag)) ** 2).sum(axis=0)
+            on = weights @ diag[digits].T
+            yield np.sqrt(np.abs(on) ** 2 + np.abs(weights) ** 2 @ off[digits].T)
 
     def _q_shifts(self) -> dict[int, int] | None:
         """{sector: s} for the sectors with terms, in the order -1, +1, s

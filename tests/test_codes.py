@@ -1,6 +1,8 @@
 """Protected subspaces: eigenspace construction, explicit codewords,
 cluster codes, noiselessness checks, and gauge transport."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,7 @@ from qregsim.codes import (
     multiplicity,
     n4_code,
     n4_codewords,
+    noiseless_test,
     null_code,
     simultaneous_eigenspace,
 )
@@ -43,6 +46,8 @@ from qregsim.liouvillian import (
 )
 from qregsim.observables import pure_decoherence_rate
 from qregsim.register import (
+    SIGMA_MINUS,
+    SIGMA_Z,
     basis_state,
     dephasing_register,
     heisenberg_ring,
@@ -361,19 +366,22 @@ def test_cluster_code_noiseless_under_clustered_dephasing():
     assert is_noiseless(dephasing_cluster_code(4, 2), liouv)
 
 
+def transverse_field(n: int) -> np.ndarray:
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        term = 1.0
+        for k in range(n):
+            term = np.kron(term, SX if k == i else np.eye(2))
+        h = h + 0.5 * term
+    return h
+
+
 def test_cluster_code_spoiled_by_transverse_field():
     # A transverse field moves code states out of the subspace, so the
     # Hamiltonian leakage check must fail.
     model = dephasing_register(4)
     spec = clustered([[0, 1], [2, 3]], 0.5, 0.5)
-    lind = canonical_form(model, spec)
-    h = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        term = 1.0
-        for k in range(4):
-            term = np.kron(term, SX if k == i else np.eye(2))
-        h = h + 0.5 * term
-    liouv = Liouvillian(hamiltonian=h, lindblad=lind)
+    liouv = Liouvillian(hamiltonian=transverse_field(4), lindblad=canonical_form(model, spec))
     assert not is_noiseless(dephasing_cluster_code(4, 2), liouv)
 
 
@@ -393,6 +401,125 @@ def test_empty_code_is_not_noiseless():
     liouv = build_liouvillian(model, cell_limit(2, 0.3, 0.0))
     code = CodeSubspace(basis=np.zeros((4, 0), dtype=complex), labels=())
     assert not is_noiseless(code, liouv)
+    assert noiseless_test(code, liouv) == (False, {"eigenvector": None, "leakage": None})
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_code_from_another_register_is_a_dimension_mismatch(n):
+    # N = 3 takes the operator route, N = 6 the structured one; both refuse
+    # the four-cell code before any product.
+    liouv = build_liouvillian(qubit_register(n), replica_symmetric(n, 0.4, 0.1))
+    assert liouv.lindblad.structured == (n == 6)
+    with pytest.raises(DimensionMismatch):
+        is_noiseless(n4_code(), liouv)
+
+
+GENERIC_CELL = np.array([[0.3 + 0.1j, -0.7 + 0.2j], [0.5 - 0.4j, -0.2 + 0.9j]])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("cell", ["sigma_minus", "sigma_z", "generic"])
+def test_column_norms_are_the_operators_column_norms(n, cell):
+    a = {"sigma_minus": SIGMA_MINUS, "sigma_z": SIGMA_Z, "generic": GENERIC_CELL}[cell]
+    lset = canonical_form(dephasing_register(n, a), exponential_decay(n, 0.4, 0.1, 1.5))
+    norms = np.concatenate(list(lset.column_norms()))
+    assert norms.shape == (len(lset), 2**n)
+    want = np.array([np.linalg.norm(t.op, axis=0) for t in lset.terms])
+    assert np.abs(norms - want).max() <= 1e-14 * want.max()
+
+
+def noiseless_cases():
+    """(name, model, bath, code, H' or None for the built one, verdict,
+    the failing test or None) at N = 6 and 8."""
+    for n in (6, 8):
+        pairs = [list(range(i, i + 2)) for i in range(0, n, 2)]
+        replica = replica_symmetric(n, 0.4, 0.1)
+        ring = qubit_register(n, interaction=heisenberg_ring(n, 0.3))
+        cluster = dephasing_cluster_code(n, 2)
+        yield "null", qubit_register(n), replica, None, None, True, None
+        yield "null_ring", ring, replica, None, None, True, None
+        yield "cluster", dephasing_register(n), clustered(pairs, 0.4, 0.1), cluster, None, True, None
+        yield (
+            "cluster_lamb",
+            dephasing_register(n),
+            clustered(pairs, 0.4, 0.1, delta_ratio=0.5),
+            cluster,
+            None,
+            True,
+            None,
+        )
+        yield (
+            "cluster_exponential",
+            dephasing_register(n),
+            exponential_decay(n, 0.4, 0.1, 2.0),
+            cluster,
+            None,
+            False,
+            "eigenvector",
+        )
+        yield "qubit_cluster", qubit_register(n), clustered(pairs, 0.4, 0.1), cluster, None, False, "eigenvector"
+        yield (
+            "transverse",
+            dephasing_register(n),
+            clustered(pairs, 0.4, 0.1),
+            cluster,
+            transverse_field(n),
+            False,
+            "leakage",
+        )
+
+
+@pytest.mark.parametrize(
+    "name, model, spec, code, h, verdict, failing",
+    list(noiseless_cases()),
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_structured_noiseless_test_matches_the_operator_route(
+    name, model, spec, code, h, verdict, failing
+):
+    liouv = build_liouvillian(model, spec)
+    h = liouv.hamiltonian if h is None else h
+    structured = Liouvillian(hamiltonian=h, lindblad=liouv.lindblad)
+    assert structured.lindblad.structured
+    code = null_code(liouv.lindblad) if code is None else code
+    # The same terms, with their operators given and no register: the
+    # operator route.
+    dense_set = LindbladSet(
+        terms=tuple(
+            LindbladTerm(t.rate, t.op, t.sector, t.weights)
+            for t in canonical_form(model, spec)
+        )
+    )
+    dense = Liouvillian(hamiltonian=h, lindblad=dense_set)
+    assert not dense_set.structured
+    got, residuals = noiseless_test(code, structured)
+    want, want_residuals = noiseless_test(code, dense)
+    assert got is want is verdict
+    assert is_noiseless(code, structured) is verdict
+    assert all(t._op is None for t in structured.lindblad)
+    for key in ("eigenvector", "leakage"):
+        assert (residuals[key] > 1.0) == (key == failing)
+        assert residuals[key] == pytest.approx(want_residuals[key], rel=1e-6, abs=1e-3)
+
+
+@pytest.mark.parametrize("kind", ["null", "cluster"])
+def test_n10_noiseless_test_stays_below_one_operator(kind):
+    n = 10
+    if kind == "null":
+        liouv = build_liouvillian(qubit_register(n), replica_symmetric(n, 0.4, 0.1))
+        code = null_code(liouv.lindblad)
+    else:
+        pairs = [[i, i + 1] for i in range(0, n, 2)]
+        liouv = build_liouvillian(dephasing_register(n), clustered(pairs, 0.4, 0.1))
+        code = dephasing_cluster_code(n, 2)
+    tracemalloc.start()
+    try:
+        verdict = is_noiseless(code, liouv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict
+    assert peak < 16 * 4**n
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,7 @@ def test_codes_runner_empty_code_reports_cleanly():
     assert table.values.shape[0] == 0
     assert table.provenance["code"]["dim"] == 0
     assert table.provenance["code"]["noiseless"] is False
+    assert table.provenance["code"]["residuals"] == {"eigenvector": None, "leakage": None}
 
 
 def test_result_table_validation():
@@ -506,6 +507,10 @@ def test_codes_sidecar_leaves_the_basis_to_its_csv(tmp_path):
     code_block = sidecar["provenance"]["code"]
     assert "basis_re_im" not in code_block
     assert code_block["dim"] == 2 and code_block["noiseless"] is True
+    # The residuals behind the verdict, each over its tolerance: at most 1.
+    residuals = code_block["residuals"]
+    assert sorted(residuals) == ["eigenvector", "leakage"]
+    assert all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in residuals.values())
     assert "basis_re_im" in table.provenance["code"]
     basis = null_code(build_liouvillian(build_register(cfg), build_bath(cfg)).lindblad).basis
     lines = (tmp_path / "codes_basis.csv").read_text().splitlines()
