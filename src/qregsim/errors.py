@@ -70,4 +70,4 @@ class ConfigError(QregError):
 
 
 class IoError(QregError):
-    """Result emission failed."""
+    """Reading a config or writing results failed."""

@@ -9,9 +9,11 @@ Config files are YAML with sections ``register``, ``bath``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -713,8 +715,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _rewrite(path: Path, newline: str | None = None):
+    """A text stream that writes ``path`` over its old bytes, in place.
+
+    The file is opened without ``O_TRUNC``: on ext4 (default
+    ``auto_da_alloc``) closing a file truncated to zero forces a flush of
+    its data, and so does renaming a temporary file over it.  After the
+    last write a file that had bytes is cut at the stream's position, so
+    a longer old file loses its tail; an empty or special file (such as
+    ``/dev/null``, which cannot be cut) is not.  Inode, mode, hard links
+    and a symlink's target are kept, as with ``"w"``.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        stale = os.fstat(fh.fileno()).st_size
+        yield fh
+        if stale:
+            fh.truncate()
+
+
 def _write_csv(path: Path, columns, values) -> None:
-    with path.open("w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(columns)
         for row in values:
@@ -783,7 +804,14 @@ def _plot_script(table: ResultTable, cfg: ExperimentConfig) -> str:
 def emit_outputs(
     table: ResultTable, cfg: ExperimentConfig, out_dir: str | None = None, wall_time: float = 0.0
 ) -> list[Path]:
-    """Write CSV, JSON sidecar, and a gnuplot script; returns paths."""
+    """Write CSV, JSON sidecar, and a gnuplot script; returns paths.
+
+    Each file is rewritten in place, never truncated to zero first: on
+    ext4 a file truncated to zero is flushed to disk when it is closed,
+    which cost more than computing the outputs.  A crash during a write
+    can therefore leave old bytes after the new ones, where ``"w"`` left
+    a short file; the outputs are deterministic, so a rerun restores them.
+    """
     directory = Path(out_dir if out_dir is not None else cfg.output["directory"])
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -818,13 +846,14 @@ def emit_outputs(
                 "provenance": prov,
                 "wall_time_s": wall_time,
             }
-            with path.open("w") as fh:
+            with _rewrite(path) as fh:
                 json.dump(sidecar, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             written.append(path)
         if "gnuplot" in formats:
             path = directory / f"{name}.gp"
-            path.write_text(_plot_script(table, cfg))
+            with _rewrite(path) as fh:
+                fh.write(_plot_script(table, cfg))
             written.append(path)
     except OSError as exc:
         raise IoError(f"cannot write outputs under {directory}: {exc}") from exc
@@ -892,6 +921,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except IoError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 3
     except QregError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -1,13 +1,14 @@
 """Config ingestion, experiment runners, output emission, and the CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
 from qregsim.dynamics import snapshot_grid
-from qregsim.errors import ConfigError, DimensionMismatch, QregError
+from qregsim.errors import ConfigError, DimensionMismatch, IoError, QregError
 from qregsim.expcli import (
     CONFIG_DUMPER,
     PRESETS,
@@ -460,6 +461,22 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         assert main(["simulate", "--config", cfg_path]) == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("case", ["missing_config", "out_under_a_file"])
+def test_cli_io_failure_is_io_error(tmp_path, capsys, case):
+    # An unreadable config or an output directory that cannot be made is
+    # an I/O failure, not a numerical one; the exit status stays 3.
+    if case == "missing_config":
+        argv = ["simulate", "--config", str(tmp_path / "missing.yaml")]
+        reason = "cannot read config"
+    else:
+        (tmp_path / "file").write_text("")
+        cfg_path = _write_yaml(tmp_path / "case.yaml", simulate_config())
+        argv = ["simulate", "--config", cfg_path, "--t-end", "0.1", "--out", str(tmp_path / "file" / "out")]
+        reason = "cannot create output directory"
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"io error: {reason}")
 
 
 def test_cli_codes_prints_summary_and_basis(tmp_path, capsys):
@@ -1171,6 +1188,84 @@ def test_codes_basis_is_one_array_written_as_before(tmp_path):
     rows = [",".join(repr(float(x)) for pair in row for x in pair) for row in stored]
     want = "\r\n".join([header] + rows) + "\r\n"
     assert (tmp_path / "codes_basis.csv").read_bytes() == want.encode()
+
+
+def _all_four_outputs(n: int):
+    """A codes run at n cells whose emit writes all four files."""
+    raw = {
+        "experiment": "codes",
+        "register": {"n": n, "kind": "qubit"},
+        "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+        "codes": {"kind": "null"},
+        "output": {"name": "codes", "formats": ["csv", "json", "gnuplot"]},
+    }
+    cfg = config_from_dict(raw)
+    return run_codes(cfg), cfg
+
+
+def _emitted(table, cfg, directory) -> dict:
+    return {p.name: p.read_bytes() for p in emit_outputs(table, cfg, out_dir=str(directory))}
+
+
+def test_emit_rewrites_stale_outputs_to_the_fresh_bytes(tmp_path):
+    # Outputs are rewritten in place: stale content longer than the new
+    # output, or an earlier, longer emit, leaves no tail behind.
+    big, small = _all_four_outputs(4), _all_four_outputs(2)
+    fresh_big = _emitted(*big, tmp_path / "fresh_big")
+    fresh_small = _emitted(*small, tmp_path / "fresh_small")
+    assert sorted(fresh_big) == ["codes.csv", "codes.gp", "codes.json", "codes_basis.csv"]
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name, data in fresh_big.items():
+        (stale / name).write_bytes(b"junk\n" * (len(data) // 2))
+    assert _emitted(*big, stale) == fresh_big
+    shorter = {name for name, data in fresh_big.items() if len(fresh_small[name]) < len(data)}
+    assert shorter == {"codes.csv", "codes_basis.csv"}
+    assert _emitted(*small, stale) == fresh_small
+
+
+def test_emit_writes_through_links_and_keeps_the_mode(tmp_path):
+    table, cfg = _all_four_outputs(2)
+    fresh = _emitted(table, cfg, tmp_path / "fresh")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target.csv"
+    target.write_text("stale\n" * 1000)
+    target.chmod(0o640)
+    os.link(target, tmp_path / "hardlink.csv")
+    (out / "codes.csv").symlink_to(target)
+    (out / "codes.gp").symlink_to(os.devnull)  # a file that cannot be cut
+    inode = target.stat().st_ino
+    emit_outputs(table, cfg, out_dir=str(out))
+    assert (out / "codes.csv").is_symlink() and (out / "codes.gp").is_symlink()
+    assert target.read_bytes() == (tmp_path / "hardlink.csv").read_bytes() == fresh["codes.csv"]
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_emit_into_a_directory_at_an_output_path_is_io_error(tmp_path):
+    table, cfg = _all_four_outputs(2)
+    (tmp_path / "codes.csv").mkdir()
+    with pytest.raises(IoError, match="cannot write outputs"):
+        emit_outputs(table, cfg, out_dir=str(tmp_path))
+
+
+def test_emit_never_truncates_an_output_to_zero(tmp_path, monkeypatch):
+    # No output is opened with O_TRUNC: on ext4 closing a file truncated
+    # to zero forces a flush of its data, which cost more than the run.
+    table, cfg = _all_four_outputs(2)
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for _ in range(2):  # a fresh directory, then a rerun over its files
+        emit_outputs(table, cfg, out_dir=str(tmp_path))
+    assert len(flags) == 8
+    assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 @pytest.mark.parametrize("experiment", ["tau_sweep", "codes"])
