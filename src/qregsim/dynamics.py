@@ -7,17 +7,23 @@ the per-sector rates from it.
 RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
 ``dense`` (``Liouvillian.apply``, or one ``_DenseForm`` over the dense
 generators of a sweep) and ``gamma`` on D x D states, and ``blocks``, the
-packed excitation blocks of ``liouvillian.excitation_form``, unpacked to
-D x D only for the sink.  The exact solver records ``blocks`` when it
-exponentiates the generator on the packed blocks and ``dense`` for the
-full superoperator.  Whether a generator keeps the blocks is
+packed excitation blocks of ``liouvillian.excitation_form``, whose
+sandwich streams in chunks of rows.  The exact solver records ``blocks``
+when it exponentiates the generator on the packed blocks and ``dense`` for
+the full superoperator.  Whether a generator keeps the blocks is
 ``Liouvillian.block_layout``'s rule; each solver only asks whether its
 states are block-diagonal.
 
+Initial state vectors stay vectors until a group needs their D x D: the
+block form packs psi psi^+ block by block, and a vector counts as
+block-diagonal when all its nonzero entries have one excitation number;
+the dense, Gamma, exact and closed-form groups build the D x D matrix.
+
 ``evolve_into`` is the one entry point: every solver hands each snapshot,
-checked once by ``check_state``, to a sink.  ``evolve`` stores them in
-Trajectories, ``integrate`` is ``evolve`` of one state, and the CLI's
-runner turns them into observables as they come.
+checked once by ``check_state``, to a sink.  A packed snapshot is checked
+on its blocks, then unpacked to D x D for the sink, one state at a time.
+``evolve`` stores them in Trajectories, ``integrate`` is ``evolve`` of one
+state, and the CLI's runner turns them into observables as they come.
 """
 
 from __future__ import annotations
@@ -116,19 +122,28 @@ class Trajectory:
         return self.states[-1]
 
 
-def _as_density(rho0: np.ndarray, dim: int) -> np.ndarray:
+def _as_state(rho0: np.ndarray, dim: int) -> np.ndarray:
+    """rho0 as a complex state vector of length dim or a dim x dim matrix."""
     rho = np.asarray(rho0, dtype=complex)
     if rho.ndim == 1:
         if rho.shape[0] != dim:
             raise DimensionMismatch(
                 f"state vector has length {rho.shape[0]}, expected {dim}"
             )
-        rho = np.outer(rho, rho.conj())
-    if rho.shape != (dim, dim):
+    elif rho.shape != (dim, dim):
         raise DimensionMismatch(
             f"state must be {dim}x{dim}, got {rho.shape}"
         )
     return rho
+
+
+def _density(state: np.ndarray) -> np.ndarray:
+    """The D x D density matrix of a state from ``_as_state``."""
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
+
+
+def _as_density(rho0: np.ndarray, dim: int) -> np.ndarray:
+    return _density(_as_state(rho0, dim))
 
 
 def snapshot_grid(
@@ -167,13 +182,15 @@ def snapshot_grid(
 
 class _FullStack:
     """The (R, D, D) stack the dense and Gamma forms step, with ``apply``
-    its generator's map."""
+    its generator's map; it has no packed layout."""
+
+    layout = None
 
     def __init__(self, apply, form: str):
         self.apply, self.form = apply, form
 
-    def pack(self, rhos):
-        return np.stack(rhos)
+    def pack(self, states):
+        return np.stack([_density(s) for s in states])
 
     def stepper(self, rho):
         """(f, None, None, 0) for ``_Run.rk4``: f(x, out) = L(x), a new
@@ -186,15 +203,13 @@ class _FullStack:
     def adjoint(self, rho, out):
         np.conjugate(rho.transpose(0, 2, 1), out=out)
 
-    def unpack(self, states):
-        return states
-
 
 def _rk4_groups(liouv: Liouvillian, rhos) -> list:
     """(states, stack) of each RK4 run of a generator that steps alone.
 
     The block-diagonal states step together on the block form when
-    ``excitation_form`` gives one (each state tested once).  The others
+    ``excitation_form`` gives one (each state tested once; a state vector
+    is block-diagonal when its nonzero entries share one Q).  The others
     step together on a dense form, or one by one on the Gamma form, whose
     apply is memory-bound.
     """
@@ -230,21 +245,23 @@ def _outside_level() -> int:
 
 
 class _Run:
-    """One ``evolve_into`` call: the snapshot schedule, the D x D initial
-    states, the sink and each generator's metadata per state."""
+    """One ``evolve_into`` call: the snapshot schedule, the initial states
+    (vectors or D x D, as given: a group that needs a D x D state builds
+    it, ``_density``), the sink and each generator's metadata per state."""
 
     def __init__(self, rhos, h: float, steps, stride: int, sink, named: bool):
         self.rhos, self.h, self.steps, self.stride = rhos, h, steps, stride
         self.sink, self.named = sink, named
         self.metas: list[list] = []
 
-    def emit_stack(self, rows, k: int, snaps) -> None:
+    def emit_stack(self, rows, k: int, snaps, layout=None) -> None:
         """Check snapshot k of each row ((generator, index, state)) once,
-        then hand it to the sink; ``snaps`` are their D x D snapshots in
-        row order."""
+        then hand it to the sink; ``snaps`` are their snapshots in row
+        order, D x D, or packed on ``layout``: checked on their blocks and
+        unpacked for the sink one at a time."""
         for (liouv, p, s), rho in zip(rows, snaps):
-            check_state(rho)
-            self.sink(liouv, p, s, k, rho)
+            check_state(rho, layout)
+            self.sink(liouv, p, s, k, rho if layout is None else layout.unpack(rho))
 
     def rk4(self, points, states, stack) -> None:
         """Classical fixed-step RK4 on one stack: the initial states
@@ -252,11 +269,12 @@ class _Run:
         generator) pairs), point-major, all in one array.
 
         ``stack`` is the layout: the (R, D, D) stack of the dense and Gamma
-        forms, or the packed excitation blocks of the block form, unpacked
-        to D x D only for the sink, one state at a time.  Every stage input
-        and the sum k1 + 2k2 + 2k3 + k4 are built in place, left to right,
-        with the operations and operand order of stepping each state alone,
-        so each state's snapshots are bitwise the single-state ones.  At
+        forms, or the packed excitation blocks of the block form, checked
+        packed and unpacked to D x D only for the sink, one state at a
+        time.  Every stage input and the sum k1 + 2k2 + 2k3 + k4 are built
+        in place, left to right, with the operations and operand order of
+        stepping each state alone, so each state's snapshots are bitwise
+        the single-state ones.  At
         most four stacks are live during an apply: the state, the stage
         input, the accumulated sum and the apply's result; the block form
         writes them into two stacks and the buffers kept for the run
@@ -314,7 +332,7 @@ class _Run:
                 )
             max_drift = [max(m, d) for m, d in zip(max_drift, drift)]
             if pending and not hold:
-                self.emit_stack(rows, 0, map(stack.unpack, pending.pop()))
+                self.emit_stack(rows, 0, pending.pop(), stack.layout)
             stack.adjoint(rho, stage)
             stage += rho
             stage *= 0.5
@@ -323,12 +341,12 @@ class _Run:
                 if hold:
                     pending.append(rho.copy())
                 else:
-                    self.emit_stack(rows, kept, map(stack.unpack, rho))
+                    self.emit_stack(rows, kept, rho, stack.layout)
                 kept += 1
         # free the stepping buffers before the held snapshots are unpacked
         f = acc = acc_out = k_out = stage = rho = None
         for k, packed in enumerate(pending):
-            self.emit_stack(rows, k, map(stack.unpack, packed))
+            self.emit_stack(rows, k, packed, stack.layout)
         for (_, p, s), drift in zip(rows, max_drift):
             self.metas[p][s] = {
                 "method": "rk4",
@@ -345,7 +363,7 @@ class _Run:
         packed excitation sector or through the full superoperator
         (``_exact_generator``).  Each snapshot is unpacked as it is made."""
         h, steps, d = self.h, self.steps, liouv.dim
-        rhos = np.stack(self.rhos)
+        rhos = np.stack([_density(r) for r in self.rhos])
         layout, m = _exact_generator(liouv, rhos)
         if layout is None:
             # Column-stacked vec: entry j*d + i of a column is rho[i, j].
@@ -377,8 +395,8 @@ class _Run:
         """The closed form (``dephasing_solve``), prepared once for all
         states."""
         closed, times = _closed_form(liouv), self.steps * self.h
-        for s, rho in enumerate(self.rhos):
-            for k, snap in enumerate(_closed_snapshots(closed, rho, times)):
+        for s, state in enumerate(self.rhos):
+            for k, snap in enumerate(_closed_snapshots(closed, _density(state), times)):
                 self.emit_stack([(liouv, p, s)], k, [snap])
         self.metas[p] = [{"method": "dephasing"} for _ in self.rhos]
 
@@ -488,7 +506,7 @@ def evolve_into(
     while (liouv := next(generators, None)) is not None:
         if run is None:
             dim = liouv.dim
-            rhos = [_as_density(r, dim) for r in rho0s]
+            rhos = [_as_state(r, dim) for r in rho0s]
             run = _Run(rhos, h, steps, stride, sink, not single)
         elif liouv.dim != dim:
             raise DimensionMismatch(f"generator {len(run.metas)} has D = {liouv.dim}, not {dim}")
@@ -714,16 +732,19 @@ def _closed_snapshots(closed, rho: np.ndarray, t: np.ndarray):
         yield s if frame is None else frame @ s @ dag(frame)
 
 
-def state_defect_report(rho: np.ndarray) -> dict[str, float]:
-    """Trace, positivity, and Hermiticity defects of a density matrix.
+def state_defect_report(rho: np.ndarray, layout=None) -> dict[str, float]:
+    """Trace, positivity, and Hermiticity defects of a density matrix: a
+    D x D ``rho``, or, when ``layout`` (an ``ExcitationBlocks``) is given,
+    the packed blocks of one, reported from its blocks (``_packed_report``).
 
     When D is a power of two and at least STRUCTURED_MIN_DIM (read at call
-    time), and rho is exactly zero between different excitation numbers
-    (the blocks of ``excitation_layout(log2 D)``), the smallest eigenvalue
-    is the smallest over the blocks: the spectrum of a block-diagonal
-    matrix is the union of its blocks' spectra, whatever the matrix.
+    time), and a D x D rho is exactly zero between different excitation
+    numbers (the blocks of ``excitation_layout(log2 D)``), the smallest
+    eigenvalue is the smallest over the blocks (``_block_eig_min``).
     Otherwise the whole matrix is diagonalized.
     """
+    if layout is not None:
+        return _packed_report(rho, layout)
     rho = np.asarray(rho, dtype=complex)
     herm = hermiticity_defect(rho)
     d = rho.shape[0]
@@ -732,10 +753,7 @@ def state_defect_report(rho: np.ndarray) -> dict[str, float]:
     packed = None if layout is None else layout.pack(rho)
     # block-diagonal: packing dropped no nonzero entry
     if packed is not None and np.count_nonzero(rho) == np.count_nonzero(packed):
-        eig_min = min(
-            np.linalg.eigvalsh(0.5 * (b + dag(b))).min()
-            for b in layout.blocks(packed)
-        )
+        eig_min = _block_eig_min(packed, layout)
     else:
         eig_min = np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min()
     return {
@@ -745,13 +763,36 @@ def state_defect_report(rho: np.ndarray) -> dict[str, float]:
     }
 
 
-def check_state(rho: np.ndarray) -> None:
+def _block_eig_min(packed: np.ndarray, layout) -> float:
+    """The smallest eigenvalue of the Hermitian part of a block-diagonal
+    matrix, from its packed blocks: the spectrum of a block-diagonal
+    matrix is the union of its blocks' spectra, whatever the matrix."""
+    return min(np.linalg.eigvalsh(0.5 * (b + dag(b))).min() for b in layout.blocks(packed))
+
+
+def _packed_report(packed: np.ndarray, layout) -> dict[str, float]:
+    """``state_defect_report`` of a block-diagonal matrix from its packed
+    blocks, with no D x D array: the trace from the packed diagonal, the
+    Hermiticity defect from packed - adjoint(packed), which holds every
+    nonzero entry of rho - rho^+, and the smallest eigenvalue block by
+    block."""
+    skew = np.empty_like(packed)
+    layout.adjoint(packed, skew)
+    np.subtract(packed, skew, out=skew)
+    return {
+        "trace_defect": abs(complex(layout.trace(packed)) - 1.0),
+        "min_eigenvalue": float(_block_eig_min(packed, layout)),
+        "hermiticity_defect": frob(skew),
+    }
+
+
+def check_state(rho: np.ndarray, layout=None) -> None:
     """Raise UnstableStep unless rho satisfies the state invariants:
     |tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect <= 1e-9.
-    A large block-diagonal rho is diagonalized block by block
-    (``state_defect_report``).
+    rho is D x D, or its packed blocks on ``layout``; a large
+    block-diagonal rho is checked block by block (``state_defect_report``).
     """
-    rep = state_defect_report(rho)
+    rep = state_defect_report(rho, layout)
     if rep["trace_defect"] > 1e-8:
         raise UnstableStep(f"trace defect {rep['trace_defect']:.3e} > 1e-8")
     if rep["min_eigenvalue"] < -1e-7:

@@ -338,7 +338,9 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
     interaction's builder), and ``su2_bytes`` more when it builds an su2
     state, on its S^z sector.  The register is first sized with no bath,
     a lower bound that reads n alone, so an oversized one is refused
-    before a bath builds its N x N matrices.
+    before a bath builds its N x N matrices.  Last, simulate and tau_sweep
+    build each initial state once (``build_state`` needs only n), so a bad
+    one is refused at load, before a runner builds the register.
     """
     reg, bath, solver = cfg.register, cfg.bath, cfg.solver
     n = reg["n"]
@@ -387,6 +389,9 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
             _library("solver.method", dephasing_frame, model)
             model = build_register(cfg)
         _library("solver.method", check_method, method, model)
+    if cfg.experiment != "codes":  # codes reads no initial state
+        for entry in cfg.initial_states:
+            build_state(entry, model)
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
         cluster, target = cfg.codes["cluster_size"], cfg.codes["target_zspin"]
         _library("codes.cluster_size", check_cluster_size, n, cluster)

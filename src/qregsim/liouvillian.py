@@ -43,11 +43,13 @@ and ``Liouvillian.structured``, ``excitation_form`` steps them on
 the caller keeps the Gamma or dense form for the other states.  The drift
 B = iH + sum_ij G_ij A_j^+ A_i / 2 conserves Q like H, so it is placed
 once (D x D, by ``cell_terms``) and kept as its C(N, q) x C(N, q) blocks;
-the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1) bases, one
-(N x N)(N x sum_q n_{q-/+1} n_q) product and a gathered sum back, per
-sector.  The drift is built on the form's first use, never by
-``build_liouvillian``; the index tables depend on N alone and are kept with
-the layout (``ExcitationBlocks.gather_tables``).
+the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1) bases, an
+(N x N)(N x L) product and a gathered sum back, per chunk of L entries of
+consecutive rows of the half-sector blocks, at most
+SANDWICH_CHUNK_ENTRIES / N, so its buffers do not grow with N.  The drift
+is built on the form's first use, never by ``build_liouvillian``; the
+int32 index tables depend on N alone and are kept with the layout
+(``ExcitationBlocks.gather_tables``).
 
 All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
@@ -110,6 +112,12 @@ STRUCTURED_MIN_DIM = 64
 # 1.94 GiB (admitted) and N = 12 about 8.3 GiB; the estimate is 1.00-1.08
 # times the tracemalloc peak of build plus one apply measured at N = 5-9.
 GENERATOR_MAX_BYTES = 2 * 2**30
+
+# Entries of the gathered X_i, over all N cells, that one chunk of the block
+# form's sandwich takes per state (``ExcitationBlocks.moves``): 2 chunks per
+# sector at N = 8, 26 at N = 10; the chunk buffers then take at most about
+# 3 MB per state up to N = 14, where one row still fits.
+SANDWICH_CHUNK_ENTRIES = 2**16
 
 SECTOR_MINUS = -1
 SECTOR_PLUS = +1
@@ -622,19 +630,20 @@ class ExcitationBlocks:
     with Q = q in ascending order, row-major, the blocks concatenated by q;
     C(2N, N) entries in all.  Packed arrays carry any leading stack axes.
 
-    ``full`` holds the flat D x D index of each packed entry and
-    ``diagonal`` the packed indices of the diagonal.  ``excitation_layout``
-    keeps one, read-only, per N, and with it the sandwich tables of each Q
-    shift (``gather_tables``), which depend on N alone.  The two index
-    tables are read-only views of writeable private bases, which ``pack``,
-    ``unpack`` and ``trace`` index with: ``np.take`` copies a read-only
-    index array on every call.
+    ``full`` holds the flat D x D index of each packed entry, ``diagonal``
+    the packed indices of the diagonal and ``up`` the Q of each basis
+    state.  ``excitation_layout`` keeps one, read-only, per N, and with it
+    the sandwich tables of each Q shift (``gather_tables``), which depend
+    on N alone.  The two index tables are intp, read-only views of
+    writeable private bases, which ``pack``, ``unpack`` and ``trace`` index
+    with: ``np.take`` copies a read-only index array on every call.
     """
 
     def __init__(self, n: int):
         dim = 2**n
         self.n, self.dim = n, dim
         up = excitation_numbers(n)
+        self.up = up
         self.sizes = np.bincount(up, minlength=n + 1)
         self.states, self.pos = excitation_sectors(n)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
@@ -644,7 +653,7 @@ class ExcitationBlocks:
         self._full = rows * dim + cols
         self._diagonal = np.flatnonzero(rows == cols)
         self.full, self.diagonal = self._full.view(), self._diagonal.view()
-        for table in (self.sizes, self.offsets, self.full, self.diagonal):
+        for table in (self.up, self.sizes, self.offsets, self.full, self.diagonal):
             table.setflags(write=False)
         self._gather: dict[int, tuple] = {}
 
@@ -668,10 +677,6 @@ class ExcitationBlocks:
             for o, m in zip(self.offsets, self.sizes)
         ]
 
-    def is_block_diagonal(self, rho: np.ndarray) -> bool:
-        """Whether every entry of rho between different Q is exactly zero."""
-        return np.count_nonzero(rho) == np.count_nonzero(self.pack(rho))
-
     def trace(self, packed: np.ndarray) -> np.ndarray:
         return np.take(packed, self._diagonal, axis=-1).sum(axis=-1)
 
@@ -681,63 +686,101 @@ class ExcitationBlocks:
             np.copyto(o, block.swapaxes(-1, -2))
         np.conjugate(out, out=out)
 
-    def moves(self, s: int):
+    def is_block_diagonal(self, rho: np.ndarray) -> bool:
+        """Whether every entry of rho between different Q is exactly zero;
+        for a state vector psi, whether all its nonzero entries have one Q,
+        so that psi psi^+ has no entry off the blocks."""
+        if rho.ndim == 1:
+            return np.unique(self.up[np.flatnonzero(rho)]).size <= 1
+        return np.count_nonzero(rho) == np.count_nonzero(self.pack(rho))
+
+    def _row_chunks(self, s: int) -> list[list[tuple[int, int, int]]]:
+        """The rows of the half-sector blocks (q + s, q), in packed order,
+        cut into chunks of consecutive rows: per chunk its pieces
+        (q, first row, end row), one per block it touches.  A chunk holds at
+        most SANDWICH_CHUNK_ENTRIES / N entries of a block's rows, or one
+        row when that is longer; the chunks have about equal width."""
+        n, sizes = self.n, self.sizes
+        kept = [q for q in range(n + 1) if 0 <= q + s <= n]
+        limit = max(SANDWICH_CHUNK_ENTRIES // n, 1)
+        total = sum(int(sizes[q + s] * sizes[q]) for q in kept)
+        target = -(-total // -(-total // limit))  # total over the chunk count
+        chunks, width = [[]], 0
+        for q in kept:
+            w = int(sizes[q])
+            for row in range(int(sizes[q + s])):
+                if width >= target or (width and width + w > limit):
+                    chunks.append([])
+                    width = 0
+                pieces = chunks[-1]
+                if pieces and pieces[-1][0] == q:
+                    pieces[-1] = (q, pieces[-1][1], row + 1)
+                else:
+                    pieces.append((q, row, row + 1))
+                width += w
+        return chunks
+
+    def moves(self, s: int) -> list[tuple]:
         """Gather tables of the sandwich sum_ij G_ij A_i rho A_j^+ for a
         qubit cell operator A that takes one digit (the source) to the other
         (the target) with coefficient 1 and so moves Q by s: -1 for sigma-,
-        +1 for sigma+.
+        +1 for sigma+, one entry per chunk of rows (``_row_chunks``).
 
         X_i = A_i rho lives in the half-sector of s: the blocks (q + s, q),
-        packed by q like rho, P entries.  Returns ``x`` (N, P), which
-        gathers X_i from rho's M packed entries (index M reads a zero), and
-        the term table of Y_j A_j^+ from Y, an (N, P) array flattened.  The
-        table is ``(gather, segments)``: within a block every entry has the
-        same number c of nonzero terms (the cells of its column state in the
-        target digit), so block q's terms form a (c, n_q, n_q) array at
-        ``gather[v:v + c * n_q^2]``, and ``segments`` lists
-        (v, c, offset, n_q^2) per block with c > 0.  O(N C(2N, N)) work.
+        packed by q like rho.  Row a' of X_i reads only rho's row
+        src_i(a'), and row a' of output block q + s reads only row a' of
+        each Y_j = sum_i G_ij X_i, so each chunk of consecutive rows (L
+        entries) gathers, contracts and sums back by itself, into one
+        contiguous run of the output.  Per chunk: ``x`` (N, L), which
+        gathers its X_i from rho's M packed entries (index M reads a zero),
+        and the term table of Y_j A_j^+ from the chunk's Y, an (N, L) array
+        flattened, as ``(gather, segments)``: within a block every entry has
+        the same number c of nonzero terms (the cells of its column state in
+        the target digit), so the r rows of output block q + s in the chunk
+        form a (c, r, n_{q+s}) array at ``gather[v:v + c * size]``, and
+        ``segments`` lists (v, c, offset, size) per piece, size = r
+        n_{q+s}.  The tables are int32, which holds every index up to
+        N = 16; O(N C(2N, N)) work.
         """
-        n, m, sizes, pos = self.n, self.size, self.sizes, self.pos
+        n, m, sizes, pos, offsets = self.n, self.size, self.sizes, self.pos, self.offsets
         bits = place_values(n)
         target = 1 if s < 0 else 0  # digit 1 is down
-        kept = [q for q in range(n + 1) if 0 <= q + s <= n]
-        h_off = np.zeros(n + 2, dtype=np.intp)
-        for q in kept:
-            h_off[q + 1] = sizes[q + s] * sizes[q]
-        h_off = np.cumsum(h_off)
-        p = int(h_off[-1])
-        x = np.empty((n, p), dtype=np.intp)
-        for q in kept:
-            # X_i[a', b] = rho[src_i(a'), b] for a' in S_{q+s} with cell i in
-            # the target digit
-            rows = self.states[q + s][None, :]
-            at = (((rows & bits[:, None]) != 0) == target)[:, :, None]
-            src = pos[rows ^ bits[:, None]][:, :, None]
-            x[:, h_off[q] : h_off[q + 1]] = np.where(
-                at, self.offsets[q] + src * sizes[q] + np.arange(sizes[q]), m
-            ).reshape(n, -1)
-        gather, segments = [], []
-        for q in range(n + 1):
-            states, k = self.states[q], q - s
-            # (Y_j A_j^+)[a', b'] = Y_j[a', src_j(b')] over the c cells j of
-            # b' in the target digit; (a', src_j(b')) sits in the
-            # half-sector's column block k
-            cell = np.nonzero(((states[:, None] & bits) != 0) == target)[1]
-            cell = cell.reshape(len(states), -1).T
-            if cell.size:
-                moved = cell * p + pos[states ^ bits[cell]]
-                fixed = h_off[k] + np.arange(sizes[q]) * sizes[k]
+        out = []
+        for pieces in self._row_chunks(s):
+            width = sum((end - row) * int(sizes[q]) for q, row, end in pieces)
+            x = np.empty((n, width), dtype=np.int32)
+            gather, segments, e = [], [], 0
+            for q, row, end in pieces:
+                w, k = int(sizes[q]), q + s  # output block k, rows S_k[row:end]
+                rows = self.states[k][row:end]
+                span = slice(e, e + len(rows) * w)
+                # X_i[a', b] = rho[src_i(a'), b] for a' in S_k with cell i in
+                # the target digit
+                at = (((rows[None, :] & bits[:, None]) != 0) == target)[:, :, None]
+                src = pos[rows[None, :] ^ bits[:, None]][:, :, None]
+                x[:, span] = np.where(at, offsets[q] + src * w + np.arange(w), m).reshape(n, -1)
+                # (Y_j A_j^+)[a', b'] = Y_j[a', src_j(b')] over the c cells j
+                # of b' in S_k in the target digit
+                states = self.states[k]
+                cell = np.nonzero(((states[:, None] & bits) != 0) == target)[1]
+                cell = cell.reshape(len(states), -1).T
+                moved = cell * width + pos[states ^ bits[cell]]
+                fixed = e + np.arange(len(rows)) * w
                 table = moved[:, None, :] + fixed[:, None]
                 v = sum(g.size for g in gather)
-                segments.append((v, len(cell), int(self.offsets[q]), table[0].size))
-                gather.append(table.ravel())
-        return x, (np.concatenate(gather), segments)
+                start = int(offsets[k]) + row * len(states)
+                segments.append((v, len(cell), start, table[0].size))
+                gather.append(table.ravel().astype(np.int32))
+                e = span.stop
+            out.append((x, (np.concatenate(gather), segments)))
+        return out
 
-    def gather_tables(self, s: int):
+    def gather_tables(self, s: int) -> list[tuple]:
         """``moves(s)``, built on first use and kept with the layout: every
         block form of these N qubits shares them, and none writes them.
-        They stay writeable because ``np.take`` copies a read-only index
-        array on every call (0.73 MB per apply at N = 8)."""
+        They are int32, half the bytes of intp, so each ``np.take`` casts
+        its table to intp (one chunk's table at a time); they stay writeable
+        because ``np.take`` would copy a read-only index array as well."""
         if s not in self._gather:
             self._gather[s] = self.moves(s)
         return self._gather[s]
@@ -780,9 +823,11 @@ class _BlockForm:
 
     ``apply`` maps an (S, M) stack of packed states, each row bitwise as
     it is alone, into an output stack through buffers ``stepper`` builds
-    once for the run, so no call allocates a stack-sized array.  ``pack``,
-    ``stepper``, ``trace``, ``adjoint`` and ``unpack`` are the stack the
-    RK4 stepper runs on.
+    once for the run, so no call allocates a stack-sized array; the
+    sandwich streams through them one chunk of rows at a time.  ``pack``
+    (which takes state vectors without forming their D x D), ``stepper``,
+    ``trace``, ``adjoint`` and ``layout``, on which the stepper checks and
+    unpacks snapshots, are the stack the RK4 stepper runs on.
     """
 
     form = "blocks"
@@ -790,7 +835,7 @@ class _BlockForm:
     def __init__(self, liouv: Liouvillian):
         self.layout = layout = liouv.block_layout
         self.lindblad, self.h = liouv.lindblad, liouv.hamiltonian
-        self.trace, self.adjoint, self.unpack = layout.trace, layout.adjoint, layout.unpack
+        self.trace, self.adjoint = layout.trace, layout.adjoint
 
     @cached_property
     def _tables(self):
@@ -806,36 +851,51 @@ class _BlockForm:
             ],
         )
 
-    def pack(self, rhos):
-        return self.layout.pack(np.stack(rhos))
+    def pack(self, states) -> np.ndarray:
+        """The (S, M) packed stack of the block-diagonal states, each a D x D
+        matrix or a state vector psi.  A vector's blocks are psi_q psi_q^+,
+        psi_q its entries on S_q: the products of the D x D outer product,
+        so the stack is bitwise the same, but that matrix is never formed."""
+        layout = self.layout
+        packed = np.empty((len(states), layout.size), dtype=complex)
+        for row, state in zip(packed, states):
+            if state.ndim == 2:
+                row[:] = layout.pack(state)
+                continue
+            for block, sq in zip(layout.blocks(row), layout.states):
+                psi = state[sq]
+                np.multiply(psi[:, None], psi.conj()[None, :], out=block)
+        return packed
 
     def stepper(self, rho):
         """(f, out, out2, kept) for the RK4 stepper: f(x, out) = L(x)
         written to out, one of the two output stacks of rho's shape, through
         one set of buffers; kept is the bytes of all three.
 
-        The buffers serve both sectors, whose X gathers and term tables
-        have one size (q -> N - q maps one sector's blocks onto the
-        other's): the state with a trailing zero entry, X_i and Y_j, the
-        gathered terms, and one scratch of the largest block."""
+        The buffers are the state with a trailing zero entry, one scratch
+        of the largest block, and the sandwich's X_i, Y_j and gathered
+        terms, sized for the largest chunk of either sector: about
+        3 SANDWICH_CHUNK_ENTRIES entries per state, whatever N."""
         layout, n_states = self.layout, rho.shape[0]
         work = {
             "src": np.zeros((n_states, layout.size + 1), dtype=complex),
             "block": np.empty((n_states, int(layout.sizes.max()) ** 2), dtype=complex),
         }
-        sectors = self._tables[1]
-        if sectors:
-            x_at, (gather, _) = sectors[0][1]
-            work["x"] = np.empty((n_states,) + x_at.shape, dtype=complex)
+        chunks = [chunk for _, tables in self._tables[1] for chunk in tables]
+        if chunks:
+            entries = max(x_at.size for x_at, _ in chunks)
+            work["x"] = np.empty(n_states * entries, dtype=complex)
             work["y"] = np.empty_like(work["x"])
-            work["terms"] = np.empty((n_states, gather.shape[0]), dtype=complex)
+            work["terms"] = np.empty(n_states * max(g.size for _, (g, _) in chunks), dtype=complex)
         kept = sum(a.nbytes for a in work.values()) + 2 * rho.nbytes
         f = lambda x, out: self.apply(x, out, work)  # noqa: E731
         return f, np.empty_like(rho), np.empty_like(rho), kept
 
     def apply(self, rho: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
         """L(rho) for the (S, M) stack rho, into ``out``, through the
-        buffers ``work`` that ``stepper`` builds for S states."""
+        buffers ``work`` that ``stepper`` builds for S states.  The sandwich
+        runs one chunk of rows at a time (``ExcitationBlocks.moves``), each
+        added to its own run of ``out``."""
         layout = self.layout
         n_states, m = rho.shape[0], layout.size
         scratch = work["block"]
@@ -848,19 +908,23 @@ class _BlockForm:
             o -= right  # -(B rho) - rho B^+
         if not sectors:
             return out
-        src, x, y = work["src"], work["x"], work["y"]
+        src = work["src"]
         src[:, :m] = rho
-        for gamma_t, (x_at, (gather, segments)) in sectors:
-            # mode="wrap" lets take write straight into out (the default
-            # "raise" buffers it); every index is in range
-            np.take(src, x_at, axis=1, out=x, mode="wrap")
-            _contract(gamma_t, x, y)  # Y_j = sum_i G_ij X_i
-            terms = work["terms"]
-            np.take(y.reshape(n_states, -1), gather, axis=1, out=terms, mode="wrap")
-            for v, c, o, size in segments:  # Y_j A_j^+, summed per entry
-                part = scratch[:, :size]
-                np.sum(terms[:, v : v + c * size].reshape(n_states, c, size), axis=1, out=part)
-                out[:, o : o + size] += part
+        for gamma_t, chunks in sectors:
+            for x_at, (gather, segments) in chunks:
+                shape = (n_states,) + x_at.shape
+                x = work["x"][: x_at.size * n_states].reshape(shape)
+                y = work["y"][: x_at.size * n_states].reshape(shape)
+                # mode="wrap" lets take write straight into out (the default
+                # "raise" buffers it); every index is in range
+                np.take(src, x_at, axis=1, out=x, mode="wrap")
+                _contract(gamma_t, x, y)  # Y_j = sum_i G_ij X_i
+                terms = work["terms"][: gather.size * n_states].reshape(n_states, -1)
+                np.take(y.reshape(n_states, -1), gather, axis=1, out=terms, mode="wrap")
+                for v, c, o, size in segments:  # Y_j A_j^+, summed per entry
+                    part = scratch[:, :size]
+                    np.sum(terms[:, v : v + c * size].reshape(n_states, c, size), axis=1, out=part)
+                    out[:, o : o + size] += part
         return out
 
 

@@ -243,6 +243,112 @@ def test_block_tables_are_built_by_evolve_alone(monkeypatch):
     assert calls == [-1, 1]
 
 
+@pytest.mark.parametrize("budget", [1, 40, 300])
+def test_sandwich_chunks_tile_the_half_sector_and_match_every_route(budget, monkeypatch):
+    """Chunks of one row, chunks that split a block and chunks that span
+    blocks: each sector's chunks cover its half-sector's rows once, in
+    order, and write one contiguous run of the output; the generator is
+    the same on every route."""
+    n = 5
+    monkeypatch.setattr(liouvillian, "SANDWICH_CHUNK_ENTRIES", budget)
+    excitation_layout.cache_clear()  # tables of the default budget go with it
+    try:
+        layout = excitation_layout(n)
+        for s in (-1, 1):
+            chunks = layout.moves(s)
+            widths = [x.shape[1] for x, _ in chunks]
+            assert sum(widths) == comb(2 * n, n - 1)
+            assert max(widths) <= max(budget // n, int(layout.sizes.max()))
+            runs = [(o, o + size) for _, (_, segments) in chunks for _, _, o, size in segments]
+            assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+            assert runs[0][0] == layout.offsets[max(s, 0)]
+            assert runs[-1][1] == layout.offsets[n + 1 + min(s, 0)]
+            assert all(x.dtype == np.int32 and g.dtype == np.int32 for x, (g, _) in chunks)
+        if budget == 1:  # one chunk per row of S_0 .. S_{N-1}
+            assert len(layout.moves(-1)) == 2**n - 1
+        rng = rng_for(f"chunks-{budget}")
+        assert_forms_agree(qubit_register(n), with_lamb_shift(random_bath(rng, n), 0.5), rng)
+    finally:
+        excitation_layout.cache_clear()
+
+
+@pytest.mark.parametrize("n", [8, 10, 11])
+def test_block_workspace_is_bounded_by_the_chunk_budget(n):
+    # The sandwich's X_i, Y_j and gathered terms hold one chunk each, at
+    # most SANDWICH_CHUNK_ENTRIES entries per state; unchunked they took a
+    # whole sector, X_i alone N C(2N, N - 1) entries per state.
+    liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
+    form = excitation_form(liouv)
+    layout, n_states = form.layout, 2
+    rho = np.zeros((n_states, layout.size), dtype=complex)
+    try:
+        kept = form.stepper(rho)[3]
+        tables = layout.gather_tables(-1)
+    finally:
+        excitation_layout.cache_clear()
+    # the two output stacks, the padded state and the largest block's scratch
+    stacks = 2 * rho.nbytes + n_states * 16 * (layout.size + 1 + int(layout.sizes.max()) ** 2)
+    sandwich = kept - stacks
+    assert 0 < sandwich <= 3 * n_states * 16 * liouvillian.SANDWICH_CHUNK_ENTRIES
+    whole = n_states * 16 * sum(2 * x.size + g.size for x, (g, _) in tables)
+    assert sandwich < whole
+    if n >= 10:
+        assert sandwich < n_states * 16 * n * comb(2 * n, n - 1)
+
+
+def test_a_vector_state_on_blocks_never_builds_its_density_matrix(monkeypatch):
+    n = 8
+    liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
+    psis = [pair_singlet_state(n), dicke_state(n, n // 2)]
+    want = evolve(liouv, [np.outer(p, p.conj()) for p in psis], 0.04, 0.02, 1)
+    built = []
+    density, pack = dynamics._density, ExcitationBlocks.pack
+    monkeypatch.setattr(dynamics, "_density", lambda s: built.append(s.shape) or density(s))
+    monkeypatch.setattr(
+        ExcitationBlocks, "pack", lambda self, rho: built.append(rho.shape) or pack(self, rho)
+    )
+    got = evolve(liouv, psis, 0.04, 0.02, 1)
+    assert built == []
+    # psi_q psi_q^+ are the products of the outer product: the same bits
+    for g, w in zip(got, want):
+        assert g.metadata == w.metadata and g.metadata["form"] == "blocks"
+        assert g.states.tobytes() == w.states.tobytes()
+
+
+def test_a_vector_across_two_sectors_takes_the_gamma_form():
+    n = 6
+    layout = excitation_layout(n)
+    liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
+    psi = np.zeros(2**n, dtype=complex)
+    psi[layout.states[3][[0, -1]]] = 0.6, 0.8j  # one sector, Q = 3
+    assert layout.is_block_diagonal(psi)
+    assert form_of(liouv, psi) == "blocks"
+    psi[layout.states[2][0]] = 1e-3  # and one entry at Q = 2
+    assert not layout.is_block_diagonal(psi)
+    assert form_of(liouv, psi / np.linalg.norm(psi)) == "gamma"
+
+
+def test_a_mixed_list_of_vectors_and_matrices_keeps_input_order():
+    n = 6
+    rng = rng_for("mixed-list")
+    liouv = build_liouvillian(qubit_register(n), random_bath(rng, n))
+    across = random_pure_state(rng, 2**n)
+    states = [
+        dicke_state(n, 3),
+        across,
+        block_diagonal(random_density_matrix(rng, 2**n)),
+        np.outer(across, across.conj()),
+        pair_singlet_state(n),
+    ]
+    trajs = evolve(liouv, states, 0.04, 0.02, 1)
+    assert [t.metadata["form"] for t in trajs] == ["blocks", "gamma", "blocks", "gamma", "blocks"]
+    for state, traj in zip(states, trajs):
+        alone = evolve(liouv, [state], 0.04, 0.02, 1)[0]
+        assert traj.metadata == alone.metadata
+        assert traj.states.tobytes() == alone.states.tobytes()
+    assert trajs[1].states.tobytes() == trajs[3].states.tobytes()
+
+
 def form_of(liouv, rho0) -> str:
     return evolve(liouv, [rho0], 0.04, 0.02, 1)[0].metadata["form"]
 

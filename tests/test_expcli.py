@@ -769,6 +769,13 @@ REJECTIONS = [
     ("codes", {"codes.target_zspin": float("inf")}, "codes.target_zspin"),
     ("ring", {"register.interaction.j": float("nan")}, "register.interaction.j"),
     ("ring", {"register.interaction.j": float("inf")}, "register.interaction.j"),
+    # built once at load, so a state the register cannot have is refused there
+    ("sim", {"register.n": 3, "initial_states": ["bogus"]}, "initial_states"),
+    ("sim", {"register.n": 3, "initial_states": ["su2:a,0"]}, "initial_states"),
+    ("sim", {"register.n": 3, "initial_states": ["triplet"]}, "initial_states"),
+    ("sim", {"register.n": 3, "initial_states": ["codeword0"]}, "initial_states"),
+    ("sim", {"initial_states": [[0, 0, 0, 0]]}, "initial_states"),
+    ("tau", {"initial_states": ["singlet", "bogus"]}, "initial_states"),
 ]
 
 _SUBCOMMAND = {"tau": "tau-sweep", "codes": "codes"}

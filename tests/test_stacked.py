@@ -36,6 +36,7 @@ from qregsim.liouvillian import (
     _BlockForm,
     _DenseForm,
     _GammaForm,
+    excitation_layout,
 )
 
 from helpers import (
@@ -296,6 +297,34 @@ def test_block_sweep_peak_does_not_grow_with_points(t_end):
     one = simulate_peak(8, [1.0], t_end, 0.02)
     two = simulate_peak(8, [1.0, 10.0], t_end, 0.02)
     assert two - one < 16 * 256**2
+
+
+def test_ten_cell_block_run_peak():
+    # N = 10, 2 states on blocks, 2 steps, tables built cold.  The sandwich
+    # works in chunks of rows, the tables are int32 and the state vectors
+    # are packed block by block, so the peak holds the generator's H, the
+    # stacks, the tables and one D x D snapshot for the sink at a time:
+    # about 108 MB, against 286 MB with whole-sector buffers, int64 tables
+    # and D x D initial states.
+    cfg = expcli.config_from_dict(
+        {
+            "experiment": "simulate",
+            "register": {"n": 10},
+            "bath": {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02},
+            "initial_states": ["singlet", "symmetric"],
+            "solver": {"dt": 0.01, "t_end": 0.02, "stride": 1},
+        }
+    )
+    excitation_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        table = expcli.run_simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        excitation_layout.cache_clear()
+    assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]]
+    assert peak <= 160e6
 
 
 @pytest.mark.parametrize("t_end, held", [(0.04, True), (0.8, False)])
