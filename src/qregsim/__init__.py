@@ -75,70 +75,5 @@ from .register import (
     total_sz,
 )
 
-__all__ = [
-    "BathSpec",
-    "CodeSubspace",
-    "ConfigError",
-    "DecoherenceReport",
-    "LindbladSet",
-    "LindbladTerm",
-    "Liouvillian",
-    "QregError",
-    "RegisterModel",
-    "Trajectory",
-    "basis_state",
-    "bath",
-    "build_liouvillian",
-    "canonical_form",
-    "casimir",
-    "cell_limit",
-    "clustered",
-    "codes",
-    "collective_op",
-    "decoherence_report",
-    "dephasing_cluster_code",
-    "dephasing_register",
-    "dephasing_solve",
-    "dicke_state",
-    "dynamics",
-    "embed_cell_op",
-    "errors",
-    "evolve",
-    "evolve_into",
-    "exponential_decay",
-    "fidelity",
-    "free_hamiltonian",
-    "gauge_phased",
-    "gauge_transport",
-    "heisenberg_ring",
-    "integrate",
-    "is_noiseless",
-    "lamb_shift",
-    "linalg",
-    "linear_entropy",
-    "liouvillian",
-    "microscopic_coefficients",
-    "multiplicity",
-    "n4_code",
-    "n4_codewords",
-    "noiseless_test",
-    "null_code",
-    "observables",
-    "pair_singlet_state",
-    "pairwise_dissipator",
-    "propagate_exact",
-    "pure_decoherence_rate",
-    "qubit_register",
-    "register",
-    "register_energy",
-    "register_hamiltonian",
-    "replica_symmetric",
-    "simultaneous_eigenspace",
-    "su2_basis_state",
-    "su2_multiplicity",
-    "superoperator_matrix",
-    "tau_inverse_n",
-    "total_sminus",
-    "total_splus",
-    "total_sz",
-]
+# The public names are the ones imported above: one list, not two.
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

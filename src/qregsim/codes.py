@@ -8,6 +8,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import count
+from math import comb
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import (
     TooSmall,
 )
 from .linalg import common_nullspace, dag, expm, frob, is_hermitian, restrict_kernel
-from .liouvillian import LindbladSet, Liouvillian
+from .liouvillian import LindbladSet, Liouvillian, build_bytes
 from .register import (
     RegisterModel,
     _twice,
@@ -167,6 +168,31 @@ def _sector_nullspace(lindblad: LindbladSet, sectors) -> np.ndarray:
         out[rows, col : col + basis.shape[1]] = basis
         col += basis.shape[1]
     return out
+
+
+def code_bytes(lindblad: LindbladSet, dim: int) -> int:
+    """Estimated peak bytes of a codes run on the register of the canonical
+    set ``lindblad``, for a code of ``dim`` columns: ``build_liouvillian``,
+    or the Hamiltonian it leaves with the code search and the code's rates
+    and noiseless test, none of which applies the generator.
+
+    A null code's search holds the K terms' blocks between excitation
+    sectors (K C(2N, N - 1) complex entries), each sector's basis and the
+    SVD of the largest; a set without those blocks places its K D x D
+    operators and takes a D x D SVD.  Per code column a structured set
+    holds the N cell actions, the K actions of the terms and six more
+    D-vectors (the basis, its copies and the residuals); another set
+    places its K operators.
+    """
+    model = lindblad.model
+    n, k, d = model.n_cells, len(lindblad), model.dim
+    matrix = 16 * d * d
+    if lindblad._q_shifts() is not None:
+        search = 16 * (k * comb(2 * n, n - 1) + comb(2 * n, n) + 3 * comb(n, n // 2) ** 2)
+    else:
+        search = (k + 4) * matrix
+    columns = 16 * d * dim * (n + k + 6) if lindblad.structured else k * matrix + 96 * d * dim
+    return max(build_bytes(model), matrix + search + columns)
 
 
 def multiplicity(n: int, s) -> int:

@@ -4,20 +4,22 @@ mutually commuting (pure dephasing).  All three read the one
 ``Liouvillian``: the closed form takes the register, the Hamiltonian and
 the per-sector rates from it.
 
-RK4 steps one of three generator forms, recorded as ``metadata["form"]``:
-``dense`` (``Liouvillian.apply``, or one ``_DenseForm`` over the dense
-generators of a sweep) and ``gamma`` on D x D states, and ``blocks``, the
-packed excitation blocks of ``liouvillian.excitation_form``, whose
-sandwich streams in chunks of rows.  The exact solver records ``blocks``
-when it exponentiates the generator on the packed blocks and ``dense`` for
-the full superoperator.  Whether a generator keeps the blocks is
-``Liouvillian.block_layout``'s rule; each solver only asks whether its
-states are block-diagonal.
+``plan`` is the one rule for which form each run takes and what it costs:
+per generator, the groups of initial states that run together, each
+group's form (recorded as ``metadata["form"]``), the entries of one of its
+states and a byte estimate, computed without building a generator, layout
+or table.  RK4 steps ``dense`` (``Liouvillian.apply``, or one
+``_DenseForm`` over the dense generators of a sweep) and ``gamma`` groups
+on D x D states and ``blocks`` groups on the packed excitation blocks
+(``liouvillian._BlockForm``); the exact solver exponentiates the
+generator on the packed sector (``blocks``) or the full superoperator
+(``dense``); ``dephasing`` is the closed form.  ``evolve_into`` runs the
+plan, and checks each group's bytes (``check_budget``) before it packs a
+state; the CLI sizes a run at load from the same plan.
 
 Initial state vectors stay vectors until a group needs their D x D: the
-block form packs psi psi^+ block by block, and a vector counts as
-block-diagonal when all its nonzero entries have one excitation number;
-the dense, Gamma, exact and closed-form groups build the D x D matrix.
+block form packs psi psi^+ block by block; the dense, Gamma, exact and
+closed-form groups build the D x D matrix.
 
 ``evolve_into`` is the one entry point: every solver hands each snapshot,
 checked once by ``check_state``, to a sink.  A packed snapshot is checked
@@ -32,6 +34,7 @@ import sys
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from math import comb, prod
 from typing import Any
 
 import numpy as np
@@ -60,15 +63,19 @@ from .linalg import (
 from .liouvillian import (
     STRUCTURED_MIN_DIM,
     SUPEROP_MAX_DIM,
+    LindbladSet,
     Liouvillian,
+    _BlockForm,
     _DenseForm,
     add_elementwise_rates,
+    block_buffers,
+    check_budget,
     drift_blocks,
-    excitation_form,
     excitation_layout,
+    form_bytes,
     superoperator_matrix,
 )
-from .register import RegisterModel, register_hamiltonian
+from .register import SIGMA_MINUS, RegisterModel, excitation_sectors, register_hamiltonian
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -78,6 +85,11 @@ STABILITY_BUDGET = 0.1
 DEFAULT_STRIDE = 10
 # Most steps one schedule may hold; snapshot_grid raises TooLarge beyond it.
 MAX_STEPS = 10**7
+METHODS = ("rk4", "exact", "dephasing")
+# D x D complex arrays the exact solver holds at most: the generator, the
+# propagator of the first interval and the scaled generator of the second,
+# and six in ``linalg.expm``.
+EXPM_MATRICES = 9
 
 
 @dataclass(frozen=True)
@@ -180,6 +192,140 @@ def snapshot_grid(
     return h, steps
 
 
+@dataclass(frozen=True)
+class Group:
+    """One run of a ``plan``: the initial states it takes together (their
+    indices), the form it runs on, which their trajectories record as
+    ``metadata["form"]``, the entries of one state on that form, and the
+    bytes the run is estimated to hold at its peak, the generator's
+    Hamiltonian included.  A ``stacked`` group steps in one stack with the
+    stacked groups of the other generators with its number of terms; its
+    bytes are this generator's share."""
+
+    states: tuple[int, ...]
+    form: str
+    size: int
+    bytes: int
+    stacked: bool = False
+
+
+def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -> list[Group]:
+    """The runs ``evolve_into`` makes of ``states`` (vectors or D x D
+    matrices) under a generator with the Lindblad set ``lindblad`` and
+    the Hamiltonian ``hamiltonian``, by default the register's own with
+    any Lamb shift: the one rule for which form each state runs on and
+    what the run costs.  It builds no generator, layout or table.
+
+    * ``rk4``: ``dense``, all states in one stack, for a set that is not
+      ``structured``, ``stacked`` with the other generators of its K below
+      STRUCTURED_MIN_DIM.  For a structured set, ``blocks``, the states
+      with no entry between different excitation numbers Q together on
+      the packed blocks, when the cells are sigma- and the generator keeps
+      Q; and ``gamma``, one run per other state.
+    * ``exact`` (TooLarge beyond D = SUPEROP_MAX_DIM): ``blocks``, all
+      states on the C(2N, N) packed sector, when the generator keeps Q and
+      every state has no entry between different Q; otherwise ``dense``,
+      the D^2 x D^2 superoperator.
+    * ``dephasing``: the closed form, all states.
+
+    The generator keeps Q when its register has qubit cells whose sector
+    operators each move Q by one fixed amount (``LindbladSet._q_shifts``)
+    and H is exactly zero between different Q.  The register's own H is,
+    with any Lamb shift, when the cell Hamiltonian is diagonal and any
+    interaction has no entry between different Q: always for sigma-
+    cells, whose register checks the step condition and that an
+    interaction commutes with S^z and S^+.  A state vector has no such
+    entry when its nonzero entries share one Q.  States are tested only
+    where the rule reads them, each once.
+    """
+    if method not in METHODS:
+        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    model = lindblad.model
+    dim = model.dim if hamiltonian is None else hamiltonian.shape[0]
+    if method == "exact" and dim > SUPEROP_MAX_DIM:
+        raise TooLarge(f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {dim}")
+    everyone, matrix, n = tuple(range(len(states))), 16 * dim * dim, getattr(model, "n_cells", 0)
+    if not everyone or method == "dephasing":
+        return [Group(everyone, "dephasing", dim * dim, 10 * matrix)] if everyone else []
+    if method == "rk4" and not lindblad.structured:
+        need = _rk4_bytes(lindblad, dim, len(states))
+        return [Group(everyone, "dense", dim * dim, need, dim < STRUCTURED_MIN_DIM)]
+    keeps = lindblad._q_shifts() is not None and model.dim == dim and _keeps_q(model, hamiltonian)
+    if method == "exact":  # the generator, expm's arrays and the term blocks or operators
+        sector = keeps and all(_on_blocks(s, n) for s in states)
+        size = comb(2 * n, n) if sector else dim * dim
+        terms = len(lindblad) * (comb(2 * n, n - 1) if sector else dim * dim)
+        need = 16 * (EXPM_MATRICES * size**2 + terms) + (4 + 3 * len(states)) * matrix
+        return [Group(everyone, "blocks" if sector else "dense", size, need)]
+    blocks = keeps and np.array_equal(model.cell_op, SIGMA_MINUS)
+    on = tuple(s for s in everyone if blocks and _on_blocks(states[s], n))
+    groups = [Group(on, "blocks", comb(2 * n, n), _block_bytes(lindblad, len(on)))] if on else []
+    single = _rk4_bytes(lindblad, dim, 1)
+    return groups + [Group((s,), "gamma", dim * dim, single) for s in everyone if s not in on]
+
+
+def run_bytes(plans) -> int:
+    """Estimated peak bytes of one ``evolve_into`` call, from the ``plan``
+    of each generator: the stacked groups' bytes summed, as their
+    generators wait to step together, plus the largest other group."""
+    groups = [g for groups in plans for g in groups]
+    alone = max((g.bytes for g in groups if not g.stacked), default=0)
+    return sum(g.bytes for g in groups if g.stacked) + alone
+
+
+def _on_blocks(x: np.ndarray, n: int) -> bool:
+    """Whether x, a state vector or a D x D matrix of n qubits, has no
+    entry between different excitation numbers: for a vector psi, whether
+    its nonzero entries share one Q, so that psi psi^+ has none."""
+    sectors = excitation_sectors(n)[0]
+    if x.ndim == 1:
+        return sum(bool(np.any(x[s])) for s in sectors) <= 1
+    return np.count_nonzero(x) == sum(np.count_nonzero(x[np.ix_(s, s)]) for s in sectors)
+
+
+def _keeps_q(model: RegisterModel, hamiltonian) -> bool:
+    """Whether ``hamiltonian``, by default the register's own with any
+    Lamb shift, is exactly zero between different Q (``plan``)."""
+    if hamiltonian is None:  # a Lamb shift keeps Q; sigma- cells' H^C is diagonal
+        if exact_diagonal(model.cell_hamiltonian) is None:
+            return False
+        hamiltonian = model.interaction
+    if hamiltonian is None or exact_diagonal(hamiltonian) is not None:  # the quick common case
+        return True
+    return _on_blocks(hamiltonian, model.n_cells)
+
+
+def _rk4_bytes(lindblad: LindbladSet, dim: int, n_states: int) -> int:
+    """RK4 of n_states D x D states on the dense or Gamma form: the form
+    and its applies (``form_bytes``), the Hamiltonian, five stacks (the
+    state, snapshot 0, the stage input, the sum and a stage) and the three
+    D x D arrays of a snapshot's check."""
+    return form_bytes(lindblad, dim, n_states) + (4 + 5 * n_states) * 16 * dim * dim
+
+
+def _block_bytes(lindblad: LindbladSet, n_states: int) -> int:
+    """RK4 of n_states states on the block form of the set's N qubits, the
+    larger of its two phases.  Both hold the Hamiltonian, the layout's
+    index table and the packed states.  Building the drift adds the term
+    blocks (K C(2N, N - 1) complex entries), the drift with its adjoint and,
+    for the widest half-sector block, the cell actions and the terms'
+    blocks or the drift's two products.  Stepping adds the int32 gather
+    tables (N C(2N, N - 1) entries for X_i per sector, as many at most for
+    the terms), the drift, two more packed stacks (snapshot 0 and the
+    stage input), the buffers kept for the run (``block_buffers``) twice,
+    as the snapshots of a short run wait in as many bytes, and a snapshot
+    unpacked to D x D for the sink, with its check."""
+    n = lindblad.model.n_cells
+    matrix, size, half = 16 * 4**n, comb(2 * n, n), comb(2 * n, n - 1)
+    widest = comb(n, (n + 1) // 2) * comb(n, (n - 1) // 2)
+    terms = max(len(rates) for rates, _ in lindblad.sectors.values()) if lindblad.sectors else 0
+    buffers = sum(prod(shape) for shape in block_buffers(n, lindblad.sectors, n_states).values())
+    drift = 16 * (len(lindblad) * half + 2 * size + (n + 2 * terms) * widest)
+    tables = 8 * n * half * len(lindblad.sectors)
+    stepping = tables + 16 * (2 * size + 6 * n_states * size + 2 * buffers + 2 * size) + matrix
+    return matrix + 8 * size + 16 * n_states * size + max(drift, stepping)
+
+
 class _FullStack:
     """The (R, D, D) stack the dense and Gamma forms step, with ``apply``
     its generator's map; it has no packed layout."""
@@ -204,37 +350,6 @@ class _FullStack:
         np.conjugate(rho.transpose(0, 2, 1), out=out)
 
 
-def _rk4_groups(liouv: Liouvillian, rhos) -> list:
-    """(states, stack) of each RK4 run of a generator that steps alone.
-
-    The block-diagonal states step together on the block form when
-    ``excitation_form`` gives one (each state tested once; a state vector
-    is block-diagonal when its nonzero entries share one Q).  The others
-    step together on a dense form, or one by one on the Gamma form, whose
-    apply is memory-bound.
-    """
-    blocks = excitation_form(liouv)
-    on_blocks = [blocks is not None and blocks.layout.is_block_diagonal(r) for r in rhos]
-    together = [s for s, b in enumerate(on_blocks) if b]
-    rest = [s for s, b in enumerate(on_blocks) if not b]
-    groups = [(together, blocks)] if together else []
-    if liouv.structured:
-        full = _FullStack(liouv.apply, "gamma")
-        return groups + [([s], full) for s in rest]
-    return groups + ([(rest, _FullStack(liouv.apply, "dense"))] if rest else [])
-
-
-def _dense_stack(points) -> _FullStack:
-    """The stack of the dense points ((index, generator) pairs, one K):
-    one ``_DenseForm`` of them all, built for this run and not kept on the
-    generators; a single generator steps through its own ``apply``, whose
-    form it keeps for later calls."""
-    if len(points) == 1:
-        return _FullStack(points[0][1].apply, "dense")
-    form = _DenseForm([(liouv.hamiltonian, liouv.lindblad) for _, liouv in points])
-    return _FullStack(form.apply, "dense")
-
-
 def _outside_level() -> int:
     """The ``stacklevel`` that makes a warning raised in the calling
     function name the first frame outside this module."""
@@ -245,14 +360,36 @@ def _outside_level() -> int:
 
 
 class _Run:
-    """One ``evolve_into`` call: the snapshot schedule, the initial states
-    (vectors or D x D, as given: a group that needs a D x D state builds
-    it, ``_density``), the sink and each generator's metadata per state."""
+    """One ``evolve_into`` call: the method, the snapshot schedule, the
+    initial states (vectors or D x D, as given: a group that needs a D x D
+    state builds it, ``_density``), the sink and each generator's metadata
+    per state."""
 
-    def __init__(self, rhos, h: float, steps, stride: int, sink, named: bool):
-        self.rhos, self.h, self.steps, self.stride = rhos, h, steps, stride
+    def __init__(self, method: str, rhos, h: float, steps, stride: int, sink, named: bool):
+        self.method, self.rhos, self.h, self.steps, self.stride = method, rhos, h, steps, stride
         self.sink, self.named = sink, named
         self.metas: list[list] = []
+
+    def run(self, points, group: Group) -> None:
+        """Run one group of a plan under ``points``, (index, generator)
+        pairs: one, or the generators of a dense stack, whose form is built
+        for this run and not kept on them (one generator steps through its
+        own ``apply``, which keeps its form for later calls).  Each form
+        dies with this call."""
+        p, liouv = points[0]
+        if group.form == "dephasing":
+            self.closed(p, liouv)
+        elif self.method == "exact":
+            self.exact(p, liouv, group.form)
+        else:
+            if group.form == "blocks":
+                stack = _BlockForm(liouv)
+            elif len(points) > 1:
+                form = _DenseForm([(g.hamiltonian, g.lindblad) for _, g in points])
+                stack = _FullStack(form.apply, group.form)
+            else:
+                stack = _FullStack(liouv.apply, group.form)
+            self.rk4(points, group.states, stack)
 
     def emit_stack(self, rows, k: int, snaps, layout=None) -> None:
         """Check snapshot k of each row ((generator, index, state)) once,
@@ -357,14 +494,16 @@ class _Run:
                 "error_estimate": drift,
             }
 
-    def exact(self, p: int, liouv: Liouvillian) -> None:
+    def exact(self, p: int, liouv: Liouvillian, form: str) -> None:
         """All states at once, stacked as the columns of one matrix, with
         one propagator ``expm`` per distinct snapshot interval: on the
-        packed excitation sector or through the full superoperator
-        (``_exact_generator``).  Each snapshot is unpacked as it is made."""
+        packed excitation sector (``blocks``, ``_sector_generator``) or
+        through the full superoperator (``dense``).  Each snapshot is
+        unpacked as it is made."""
         h, steps, d = self.h, self.steps, liouv.dim
         rhos = np.stack([_density(r) for r in self.rhos])
-        layout, m = _exact_generator(liouv, rhos)
+        layout = excitation_layout(liouv.lindblad.model.n_cells) if form == "blocks" else None
+        m = superoperator_matrix(liouv) if layout is None else _sector_generator(liouv, layout)
         if layout is None:
             # Column-stacked vec: entry j*d + i of a column is rho[i, j].
             cols = rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T
@@ -387,7 +526,6 @@ class _Run:
                 propagators[dk] = expm(m * (dk * h))
             cols = propagators[dk] @ cols
             self.emit_stack(rows, k, unpack(cols))
-        form = "dense" if layout is None else "blocks"
         meta = {"method": "exact", "form": form, "dt": h, "n_steps": int(steps[-1])}
         self.metas[p] = [dict(meta) for _ in rows]
 
@@ -398,7 +536,7 @@ class _Run:
         for s, state in enumerate(self.rhos):
             for k, snap in enumerate(_closed_snapshots(closed, _density(state), times)):
                 self.emit_stack([(liouv, p, s)], k, [snap])
-        self.metas[p] = [{"method": "dephasing"} for _ in self.rhos]
+        self.metas[p] = [{"method": "dephasing", "form": "dephasing"} for _ in self.rhos]
 
 
 def integrate(
@@ -476,52 +614,47 @@ def evolve_into(
     stepping stack).  Returns each generator's metadata, one dict per
     state, in input order.
 
-    ``rk4`` steps the dense generators below STRUCTURED_MIN_DIM that have
-    the same number K of terms as one stack of all their states (P
-    generators, S states: a (P S, D, D) stack, ``_DenseForm``).  Any other
-    generator steps alone, and is dropped before the next one is drawn,
-    so an iterable that builds each generator on demand (as the CLI's
-    runner passes) never holds two of them at D >= STRUCTURED_MIN_DIM: the
-    block-diagonal states together on the block form (module docstring)
-    when the generator allows it, and the others together on a dense
-    generator or one by one on the structured one, whose Gamma-form apply
-    is memory-bound.  Each state's snapshots are bitwise the ones stepping
-    that state alone under its generator gives.  ``exact`` advances all
-    states at once, stacked as the columns of one matrix, with one
-    propagator per distinct snapshot interval (D <= 64), the NumPy
-    ``linalg.expm`` of the generator times that interval: on the packed
-    excitation sector when ``liouv.block_layout`` holds and every state is
-    block-diagonal, ``form == "blocks"``, otherwise through the D^2 x D^2
-    ``superoperator_matrix``, ``"dense"``.  ``dephasing`` is the closed
-    form (``dephasing_solve``), read from each generator like the others
-    and prepared once for all states.
+    Each generator runs its ``plan``: the one rule for which form each
+    state runs on, and the bytes each run needs, which ``check_budget``
+    passes before the run packs a state.  The plan's forms are the
+    trajectories' ``metadata["form"]``.  Stacked dense groups wait and
+    step as one (P S, D, D) stack of all their states (``_DenseForm``),
+    one stack per number K of terms; every other group runs at once, and
+    each generator is dropped before the next one is drawn, so an iterable
+    that builds each generator on demand (as the CLI's runner passes)
+    never holds two of them at D >= STRUCTURED_MIN_DIM.  Each state's RK4
+    snapshots are bitwise the ones stepping that state alone under its
+    generator gives.  ``exact`` advances all states at once, stacked as
+    the columns of one matrix, with one propagator per distinct snapshot
+    interval, the NumPy ``linalg.expm`` of the generator times that
+    interval.  ``dephasing`` is the closed form (``dephasing_solve``),
+    read from each generator like the others and prepared once for all
+    states.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
-    if method not in ("rk4", "exact", "dephasing"):
-        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
     single = isinstance(liouvs, Liouvillian)
-    generators = iter([liouvs] if single else liouvs)
-    run, dim = None, None
-    dense: dict[int, list] = {}  # K -> (index, generator) of the dense points
-    while (liouv := next(generators, None)) is not None:
+    run, stacks = None, {}  # K -> (index, generator, group) of the stacked points
+    for p, liouv in enumerate([liouvs] if single else liouvs):
         if run is None:
-            dim = liouv.dim
-            rhos = [_as_state(r, dim) for r in rho0s]
-            run = _Run(rhos, h, steps, stride, sink, not single)
+            rhos = [_as_state(r, liouv.dim) for r in rho0s]
+            run, dim = _Run(method, rhos, h, steps, stride, sink, not single), liouv.dim
         elif liouv.dim != dim:
-            raise DimensionMismatch(f"generator {len(run.metas)} has D = {liouv.dim}, not {dim}")
-        p = len(run.metas)
+            raise DimensionMismatch(f"generator {p} has D = {liouv.dim}, not {dim}")
         run.metas.append([None] * len(run.rhos))
-        # dense forms below STRUCTURED_MIN_DIM, where P of them take little
-        # memory, wait to step as one stack; a hand-built set above runs alone
-        if method == "rk4" and run.rhos and not liouv.structured and dim < STRUCTURED_MIN_DIM:
+        groups = plan(liouv.lindblad, run.rhos, method, liouv.hamiltonian)
+        if method == "rk4" and groups:
             _check_step(liouv, h, steps)
-            dense.setdefault(len(liouv.lindblad), []).append((p, liouv))
-        else:
-            _alone(run, method, p, liouv)
+        for group in groups:
+            if group.stacked:
+                stacks.setdefault(len(liouv.lindblad), []).append((p, liouv, group))
+            else:
+                check_budget(group.bytes, f"{method} run on the {group.form} form needs")
+                run.run([(p, liouv)], group)
         liouv = None  # drop it before the next one is built
-    for points in dense.values():
-        run.rk4(points, list(range(len(run.rhos))), _dense_stack(points))
+    for points in stacks.values():
+        need = run_bytes([[g for _, _, g in points]])
+        check_budget(need, f"{method} run on the dense form needs")
+        run.run([(p, liouv) for p, liouv, _ in points], points[0][2])
     return [] if run is None else run.metas
 
 
@@ -536,33 +669,6 @@ def _check_step(liouv: Liouvillian, h: float, steps) -> None:
             RuntimeWarning,
             stacklevel=_outside_level(),
         )
-
-
-def _alone(run: _Run, method: str, p: int, liouv: Liouvillian) -> None:
-    """Run the p-th generator by itself; its forms die with this call."""
-    if method == "exact":
-        check_method(method, liouv.lindblad.model, liouv.hamiltonian)
-        if run.rhos:
-            run.exact(p, liouv)
-    elif run.rhos and method == "dephasing":
-        run.closed(p, liouv)
-    elif run.rhos:
-        _check_step(liouv, run.h, run.steps)
-        for states, stack in _rk4_groups(liouv, run.rhos):
-            run.rk4([(p, liouv)], states, stack)
-
-
-def _exact_generator(liouv: Liouvillian, rhos: np.ndarray):
-    """(layout, M): the matrix the exact solver exponentiates.  M is the
-    C(2N, N)-square generator on the packed sector of
-    ``liouv.block_layout`` (``_sector_generator``) when that is not None
-    and no state in ``rhos`` has an entry between different excitation
-    numbers (exact zeros); otherwise layout is None and M the D^2 x D^2
-    ``superoperator_matrix``."""
-    layout = liouv.block_layout
-    if layout is not None and all(layout.is_block_diagonal(r) for r in rhos):
-        return layout, _sector_generator(liouv, layout)
-    return None, superoperator_matrix(liouv)
 
 
 def _sector_generator(liouv: Liouvillian, layout):
@@ -611,23 +717,17 @@ def check_method(
 ):
     """Raise unless ``evolve`` can run ``method`` on a generator of
     ``model`` whose Hamiltonian is ``hamiltonian`` (default the register's
-    own, built only for dephasing): ``exact`` needs D <= SUPEROP_MAX_DIM
-    (TooLarge), ``dephasing`` a normal cell operator and an H diagonal in
-    its eigenbasis, as a Lamb shift always is there
-    (NotSimultaneouslyDiagonalizable), and ``rk4`` takes any; another name
-    is a QregError.
+    own, built only for dephasing): ``dephasing`` needs a normal cell
+    operator and an H diagonal in its eigenbasis, as a Lamb shift always
+    is there (NotSimultaneouslyDiagonalizable); ``rk4`` and ``exact`` take
+    any register here, the exact method's size limit being ``plan``'s;
+    another name is a QregError.
 
     Returns None, except for dephasing: (w, frame, h), the cell
     operator's eigenvalues, the register's unitary eigenbasis frame (None
     when it is the identity) and H in that frame.
     """
-    if method == "exact":
-        d = model.dim if hamiltonian is None else hamiltonian.shape[0]
-        if d > SUPEROP_MAX_DIM:
-            raise TooLarge(
-                f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {d}"
-            )
-    elif method == "dephasing":
+    if method == "dephasing":
         w, v = dephasing_frame(model)
         h = register_hamiltonian(model) if hamiltonian is None else hamiltonian
         frame = None
@@ -641,7 +741,7 @@ def check_method(
                 "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
             )
         return w, frame, h
-    elif method != "rk4":
+    elif method not in METHODS:
         raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
 
 
@@ -702,7 +802,8 @@ def dephasing_solve(
     if t.ndim != 1 or t.shape[0] == 0:
         raise DimensionMismatch("times must be a nonempty 1-d array")
     states = np.stack(list(_closed_snapshots(_closed_form(liouv), rho, t)))
-    return Trajectory(times=t, states=states, metadata={"method": "dephasing"})
+    meta = {"method": "dephasing", "form": "dephasing"}
+    return Trajectory(times=t, states=states, metadata=meta)
 
 
 def _closed_form(liouv: Liouvillian):

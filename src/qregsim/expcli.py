@@ -34,18 +34,20 @@ from .bath import (
 )
 from .codes import (
     check_cluster_size,
+    code_bytes,
     dephasing_cluster_code,
     n4_code,
     noiseless_test,
     null_code,
 )
-from .dynamics import check_method, dephasing_frame, evolve_into, snapshot_grid
+from .dynamics import check_method, dephasing_frame, evolve_into, plan, run_bytes, snapshot_grid
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import (
+    RING_BUILDER_MATRICES,
+    build_bytes,
     build_liouvillian,
     canonical_form,
     check_budget,
-    generator_bytes,
     rates_bytes,
 )
 from .observables import (
@@ -296,7 +298,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     tree["output"].setdefault("name", tree["experiment"])
     cfg = ExperimentConfig(**{"sweep": None, "codes": None, **tree})
     _check_sections(cfg, raw)
-    _check_with_library(cfg)
+    # the state vectors, built once here, are the runners' (``_states``)
+    object.__setattr__(cfg, "_vectors", _check_with_library(cfg))
     return cfg
 
 
@@ -327,26 +330,29 @@ def _library(path: str, build, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _check_with_library(cfg: ExperimentConfig) -> None:
-    """Ranges and consistency, by the library's own builders and guards.
+def _check_with_library(cfg: ExperimentConfig) -> list:
+    """Ranges and consistency, by the library's own builders and guards;
+    returns the initial state vectors, built once (``build_state`` needs
+    only n; codes reads none), so a bad one is refused at load.
 
-    Each call isolates one field, so an error names it.  For simulate and
-    codes runs every bath point's generator must fit the budget
-    (``check_budget``); the register is sized without its interaction
-    term, which is built only by the runners.  A tau_sweep run must fit it
-    with its state vectors and rates (``rates_bytes``, which counts a ring
-    interaction's builder), and ``su2_bytes`` more when it builds an su2
-    state, on its S^z sector.  The register is first sized with no bath,
-    a lower bound that reads n alone, so an oversized one is refused
-    before a bath builds its N x N matrices.  Last, simulate and tau_sweep
-    build each initial state once (``build_state`` needs only n), so a bad
-    one is refused at load, before a runner builds the register.
+    Each call isolates one field, so an error names it.  The register is
+    first sized with no bath (``build_bytes``, or ``rates_bytes`` with no
+    terms for tau_sweep), a lower bound that reads n alone, so an
+    oversized one is refused before a bath builds its N x N matrices.
+    Then every bath point's canonical set, which pairs bath and register,
+    sizes the run (``check_budget``): a simulate run by its ``plan`` per
+    point (``run_bytes``) and its table, a codes run by ``code_bytes``, a
+    tau_sweep run by its state vectors and rates (``rates_bytes``) and
+    ``su2_bytes`` more when it builds an su2 state, on its S^z sector.  A
+    ring interaction's builder is counted on top.  The register is sized
+    without its interaction term, which only the runners build.
     """
-    reg, bath, solver = cfg.register, cfg.bath, cfg.solver
+    reg, bath, solver, method = cfg.register, cfg.bath, cfg.solver, cfg.solver["method"]
     n = reg["n"]
     _library("register.n", dephasing_register, n)
     _library("register.epsilon", qubit_register, 1, reg["epsilon"])
-    if reg["interaction"]["kind"] == "heisenberg_ring":
+    ring = reg["interaction"]["kind"] != "none"
+    if ring:
         _library("register.interaction.kind", check_ring, n)
         _library("register.interaction.j", check_ring, n, reg["interaction"]["j"])
     gm, gp = bath["gamma_minus"], bath["gamma_plus"]
@@ -359,43 +365,52 @@ def _check_with_library(cfg: ExperimentConfig) -> None:
         "bath.model",
     )
     model = _cells(reg)
-    if cfg.experiment == "tau_sweep":  # the one experiment without a generator
-        ring = reg["interaction"]["kind"] != "none"
+    tau = cfg.experiment == "tau_sweep"  # the one experiment without a generator
+    what = f"decoherence rates for {n} cells need" if tau else f"run for {n} cells needs"
+    if tau:
         su2 = any(isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states)
-        builder = su2_bytes(n) if su2 else 0
-
-        def size(model, spec):
-            return rates_bytes(model, spec, len(cfg.initial_states), ring) + builder
-
-        what = f"decoherence rates for {n} cells need"
+        extra = su2_bytes(n) if su2 else 0
     else:
-        size, what = generator_bytes, f"generator for {n} cells needs"
-    _library("register.n", check_budget, size(model, None), what)
-    # Sizing also pairs bath and register: a partition may list other cells.
-    need = _library(own, size, model, _library(own, build_bath, cfg))
-    for overrides in _sweep_overrides(cfg):
-        spec = _library("sweep.values", build_bath, cfg, overrides)
-        need = max(need, size(model, spec))
-    _library("register.n", check_budget, need, what)
+        extra = RING_BUILDER_MATRICES * 16 * model.dim**2 if ring else 0
+
+    def size(spec) -> int:  # tau_sweep's rates, or a lower bound of the others
+        if tau:
+            return extra + rates_bytes(model, spec, len(cfg.initial_states), ring)
+        return extra + build_bytes(model)
+
+    _library("register.n", check_budget, size(None), what)
+    # canonical_form also pairs bath and register: a partition may list other cells
+    base = _library(own, canonical_form, model, _library(own, build_bath, cfg))
+    specs = [_library("sweep.values", build_bath, cfg, o) for o in _sweep_overrides(cfg)]
+    if tau:
+        _library("register.n", check_budget, max(map(size, specs)), what)
+    sets = [] if tau else [canonical_form(model, spec) for spec in specs] or [base]
     _library("solver.dt", snapshot_grid, 0.0, solver["dt"])
     _library("solver.t_end", snapshot_grid, solver["t_end"], solver["dt"])
     _library("solver.stride", snapshot_grid, 0.0, solver["dt"], solver["stride"])
     if cfg.experiment == "simulate":
-        # Past the size guard.  The dephasing rule tests the d x d cell
-        # operator before it builds the register's H (a ring's SU(2) check
-        # is O(D^3)).
-        method = solver["method"]
+        # A plan of no states only checks that the method takes the
+        # register.  The dephasing rule tests the d x d cell operator
+        # before it builds the register's H (a ring's SU(2) check is O(D^3)).
+        _library("solver.method", plan, base, [], method)
         if method == "dephasing":
             _library("solver.method", dephasing_frame, model)
-            model = build_register(cfg)
-        _library("solver.method", check_method, method, model)
-    if cfg.experiment != "codes":  # codes reads no initial state
-        for entry in cfg.initial_states:
-            build_state(entry, model)
+            _library("solver.method", check_method, method, build_register(cfg))
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
         cluster, target = cfg.codes["cluster_size"], cfg.codes["target_zspin"]
         _library("codes.cluster_size", check_cluster_size, n, cluster)
         _library("codes.target_zspin", check_cluster_size, n, cluster, target)
+    if cfg.experiment == "codes":  # codes reads no initial state
+        need = max(code_bytes(lset, 0) for lset in sets) + extra
+        _library("register.n", check_budget, need, what)
+        return []
+    psis = [build_state(entry, model) for entry in cfg.initial_states]
+    if cfg.experiment == "simulate":
+        steps = snapshot_grid(solver["t_end"], solver["dt"], solver["stride"])[1]
+        table = 16 * (1 + 3 * len(sets) * len(psis)) * len(steps)  # series and columns
+        need = max(build_bytes(model), run_bytes([plan(lset, psis, method) for lset in sets]))
+        _library("register.n", check_budget, need + table + extra, what)
+    return psis
 
 
 # libyaml's emitter writes the same text as PyYAML's own, several times
@@ -590,6 +605,17 @@ def _provenance(cfg: ExperimentConfig, solver_meta: dict | None = None) -> dict:
     }
 
 
+def _states(cfg: ExperimentConfig, model: RegisterModel) -> list:
+    """(column name, vector) of each initial state: the vectors
+    ``config_from_dict`` built, or, for a config made another way, built
+    here."""
+    psis = getattr(cfg, "_vectors", None)
+    if psis is None:
+        psis = [build_state(s, model) for s in cfg.initial_states]
+    entries = enumerate(zip(cfg.initial_states, psis))
+    return [(_state_column_name(s, i), psi) for i, (s, psi) in entries]
+
+
 def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     """Trajectory observables; columns t, then F/delta/E per state (and per
     sweep value when a sweep is present, sweep-major).
@@ -599,10 +625,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     and E as it arrives, so no snapshot outlives its step.
     """
     model = build_register(cfg)
-    named = [
-        (_state_column_name(s, i), build_state(s, model))
-        for i, s in enumerate(cfg.initial_states)
-    ]
+    named = _states(cfg, model)
     psis = [psi for _, psi in named]
     solver = cfg.solver
     points = _sweep_overrides(cfg) or [None]
@@ -646,10 +669,7 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
     decoherence times appear as zero-rate entries rather than infinities.
     """
     model = build_register(cfg)
-    named = [
-        (_state_column_name(s, i), build_state(s, model))
-        for i, s in enumerate(cfg.initial_states)
-    ]
+    named = _states(cfg, model)
     # (D, S) with each state's column contiguous, as the state alone
     psis = np.array([psi for _, psi in named]).T
     leaf = cfg.sweep["parameter"].split(".", 1)[1]
@@ -687,6 +707,8 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
         )
     else:
         code = n4_code()
+    # a null code's dimension is known only now: its columns are sized here
+    check_budget(code_bytes(lset, code.dim), f"codes run for {cfg.register['n']} cells needs")
     rates = pure_decoherence_rate(lset, code.basis)
     verdict, residuals = noiseless_test(code, liouv)
     labels = [complex(x) for x in code.labels]

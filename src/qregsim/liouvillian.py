@@ -34,22 +34,23 @@ the first ``apply``:
   dense products are faster, so small registers keep the dense path.
 
 A third form, excitation blocks, serves the RK4 stepper (``dynamics``) and
-never ``apply``.  ``Liouvillian.block_layout`` is the one rule for whether
-a generator keeps states block-diagonal in the excitation number Q (cells
-up); such states take C(2N, N) of the 4^N entries (``ExcitationBlocks``,
-one per N from ``excitation_layout``), 19.6 % at N = 8.  For sigma- cells
-and ``Liouvillian.structured``, ``excitation_form`` steps them on
--B rho - rho B^+ plus, per sector, the sandwich sum_ij G_ij A_i rho A_j^+;
-the caller keeps the Gamma or dense form for the other states.  The drift
-B = iH + sum_ij G_ij A_j^+ A_i / 2 conserves Q like H, so it is placed
-once (D x D, by ``cell_terms``) and kept as its C(N, q) x C(N, q) blocks;
-the sandwich is a gather from the C(N, q) to the C(N, q -/+ 1) bases, an
-(N x N)(N x L) product and a gathered sum back, per chunk of L entries of
-consecutive rows of the half-sector blocks, at most
-SANDWICH_CHUNK_ENTRIES / N, so its buffers do not grow with N.  The drift
-is built on the form's first use, never by ``build_liouvillian``; the
-int32 index tables depend on N alone and are kept with the layout
-(``ExcitationBlocks.gather_tables``).
+never ``apply``: states with no entry between different excitation
+numbers Q (cells up) take C(2N, N) of the 4^N entries (``ExcitationBlocks``,
+one per N from ``excitation_layout``), 19.6 % at N = 8.  ``_BlockForm``
+steps them on -B rho - rho B^+ plus, per sector, the sandwich
+sum_ij G_ij A_i rho A_j^+.  The drift B = iH + sum_ij G_ij A_j^+ A_i / 2
+conserves Q like H, so it is placed once (D x D, by ``cell_terms``) and
+kept as its C(N, q) x C(N, q) blocks; the sandwich is a gather from the
+C(N, q) to the C(N, q -/+ 1) bases, an (N x N)(N x L) product and a
+gathered sum back, per chunk of L entries of consecutive rows of the
+half-sector blocks, at most SANDWICH_CHUNK_ENTRIES / N, so its buffers do
+not grow with N.  The drift is built on the form's first use, never by
+``build_liouvillian``; the int32 index tables depend on N alone and are
+kept with the layout (``ExcitationBlocks.gather_tables``).
+
+Which form a run takes, and its bytes, is ``dynamics.plan``'s rule; this
+module supplies the forms and their sizes (``form_bytes``,
+``block_buffers``) and the one budget comparison, ``check_budget``.
 
 All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
@@ -71,6 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 
@@ -84,13 +86,11 @@ from .errors import (
 )
 from .linalg import dag, exact_diagonal, herm_eig, is_hermitian, kron
 from .register import (
-    SIGMA_MINUS,
     RegisterModel,
     cell_digits,
     cell_terms,
     collective_op,
     embed_cell_op,
-    excitation_numbers,
     excitation_sectors,
     place_values,
     register_hamiltonian,
@@ -107,10 +107,9 @@ SUPEROP_MAX_DIM = 64
 # 2-core host with 2 BLAS threads one qubit apply takes, dense vs structured:
 # N = 5 (D = 32) 0.2 vs 0.45 ms, N = 6 (D = 64) 1.5 vs 0.8 ms.
 STRUCTURED_MIN_DIM = 64
-# build_liouvillian raises TooLarge when generator_bytes exceeds this.  At
-# finite temperature N = 10 qubits need about 0.45 GiB, N = 11 about
-# 1.94 GiB (admitted) and N = 12 about 8.3 GiB; the estimate is 1.00-1.08
-# times the tracemalloc peak of build plus one apply measured at N = 5-9.
+# check_budget raises TooLarge for an estimate above this: the 2 GiB limit
+# of build_liouvillian (``build_bytes``), Liouvillian.apply
+# (``form_bytes``), each run of ``dynamics.plan`` and the CLI's load check.
 GENERATOR_MAX_BYTES = 2 * 2**30
 
 # Entries of the gathered X_i, over all N cells, that one chunk of the block
@@ -630,9 +629,9 @@ class ExcitationBlocks:
     with Q = q in ascending order, row-major, the blocks concatenated by q;
     C(2N, N) entries in all.  Packed arrays carry any leading stack axes.
 
-    ``full`` holds the flat D x D index of each packed entry, ``diagonal``
-    the packed indices of the diagonal and ``up`` the Q of each basis
-    state.  ``excitation_layout`` keeps one, read-only, per N, and with it
+    ``full`` holds the flat D x D index of each packed entry and
+    ``diagonal`` the packed indices of the diagonal.  ``excitation_layout``
+    keeps one, read-only, per N, and with it
     the sandwich tables of each Q shift (``gather_tables``), which depend
     on N alone.  The two index tables are intp, read-only views of
     writeable private bases, which ``pack``, ``unpack`` and ``trace`` index
@@ -642,10 +641,8 @@ class ExcitationBlocks:
     def __init__(self, n: int):
         dim = 2**n
         self.n, self.dim = n, dim
-        up = excitation_numbers(n)
-        self.up = up
-        self.sizes = np.bincount(up, minlength=n + 1)
         self.states, self.pos = excitation_sectors(n)
+        self.sizes = np.array([len(s) for s in self.states])
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
         self.size = int(self.offsets[-1])
         rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
@@ -653,7 +650,7 @@ class ExcitationBlocks:
         self._full = rows * dim + cols
         self._diagonal = np.flatnonzero(rows == cols)
         self.full, self.diagonal = self._full.view(), self._diagonal.view()
-        for table in (self.up, self.sizes, self.offsets, self.full, self.diagonal):
+        for table in (self.sizes, self.offsets, self.full, self.diagonal):
             table.setflags(write=False)
         self._gather: dict[int, tuple] = {}
 
@@ -686,45 +683,11 @@ class ExcitationBlocks:
             np.copyto(o, block.swapaxes(-1, -2))
         np.conjugate(out, out=out)
 
-    def is_block_diagonal(self, rho: np.ndarray) -> bool:
-        """Whether every entry of rho between different Q is exactly zero;
-        for a state vector psi, whether all its nonzero entries have one Q,
-        so that psi psi^+ has no entry off the blocks."""
-        if rho.ndim == 1:
-            return np.unique(self.up[np.flatnonzero(rho)]).size <= 1
-        return np.count_nonzero(rho) == np.count_nonzero(self.pack(rho))
-
-    def _row_chunks(self, s: int) -> list[list[tuple[int, int, int]]]:
-        """The rows of the half-sector blocks (q + s, q), in packed order,
-        cut into chunks of consecutive rows: per chunk its pieces
-        (q, first row, end row), one per block it touches.  A chunk holds at
-        most SANDWICH_CHUNK_ENTRIES / N entries of a block's rows, or one
-        row when that is longer; the chunks have about equal width."""
-        n, sizes = self.n, self.sizes
-        kept = [q for q in range(n + 1) if 0 <= q + s <= n]
-        limit = max(SANDWICH_CHUNK_ENTRIES // n, 1)
-        total = sum(int(sizes[q + s] * sizes[q]) for q in kept)
-        target = -(-total // -(-total // limit))  # total over the chunk count
-        chunks, width = [[]], 0
-        for q in kept:
-            w = int(sizes[q])
-            for row in range(int(sizes[q + s])):
-                if width >= target or (width and width + w > limit):
-                    chunks.append([])
-                    width = 0
-                pieces = chunks[-1]
-                if pieces and pieces[-1][0] == q:
-                    pieces[-1] = (q, pieces[-1][1], row + 1)
-                else:
-                    pieces.append((q, row, row + 1))
-                width += w
-        return chunks
-
     def moves(self, s: int) -> list[tuple]:
         """Gather tables of the sandwich sum_ij G_ij A_i rho A_j^+ for a
         qubit cell operator A that takes one digit (the source) to the other
         (the target) with coefficient 1 and so moves Q by s: -1 for sigma-,
-        +1 for sigma+, one entry per chunk of rows (``_row_chunks``).
+        +1 for sigma+, one entry per chunk of rows (``row_chunks``).
 
         X_i = A_i rho lives in the half-sector of s: the blocks (q + s, q),
         packed by q like rho.  Row a' of X_i reads only rho's row
@@ -746,7 +709,7 @@ class ExcitationBlocks:
         bits = place_values(n)
         target = 1 if s < 0 else 0  # digit 1 is down
         out = []
-        for pieces in self._row_chunks(s):
+        for pieces in row_chunks(n, s):
             width = sum((end - row) * int(sizes[q]) for q, row, end in pieces)
             x = np.empty((n, width), dtype=np.int32)
             gather, segments, e = [], [], 0
@@ -786,6 +749,54 @@ class ExcitationBlocks:
         return self._gather[s]
 
 
+def row_chunks(n: int, s: int) -> list[list[tuple[int, int, int]]]:
+    """The rows of the half-sector blocks (q + s, q) of n qubits, in packed
+    order, cut into chunks of consecutive rows: per chunk its pieces
+    (q, first row, end row), one per block it touches.  A chunk holds at
+    most SANDWICH_CHUNK_ENTRIES / N entries of a block's rows, or one row
+    when that is longer; the chunks have about equal width."""
+    sizes = [comb(n, q) for q in range(n + 1)]
+    kept = [q for q in range(n + 1) if 0 <= q + s <= n]
+    limit = max(SANDWICH_CHUNK_ENTRIES // n, 1)
+    total = sum(sizes[q + s] * sizes[q] for q in kept)
+    target = -(-total // -(-total // limit))  # total over the chunk count
+    chunks, width = [[]], 0
+    for q in kept:
+        for row in range(sizes[q + s]):
+            if width >= target or (width and width + sizes[q] > limit):
+                chunks.append([])
+                width = 0
+            pieces = chunks[-1]
+            if pieces and pieces[-1][0] == q:
+                pieces[-1] = (q, pieces[-1][1], row + 1)
+            else:
+                pieces.append((q, row, row + 1))
+            width += sizes[q]
+    return chunks
+
+
+def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
+    """The shapes of the complex buffers the block stepper keeps for a run
+    of n_states states (``_BlockForm.stepper``), from N and the Q shifts s
+    of the sectors with terms alone: the state with a trailing zero entry,
+    one scratch of the largest block, and, with terms, the sandwich's X_i
+    and Y_j (N L entries of the widest chunk) and its gathered terms (the
+    most c r C(N, q + s) of a chunk, c the cells of an output column in
+    the target digit: N - q - s for s < 0, q + s for s > 0)."""
+    size = comb(2 * n, n)
+    out = {"src": (n_states, size + 1), "block": (n_states, comb(n, n // 2) ** 2)}
+    chunks = [(s, pieces) for s in shifts for pieces in row_chunks(n, s)]
+    if chunks:
+        x = max(n * sum((end - row) * comb(n, q) for q, row, end in p) for _, p in chunks)
+        # c r C(N, k) per piece of output block k = q + s
+        terms = max(
+            sum((n - q - s if s < 0 else q + s) * (end - row) * comb(n, q + s) for q, row, end in p)
+            for s, p in chunks
+        )
+        out.update(x=(n_states * x,), y=(n_states * x,), terms=(n_states * terms,))
+    return out
+
+
 def drift_blocks(h: np.ndarray, layout: ExcitationBlocks, excitation: dict) -> list:
     """The blocks B_q, q = 0..N, of the drift B = iH + sum_k lambda_k
     L_k^+ L_k / 2 on the sectors of ``layout``: iH_q, H_q the diagonal
@@ -809,7 +820,7 @@ def excitation_layout(n: int) -> ExcitationBlocks:
 
 
 class _BlockForm:
-    """The generator on excitation blocks (``excitation_form``):
+    """The generator on excitation blocks (``dynamics.plan``'s ``blocks``):
 
         L(rho) = -B rho - rho B^+ + sum_ij G_ij A_i rho A_j^+ per sector,
 
@@ -833,20 +844,21 @@ class _BlockForm:
     form = "blocks"
 
     def __init__(self, liouv: Liouvillian):
-        self.layout = layout = liouv.block_layout
+        self.layout = layout = excitation_layout(liouv.lindblad.model.n_cells)
         self.lindblad, self.h = liouv.lindblad, liouv.hamiltonian
         self.trace, self.adjoint = layout.trace, layout.adjoint
 
     @cached_property
     def _tables(self):
         """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
-        terms (G^T, its gather tables)."""
+        terms (its Q shift s, G^T, its gather tables); for sigma- cells s is
+        the sector's -1 or +1."""
         layout = self.layout
         drift = drift_blocks(self.h, layout, self.lindblad.excitation_blocks())
         return (
             [(b, dag(b)) for b in drift],
             [
-                (np.ascontiguousarray(g.T), layout.gather_tables(sector))
+                (sector, np.ascontiguousarray(g.T), layout.gather_tables(sector))
                 for sector, g in _sector_gammas(self.lindblad)
             ],
         )
@@ -872,21 +884,14 @@ class _BlockForm:
         written to out, one of the two output stacks of rho's shape, through
         one set of buffers; kept is the bytes of all three.
 
-        The buffers are the state with a trailing zero entry, one scratch
-        of the largest block, and the sandwich's X_i, Y_j and gathered
-        terms, sized for the largest chunk of either sector: about
-        3 SANDWICH_CHUNK_ENTRIES entries per state, whatever N."""
-        layout, n_states = self.layout, rho.shape[0]
-        work = {
-            "src": np.zeros((n_states, layout.size + 1), dtype=complex),
-            "block": np.empty((n_states, int(layout.sizes.max()) ** 2), dtype=complex),
-        }
-        chunks = [chunk for _, tables in self._tables[1] for chunk in tables]
-        if chunks:
-            entries = max(x_at.size for x_at, _ in chunks)
-            work["x"] = np.empty(n_states * entries, dtype=complex)
-            work["y"] = np.empty_like(work["x"])
-            work["terms"] = np.empty(n_states * max(g.size for _, (g, _) in chunks), dtype=complex)
+        The buffers (``block_buffers``) are the state with a trailing zero
+        entry, one scratch of the largest block, and the sandwich's X_i,
+        Y_j and gathered terms, sized for the largest chunk of either
+        sector: about 3 SANDWICH_CHUNK_ENTRIES entries per state, whatever
+        N."""
+        shifts = [s for s, _, _ in self._tables[1]]  # tables built first
+        shapes = block_buffers(self.layout.n, shifts, rho.shape[0])
+        work = {k: np.zeros(shape, dtype=complex) for k, shape in shapes.items()}
         kept = sum(a.nbytes for a in work.values()) + 2 * rho.nbytes
         f = lambda x, out: self.apply(x, out, work)  # noqa: E731
         return f, np.empty_like(rho), np.empty_like(rho), kept
@@ -910,7 +915,7 @@ class _BlockForm:
             return out
         src = work["src"]
         src[:, :m] = rho
-        for gamma_t, chunks in sectors:
+        for _, gamma_t, chunks in sectors:
             for x_at, (gather, segments) in chunks:
                 shape = (n_states,) + x_at.shape
                 x = work["x"][: x_at.size * n_states].reshape(shape)
@@ -932,16 +937,16 @@ class _BlockForm:
 class Liouvillian:
     """Immutable generator: renormalized Hamiltonian plus Lindblad terms.
 
-    A Lindblad set for which ``LindbladSet.structured`` holds (from
-    ``canonical_form``, D >= STRUCTURED_MIN_DIM) is applied in the
-    structured Gamma form; any other set through its stacked dense
-    operators.  ``structured`` records that choice, made here; the form
-    itself is built on the first ``apply``, so callers that never apply
-    (the block stepper, the exact solver on the excitation sector,
-    ``codes``, ``dephasing_solve``) place no D x D operator for it.
+    ``apply`` uses the structured Gamma form for a Lindblad set for which
+    ``LindbladSet.structured`` holds (from ``canonical_form``,
+    D >= STRUCTURED_MIN_DIM) and the stacked dense operators for any other
+    set; ``structured`` records that choice.  The form is built on the
+    first ``apply``, after ``check_budget`` has passed its ``form_bytes``,
+    so callers that never apply (the block stepper, the exact solver,
+    ``codes``, ``dephasing_solve``) place no D x D operator for it.  Which
+    form a solver run takes is ``dynamics.plan``'s rule.
     ``stability_scale``, the largest rate plus the spectral radius of H,
-    is computed on first read (a dense ``eigvalsh`` unless H is diagonal),
-    and so is ``block_layout``.
+    is computed on first read (a dense ``eigvalsh`` unless H is diagonal).
     """
 
     hamiltonian: np.ndarray
@@ -975,22 +980,9 @@ class Liouvillian:
         return self.lindblad.max_rate() + float(radius)
 
     @cached_property
-    def block_layout(self) -> ExcitationBlocks | None:
-        """The ``excitation_layout`` of the register when the generator
-        keeps states block-diagonal in the excitation number Q, else None:
-        the one rule.  It holds when the set's register has this D,
-        ``LindbladSet._q_shifts`` exist (qubit cells, weights, a fixed Q
-        shift s per sector) and H is exactly zero between different Q;
-        then a term maps S_q to S_{q+s} and H keeps it.
-        """
-        model = self.lindblad.model
-        if self.lindblad._q_shifts() is None or model.dim != self.dim:
-            return None
-        layout = excitation_layout(model.n_cells)
-        return layout if layout.is_block_diagonal(self.hamiltonian) else None
-
-    @cached_property
     def _form(self) -> _DenseForm | _GammaForm:
+        need = form_bytes(self.lindblad, self.dim)
+        check_budget(need, f"generator form for D = {self.dim} needs")
         h = self.hamiltonian
         if self.structured:
             return _GammaForm(self.lindblad.model, self.lindblad, h, exact_diagonal(h))
@@ -1019,34 +1011,34 @@ class Liouvillian:
         )
 
 
-def excitation_form(liouv: Liouvillian) -> _BlockForm | None:
-    """The generator on excitation blocks, for the states with no entry
-    between different Q (``layout.is_block_diagonal``), or None unless
-    ``liouv.structured`` (canonical, D >= STRUCTURED_MIN_DIM at build), the
-    cells are sigma- and ``liouv.block_layout`` holds.  The first two are
-    tested first, so a smaller register builds no layout.
+def form_bytes(lindblad: LindbladSet, dim: int, n_states: int = 1) -> int:
+    """Estimated peak bytes of the form ``Liouvillian.apply`` builds for
+    ``lindblad`` on D = dim and one apply to a stack of n_states states.
+
+    Counts D x D complex matrices.  Gamma form: its elementwise multiplier,
+    a result per state, and for the state it applies to, one at a time,
+    two N x D^2 buffers and six D x D arrays (transposed state, the two
+    halves of the anticommutator, the commutator's products); it builds no
+    Lindblad operator.  Dense form:
+    the K operators (cached on the terms), the drift, the jump stack and
+    their adjoints, and per state the 2K sandwich products and four D x D
+    temporaries.  Measured at N = 6-9, the tracemalloc peak of the form's
+    build and one apply is 0.88-0.98 times this.
     """
-    model = liouv.lindblad.model
-    if liouv.structured and np.array_equal(model.cell_op, SIGMA_MINUS) and liouv.block_layout:
-        return _BlockForm(liouv)
-    return None
+    matrix = 16 * dim * dim
+    if lindblad.structured:
+        return (2 * lindblad.model.n_cells + 7 + n_states) * matrix
+    k = len(lindblad)
+    return (3 + 3 * k + n_states * (2 * k + 4)) * matrix
 
 
-def generator_bytes(model: RegisterModel, spec: BathSpec | None) -> int:
-    """Estimated peak bytes of build_liouvillian and one apply call; with
-    ``spec`` None, of a set with no terms, a lower bound for every bath.
-
-    Counts D x D complex matrices; the apply call dominates on both paths.
-    The path is the one ``canonical_form(model, spec).structured`` picks;
-    that set builds no operator here.  Gamma form: its two N x D^2
-    buffers and four D x D arrays, the state, the Hamiltonian and the
-    elementwise multiplier it keeps, and two more for numpy's ufunc
-    buffers and an interaction or Lamb-shift term; it builds no Lindblad
-    operator.  Dense path: the K canonical operators (cached on the
-    terms), the stacked jump operators and their adjoints, the two stacked
-    sandwich temporaries, and five D x D arrays.
-    """
-    return _peak_bytes(LindbladSet((), model) if spec is None else canonical_form(model, spec))
+def build_bytes(model: RegisterModel) -> int:
+    """Estimated peak bytes of ``build_liouvillian``: the Hamiltonian, its
+    Hermiticity check and a Lamb shift or interaction term, three D x D
+    complex arrays, plus 256 KiB and 128 bytes per basis state for the
+    canonical form and the digit tables (measured 3 D x D plus 140-190 KiB
+    at N = 8-11).  It reads n alone."""
+    return 3 * 16 * model.dim**2 + 128 * model.dim + 2**18
 
 
 # D x D complex arrays heisenberg_ring with the register's commutation
@@ -1089,7 +1081,10 @@ def rates_bytes(
 
 def check_budget(need: int, what: str) -> None:
     """Raise TooLarge, "the <what> about X GiB, over the 2 GiB limit", when
-    ``need`` bytes, a Python int of any size, exceed GENERATOR_MAX_BYTES."""
+    ``need`` bytes, a Python int of any size, exceed GENERATOR_MAX_BYTES.
+    The one comparison: the estimates come from ``build_bytes``,
+    ``form_bytes``, ``dynamics.plan``, ``codes.code_bytes`` and
+    ``rates_bytes``."""
     if need > GENERATOR_MAX_BYTES:
         raise TooLarge(
             f"the {what} about {Decimal(need) / 2**30:.3g} GiB, "
@@ -1097,22 +1092,17 @@ def check_budget(need: int, what: str) -> None:
         )
 
 
-def _peak_bytes(lindblad: LindbladSet) -> int:
-    model = lindblad.model
-    matrix = 16 * model.dim**2
-    if lindblad.structured:
-        return (2 * model.n_cells + 9) * matrix
-    return (5 * len(lindblad) + 5) * matrix
-
-
 def build_liouvillian(model: RegisterModel, spec: BathSpec) -> Liouvillian:
-    """Assemble the full generator for a register-bath pair.
+    """Assemble the full generator for a register-bath pair: the canonical
+    terms and the renormalized Hamiltonian.
 
-    Raises TooLarge, before allocating, when generator_bytes exceeds
-    GENERATOR_MAX_BYTES (``check_budget``).
+    Raises TooLarge, before allocating, when ``build_bytes`` exceeds
+    GENERATOR_MAX_BYTES (``check_budget``).  It guards only what it builds:
+    the form ``apply`` uses and every solver run are sized when they are
+    made (``Liouvillian._form``, ``dynamics.plan``).
     """
+    check_budget(build_bytes(model), f"generator for {model.n_cells} cells needs")
     lindblad = canonical_form(model, spec)
-    check_budget(_peak_bytes(lindblad), f"generator for {model.n_cells} cells needs")
     h = register_hamiltonian(model)
     if spec.has_lamb_shift:
         h = h + lamb_shift(model, spec)

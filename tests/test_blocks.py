@@ -2,7 +2,7 @@
 the C(2N, N) packed block entries of block-diagonal qubit states.  Checked
 against the Gamma form, the dense generator and the independent pairwise
 dissipator; stacked against per-state integration, bit for bit, and
-against the Gamma-form trajectory; the one rule ``block_layout`` and the
+against the Gamma-form trajectory; the run plan's block rule and the
 fallbacks; the block-by-block eigenvalue check of ``check_state``; and the
 exact solver on the excitation sector against ``propagate_exact``, with
 its fallbacks, and its generator against the column build and the
@@ -29,14 +29,14 @@ from qregsim import (
     propagate_exact,
 )
 from qregsim import dynamics, liouvillian
-from qregsim.dynamics import Trajectory, check_state, state_defect_report
+from qregsim.dynamics import Trajectory, check_state, plan, state_defect_report
 from qregsim.errors import UnstableStep
 from qregsim.liouvillian import (
     ExcitationBlocks,
     LindbladSet,
     LindbladTerm,
     Liouvillian,
-    excitation_form,
+    _BlockForm,
     excitation_layout,
 )
 from qregsim.register import (
@@ -69,8 +69,8 @@ def block_diagonal(rho: np.ndarray) -> np.ndarray:
 
 
 def block_apply(liouv, rho: np.ndarray) -> np.ndarray:
-    form = excitation_form(liouv)
-    assert form is not None and form.layout.is_block_diagonal(rho)
+    assert [g.form for g in plan(liouv.lindblad, [rho], "rk4", liouv.hamiltonian)] == ["blocks"]
+    form = _BlockForm(liouv)
     layout = form.layout
     packed = layout.pack(rho)[None]
     f, out, _, _ = form.stepper(packed)
@@ -215,7 +215,7 @@ def test_block_evolve_is_per_state_integrate_and_the_gamma_trajectory(ring, lamb
         assert traj.times.tobytes() == alone.times.tobytes()
         assert traj.metadata == alone.metadata
         assert traj.states.tobytes() == alone.states.tobytes()
-    monkeypatch.setattr(dynamics, "excitation_form", lambda liouv: None)
+    monkeypatch.setattr(dynamics, "_keeps_q", lambda model, h: False)  # no blocks
     gamma = evolve(liouv, rho0s, 0.1, 0.02, 2, "rk4")
     for rho0, traj, other in zip(rho0s, trajs, gamma):
         assert other.metadata["form"] == "gamma"
@@ -278,7 +278,7 @@ def test_block_workspace_is_bounded_by_the_chunk_budget(n):
     # most SANDWICH_CHUNK_ENTRIES entries per state; unchunked they took a
     # whole sector, X_i alone N C(2N, N - 1) entries per state.
     liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
-    form = excitation_form(liouv)
+    form = _BlockForm(liouv)
     layout, n_states = form.layout, 2
     rho = np.zeros((n_states, layout.size), dtype=complex)
     try:
@@ -321,10 +321,10 @@ def test_a_vector_across_two_sectors_takes_the_gamma_form():
     liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
     psi = np.zeros(2**n, dtype=complex)
     psi[layout.states[3][[0, -1]]] = 0.6, 0.8j  # one sector, Q = 3
-    assert layout.is_block_diagonal(psi)
+    assert dynamics._on_blocks(psi, n)
     assert form_of(liouv, psi) == "blocks"
     psi[layout.states[2][0]] = 1e-3  # and one entry at Q = 2
-    assert not layout.is_block_diagonal(psi)
+    assert not dynamics._on_blocks(psi, n)
     assert form_of(liouv, psi / np.linalg.norm(psi)) == "gamma"
 
 
@@ -411,10 +411,15 @@ def rule_case(case: str, n: int) -> Liouvillian:
      ("sigma_z", True), ("sigma_x", False), ("hand_built", False), ("h_moves_q", False)],
 )
 def test_block_layout_is_the_one_rule(case, kept):
-    """block_layout is set exactly when exact (N = 4) runs a Dicke state on
-    the sector and RK4 (N = 6) on blocks; RK4 also needs sigma- cells."""
+    """The plan keeps the blocks exactly when exact (N = 4) runs a Dicke
+    state on the sector and RK4 (N = 6) on blocks; RK4 also needs sigma-
+    cells."""
     small, large = rule_case(case, 4), rule_case(case, 6)
-    assert (small.block_layout is not None) == (large.block_layout is not None) == kept
+    sector = [
+        plan(g.lindblad, [dicke_state(n, 2)], "exact", g.hamiltonian)[0].form
+        for g, n in ((small, 4), (large, 6))
+    ]
+    assert sector == ["blocks" if kept else "dense"] * 2
     exact = evolve(small, [dicke_state(4, 2)], 0.04, 0.02, 1, "exact")[0]
     assert exact.metadata["form"] == ("blocks" if kept else "dense")
     rk4 = form_of(large, dicke_state(6, 3))
@@ -444,7 +449,7 @@ def test_a_mixed_set_builds_the_block_form_once_and_keeps_input_order(monkeypatc
             built.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(liouvillian, "_BlockForm", Counted)
+    monkeypatch.setattr(dynamics, "_BlockForm", Counted)
     trajs = evolve(liouv, rho0s, 0.06, 0.02, 2)
     assert len(built) == 1
     assert [t.metadata["form"] for t in trajs] == ["blocks", "gamma", "blocks"]
@@ -701,8 +706,9 @@ def test_block_sector_generator_is_the_column_build():
             spec = with_lamb_shift(spec, lamb)
         liouv = build_liouvillian(model, spec)
         rhos = [block_state(n, rng), block_diagonal(random_operator(rng, 2**n))]
-        layout, m = dynamics._exact_generator(liouv, np.stack(rhos))
-        assert layout is not None
+        assert plan(liouv.lindblad, rhos, "exact", liouv.hamiltonian)[0].form == "blocks"
+        layout = excitation_layout(n)
+        m = dynamics._sector_generator(liouv, layout)
         columns = sector_columns(liouv, layout)
         scale = max(1.0, float(np.abs(columns).max()))
         assert np.abs(m - columns).max() <= TOL * scale

@@ -1363,7 +1363,8 @@ def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
     from qregsim.liouvillian import rates_bytes
     from qregsim.register import _digit_table, excitation_sectors, su2_bytes
 
-    cfg = config_from_dict(_tau_sweep_config(tmp_path, register, states))
+    raw = _tau_sweep_config(tmp_path, register, states)
+    cfg = config_from_dict(raw)
     need = rates_bytes(
         _cells(cfg.register),
         build_bath(cfg),
@@ -1371,12 +1372,13 @@ def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
         ring="interaction" in register,
     ) + (su2_bytes(register["n"]) if any(s.startswith("su2:") for s in states) else 0)
     # as the first run in a process: the state builders' cached basis tables
-    # are built inside the traced run
+    # are built inside the traced run; the states are built at load, so the
+    # load is traced with the runner
     _digit_table.cache_clear()
     excitation_sectors.cache_clear()
     tracemalloc.start()
     try:
-        run_tau_sweep(cfg)
+        run_tau_sweep(config_from_dict(raw))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from qregsim.bath import exponential_decay
 from qregsim.dynamics import _sector_generator
 from qregsim.errors import DimensionMismatch, NotFinite, NotHermitian
-from qregsim.liouvillian import build_liouvillian
+from qregsim.liouvillian import build_liouvillian, excitation_layout
 from qregsim.linalg import (
     PADE_THETA,
     common_nullspace,
@@ -175,7 +175,7 @@ def _sector_matrix(n: int, t: float) -> np.ndarray:
     """t times the exact solver's sector generator of n qubits under an
     exponential bath (xi = 1), as exact_sweep exponentiates it."""
     liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
-    return t * _sector_generator(liouv, liouv.block_layout)
+    return t * _sector_generator(liouv, excitation_layout(n))
 
 
 def _assert_matches_scipy(a: np.ndarray) -> None:

@@ -28,7 +28,7 @@ from qregsim import (
     replica_symmetric,
     superoperator_matrix,
 )
-from qregsim import expcli, liouvillian
+from qregsim import dynamics, evolve_into, expcli, liouvillian
 from qregsim.errors import DimensionMismatch, QregError, TooLarge
 from qregsim.linalg import vec
 from qregsim.liouvillian import (
@@ -39,7 +39,7 @@ from qregsim.liouvillian import (
     Liouvillian,
     _DenseForm,
     _GammaForm,
-    generator_bytes,
+    form_bytes,
     lamb_shift,
 )
 from qregsim.observables import pure_decoherence_rate
@@ -49,6 +49,7 @@ from qregsim.register import (
     embed_cell_op,
     heisenberg_ring,
     qubit_register,
+    register_hamiltonian,
 )
 
 from helpers import random_bath, random_phases, random_pure_state, rng_for
@@ -237,27 +238,70 @@ def test_forms_and_the_stability_scale_are_built_on_first_use(monkeypatch):
     assert events == ["eigvalsh", _GammaForm, _DenseForm]
 
 
+def hand_built(n: int) -> Liouvillian:
+    """An N-cell generator whose terms carry weights but whose set names no
+    register: not structured, so ``apply`` takes the dense form, whose
+    operators the terms place only when it is built."""
+    model = qubit_register(n)
+    lset = canonical_form(model, exponential_decay(n, 0.1, 0.02, 1.0))
+    terms = tuple(LindbladTerm(t.rate, None, t.sector, t.weights, model) for t in lset)
+    return Liouvillian(hamiltonian=register_hamiltonian(model), lindblad=LindbladSet(terms))
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSizeGuard:
+    """Each guard refuses before it allocates: ``Liouvillian.apply`` checks
+    ``form_bytes`` before it builds its form, ``evolve_into`` checks the
+    plan before it packs a state, and ``build_liouvillian`` checks what it
+    builds."""
+
     def test_ten_cells_fit(self):
-        model = qubit_register(10)
-        assert generator_bytes(model, exponential_decay(10, 0.1, 0.02, 1.0)) <= (
-            GENERATOR_MAX_BYTES
-        )
+        lset = canonical_form(qubit_register(10), exponential_decay(10, 0.1, 0.02, 1.0))
+        assert form_bytes(lset, 2**10) <= GENERATOR_MAX_BYTES
 
     def test_estimate_covers_the_measured_peak(self):
         model = qubit_register(7)
-        spec = exponential_decay(7, 0.1, 0.02, 1.0, delta_ratio=0.5)
+        liouv = build_liouvillian(model, exponential_decay(7, 0.1, 0.02, 1.0, delta_ratio=0.5))
+        peak = traced_peak(lambda: liouv.apply(np.eye(128, dtype=complex)))
+        assert peak <= form_bytes(liouv.lindblad, 128) <= 2 * peak
+
+    def test_apply_raises_before_building_its_form(self, monkeypatch):
+        liouv = hand_built(11)
+        monkeypatch.setattr(LindbladTerm, "op", property(lambda self: pytest.fail("op placed")))
+        rho = np.zeros((2**11, 2**11), dtype=complex)
         tracemalloc.start()
         try:
-            build_liouvillian(model, spec).apply(np.eye(128, dtype=complex))
+            with pytest.raises(TooLarge, match="GiB"):
+                liouv.apply(rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= generator_bytes(model, spec) <= 2 * peak
+        assert peak < 2**20 and "_form" not in liouv.__dict__
 
-    def test_twelve_cells_raise_before_allocating(self):
-        model = qubit_register(12)
-        spec = exponential_decay(12, 0.1, 0.02, 1.0)
+    def test_evolve_raises_before_packing_a_state(self, monkeypatch):
+        liouv = hand_built(11)
+        psi = np.full(2**11, 2**-5.5, dtype=complex)
+        monkeypatch.setattr(dynamics, "_density", lambda s: pytest.fail("a state was packed"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="GiB"):
+                evolve_into(liouv, [psi], lambda *a: None, 0.02, 0.01, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_thirteen_cells_raise_before_building(self):
+        model = qubit_register(13)
+        spec = exponential_decay(13, 0.1, 0.02, 1.0)
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge, match="GiB"):
@@ -270,15 +314,28 @@ class TestSizeGuard:
     def test_guard_survives_optimize_flag(self):
         script = (
             "import sys\n"
-            "from qregsim import build_liouvillian, exponential_decay, qubit_register\n"
+            "import numpy as np\n"
+            "import test_structured as t\n"
+            "from qregsim import build_liouvillian, evolve_into, exponential_decay\n"
+            "from qregsim import qubit_register\n"
             "from qregsim.errors import TooLarge\n"
-            "try:\n"
-            "    build_liouvillian(qubit_register(12), exponential_decay(12, 0.1, 0.0, 1.0))\n"
-            "except TooLarge:\n"
-            "    print(sys.flags.optimize, 'raised')\n"
+            "liouv, psi = t.hand_built(11), np.full(2**11, 2**-5.5, dtype=complex)\n"
+            "calls = [\n"
+            "    lambda: build_liouvillian(\n"
+            "        qubit_register(13), exponential_decay(13, 0.1, 0.0, 1.0)\n"
+            "    ),\n"
+            "    lambda: liouv.apply(np.zeros((2**11, 2**11), dtype=complex)),\n"
+            "    lambda: evolve_into(liouv, [psi], lambda *a: None, 0.02, 0.01, 1),\n"
+            "]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except TooLarge:\n"
+            "        print(sys.flags.optimize, 'raised')\n"
         )
+        here = Path(__file__).resolve().parent
         src = str(Path(qregsim.__file__).resolve().parents[1])
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        path = os.pathsep.join([src, str(here)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],
             capture_output=True,
@@ -286,7 +343,7 @@ class TestSizeGuard:
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["1", "raised"]
+        assert proc.stdout.split() == ["1", "raised"] * 3
 
 
 def operator_rate(lset: LindbladSet, psi: np.ndarray) -> float:
@@ -509,9 +566,10 @@ def test_codes_runner_builds_the_canonical_set_once():
     def second_set(*args):
         raise AssertionError("the runner built a canonical set of its own")
 
+    cfg = expcli.config_from_dict(raw)  # the load check sizes the run on a set of its own
     with counting(calls) as mp:
         mp.setattr(expcli, "canonical_form", second_set)
-        table = expcli.run_codes(expcli.config_from_dict(raw))
+        table = expcli.run_codes(cfg)
     assert table.provenance["code"]["dim"] == 2
     # the generator's set serves the code, the rates and the verdict, and
     # each of its two terms (the replica bath has rank one per sector)
@@ -565,13 +623,16 @@ def test_lamb_shift_matches_the_product_formula(seed, n, three_level, which):
 
 
 def test_eleven_cells_are_admitted():
+    """The Gamma form's apply at N = 11 fits the budget and at N = 12 does
+    not; sizing either builds nothing."""
+    sets = [
+        canonical_form(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0)) for n in (11, 12)
+    ]
     tracemalloc.start()
     try:
-        need = generator_bytes(qubit_register(11), exponential_decay(11, 0.1, 0.02, 1.0))
+        need = [form_bytes(lset, lset.model.dim) for lset in sets]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert need <= GENERATOR_MAX_BYTES < generator_bytes(
-        qubit_register(12), exponential_decay(12, 0.1, 0.02, 1.0)
-    )
+    assert need[0] <= GENERATOR_MAX_BYTES < need[1]
     assert peak < 2**20
