@@ -23,9 +23,10 @@ closed-form groups build the D x D matrix.
 
 ``evolve_into`` is the one entry point: every solver hands each snapshot,
 checked once by ``check_state``, to a sink.  A packed snapshot is checked
-on its blocks, then unpacked to D x D for the sink, one state at a time.
-``evolve`` stores them in Trajectories, ``integrate`` is ``evolve`` of one
-state, and the CLI's runner turns them into observables as they come.
+on its blocks and goes to the sink packed, with its layout; the
+observables take it as it is.  ``evolve`` unpacks and stores them in
+Trajectories, ``integrate`` is ``evolve`` of one state, and the CLI's
+runner turns them into observables as they come.
 """
 
 from __future__ import annotations
@@ -306,24 +307,25 @@ def _rk4_bytes(lindblad: LindbladSet, dim: int, n_states: int) -> int:
 def _block_bytes(lindblad: LindbladSet, n_states: int) -> int:
     """RK4 of n_states states on the block form of the set's N qubits, the
     larger of its two phases.  Both hold the Hamiltonian, the layout's
-    index table and the packed states.  Building the drift adds the term
-    blocks (K C(2N, N - 1) complex entries), the drift with its adjoint and,
-    for the widest half-sector block, the cell actions and the terms'
-    blocks or the drift's two products.  Stepping adds the int32 gather
-    tables (N C(2N, N - 1) entries for X_i per sector, as many at most for
-    the terms), the drift, two more packed stacks (snapshot 0 and the
-    stage input), the buffers kept for the run (``block_buffers``) twice,
-    as the snapshots of a short run wait in as many bytes, and a snapshot
-    unpacked to D x D for the sink, with its check."""
+    index table and the packed states.  Building the drift
+    (``drift_blocks``) adds the packed drift with its adjoint and, while it
+    is built, the N x N pair masks and digit tables of the D basis states
+    and the indices and values of one sector's N (N - 1) 2^(N - 2) hops
+    (the build alone peaks at 0.56 MB at N = 8, 4.8 MB at N = 10 and 54 MB
+    at N = 12 traced, 0.8-0.9 times its share here).  Stepping adds the
+    int32 gather tables (N C(2N, N - 1) entries for X_i per sector, as many
+    at most for the terms), the drift, two more packed stacks (snapshot 0
+    and the stage input), the buffers kept for the run (``block_buffers``)
+    twice, as the snapshots of a short run wait in as many bytes, and two
+    packed arrays for a snapshot's check and the sink's blocks of H."""
     n = lindblad.model.n_cells
-    matrix, size, half = 16 * 4**n, comb(2 * n, n), comb(2 * n, n - 1)
-    widest = comb(n, (n + 1) // 2) * comb(n, (n - 1) // 2)
-    terms = max(len(rates) for rates, _ in lindblad.sectors.values()) if lindblad.sectors else 0
+    dim, size, half = 2**n, comb(2 * n, n), comb(2 * n, n - 1)
+    hops = n * (n - 1) * dim // 4
     buffers = sum(prod(shape) for shape in block_buffers(n, lindblad.sectors, n_states).values())
-    drift = 16 * (len(lindblad) * half + 2 * size + (n + 2 * terms) * widest)
+    drift = 16 * 2 * size + dim * (3 * n * n + n + 48) + 112 * hops
     tables = 8 * n * half * len(lindblad.sectors)
-    stepping = tables + 16 * (2 * size + 6 * n_states * size + 2 * buffers + 2 * size) + matrix
-    return matrix + 8 * size + 16 * n_states * size + max(drift, stepping)
+    stepping = tables + 16 * (2 * size + 6 * n_states * size + 2 * buffers + 2 * size)
+    return 16 * dim * dim + 8 * size + 16 * n_states * size + max(drift, stepping)
 
 
 class _FullStack:
@@ -393,12 +395,12 @@ class _Run:
 
     def emit_stack(self, rows, k: int, snaps, layout=None) -> None:
         """Check snapshot k of each row ((generator, index, state)) once,
-        then hand it to the sink; ``snaps`` are their snapshots in row
-        order, D x D, or packed on ``layout``: checked on their blocks and
-        unpacked for the sink one at a time."""
+        then hand it to the sink with ``layout``; ``snaps`` are their
+        snapshots in row order, D x D (``layout`` None), or packed on
+        ``layout`` and checked on their blocks."""
         for (liouv, p, s), rho in zip(rows, snaps):
             check_state(rho, layout)
-            self.sink(liouv, p, s, k, rho if layout is None else layout.unpack(rho))
+            self.sink(liouv, p, s, k, rho, layout)
 
     def rk4(self, points, states, stack) -> None:
         """Classical fixed-step RK4 on one stack: the initial states
@@ -406,13 +408,12 @@ class _Run:
         generator) pairs), point-major, all in one array.
 
         ``stack`` is the layout: the (R, D, D) stack of the dense and Gamma
-        forms, or the packed excitation blocks of the block form, checked
-        packed and unpacked to D x D only for the sink, one state at a
-        time.  Every stage input and the sum k1 + 2k2 + 2k3 + k4 are built
-        in place, left to right, with the operations and operand order of
-        stepping each state alone, so each state's snapshots are bitwise
-        the single-state ones.  At
-        most four stacks are live during an apply: the state, the stage
+        forms, or the packed excitation blocks of the block form, whose
+        snapshots are checked and handed to the sink packed.  Every stage
+        input and the sum k1 + 2k2 + 2k3 + k4 are built in place, left to
+        right, with the operations and operand order of stepping each state
+        alone, so each state's snapshots are bitwise the single-state ones.
+        At most four stacks are live during an apply: the state, the stage
         input, the accumulated sum and the apply's result; the block form
         writes them into two stacks and the buffers kept for the run
         (``stack.stepper``).  The trace check, re-Hermitization,
@@ -480,7 +481,7 @@ class _Run:
                 else:
                     self.emit_stack(rows, kept, rho, stack.layout)
                 kept += 1
-        # free the stepping buffers before the held snapshots are unpacked
+        # free the stepping buffers before the held snapshots go to the sink
         f = acc = acc_out = k_out = stage = rho = None
         for k, packed in enumerate(pending):
             self.emit_stack(rows, k, packed, stack.layout)
@@ -572,18 +573,19 @@ def evolve(
     or under each of a sequence of them with one D; returns one Trajectory
     per state, in input order, or that list per generator.
 
-    ``evolve_into`` with a sink that stores every snapshot: its checks
-    stand, so the Trajectories are not checked again.
+    ``evolve_into`` with a sink that stores every snapshot, a packed one
+    unpacked to D x D: its checks stand, so the Trajectories are not
+    checked again.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     times = steps * h
     rho0s = list(rho0s)  # the sink sizes the store by len(rho0s)
     stored: dict[int, np.ndarray] = {}
 
-    def store(liouv, p, s, k, rho):
+    def store(liouv, p, s, k, rho, layout):
         if p not in stored:
-            stored[p] = np.empty((len(rho0s), len(times)) + rho.shape, dtype=complex)
-        stored[p][s, k] = rho
+            stored[p] = np.empty((len(rho0s), len(times), liouv.dim, liouv.dim), dtype=complex)
+        stored[p][s, k] = rho if layout is None else layout.unpack(rho)
 
     metas = evolve_into(liouv, rho0s, store, t_end, dt, stride, method)
     trajs = [
@@ -607,11 +609,14 @@ def evolve_into(
     the one snapshot_grid schedule, and hand every snapshot to ``sink``
     once ``check_state`` has passed it:
 
-        sink(liouv, p, s, k, rho)
+        sink(liouv, p, s, k, rho, layout)
 
-    with ``liouv`` the p-th generator and ``rho`` the D x D snapshot k of
-    initial state s, valid only during the call (it may be a view of the
-    stepping stack).  Returns each generator's metadata, one dict per
+    with ``liouv`` the p-th generator and ``rho`` snapshot k of initial
+    state s, valid only during the call (it may be a view of the stepping
+    stack): D x D with ``layout`` None, or, on the block form, its packed
+    blocks on ``layout`` (an ``ExcitationBlocks``), which the observables
+    and ``check_state`` take with ``layout=``, and ``layout.unpack`` turns
+    into the D x D matrix.  Returns each generator's metadata, one dict per
     state, in input order.
 
     Each generator runs its ``plan``: the one rule for which form each
@@ -674,7 +679,8 @@ def _check_step(liouv: Liouvillian, h: float, steps) -> None:
 def _sector_generator(liouv: Liouvillian, layout):
     """The matrix M with M pack(rho) = pack(L(rho)) on the packed sector of
     ``layout``, from the term blocks (``LindbladSet.excitation_blocks``)
-    and the drift blocks B_q of ``drift_blocks``, the block form's own.
+    and the drift blocks B_q of ``drift_blocks``, the block form's own,
+    built from each sector's G.
 
     Packing is row-major, so pack(A X C) = (A (x) C^T) pack(X).  The terms
     J_k of a sector, mapping S_q to S_{q+s}, add sum_k lambda_k J_k (x)
@@ -683,8 +689,7 @@ def _sector_generator(liouv: Liouvillian, layout):
     """
     at = [slice(o, o + w * w) for o, w in zip(layout.offsets, layout.sizes)]
     m = np.zeros((layout.size, layout.size), dtype=complex)
-    excitation = liouv.lindblad.excitation_blocks()
-    for shift, rates, blocks in excitation.values():
+    for shift, rates, blocks in liouv.lindblad.excitation_blocks().values():
         rates = rates[:, None, None]
         for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
             n_terms, rows, cols = j.shape
@@ -693,7 +698,7 @@ def _sector_generator(liouv: Liouvillian, layout):
             # sum_k lambda_k J_k[a, b] conj(J_k[c, d]) at ((a, c), (b, d))
             kron = (weighted.T @ conj).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
             m[at[q + shift], at[q]] += kron.reshape(rows * rows, cols * cols)
-    for q, b in enumerate(drift_blocks(liouv.hamiltonian, layout, excitation)):
+    for q, b in enumerate(drift_blocks(liouv.hamiltonian, liouv.lindblad, layout)):
         i = np.arange(b.shape[0])
         block = m[at[q], at[q]].reshape((len(i),) * 4)  # [a, c, b, d] at ((a, c), (b, d))
         block[:, i, :, i] -= b  # B (x) I

@@ -298,7 +298,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     tree["output"].setdefault("name", tree["experiment"])
     cfg = ExperimentConfig(**{"sweep": None, "codes": None, **tree})
     _check_sections(cfg, raw)
-    # the state vectors, built once here, are the runners' (``_states``)
+    # the state vectors, built once here, are the runners' (``_state_vectors``)
     object.__setattr__(cfg, "_vectors", _check_with_library(cfg))
     return cfg
 
@@ -605,7 +605,7 @@ def _provenance(cfg: ExperimentConfig, solver_meta: dict | None = None) -> dict:
     }
 
 
-def _states(cfg: ExperimentConfig, model: RegisterModel) -> list:
+def _state_vectors(cfg: ExperimentConfig, model: RegisterModel) -> list:
     """(column name, vector) of each initial state: the vectors
     ``config_from_dict`` built, or, for a config made another way, built
     here."""
@@ -622,10 +622,11 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
 
     One ``evolve_into`` call runs every bath point, each generator built
     when the solver draws it; the sink turns each snapshot into F, delta
-    and E as it arrives, so no snapshot outlives its step.
+    and E as it arrives, a block-form snapshot on its packed blocks, so no
+    snapshot outlives its step.
     """
     model = build_register(cfg)
-    named = _states(cfg, model)
+    named = _state_vectors(cfg, model)
     psis = [psi for _, psi in named]
     solver = cfg.solver
     points = _sweep_overrides(cfg) or [None]
@@ -634,10 +635,10 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     series = np.empty((3, len(points), len(psis), len(steps)))
     f, delta, e = series
 
-    def observe(liouv, p, s, k, rho):
-        f[p, s, k] = fidelity(rho, psis[s])
-        delta[p, s, k] = linear_entropy(rho)
-        e[p, s, k] = register_energy(rho, liouv)
+    def observe(liouv, p, s, k, rho, layout):
+        f[p, s, k] = fidelity(rho, psis[s], layout)
+        delta[p, s, k] = linear_entropy(rho, layout)
+        e[p, s, k] = register_energy(rho, liouv, layout)
 
     liouvs = (build_liouvillian(model, build_bath(cfg, o)) for o in points)
     # The solver section's keys are evolve_into's keyword arguments.
@@ -669,7 +670,7 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
     decoherence times appear as zero-rate entries rather than infinities.
     """
     model = build_register(cfg)
-    named = _states(cfg, model)
+    named = _state_vectors(cfg, model)
     # (D, S) with each state's column contiguous, as the state alone
     psis = np.array([psi for _, psi in named]).T
     leaf = cfg.sweep["parameter"].split(".", 1)[1]

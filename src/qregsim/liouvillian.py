@@ -39,12 +39,12 @@ numbers Q (cells up) take C(2N, N) of the 4^N entries (``ExcitationBlocks``,
 one per N from ``excitation_layout``), 19.6 % at N = 8.  ``_BlockForm``
 steps them on -B rho - rho B^+ plus, per sector, the sandwich
 sum_ij G_ij A_i rho A_j^+.  The drift B = iH + sum_ij G_ij A_j^+ A_i / 2
-conserves Q like H, so it is placed once (D x D, by ``cell_terms``) and
-kept as its C(N, q) x C(N, q) blocks; the sandwich is a gather from the
-C(N, q) to the C(N, q -/+ 1) bases, an (N x N)(N x L) product and a
-gathered sum back, per chunk of L entries of consecutive rows of the
-half-sector blocks, at most SANDWICH_CHUNK_ENTRIES / N, so its buffers do
-not grow with N.  The drift is built on the form's first use, never by
+conserves Q like H, so it is built as its C(N, q) x C(N, q) blocks alone,
+from H's blocks and each sector's G by digit moves (``drift_blocks``), with
+no term block; the sandwich is a gather from the C(N, q) to the
+C(N, q -/+ 1) bases, an (N x N)(N x L) product and a gathered sum back,
+per chunk of L entries of consecutive rows of the half-sector blocks, at
+most SANDWICH_CHUNK_ENTRIES / N, so its buffers do not grow with N.  The drift is built on the form's first use, never by
 ``build_liouvillian``; the int32 index tables depend on N alone and are
 kept with the layout (``ExcitationBlocks.gather_tables``).
 
@@ -72,6 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -503,10 +504,11 @@ def _digit_op(dst, src, moves, split, assign: bool) -> None:
 
 def _sector_gammas(lindblad: LindbladSet) -> list[tuple[int, np.ndarray]]:
     """(sector, G) for each sector with terms, G = sum_k lambda_k u_k u_k^+
-    over its terms; real when its imaginary part is zero."""
+    over its terms as one (N x K)(K x N) product; real when its imaginary
+    part is zero."""
     out = []
     for sector, (rates, weights) in lindblad.sectors.items():
-        g = sum(rate * np.outer(w, w.conj()) for rate, w in zip(rates, weights))
+        g = (weights.T * rates) @ weights.conj()
         out.append((sector, g.real if not np.any(g.imag) else g))
     return out
 
@@ -797,20 +799,50 @@ def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
     return out
 
 
-def drift_blocks(h: np.ndarray, layout: ExcitationBlocks, excitation: dict) -> list:
-    """The blocks B_q, q = 0..N, of the drift B = iH + sum_k lambda_k
-    L_k^+ L_k / 2 on the sectors of ``layout``: iH_q, H_q the diagonal
-    block of h, plus sum_k lambda_k J_k^+ J_k / 2 over each sector's
-    term blocks J_k from S_q (``LindbladSet.excitation_blocks``, given as
-    ``excitation``), one product of the stacked blocks per q.  No D x D
-    operator is placed."""
-    drift = [1j * h[np.ix_(s, s)] for s in layout.states]
-    for _, rates, blocks in excitation.values():
-        for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
-            cols = j.shape[2]
-            weighted = (rates[:, None, None] * j).reshape(-1, cols)
-            drift[q] += 0.5 * (j.conj().reshape(-1, cols).T @ weighted)
-    return drift
+def drift_blocks(h: np.ndarray, lindblad: LindbladSet, layout: ExcitationBlocks) -> list:
+    """The blocks B_q, q = 0..N, of the drift
+
+        B = iH + sum_k lambda_k L_k^+ L_k / 2 = iH + sum_ij G_ij A_j^+ A_i / 2
+
+    summed over the sectors of a set with ``_q_shifts`` (G per sector from
+    ``_sector_gammas``, A its qubit cell operator), as views of one array
+    packed on ``layout``; iH_q comes from h's diagonal blocks.
+
+    A qubit cell operator with a fixed Q shift has one nonzero entry, or
+    is diagonal (sigma_z), so A^+A is diagonal and the i = j terms add
+    the occupations times diag(G) to the diagonal.  For i != j a pair of
+    digit moves, A's on cell i and A^+'s on cell j, takes a basis state b
+    with cell i in A's source digit and cell j in its target digit to one
+    b': a one-excitation hop, or b itself when A is diagonal.  The hops of
+    a sector land on distinct entries, so each sector is one vectorized
+    scatter over all (b, i, j): O(N^2 D) work, and no term block or D x D
+    operator is placed.
+    """
+    n, pos = layout.n, layout.pos
+    bits = place_values(n)
+    basis = np.concatenate(layout.states)  # the rows in packed order
+    level = ((basis[:, None] & bits) != 0).astype(np.int8)  # (D, N) cell digits
+    q = np.repeat(np.arange(n + 1), layout.sizes)
+    start = np.empty_like(pos)  # packed index of the first entry of row b
+    start[basis] = layout.offsets[q] + pos[basis] * layout.sizes[q]
+    packed = layout.pack(h)
+    packed *= 1j
+    diag = np.zeros(len(basis), dtype=complex)
+    off = ~np.eye(n, dtype=bool)
+    for sector, g in _sector_gammas(lindblad):
+        a = _sector_cell_op(lindblad.model, sector)
+        diag += np.diagonal(dag(a) @ a)[level] @ np.diagonal(g)
+        for (ti, fi, ci), (tj, fj, cj) in product(_left_moves(a), repeat=2):
+            hit = (level[:, :, None] == fi) & (level[:, None, :] == tj) & off
+            w = (ci * np.conj(cj)) * g
+            if ti == fi:  # diagonal A: b' = b
+                diag += hit.reshape(len(basis), -1) @ w.ravel()
+                continue
+            b, i, j = np.nonzero(hit)
+            moved = basis[b] + (ti - fi) * bits[i] + (fj - tj) * bits[j]
+            packed[start[moved] + pos[basis[b]]] += 0.5 * w[i, j]
+    packed[layout.diagonal] += 0.5 * diag
+    return layout.blocks(packed)
 
 
 @lru_cache(maxsize=4)
@@ -837,8 +869,9 @@ class _BlockForm:
     once for the run, so no call allocates a stack-sized array; the
     sandwich streams through them one chunk of rows at a time.  ``pack``
     (which takes state vectors without forming their D x D), ``stepper``,
-    ``trace``, ``adjoint`` and ``layout``, on which the stepper checks and
-    unpacks snapshots, are the stack the RK4 stepper runs on.
+    ``trace``, ``adjoint`` and ``layout``, on which the stepper checks
+    snapshots and hands them to the sink packed, are the stack the RK4
+    stepper runs on.
     """
 
     form = "blocks"
@@ -854,7 +887,7 @@ class _BlockForm:
         terms (its Q shift s, G^T, its gather tables); for sigma- cells s is
         the sector's -1 or +1."""
         layout = self.layout
-        drift = drift_blocks(self.h, layout, self.lindblad.excitation_blocks())
+        drift = drift_blocks(self.h, self.lindblad, layout)
         return (
             [(b, dag(b)) for b in drift],
             [

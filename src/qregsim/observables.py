@@ -44,31 +44,51 @@ class DecoherenceReport:
             raise ValueError("entropy series exceeds the 1 - 1/D bound")
 
 
-def fidelity(rho: np.ndarray, psi0: np.ndarray) -> float:
-    """Overlap <psi0| rho |psi0> of a state with a reference pure state."""
+def fidelity(rho: np.ndarray, psi0: np.ndarray, layout=None) -> float:
+    """Overlap <psi0| rho |psi0> of a state with a reference pure state:
+    a D x D ``rho``, or the packed blocks of a block-diagonal one on
+    ``layout`` (an ``ExcitationBlocks``), sum_q psi_q^+ rho_q psi_q with
+    psi_q the entries of psi0 on S_q."""
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if rho.shape != (psi.shape[0], psi.shape[0]):
-        raise DimensionMismatch(
-            f"state {rho.shape} does not match vector of length {psi.shape[0]}"
-        )
-    val = complex(psi.conj() @ rho @ psi)
+    if layout is None:
+        if rho.shape != (psi.shape[0], psi.shape[0]):
+            raise DimensionMismatch(
+                f"state {rho.shape} does not match vector of length {psi.shape[0]}"
+            )
+        val = complex(psi.conj() @ rho @ psi)
+    else:
+        _check_packed(rho, layout, psi.shape[0])
+        blocks = zip(layout.states, layout.blocks(rho))
+        val = complex(sum(psi[s].conj() @ b @ psi[s] for s, b in blocks))
     if abs(val.imag) > 1e-10:
         raise NotHermitian(f"fidelity has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
-def linear_entropy(rho: np.ndarray) -> float:
-    """tr(rho) - tr(rho^2); vanishes exactly on pure states."""
+def linear_entropy(rho: np.ndarray, layout=None) -> float:
+    """tr(rho) - tr(rho^2); vanishes exactly on pure states.  rho is D x D,
+    or the packed blocks of a block-diagonal one on ``layout``, whose
+    traces are sums over the blocks."""
     rho = np.asarray(rho, dtype=complex)
-    tr = np.trace(rho).real
-    tr2 = np.einsum("ij,ji->", rho, rho).real
+    if layout is None:
+        tr = np.trace(rho).real
+        tr2 = np.einsum("ij,ji->", rho, rho).real
+    else:
+        _check_packed(rho, layout, layout.dim)
+        tr = layout.trace(rho).real
+        tr2 = _block_trace(layout, rho, rho).real
     return float(tr - tr2)
 
 
-def register_energy(rho: np.ndarray, h: np.ndarray | Liouvillian) -> float | np.ndarray:
+def register_energy(
+    rho: np.ndarray, h: np.ndarray | Liouvillian, layout=None
+) -> float | np.ndarray:
     """Energy tr(rho H) for a Hermitian register Hamiltonian: a float for
     one D x D state, a (T,) array for a (T, D, D) stack of snapshots.
+    With ``layout`` rho holds the packed blocks of block-diagonal states,
+    (M,) or (T, M), and tr(rho H) = sum_q tr(rho_q H_q) over H's diagonal
+    blocks.
 
     H is checked once per call; each energy is the one-state contraction.
     For a ``Liouvillian`` H is its Hamiltonian, which its constructor
@@ -82,11 +102,35 @@ def register_energy(rho: np.ndarray, h: np.ndarray | Liouvillian) -> float | np.
         h = np.asarray(h, dtype=complex)
         if not is_hermitian(h, rtol=1e-10):
             raise NotHermitian("energy requires a Hermitian operator")
+    if layout is not None:
+        _check_packed(rho, layout, h.shape[0], stack=True)
+        h_blocks = layout.pack(h)
+        if rho.ndim == 1:
+            return float(_block_trace(layout, rho, h_blocks).real)
+        return np.array([_block_trace(layout, r, h_blocks).real for r in rho])
     if rho.ndim not in (2, 3) or rho.shape[-2:] != h.shape:
         raise DimensionMismatch("state and Hamiltonian sizes differ")
     if rho.ndim == 2:
         return float(np.einsum("ij,ji->", rho, h).real)
     return np.array([np.einsum("ij,ji->", r, h).real for r in rho])
+
+
+def _check_packed(rho, layout, dim: int, stack: bool = False) -> None:
+    """Raise DimensionMismatch unless rho is one packed state on ``layout``
+    (or, with ``stack``, a stack of them) and the layout's D is dim, the
+    size of the vector or operator it is measured with."""
+    ndims = (1, 2) if stack else (1,)
+    if rho.ndim not in ndims or rho.shape[-1] != layout.size or layout.dim != dim:
+        raise DimensionMismatch(
+            f"packed state {rho.shape} on {layout.n} qubits does not match D = {dim}"
+        )
+
+
+def _block_trace(layout, x: np.ndarray, y: np.ndarray) -> complex:
+    """tr(x y) of two block-diagonal matrices packed on ``layout``: the sum
+    over the blocks of tr(x_q y_q)."""
+    pairs = zip(layout.blocks(x), layout.blocks(y))
+    return complex(sum(np.einsum("ij,ji->", a, b) for a, b in pairs))
 
 
 def tau_inverse_n(liouv: Liouvillian, rho: np.ndarray, n_max: int) -> np.ndarray:

@@ -3,10 +3,12 @@ the C(2N, N) packed block entries of block-diagonal qubit states.  Checked
 against the Gamma form, the dense generator and the independent pairwise
 dissipator; stacked against per-state integration, bit for bit, and
 against the Gamma-form trajectory; the run plan's block rule and the
-fallbacks; the block-by-block eigenvalue check of ``check_state``; and the
-exact solver on the excitation sector against ``propagate_exact``, with
-its fallbacks, and its generator against the column build and the
-pairwise dissipator."""
+fallbacks; the drift built from each sector's G against the term blocks;
+F, delta and E on packed blocks against the D x D values; the
+block-by-block eigenvalue check of ``check_state``; and the exact solver
+on the excitation sector against ``propagate_exact``, with its
+fallbacks, and its generator against the column build and the pairwise
+dissipator."""
 
 import tracemalloc
 from math import comb
@@ -30,7 +32,7 @@ from qregsim import (
 )
 from qregsim import dynamics, liouvillian
 from qregsim.dynamics import Trajectory, check_state, plan, state_defect_report
-from qregsim.errors import UnstableStep
+from qregsim.errors import DimensionMismatch, UnstableStep
 from qregsim.liouvillian import (
     ExcitationBlocks,
     LindbladSet,
@@ -39,6 +41,7 @@ from qregsim.liouvillian import (
     _BlockForm,
     excitation_layout,
 )
+from qregsim.observables import fidelity, linear_entropy, register_energy
 from qregsim.register import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -151,6 +154,94 @@ def test_blocks_without_a_lindblad_sector(ring):
     liouv = build_liouvillian(model, spec)
     assert len(liouv.lindblad) == 0
     assert form_of(liouv, pair_singlet_state(n)) == "blocks"
+
+
+def term_block_drift(liouv, layout) -> list:
+    """B_q = iH_q + sum_k lambda_k J_k^+ J_k / 2 from the term blocks J_k
+    (``LindbladSet.excitation_blocks``): the reference for the G route."""
+    h = liouv.hamiltonian
+    drift = [1j * h[np.ix_(s, s)] for s in layout.states]
+    for _, rates, blocks in liouv.lindblad.excitation_blocks().values():
+        for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
+            drift[q] += 0.5 * np.einsum("k,kab,kac->bc", rates, j.conj(), j)
+    return drift
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    dephasing=st.booleans(),
+    plus=st.booleans(),
+    phased=st.booleans(),
+    lamb=st.booleans(),
+    ring=st.booleans(),
+)
+def test_drift_from_g_is_the_term_block_drift(seed, n, dephasing, plus, phased, lamb, ring):
+    """drift_blocks, from each sector's G by digit moves, equals the drift
+    from the term blocks to TOL relative: sigma- cells (one-excitation
+    hops) and sigma_z cells (diagonal), gamma+ = 0 or > 0, a complex
+    (gauge-phased) G, a Lamb shift and a Heisenberg ring."""
+    rng = rng_for(seed)
+    if dephasing:
+        model = dephasing_register(n)
+    else:
+        ring = ring and n >= 3
+        model = qubit_register(n, interaction=heisenberg_ring(n, rng.uniform(-1, 1)) if ring else None)
+    spec = random_bath(rng, n, with_plus=plus)
+    if phased:
+        spec = gauge_phased(spec, random_phases(rng, n))
+    if lamb:
+        spec = with_lamb_shift(spec, rng.uniform(-1.0, 1.0))
+    liouv = build_liouvillian(model, spec)
+    layout = excitation_layout(n)
+    got = liouvillian.drift_blocks(liouv.hamiltonian, liouv.lindblad, layout)
+    want = term_block_drift(liouv, layout)
+    scale = max(1.0, max(float(np.abs(w).max()) for w in want))
+    assert [g.shape for g in got] == [w.shape for w in want]
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= TOL * scale
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6), lamb=st.booleans())
+def test_packed_observables_are_the_full_ones(seed, n, lamb):
+    """F, delta and E of a random block-diagonal state from its packed
+    blocks equal the D x D values to TOL, E also for a stack and under a
+    Lamb-shifted H'."""
+    rng = rng_for(seed)
+    spec = random_bath(rng, n)
+    if lamb:
+        spec = with_lamb_shift(spec, rng.uniform(-1.0, 1.0))
+    liouv = build_liouvillian(qubit_register(n), spec)
+    layout = excitation_layout(n)
+    # the blocks of a density matrix: still one, with its trace
+    rhos = np.stack([block_diagonal(random_density_matrix(rng, 2**n)) for _ in range(3)])
+    packed = layout.pack(rhos)
+    psi = random_pure_state(rng, 2**n)
+    for rho, p in zip(rhos, packed):
+        assert abs(fidelity(p, psi, layout) - fidelity(rho, psi)) <= TOL
+        assert abs(linear_entropy(p, layout) - linear_entropy(rho)) <= TOL
+        e = register_energy(rho, liouv)
+        assert abs(register_energy(p, liouv, layout) - e) <= TOL * max(1.0, abs(e))
+    want = register_energy(rhos, liouv.hamiltonian)
+    got = register_energy(packed, liouv.hamiltonian, layout)
+    assert got.shape == (3,)
+    assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max())
+
+
+def test_packed_observables_check_their_sizes():
+    layout, other = excitation_layout(4), excitation_layout(3)
+    liouv = build_liouvillian(qubit_register(4), cell_limit(4, 0.1, 0.0))
+    packed = layout.pack(block_diagonal(random_density_matrix(rng_for("sizes"), 16)))
+    for call in (
+        lambda: fidelity(packed, dicke_state(3, 1), layout),
+        lambda: fidelity(packed[:-1], dicke_state(4, 2), layout),
+        lambda: linear_entropy(packed, other),
+        lambda: linear_entropy(packed[None], layout),
+        lambda: register_energy(packed, liouv, other),
+        lambda: register_energy(packed[None, None], liouv, layout),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -304,9 +395,13 @@ def test_a_vector_state_on_blocks_never_builds_its_density_matrix(monkeypatch):
     built = []
     density, pack = dynamics._density, ExcitationBlocks.pack
     monkeypatch.setattr(dynamics, "_density", lambda s: built.append(s.shape) or density(s))
-    monkeypatch.setattr(
-        ExcitationBlocks, "pack", lambda self, rho: built.append(rho.shape) or pack(self, rho)
-    )
+
+    def spy(self, rho):
+        if rho is not liouv.hamiltonian:  # the drift reads H's blocks: not a state
+            built.append(rho.shape)
+        return pack(self, rho)
+
+    monkeypatch.setattr(ExcitationBlocks, "pack", spy)
     got = evolve(liouv, psis, 0.04, 0.02, 1)
     assert built == []
     # psi_q psi_q^+ are the products of the outer product: the same bits
@@ -588,6 +683,30 @@ def test_large_rk4_workload_takes_the_block_form(monkeypatch):
     monkeypatch.setattr(Liouvillian, "apply", lambda self, rho: applies.append(1) or apply(self, rho))
     table = expcli.run_simulate(expcli.config_from_dict(raw))
     assert forms == ["blocks", "blocks"] and applies == []
+    assert table.values.shape == (3, 7)
+
+
+def test_block_simulate_builds_no_term_block_and_unpacks_no_snapshot(monkeypatch):
+    """An N = 8 block run through the runner (a Lamb shift, so H' has
+    off-diagonal blocks): the drift comes from each sector's G, not the
+    term blocks, and the sink reads F, delta and E from the packed
+    snapshots."""
+    raw = {
+        "experiment": "simulate",
+        "register": {"n": 8},
+        "bath": {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02, "delta_ratio": 0.5},
+        "initial_states": ["singlet", "symmetric"],
+        "solver": {"dt": 0.02, "t_end": 0.04, "stride": 1},
+    }
+    cfg = expcli.config_from_dict(raw)
+
+    def refuse(name):
+        return lambda *args: pytest.fail(f"{name} was called")
+
+    monkeypatch.setattr(LindbladSet, "excitation_blocks", refuse("excitation_blocks"))
+    monkeypatch.setattr(ExcitationBlocks, "unpack", refuse("unpack"))
+    table = expcli.run_simulate(cfg)
+    assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]]
     assert table.values.shape == (3, 7)
 
 

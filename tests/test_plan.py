@@ -132,6 +132,7 @@ def _ci_configs() -> dict:
     xi = {"parameter": "bath.xi", "values": [1.0, 10.0]}
     return {
         "blocks8": simulate(8, ["singlet", "symmetric"]),
+        "blocks8lamb": simulate(8, ["singlet", "symmetric"], bath=dict(BATH, delta_ratio=0.5)),
         "blocks10": simulate(10, ["singlet", "symmetric"], dt=0.01, t_end=0.02),
         "checks6": simulate(6, ["uniform", "symmetric"], t_end=0.1),
         "sweep6": simulate(

@@ -342,9 +342,9 @@ def test_block_snapshots_wait_packed_only_in_short_runs(t_end, held, monkeypatch
     )
     snaps = {}
 
-    def sink(liouv, p, s, k, rho):
+    def sink(liouv, p, s, k, rho, layout):
         seen.append((k, s, len(applies)))
-        snaps[s, k] = rho.copy()
+        snaps[s, k] = layout.unpack(rho)
 
     (metas,) = evolve_into(liouv, psis, sink, t_end, 0.02, 1)
     assert [m["form"] for m in metas] == ["blocks", "blocks"]
