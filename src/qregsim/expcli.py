@@ -51,6 +51,8 @@ from .liouvillian import (
     rates_bytes,
 )
 from .observables import (
+    cell_covariances,
+    covariance_rates,
     fidelity,
     linear_entropy,
     pure_decoherence_rate,
@@ -668,16 +670,27 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
 
     The raw rate 1/tau_1 is reported (never its reciprocal), so divergent
     decoherence times appear as zero-rate entries rather than infinities.
+
+    Only the bath changes along the sweep.  On a structured set the
+    states' cell covariance, which does not depend on the bath, is built
+    once per run, each sector's at the first point with terms there
+    (``cell_covariances``), and each point contracts it with that point's
+    G (``covariance_rates``).  Smaller registers rate every point with
+    ``pure_decoherence_rate``, all states in one call.
     """
     model = build_register(cfg)
     named = _state_vectors(cfg, model)
     # (D, S) with each state's column contiguous, as the state alone
     psis = np.array([psi for _, psi in named]).T
     leaf = cfg.sweep["parameter"].split(".", 1)[1]
-    rows = []
+    rows, known = [], {}
     for overrides in _sweep_overrides(cfg):
         lset = canonical_form(model, build_bath(cfg, overrides))
-        rows.append([overrides[leaf], *pure_decoherence_rate(lset, psis)])
+        if lset.structured:
+            rates = covariance_rates(lset, cell_covariances(lset, psis, known), len(named))
+        else:
+            rates = pure_decoherence_rate(lset, psis)
+        rows.append([overrides[leaf], *rates])
     columns = [leaf] + [f"rate_{name}" for name, _ in named]
     return ResultTable(
         columns=tuple(columns),

@@ -59,8 +59,10 @@ places its D x D operator with ``register.collective_op`` only when its
 ``op`` is first read (the dense path, codes of sets without excitation
 blocks, small-register rates and noiseless tests).  One predicate,
 ``LindbladSet.structured``, selects the Gamma form here and the weight
-route of pure-state rates and of ``codes.is_noiseless``
-(``LindbladSet.sector_actions``, ``LindbladSet.column_norms``).  Null
+route of pure-state rates (the cell covariance from ``_cell_actions`` and
+each sector's G, ``observables.cell_covariances``) and of
+``codes.is_noiseless`` (``LindbladSet.sector_actions``,
+``LindbladSet.column_norms``).  Null
 codes of canonical qubit sets and the exact solver's sector generator
 come from ``LindbladSet.excitation_blocks``: each sector's term blocks
 between excitation sectors, from the weights.  All of these read the terms
@@ -118,6 +120,10 @@ GENERATOR_MAX_BYTES = 2 * 2**30
 # sector at N = 8, 26 at N = 10; the chunk buffers then take at most about
 # 3 MB per state up to N = 14, where one row still fits.
 SANDWICH_CHUNK_ENTRIES = 2**16
+# Entries of the cell actions X_i and the states that one chunk of
+# ``observables.cell_covariances`` copies, twice (with its conjugate):
+# 128 KiB in all, a ninth of the X of the N = 8 cluster code's 36 columns.
+COVARIANCE_CHUNK_ENTRIES = 2**12
 
 SECTOR_MINUS = -1
 SECTOR_PLUS = +1
@@ -711,7 +717,7 @@ class ExcitationBlocks:
         bits = place_values(n)
         target = 1 if s < 0 else 0  # digit 1 is down
         out = []
-        for pieces in row_chunks(n, s):
+        for pieces in row_chunks(n, s, SANDWICH_CHUNK_ENTRIES):
             width = sum((end - row) * int(sizes[q]) for q, row, end in pieces)
             x = np.empty((n, width), dtype=np.int32)
             gather, segments, e = [], [], 0
@@ -751,15 +757,18 @@ class ExcitationBlocks:
         return self._gather[s]
 
 
-def row_chunks(n: int, s: int) -> list[list[tuple[int, int, int]]]:
+@lru_cache(maxsize=16)
+def row_chunks(n: int, s: int, entries: int) -> tuple:
     """The rows of the half-sector blocks (q + s, q) of n qubits, in packed
     order, cut into chunks of consecutive rows: per chunk its pieces
     (q, first row, end row), one per block it touches.  A chunk holds at
-    most SANDWICH_CHUNK_ENTRIES / N entries of a block's rows, or one row
-    when that is longer; the chunks have about equal width."""
+    most entries / N entries of a block's rows, or one row when that is
+    longer; the chunks have about equal width.  Callers pass
+    SANDWICH_CHUNK_ENTRIES; the chunks are pure Python over every row, so
+    they are built once per (n, s, entries) and shared, as tuples."""
     sizes = [comb(n, q) for q in range(n + 1)]
     kept = [q for q in range(n + 1) if 0 <= q + s <= n]
-    limit = max(SANDWICH_CHUNK_ENTRIES // n, 1)
+    limit = max(entries // n, 1)
     total = sum(sizes[q + s] * sizes[q] for q in kept)
     target = -(-total // -(-total // limit))  # total over the chunk count
     chunks, width = [[]], 0
@@ -774,7 +783,7 @@ def row_chunks(n: int, s: int) -> list[list[tuple[int, int, int]]]:
             else:
                 pieces.append((q, row, row + 1))
             width += sizes[q]
-    return chunks
+    return tuple(map(tuple, chunks))
 
 
 def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
@@ -787,7 +796,7 @@ def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
     the target digit: N - q - s for s < 0, q + s for s > 0)."""
     size = comb(2 * n, n)
     out = {"src": (n_states, size + 1), "block": (n_states, comb(n, n // 2) ** 2)}
-    chunks = [(s, pieces) for s in shifts for pieces in row_chunks(n, s)]
+    chunks = [(s, p) for s in shifts for p in row_chunks(n, s, SANDWICH_CHUNK_ENTRIES)]
     if chunks:
         x = max(n * sum((end - row) * comb(n, q) for q, row, end in p) for _, p in chunks)
         # c r C(N, k) per piece of output block k = q + s
@@ -1084,30 +1093,37 @@ def rates_bytes(
     model: RegisterModel, spec: BathSpec | None, n_states: int, ring: bool = False
 ) -> int:
     """Estimated peak bytes of first-order decoherence rates: n_states
-    state vectors held at once, one ``pure_decoherence_rate`` call on
-    ``canonical_form(model, spec)`` with their (D, n_states) stack, the
-    basis tables state builders leave cached (``cell_digits``, 2 N D
-    bytes, and ``excitation_sectors``, 16 D bytes), and, when ``ring``,
-    the RING_BUILDER_MATRICES D x D arrays a Heisenberg ring interaction's
+    state vectors held at once, the rates of their (D, n_states) stack on
+    ``canonical_form(model, spec)``, by ``pure_decoherence_rate`` or the
+    covariance route of ``expcli.run_tau_sweep``, the basis tables state
+    builders leave cached (``cell_digits``, 2 N D bytes, and
+    ``excitation_sectors``, 16 D bytes), and, when ``ring``, the
+    RING_BUILDER_MATRICES D x D arrays a Heisenberg ring interaction's
     builder holds beside them.
 
     Each sector with a nonzero bath matrix has at most N terms (exactly N
     when the matrix has full rank), counted without diagonalizing it.  A
-    structured set holds, per state, the N cell actions of one sector, one
-    L_k psi per term and three copies of the state (the caller's vector,
-    the stack and its contiguous copy), plus four vectors of digit tables
-    and numpy temporaries (measured at N = 8-12, 1-4 states).  A smaller
-    set takes the states one at a time and builds its K operators instead.
-    With ``spec`` None no term is counted: a lower bound for every bath.
+    structured set holds, per state, the N cell actions of one sector and
+    three copies of the state (the caller's vector, the stack and its
+    contiguous copy), plus the two chunk buffers of the cell covariance
+    (COVARIANCE_CHUNK_ENTRIES entries each, fewer for a smaller stack),
+    four vectors of digit tables and numpy temporaries, and 32 KiB for the
+    covariances, the bath matrices and the canonical terms (measured at
+    N = 6-12, 1-4 states).  A smaller set takes the states one at a time
+    and builds its K operators instead.  With ``spec`` None no term is
+    counted: a lower bound for every bath.
     """
     n, vector = model.n_cells, 16 * model.dim
     gammas = () if spec is None else (spec.gamma_minus, spec.gamma_plus)
     terms = n * sum(bool(np.any(g)) for g in gammas)
     if model.dim < STRUCTURED_MIN_DIM:
         need = (n_states + 2 * terms + 3 + terms * model.dim) * vector
+    elif terms:
+        rows = (n + 1) * n_states
+        chunk = min(max(COVARIANCE_CHUNK_ENTRIES, rows), rows * model.dim)
+        need = (n_states * (n + 3) + 4) * vector + 2 * 16 * chunk + 2**15
     else:
-        cells = n if terms else 0
-        need = (n_states * (cells + terms + 3) + 4) * vector
+        need = (3 * n_states + 4) * vector
     tables = (2 * n + 16) * model.dim
     return need + tables + (RING_BUILDER_MATRICES * model.dim * vector if ring else 0)
 

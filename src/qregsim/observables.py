@@ -1,5 +1,6 @@
 """Decoherence observables: fidelity, linear entropy, the short-time
-decoherence hierarchy 1/tau_n^n, first-order rates for pure states, and
+decoherence hierarchy 1/tau_n^n, first-order rates for pure states (on a
+structured set from the states' bath-independent cell covariance), and
 register energy.
 """
 
@@ -12,7 +13,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, TooLarge, TooSmall
 from .linalg import is_hermitian
-from .liouvillian import LindbladSet, Liouvillian
+from .liouvillian import (
+    COVARIANCE_CHUNK_ENTRIES,
+    LindbladSet,
+    Liouvillian,
+    _cell_actions,
+    _sector_gammas,
+)
 
 # Highest supported order of the decoherence-time hierarchy.
 N_MAX = 6
@@ -170,11 +177,14 @@ def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float | np.
     state (D,), an (S,) array for the columns of a (D, S) stack.
 
     A set with ``structured`` true (canonical, D >= STRUCTURED_MIN_DIM)
-    forms the L_k psi from the term weights and cell-local actions
-    (``LindbladSet.sector_actions``), for all S columns in one digit-move
-    pass and one weights product per sector, and builds no D x D operator.
-    Below the crossover, and for hand-built sets, each operator multiplies
-    each state, one column at a time.
+    takes the same sum as 2 sum_s Re sum_ij conj(G_s)_ij V_s,ij: the
+    states' cell covariance V_s (``cell_covariances``, one digit-move pass
+    per sector over all S columns) contracted with each sector's G_s
+    (``covariance_rates``); no D x D operator and no L_k psi is formed.
+    The entries of V are of order one, so a state no term decoheres rates
+    at rounding level (up to about 5e-15 at N = 8-12, of either sign) rather
+    than exactly zero.  Below the crossover, and for hand-built sets, each
+    operator multiplies each state, one column at a time.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or any(t.dim != psi.shape[0] for t in lindblad):
@@ -190,12 +200,77 @@ def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float | np.
             total += term.rate * (second - abs(mean) ** 2)
         return 2.0 * total
     stack = psi.reshape(psi.shape[0], -1)
-    total = np.zeros(stack.shape[1])
-    for rates, lpsi in lindblad.sector_actions(stack):
-        mean = np.einsum("ds,kds->ks", stack.conj(), lpsi)
-        second = np.einsum("kds,kds->ks", lpsi.conj(), lpsi).real
-        total += rates @ (second - np.abs(mean) ** 2)
-    return 2.0 * total if psi.ndim == 2 else float(2.0 * total[0])
+    rates = covariance_rates(lindblad, cell_covariances(lindblad, stack), stack.shape[1])
+    return rates if psi.ndim == 2 else float(rates[0])
+
+
+def cell_covariances(
+    lindblad: LindbladSet, psi: np.ndarray, known: dict | None = None
+) -> dict[int, np.ndarray]:
+    """Per sector with terms of a set with ``sectors``: the cell covariance
+    of the columns psi of a (D, S) stack, (S, N, N),
+
+        V_ij = <A_i psi|A_j psi> - conj(<A_i>) <A_j>,
+
+    A the sector's cell operator on cell i.  V is Hermitian and depends on
+    the register and the states alone, not on the bath.  Each sector's
+    X_i = A_i psi comes from one digit-move pass over all S columns
+    (``_cell_actions``), and only that sector's X is held while its V is
+    summed, chunk by chunk of rows.
+
+    A sector already in ``known`` is read from it, and one built here is
+    added to it: a caller that rates the same states on one register under
+    several baths (``expcli.run_tau_sweep``) builds each sector's V once,
+    at the first bath with terms there.
+    """
+    known = {} if known is None else known
+    for sector in lindblad.sectors:
+        if sector not in known:
+            known[sector] = _covariance(lindblad.model, sector, np.ascontiguousarray(psi))
+    return {sector: known[sector] for sector in lindblad.sectors}
+
+
+def _covariance(model, sector: int, psi: np.ndarray) -> np.ndarray:
+    """V (S, N, N) of one sector for the C-ordered (D, S) stack psi.
+
+    Per column, with the rows X_1..X_N and psi stacked as the N + 1 rows
+    of Z, the product Z^* Z^T holds <A_i psi|A_j psi> and, in row N,
+    <A_j>.  It is summed over chunks of the D entries, the chunk and its
+    conjugate copied into two buffers of at most COVARIANCE_CHUNK_ENTRIES
+    entries each, and only this sector's X is held.
+    """
+    x = _cell_actions(model, sector, psi)  # (N, D, S)
+    n, d, s = x.shape
+    width = min(max(COVARIANCE_CHUNK_ENTRIES // ((n + 1) * s), 1), d)
+    z, z_conj = np.empty((2, s, n + 1, width), dtype=complex)
+    moments, product = np.zeros((2, s, n + 1, n + 1), dtype=complex)
+    for start in range(0, d, width):
+        part, part_conj = z[..., : d - start], z_conj[..., : d - start]
+        np.copyto(part[:, :n], x[:, start : start + width].transpose(2, 0, 1))
+        np.copyto(part[:, n], psi[start : start + width].T)
+        np.conjugate(part, out=part_conj)
+        moments += np.matmul(part_conj, part.transpose(0, 2, 1), out=product)
+    del x, z, z_conj  # freed before the results are allocated: a lower peak
+    mean = moments[:, n:, :n]  # (S, 1, N)
+    return moments[:, :n, :n] - mean.conj().transpose(0, 2, 1) * mean
+
+
+def covariance_rates(lindblad: LindbladSet, covariances: dict, n_states: int) -> np.ndarray:
+    """The first-order rates (n_states,) of the states whose cell
+    covariances per sector ``covariances`` holds (``cell_covariances``),
+    under a set with ``sectors``:
+
+        1/tau_1 = 2 sum_k lambda_k (<L_k^+ L_k> - |<L_k>|^2)
+                = 2 sum_s Re sum_ij conj(G_s)_ij V_s,ij,
+
+    since L_k = sum_i u_ki A_i and G_s = sum_k lambda_k u_k u_k^+ over the
+    sector's terms (``_sector_gammas``).  O(S N^2) per sector.
+    """
+    total = np.zeros(n_states)
+    for sector, g in _sector_gammas(lindblad):
+        v = covariances[sector]
+        total += (v.reshape(n_states, -1) @ g.conj().ravel()).real
+    return 2.0 * total
 
 
 def decoherence_report(

@@ -334,6 +334,23 @@ def test_block_tables_are_built_by_evolve_alone(monkeypatch):
     assert calls == [-1, 1]
 
 
+def test_row_chunks_are_built_once_per_shift():
+    # plan (at load and in evolve_into), the stepper's buffers and the
+    # gather tables all read the chunks of each Q shift; they are cut once
+    # for the chunk budget and shared by every later block run of that N.
+    liouvillian.row_chunks.cache_clear()
+    excitation_layout.cache_clear()
+    liouv = build_liouvillian(qubit_register(8), exponential_decay(8, 0.1, 0.02, 1.0))
+    psi = dicke_state(8, 4)
+    for _ in range(2):
+        plan(liouv.lindblad, [psi])
+        assert evolve(liouv, [psi], 0.02, 0.02, 1)[0].metadata["form"] == "blocks"
+    info = liouvillian.row_chunks.cache_info()
+    assert info.misses == 2 and info.hits >= 10
+    entries = liouvillian.SANDWICH_CHUNK_ENTRIES
+    assert liouvillian.row_chunks(8, -1, entries) is liouvillian.row_chunks(8, -1, entries)
+
+
 @pytest.mark.parametrize("budget", [1, 40, 300])
 def test_sandwich_chunks_tile_the_half_sector_and_match_every_route(budget, monkeypatch):
     """Chunks of one row, chunks that split a block and chunks that span

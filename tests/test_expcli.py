@@ -1277,9 +1277,15 @@ def test_emit_never_truncates_an_output_to_zero(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["tau_sweep", "codes"])
 def test_runners_rate_all_states_in_one_call(tmp_path, monkeypatch, experiment):
-    # tau_sweep rates its states once per bath point and codes its basis
-    # columns once, as the columns of one (D, S) stack.
-    from qregsim import expcli
+    # codes rates its basis columns in one call, as the columns of one
+    # (D, S) stack.  tau_sweep builds the cell covariance of its states
+    # once per run for each sector with terms, in one digit-move pass over
+    # all of them, and contracts it with every point's G; without
+    # gamma_plus the plus sector is never built.
+    from qregsim import expcli, observables
+    from qregsim.expcli import build_bath, build_register
+    from qregsim.liouvillian import canonical_form
+    from test_structured import operator_rate
 
     calls = []
     rate = expcli.pure_decoherence_rate
@@ -1287,10 +1293,29 @@ def test_runners_rate_all_states_in_one_call(tmp_path, monkeypatch, experiment):
         expcli, "pure_decoherence_rate", lambda lset, psi: calls.append(psi.shape) or rate(lset, psi)
     )
     if experiment == "tau_sweep":
-        cfg = config_from_dict(_tau_sweep_config(tmp_path, {"n": 6}, ["singlet", "symmetric", "uniform"]))
-        table = run_tau_sweep(cfg)
-        assert calls == [(64, 3)] * 2
-        assert table.values.shape == (2, 4)
+        passes = []
+        actions = observables._cell_actions
+        monkeypatch.setattr(
+            observables,
+            "_cell_actions",
+            lambda model, sector, psi: passes.append((sector, psi.shape)) or actions(model, sector, psi),
+        )
+        states = ["singlet", "symmetric", "uniform"]
+        for gamma_plus, sectors in [(0.02, [-1, 1]), (0.0, [-1])]:
+            passes.clear()
+            raw = _tau_sweep_config(tmp_path, {"n": 6}, states)
+            raw["bath"]["gamma_plus"] = gamma_plus
+            raw["sweep"]["values"] = [0.5, 1.0, 2.0]
+            cfg = config_from_dict(raw)
+            table = run_tau_sweep(cfg)
+            assert passes == [(sector, (64, 3)) for sector in sectors]
+            assert calls == [] and table.values.shape == (3, 4)
+            model = build_register(cfg)
+            psis = [build_state(name, model) for name in states]
+            for row in table.values:
+                lset = canonical_form(model, build_bath(cfg, {"xi": row[0]}))
+                want = [operator_rate(lset, psi) for psi in psis]
+                assert np.allclose(row[1:], want, rtol=1e-12, atol=0)
     else:
         raw = {
             "experiment": "codes",

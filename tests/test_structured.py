@@ -22,6 +22,7 @@ from qregsim import (
     BathSpec,
     build_liouvillian,
     canonical_form,
+    clustered,
     exponential_decay,
     gauge_phased,
     pairwise_dissipator,
@@ -42,14 +43,18 @@ from qregsim.liouvillian import (
     form_bytes,
     lamb_shift,
 )
-from qregsim.observables import pure_decoherence_rate
+from qregsim.codes import dephasing_cluster_code
+from qregsim.observables import cell_covariances, covariance_rates, pure_decoherence_rate
 from qregsim.register import (
     collective_op,
     dephasing_register,
     embed_cell_op,
     heisenberg_ring,
+    pair_singlet_state,
     qubit_register,
     register_hamiltonian,
+    su2_basis_state,
+    su2_multiplicity,
 )
 
 from helpers import random_bath, random_phases, random_pure_state, rng_for
@@ -438,6 +443,69 @@ def test_batched_rates_are_the_per_state_rates(model, monkeypatch):
             assert rate == alone
         want = operator_rate(lset, psi)
         assert abs(rate - want) <= TOL * max(1.0, abs(want))
+
+
+def second_moments(lset: LindbladSet, psi: np.ndarray) -> float:
+    """2 sum_k lambda_k <L_k^+ L_k>, which bounds the rate: the scale of
+    its relative tolerance."""
+    return 2.0 * sum(t.rate * np.linalg.norm(t.op @ psi) ** 2 for t in lset)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    sigma_z=st.booleans(),
+    plus=st.booleans(),
+    n_states=st.integers(1, 4),
+)
+def test_covariance_route_is_the_operator_rate(seed, n, sigma_z, plus, n_states):
+    """The cell covariance of a stack contracted with each sector's G is
+    the variance formula on the operators, and each column's rate is the
+    column rated alone, to TOL relative: sigma- and sigma_z cells, with and
+    without gamma_plus terms, gauge-phased complex G."""
+    rng = rng_for(seed)
+    model = dephasing_register(n) if sigma_z else qubit_register(n)
+    spec = gauge_phased(random_bath(rng, n, with_plus=plus), random_phases(rng, n))
+    psis = np.stack([random_pure_state(rng, model.dim) for _ in range(n_states)], axis=1)
+    with crossover(1):
+        lset = canonical_form(model, spec)
+        covariances = cell_covariances(lset, psis)
+        rates = covariance_rates(lset, covariances, n_states)
+        alone = [pure_decoherence_rate(lset, psi.copy()) for psi in psis.T]
+    assert sorted(covariances) == sorted(lset.sectors) == ([-1, 1] if plus else [-1])
+    assert all(v.shape == (n_states, n, n) for v in covariances.values())
+    for rate, one, psi in zip(rates, alone, psis.T):
+        scale = second_moments(lset, psi)
+        assert abs(rate - operator_rate(lset, psi)) <= TOL * scale
+        assert abs(rate - one) <= TOL * scale
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_singlets_do_not_decohere_in_a_replica_bath(n):
+    # At xi = infinity every cell sees the same bath: L = S^- and S^+,
+    # which annihilate every total-spin-0 state.
+    lset = canonical_form(qubit_register(n), replica_symmetric(n, 0.4, 0.1))
+    copies = range(min(su2_multiplicity(n, 0), 4))
+    states = [pair_singlet_state(n)] + [su2_basis_state(n, 0, 0, c) for c in copies]
+    assert lset.structured
+    rates = pure_decoherence_rate(lset, np.stack(states, axis=1))
+    assert np.all(np.abs(rates) <= 1e-12)
+
+
+def test_cluster_code_rates_hold_one_sector_of_cell_actions():
+    """The 36 columns of the N = 8 cluster code: the rate call holds one
+    sector's X (N D S complex entries) and chunk buffers, never both
+    sectors' X at once (2 N D S)."""
+    n = 8
+    model = dephasing_register(n)
+    lset = canonical_form(model, clustered([[0, 1, 2, 3], [4, 5, 6, 7]], 0.4, 0.1))
+    basis = dephasing_cluster_code(n, 4, 0).basis
+    assert lset.structured and len(lset.sectors) == 2 and basis.shape == (model.dim, 36)
+    want = [operator_rate(lset, psi) for psi in basis.T]
+    rates = pure_decoherence_rate(lset, basis)  # warm: lazily cached tables
+    peak = traced_peak(lambda: pure_decoherence_rate(lset, basis))
+    assert peak <= 1.5 * n * model.dim * basis.shape[1] * 16
+    assert np.allclose(rates, want, rtol=0, atol=1e-12)
 
 
 def test_weight_route_rejects_a_mismatched_state():
