@@ -23,10 +23,10 @@ from .liouvillian import LindbladSet, Liouvillian, build_bytes
 from .register import (
     RegisterModel,
     _twice,
-    basis_state,
     cell_digits,
     cell_terms,
     excitation_sectors,
+    n4_codewords,
     su2_multiplicity,
 )
 
@@ -205,25 +205,6 @@ def multiplicity(n: int, s) -> int:
     if n < 1:
         raise TooSmall(f"need n >= 1, got {n}")
     return su2_multiplicity(n, _twice(s, "s"))
-
-
-def n4_codewords() -> tuple[np.ndarray, np.ndarray]:
-    """The two orthonormal total-singlet words of a four-qubit register.
-
-    With |A> = |0011> + |1100>, |B> = |0110> + |1001>, |C> = |1010> + |0101>
-    (0 = up, leftmost symbol = cell 0):
-
-        |zero> = (|B> - |A>) / 2
-        |one>  = (|C> - |A>/2 - |B>/2) / sqrt(3)
-
-    Both are annihilated by the collective S^+, S^-, S^z.
-    """
-    a = basis_state(4, "0011") + basis_state(4, "1100")
-    b = basis_state(4, "0110") + basis_state(4, "1001")
-    c = basis_state(4, "1010") + basis_state(4, "0101")
-    zero = (b - a) / 2.0
-    one = (c - a / 2.0 - b / 2.0) / np.sqrt(3.0)
-    return zero, one
 
 
 def n4_code() -> CodeSubspace:

@@ -210,12 +210,15 @@ class Group:
     stacked: bool = False
 
 
-def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -> list[Group]:
+def plan(
+    lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None, snapshots: int = 1
+) -> list[Group]:
     """The runs ``evolve_into`` makes of ``states`` (vectors or D x D
     matrices) under a generator with the Lindblad set ``lindblad`` and
     the Hamiltonian ``hamiltonian``, by default the register's own with
-    any Lamb shift: the one rule for which form each state runs on and
-    what the run costs.  It builds no generator, layout or table.
+    any Lamb shift, over ``snapshots`` snapshots: the one rule for which
+    form each state runs on and what the run costs.  It builds no
+    generator, layout or table.
 
     * ``rk4``: ``dense``, all states in one stack, for a set that is not
       ``structured``, ``stacked`` with the other generators of its K below
@@ -260,15 +263,17 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
         return [Group(everyone, "blocks" if sector else "dense", size, need)]
     blocks = keeps and np.array_equal(model.cell_op, SIGMA_MINUS)
     on = tuple(s for s in everyone if blocks and _on_blocks(states[s], n))
-    groups = [Group(on, "blocks", comb(2 * n, n), _block_bytes(lindblad, len(on)))] if on else []
+    need = _block_bytes(lindblad, len(on), snapshots)
+    groups = [Group(on, "blocks", comb(2 * n, n), need)] if on else []
     single = _rk4_bytes(lindblad, dim, 1)
     return groups + [Group((s,), "gamma", dim * dim, single) for s in everyone if s not in on]
 
 
 def run_bytes(plans) -> int:
     """Estimated peak bytes of one ``evolve_into`` call, from the ``plan``
-    of each generator: the stacked groups' bytes summed, as their
-    generators wait to step together, plus the largest other group."""
+    of each generator over the run's snapshots: the stacked groups' bytes
+    summed, as their generators wait to step together, plus the largest
+    other group."""
     groups = [g for groups in plans for g in groups]
     alone = max((g.bytes for g in groups if not g.stacked), default=0)
     return sum(g.bytes for g in groups if g.stacked) + alone
@@ -304,28 +309,32 @@ def _rk4_bytes(lindblad: LindbladSet, dim: int, n_states: int) -> int:
     return form_bytes(lindblad, dim, n_states) + (4 + 5 * n_states) * 16 * dim * dim
 
 
-def _block_bytes(lindblad: LindbladSet, n_states: int) -> int:
-    """RK4 of n_states states on the block form of the set's N qubits, the
-    larger of its two phases.  Both hold the Hamiltonian, the layout's
-    index table and the packed states.  Building the drift
-    (``drift_blocks``) adds the packed drift with its adjoint and, while it
-    is built, the N x N pair masks and digit tables of the D basis states
-    and the indices and values of one sector's N (N - 1) 2^(N - 2) hops
-    (the build alone peaks at 0.56 MB at N = 8, 4.8 MB at N = 10 and 54 MB
-    at N = 12 traced, 0.8-0.9 times its share here).  Stepping adds the
-    int32 gather tables (N C(2N, N - 1) entries for X_i per sector, as many
-    at most for the terms), the drift, two more packed stacks (snapshot 0
-    and the stage input), the buffers kept for the run (``block_buffers``)
-    twice, as the snapshots of a short run wait in as many bytes, and two
-    packed arrays for a snapshot's check and the sink's blocks of H."""
+def _block_bytes(lindblad: LindbladSet, n_states: int, snapshots: int) -> int:
+    """RK4 of n_states states over ``snapshots`` snapshots on the block
+    form of the set's N qubits, the larger of its two phases.  Both hold
+    the Hamiltonian, the layout's index table and the packed states.
+    Building the drift (``drift_blocks``) adds the packed drift with its
+    adjoint and, while it is built, the N x N pair masks and digit tables
+    of the D basis states and the indices and values of one sector's
+    N (N - 1) 2^(N - 2) hops (the build alone peaks at 0.56 MB at N = 8,
+    4.8 MB at N = 10 and 54 MB at N = 12 traced, 0.8-0.9 times its share
+    here).  Stepping adds the int32 gather tables (N C(2N, N - 1) entries
+    for X_i per sector, as many at most for the terms), the drift, six
+    packed stacks (snapshot 0, the stage input, the two output stacks and
+    two for temporaries), the buffers kept for the run (``block_buffers``),
+    the other snapshots of a run short enough that they wait for those
+    buffers to be freed (``_Run.rk4``), and two packed arrays for a
+    snapshot's check and the sink's blocks of H."""
     n = lindblad.model.n_cells
     dim, size, half = 2**n, comb(2 * n, n), comb(2 * n, n - 1)
     hops = n * (n - 1) * dim // 4
     buffers = sum(prod(shape) for shape in block_buffers(n, lindblad.sectors, n_states).values())
+    stack = n_states * size
+    waiting = (snapshots - 1) * stack if snapshots * stack <= buffers + 2 * stack else 0
     drift = 16 * 2 * size + dim * (3 * n * n + n + 48) + 112 * hops
     tables = 8 * n * half * len(lindblad.sectors)
-    stepping = tables + 16 * (2 * size + 6 * n_states * size + 2 * buffers + 2 * size)
-    return 16 * dim * dim + 8 * size + 16 * n_states * size + max(drift, stepping)
+    stepping = tables + 16 * (2 * size + 6 * stack + buffers + waiting + 2 * size)
+    return 16 * dim * dim + 8 * size + 16 * stack + max(drift, stepping)
 
 
 class _FullStack:
@@ -646,7 +655,7 @@ def evolve_into(
         elif liouv.dim != dim:
             raise DimensionMismatch(f"generator {p} has D = {liouv.dim}, not {dim}")
         run.metas.append([None] * len(run.rhos))
-        groups = plan(liouv.lindblad, run.rhos, method, liouv.hamiltonian)
+        groups = plan(liouv.lindblad, run.rhos, method, liouv.hamiltonian, len(steps))
         if method == "rk4" and groups:
             _check_step(liouv, h, steps)
         for group in groups:
@@ -717,37 +726,27 @@ def propagate_exact(liouv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarra
     return unvec(expm_action(m, float(t), vec(rho)), liouv.dim)
 
 
-def check_method(
-    method: str, model: RegisterModel | None, hamiltonian: np.ndarray | None = None
-):
-    """Raise unless ``evolve`` can run ``method`` on a generator of
-    ``model`` whose Hamiltonian is ``hamiltonian`` (default the register's
-    own, built only for dephasing): ``dephasing`` needs a normal cell
-    operator and an H diagonal in its eigenbasis, as a Lamb shift always
-    is there (NotSimultaneouslyDiagonalizable); ``rk4`` and ``exact`` take
-    any register here, the exact method's size limit being ``plan``'s;
-    another name is a QregError.
-
-    Returns None, except for dephasing: (w, frame, h), the cell
+def dephasing_check(model: RegisterModel, hamiltonian: np.ndarray | None = None):
+    """Raise unless the dephasing method can run a generator of ``model``
+    whose Hamiltonian is ``hamiltonian`` (default the register's own): a
+    normal cell operator (``dephasing_frame``) and an H diagonal in its
+    eigenbasis, as a Lamb shift always is there
+    (NotSimultaneouslyDiagonalizable).  Returns (w, frame, h): the cell
     operator's eigenvalues, the register's unitary eigenbasis frame (None
-    when it is the identity) and H in that frame.
-    """
-    if method == "dephasing":
-        w, v = dephasing_frame(model)
-        h = register_hamiltonian(model) if hamiltonian is None else hamiltonian
-        frame = None
-        if not np.allclose(v, np.eye(model.cell_dim)):
-            frame = kron_all([v] * model.n_cells)
-            h = dag(frame) @ h @ frame
-        # The closed form holds only for an H diagonal in the joint frame.
-        h_off = h - np.diag(np.diag(h))
-        if frob(h_off) > 1e-10 * max(1.0, frob(h)):
-            raise NotSimultaneouslyDiagonalizable(
-                "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
-            )
-        return w, frame, h
-    elif method not in METHODS:
-        raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    when it is the identity) and H in that frame."""
+    w, v = dephasing_frame(model)
+    h = register_hamiltonian(model) if hamiltonian is None else hamiltonian
+    frame = None
+    if not np.allclose(v, np.eye(model.cell_dim)):
+        frame = kron_all([v] * model.n_cells)
+        h = dag(frame) @ h @ frame
+    # The closed form holds only for an H diagonal in the joint frame.
+    h_off = h - np.diag(np.diag(h))
+    if frob(h_off) > 1e-10 * max(1.0, frob(h)):
+        raise NotSimultaneouslyDiagonalizable(
+            "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
+        )
+    return w, frame, h
 
 
 def dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
@@ -820,7 +819,7 @@ def _closed_form(liouv: Liouvillian):
         raise QregError(
             "the dephasing method needs a canonical Lindblad set (canonical_form)"
         )
-    w_cell, frame, h = check_method("dephasing", lset.model, liouv.hamiltonian)
+    w_cell, frame, h = dephasing_check(lset.model, liouv.hamiltonian)
     e = np.real(np.diag(h))
     c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -40,16 +41,16 @@ from .codes import (
     noiseless_test,
     null_code,
 )
-from .dynamics import check_method, dephasing_frame, evolve_into, plan, run_bytes, snapshot_grid
-from .errors import ConfigError, DimensionMismatch, IoError, QregError
-from .liouvillian import (
-    RING_BUILDER_MATRICES,
-    build_bytes,
-    build_liouvillian,
-    canonical_form,
-    check_budget,
-    rates_bytes,
+from .dynamics import (
+    dephasing_check,
+    dephasing_frame,
+    evolve_into,
+    plan,
+    run_bytes,
+    snapshot_grid,
 )
+from .errors import ConfigError, DimensionMismatch, IoError, QregError
+from .liouvillian import build_bytes, build_liouvillian, canonical_form, check_budget, rates_bytes
 from .observables import (
     cell_covariances,
     covariance_rates,
@@ -60,16 +61,12 @@ from .observables import (
 )
 from .register import (
     RegisterModel,
-    basis_state,
     check_ring,
     dephasing_register,
-    dicke_state,
     heisenberg_ring,
-    normalize,
-    pair_singlet_state,
+    named_state,
     qubit_register,
-    su2_basis_state,
-    su2_bytes,
+    setup_bytes,
 )
 
 PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5")
@@ -300,7 +297,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     tree["output"].setdefault("name", tree["experiment"])
     cfg = ExperimentConfig(**{"sweep": None, "codes": None, **tree})
     _check_sections(cfg, raw)
-    # the state vectors, built once here, are the runners' (``_state_vectors``)
+    # the state vectors, built once here, are the runners' own
     object.__setattr__(cfg, "_vectors", _check_with_library(cfg))
     return cfg
 
@@ -337,17 +334,15 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
     returns the initial state vectors, built once (``build_state`` needs
     only n; codes reads none), so a bad one is refused at load.
 
-    Each call isolates one field, so an error names it.  The register is
+    Each call isolates one field, so an error names it.  Every size is a
+    library estimate; the CLI adds only its output table.  The register is
     first sized with no bath (``build_bytes``, or ``rates_bytes`` with no
-    terms for tau_sweep), a lower bound that reads n alone, so an
-    oversized one is refused before a bath builds its N x N matrices.
-    Then every bath point's canonical set, which pairs bath and register,
-    sizes the run (``check_budget``): a simulate run by its ``plan`` per
-    point (``run_bytes``) and its table, a codes run by ``code_bytes``, a
-    tau_sweep run by its state vectors and rates (``rates_bytes``) and
-    ``su2_bytes`` more when it builds an su2 state, on its S^z sector.  A
-    ring interaction's builder is counted on top.  The register is sized
-    without its interaction term, which only the runners build.
+    terms), a lower bound that reads n alone, so an oversized one is
+    refused before a bath builds its N x N matrices.  Then each bath
+    point's canonical set sizes the run: simulate by its ``plan`` over the
+    snapshots (``run_bytes``), codes by ``code_bytes``, each with a ring
+    interaction's builder on top (``setup_bytes``), and tau_sweep by
+    ``rates_bytes``, which counts the states and the ring itself.
     """
     reg, bath, solver, method = cfg.register, cfg.bath, cfg.solver, cfg.solver["method"]
     n = reg["n"]
@@ -369,23 +364,14 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
     model = _cells(reg)
     tau = cfg.experiment == "tau_sweep"  # the one experiment without a generator
     what = f"decoherence rates for {n} cells need" if tau else f"run for {n} cells needs"
-    if tau:
-        su2 = any(isinstance(s, str) and s.startswith("su2:") for s in cfg.initial_states)
-        extra = su2_bytes(n) if su2 else 0
-    else:
-        extra = RING_BUILDER_MATRICES * 16 * model.dim**2 if ring else 0
-
-    def size(spec) -> int:  # tau_sweep's rates, or a lower bound of the others
-        if tau:
-            return extra + rates_bytes(model, spec, len(cfg.initial_states), ring)
-        return extra + build_bytes(model)
-
-    _library("register.n", check_budget, size(None), what)
+    extra = 0 if tau else setup_bytes(n, ring)  # a ring's builder
+    rates = partial(rates_bytes, model, states=cfg.initial_states, ring=ring)  # per bath
+    _library("register.n", check_budget, rates(None) if tau else extra + build_bytes(model), what)
     # canonical_form also pairs bath and register: a partition may list other cells
     base = _library(own, canonical_form, model, _library(own, build_bath, cfg))
     specs = [_library("sweep.values", build_bath, cfg, o) for o in _sweep_overrides(cfg)]
     if tau:
-        _library("register.n", check_budget, max(map(size, specs)), what)
+        _library("register.n", check_budget, max(map(rates, specs)), what)
     sets = [] if tau else [canonical_form(model, spec) for spec in specs] or [base]
     _library("solver.dt", snapshot_grid, 0.0, solver["dt"])
     _library("solver.t_end", snapshot_grid, solver["t_end"], solver["dt"])
@@ -397,7 +383,7 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
         _library("solver.method", plan, base, [], method)
         if method == "dephasing":
             _library("solver.method", dephasing_frame, model)
-            _library("solver.method", check_method, method, build_register(cfg))
+            _library("solver.method", dephasing_check, build_register(cfg))
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
         cluster, target = cfg.codes["cluster_size"], cfg.codes["target_zspin"]
         _library("codes.cluster_size", check_cluster_size, n, cluster)
@@ -410,8 +396,9 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
     if cfg.experiment == "simulate":
         steps = snapshot_grid(solver["t_end"], solver["dt"], solver["stride"])[1]
         table = 16 * (1 + 3 * len(sets) * len(psis)) * len(steps)  # series and columns
-        need = max(build_bytes(model), run_bytes([plan(lset, psis, method) for lset in sets]))
-        _library("register.n", check_budget, need + table + extra, what)
+        plans = [plan(lset, psis, method, None, len(steps)) for lset in sets]
+        need = max(build_bytes(model), run_bytes(plans)) + extra
+        _library("register.n", check_budget, need + table, what)
     return psis
 
 
@@ -507,68 +494,17 @@ def build_bath(cfg: ExperimentConfig, overrides: dict | None = None) -> BathSpec
     return gauge_phased(replica_symmetric(n, gm, gp, ratio), b["phases"])
 
 
-def _state_column_name(entry, index: int) -> str:
-    if isinstance(entry, str):
-        return (
-            entry.replace(":", "_").replace(",", "_").replace(" ", "").replace("-", "m")
-        )
-    return f"state{index}"
+def _state_names(cfg: ExperimentConfig) -> list[str]:
+    """Each initial state's column name: its name with ":" and "," as "_",
+    no blanks and "-" as "m", or state<index> for an amplitude list."""
+    fold = str.maketrans({":": "_", ",": "_", " ": "", "-": "m"})
+    states = enumerate(cfg.initial_states)
+    return [s.translate(fold) if isinstance(s, str) else f"state{i}" for i, s in states]
 
 
 def build_state(entry, model: RegisterModel) -> np.ndarray:
-    """Resolve a named or explicit initial state to a normalized vector."""
-    n, dim = model.n_cells, model.dim
-    if not isinstance(entry, str):
-        amps = np.array([complex(re, im) for re, im in entry])
-        if amps.shape[0] != dim:
-            raise ConfigError(
-                "initial_states", f"amplitude list has length {amps.shape[0]}, need {dim}"
-            )
-        return _library("initial_states", normalize, amps)
-    name = entry
-    try:
-        if name == "all_up":
-            return basis_state(n, "0" * n)
-        if name == "all_down":
-            return basis_state(n, "1" * n)
-        if name == "uniform":
-            return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-        if name == "singlet":
-            return pair_singlet_state(n)
-        if name == "triplet":
-            if n != 2:
-                raise ConfigError("initial_states", "triplet is defined for n = 2")
-            return dicke_state(2, 1)
-        if name == "symmetric":
-            return dicke_state(n, n // 2)
-        if name in ("codeword0", "codeword1"):
-            if n != 4:
-                raise ConfigError(
-                    "initial_states", "codewords are defined for n = 4"
-                )
-            code = n4_code()
-            return code.basis[:, 0 if name == "codeword0" else 1].copy()
-        if name.startswith("basis:"):
-            return basis_state(n, name.split(":", 1)[1])
-        if name.startswith("su2:"):
-            parts = name.split(":", 1)[1].split(",")
-            if len(parts) not in (2, 3):
-                raise ConfigError(
-                    "initial_states", f"expected su2:S,M or su2:S,M,copy, got {name!r}"
-                )
-            try:
-                s, m = float(parts[0]), float(parts[1])
-                copy = int(parts[2]) if len(parts) == 3 else 0
-            except ValueError:
-                raise ConfigError(
-                    "initial_states", f"su2:S,M[,copy] needs numbers, got {name!r}"
-                ) from None
-            return su2_basis_state(n, s, m, copy)
-    except ConfigError:
-        raise
-    except QregError as exc:
-        raise ConfigError("initial_states", f"cannot build {name!r}: {exc}") from exc
-    raise ConfigError("initial_states", f"unknown state name {name!r}")
+    """The initial state ``entry`` on the register (``register.named_state``)."""
+    return _library("initial_states", named_state, entry, model.n_cells)
 
 
 # --------------------------------------------------------------------------
@@ -607,17 +543,6 @@ def _provenance(cfg: ExperimentConfig, solver_meta: dict | None = None) -> dict:
     }
 
 
-def _state_vectors(cfg: ExperimentConfig, model: RegisterModel) -> list:
-    """(column name, vector) of each initial state: the vectors
-    ``config_from_dict`` built, or, for a config made another way, built
-    here."""
-    psis = getattr(cfg, "_vectors", None)
-    if psis is None:
-        psis = [build_state(s, model) for s in cfg.initial_states]
-    entries = enumerate(zip(cfg.initial_states, psis))
-    return [(_state_column_name(s, i), psi) for i, (s, psi) in entries]
-
-
 def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     """Trajectory observables; columns t, then F/delta/E per state (and per
     sweep value when a sweep is present, sweep-major).
@@ -628,8 +553,7 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     snapshot outlives its step.
     """
     model = build_register(cfg)
-    named = _state_vectors(cfg, model)
-    psis = [psi for _, psi in named]
+    names, psis = _state_names(cfg), cfg._vectors
     solver = cfg.solver
     points = _sweep_overrides(cfg) or [None]
     h, steps = snapshot_grid(solver["t_end"], solver["dt"], solver["stride"])
@@ -648,8 +572,8 @@ def run_simulate(cfg: ExperimentConfig) -> ResultTable:
     columns, data = ["t"], []
     for p, overrides in enumerate(points):
         suffix = "".join(f"_{k}{v:g}" for k, v in (overrides or {}).items())
-        for s, (name, _) in enumerate(named):
-            state_tag = f"_{name}" if (len(named) > 1 or suffix) else ""
+        for s, name in enumerate(names):
+            state_tag = f"_{name}" if (len(names) > 1 or suffix) else ""
             columns += [f"{obs}{state_tag}{suffix}" for obs in ("F", "delta", "E")]
             data += list(series[:, p, s])
     values = np.column_stack([steps * h] + data)
@@ -679,19 +603,19 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
     ``pure_decoherence_rate``, all states in one call.
     """
     model = build_register(cfg)
-    named = _state_vectors(cfg, model)
+    names = _state_names(cfg)
     # (D, S) with each state's column contiguous, as the state alone
-    psis = np.array([psi for _, psi in named]).T
+    psis = np.array(cfg._vectors).T
     leaf = cfg.sweep["parameter"].split(".", 1)[1]
     rows, known = [], {}
     for overrides in _sweep_overrides(cfg):
         lset = canonical_form(model, build_bath(cfg, overrides))
         if lset.structured:
-            rates = covariance_rates(lset, cell_covariances(lset, psis, known), len(named))
+            rates = covariance_rates(lset, cell_covariances(lset, psis, known), len(names))
         else:
             rates = pure_decoherence_rate(lset, psis)
         rows.append([overrides[leaf], *rates])
-    columns = [leaf] + [f"rate_{name}" for name, _ in named]
+    columns = [leaf] + [f"rate_{name}" for name in names]
     return ResultTable(
         columns=tuple(columns),
         values=np.array(rows, dtype=float),

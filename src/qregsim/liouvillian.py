@@ -44,9 +44,10 @@ from H's blocks and each sector's G by digit moves (``drift_blocks``), with
 no term block; the sandwich is a gather from the C(N, q) to the
 C(N, q -/+ 1) bases, an (N x N)(N x L) product and a gathered sum back,
 per chunk of L entries of consecutive rows of the half-sector blocks, at
-most SANDWICH_CHUNK_ENTRIES / N, so its buffers do not grow with N.  The drift is built on the form's first use, never by
-``build_liouvillian``; the int32 index tables depend on N alone and are
-kept with the layout (``ExcitationBlocks.gather_tables``).
+most SANDWICH_CHUNK_ENTRIES / N, so its buffers do not grow with N.  The
+drift is built on the form's first use, never by ``build_liouvillian``;
+the int32 index tables depend on N alone and are kept with the layout
+(``ExcitationBlocks.gather_tables``).
 
 Which form a run takes, and its bytes, is ``dynamics.plan``'s rule; this
 module supplies the forms and their sizes (``form_bytes``,
@@ -97,6 +98,7 @@ from .register import (
     excitation_sectors,
     place_values,
     register_hamiltonian,
+    setup_bytes,
 )
 
 # Lindblad terms with rate below RATE_CUTOFF * max_rate are dropped so that
@@ -982,9 +984,9 @@ class Liouvillian:
     ``apply`` uses the structured Gamma form for a Lindblad set for which
     ``LindbladSet.structured`` holds (from ``canonical_form``,
     D >= STRUCTURED_MIN_DIM) and the stacked dense operators for any other
-    set; ``structured`` records that choice.  The form is built on the
-    first ``apply``, after ``check_budget`` has passed its ``form_bytes``,
-    so callers that never apply (the block stepper, the exact solver,
+    set, the predicate read when the form is built, on the first
+    ``apply``, after ``check_budget`` has passed its ``form_bytes``, so
+    callers that never apply (the block stepper, the exact solver,
     ``codes``, ``dephasing_solve``) place no D x D operator for it.  Which
     form a solver run takes is ``dynamics.plan``'s rule.
     ``stability_scale``, the largest rate plus the spectral radius of H,
@@ -994,7 +996,6 @@ class Liouvillian:
     hamiltonian: np.ndarray
     lindblad: LindbladSet
     dim: int = field(init=False)
-    structured: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -1007,10 +1008,8 @@ class Liouvillian:
         object.__setattr__(self, "dim", d)
         if any(t.dim != d for t in self.lindblad):
             raise DimensionMismatch("Lindblad operator size mismatch")
-        structured = self.lindblad.structured
-        if structured and self.lindblad.model.dim != d:
+        if self.lindblad.structured and self.lindblad.model.dim != d:
             raise DimensionMismatch("Lindblad set and Hamiltonian sizes differ")
-        object.__setattr__(self, "structured", structured)
 
     @cached_property
     def stability_scale(self) -> float:
@@ -1026,7 +1025,7 @@ class Liouvillian:
         need = form_bytes(self.lindblad, self.dim)
         check_budget(need, f"generator form for D = {self.dim} needs")
         h = self.hamiltonian
-        if self.structured:
+        if self.lindblad.structured:
             return _GammaForm(self.lindblad.model, self.lindblad, h, exact_diagonal(h))
         return _DenseForm([(h, self.lindblad)])
 
@@ -1045,12 +1044,6 @@ class Liouvillian:
                 f"got {rho.shape}"
             )
         return self._form.apply(rho)
-
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        """Dissipative part alone (Hamiltonian term removed)."""
-        return self.apply(rho) - 1j * (
-            rho @ self.hamiltonian - self.hamiltonian @ rho
-        )
 
 
 def form_bytes(lindblad: LindbladSet, dim: int, n_states: int = 1) -> int:
@@ -1083,37 +1076,30 @@ def build_bytes(model: RegisterModel) -> int:
     return 3 * 16 * model.dim**2 + 128 * model.dim + 2**18
 
 
-# D x D complex arrays heisenberg_ring with the register's commutation
-# check holds at once: at most 6.1 measured (tracemalloc peak over 16 D^2
-# bytes) at N = 6-9.
-RING_BUILDER_MATRICES = 8
-
-
-def rates_bytes(
-    model: RegisterModel, spec: BathSpec | None, n_states: int, ring: bool = False
-) -> int:
-    """Estimated peak bytes of first-order decoherence rates: n_states
-    state vectors held at once, the rates of their (D, n_states) stack on
-    ``canonical_form(model, spec)``, by ``pure_decoherence_rate`` or the
-    covariance route of ``expcli.run_tau_sweep``, the basis tables state
-    builders leave cached (``cell_digits``, 2 N D bytes, and
-    ``excitation_sectors``, 16 D bytes), and, when ``ring``, the
-    RING_BUILDER_MATRICES D x D arrays a Heisenberg ring interaction's
-    builder holds beside them.
+def rates_bytes(model: RegisterModel, spec: BathSpec | None, states, ring: bool = False) -> int:
+    """Estimated peak bytes of the first-order decoherence rates of the
+    initial states ``states`` (entries of ``register.named_state``) on
+    ``canonical_form(model, spec)``: building them and, when ``ring``, a
+    Heisenberg ring interaction (``register.setup_bytes``), their vectors
+    held at once, the rates of their (D, S) stack, by
+    ``pure_decoherence_rate`` or the covariance route of
+    ``expcli.run_tau_sweep``, the basis tables state builders leave cached
+    (``cell_digits``, 2 N D bytes, and ``excitation_sectors``, 16 D bytes),
+    and 32 KiB for the covariances, the bath matrices, the canonical terms
+    and the run's provenance.
 
     Each sector with a nonzero bath matrix has at most N terms (exactly N
     when the matrix has full rank), counted without diagonalizing it.  A
     structured set holds, per state, the N cell actions of one sector and
     three copies of the state (the caller's vector, the stack and its
     contiguous copy), plus the two chunk buffers of the cell covariance
-    (COVARIANCE_CHUNK_ENTRIES entries each, fewer for a smaller stack),
-    four vectors of digit tables and numpy temporaries, and 32 KiB for the
-    covariances, the bath matrices and the canonical terms (measured at
+    (COVARIANCE_CHUNK_ENTRIES entries each, fewer for a smaller stack) and
+    four vectors of digit tables and numpy temporaries (measured at
     N = 6-12, 1-4 states).  A smaller set takes the states one at a time
-    and builds its K operators instead.  With ``spec`` None no term is
-    counted: a lower bound for every bath.
+    and builds its K operators instead (measured at N = 2-5).  With
+    ``spec`` None no term is counted: a lower bound for every bath.
     """
-    n, vector = model.n_cells, 16 * model.dim
+    n, n_states, vector = model.n_cells, len(states), 16 * model.dim
     gammas = () if spec is None else (spec.gamma_minus, spec.gamma_plus)
     terms = n * sum(bool(np.any(g)) for g in gammas)
     if model.dim < STRUCTURED_MIN_DIM:
@@ -1121,19 +1107,19 @@ def rates_bytes(
     elif terms:
         rows = (n + 1) * n_states
         chunk = min(max(COVARIANCE_CHUNK_ENTRIES, rows), rows * model.dim)
-        need = (n_states * (n + 3) + 4) * vector + 2 * 16 * chunk + 2**15
+        need = (n_states * (n + 3) + 4) * vector + 2 * 16 * chunk
     else:
         need = (3 * n_states + 4) * vector
     tables = (2 * n + 16) * model.dim
-    return need + tables + (RING_BUILDER_MATRICES * model.dim * vector if ring else 0)
+    return need + tables + 2**15 + setup_bytes(n, ring, states)
 
 
 def check_budget(need: int, what: str) -> None:
     """Raise TooLarge, "the <what> about X GiB, over the 2 GiB limit", when
     ``need`` bytes, a Python int of any size, exceed GENERATOR_MAX_BYTES.
     The one comparison: the estimates come from ``build_bytes``,
-    ``form_bytes``, ``dynamics.plan``, ``codes.code_bytes`` and
-    ``rates_bytes``."""
+    ``form_bytes``, ``dynamics.plan``, ``codes.code_bytes``, ``rates_bytes``
+    and ``register.setup_bytes``."""
     if need > GENERATOR_MAX_BYTES:
         raise TooLarge(
             f"the {what} about {Decimal(need) / 2**30:.3g} GiB, "

@@ -1,4 +1,5 @@
-"""Cell operators, collective operators, and register Hamiltonians.
+"""Cell operators, collective operators, register Hamiltonians, and the
+named initial states (``named_state``).
 
 A register is N identical d-level cells.  Spin convention for qubit cells:
 sigma_z = diag(+1/2, -1/2), sigma_plus = |up><down|, basis index 0 = |up>,
@@ -8,7 +9,7 @@ and the leftmost symbol of a product label is cell 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 import numpy as np
@@ -387,14 +388,6 @@ def _casimir_block(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return sector, block
 
 
-def su2_bytes(n: int) -> int:
-    """Peak bytes of ``su2_basis_state`` on n qubits, for any (s, m): the
-    largest S^z block, its eigenvectors and LAPACK's copy of it, each
-    C(n, n // 2)^2 complex entries (the traced peak is 2.2-2.3 such blocks
-    at n = 8-12)."""
-    return 3 * 16 * comb(n, n // 2) ** 2
-
-
 def normalize(state: np.ndarray) -> np.ndarray:
     """Unit-norm copy of a state vector."""
     v = np.asarray(state, dtype=complex)
@@ -464,3 +457,88 @@ def dicke_state(n: int, k: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[excitation_numbers(n) == k] = factorial(k)
     return normalize(v)
+
+
+def n4_codewords() -> tuple[np.ndarray, np.ndarray]:
+    """The two orthonormal total-singlet words of a four-qubit register.
+
+    With |A> = |0011> + |1100>, |B> = |0110> + |1001>, |C> = |1010> + |0101>
+    (0 = up, leftmost symbol = cell 0):
+
+        |zero> = (|B> - |A>) / 2
+        |one>  = (|C> - |A>/2 - |B>/2) / sqrt(3)
+
+    Both are annihilated by the collective S^+, S^-, S^z.
+    """
+    a = basis_state(4, "0011") + basis_state(4, "1100")
+    b = basis_state(4, "0110") + basis_state(4, "1001")
+    c = basis_state(4, "1010") + basis_state(4, "0101")
+    zero = (b - a) / 2.0
+    one = (c - a / 2.0 - b / 2.0) / np.sqrt(3.0)
+    return zero, one
+
+
+# The initial states named without parameters, each built from n.
+_NAMED_STATES = {
+    "all_up": lambda n: basis_state(n, "0" * n),
+    "all_down": lambda n: basis_state(n, "1" * n),
+    "uniform": lambda n: np.full(2**n, 1.0 / np.sqrt(2**n), dtype=complex),
+    "singlet": pair_singlet_state,
+    "triplet": lambda n: dicke_state(2, 1),
+    "symmetric": lambda n: dicke_state(n, n // 2),
+    "codeword0": lambda n: n4_codewords()[0],
+    "codeword1": lambda n: n4_codewords()[1],
+}
+
+
+def named_state(entry, n: int) -> np.ndarray:
+    """The normalized vector of n qubits that ``entry`` names: a tuple of
+    (re, im) amplitudes, all_up, all_down, uniform, singlet (adjacent-pair
+    singlets), symmetric (n // 2 cells up), triplet (n = 2), codeword0 or
+    codeword1 (n = 4), basis:<bits> or su2:S,M[,copy].
+
+    Raises DimensionMismatch for amplitudes not 2^n long,
+    InvalidQuantumNumbers for a name of another n or a malformed su2 name,
+    QregError for an unknown name, and a builder's error, prefixed
+    "cannot build <name>", for a state the register cannot have."""
+    if not isinstance(entry, str):
+        amps = np.array([complex(re, im) for re, im in entry])
+        if amps.shape[0] != 2**n:
+            raise DimensionMismatch(f"amplitude list has length {amps.shape[0]}, need {2**n}")
+        return normalize(amps)
+    if entry == "triplet" and n != 2:
+        raise InvalidQuantumNumbers("triplet is defined for n = 2")
+    if entry in ("codeword0", "codeword1") and n != 4:
+        raise InvalidQuantumNumbers("codewords are defined for n = 4")
+    if entry.startswith("basis:"):
+        build = partial(basis_state, n, entry.split(":", 1)[1])
+    elif entry.startswith("su2:"):
+        parts = entry.split(":", 1)[1].split(",")
+        if len(parts) not in (2, 3):
+            raise InvalidQuantumNumbers(f"expected su2:S,M or su2:S,M,copy, got {entry!r}")
+        try:
+            s, m = float(parts[0]), float(parts[1])
+            copy = int(parts[2]) if len(parts) == 3 else 0
+        except ValueError:
+            raise InvalidQuantumNumbers(f"su2:S,M[,copy] needs numbers, got {entry!r}") from None
+        build = partial(su2_basis_state, n, s, m, copy)
+    elif entry in _NAMED_STATES:
+        build = partial(_NAMED_STATES[entry], n)
+    else:
+        raise QregError(f"unknown state name {entry!r}")
+    try:
+        return build()
+    except QregError as exc:  # same class; every builder error takes one message
+        raise type(exc)(f"cannot build {entry!r}: {exc}") from exc
+
+
+def setup_bytes(n: int, ring: bool = False, states=()) -> int:
+    """Estimated peak bytes of what a run builds of its register of n
+    qubits before any bath: a Heisenberg ring interaction with the
+    register's check of it, when ``ring`` (eight D x D complex arrays, 6.1
+    at most traced at N = 6-9), and ``named_state`` of ``states``, beyond
+    their vectors: with an su2 name, the largest S^z block, its
+    eigenvectors and LAPACK's copy, C(n, n // 2)^2 complex entries each
+    (2.2-2.3 such blocks traced at n = 8-12)."""
+    su2 = any(isinstance(s, str) and s.startswith("su2:") for s in states)
+    return (8 * 16 * 4**n if ring else 0) + (3 * 16 * comb(n, n // 2) ** 2 if su2 else 0)

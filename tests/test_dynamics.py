@@ -436,7 +436,7 @@ def test_dephasing_evolve_prepares_once_per_generator(monkeypatch, cell_op):
     liouv = build_liouvillian(model, exponential_decay(3, 0.3, 0.1, xi=2.0, delta_ratio=0.5))
     rng = rng_for("dephasing-evolve")
     rho0s = [random_density_matrix(rng, 8), random_pure_state(rng, 8), basis_state(3, "010")]
-    calls = {"check_method": 0, "add_elementwise_rates": 0}
+    calls = {"dephasing_check": 0, "add_elementwise_rates": 0}
     for name in calls:
         original = getattr(dynamics, name)
 
@@ -446,7 +446,7 @@ def test_dephasing_evolve_prepares_once_per_generator(monkeypatch, cell_op):
 
         monkeypatch.setattr(dynamics, name, counted)
     trajs = evolve(liouv, rho0s, 2.0, 0.1, stride=5, method="dephasing")
-    assert calls == {"check_method": 1, "add_elementwise_rates": 1}
+    assert calls == {"dephasing_check": 1, "add_elementwise_rates": 1}
     monkeypatch.undo()
     for rho0, traj in zip(rho0s, trajs):
         alone = dephasing_solve(liouv, rho0, traj.times)

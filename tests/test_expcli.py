@@ -156,6 +156,32 @@ def test_build_state_guards():
             build_state(name, model)
 
 
+def test_config_errors_are_raised_by_the_cli_field_mapping_alone():
+    # Validation is the library's: every other rule raises a library error,
+    # which _library reports under the field it was checking.
+    import ast
+    from pathlib import Path
+
+    import qregsim
+
+    raisers = set()
+    for path in Path(qregsim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                name = getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None)
+                if name == "ConfigError":
+                    raisers.add((path.name, func.name))
+    assert {module for module, _ in raisers} == {"expcli.py"}
+    assert {func for _, func in raisers} == {
+        "_states", "_reject_unknown", "_walk", "config_from_dict", "_check_sections",
+        "_library", "_parse_yaml", "_read_preset", "_load_for_command",
+    }
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -1367,7 +1393,7 @@ def test_oversized_tau_sweep_is_config_error(tmp_path, capsys, register, states)
 
 
 def test_su2_tau_sweep_at_n12_loads_and_runs(tmp_path):
-    # su2 states are built on their S^z sector (su2_bytes: 41 MB at N = 12),
+    # su2 states are built on their S^z sector (setup_bytes: 41 MB at N = 12),
     # not from D x D Casimir products, so N = 12 fits the size rule.
     cfg = config_from_dict(_tau_sweep_config(tmp_path, {"n": 12}, ["su2:0,0"]))
     table = run_tau_sweep(cfg)
@@ -1378,24 +1404,23 @@ def test_su2_tau_sweep_at_n12_loads_and_runs(tmp_path):
     "register, states",
     [({"n": 10}, ["singlet", "symmetric"]), ({"n": 12}, ["uniform"]),
      ({"n": 8, "interaction": {"kind": "heisenberg_ring"}}, ["singlet"]),
-     ({"n": 8}, ["su2:1,0", "all_up"]), ({"n": 8}, ["symmetric", "all_up"])],
-    ids=["n10", "n12", "ring8", "su2_8", "symmetric_8"],
+     ({"n": 8}, ["su2:1,0", "all_up"]), ({"n": 8}, ["symmetric", "all_up"]),
+     ({"n": 4}, ["singlet", "symmetric"]), ({"n": 5}, ["symmetric"])],
+    ids=["n10", "n12", "ring8", "su2_8", "symmetric_8", "n4", "n5"],
 )
 def test_rates_bytes_covers_the_tau_sweep_peak(tmp_path, register, states):
+    # N = 4 and 5 take the per-operator route below the crossover
     import tracemalloc
 
     from qregsim.expcli import build_bath, _cells
     from qregsim.liouvillian import rates_bytes
-    from qregsim.register import _digit_table, excitation_sectors, su2_bytes
+    from qregsim.register import _digit_table, excitation_sectors
 
     raw = _tau_sweep_config(tmp_path, register, states)
     cfg = config_from_dict(raw)
     need = rates_bytes(
-        _cells(cfg.register),
-        build_bath(cfg),
-        len(states),
-        ring="interaction" in register,
-    ) + (su2_bytes(register["n"]) if any(s.startswith("su2:") for s in states) else 0)
+        _cells(cfg.register), build_bath(cfg), cfg.initial_states, ring="interaction" in register
+    )
     # as the first run in a process: the state builders' cached basis tables
     # are built inside the traced run; the states are built at load, so the
     # load is traced with the runner

@@ -14,7 +14,7 @@ import yaml
 
 from qregsim import build_liouvillian, dicke_state, evolve, expcli, liouvillian
 from qregsim.bath import exponential_decay
-from qregsim.dynamics import plan, run_bytes
+from qregsim.dynamics import plan, run_bytes, snapshot_grid
 from qregsim.register import _digit_table, dephasing_register, excitation_sectors, qubit_register
 
 from helpers import random_pure_state, rng_for
@@ -125,6 +125,37 @@ def test_gamma_run_fits_its_plan():
     finally:
         cold_caches()
     assert peak <= run_bytes([groups])
+
+
+@pytest.mark.parametrize(
+    "raw, before",
+    [
+        (simulate(8, ["singlet", "symmetric"]), 1.51),
+        (simulate(8, ["singlet", "symmetric"], t_end=0.4), 1.57),
+        (simulate(10, ["singlet", "symmetric"], dt=0.01, t_end=0.02), 1.26),
+        # the most snapshots that wait at N = 8: 12, 4.3 MiB of the peak
+        (simulate(8, ["singlet", "symmetric"], t_end=0.22), 2.0),
+    ],
+    ids=["blocks8", "blocks8_20_steps", "blocks10", "blocks8_12_snapshots"],
+)
+def test_block_plan_counts_the_snapshots_that_wait(raw, before):
+    """A short block run's snapshots wait for the stepping buffers to be
+    freed: the plan over the run's snapshots covers the traced runner and,
+    on the CI's runs, is tighter than counting the buffers twice was
+    (``before``, need / peak then)."""
+    cfg = expcli.config_from_dict(raw)
+    model = expcli.build_register(cfg)
+    lset = liouvillian.canonical_form(model, expcli.build_bath(cfg))
+    psis = [expcli.build_state(s, model) for s in cfg.initial_states]
+    steps = snapshot_grid(cfg.solver["t_end"], cfg.solver["dt"], cfg.solver["stride"])[1]
+    groups = plan(lset, psis, "rk4", None, len(steps))
+    assert [g.form for g in groups] == ["blocks"]
+    cold_caches()
+    try:
+        _, peak = traced(lambda: expcli.run_simulate(cfg))
+    finally:
+        cold_caches()
+    assert peak <= run_bytes([groups]) < before * peak
 
 
 def _ci_configs() -> dict:

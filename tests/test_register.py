@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qregsim.errors import (
+    ConfigError,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidQuantumNumbers,
@@ -35,6 +36,8 @@ from qregsim.register import (
     excitation_sectors,
     free_hamiltonian,
     heisenberg_ring,
+    n4_codewords,
+    named_state,
     normalize,
     pair_singlet_state,
     place_values,
@@ -461,3 +464,45 @@ def test_placement_needs_distinct_cells_in_range():
 def test_placement_needs_an_operator_of_its_cells_size(dim, cells):
     with pytest.raises(DimensionMismatch):
         cell_terms(3, 2, [(np.eye(dim), cells, 1.0)])
+
+
+def test_named_state_builds_each_name_bit_for_bit():
+    n, dim = 4, 16
+    want = {
+        "all_up": basis_state(n, "0000"),
+        "all_down": basis_state(n, "1111"),
+        "uniform": np.full(dim, 0.25, dtype=complex),
+        "singlet": pair_singlet_state(n),
+        "symmetric": dicke_state(n, 2),
+        "codeword0": n4_codewords()[0],
+        "codeword1": n4_codewords()[1],
+        "basis:0110": basis_state(n, "0110"),
+        "su2:1,0,2": su2_basis_state(n, 1, 0, 2),
+        ((1.0, 0.0),) * dim: np.full(dim, 0.25, dtype=complex),
+    }
+    for entry, vector in want.items():
+        assert named_state(entry, n).tobytes() == vector.tobytes()
+    assert named_state("triplet", 2).tobytes() == dicke_state(2, 1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry, n, error, message",
+    [
+        ("wibble", 3, QregError, "unknown state name 'wibble'"),
+        ("triplet", 3, InvalidQuantumNumbers, "triplet is defined for n = 2"),
+        ("codeword1", 2, InvalidQuantumNumbers, "codewords are defined for n = 4"),
+        ("su2:1", 3, InvalidQuantumNumbers, "expected su2:S,M or su2:S,M,copy"),
+        ("su2:a,0", 3, InvalidQuantumNumbers, "su2:S,M[,copy] needs numbers"),
+        ("su2:7,0", 3, InvalidQuantumNumbers, "cannot build 'su2:7,0': spin 7.0"),
+        ("singlet", 3, InvalidQuantumNumbers, "cannot build 'singlet': pair singlet"),
+        ("basis:01", 3, DimensionMismatch, "cannot build 'basis:01': need 3 symbols"),
+        (((1.0, 0.0),), 3, DimensionMismatch, "amplitude list has length 1, need 8"),
+        (((0.0, 0.0),) * 8, 3, QregError, "cannot normalize the zero vector"),
+    ],
+)
+def test_named_state_raises_library_errors(entry, n, error, message):
+    # the library's own classes; the CLI names the field (ConfigError)
+    with pytest.raises(error) as info:
+        named_state(entry, n)
+    assert not isinstance(info.value, ConfigError)
+    assert str(info.value).startswith(message)

@@ -164,7 +164,7 @@ def test_apply_on_a_stack_is_the_stacked_applies(structured, n_states):
     model = qubit_register(3)
     with crossover(1 if structured else 10**9):
         liouv = build_liouvillian(model, random_bath(rng, 3))
-    assert isinstance(liouv._form, _GammaForm if structured else _DenseForm)
+        assert isinstance(liouv._form, _GammaForm if structured else _DenseForm)  # chosen now
     stack = np.stack([random_operator(rng, 8) for _ in range(n_states)])
     want = np.stack([liouv.apply(rho) for rho in stack])
     assert liouv.apply(stack).tobytes() == want.tobytes()
