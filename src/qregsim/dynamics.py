@@ -197,27 +197,23 @@ def snapshot_grid(
 class Group:
     """One run of a ``plan``: the initial states it takes together (their
     indices), the form it runs on, which their trajectories record as
-    ``metadata["form"]``, the entries of one state on that form, and the
-    bytes the run is estimated to hold at its peak, the generator's
-    Hamiltonian included.  A ``stacked`` group steps in one stack with the
-    stacked groups of the other generators with its number of terms; its
-    bytes are this generator's share."""
+    ``metadata["form"]``, and the bytes the run is estimated to need at
+    its peak, the generator's Hamiltonian included.  A ``stacked`` group
+    steps in one stack with the stacked groups of the other generators
+    with its number of terms; its bytes are this generator's share."""
 
     states: tuple[int, ...]
     form: str
-    size: int
     bytes: int
     stacked: bool = False
 
 
-def plan(
-    lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None, snapshots: int = 1
-) -> list[Group]:
+def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -> list[Group]:
     """The runs ``evolve_into`` makes of ``states`` (vectors or D x D
     matrices) under a generator with the Lindblad set ``lindblad`` and
     the Hamiltonian ``hamiltonian``, by default the register's own with
-    any Lamb shift, over ``snapshots`` snapshots: the one rule for which
-    form each state runs on and what the run costs.  It builds no
+    any Lamb shift: the one rule for which form each state runs on and
+    what the run costs, whatever its number of snapshots.  It builds no
     generator, layout or table.
 
     * ``rk4``: ``dense``, all states in one stack, for a set that is not
@@ -250,30 +246,28 @@ def plan(
         raise TooLarge(f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {dim}")
     everyone, matrix, n = tuple(range(len(states))), 16 * dim * dim, getattr(model, "n_cells", 0)
     if not everyone or method == "dephasing":
-        return [Group(everyone, "dephasing", dim * dim, 10 * matrix)] if everyone else []
+        return [Group(everyone, "dephasing", 10 * matrix)] if everyone else []
     if method == "rk4" and not lindblad.structured:
         need = _rk4_bytes(lindblad, dim, len(states))
-        return [Group(everyone, "dense", dim * dim, need, dim < STRUCTURED_MIN_DIM)]
+        return [Group(everyone, "dense", need, dim < STRUCTURED_MIN_DIM)]
     keeps = lindblad._q_shifts() is not None and model.dim == dim and _keeps_q(model, hamiltonian)
     if method == "exact":  # the generator, expm's arrays and the term blocks or operators
         sector = keeps and all(_on_blocks(s, n) for s in states)
         size = comb(2 * n, n) if sector else dim * dim
         terms = len(lindblad) * (comb(2 * n, n - 1) if sector else dim * dim)
         need = 16 * (EXPM_MATRICES * size**2 + terms) + (4 + 3 * len(states)) * matrix
-        return [Group(everyone, "blocks" if sector else "dense", size, need)]
+        return [Group(everyone, "blocks" if sector else "dense", need)]
     blocks = keeps and np.array_equal(model.cell_op, SIGMA_MINUS)
     on = tuple(s for s in everyone if blocks and _on_blocks(states[s], n))
-    need = _block_bytes(lindblad, len(on), snapshots)
-    groups = [Group(on, "blocks", comb(2 * n, n), need)] if on else []
+    groups = [Group(on, "blocks", _block_bytes(lindblad, len(on)))] if on else []
     single = _rk4_bytes(lindblad, dim, 1)
-    return groups + [Group((s,), "gamma", dim * dim, single) for s in everyone if s not in on]
+    return groups + [Group((s,), "gamma", single) for s in everyone if s not in on]
 
 
 def run_bytes(plans) -> int:
     """Estimated peak bytes of one ``evolve_into`` call, from the ``plan``
-    of each generator over the run's snapshots: the stacked groups' bytes
-    summed, as their generators wait to step together, plus the largest
-    other group."""
+    of each generator: the stacked groups' bytes summed, as their
+    generators wait to step together, plus the largest other group."""
     groups = [g for groups in plans for g in groups]
     alone = max((g.bytes for g in groups if not g.stacked), default=0)
     return sum(g.bytes for g in groups if g.stacked) + alone
@@ -309,31 +303,30 @@ def _rk4_bytes(lindblad: LindbladSet, dim: int, n_states: int) -> int:
     return form_bytes(lindblad, dim, n_states) + (4 + 5 * n_states) * 16 * dim * dim
 
 
-def _block_bytes(lindblad: LindbladSet, n_states: int, snapshots: int) -> int:
-    """RK4 of n_states states over ``snapshots`` snapshots on the block
-    form of the set's N qubits, the larger of its two phases.  Both hold
-    the Hamiltonian, the layout's index table and the packed states.
-    Building the drift (``drift_blocks``) adds the packed drift with its
-    adjoint and, while it is built, the N x N pair masks and digit tables
-    of the D basis states and the indices and values of one sector's
-    N (N - 1) 2^(N - 2) hops (the build alone peaks at 0.56 MB at N = 8,
+def _block_bytes(lindblad: LindbladSet, n_states: int) -> int:
+    """RK4 of n_states states on the block form of the set's N qubits,
+    the larger of its two phases.  Both keep the Hamiltonian, the layout's
+    index table and the packed states.  Building the drift
+    (``drift_blocks``) adds the packed drift with its adjoint and, while
+    it is built, the N x N pair masks and digit tables of the D basis
+    states and the indices and values of one sector's N (N - 1) 2^(N - 2)
+    hops (the build alone peaks at 0.56 MB at N = 8,
     4.8 MB at N = 10 and 54 MB at N = 12 traced, 0.8-0.9 times its share
     here).  Stepping adds the int32 gather tables (N C(2N, N - 1) entries
-    for X_i per sector, as many at most for the terms), the drift, six
-    packed stacks (snapshot 0, the stage input, the two output stacks and
-    two for temporaries), the buffers kept for the run (``block_buffers``),
-    the other snapshots of a run short enough that they wait for those
-    buffers to be freed (``_Run.rk4``), and two packed arrays for a
-    snapshot's check and the sink's blocks of H."""
-    n = lindblad.model.n_cells
+    for X_i per Q shift of a sector with terms, as many at most for the
+    terms), the drift, six packed stacks (snapshot 0, the stage input, the
+    two output stacks and two for temporaries), the buffers kept for the
+    run (``block_buffers``), and two packed arrays for a snapshot's check
+    and the sink's blocks of H.  Every snapshot but 0 goes to the sink as
+    its step ends (``_Run.rk4``), so the count of snapshots adds nothing."""
+    n, shifts = lindblad.model.n_cells, lindblad._q_shifts().values()
     dim, size, half = 2**n, comb(2 * n, n), comb(2 * n, n - 1)
     hops = n * (n - 1) * dim // 4
-    buffers = sum(prod(shape) for shape in block_buffers(n, lindblad.sectors, n_states).values())
+    buffers = sum(prod(shape) for shape in block_buffers(n, shifts, n_states).values())
     stack = n_states * size
-    waiting = (snapshots - 1) * stack if snapshots * stack <= buffers + 2 * stack else 0
     drift = 16 * 2 * size + dim * (3 * n * n + n + 48) + 112 * hops
-    tables = 8 * n * half * len(lindblad.sectors)
-    stepping = tables + 16 * (2 * size + 6 * stack + buffers + waiting + 2 * size)
+    tables = 8 * n * half * len(shifts)
+    stepping = tables + 16 * (2 * size + 6 * stack + buffers + 2 * size)
     return 16 * dim * dim + 8 * size + 16 * stack + max(drift, stepping)
 
 
@@ -350,9 +343,9 @@ class _FullStack:
         return np.stack([_density(s) for s in states])
 
     def stepper(self, rho):
-        """(f, None, None, 0) for ``_Run.rk4``: f(x, out) = L(x), a new
-        array, and no buffer kept for the run."""
-        return (lambda x, out: self.apply(x)), None, None, 0
+        """(f, None, None) for ``_Run.rk4``: f(x, out) = L(x), a new array;
+        no buffer is kept for the run."""
+        return (lambda x, out: self.apply(x)), None, None
 
     def trace(self, rho):
         return rho.trace(axis1=1, axis2=2)
@@ -428,21 +421,18 @@ class _Run:
         (``stack.stepper``).  The trace check, re-Hermitization,
         renormalization and ``error_estimate`` are per state.
 
-        Each snapshot goes to the sink when its step is done, with two
-        exceptions, kept packed: snapshot 0 waits for the first step's
-        trace check, so a state whose trace is off is named with the step
-        and state that drifted; and when all the run's snapshots take no
-        more bytes than the buffers kept for it (a short block-form run),
-        they wait until those buffers are freed.
+        Each snapshot goes to the sink when its step is done, except
+        snapshot 0, kept packed until the first step's trace check, so a
+        state whose trace is off is named with the step and state that
+        drifted; a run with no step emits it after the loop.
         """
         h, steps = self.h, self.steps
         rows = [(liouv, p, s) for p, liouv in points for s in states]
         rho = stack.pack([self.rhos[s] for _, _, s in rows])
         n_steps = int(steps[-1])
         # no step, no buffers: a block form builds no tables for snapshot 0
-        f, acc_out, k_out, kept_bytes = stack.stepper(rho) if n_steps else (None,) * 3 + (0,)
-        hold = rho.nbytes * len(steps) <= kept_bytes
-        pending = [rho.copy()]  # packed snapshots 0, 1, ... not yet emitted
+        f, acc_out, k_out = stack.stepper(rho) if n_steps else (None,) * 3
+        pending = [rho.copy()]  # snapshot 0, until the first trace check
         kept = 1
         half, sixth = 0.5 * h, h / 6.0
         stage = np.empty_like(rho)
@@ -478,22 +468,17 @@ class _Run:
                     f"in {where}; reduce dt"
                 )
             max_drift = [max(m, d) for m, d in zip(max_drift, drift)]
-            if pending and not hold:
+            if pending:
                 self.emit_stack(rows, 0, pending.pop(), stack.layout)
             stack.adjoint(rho, stage)
             stage += rho
             stage *= 0.5
             np.divide(stage, np.array([t.real for t in tr]).reshape(norm_shape), out=rho)
             if k == steps[kept]:
-                if hold:
-                    pending.append(rho.copy())
-                else:
-                    self.emit_stack(rows, kept, rho, stack.layout)
+                self.emit_stack(rows, kept, rho, stack.layout)
                 kept += 1
-        # free the stepping buffers before the held snapshots go to the sink
-        f = acc = acc_out = k_out = stage = rho = None
-        for k, packed in enumerate(pending):
-            self.emit_stack(rows, k, packed, stack.layout)
+        for packed in pending:
+            self.emit_stack(rows, 0, packed, stack.layout)
         for (_, p, s), drift in zip(rows, max_drift):
             self.metas[p][s] = {
                 "method": "rk4",
@@ -655,7 +640,7 @@ def evolve_into(
         elif liouv.dim != dim:
             raise DimensionMismatch(f"generator {p} has D = {liouv.dim}, not {dim}")
         run.metas.append([None] * len(run.rhos))
-        groups = plan(liouv.lindblad, run.rhos, method, liouv.hamiltonian, len(steps))
+        groups = plan(liouv.lindblad, run.rhos, method, liouv.hamiltonian)
         if method == "rk4" and groups:
             _check_step(liouv, h, steps)
         for group in groups:

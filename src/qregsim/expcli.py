@@ -339,8 +339,8 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
     first sized with no bath (``build_bytes``, or ``rates_bytes`` with no
     terms), a lower bound that reads n alone, so an oversized one is
     refused before a bath builds its N x N matrices.  Then each bath
-    point's canonical set sizes the run: simulate by its ``plan`` over the
-    snapshots (``run_bytes``), codes by ``code_bytes``, each with a ring
+    point's canonical set sizes the run: simulate by its ``plan``
+    (``run_bytes``), codes by ``code_bytes``, each with a ring
     interaction's builder on top (``setup_bytes``), and tau_sweep by
     ``rates_bytes``, which counts the states and the ring itself.
     """
@@ -396,7 +396,7 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
     if cfg.experiment == "simulate":
         steps = snapshot_grid(solver["t_end"], solver["dt"], solver["stride"])[1]
         table = 16 * (1 + 3 * len(sets) * len(psis)) * len(steps)  # series and columns
-        plans = [plan(lset, psis, method, None, len(steps)) for lset in sets]
+        plans = [plan(lset, psis, method) for lset in sets]
         need = max(build_bytes(model), run_bytes(plans)) + extra
         _library("register.n", check_budget, need + table, what)
     return psis

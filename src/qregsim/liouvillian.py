@@ -895,14 +895,14 @@ class _BlockForm:
     @cached_property
     def _tables(self):
         """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
-        terms (its Q shift s, G^T, its gather tables); for sigma- cells s is
-        the sector's -1 or +1."""
-        layout = self.layout
+        terms (its Q shift s, G^T, the gather tables of s), s from
+        ``LindbladSet._q_shifts``."""
+        layout, shifts = self.layout, self.lindblad._q_shifts()
         drift = drift_blocks(self.h, self.lindblad, layout)
         return (
             [(b, dag(b)) for b in drift],
             [
-                (sector, np.ascontiguousarray(g.T), layout.gather_tables(sector))
+                (shifts[sector], np.ascontiguousarray(g.T), layout.gather_tables(shifts[sector]))
                 for sector, g in _sector_gammas(self.lindblad)
             ],
         )
@@ -924,9 +924,9 @@ class _BlockForm:
         return packed
 
     def stepper(self, rho):
-        """(f, out, out2, kept) for the RK4 stepper: f(x, out) = L(x)
-        written to out, one of the two output stacks of rho's shape, through
-        one set of buffers; kept is the bytes of all three.
+        """(f, out, out2) for the RK4 stepper: f(x, out) = L(x) written to
+        out, one of the two output stacks of rho's shape, through one set
+        of buffers kept for the run.
 
         The buffers (``block_buffers``) are the state with a trailing zero
         entry, one scratch of the largest block, and the sandwich's X_i,
@@ -936,9 +936,8 @@ class _BlockForm:
         shifts = [s for s, _, _ in self._tables[1]]  # tables built first
         shapes = block_buffers(self.layout.n, shifts, rho.shape[0])
         work = {k: np.zeros(shape, dtype=complex) for k, shape in shapes.items()}
-        kept = sum(a.nbytes for a in work.values()) + 2 * rho.nbytes
         f = lambda x, out: self.apply(x, out, work)  # noqa: E731
-        return f, np.empty_like(rho), np.empty_like(rho), kept
+        return f, np.empty_like(rho), np.empty_like(rho)
 
     def apply(self, rho: np.ndarray, out: np.ndarray, work: dict) -> np.ndarray:
         """L(rho) for the (S, M) stack rho, into ``out``, through the

@@ -11,7 +11,7 @@ fallbacks, and its generator against the column build and the pairwise
 dissipator."""
 
 import tracemalloc
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -45,6 +45,8 @@ from qregsim.observables import fidelity, linear_entropy, register_energy
 from qregsim.register import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_Z,
+    RegisterModel,
     dephasing_register,
     embed_cell_op,
     excitation_numbers,
@@ -73,10 +75,14 @@ def block_diagonal(rho: np.ndarray) -> np.ndarray:
 
 def block_apply(liouv, rho: np.ndarray) -> np.ndarray:
     assert [g.form for g in plan(liouv.lindblad, [rho], "rk4", liouv.hamiltonian)] == ["blocks"]
-    form = _BlockForm(liouv)
+    return packed_apply(_BlockForm(liouv), rho)
+
+
+def packed_apply(form: _BlockForm, rho: np.ndarray) -> np.ndarray:
+    """The block form's apply on rho's packed blocks, unpacked."""
     layout = form.layout
     packed = layout.pack(rho)[None]
-    f, out, _, _ = form.stepper(packed)
+    f, out, _ = form.stepper(packed)
     return layout.unpack(f(packed, out))[0]
 
 
@@ -155,6 +161,26 @@ def test_blocks_without_a_lindblad_sector(ring):
     liouv = build_liouvillian(model, spec)
     assert len(liouv.lindblad) == 0
     assert form_of(liouv, pair_singlet_state(n)) == "blocks"
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_blocks_on_sigma_plus_cells_take_each_sectors_q_shift(n):
+    # The plan runs sigma- cells alone on blocks, but the form reads each
+    # sector's Q shift: with sigma+ cells the -1 sector raises Q and the +1
+    # sector lowers it, so a sandwich keyed by the sector would be wrong.
+    eps = 1.0
+    model = RegisterModel(
+        n_cells=n, cell_dim=2, cell_op=SIGMA_PLUS, cell_hamiltonian=-eps * SIGMA_Z, epsilon=eps
+    )
+    rng = rng_for(f"sigma-plus-{n}")
+    spec = with_lamb_shift(random_bath(rng, n), 0.4)
+    liouv = build_liouvillian(model, spec)
+    assert liouv.lindblad._q_shifts() == {-1: 1, 1: -1}
+    rho = block_diagonal(random_operator(rng, model.dim))
+    got = packed_apply(_BlockForm(liouv), rho)
+    h = liouv.hamiltonian
+    want = pairwise_dissipator(model, spec, rho) - 1j * (h @ rho - rho @ h)
+    assert np.abs(got - want).max() <= TOL * max(1.0, float(np.abs(want).max()))
 
 
 def term_block_drift(liouv, layout) -> list:
@@ -387,16 +413,15 @@ def test_block_workspace_is_bounded_by_the_chunk_budget(n):
     # most SANDWICH_CHUNK_ENTRIES entries per state; unchunked they took a
     # whole sector, X_i alone N C(2N, N - 1) entries per state.
     liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
-    form = _BlockForm(liouv)
-    layout, n_states = form.layout, 2
-    rho = np.zeros((n_states, layout.size), dtype=complex)
+    layout, n_states = excitation_layout(n), 2
+    shapes = liouvillian.block_buffers(n, liouv.lindblad._q_shifts().values(), n_states)
     try:
-        kept = form.stepper(rho)[3]
         tables = layout.gather_tables(-1)
     finally:
         excitation_layout.cache_clear()
-    # the two output stacks, the padded state and the largest block's scratch
-    stacks = 2 * rho.nbytes + n_states * 16 * (layout.size + 1 + int(layout.sizes.max()) ** 2)
+    kept = 16 * sum(prod(shape) for shape in shapes.values())
+    # the padded state and the largest block's scratch
+    stacks = n_states * 16 * (layout.size + 1 + int(layout.sizes.max()) ** 2)
     sandwich = kept - stacks
     assert 0 < sandwich <= 3 * n_states * 16 * liouvillian.SANDWICH_CHUNK_ENTRIES
     whole = n_states * 16 * sum(2 * x.size + g.size for x, (g, _) in tables)

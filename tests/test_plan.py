@@ -6,6 +6,7 @@ CLI refuses, at load and before any large allocation, exactly the runs
 whose estimate is over the 2 GiB budget."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.ma  # noqa: F401  (numpy imports it on a first call; not a run's cost)
@@ -14,7 +15,7 @@ import yaml
 
 from qregsim import build_liouvillian, dicke_state, evolve, expcli, liouvillian
 from qregsim.bath import exponential_decay
-from qregsim.dynamics import plan, run_bytes, snapshot_grid
+from qregsim.dynamics import plan, run_bytes
 from qregsim.register import _digit_table, dephasing_register, excitation_sectors, qubit_register
 
 from helpers import random_pure_state, rng_for
@@ -128,71 +129,40 @@ def test_gamma_run_fits_its_plan():
 
 
 @pytest.mark.parametrize(
-    "raw, before",
+    "raw, bound",
     [
-        (simulate(8, ["singlet", "symmetric"]), 1.51),
-        (simulate(8, ["singlet", "symmetric"], t_end=0.4), 1.57),
-        (simulate(10, ["singlet", "symmetric"], dt=0.01, t_end=0.02), 1.26),
-        # the most snapshots that wait at N = 8: 12, 4.3 MiB of the peak
-        (simulate(8, ["singlet", "symmetric"], t_end=0.22), 2.0),
+        (simulate(8, ["singlet", "symmetric"]), 1.2),
+        (simulate(8, ["singlet", "symmetric"], t_end=0.4), 1.2),
+        (simulate(10, ["singlet", "symmetric"], dt=0.01, t_end=0.02), 1.25),
+        (simulate(8, ["singlet", "symmetric"], t_end=0.22), 1.2),
     ],
     ids=["blocks8", "blocks8_20_steps", "blocks10", "blocks8_12_snapshots"],
 )
-def test_block_plan_counts_the_snapshots_that_wait(raw, before):
-    """A short block run's snapshots wait for the stepping buffers to be
-    freed: the plan over the run's snapshots covers the traced runner and,
-    on the CI's runs, is tighter than counting the buffers twice was
-    (``before``, need / peak then)."""
+def test_block_plan_covers_the_traced_run(raw, bound):
+    """Every block run's snapshot goes to the sink as its step ends, so one
+    plan, whatever the number of snapshots, covers the traced runner within
+    ``bound`` times its peak (need / peak measured 1.11-1.20)."""
     cfg = expcli.config_from_dict(raw)
     model = expcli.build_register(cfg)
     lset = liouvillian.canonical_form(model, expcli.build_bath(cfg))
     psis = [expcli.build_state(s, model) for s in cfg.initial_states]
-    steps = snapshot_grid(cfg.solver["t_end"], cfg.solver["dt"], cfg.solver["stride"])[1]
-    groups = plan(lset, psis, "rk4", None, len(steps))
+    groups = plan(lset, psis, "rk4")
     assert [g.form for g in groups] == ["blocks"]
     cold_caches()
     try:
         _, peak = traced(lambda: expcli.run_simulate(cfg))
     finally:
         cold_caches()
-    assert peak <= run_bytes([groups]) < before * peak
+    assert peak <= run_bytes([groups]) < bound * peak
+
+
+# the simulate configs of the CI's "CLI under python -O" step, one file each
+CI_CONFIGS = Path(__file__).parent / "configs"
 
 
 def _ci_configs() -> dict:
-    """The simulate configs of the CI's "CLI under python -O" step."""
-    xi = {"parameter": "bath.xi", "values": [1.0, 10.0]}
-    return {
-        "blocks8": simulate(8, ["singlet", "symmetric"]),
-        "blocks8lamb": simulate(8, ["singlet", "symmetric"], bath=dict(BATH, delta_ratio=0.5)),
-        "blocks10": simulate(10, ["singlet", "symmetric"], dt=0.01, t_end=0.02),
-        "checks6": simulate(6, ["uniform", "symmetric"], t_end=0.1),
-        "sweep6": simulate(
-            6, ["uniform", "symmetric"], t_end=0.1, sweep=dict(xi, values=[0.5, 2.0])
-        ),
-        "stacked4": simulate(
-            4,
-            ["singlet", "symmetric"],
-            bath={"model": "exponential", "gamma_minus": 0.1, "xi": 2.0},
-            sweep={"parameter": "bath.gamma_plus", "values": [0.0, 0.02]},
-            dt=0.01,
-            t_end=1.0,
-            stride=10,
-        ),
-        "exact3": simulate(3, ["uniform"], "exact", dt=0.01, t_end=5.0, stride=100),
-        "exact4": simulate(4, ["singlet", "symmetric"], "exact", sweep=xi, **LONG),
-        "exact5": simulate(5, ["su2:0.5,0.5", "symmetric"], "exact", sweep=xi, **LONG),
-        "deph6": simulate(
-            6,
-            ["uniform", "singlet"],
-            "dephasing",
-            "dephasing",
-            bath=dict(BATH, delta_ratio=0.5),
-            sweep=dict(xi, values=[0.5, 2.0]),
-            dt=0.05,
-            t_end=2.0,
-            stride=4,
-        ),
-    }
+    """Each CI simulate config's name and the path of its YAML file."""
+    return {path.stem: path for path in sorted(CI_CONFIGS.glob("*.yaml"))}
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", *_ci_configs()])
@@ -203,7 +173,7 @@ def test_the_plan_made_at_load_is_what_runs(name, monkeypatch):
     if name.startswith("fig"):
         cfg = expcli.load_preset(name)
     else:
-        cfg = expcli.config_from_dict(_ci_configs()[name])
+        cfg = expcli.parse_config(_ci_configs()[name].read_text())
     # per bath point, each state's form; a plan of no states only checks the method
     load = [
         [next(g.form for g in groups if s in g.states) for s in range(len(cfg.initial_states))]

@@ -288,15 +288,24 @@ def test_dense_sweep_peak_holds_no_snapshots():
     assert three - one < snapshots
 
 
-@pytest.mark.parametrize("t_end", [0.04, 0.6], ids=["held", "streamed"])
+@pytest.mark.parametrize("t_end", [0.04, 0.6], ids=["3_snapshots", "31_snapshots"])
 def test_block_sweep_peak_does_not_grow_with_points(t_end):
     # N = 8 on excitation blocks: each generator is built, run and dropped
     # before the next, so a second point adds less than one D x D array (a
-    # generator holds at least its Hamiltonian).  3 snapshots per state wait
-    # packed for the workspace to be freed; 31 go to the sink as they come.
+    # generator holds at least its Hamiltonian).  Every snapshot goes to the
+    # sink as its step ends.
     one = simulate_peak(8, [1.0], t_end, 0.02)
     two = simulate_peak(8, [1.0, 10.0], t_end, 0.02)
     assert two - one < 16 * 256**2
+
+
+def test_block_run_peak_does_not_grow_with_snapshots():
+    # N = 8, 2 states on blocks: 12 snapshots per state against 3.  Each
+    # goes to the sink as its step ends, so the longer run holds no more
+    # than one more packed stack (2 C(16, 8) entries).
+    three = simulate_peak(8, [1.0], 0.04, 0.02)
+    twelve = simulate_peak(8, [1.0], 0.22, 0.02)
+    assert twelve - three < 2 * 16 * excitation_layout(8).size
 
 
 def test_ten_cell_block_run_peak():
@@ -327,12 +336,11 @@ def test_ten_cell_block_run_peak():
     assert peak <= 160e6
 
 
-@pytest.mark.parametrize("t_end, held", [(0.04, True), (0.8, False)])
-def test_block_snapshots_wait_packed_only_in_short_runs(t_end, held, monkeypatch):
-    # N = 6, 2 states: 3 packed snapshots (89 KB) fit in the 494 KB of
-    # workspace and stacks the run keeps, 41 (1.2 MB) do not.  Held ones reach the sink
-    # after the last apply, the others as their step ends; snapshot 0 after
-    # the first step's trace check.
+@pytest.mark.parametrize("t_end", [0.04, 0.8])
+def test_block_snapshots_reach_the_sink_as_their_steps_end(t_end, monkeypatch):
+    # N = 6, 2 states on blocks, 3 or 41 snapshots: snapshot k >= 1 reaches
+    # the sink after its step's four applies, snapshot 0 after the first
+    # step's trace check.
     liouv = build_liouvillian(qubit_register(6), exponential_decay(6, 0.1, 0.02, 1.0))
     psis = [dicke_state(6, 3), dicke_state(6, 2)]
     applies, seen = [], []
@@ -349,12 +357,8 @@ def test_block_snapshots_wait_packed_only_in_short_runs(t_end, held, monkeypatch
     (metas,) = evolve_into(liouv, psis, sink, t_end, 0.02, 1)
     assert [m["form"] for m in metas] == ["blocks", "blocks"]
     n_steps = round(t_end / 0.02)
-    if held:
-        want = [(k, s, 4 * n_steps) for k in range(n_steps + 1) for s in (0, 1)]
-    else:
-        want = [(k, s, 4 * max(k, 1)) for k in range(n_steps + 1) for s in (0, 1)]
-    assert seen == want
-    # both ways give the snapshots evolve stores
+    assert seen == [(k, s, 4 * max(k, 1)) for k in range(n_steps + 1) for s in (0, 1)]
+    # bitwise the snapshots evolve stores
     for s, traj in enumerate(evolve(liouv, psis, t_end, 0.02, 1)):
         for k, state in enumerate(traj.states):
             assert state.tobytes() == snaps[s, k].tobytes()
