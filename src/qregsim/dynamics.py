@@ -23,10 +23,11 @@ closed-form groups build the D x D matrix.
 
 ``evolve_into`` is the one entry point: every solver hands each snapshot,
 checked once by ``check_state``, to a sink.  A packed snapshot is checked
-on its blocks and goes to the sink packed, with its layout; the
-observables take it as it is.  ``evolve`` unpacks and stores them in
-Trajectories, ``integrate`` is ``evolve`` of one state, and the CLI's
-runner turns them into observables as they come.
+on its blocks and goes to the sink packed, with its layout, in float64
+from a real block run; the observables take it as it is.  ``evolve``
+unpacks and stores them in Trajectories, ``integrate`` is ``evolve`` of
+one state, and the CLI's runner turns them into observables as they
+come.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ from .liouvillian import (
     Liouvillian,
     _BlockForm,
     _DenseForm,
+    _left_moves,
+    _sector_gammas,
     add_elementwise_rates,
     block_buffers,
     check_budget,
@@ -76,7 +79,7 @@ from .liouvillian import (
     form_bytes,
     superoperator_matrix,
 )
-from .register import SIGMA_MINUS, RegisterModel, excitation_sectors, register_hamiltonian
+from .register import RegisterModel, excitation_sectors, register_hamiltonian
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -200,12 +203,15 @@ class Group:
     ``metadata["form"]``, and the bytes the run is estimated to need at
     its peak, the generator's Hamiltonian included.  A ``stacked`` group
     steps in one stack with the stacked groups of the other generators
-    with its number of terms; its bytes are this generator's share."""
+    with its number of terms; its bytes are this generator's share.  A
+    ``real`` group, always ``blocks``, steps in float64: the plan found
+    that its run stays real (``_stays_real``)."""
 
     states: tuple[int, ...]
     form: str
     bytes: int
     stacked: bool = False
+    real: bool = False
 
 
 def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -> list[Group]:
@@ -219,9 +225,16 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
     * ``rk4``: ``dense``, all states in one stack, for a set that is not
       ``structured``, ``stacked`` with the other generators of its K below
       STRUCTURED_MIN_DIM.  For a structured set, ``blocks``, the states
-      with no entry between different excitation numbers Q together on
-      the packed blocks, when the cells are sigma- and the generator keeps
-      Q; and ``gamma``, one run per other state.
+      with no entry between different excitation numbers Q on the packed
+      blocks, when the cell operator has one nonzero entry, off the
+      diagonal and equal to 1 (sigma- or sigma+, the digit moves
+      ``ExcitationBlocks.moves`` tables) and the generator keeps Q; and
+      ``gamma``, one run per other state.  The block states run as two
+      groups at most: the ``real`` one, the states with no nonzero
+      imaginary part when the generator keeps real states real
+      (``_stays_real``), stepped in float64, and the others, in complex
+      arithmetic.  A state never steps in a stack of the other dtype, so
+      stacked stays bitwise equal to alone.
     * ``exact`` (TooLarge beyond D = SUPEROP_MAX_DIM): ``blocks``, all
       states on the C(2N, N) packed sector, when the generator keeps Q and
       every state has no entry between different Q; otherwise ``dense``,
@@ -236,7 +249,10 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
     cells, whose register checks the step condition and that an
     interaction commutes with S^z and S^+.  A state vector has no such
     entry when its nonzero entries share one Q.  States are tested only
-    where the rule reads them, each once.
+    where the rule reads them, each once.  With ``hamiltonian`` None a
+    set whose bath has a Lamb shift (``LindbladSet.has_lamb_shift``) is
+    taken to have complex block runs, as the load check cannot read the
+    shift's blocks: its estimate is then an upper bound.
     """
     if method not in METHODS:
         raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
@@ -257,9 +273,16 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
         terms = len(lindblad) * (comb(2 * n, n - 1) if sector else dim * dim)
         need = 16 * (EXPM_MATRICES * size**2 + terms) + (4 + 3 * len(states)) * matrix
         return [Group(everyone, "blocks" if sector else "dense", need)]
-    blocks = keeps and np.array_equal(model.cell_op, SIGMA_MINUS)
-    on = tuple(s for s in everyone if blocks and _on_blocks(states[s], n))
-    groups = [Group(on, "blocks", _block_bytes(lindblad, len(on)))] if on else []
+    # one move between the two levels, of coefficient 1: what the tables take
+    blocks = keeps and [(to != frm, c) for to, frm, c in _left_moves(model.cell_op)] == [(True, 1)]
+    on = [s for s in everyone if blocks and _on_blocks(states[s], n)]
+    real = [s for s in on if not np.any(np.imag(states[s]))]
+    if not (real and _stays_real(lindblad, hamiltonian)):
+        real = []
+    parts = ((real, True), ([s for s in on if s not in real], False))
+    groups = [
+        Group(tuple(p), "blocks", _block_bytes(lindblad, len(p), r), real=r) for p, r in parts if p
+    ]
     single = _rk4_bytes(lindblad, dim, 1)
     return groups + [Group((s,), "gamma", single) for s in everyone if s not in on]
 
@@ -295,6 +318,29 @@ def _keeps_q(model: RegisterModel, hamiltonian) -> bool:
     return _on_blocks(hamiltonian, model.n_cells)
 
 
+def _stays_real(lindblad: LindbladSet, hamiltonian) -> bool:
+    """Whether the block form of this generator maps real states to real
+    ones (``plan``): every sector's G is real (``_sector_gammas``), and
+    ``hamiltonian``, by default the register's own with any Lamb shift, is
+    diagonal with one real energy per Q, so that iH_q = i c_q I cancels in
+    -B_q rho_q - rho_q B_q^+.  The register's own H is, with no Lamb
+    shift, when its interaction is: its cells' diagonal H^C gives every
+    state of one Q the same energy."""
+    if any(np.iscomplexobj(g) for _, g in _sector_gammas(lindblad)):
+        return False
+    model = lindblad.model
+    if hamiltonian is None:
+        if lindblad.has_lamb_shift or np.any(np.diagonal(model.cell_hamiltonian).imag):
+            return False
+        hamiltonian = model.interaction
+    if hamiltonian is None:
+        return True
+    energies = exact_diagonal(hamiltonian)
+    if energies is None or np.any(energies.imag):
+        return False
+    return all(np.all(energies[s] == energies[s[0]]) for s in excitation_sectors(model.n_cells)[0])
+
+
 def _rk4_bytes(lindblad: LindbladSet, dim: int, n_states: int) -> int:
     """RK4 of n_states D x D states on the dense or Gamma form: the form
     and its applies (``form_bytes``), the Hamiltonian, five stacks (the
@@ -303,31 +349,38 @@ def _rk4_bytes(lindblad: LindbladSet, dim: int, n_states: int) -> int:
     return form_bytes(lindblad, dim, n_states) + (4 + 5 * n_states) * 16 * dim * dim
 
 
-def _block_bytes(lindblad: LindbladSet, n_states: int) -> int:
+def _block_bytes(lindblad: LindbladSet, n_states: int, real: bool = False) -> int:
     """RK4 of n_states states on the block form of the set's N qubits,
-    the larger of its two phases.  Both keep the Hamiltonian, the layout's
+    the larger of its two phases, with entries of 8 bytes for a ``real``
+    run and 16 otherwise.  Both phases keep the Hamiltonian, the layout's
     index table and the packed states.  Building the drift
-    (``drift_blocks``) adds the packed drift with its adjoint and, while
-    it is built, the N x N pair masks and digit tables of the D basis
-    states and the indices and values of one sector's N (N - 1) 2^(N - 2)
-    hops (the build alone peaks at 0.56 MB at N = 8,
+    (``drift_blocks``, complex either way) adds the packed drift with its
+    adjoint and, while it is built, the N x N pair masks and digit tables
+    of the D basis states and the indices and values of one sector's
+    N (N - 1) 2^(N - 2) hops (the build alone peaks at 0.56 MB at N = 8,
     4.8 MB at N = 10 and 54 MB at N = 12 traced, 0.8-0.9 times its share
     here).  Stepping adds the int32 gather tables (N C(2N, N - 1) entries
     for X_i per Q shift of a sector with terms, as many at most for the
-    terms), the drift, six packed stacks (snapshot 0, the stage input, the
-    two output stacks and two for temporaries), the buffers kept for the
-    run (``block_buffers``), and two packed arrays for a snapshot's check
-    and the sink's blocks of H.  Every snapshot but 0 goes to the sink as
-    its step ends (``_Run.rk4``), so the count of snapshots adds nothing."""
-    n, shifts = lindblad.model.n_cells, lindblad._q_shifts().values()
+    terms) and the intp copy ``np.take`` makes of one chunk's table, the
+    drift and, unless real, its adjoint (a real one's is a view), six
+    packed stacks (snapshot 0, the stage input, the two output stacks and
+    two for temporaries), the buffers kept for the run
+    (``block_buffers``), a packed array for a snapshot's check and the
+    sink's blocks of H, complex (``Liouvillian.hamiltonian_blocks``).
+    Every snapshot but 0 goes to the sink as its step ends (``_Run.rk4``),
+    so the count of snapshots adds nothing."""
+    n, shifts, entry = lindblad.model.n_cells, lindblad._q_shifts().values(), 8 if real else 16
     dim, size, half = 2**n, comb(2 * n, n), comb(2 * n, n - 1)
     hops = n * (n - 1) * dim // 4
-    buffers = sum(prod(shape) for shape in block_buffers(n, shifts, n_states).values())
+    shapes = block_buffers(n, shifts, n_states)
+    buffers = sum(prod(shape) for shape in shapes.values())
+    casts = 8 * max((prod(shapes[k]) for k in ("x", "terms") if k in shapes), default=0) // n_states
     stack = n_states * size
     drift = 16 * 2 * size + dim * (3 * n * n + n + 48) + 112 * hops
-    tables = 8 * n * half * len(shifts)
-    stepping = tables + 16 * (2 * size + 6 * stack + buffers + 2 * size)
-    return 16 * dim * dim + 8 * size + 16 * stack + max(drift, stepping)
+    tables = 8 * n * half * len(shifts) + casts
+    drift_kept = size if real else 2 * size
+    stepping = tables + entry * (drift_kept + 6 * stack + buffers + size) + 16 * size
+    return 16 * dim * dim + 8 * size + entry * stack + max(drift, stepping)
 
 
 class _FullStack:
@@ -387,7 +440,7 @@ class _Run:
             self.exact(p, liouv, group.form)
         else:
             if group.form == "blocks":
-                stack = _BlockForm(liouv)
+                stack = _BlockForm(liouv, float if group.real else complex)
             elif len(points) > 1:
                 form = _DenseForm([(g.hamiltonian, g.lindblad) for _, g in points])
                 stack = _FullStack(form.apply, group.form)
@@ -410,8 +463,10 @@ class _Run:
         generator) pairs), point-major, all in one array.
 
         ``stack`` is the layout: the (R, D, D) stack of the dense and Gamma
-        forms, or the packed excitation blocks of the block form, whose
-        snapshots are checked and handed to the sink packed.  Every stage
+        forms, or the packed excitation blocks of the block form, complex or
+        float64 (``Group.real``), whose snapshots are checked and handed to
+        the sink packed.  Every array below takes the dtype of the packed
+        states.  Every stage
         input and the sum k1 + 2k2 + 2k3 + k4 are built in place, left to
         right, with the operations and operand order of stepping each state
         alone, so each state's snapshots are bitwise the single-state ones.
@@ -610,8 +665,9 @@ def evolve_into(
     stack): D x D with ``layout`` None, or, on the block form, its packed
     blocks on ``layout`` (an ``ExcitationBlocks``), which the observables
     and ``check_state`` take with ``layout=``, and ``layout.unpack`` turns
-    into the D x D matrix.  Returns each generator's metadata, one dict per
-    state, in input order.
+    into the D x D matrix.  Packed blocks are float64 when the plan runs
+    the group real (``Group.real``), complex otherwise.  Returns each
+    generator's metadata, one dict per state, in input order.
 
     Each generator runs its ``plan``: the one rule for which form each
     state runs on, and the bytes each run needs, which ``check_budget``
@@ -879,8 +935,9 @@ def _packed_report(packed: np.ndarray, layout) -> dict[str, float]:
 def check_state(rho: np.ndarray, layout=None) -> None:
     """Raise UnstableStep unless rho satisfies the state invariants:
     |tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect <= 1e-9.
-    rho is D x D, or its packed blocks on ``layout``; a large
-    block-diagonal rho is checked block by block (``state_defect_report``).
+    rho is D x D, or its packed blocks on ``layout``, complex or real; a
+    large block-diagonal rho is checked block by block
+    (``state_defect_report``).
     """
     rep = state_defect_report(rho, layout)
     if rep["trace_defect"] > 1e-8:

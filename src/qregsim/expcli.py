@@ -396,7 +396,11 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
     if cfg.experiment == "simulate":
         steps = snapshot_grid(solver["t_end"], solver["dt"], solver["stride"])[1]
         table = 16 * (1 + 3 * len(sets) * len(psis)) * len(steps)  # series and columns
-        plans = [plan(lset, psis, method) for lset in sets]
+        # The load register has no ring, and a ring's H_q are not multiples
+        # of the identity, so its block runs are complex: the plan sees the
+        # states with a phase, which keeps their blocks.
+        planned = [1j * psi for psi in psis] if ring else psis
+        plans = [plan(lset, planned, method) for lset in sets]
         need = max(build_bytes(model), run_bytes(plans)) + extra
         _library("register.n", check_budget, need + table, what)
     return psis
@@ -676,10 +680,6 @@ def run_codes(cfg: ExperimentConfig) -> ResultTable:
 # --------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 @contextlib.contextmanager
 def _rewrite(path: Path, newline: str | None = None):
     """A text stream that writes ``path`` over its old bytes, in place.
@@ -700,11 +700,12 @@ def _rewrite(path: Path, newline: str | None = None):
 
 
 def _write_csv(path: Path, columns, values) -> None:
+    """The header, then each row of ``values`` as floats: ``csv`` writes a
+    float as its ``repr``, the shortest text that reads back to it."""
     with _rewrite(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(columns)
-        for row in values:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(np.asarray(values, dtype=float).tolist())
 
 
 # Simulate plots by output name: the observable, and for a sweep the two
@@ -797,7 +798,7 @@ def emit_outputs(
                     header = []
                     for j in range(basis.shape[1]):
                         header += [f"col{j}_re", f"col{j}_im"]
-                    _write_csv(bpath, header, basis.reshape(basis.shape[0], -1).tolist())
+                    _write_csv(bpath, header, basis.reshape(basis.shape[0], -1))
                     written.append(bpath)
         if "json" in formats:
             path = directory / f"{name}.json"

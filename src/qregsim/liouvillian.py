@@ -47,7 +47,8 @@ per chunk of L entries of consecutive rows of the half-sector blocks, at
 most SANDWICH_CHUNK_ENTRIES / N, so its buffers do not grow with N.  The
 drift is built on the form's first use, never by ``build_liouvillian``;
 the int32 index tables depend on N alone and are kept with the layout
-(``ExcitationBlocks.gather_tables``).
+(``ExcitationBlocks.gather_tables``).  A run that stays real (real
+states, every G real, H_q = c_q I) steps the same code in float64.
 
 Which form a run takes, and its bytes, is ``dynamics.plan``'s rule; this
 module supplies the forms and their sizes (``form_bytes``,
@@ -202,11 +203,14 @@ class LindbladSet:
 
     ``model`` is the register whose cell operators the terms combine; when
     it is set and every term carries its weights, the set can be applied
-    in the structured Gamma form.
+    in the structured Gamma form.  ``has_lamb_shift`` records whether the
+    bath the set was built from has a Lamb shift (``canonical_form``), the
+    part of the generator's default Hamiltonian the terms do not carry.
     """
 
     terms: tuple[LindbladTerm, ...]
     model: RegisterModel | None = field(default=None, repr=False, compare=False)
+    has_lamb_shift: bool = field(default=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.terms)
@@ -395,7 +399,7 @@ def canonical_form(model: RegisterModel, spec: BathSpec) -> LindbladSet:
             if lam <= RATE_CUTOFF * max_rate or lam == 0.0:
                 continue
             terms.append(LindbladTerm(lam, None, sector, v[:, mu].copy(), model))
-    return LindbladSet(terms=tuple(terms), model=model)
+    return LindbladSet(terms=tuple(terms), model=model, has_lamb_shift=spec.has_lamb_shift)
 
 
 def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
@@ -542,8 +546,9 @@ def add_elementwise_rates(
 
 
 def _contract(g: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out = g @ x for N x D^2 complex x; a real g multiplies the
-    interleaved (re, im) view in one real product, a third faster."""
+    """out = g @ x for (..., N, L) x; a real g multiplies a complex x's
+    interleaved (re, im) view in one real product, a third faster, and a
+    real x as it is."""
     if g.dtype == complex:
         np.matmul(g, x, out=out)
     else:
@@ -688,10 +693,12 @@ class ExcitationBlocks:
         return np.take(packed, self._diagonal, axis=-1).sum(axis=-1)
 
     def adjoint(self, packed: np.ndarray, out: np.ndarray) -> None:
-        """out = the packed conjugate transpose of packed, block by block."""
+        """out = the packed conjugate transpose of packed, block by block
+        (the transpose of a real one)."""
         for block, o in zip(self.blocks(packed), self.blocks(out)):
             np.copyto(o, block.swapaxes(-1, -2))
-        np.conjugate(out, out=out)
+        if np.iscomplexobj(out):
+            np.conjugate(out, out=out)
 
     def moves(self, s: int) -> list[tuple]:
         """Gather tables of the sandwich sum_ij G_ij A_i rho A_j^+ for a
@@ -789,7 +796,7 @@ def row_chunks(n: int, s: int, entries: int) -> tuple:
 
 
 def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
-    """The shapes of the complex buffers the block stepper keeps for a run
+    """The shapes of the buffers the block stepper keeps for a run
     of n_states states (``_BlockForm.stepper``), from N and the Q shifts s
     of the sectors with terms alone: the state with a trailing zero entry,
     one scratch of the largest block, and, with terms, the sandwich's X_i
@@ -810,14 +817,15 @@ def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
     return out
 
 
-def drift_blocks(h: np.ndarray, lindblad: LindbladSet, layout: ExcitationBlocks) -> list:
+def drift_blocks(h: np.ndarray | None, lindblad: LindbladSet, layout: ExcitationBlocks) -> list:
     """The blocks B_q, q = 0..N, of the drift
 
         B = iH + sum_k lambda_k L_k^+ L_k / 2 = iH + sum_ij G_ij A_j^+ A_i / 2
 
     summed over the sectors of a set with ``_q_shifts`` (G per sector from
-    ``_sector_gammas``, A its qubit cell operator), as views of one array
-    packed on ``layout``; iH_q comes from h's diagonal blocks.
+    ``_sector_gammas``, A its qubit cell operator), as views of one complex
+    array packed on ``layout``; iH_q comes from h's diagonal blocks, and
+    with h None the drift is the dissipative part alone.
 
     A qubit cell operator with a fixed Q shift has one nonzero entry, or
     is diagonal (sigma_z), so A^+A is diagonal and the i = j terms add
@@ -836,8 +844,11 @@ def drift_blocks(h: np.ndarray, lindblad: LindbladSet, layout: ExcitationBlocks)
     q = np.repeat(np.arange(n + 1), layout.sizes)
     start = np.empty_like(pos)  # packed index of the first entry of row b
     start[basis] = layout.offsets[q] + pos[basis] * layout.sizes[q]
-    packed = layout.pack(h)
-    packed *= 1j
+    if h is None:
+        packed = np.zeros(layout.size, dtype=complex)
+    else:
+        packed = layout.pack(h)
+        packed *= 1j
     diag = np.zeros(len(basis), dtype=complex)
     off = ~np.eye(n, dtype=bool)
     for sector, g in _sector_gammas(lindblad):
@@ -883,22 +894,30 @@ class _BlockForm:
     ``trace``, ``adjoint`` and ``layout``, on which the stepper checks
     snapshots and hands them to the sink packed, are the stack the RK4
     stepper runs on.
+
+    ``dtype`` is complex, or float for a run ``dynamics.plan`` finds real:
+    real states, every G real and H_q = c_q I in every block, so that iH_q
+    cancels in -B_q rho_q - rho_q B_q^+ and L maps real states to real
+    ones.  Then the drift is built without H, and the packed states, the
+    drift and every buffer are float64: the same code on half the bytes.
     """
 
     form = "blocks"
 
-    def __init__(self, liouv: Liouvillian):
+    def __init__(self, liouv: Liouvillian, dtype=complex):
         self.layout = layout = excitation_layout(liouv.lindblad.model.n_cells)
-        self.lindblad, self.h = liouv.lindblad, liouv.hamiltonian
+        self.lindblad, self.h, self.dtype = liouv.lindblad, liouv.hamiltonian, np.dtype(dtype)
         self.trace, self.adjoint = layout.trace, layout.adjoint
 
     @cached_property
     def _tables(self):
         """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
         terms (its Q shift s, G^T, the gather tables of s), s from
-        ``LindbladSet._q_shifts``."""
-        layout, shifts = self.layout, self.lindblad._q_shifts()
-        drift = drift_blocks(self.h, self.lindblad, layout)
+        ``LindbladSet._q_shifts``; a real form's drift holds no H."""
+        layout, shifts, real = self.layout, self.lindblad._q_shifts(), self.dtype == float
+        drift = drift_blocks(None if real else self.h, self.lindblad, layout)
+        if real:  # copies: a view would keep the complex array alive
+            drift = [b.real.copy() for b in drift]
         return (
             [(b, dag(b)) for b in drift],
             [
@@ -911,16 +930,22 @@ class _BlockForm:
         """The (S, M) packed stack of the block-diagonal states, each a D x D
         matrix or a state vector psi.  A vector's blocks are psi_q psi_q^+,
         psi_q its entries on S_q: the products of the D x D outer product,
-        so the stack is bitwise the same, but that matrix is never formed."""
-        layout = self.layout
-        packed = np.empty((len(states), layout.size), dtype=complex)
+        so the stack is bitwise the same, but that matrix is never formed.
+        A real form packs the states' real parts with every zero +0.0, so a
+        vector and its D x D matrix, whose real parts may differ in the sign
+        of a zero, still pack to the same bits."""
+        layout, real = self.layout, self.dtype == float
+        packed = np.empty((len(states), layout.size), dtype=self.dtype)
         for row, state in zip(packed, states):
+            state = state.real if real else state
             if state.ndim == 2:
                 row[:] = layout.pack(state)
-                continue
-            for block, sq in zip(layout.blocks(row), layout.states):
-                psi = state[sq]
-                np.multiply(psi[:, None], psi.conj()[None, :], out=block)
+            else:
+                for block, sq in zip(layout.blocks(row), layout.states):
+                    psi = state[sq]
+                    np.multiply(psi[:, None], psi.conj()[None, :], out=block)
+            if real:
+                row += 0.0  # -0.0 + 0.0 = +0.0; every other entry is kept
         return packed
 
     def stepper(self, rho):
@@ -935,7 +960,7 @@ class _BlockForm:
         N."""
         shifts = [s for s, _, _ in self._tables[1]]  # tables built first
         shapes = block_buffers(self.layout.n, shifts, rho.shape[0])
-        work = {k: np.zeros(shape, dtype=complex) for k, shape in shapes.items()}
+        work = {k: np.zeros(shape, dtype=self.dtype) for k, shape in shapes.items()}
         f = lambda x, out: self.apply(x, out, work)  # noqa: E731
         return f, np.empty_like(rho), np.empty_like(rho)
 
@@ -1018,6 +1043,13 @@ class Liouvillian:
         else:
             radius = np.abs(h_diag).max(initial=0.0)
         return self.lindblad.max_rate() + float(radius)
+
+    @cached_property
+    def hamiltonian_blocks(self) -> np.ndarray:
+        """H's blocks packed on ``excitation_layout(N)``, D = 2^N: built on
+        first read and kept, so the energy of packed snapshots
+        (``observables.register_energy``) packs H once per generator."""
+        return excitation_layout(self.dim.bit_length() - 1).pack(self.hamiltonian)
 
     @cached_property
     def _form(self) -> _DenseForm | _GammaForm:

@@ -55,8 +55,10 @@ def fidelity(rho: np.ndarray, psi0: np.ndarray, layout=None) -> float:
     """Overlap <psi0| rho |psi0> of a state with a reference pure state:
     a D x D ``rho``, or the packed blocks of a block-diagonal one on
     ``layout`` (an ``ExcitationBlocks``), sum_q psi_q^+ rho_q psi_q with
-    psi_q the entries of psi0 on S_q."""
-    rho = np.asarray(rho, dtype=complex)
+    psi_q the entries of psi0 on S_q.  Packed blocks may be real (a real
+    block run's): each then meets the real and imaginary parts of psi_q,
+    and no complex copy of it is made."""
+    rho = _as_operand(rho, layout)
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if layout is None:
         if rho.shape != (psi.shape[0], psi.shape[0]):
@@ -67,7 +69,10 @@ def fidelity(rho: np.ndarray, psi0: np.ndarray, layout=None) -> float:
     else:
         _check_packed(rho, layout, psi.shape[0])
         blocks = zip(layout.states, layout.blocks(rho))
-        val = complex(sum(psi[s].conj() @ b @ psi[s] for s, b in blocks))
+        if np.iscomplexobj(rho):
+            val = complex(sum(psi[s].conj() @ b @ psi[s] for s, b in blocks))
+        else:
+            val = complex(sum(_real_sandwich(psi[s], b) for s, b in blocks))
     if abs(val.imag) > 1e-10:
         raise NotHermitian(f"fidelity has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -77,7 +82,7 @@ def linear_entropy(rho: np.ndarray, layout=None) -> float:
     """tr(rho) - tr(rho^2); vanishes exactly on pure states.  rho is D x D,
     or the packed blocks of a block-diagonal one on ``layout``, whose
     traces are sums over the blocks."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_operand(rho, layout)
     if layout is None:
         tr = np.trace(rho).real
         tr2 = np.einsum("ij,ji->", rho, rho).real
@@ -95,23 +100,28 @@ def register_energy(
     one D x D state, a (T,) array for a (T, D, D) stack of snapshots.
     With ``layout`` rho holds the packed blocks of block-diagonal states,
     (M,) or (T, M), and tr(rho H) = sum_q tr(rho_q H_q) over H's diagonal
-    blocks.
+    blocks; real blocks (a real block run's) meet the real part of H's,
+    which is all a Hermitian H adds to the real part of the trace.
 
     H is checked once per call; each energy is the one-state contraction.
     For a ``Liouvillian`` H is its Hamiltonian, which its constructor
-    checked to the same tolerance, so a caller that takes one snapshot at
-    a time checks it once per generator.
+    checked to the same tolerance, and its blocks are packed once
+    (``Liouvillian.hamiltonian_blocks``), so a caller that takes one
+    snapshot at a time checks and packs H once per generator.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if isinstance(h, Liouvillian):
-        h = h.hamiltonian
+    rho = _as_operand(rho, layout)
+    liouv = h if isinstance(h, Liouvillian) else None
+    if liouv is not None:
+        h = liouv.hamiltonian
     else:
         h = np.asarray(h, dtype=complex)
         if not is_hermitian(h, rtol=1e-10):
             raise NotHermitian("energy requires a Hermitian operator")
     if layout is not None:
         _check_packed(rho, layout, h.shape[0], stack=True)
-        h_blocks = layout.pack(h)
+        h_blocks = layout.pack(h) if liouv is None else liouv.hamiltonian_blocks
+        if not np.iscomplexobj(rho):
+            h_blocks = h_blocks.real
         if rho.ndim == 1:
             return float(_block_trace(layout, rho, h_blocks).real)
         return np.array([_block_trace(layout, r, h_blocks).real for r in rho])
@@ -120,6 +130,22 @@ def register_energy(
     if rho.ndim == 2:
         return float(np.einsum("ij,ji->", rho, h).real)
     return np.array([np.einsum("ij,ji->", r, h).real for r in rho])
+
+
+def _as_operand(rho, layout) -> np.ndarray:
+    """rho as the observables read it: complex, except packed blocks,
+    which keep a real dtype."""
+    if layout is not None and np.isrealobj(rho):
+        return np.asarray(rho, dtype=float)
+    return np.asarray(rho, dtype=complex)
+
+
+def _real_sandwich(psi: np.ndarray, b: np.ndarray) -> complex:
+    """psi^+ b psi for a real square b: with P = [Re psi, Im psi] and
+    W = P^T b P, it is W_00 + W_11 + i (W_01 - W_10)."""
+    p = np.ascontiguousarray(psi).view(float).reshape(-1, 2)
+    w = p.T @ (b @ p)
+    return complex(w[0, 0] + w[1, 1], w[0, 1] - w[1, 0])
 
 
 def _check_packed(rho, layout, dim: int, stack: bool = False) -> None:

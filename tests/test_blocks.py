@@ -165,13 +165,10 @@ def test_blocks_without_a_lindblad_sector(ring):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_blocks_on_sigma_plus_cells_take_each_sectors_q_shift(n):
-    # The plan runs sigma- cells alone on blocks, but the form reads each
-    # sector's Q shift: with sigma+ cells the -1 sector raises Q and the +1
-    # sector lowers it, so a sandwich keyed by the sector would be wrong.
-    eps = 1.0
-    model = RegisterModel(
-        n_cells=n, cell_dim=2, cell_op=SIGMA_PLUS, cell_hamiltonian=-eps * SIGMA_Z, epsilon=eps
-    )
+    # The form reads each sector's Q shift: with sigma+ cells the -1 sector
+    # raises Q and the +1 sector lowers it, so a sandwich keyed by the
+    # sector would be wrong.
+    model = sigma_plus_register(n)
     rng = rng_for(f"sigma-plus-{n}")
     spec = with_lamb_shift(random_bath(rng, n), 0.4)
     liouv = build_liouvillian(model, spec)
@@ -181,6 +178,31 @@ def test_blocks_on_sigma_plus_cells_take_each_sectors_q_shift(n):
     h = liouv.hamiltonian
     want = pairwise_dissipator(model, spec, rho) - 1j * (h @ rho - rho @ h)
     assert np.abs(got - want).max() <= TOL * max(1.0, float(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("lamb", [False, True])
+def test_the_plan_runs_sigma_plus_cells_on_blocks(lamb, monkeypatch):
+    # sigma+ has one nonzero entry, off the diagonal and equal to 1, the
+    # digit move the gather tables take: its registers run on blocks, real
+    # without a Lamb shift, and give the Gamma form's trajectory.
+    n = 6
+    spec = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5 if lamb else 0.0)
+    liouv = build_liouvillian(sigma_plus_register(n), spec)
+    psi = dicke_state(n, 3)
+    groups = plan(liouv.lindblad, [psi], "rk4", liouv.hamiltonian)
+    assert [(g.form, g.real) for g in groups] == [("blocks", not lamb)]
+    blocks = evolve(liouv, [psi], 0.1, 0.02, 1)[0]
+    monkeypatch.setattr(dynamics, "_keeps_q", lambda model, h: False)  # no blocks
+    gamma = evolve(liouv, [psi], 0.1, 0.02, 1)[0]
+    assert (blocks.metadata["form"], gamma.metadata["form"]) == ("blocks", "gamma")
+    assert np.abs(blocks.states - gamma.states).max() <= TOL
+
+
+def sigma_plus_register(n: int) -> RegisterModel:
+    """sigma+ cells with H^C = -eps sigma_z, eps = 1."""
+    return RegisterModel(
+        n_cells=n, cell_dim=2, cell_op=SIGMA_PLUS, cell_hamiltonian=-SIGMA_Z, epsilon=1.0
+    )
 
 
 def term_block_drift(liouv, layout) -> list:
@@ -550,8 +572,8 @@ def rule_case(case: str, n: int) -> Liouvillian:
 )
 def test_block_layout_is_the_one_rule(case, kept):
     """The plan keeps the blocks exactly when exact (N = 4) runs a Dicke
-    state on the sector and RK4 (N = 6) on blocks; RK4 also needs sigma-
-    cells."""
+    state on the sector and RK4 (N = 6) on blocks; RK4 also needs a cell
+    operator with one nonzero entry, off the diagonal and equal to 1."""
     small, large = rule_case(case, 4), rule_case(case, 6)
     sector = [
         plan(g.lindblad, [dicke_state(n, 2)], "exact", g.hamiltonian)[0].form

@@ -562,6 +562,50 @@ def test_codes_sidecar_leaves_the_basis_to_its_csv(tmp_path):
     assert np.array_equal(pairs[:, 0::2] + 1j * pairs[:, 1::2], basis)
 
 
+def repr_csv(path, columns, values) -> None:
+    """A CSV written cell by cell as ``repr(float(v))``, the formatting
+    ``_write_csv`` must reproduce byte for byte."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(columns)
+        for row in values:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_csv_rows_are_written_as_each_floats_repr(tmp_path):
+    from qregsim.expcli import _write_csv
+
+    edges = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308, 1.0, -3.0, 132.0,
+             1e16, 2.0**53 + 2, 1e22, 0.1, 1 / 3, -2.5e-7, 1.7976931348623157e308]
+    codes = run_codes(
+        config_from_dict(
+            {
+                "experiment": "codes",
+                "register": {"n": 4, "kind": "qubit"},
+                "bath": {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1},
+                "codes": {"kind": "null"},
+            }
+        )
+    )
+    basis = codes.provenance["code"]["basis_re_im"]  # (D, dim, 2)
+    tables = {
+        "edges": (["a", "b", "c", "d"], np.array(edges).reshape(4, 4)),
+        "ints": (["n"], np.arange(-3, 4, dtype=float)[:, None]),
+        "list": (["x", "y"], [[-0.0, 5e-324], [1, 2]]),
+        "codes": (codes.columns, codes.values),
+        "basis": (["re", "im"] * basis.shape[1], basis.reshape(basis.shape[0], -1)),
+        "empty": (["t"], np.empty((0, 1))),
+    }
+    for name, (columns, values) in tables.items():
+        _write_csv(tmp_path / f"{name}.csv", columns, values)
+        repr_csv(tmp_path / f"{name}_repr.csv", columns, values)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_repr.csv").read_bytes(), name
+    assert b"-0.0,0.0,1e-300,-1e-300\r\n5e-324," in (tmp_path / "edges.csv").read_bytes()
+
+
 def test_cli_tau_sweep_plot_script_overlays_states(tmp_path):
     cfg = load_preset("fig1")
     raw = cfg.to_dict()

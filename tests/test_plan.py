@@ -13,7 +13,7 @@ import numpy.ma  # noqa: F401  (numpy imports it on a first call; not a run's co
 import pytest
 import yaml
 
-from qregsim import build_liouvillian, dicke_state, evolve, expcli, liouvillian
+from qregsim import build_liouvillian, dicke_state, dynamics, evolve, expcli, liouvillian
 from qregsim.bath import exponential_decay
 from qregsim.dynamics import plan, run_bytes
 from qregsim.register import _digit_table, dephasing_register, excitation_sectors, qubit_register
@@ -167,20 +167,32 @@ def _ci_configs() -> dict:
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", *_ci_configs()])
 def test_the_plan_made_at_load_is_what_runs(name, monkeypatch):
-    planned = []
-    real = expcli.plan
-    monkeypatch.setattr(expcli, "plan", lambda *a: planned.append(real(*a)) or planned[-1])
+    # The forms and the arithmetic: blocks8 and blocks10 step in float64,
+    # blocks8lamb and blocks8ring in complex128.
+    planned = {expcli: [], dynamics: []}
+    for module, plans in planned.items():
+        monkeypatch.setattr(module, "plan", lambda *a, _p=plans: _p.append(plan(*a)) or _p[-1])
     if name.startswith("fig"):
         cfg = expcli.load_preset(name)
     else:
         cfg = expcli.parse_config(_ci_configs()[name].read_text())
-    # per bath point, each state's form; a plan of no states only checks the method
-    load = [
-        [next(g.form for g in groups if s in g.states) for s in range(len(cfg.initial_states))]
-        for groups in planned
-        if groups
-    ]
-    assert expcli.run_simulate(cfg).provenance["solver"]["forms"] == load
+    forms = expcli.run_simulate(cfg).provenance["solver"]["forms"]
+    states = range(len(cfg.initial_states))
+
+    def per_state(plans):
+        """Per bath point, each state's form and arithmetic; a plan of no
+        states only checks the method."""
+        return [
+            [next((g.form, g.real) for g in groups if s in g.states) for s in states]
+            for groups in plans
+            if groups
+        ]
+
+    load, run = map(per_state, planned.values())
+    assert [[form for form, _ in point] for point in load] == forms
+    assert run == load
+    if name.startswith("blocks"):
+        assert {real for point in run for _, real in point} == {name in ("blocks8", "blocks10")}
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact", "dephasing"])
