@@ -187,7 +187,7 @@ def code_bytes(lindblad: LindbladSet, dim: int) -> int:
     model = lindblad.model
     n, k, d = model.n_cells, len(lindblad), model.dim
     matrix = 16 * d * d
-    if lindblad._q_shifts() is not None:
+    if lindblad._q_shifts is not None:
         search = 16 * (k * comb(2 * n, n - 1) + comb(2 * n, n) + 3 * comb(n, n // 2) ** 2)
     else:
         search = (k + 4) * matrix

@@ -70,7 +70,6 @@ from .liouvillian import (
     _BlockForm,
     _DenseForm,
     _left_moves,
-    _sector_gammas,
     add_elementwise_rates,
     block_buffers,
     check_budget,
@@ -214,13 +213,13 @@ class Group:
     real: bool = False
 
 
-def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -> list[Group]:
+def plan(generator: Liouvillian | LindbladSet, states, method: str = "rk4") -> list[Group]:
     """The runs ``evolve_into`` makes of ``states`` (vectors or D x D
-    matrices) under a generator with the Lindblad set ``lindblad`` and
-    the Hamiltonian ``hamiltonian``, by default the register's own with
-    any Lamb shift: the one rule for which form each state runs on and
-    what the run costs, whatever its number of snapshots.  It builds no
-    generator, layout or table.
+    matrices) under ``generator``, a ``Liouvillian`` or, at load, the
+    ``LindbladSet`` of one whose H' is the register's own with any Lamb
+    shift: the one rule for which form each state runs on and what the run
+    costs, whatever its number of snapshots.  It builds no generator,
+    layout or table.
 
     * ``rk4``: ``dense``, all states in one stack, for a set that is not
       ``structured``, ``stacked`` with the other generators of its K below
@@ -243,21 +242,23 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
 
     The generator keeps Q when its register has qubit cells whose sector
     operators each move Q by one fixed amount (``LindbladSet._q_shifts``)
-    and H is exactly zero between different Q.  The register's own H is,
+    and H' is exactly zero between different Q.  The register's own H is,
     with any Lamb shift, when the cell Hamiltonian is diagonal and any
     interaction has no entry between different Q: always for sigma-
     cells, whose register checks the step condition and that an
     interaction commutes with S^z and S^+.  A state vector has no such
     entry when its nonzero entries share one Q.  States are tested only
-    where the rule reads them, each once.  With ``hamiltonian`` None a
-    set whose bath has a Lamb shift (``LindbladSet.has_lamb_shift``) is
-    taken to have complex block runs, as the load check cannot read the
-    shift's blocks: its estimate is then an upper bound.
+    where the rule reads them, each once.  A ``LindbladSet`` whose bath
+    has a Lamb shift (``LindbladSet.has_lamb_shift``) is taken to have
+    complex block runs, as the load check cannot read the shift's blocks:
+    its estimate is then an upper bound.
     """
     if method not in METHODS:
         raise QregError(f"unknown method {method!r}; use rk4, exact or dephasing")
+    liouv = generator if isinstance(generator, Liouvillian) else None
+    lindblad = generator if liouv is None else liouv.lindblad
     model = lindblad.model
-    dim = model.dim if hamiltonian is None else hamiltonian.shape[0]
+    dim = model.dim if liouv is None else liouv.dim
     if method == "exact" and dim > SUPEROP_MAX_DIM:
         raise TooLarge(f"the exact method needs D <= {SUPEROP_MAX_DIM}, got D = {dim}")
     everyone, matrix, n = tuple(range(len(states))), 16 * dim * dim, getattr(model, "n_cells", 0)
@@ -266,7 +267,7 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
     if method == "rk4" and not lindblad.structured:
         need = _rk4_bytes(lindblad, dim, len(states))
         return [Group(everyone, "dense", need, dim < STRUCTURED_MIN_DIM)]
-    keeps = lindblad._q_shifts() is not None and model.dim == dim and _keeps_q(model, hamiltonian)
+    keeps = lindblad._q_shifts is not None and model.dim == dim and _keeps_q(model, liouv)
     if method == "exact":  # the generator, expm's arrays and the term blocks or operators
         sector = keeps and all(_on_blocks(s, n) for s in states)
         size = comb(2 * n, n) if sector else dim * dim
@@ -277,7 +278,7 @@ def plan(lindblad: LindbladSet, states, method: str = "rk4", hamiltonian=None) -
     blocks = keeps and [(to != frm, c) for to, frm, c in _left_moves(model.cell_op)] == [(True, 1)]
     on = [s for s in everyone if blocks and _on_blocks(states[s], n)]
     real = [s for s in on if not np.any(np.imag(states[s]))]
-    if not (real and _stays_real(lindblad, hamiltonian)):
+    if not (real and _stays_real(lindblad, liouv)):
         real = []
     parts = ((real, True), ([s for s in on if s not in real], False))
     groups = [
@@ -306,36 +307,34 @@ def _on_blocks(x: np.ndarray, n: int) -> bool:
     return np.count_nonzero(x) == sum(np.count_nonzero(x[np.ix_(s, s)]) for s in sectors)
 
 
-def _keeps_q(model: RegisterModel, hamiltonian) -> bool:
-    """Whether ``hamiltonian``, by default the register's own with any
-    Lamb shift, is exactly zero between different Q (``plan``)."""
-    if hamiltonian is None:  # a Lamb shift keeps Q; sigma- cells' H^C is diagonal
-        if exact_diagonal(model.cell_hamiltonian) is None:
-            return False
-        hamiltonian = model.interaction
-    if hamiltonian is None or exact_diagonal(hamiltonian) is not None:  # the quick common case
-        return True
-    return _on_blocks(hamiltonian, model.n_cells)
+def _keeps_q(model: RegisterModel, liouv: Liouvillian | None) -> bool:
+    """Whether H', ``liouv``'s or with ``liouv`` None the register's own
+    with any Lamb shift, is exactly zero between different Q (``plan``)."""
+    n = model.n_cells
+    if liouv is not None:
+        return liouv.hamiltonian_diagonal is not None or _on_blocks(liouv.hamiltonian, n)
+    if exact_diagonal(model.cell_hamiltonian) is None:  # a Lamb shift keeps Q
+        return False
+    return model.interaction is None or _on_blocks(model.interaction, n)
 
 
-def _stays_real(lindblad: LindbladSet, hamiltonian) -> bool:
+def _stays_real(lindblad: LindbladSet, liouv: Liouvillian | None) -> bool:
     """Whether the block form of this generator maps real states to real
-    ones (``plan``): every sector's G is real (``_sector_gammas``), and
-    ``hamiltonian``, by default the register's own with any Lamb shift, is
-    diagonal with one real energy per Q, so that iH_q = i c_q I cancels in
-    -B_q rho_q - rho_q B_q^+.  The register's own H is, with no Lamb
-    shift, when its interaction is: its cells' diagonal H^C gives every
-    state of one Q the same energy."""
-    if any(np.iscomplexobj(g) for _, g in _sector_gammas(lindblad)):
+    ones (``plan``): every sector's G is real (``LindbladSet.gammas``),
+    and H', ``liouv``'s or with ``liouv`` None the register's own with any
+    Lamb shift, is diagonal with one real energy per Q, so that
+    iH_q = i c_q I cancels in -B_q rho_q - rho_q B_q^+.  The register's
+    own H is, with no Lamb shift, when its interaction is: its cells'
+    diagonal H^C gives every state of one Q the same energy."""
+    if any(np.iscomplexobj(g) for g in lindblad.gammas.values()):
         return False
     model = lindblad.model
-    if hamiltonian is None:
+    if liouv is None:
         if lindblad.has_lamb_shift or np.any(np.diagonal(model.cell_hamiltonian).imag):
             return False
-        hamiltonian = model.interaction
-    if hamiltonian is None:
-        return True
-    energies = exact_diagonal(hamiltonian)
+        if model.interaction is None:
+            return True
+    energies = exact_diagonal(model.interaction) if liouv is None else liouv.hamiltonian_diagonal
     if energies is None or np.any(energies.imag):
         return False
     return all(np.all(energies[s] == energies[s[0]]) for s in excitation_sectors(model.n_cells)[0])
@@ -369,7 +368,7 @@ def _block_bytes(lindblad: LindbladSet, n_states: int, real: bool = False) -> in
     sink's blocks of H, complex (``Liouvillian.hamiltonian_blocks``).
     Every snapshot but 0 goes to the sink as its step ends (``_Run.rk4``),
     so the count of snapshots adds nothing."""
-    n, shifts, entry = lindblad.model.n_cells, lindblad._q_shifts().values(), 8 if real else 16
+    n, shifts, entry = lindblad.model.n_cells, lindblad._q_shifts.values(), 8 if real else 16
     dim, size, half = 2**n, comb(2 * n, n), comb(2 * n, n - 1)
     hops = n * (n - 1) * dim // 4
     shapes = block_buffers(n, shifts, n_states)
@@ -624,15 +623,25 @@ def evolve(
 
     ``evolve_into`` with a sink that stores every snapshot, a packed one
     unpacked to D x D: its checks stand, so the Trajectories are not
-    checked again.
+    checked again.  Each generator's store of D x D snapshots passes
+    ``check_budget``, with the stores already held, before it is
+    allocated; for one ``Liouvillian``, before the run.
     """
     h, steps = snapshot_grid(t_end, dt, stride)
     times = steps * h
     rho0s = list(rho0s)  # the sink sizes the store by len(rho0s)
     stored: dict[int, np.ndarray] = {}
 
+    def check_store(dim: int) -> None:  # a new store next to the ones held
+        need = (len(stored) + 1) * 16 * len(rho0s) * len(times) * dim * dim
+        check_budget(need, "snapshot store of evolve needs")
+
+    if isinstance(liouv, Liouvillian):
+        check_store(liouv.dim)
+
     def store(liouv, p, s, k, rho, layout):
         if p not in stored:
+            check_store(liouv.dim)
             stored[p] = np.empty((len(rho0s), len(times), liouv.dim, liouv.dim), dtype=complex)
         stored[p][s, k] = rho if layout is None else layout.unpack(rho)
 
@@ -696,7 +705,7 @@ def evolve_into(
         elif liouv.dim != dim:
             raise DimensionMismatch(f"generator {p} has D = {liouv.dim}, not {dim}")
         run.metas.append([None] * len(run.rhos))
-        groups = plan(liouv.lindblad, run.rhos, method, liouv.hamiltonian)
+        groups = plan(liouv, run.rhos, method)
         if method == "rk4" and groups:
             _check_step(liouv, h, steps)
         for group in groups:
@@ -748,7 +757,7 @@ def _sector_generator(liouv: Liouvillian, layout):
             # sum_k lambda_k J_k[a, b] conj(J_k[c, d]) at ((a, c), (b, d))
             kron = (weighted.T @ conj).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
             m[at[q + shift], at[q]] += kron.reshape(rows * rows, cols * cols)
-    for q, b in enumerate(drift_blocks(liouv.hamiltonian, liouv.lindblad, layout)):
+    for q, b in enumerate(drift_blocks(liouv.hamiltonian_blocks, liouv.lindblad, layout)):
         i = np.arange(b.shape[0])
         block = m[at[q], at[q]].reshape((len(i),) * 4)  # [a, c, b, d] at ((a, c), (b, d))
         block[:, i, :, i] -= b  # B (x) I
@@ -885,8 +894,8 @@ def state_defect_report(rho: np.ndarray, layout=None) -> dict[str, float]:
 
     When D is a power of two and at least STRUCTURED_MIN_DIM (read at call
     time), and a D x D rho is exactly zero between different excitation
-    numbers (the blocks of ``excitation_layout(log2 D)``), the smallest
-    eigenvalue is the smallest over the blocks (``_block_eig_min``).
+    numbers (``_on_blocks``), the smallest eigenvalue is the smallest over
+    its blocks, packed only then (``_block_eig_min``).
     Otherwise the whole matrix is diagonalized.
     """
     if layout is not None:
@@ -894,12 +903,10 @@ def state_defect_report(rho: np.ndarray, layout=None) -> dict[str, float]:
     rho = np.asarray(rho, dtype=complex)
     herm = hermiticity_defect(rho)
     d = rho.shape[0]
-    qubits = d >= STRUCTURED_MIN_DIM and d & (d - 1) == 0  # D = 2^N
-    layout = excitation_layout(d.bit_length() - 1) if qubits else None
-    packed = None if layout is None else layout.pack(rho)
-    # block-diagonal: packing dropped no nonzero entry
-    if packed is not None and np.count_nonzero(rho) == np.count_nonzero(packed):
-        eig_min = _block_eig_min(packed, layout)
+    n = d.bit_length() - 1
+    if d >= STRUCTURED_MIN_DIM and d == 2**n and _on_blocks(rho, n):
+        layout = excitation_layout(n)
+        eig_min = _block_eig_min(layout.pack(rho), layout)
     else:
         eig_min = np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min()
     return {

@@ -2,8 +2,9 @@
 orchestration, CSV / JSON / plot-script emission.
 
 Config files are YAML with sections ``register``, ``bath``,
-``initial_states``, ``solver``, optional ``sweep`` and ``codes``, and
-``output``.  Named presets (fig1..fig5) ship inside the package.
+``initial_states``, ``solver``, optional ``sweep`` (simulate and
+tau_sweep only) and ``codes`` (codes only), and ``output``.  Named
+presets (fig1..fig5) ship inside the package.
 """
 
 from __future__ import annotations
@@ -306,13 +307,15 @@ def _check_sections(cfg: ExperimentConfig, raw: dict) -> None:
     """The CLI's own rules across sections."""
     if cfg.experiment != "codes" and raw.get("codes") is not None:
         raise ConfigError("codes", "only valid for the codes experiment")
+    if cfg.experiment == "codes" and cfg.sweep is not None:
+        raise ConfigError("sweep", "only valid for the simulate and tau_sweep experiments")
     if cfg.codes is not None and cfg.codes["kind"] == "n4" and cfg.register["n"] != 4:
         raise ConfigError("codes.kind", "the four-cell codewords require n = 4")
     if cfg.sweep is None:
         if cfg.experiment == "tau_sweep":
             raise ConfigError("sweep", "tau_sweep requires a sweep section")
         return
-    leaf = cfg.sweep["parameter"].split(".", 1)[1]
+    leaf = _sweep_leaf(cfg)
     if leaf not in cfg.bath:
         raise ConfigError(
             "sweep.parameter", f"the {cfg.bath['model']} bath does not read {leaf}"
@@ -471,12 +474,16 @@ def build_register(cfg: ExperimentConfig) -> RegisterModel:
     return model
 
 
+def _sweep_leaf(cfg: ExperimentConfig) -> str:
+    """The bath field the sweep sets (``xi`` of ``bath.xi``); "" without a
+    sweep."""
+    return cfg.sweep["parameter"].split(".", 1)[1] if cfg.sweep else ""
+
+
 def _sweep_overrides(cfg: ExperimentConfig) -> list[dict]:
     """Bath overrides of each sweep point, in order (empty without a sweep)."""
-    if cfg.sweep is None:
-        return []
-    leaf = cfg.sweep["parameter"].split(".", 1)[1]
-    return [{leaf: v} for v in cfg.sweep["values"]]
+    leaf = _sweep_leaf(cfg)
+    return [{leaf: v} for v in cfg.sweep["values"]] if cfg.sweep else []
 
 
 def build_bath(cfg: ExperimentConfig, overrides: dict | None = None) -> BathSpec:
@@ -610,7 +617,7 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
     names = _state_names(cfg)
     # (D, S) with each state's column contiguous, as the state alone
     psis = np.array(cfg._vectors).T
-    leaf = cfg.sweep["parameter"].split(".", 1)[1]
+    leaf = _sweep_leaf(cfg)
     rows, known = [], {}
     for overrides in _sweep_overrides(cfg):
         lset = canonical_form(model, build_bath(cfg, overrides))
@@ -738,7 +745,7 @@ def _plot_script(table: ResultTable, cfg: ExperimentConfig) -> str:
         obs, pair = _SIMULATE_PLOTS.get(name, ("F", None))
         if pair is not None:
             # a difference per sweep value needs a sweep and both states
-            leaf = cfg.sweep["parameter"].split(".", 1)[1] if cfg.sweep else ""
+            leaf = _sweep_leaf(cfg)
             values = cfg.sweep["values"] if cfg.sweep else []
             wanted = {f"{obs}_{s}_{leaf}{v:g}" for v in values for s in pair}
             if not values or not wanted <= set(cols):

@@ -68,7 +68,7 @@ each sector's G, ``observables.cell_covariances``) and of
 codes of canonical qubit sets and the exact solver's sector generator
 come from ``LindbladSet.excitation_blocks``: each sector's term blocks
 between excitation sectors, from the weights.  All of these read the terms
-grouped by sector once per set, ``LindbladSet.sectors``.
+grouped by sector, and each sector's G, once per set (``LindbladSet.gammas``).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from .errors import (
     QregError,
     TooLarge,
 )
-from .linalg import dag, exact_diagonal, herm_eig, is_hermitian, kron
+from .linalg import dag, exact_diagonal, frob, herm_eig, is_hermitian, kron
 from .register import (
     RegisterModel,
     cell_digits,
@@ -287,6 +287,16 @@ class LindbladSet:
             on = weights @ diag[digits].T
             yield np.sqrt(np.abs(on) ** 2 + np.abs(weights) ** 2 @ off[digits].T)
 
+    @cached_property
+    def gammas(self) -> dict[int, np.ndarray] | None:
+        """{sector: G = sum_k lambda_k u_k u_k^+ over its terms}, in the order
+        of ``sectors``, real when Im G = 0; built once, None without sectors."""
+        if self.sectors is None:
+            return None
+        gammas = {k: (w.T * rates) @ w.conj() for k, (rates, w) in self.sectors.items()}
+        return {k: g.real if not np.any(g.imag) else g for k, g in gammas.items()}
+
+    @cached_property
     def _q_shifts(self) -> dict[int, int] | None:
         """{sector: s} for the sectors with terms, in the order -1, +1, s
         the fixed amount its cell operator moves Q by (``_q_shift``); None
@@ -310,7 +320,7 @@ class LindbladSet:
         operator's digit moves on S_q, and the terms take theirs as one
         weights product, so no D x D operator is placed.
         """
-        shifts = self._q_shifts()
+        shifts = self._q_shifts
         if shifts is None:
             return None
         n = self.model.n_cells
@@ -514,17 +524,6 @@ def _digit_op(dst, src, moves, split, assign: bool) -> None:
                 dv[:, k] = 0
 
 
-def _sector_gammas(lindblad: LindbladSet) -> list[tuple[int, np.ndarray]]:
-    """(sector, G) for each sector with terms, G = sum_k lambda_k u_k u_k^+
-    over its terms as one (N x K)(K x N) product; real when its imaginary
-    part is zero."""
-    out = []
-    for sector, (rates, weights) in lindblad.sectors.items():
-        g = (weights.T * rates) @ weights.conj()
-        out.append((sector, g.real if not np.any(g.imag) else g))
-    return out
-
-
 def add_elementwise_rates(
     lindblad: LindbladSet, cell_diag: np.ndarray, out: np.ndarray
 ) -> None:
@@ -537,7 +536,7 @@ def add_elementwise_rates(
     """
     model = lindblad.model
     digits = cell_digits(model.n_cells, model.cell_dim)
-    for sector, g in _sector_gammas(lindblad):
+    for sector, g in lindblad.gammas.items():
         w = cell_diag if sector == SECTOR_MINUS else cell_diag.conj()
         beta = w[digits]
         s = beta @ g @ beta.conj().T
@@ -582,7 +581,7 @@ class _GammaForm:
             # Diagonal cell operators (sigma_z dephasing): one multiplier.
             add_elementwise_rates(lindblad, cell_diag, self.multiplier)
             return
-        for sector, gamma in _sector_gammas(lindblad):
+        for sector, gamma in lindblad.gammas.items():
             a = _sector_cell_op(model, sector)
             moves = {
                 "a_dag": _left_moves(dag(a)),
@@ -817,15 +816,15 @@ def block_buffers(n: int, shifts, n_states: int) -> dict[str, tuple]:
     return out
 
 
-def drift_blocks(h: np.ndarray | None, lindblad: LindbladSet, layout: ExcitationBlocks) -> list:
+def drift_blocks(h_blocks, lindblad: LindbladSet, layout: ExcitationBlocks) -> list:
     """The blocks B_q, q = 0..N, of the drift
 
         B = iH + sum_k lambda_k L_k^+ L_k / 2 = iH + sum_ij G_ij A_j^+ A_i / 2
 
     summed over the sectors of a set with ``_q_shifts`` (G per sector from
-    ``_sector_gammas``, A its qubit cell operator), as views of one complex
-    array packed on ``layout``; iH_q comes from h's diagonal blocks, and
-    with h None the drift is the dissipative part alone.
+    ``LindbladSet.gammas``, A its qubit cell operator), as views of one
+    complex array packed on ``layout``; iH_q comes from H's packed blocks
+    ``h_blocks``, and with h_blocks None the drift is dissipative alone.
 
     A qubit cell operator with a fixed Q shift has one nonzero entry, or
     is diagonal (sigma_z), so A^+A is diagonal and the i = j terms add
@@ -844,14 +843,13 @@ def drift_blocks(h: np.ndarray | None, lindblad: LindbladSet, layout: Excitation
     q = np.repeat(np.arange(n + 1), layout.sizes)
     start = np.empty_like(pos)  # packed index of the first entry of row b
     start[basis] = layout.offsets[q] + pos[basis] * layout.sizes[q]
-    if h is None:
+    if h_blocks is None:
         packed = np.zeros(layout.size, dtype=complex)
     else:
-        packed = layout.pack(h)
-        packed *= 1j
+        packed = np.multiply(h_blocks, 1j)
     diag = np.zeros(len(basis), dtype=complex)
     off = ~np.eye(n, dtype=bool)
-    for sector, g in _sector_gammas(lindblad):
+    for sector, g in lindblad.gammas.items():
         a = _sector_cell_op(lindblad.model, sector)
         diag += np.diagonal(dag(a) @ a)[level] @ np.diagonal(g)
         for (ti, fi, ci), (tj, fj, cj) in product(_left_moves(a), repeat=2):
@@ -906,7 +904,7 @@ class _BlockForm:
 
     def __init__(self, liouv: Liouvillian, dtype=complex):
         self.layout = layout = excitation_layout(liouv.lindblad.model.n_cells)
-        self.lindblad, self.h, self.dtype = liouv.lindblad, liouv.hamiltonian, np.dtype(dtype)
+        self.liouv, self.lindblad, self.dtype = liouv, liouv.lindblad, np.dtype(dtype)
         self.trace, self.adjoint = layout.trace, layout.adjoint
 
     @cached_property
@@ -914,15 +912,15 @@ class _BlockForm:
         """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
         terms (its Q shift s, G^T, the gather tables of s), s from
         ``LindbladSet._q_shifts``; a real form's drift holds no H."""
-        layout, shifts, real = self.layout, self.lindblad._q_shifts(), self.dtype == float
-        drift = drift_blocks(None if real else self.h, self.lindblad, layout)
+        layout, shifts, real = self.layout, self.lindblad._q_shifts, self.dtype == float
+        drift = drift_blocks(None if real else self.liouv.hamiltonian_blocks, self.lindblad, layout)
         if real:  # copies: a view would keep the complex array alive
             drift = [b.real.copy() for b in drift]
         return (
             [(b, dag(b)) for b in drift],
             [
                 (shifts[sector], np.ascontiguousarray(g.T), layout.gather_tables(shifts[sector]))
-                for sector, g in _sector_gammas(self.lindblad)
+                for sector, g in self.lindblad.gammas.items()
             ],
         )
 
@@ -1020,16 +1018,24 @@ class Liouvillian:
     hamiltonian: np.ndarray
     lindblad: LindbladSet
     dim: int = field(init=False)
+    # H's diagonal, or None when H has an entry off it; found once, at build
+    hamiltonian_diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatch(f"Hamiltonian must be square, got {h.shape}")
-        if not is_hermitian(h, rtol=1e-10):
+        diagonal = exact_diagonal(h)
+        if diagonal is None:
+            hermitian = is_hermitian(h, rtol=1e-10)
+        else:  # ||H - H^+||_F = 2 ||Im diag H||, with no D x D temporary
+            hermitian = 2 * frob(diagonal.imag) <= 1e-10 * frob(diagonal)
+        if not hermitian:
             raise NotHermitian("Hamiltonian must be Hermitian")
         d = h.shape[0]
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "hamiltonian_diagonal", diagonal)
         if any(t.dim != d for t in self.lindblad):
             raise DimensionMismatch("Lindblad operator size mismatch")
         if self.lindblad.structured and self.lindblad.model.dim != d:
@@ -1037,18 +1043,15 @@ class Liouvillian:
 
     @cached_property
     def stability_scale(self) -> float:
-        h_diag = exact_diagonal(self.hamiltonian)
-        if h_diag is None:
-            radius = np.abs(np.linalg.eigvalsh(self.hamiltonian)).max(initial=0.0)
-        else:
-            radius = np.abs(h_diag).max(initial=0.0)
-        return self.lindblad.max_rate() + float(radius)
+        h_diag = self.hamiltonian_diagonal
+        energies = np.linalg.eigvalsh(self.hamiltonian) if h_diag is None else h_diag
+        return self.lindblad.max_rate() + float(np.abs(energies).max(initial=0.0))
 
     @cached_property
     def hamiltonian_blocks(self) -> np.ndarray:
         """H's blocks packed on ``excitation_layout(N)``, D = 2^N: built on
-        first read and kept, so the energy of packed snapshots
-        (``observables.register_energy``) packs H once per generator."""
+        first read and kept, so the drift (``drift_blocks``) and the energy
+        of packed snapshots pack H once per generator."""
         return excitation_layout(self.dim.bit_length() - 1).pack(self.hamiltonian)
 
     @cached_property
@@ -1057,7 +1060,7 @@ class Liouvillian:
         check_budget(need, f"generator form for D = {self.dim} needs")
         h = self.hamiltonian
         if self.lindblad.structured:
-            return _GammaForm(self.lindblad.model, self.lindblad, h, exact_diagonal(h))
+            return _GammaForm(self.lindblad.model, self.lindblad, h, self.hamiltonian_diagonal)
         return _DenseForm([(h, self.lindblad)])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .liouvillian import (
     LindbladSet,
     Liouvillian,
     _cell_actions,
-    _sector_gammas,
 )
 
 # Highest supported order of the decoherence-time hierarchy.
@@ -290,10 +289,10 @@ def covariance_rates(lindblad: LindbladSet, covariances: dict, n_states: int) ->
                 = 2 sum_s Re sum_ij conj(G_s)_ij V_s,ij,
 
     since L_k = sum_i u_ki A_i and G_s = sum_k lambda_k u_k u_k^+ over the
-    sector's terms (``_sector_gammas``).  O(S N^2) per sector.
+    sector's terms (``LindbladSet.gammas``).  O(S N^2) per sector.
     """
     total = np.zeros(n_states)
-    for sector, g in _sector_gammas(lindblad):
+    for sector, g in lindblad.gammas.items():
         v = covariances[sector]
         total += (v.reshape(n_states, -1) @ g.conj().ravel()).real
     return 2.0 * total

@@ -23,7 +23,7 @@ from .errors import (
     QregError,
     TooSmall,
 )
-from .linalg import comm, frob, is_hermitian, kron_all
+from .linalg import comm, exact_diagonal, frob, is_hermitian, kron_all
 
 SIGMA_Z = np.diag([0.5, -0.5]).astype(complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -205,9 +205,17 @@ def cell_terms(n: int, d: int, terms) -> np.ndarray:
 
 
 def _cell_sum(n: int, d: int, op: np.ndarray, weights=None) -> np.ndarray:
-    """sum_i w_i op_i over the n cells, every w_i 1 by default."""
+    """sum_i w_i op_i over the n cells, every w_i 1 by default.  A diagonal
+    op (sigma_z, a diagonal H^C) sums its diagonal over the cells' digits,
+    in cell order as ``cell_terms`` adds them, and places it once."""
     w = np.ones(n) if weights is None else weights
-    return cell_terms(n, d, [(op, [i], w[i]) for i in range(n) if w[i] != 0])
+    if (diagonal := exact_diagonal(op)) is None:
+        return cell_terms(n, d, [(op, [i], w[i]) for i in range(n) if w[i] != 0])
+    digits, out = cell_digits(n, d), np.zeros(d**n, dtype=complex)
+    for i in range(n):
+        if w[i] != 0:
+            out += w[i] * diagonal[digits[:, i]]
+    return np.diag(out)
 
 
 def embed_cell_op(

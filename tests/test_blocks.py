@@ -74,7 +74,7 @@ def block_diagonal(rho: np.ndarray) -> np.ndarray:
 
 
 def block_apply(liouv, rho: np.ndarray) -> np.ndarray:
-    assert [g.form for g in plan(liouv.lindblad, [rho], "rk4", liouv.hamiltonian)] == ["blocks"]
+    assert [g.form for g in plan(liouv, [rho], "rk4")] == ["blocks"]
     return packed_apply(_BlockForm(liouv), rho)
 
 
@@ -172,7 +172,7 @@ def test_blocks_on_sigma_plus_cells_take_each_sectors_q_shift(n):
     rng = rng_for(f"sigma-plus-{n}")
     spec = with_lamb_shift(random_bath(rng, n), 0.4)
     liouv = build_liouvillian(model, spec)
-    assert liouv.lindblad._q_shifts() == {-1: 1, 1: -1}
+    assert liouv.lindblad._q_shifts == {-1: 1, 1: -1}
     rho = block_diagonal(random_operator(rng, model.dim))
     got = packed_apply(_BlockForm(liouv), rho)
     h = liouv.hamiltonian
@@ -189,7 +189,7 @@ def test_the_plan_runs_sigma_plus_cells_on_blocks(lamb, monkeypatch):
     spec = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5 if lamb else 0.0)
     liouv = build_liouvillian(sigma_plus_register(n), spec)
     psi = dicke_state(n, 3)
-    groups = plan(liouv.lindblad, [psi], "rk4", liouv.hamiltonian)
+    groups = plan(liouv, [psi], "rk4")
     assert [(g.form, g.real) for g in groups] == [("blocks", not lamb)]
     blocks = evolve(liouv, [psi], 0.1, 0.02, 1)[0]
     monkeypatch.setattr(dynamics, "_keeps_q", lambda model, h: False)  # no blocks
@@ -243,7 +243,7 @@ def test_drift_from_g_is_the_term_block_drift(seed, n, dephasing, plus, phased, 
         spec = with_lamb_shift(spec, rng.uniform(-1.0, 1.0))
     liouv = build_liouvillian(model, spec)
     layout = excitation_layout(n)
-    got = liouvillian.drift_blocks(liouv.hamiltonian, liouv.lindblad, layout)
+    got = liouvillian.drift_blocks(liouv.hamiltonian_blocks, liouv.lindblad, layout)
     want = term_block_drift(liouv, layout)
     scale = max(1.0, max(float(np.abs(w).max()) for w in want))
     assert [g.shape for g in got] == [w.shape for w in want]
@@ -436,7 +436,7 @@ def test_block_workspace_is_bounded_by_the_chunk_budget(n):
     # whole sector, X_i alone N C(2N, N - 1) entries per state.
     liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
     layout, n_states = excitation_layout(n), 2
-    shapes = liouvillian.block_buffers(n, liouv.lindblad._q_shifts().values(), n_states)
+    shapes = liouvillian.block_buffers(n, liouv.lindblad._q_shifts.values(), n_states)
     try:
         tables = layout.gather_tables(-1)
     finally:
@@ -576,7 +576,7 @@ def test_block_layout_is_the_one_rule(case, kept):
     operator with one nonzero entry, off the diagonal and equal to 1."""
     small, large = rule_case(case, 4), rule_case(case, 6)
     sector = [
-        plan(g.lindblad, [dicke_state(n, 2)], "exact", g.hamiltonian)[0].form
+        plan(g, [dicke_state(n, 2)], "exact")[0].form
         for g, n in ((small, 4), (large, 6))
     ]
     assert sector == ["blocks" if kept else "dense"] * 2
@@ -890,7 +890,7 @@ def test_block_sector_generator_is_the_column_build():
             spec = with_lamb_shift(spec, lamb)
         liouv = build_liouvillian(model, spec)
         rhos = [block_state(n, rng), block_diagonal(random_operator(rng, 2**n))]
-        assert plan(liouv.lindblad, rhos, "exact", liouv.hamiltonian)[0].form == "blocks"
+        assert plan(liouv, rhos, "exact")[0].form == "blocks"
         layout = excitation_layout(n)
         m = dynamics._sector_generator(liouv, layout)
         columns = sector_columns(liouv, layout)

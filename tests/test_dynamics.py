@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_density_matrix, random_pure_state, rng_for
 
+from qregsim import dynamics
 from qregsim.bath import cell_limit, exponential_decay, replica_symmetric
 from qregsim.dynamics import (
     Trajectory,
@@ -581,3 +582,74 @@ def test_evolve_empty_state_list(method):
     spec = cell_limit(2, 0.1, 0.0)
     liouv = build_liouvillian(model, spec)
     assert evolve(liouv, [], 1.0, 0.1, method=method) == []
+
+
+_OVERSIZED_STORE = """
+import resource
+import tracemalloc
+
+# a store that is allocated after all fails here instead of filling memory
+resource.setrlimit(resource.RLIMIT_AS, (8 * 2**30, 8 * 2**30))
+from qregsim import build_liouvillian, dicke_state, evolve, exponential_decay, qubit_register
+from qregsim.errors import TooLarge
+
+n = 10
+liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.5))
+psi = dicke_state(n, 5)
+tracemalloc.start()
+try:
+    evolve(liouv, [psi], 10.0, 0.01, 1)
+    raise SystemExit("no TooLarge")
+except TooLarge as exc:
+    message = str(exc)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(peak, message)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_an_oversized_evolve_store_is_refused_before_it_is_allocated(optimize):
+    # One N = 10 state, t_end 10, dt 0.01 and stride 1: 1001 snapshots of
+    # 16 MiB, about 15.6 GiB.  check_budget refuses it before the run, with
+    # under 1 MiB traced once the generator is built, also under python -O.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qregsim
+
+    src = str(Path(qregsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _OVERSIZED_STORE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, message = proc.stdout.split(" ", 1)
+    assert int(peak) < 2**20
+    assert "snapshot store of evolve needs about 15.6 GiB" in message
+
+
+def test_each_evolve_store_is_budgeted_with_the_ones_held(monkeypatch):
+    # One generator: its store is checked before the run.  A sequence:
+    # before each generator's store, counting the stores already held.
+    calls = []
+    check = dynamics.check_budget
+    monkeypatch.setattr(
+        dynamics, "check_budget", lambda need, what: calls.append((need, what)) or check(need, what)
+    )
+    n = 4
+    liouvs = [build_liouvillian(qubit_register(n), cell_limit(n, g, 0.0)) for g in (0.1, 0.2)]
+    psi = pair_singlet_state(n)
+    store = 2 * 3 * 16 * 16**2  # two states, three snapshots
+    evolve(liouvs[0], [psi, psi], 0.04, 0.02, 1)
+    assert calls[0] == (store, "snapshot store of evolve needs")
+    calls.clear()
+    evolve(liouvs, [psi, psi], 0.04, 0.02, 1)
+    stores = [need for need, what in calls if what.startswith("snapshot store")]
+    assert stores == [store, 2 * store]

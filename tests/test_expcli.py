@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -846,6 +847,8 @@ REJECTIONS = [
     ("sim", {"register.n": 3, "initial_states": ["codeword0"]}, "initial_states"),
     ("sim", {"initial_states": [[0, 0, 0, 0]]}, "initial_states"),
     ("tau", {"initial_states": ["singlet", "bogus"]}, "initial_states"),
+    # a codes run reads no sweep, so one is refused rather than ignored
+    ("codes", {"sweep": {"parameter": "bath.xi", "values": [1.0, 100.0]}}, "sweep"),
 ]
 
 _SUBCOMMAND = {"tau": "tau-sweep", "codes": "codes"}
@@ -864,6 +867,19 @@ def test_config_rejection_names_field(tmp_path, capsys, base, changes, field):
     cfg_path = _write_yaml(tmp_path / "case.yaml", raw)
     assert main([_SUBCOMMAND.get(base, "simulate"), "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+REJECT_CONFIGS = sorted((Path(__file__).parent / "configs" / "reject").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", REJECT_CONFIGS, ids=[p.stem for p in REJECT_CONFIGS])
+def test_ci_reject_configs_exit_2(path, tmp_path, capsys):
+    # the configs the CI's "CLI under python -O" step expects exit 2 from,
+    # each under the subcommand its experiment names
+    command = yaml.safe_load(path.read_text())["experiment"].replace("_", "-")
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_config_rejections_survive_optimize_flag():

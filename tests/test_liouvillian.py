@@ -16,7 +16,7 @@ from qregsim import (
     superoperator_matrix,
 )
 from qregsim.errors import NotHermitian, TooLarge
-from qregsim.linalg import vec
+from qregsim.linalg import is_hermitian, vec
 from qregsim.liouvillian import (
     SECTOR_MINUS,
     SECTOR_PLUS,
@@ -263,6 +263,30 @@ class TestLiouvillianType:
                 hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]),
                 lindblad=LindbladSet(terms=()),
             )
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_hermiticity_from_the_diagonal_is_is_hermitians(self, diagonal, factor):
+        # A diagonal H is checked from its diagonal, ||H - H^+||_F =
+        # 2 ||Im diag H||, with no D x D temporary; an imaginary part at
+        # twice the tolerance is refused and at half of it accepted, as
+        # is_hermitian decides; a non-diagonal H takes is_hermitian itself.
+        rng = np.random.default_rng(7)
+        real = rng.normal(size=16)
+        skew = rng.normal(size=16)
+        skew *= factor * 1e-10 * np.linalg.norm(real) / (2 * np.linalg.norm(skew))
+        h = np.diag(real + 1j * skew)
+        if not diagonal:
+            h[0, 1] = h[1, 0] = 0.3
+        hermitian = is_hermitian(h, rtol=1e-10)
+        assert hermitian == (factor < 1)
+        lset = canonical_form(qubit_register(4), cell_limit(4, 0.1, 0.0))
+        if hermitian:
+            liouv = Liouvillian(hamiltonian=h, lindblad=lset)
+            assert (liouv.hamiltonian_diagonal is not None) == diagonal
+        else:
+            with pytest.raises(NotHermitian):
+                Liouvillian(hamiltonian=h, lindblad=lset)
 
     def test_lindblad_rates_nonnegative(self):
         from qregsim.errors import OrderingViolated

@@ -6,6 +6,7 @@ CLI refuses, at load and before any large allocation, exactly the runs
 whose estimate is over the 2 GiB budget."""
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,19 @@ import pytest
 import yaml
 
 from qregsim import build_liouvillian, dicke_state, dynamics, evolve, expcli, liouvillian
-from qregsim.bath import exponential_decay
-from qregsim.dynamics import plan, run_bytes
-from qregsim.register import _digit_table, dephasing_register, excitation_sectors, qubit_register
+from qregsim.bath import cell_limit, exponential_decay, gauge_phased
+from qregsim.dynamics import _on_blocks, plan, run_bytes
+from qregsim.linalg import exact_diagonal
+from qregsim.register import (
+    _digit_table,
+    dephasing_register,
+    excitation_sectors,
+    heisenberg_ring,
+    qubit_register,
+)
 
 from helpers import random_pure_state, rng_for
+from test_blocks import sigma_plus_register
 
 BATH = {"model": "exponential", "gamma_minus": 0.1, "gamma_plus": 0.02}
 REPLICA = {"model": "replica", "gamma_minus": 0.4, "gamma_plus": 0.1}
@@ -203,7 +212,7 @@ def test_trajectories_record_the_plans_forms(method):
     liouv = build_liouvillian(model, exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5))
     psi = random_pure_state(rng, 2**n)
     states = [dicke_state(n, n // 2), psi, np.outer(psi, psi.conj()), dicke_state(n, 1)]
-    groups = plan(liouv.lindblad, states, method, liouv.hamiltonian)
+    groups = plan(liouv, states, method)
     assert sorted(s for g in groups for s in g.states) == list(range(len(states)))
     forms = {s: g.form for g in groups for s in g.states}
     trajs = evolve(liouv, states, 0.04, 0.02, 1, method)
@@ -271,3 +280,65 @@ def test_each_initial_state_is_built_once(command, tmp_path, monkeypatch):
     )
     assert expcli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
     assert built == states
+
+
+def _rule_generator(cells: str, case: str, n: int):
+    """A generator of n cells: sigma-, sigma+ or sigma_z cells under an
+    exponential bath with nothing extra, a Lamb shift, a Heisenberg ring or
+    gauge phases, or a cell-limit bath with a Lamb shift."""
+    model = {
+        "minus": qubit_register(n),
+        "plus": sigma_plus_register(n),
+        "z": dephasing_register(n),
+    }[cells]
+    bath = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5 if case == "lamb" else 0.0)
+    if case == "ring":
+        model = replace(model, interaction=heisenberg_ring(n, 0.3))
+    elif case == "phased":
+        bath = gauge_phased(bath, np.linspace(0.0, 2.0, n))
+    elif case == "cell_limit":
+        bath = cell_limit(n, 0.1, 0.02, delta_ratio=0.5)
+    return build_liouvillian(model, bath)
+
+
+def _expected_forms(liouv, states, method: str) -> dict:
+    """Each state's (form, real) by the block rule, read off H' with
+    ``exact_diagonal`` and ``_on_blocks``: blocks when H' has no entry
+    between different Q (and, for RK4, the cells are sigma- or sigma+),
+    real when the state and every G are real and H' is diagonal with one
+    real energy per Q."""
+    lset = liouv.lindblad
+    n, h = lset.model.n_cells, liouv.hamiltonian
+    energies = exact_diagonal(h)
+    keeps = energies is not None or _on_blocks(h, n)
+    on = [keeps and _on_blocks(s, n) for s in states]
+    if method == "exact":
+        return {s: ("blocks" if all(on) else "dense", False) for s in range(len(states))}
+    stepped = lset.model.cell_op[0, 0] == 0  # sigma- or sigma+, not sigma_z
+    real_h = energies is not None and not np.any(energies.imag) and all(
+        np.all(energies[q] == energies[q[0]]) for q in excitation_sectors(n)[0]
+    )
+    real_g = not any(np.iscomplexobj(g) for g in lset.gammas.values())
+    return {
+        s: ("blocks", real_h and real_g and not np.any(np.imag(state)))
+        if on[s] and stepped
+        else ("gamma", False)
+        for s, state in enumerate(states)
+    }
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+@pytest.mark.parametrize("case", ["none", "lamb", "ring", "phased", "cell_limit"])
+@pytest.mark.parametrize("cells", ["minus", "plus", "z"])
+def test_the_plans_decisions_follow_h(cells, case, method):
+    # The plan reads H' through its Liouvillian (hamiltonian_diagonal);
+    # its forms and real flags are the ones H' itself gives.
+    n = 6
+    liouv = _rule_generator(cells, case, n)
+    dicke = dicke_state(n, 3)
+    uniform = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    states = [dicke, np.outer(dicke, dicke.conj()), uniform, 1j * dicke]
+    for chosen in [states] + [[s] for s in states]:
+        groups = plan(liouv, chosen, method)
+        got = {s: (g.form, g.real) for g in groups for s in g.states}
+        assert got == _expected_forms(liouv, chosen, method)

@@ -19,7 +19,8 @@ from qregsim import (
     pair_singlet_state,
     pairwise_dissipator,
 )
-from qregsim.dynamics import plan
+from qregsim import dynamics, linalg, liouvillian, register
+from qregsim.dynamics import evolve_into, plan
 from qregsim.liouvillian import ExcitationBlocks, _BlockForm, excitation_layout
 from qregsim.observables import fidelity, linear_entropy, register_energy
 from qregsim.register import qubit_register
@@ -40,7 +41,7 @@ def real_block_state(rng, n: int) -> np.ndarray:
 
 def groups_of(liouv, states) -> list:
     """(states, form, real) of each group of the plan."""
-    groups = plan(liouv.lindblad, states, "rk4", liouv.hamiltonian)
+    groups = plan(liouv, states, "rk4")
     return [(g.states, g.form, g.real) for g in groups]
 
 
@@ -93,7 +94,7 @@ def test_generators_that_mix_phases_plan_complex(case):
     # then step in complex arithmetic, with the complex estimate.
     n = 6
     liouv = rule_case(case, n)
-    (group,) = plan(liouv.lindblad, [dicke_state(n, 3)], "rk4", liouv.hamiltonian)
+    (group,) = plan(liouv, [dicke_state(n, 3)], "rk4")
     assert group.form == "blocks" and not group.real
     (real,) = plan(rule_case("plus", n).lindblad, [dicke_state(n, 3)], "rk4")
     assert real.real and real.bytes < group.bytes
@@ -116,7 +117,7 @@ def test_a_diagonal_lamb_shift_with_one_energy_per_q_runs_real():
     assert liouv.lindblad.has_lamb_shift
     assert groups_of(liouv, [dicke_state(n, 3)]) == [((0,), "blocks", True)]
     (load,) = plan(liouv.lindblad, [dicke_state(n, 3)], "rk4")
-    (run,) = plan(liouv.lindblad, [dicke_state(n, 3)], "rk4", liouv.hamiltonian)
+    (run,) = plan(liouv, [dicke_state(n, 3)], "rk4")
     assert not load.real and load.bytes > run.bytes
 
 
@@ -164,3 +165,33 @@ def test_real_packed_observables_are_the_complex_ones(monkeypatch):
     assert abs(energies[0] - energies[1]) <= TOL and energies[2].shape == (1,)
     assert abs(fidelity(real, psi, layout) - fidelity(cplx, psi, layout)) <= TOL
     assert abs(linear_entropy(real, layout) - linear_entropy(cplx, layout)) <= TOL
+
+
+@pytest.mark.parametrize("lamb", [False, True])
+def test_a_block_run_scans_and_packs_h_once(lamb, monkeypatch):
+    # Over the build, the plan, the steps and the sink of a block run, H'
+    # is scanned for its diagonal once (Liouvillian.hamiltonian_diagonal),
+    # and packed once (Liouvillian.hamiltonian_blocks): a real run packs
+    # it for the sink's energy alone, a complex (Lamb-shift) run for the
+    # drift and the energy alike.
+    n = 6
+    scans, packs = [], []
+    scan, pack = linalg.exact_diagonal, ExcitationBlocks.pack
+    for module in (linalg, liouvillian, dynamics, register):
+        if hasattr(module, "exact_diagonal"):
+            monkeypatch.setattr(module, "exact_diagonal", lambda a: scans.append(a) or scan(a))
+    monkeypatch.setattr(ExcitationBlocks, "pack", lambda self, x: packs.append(x) or pack(self, x))
+    spec = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5 if lamb else 0.0)
+    liouv = build_liouvillian(qubit_register(n), spec)
+    psi = dicke_state(n, 3)
+
+    def sink(g, p, s, k, rho, layout):
+        register_energy(rho, g, layout)
+        fidelity(rho, psi, layout)
+        linear_entropy(rho, layout)
+
+    ((meta,),) = evolve_into(liouv, [psi], sink, 0.06, 0.02, 1)
+    assert meta["form"] == "blocks"
+    h = liouv.hamiltonian
+    assert [a is h for a in scans if a.shape == h.shape] == [True]
+    assert sum(x is h for x in packs) == 1
