@@ -69,7 +69,6 @@ from .liouvillian import (
     Liouvillian,
     _BlockForm,
     _DenseForm,
-    _left_moves,
     add_elementwise_rates,
     block_buffers,
     check_budget,
@@ -78,7 +77,7 @@ from .liouvillian import (
     form_bytes,
     superoperator_matrix,
 )
-from .register import RegisterModel, excitation_sectors, register_hamiltonian
+from .register import RegisterModel, _on_blocks, excitation_sectors, register_hamiltonian
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -225,10 +224,9 @@ def plan(generator: Liouvillian | LindbladSet, states, method: str = "rk4") -> l
       ``structured``, ``stacked`` with the other generators of its K below
       STRUCTURED_MIN_DIM.  For a structured set, ``blocks``, the states
       with no entry between different excitation numbers Q on the packed
-      blocks, when the cell operator has one nonzero entry, off the
-      diagonal and equal to 1 (sigma- or sigma+, the digit moves
-      ``ExcitationBlocks.moves`` tables) and the generator keeps Q; and
-      ``gamma``, one run per other state.  The block states run as two
+      blocks, when the generator keeps Q and no Q shift is 0 (c sigma-+
+      cells, whose one entry c the block form carries); and ``gamma``,
+      one run per other state.  The block states run as two
       groups at most: the ``real`` one, the states with no nonzero
       imaginary part when the generator keeps real states real
       (``_stays_real``), stepped in float64, and the others, in complex
@@ -274,8 +272,7 @@ def plan(generator: Liouvillian | LindbladSet, states, method: str = "rk4") -> l
         terms = len(lindblad) * (comb(2 * n, n - 1) if sector else dim * dim)
         need = 16 * (EXPM_MATRICES * size**2 + terms) + (4 + 3 * len(states)) * matrix
         return [Group(everyone, "blocks" if sector else "dense", need)]
-    # one move between the two levels, of coefficient 1: what the tables take
-    blocks = keeps and [(to != frm, c) for to, frm, c in _left_moves(model.cell_op)] == [(True, 1)]
+    blocks = keeps and all(lindblad._q_shifts.values())  # sigma_z cells: shift 0
     on = [s for s in everyone if blocks and _on_blocks(states[s], n)]
     real = [s for s in on if not np.any(np.imag(states[s]))]
     if not (real and _stays_real(lindblad, liouv)):
@@ -297,25 +294,14 @@ def run_bytes(plans) -> int:
     return sum(g.bytes for g in groups if g.stacked) + alone
 
 
-def _on_blocks(x: np.ndarray, n: int) -> bool:
-    """Whether x, a state vector or a D x D matrix of n qubits, has no
-    entry between different excitation numbers: for a vector psi, whether
-    its nonzero entries share one Q, so that psi psi^+ has none."""
-    sectors = excitation_sectors(n)[0]
-    if x.ndim == 1:
-        return sum(bool(np.any(x[s])) for s in sectors) <= 1
-    return np.count_nonzero(x) == sum(np.count_nonzero(x[np.ix_(s, s)]) for s in sectors)
-
-
 def _keeps_q(model: RegisterModel, liouv: Liouvillian | None) -> bool:
-    """Whether H', ``liouv``'s or with ``liouv`` None the register's own
-    with any Lamb shift, is exactly zero between different Q (``plan``)."""
-    n = model.n_cells
+    """Whether H', ``liouv``'s (``hamiltonian_keeps_q``) or with ``liouv``
+    None the register's own with any Lamb shift, keeps Q (``plan``)."""
     if liouv is not None:
-        return liouv.hamiltonian_diagonal is not None or _on_blocks(liouv.hamiltonian, n)
+        return liouv.hamiltonian_keeps_q
     if exact_diagonal(model.cell_hamiltonian) is None:  # a Lamb shift keeps Q
         return False
-    return model.interaction is None or _on_blocks(model.interaction, n)
+    return model.interaction is None or _on_blocks(model.interaction, model.n_cells)
 
 
 def _stays_real(lindblad: LindbladSet, liouv: Liouvillian | None) -> bool:
@@ -776,27 +762,28 @@ def propagate_exact(liouv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarra
     return unvec(expm_action(m, float(t), vec(rho)), liouv.dim)
 
 
-def dephasing_check(model: RegisterModel, hamiltonian: np.ndarray | None = None):
-    """Raise unless the dephasing method can run a generator of ``model``
-    whose Hamiltonian is ``hamiltonian`` (default the register's own): a
-    normal cell operator (``dephasing_frame``) and an H diagonal in its
-    eigenbasis, as a Lamb shift always is there
-    (NotSimultaneouslyDiagonalizable).  Returns (w, frame, h): the cell
-    operator's eigenvalues, the register's unitary eigenbasis frame (None
-    when it is the identity) and H in that frame."""
+def dephasing_check(model: RegisterModel, liouv: Liouvillian | None = None):
+    """Raise unless the dephasing method can run ``liouv``, a generator of
+    ``model`` (default: one whose H is the register's own): a normal cell
+    operator (``dephasing_frame``) and an H diagonal in its eigenbasis, as
+    a Lamb shift always is there (NotSimultaneouslyDiagonalizable).
+    Returns (w, frame, e): the cell operator's eigenvalues, the unitary
+    eigenbasis frame (None for the identity, where a diagonal H is read
+    from ``Liouvillian.hamiltonian_diagonal``) and H's diagonal there."""
     w, v = dephasing_frame(model)
-    h = register_hamiltonian(model) if hamiltonian is None else hamiltonian
+    h = register_hamiltonian(model) if liouv is None else liouv.hamiltonian
     frame = None
     if not np.allclose(v, np.eye(model.cell_dim)):
         frame = kron_all([v] * model.n_cells)
         h = dag(frame) @ h @ frame
+    elif liouv is not None and liouv.hamiltonian_diagonal is not None:
+        return w, None, liouv.hamiltonian_diagonal
     # The closed form holds only for an H diagonal in the joint frame.
-    h_off = h - np.diag(np.diag(h))
-    if frob(h_off) > 1e-10 * max(1.0, frob(h)):
+    if frob(h - np.diag(np.diag(h))) > 1e-10 * max(1.0, frob(h)):
         raise NotSimultaneouslyDiagonalizable(
             "the generator's Hamiltonian is not diagonal in the cell-op eigenbasis"
         )
-    return w, frame, h
+    return w, frame, np.diag(h)
 
 
 def dephasing_frame(model: RegisterModel) -> tuple[np.ndarray, np.ndarray]:
@@ -869,9 +856,8 @@ def _closed_form(liouv: Liouvillian):
         raise QregError(
             "the dephasing method needs a canonical Lindblad set (canonical_form)"
         )
-    w_cell, frame, h = dephasing_check(lset.model, liouv.hamiltonian)
-    e = np.real(np.diag(h))
-    c = 1j * (e[None, :] - e[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
+    w_cell, frame, e = dephasing_check(lset.model, liouv)
+    c = 1j * (e.real[None, :] - e.real[:, None])  # element (b, b') rotates as e^{i(E'-E)t}
     add_elementwise_rates(lset, w_cell, c)
     return frame, c
 

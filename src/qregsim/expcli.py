@@ -309,8 +309,6 @@ def _check_sections(cfg: ExperimentConfig, raw: dict) -> None:
         raise ConfigError("codes", "only valid for the codes experiment")
     if cfg.experiment == "codes" and cfg.sweep is not None:
         raise ConfigError("sweep", "only valid for the simulate and tau_sweep experiments")
-    if cfg.codes is not None and cfg.codes["kind"] == "n4" and cfg.register["n"] != 4:
-        raise ConfigError("codes.kind", "the four-cell codewords require n = 4")
     if cfg.sweep is None:
         if cfg.experiment == "tau_sweep":
             raise ConfigError("sweep", "tau_sweep requires a sweep section")
@@ -387,6 +385,8 @@ def _check_with_library(cfg: ExperimentConfig) -> list:
         if method == "dephasing":
             _library("solver.method", dephasing_frame, model)
             _library("solver.method", dephasing_check, build_register(cfg))
+    if cfg.codes is not None and cfg.codes["kind"] == "n4":  # the codewords' own n
+        _library("codes.kind", named_state, "codeword0", n)
     if cfg.codes is not None and cfg.codes["kind"] == "cluster":
         cluster, target = cfg.codes["cluster_size"], cfg.codes["target_zspin"]
         _library("codes.cluster_size", check_cluster_size, n, cluster)

@@ -92,6 +92,7 @@ from .errors import (
 from .linalg import dag, exact_diagonal, frob, herm_eig, is_hermitian, kron
 from .register import (
     RegisterModel,
+    _on_blocks,
     cell_digits,
     cell_terms,
     collective_op,
@@ -416,7 +417,9 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
     """Self-Hamiltonian renormalization from the Delta matrices.
 
     delta_H = sum_ij (Dm_ij A_i^+ A_j + Dp_ji A_i A_j^+); returns zero when
-    the bath carries no Lamb-shift data.
+    the bath carries no Lamb-shift data.  Each term acts on cells i and j
+    alone (one cell when i = j), so ``cell_terms`` places it: O(N^2 D) time
+    for cell operators with few nonzeros, and one D x D array.
     """
     if not spec.has_lamb_shift:
         return np.zeros((model.dim, model.dim), dtype=complex)
@@ -424,17 +427,8 @@ def lamb_shift(model: RegisterModel, spec: BathSpec) -> np.ndarray:
         raise DimensionMismatch("bath size does not match the register")
     a, dp = model.cell_op, spec.delta_plus
     pairs = [(spec.delta_minus, dag(a), a), (None if dp is None else dp.T, a, dag(a))]
-    return _place_pairs(model, [p for p in pairs if p[0] is not None])
-
-
-def _place_pairs(model: RegisterModel, pairs) -> np.ndarray:
-    """The D x D sum over (delta, left, right) of sum_ij delta_ij
-    left_i right_j, left and right d x d cell operators.  Each term acts on
-    cells i and j alone (one cell when i = j), so ``cell_terms`` places it:
-    O(N^2 D) time for cell operators with few nonzeros, and one D x D array.
-    """
     terms = []
-    for delta, left, right in pairs:
+    for delta, left, right in (p for p in pairs if p[0] is not None):
         same, pair = left @ right, kron(left, right)
         terms += [
             (same, [i], delta[i, j]) if i == j else (pair, [i, j], delta[i, j])
@@ -910,17 +904,19 @@ class _BlockForm:
     @cached_property
     def _tables(self):
         """(drift, sectors): (B_q, B_q^+) for q = 0..N, and per sector with
-        terms (its Q shift s, G^T, the gather tables of s), s from
-        ``LindbladSet._q_shifts``; a real form's drift holds no H."""
+        terms (its Q shift s from ``LindbladSet._q_shifts``, |c|^2 G^T and
+        the gather tables of s, which move entries of 1: c is the cell
+        operator's one entry, 1 for sigma-+); a real form's drift holds no H."""
         layout, shifts, real = self.layout, self.lindblad._q_shifts, self.dtype == float
         drift = drift_blocks(None if real else self.liouv.hamiltonian_blocks, self.lindblad, layout)
         if real:  # copies: a view would keep the complex array alive
             drift = [b.real.copy() for b in drift]
+        weight = float(np.sum(np.abs(self.lindblad.model.cell_op) ** 2))  # |c|^2
         return (
             [(b, dag(b)) for b in drift],
             [
-                (shifts[sector], np.ascontiguousarray(g.T), layout.gather_tables(shifts[sector]))
-                for sector, g in self.lindblad.gammas.items()
+                (shifts[k], np.ascontiguousarray(g.T) * weight, layout.gather_tables(shifts[k]))
+                for k, g in self.lindblad.gammas.items()
             ],
         )
 
@@ -1046,6 +1042,14 @@ class Liouvillian:
         h_diag = self.hamiltonian_diagonal
         energies = np.linalg.eigvalsh(self.hamiltonian) if h_diag is None else h_diag
         return self.lindblad.max_rate() + float(np.abs(energies).max(initial=0.0))
+
+    @cached_property
+    def hamiltonian_keeps_q(self) -> bool:
+        """Whether H, of N qubits with D = 2^N, has no entry between
+        different excitation numbers Q: true for a diagonal H, else one
+        ``_on_blocks`` count (no pack), found once per generator."""
+        n = self.dim.bit_length() - 1
+        return self.hamiltonian_diagonal is not None or _on_blocks(self.hamiltonian, n)
 
     @cached_property
     def hamiltonian_blocks(self) -> np.ndarray:

@@ -312,7 +312,7 @@ def decoherence_report(
     taus = tau_inverse_n(liouv, trajectory.states[0], n_max)
     fids = np.array([fidelity(s, psi0) for s in trajectory.states])
     ents = np.array([linear_entropy(s) for s in trajectory.states])
-    engs = register_energy(trajectory.states, liouv.hamiltonian)
+    engs = register_energy(trajectory.states, liouv)
     return DecoherenceReport(
         tau_inverse=taus,
         fidelity_series=fids,

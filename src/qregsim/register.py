@@ -452,6 +452,16 @@ def excitation_sectors(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return states, pos
 
 
+def _on_blocks(x: np.ndarray, n: int) -> bool:
+    """Whether x, a state vector or a D x D matrix of n qubits, has no
+    entry between different excitation numbers: for a vector psi, whether
+    its nonzero entries share one Q, so that psi psi^+ has none."""
+    sectors = excitation_sectors(n)[0]
+    if x.ndim == 1:
+        return sum(bool(np.any(x[s])) for s in sectors) <= 1
+    return np.count_nonzero(x) == sum(np.count_nonzero(x[np.ix_(s, s)]) for s in sectors)
+
+
 def dicke_state(n: int, k: int) -> np.ndarray:
     """Normalized (S^+)^k |down...down>, the symmetric state with m = k - n/2.
 

@@ -12,6 +12,7 @@ dissipator."""
 
 import tracemalloc
 from math import comb, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,6 +197,36 @@ def test_the_plan_runs_sigma_plus_cells_on_blocks(lamb, monkeypatch):
     gamma = evolve(liouv, [psi], 0.1, 0.02, 1)[0]
     assert (blocks.metadata["form"], gamma.metadata["form"]) == ("blocks", "gamma")
     assert np.abs(blocks.states - gamma.states).max() <= TOL
+
+
+@pytest.mark.parametrize("lamb", [False, True])
+@pytest.mark.parametrize(
+    "c, op, sign", [(2.0, SIGMA_MINUS, 1), (0.5j, SIGMA_PLUS, -1)], ids=["2sigma-", "0.5i_sigma+"]
+)
+def test_scaled_sigma_cells_run_on_blocks(c, op, sign, lamb, monkeypatch):
+    # A cell operator c sigma-+ moves Q by one fixed amount: the plan steps
+    # it on blocks, whose sandwich carries |c|^2 on G, and its trajectory
+    # is the Gamma form's and the pairwise dissipator's.
+    n = 6
+    model = RegisterModel(
+        n_cells=n, cell_dim=2, cell_op=c * op, cell_hamiltonian=sign * SIGMA_Z, epsilon=1.0
+    )
+    spec = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5 if lamb else 0.0)
+    liouv = build_liouvillian(model, spec)
+    psi = dicke_state(n, 3)
+    assert [g.form for g in plan(liouv, [psi], "rk4")] == ["blocks"]
+    blocks = evolve(liouv, [psi], 0.1, 0.02, 1)[0]
+    monkeypatch.setattr(dynamics, "_keeps_q", lambda model, h: False)  # no blocks
+    gamma = evolve(liouv, [psi], 0.1, 0.02, 1)[0]
+    assert (blocks.metadata["form"], gamma.metadata["form"]) == ("blocks", "gamma")
+    h = liouv.hamiltonian
+    pairwise = SimpleNamespace(
+        apply=lambda rho: pairwise_dissipator(model, spec, rho) - 1j * (h @ rho - rho @ h)
+    )
+    snaps, _ = reference_rk4(pairwise, psi, 0.1, 0.02, 1)
+    for got, other, want in zip(blocks.states, gamma.states, snaps):
+        scale = TOL * max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= scale and np.abs(other - want).max() <= scale
 
 
 def sigma_plus_register(n: int) -> RegisterModel:

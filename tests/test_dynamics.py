@@ -1,5 +1,6 @@
 """Integrator, exact propagation, and the commuting-register closed form."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from qregsim.bath import cell_limit, exponential_decay, replica_symmetric
 from qregsim.dynamics import (
     Trajectory,
     check_state,
+    dephasing_check,
     dephasing_solve,
     evolve,
     integrate,
@@ -30,6 +32,7 @@ from qregsim.liouvillian import (
     LindbladSet,
     LindbladTerm,
     Liouvillian,
+    add_elementwise_rates,
     build_liouvillian,
     canonical_form,
 )
@@ -454,6 +457,33 @@ def test_dephasing_evolve_prepares_once_per_generator(monkeypatch, cell_op):
         assert np.array_equal(traj.times, alone.times)
         assert np.array_equal(traj.states, alone.states)
         assert traj.metadata == alone.metadata
+
+
+def test_the_closed_form_reads_a_diagonal_h_from_its_generator():
+    # In the identity frame (sigma_z cells) the check reads H's diagonal
+    # from the Liouvillian, with no D x D array, and the trajectories are
+    # the closed form of exp(C t) built from the diagonal of the D x D H.
+    n = 8
+    model = dephasing_register(n)
+    liouv = build_liouvillian(model, exponential_decay(n, 0.3, 0.1, xi=2.0, delta_ratio=0.5))
+    assert liouv.hamiltonian_diagonal is not None and np.any(liouv.hamiltonian_diagonal)
+    tracemalloc.start()
+    try:
+        w, frame, _ = dephasing_check(model, liouv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame is None and peak < 16 * liouv.dim**2
+    e = np.real(np.diag(liouv.hamiltonian))
+    c = 1j * (e[None, :] - e[:, None])
+    add_elementwise_rates(liouv.lindblad, w, c)
+    rng = rng_for("dephasing-diagonal-h")
+    rho0s = [random_density_matrix(rng, liouv.dim), random_pure_state(rng, liouv.dim)]
+    trajs = evolve(liouv, rho0s, 1.0, 0.1, stride=5, method="dephasing")
+    for rho0, traj in zip(rho0s, trajs):
+        rho = rho0 if rho0.ndim == 2 else np.outer(rho0, rho0.conj())
+        want = np.stack([rho * np.exp(c * float(t)) for t in traj.times])
+        assert np.array_equal(traj.states, want)
 
 
 def test_dephasing_matches_integrator_exponential_bath():

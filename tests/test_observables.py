@@ -397,6 +397,23 @@ def test_decoherence_report_matches_direct_calls():
     )
 
 
+def test_decoherence_report_takes_h_as_its_generator_checked_it(monkeypatch):
+    # The Liouvillian checked H at build; the report's energies take it
+    # from there and run no second Hermiticity check.
+    model = qubit_register(2, epsilon=1.0)
+    liouv = build_liouvillian(model, cell_limit(2, 0.2, 0.05))
+    psi = basis_state(2, "00")
+    traj = integrate(liouv, psi, t_end=1.0, dt=0.01, stride=50)
+    want = register_energy(traj.states, liouv.hamiltonian)
+
+    def unchecked(*args, **kwargs):
+        raise AssertionError("H checked again")
+
+    monkeypatch.setattr(observables, "is_hermitian", unchecked)
+    rep = decoherence_report(liouv, traj, psi)
+    assert np.array_equal(rep.energy_series, want)
+
+
 def test_decoherence_report_validates_bounds():
     ok = dict(
         tau_inverse=np.array([0.1]),

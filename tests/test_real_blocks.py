@@ -195,3 +195,24 @@ def test_a_block_run_scans_and_packs_h_once(lamb, monkeypatch):
     h = liouv.hamiltonian
     assert [a is h for a in scans if a.shape == h.shape] == [True]
     assert sum(x is h for x in packs) == 1
+
+
+def test_h_is_scanned_for_its_q_structure_once_per_generator(monkeypatch):
+    # Whether H' keeps Q is found once (Liouvillian.hamiltonian_keeps_q):
+    # two plans and a block run of one Lamb-shift generator, whose H' is
+    # not diagonal, hand H' to _on_blocks once.
+    n = 6
+    seen = []
+    count = register._on_blocks
+    for module in (register, liouvillian, dynamics):
+        if hasattr(module, "_on_blocks"):
+            monkeypatch.setattr(module, "_on_blocks", lambda x, n: seen.append(x) or count(x, n))
+    spec = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5)
+    liouv = build_liouvillian(qubit_register(n), spec)
+    assert liouv.hamiltonian_diagonal is None
+    psi = dicke_state(n, 3)
+    for _ in range(2):
+        assert [g.form for g in plan(liouv, [psi], "rk4")] == ["blocks"]
+    (traj,) = evolve(liouv, [psi], 0.04, 0.02, 1)
+    assert traj.metadata["form"] == "blocks"
+    assert sum(x is liouv.hamiltonian for x in seen) == 1
