@@ -19,13 +19,12 @@ from .errors import (
     TooSmall,
 )
 from .linalg import common_nullspace, dag, expm, frob, is_hermitian, restrict_kernel
-from .liouvillian import LindbladSet, Liouvillian, build_bytes
+from .liouvillian import LindbladSet, Liouvillian, _sector_cell_op, build_bytes, excitation_layout
 from .register import (
     RegisterModel,
     _twice,
     cell_digits,
     cell_terms,
-    excitation_sectors,
     n4_codewords,
     su2_multiplicity,
 )
@@ -113,24 +112,22 @@ def simultaneous_eigenspace(lindblad: LindbladSet, labels) -> CodeSubspace:
 def null_code(lindblad: LindbladSet) -> CodeSubspace:
     """Intersection of the kernels of all Lindblad operators.
 
-    When ``LindbladSet.excitation_blocks`` gives the operators' blocks (a
-    canonical set on qubit cells whose sector operators each move the
-    excitation number Q by a fixed amount: sigma-/sigma+, or diagonal like
-    sigma_z), each L_k maps every Q-sector into one other, so the kernel is
-    the direct sum of the per-sector kernels (``_sector_nullspace``): no
-    D x D operator is placed and no D x D SVD is taken.  Every other set
-    (hand-built, d > 2, sigma_x-like cells) goes through
-    ``linalg.common_nullspace`` on its operators.  Both cut the rank of
-    L_k at NULLSPACE_RCOND ||L_k||_2.
+    For a canonical set on qubit cells whose sector operators each move the
+    excitation number Q by a fixed amount (``LindbladSet._q_shifts``:
+    sigma-/sigma+, or diagonal like sigma_z), each L_k maps every Q-sector
+    into one other, so the kernel is the direct sum of the per-sector
+    kernels (``_sector_nullspace``): no D x D operator is placed and no
+    D x D SVD is taken.  Every other set (hand-built, d > 2, sigma_x-like
+    cells) goes through ``linalg.common_nullspace`` on its operators.  Both
+    cut the rank of L_k at NULLSPACE_RCOND ||L_k||_2.
     """
     if not len(lindblad):
         raise DimensionMismatch("cannot build a code from an empty set")
-    sectors = lindblad.excitation_blocks()
-    if sectors is None:
+    if lindblad._q_shifts is None:
         ops = lindblad.operators()
         basis = common_nullspace(ops, dim=ops[0].shape[0])
     else:
-        basis = _sector_nullspace(lindblad, sectors)
+        basis = _sector_nullspace(lindblad)
     return CodeSubspace(
         basis=basis,
         labels=tuple(0.0 for _ in lindblad),
@@ -138,23 +135,28 @@ def null_code(lindblad: LindbladSet) -> CodeSubspace:
     )
 
 
-def _sector_nullspace(lindblad: LindbladSet, sectors) -> np.ndarray:
-    """The common kernel of the set's operators, given as their blocks
-    between Q-sectors (``sectors``, ``LindbladSet.excitation_blocks``), as
+def _sector_nullspace(lindblad: LindbladSet) -> np.ndarray:
+    """The common kernel of the operators of a set with ``_q_shifts``, as
     orthonormal columns in the 2^n rows of the register basis, ordered by
-    sector.
+    sector.  Each sector's terms take their blocks between Q-sectors as
+    one weights product with its cell operator's blocks on each cell
+    (``ExcitationBlocks.move_blocks``), K C(2n, n - 1) entries per sector.
 
     ``common_nullspace``'s iteration, in the set's term order, run on every
     sector's C(n, q) states at once.  ||L_k||_2 is the largest singular
     value over L_k's blocks, exact since they map distinct sectors to
     distinct ones.
     """
-    n = lindblad.model.n_cells
-    states, _ = excitation_sectors(n)
-    bases = [np.eye(len(rows), dtype=complex) for rows in states]
+    n, layout = lindblad.model.n_cells, excitation_layout(lindblad.model.n_cells)
+    sectors = {}  # per sector, {q: its terms' (K, C(n, q + s), C(n, q)) blocks}
+    for k, s in lindblad._q_shifts.items():
+        w, a = lindblad.sectors[k][1], _sector_cell_op(lindblad.model, k)
+        blocks = layout.move_blocks(a, s)
+        sectors[k] = {q: (w @ x.reshape(n, -1)).reshape((len(w),) + x.shape[1:]) for q, x in blocks}
+    bases = [np.eye(len(rows), dtype=complex) for rows in layout.states]
     place = {sector: count() for sector in sectors}  # a term's index in its stacks
     for t in lindblad:
-        k, blocks = next(place[t.sector]), sectors[t.sector][2]
+        k, blocks = next(place[t.sector]), sectors[t.sector]
         live = [q for q in blocks if bases[q].shape[1]]
         if not live:
             continue
@@ -164,7 +166,7 @@ def _sector_nullspace(lindblad: LindbladSet, sectors) -> np.ndarray:
                 bases[q] = restrict_kernel(bases[q], blocks[q][k], opnorm)
     out = np.zeros((2**n, sum(b.shape[1] for b in bases)), dtype=complex)
     col = 0
-    for rows, basis in zip(states, bases):
+    for rows, basis in zip(layout.states, bases):
         out[rows, col : col + basis.shape[1]] = basis
         col += basis.shape[1]
     return out
@@ -176,10 +178,10 @@ def code_bytes(lindblad: LindbladSet, dim: int) -> int:
     or the Hamiltonian it leaves with the code search and the code's rates
     and noiseless test, none of which applies the generator.
 
-    A null code's search holds the K terms' blocks between excitation
-    sectors (K C(2N, N - 1) complex entries), each sector's basis and the
-    SVD of the largest; a set without those blocks places its K D x D
-    operators and takes a D x D SVD.  Per code column a structured set
+    A null code's search on a set with Q shifts holds the K terms' blocks
+    between excitation sectors (K C(2N, N - 1) complex entries), each
+    sector's basis and the SVD of the largest; another set places its
+    K D x D operators and takes a D x D SVD.  Per code column a structured set
     holds the N cell actions, the K actions of the terms and six more
     D-vectors (the basis, its copies and the residuals); another set
     places its K operators.

@@ -69,6 +69,7 @@ from .liouvillian import (
     Liouvillian,
     _BlockForm,
     _DenseForm,
+    _sector_cell_op,
     add_elementwise_rates,
     block_buffers,
     check_budget,
@@ -77,7 +78,13 @@ from .liouvillian import (
     form_bytes,
     superoperator_matrix,
 )
-from .register import RegisterModel, _on_blocks, excitation_sectors, register_hamiltonian
+from .register import (
+    RegisterModel,
+    _on_blocks,
+    excitation_sectors,
+    register_energies,
+    register_hamiltonian,
+)
 
 # A step is flagged as unstable once the trace drifts beyond this bound.
 TRACE_TOL = 1e-6
@@ -266,10 +273,11 @@ def plan(generator: Liouvillian | LindbladSet, states, method: str = "rk4") -> l
         need = _rk4_bytes(lindblad, dim, len(states))
         return [Group(everyone, "dense", need, dim < STRUCTURED_MIN_DIM)]
     keeps = lindblad._q_shifts is not None and model.dim == dim and _keeps_q(model, liouv)
-    if method == "exact":  # the generator, expm's arrays and the term blocks or operators
+    if method == "exact":  # the generator, expm's arrays and the operators or, per q,
+        # X, conj(X) and G conj(X) of the move blocks, at most N C(N, N/2)^2 each
         sector = keeps and all(_on_blocks(s, n) for s in states)
         size = comb(2 * n, n) if sector else dim * dim
-        terms = len(lindblad) * (comb(2 * n, n - 1) if sector else dim * dim)
+        terms = 3 * n * comb(n, n // 2) ** 2 if sector else len(lindblad) * dim * dim
         need = 16 * (EXPM_MATRICES * size**2 + terms) + (4 + 3 * len(states)) * matrix
         return [Group(everyone, "blocks" if sector else "dense", need)]
     blocks = keeps and all(lindblad._q_shifts.values())  # sigma_z cells: shift 0
@@ -533,26 +541,20 @@ class _Run:
         """All states at once, stacked as the columns of one matrix, with
         one propagator ``expm`` per distinct snapshot interval: on the
         packed excitation sector (``blocks``, ``_sector_generator``) or
-        through the full superoperator (``dense``).  Each snapshot is
-        unpacked as it is made."""
+        through the full superoperator (``dense``).  The sector packs the
+        states as the block form does (``_BlockForm.pack``: a vector with no
+        D x D), and each snapshot is unpacked as it is made."""
         h, steps, d = self.h, self.steps, liouv.dim
-        rhos = np.stack([_density(r) for r in self.rhos])
-        layout = excitation_layout(liouv.lindblad.model.n_cells) if form == "blocks" else None
-        m = superoperator_matrix(liouv) if layout is None else _sector_generator(liouv, layout)
-        if layout is None:
-            # Column-stacked vec: entry j*d + i of a column is rho[i, j].
-            cols = rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T
-
-            def unpack(cols):
-                return cols.T.reshape(-1, d, d).swapaxes(1, 2)
-
+        if form == "blocks":
+            stack = _BlockForm(liouv)
+            layout, cols = stack.layout, stack.pack(self.rhos).T
+            m = _sector_generator(liouv, layout)
+            unpack = lambda cols: layout.unpack(cols.T)  # noqa: E731
         else:
-            cols = layout.pack(rhos).T
-
-            def unpack(cols):
-                return layout.unpack(cols.T)
-
-        rows = [(liouv, p, s) for s in range(len(rhos))]
+            m = superoperator_matrix(liouv)
+            cols = np.stack([vec(_density(r)) for r in self.rhos], axis=1)  # rho[i, j] at j*d + i
+            unpack = lambda cols: cols.T.reshape(-1, d, d).swapaxes(1, 2)  # noqa: E731
+        rows = [(liouv, p, s) for s in range(len(self.rhos))]
         cols = np.ascontiguousarray(cols)
         self.emit_stack(rows, 0, unpack(cols))
         propagators: dict[int, np.ndarray] = {}
@@ -723,25 +725,25 @@ def _check_step(liouv: Liouvillian, h: float, steps) -> None:
 
 def _sector_generator(liouv: Liouvillian, layout):
     """The matrix M with M pack(rho) = pack(L(rho)) on the packed sector of
-    ``layout``, from the term blocks (``LindbladSet.excitation_blocks``)
-    and the drift blocks B_q of ``drift_blocks``, the block form's own,
-    built from each sector's G.
+    ``layout``, from each sector's G (``LindbladSet.gammas``), the blocks
+    X_i of its cell operator on each cell (``ExcitationBlocks.move_blocks``)
+    and the drift blocks B_q of ``drift_blocks``, the block form's own.
 
-    Packing is row-major, so pack(A X C) = (A (x) C^T) pack(X).  The terms
-    J_k of a sector, mapping S_q to S_{q+s}, add sum_k lambda_k J_k (x)
-    conj(J_k) to the (q + s, q) block of M, one product per q; the diagonal
-    block q is -(B_q (x) I + I (x) conj(B_q)).
+    Packing is row-major, so pack(A X C) = (A (x) C^T) pack(X).  A sector
+    of Q shift s adds sum_ij G_ij X_i (x) conj(X_j), which is
+    sum_k lambda_k J_k (x) conj(J_k) for its terms J_k = sum_i u_ki X_i,
+    to the (q + s, q) block of M, one product per q; the diagonal block q
+    is -(B_q (x) I + I (x) conj(B_q)).
     """
     at = [slice(o, o + w * w) for o, w in zip(layout.offsets, layout.sizes)]
     m = np.zeros((layout.size, layout.size), dtype=complex)
-    for shift, rates, blocks in liouv.lindblad.excitation_blocks().values():
-        rates = rates[:, None, None]
-        for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
-            n_terms, rows, cols = j.shape
-            weighted = (rates * j).reshape(n_terms, -1)
-            conj = j.conj().reshape(n_terms, -1)
-            # sum_k lambda_k J_k[a, b] conj(J_k[c, d]) at ((a, c), (b, d))
-            kron = (weighted.T @ conj).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
+    for sector, g in liouv.lindblad.gammas.items():
+        shift = liouv.lindblad._q_shifts[sector]
+        for q, x in layout.move_blocks(_sector_cell_op(liouv.lindblad.model, sector), shift):
+            n, rows, cols = x.shape
+            xs = x.reshape(n, -1)
+            # sum_ij G_ij X_i[a, b] conj(X_j[c, d]) at ((a, c), (b, d))
+            kron = (xs.T @ (g @ xs.conj())).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
             m[at[q + shift], at[q]] += kron.reshape(rows * rows, cols * cols)
     for q, b in enumerate(drift_blocks(liouv.hamiltonian_blocks, liouv.lindblad, layout)):
         i = np.arange(b.shape[0])
@@ -769,15 +771,16 @@ def dephasing_check(model: RegisterModel, liouv: Liouvillian | None = None):
     a Lamb shift always is there (NotSimultaneouslyDiagonalizable).
     Returns (w, frame, e): the cell operator's eigenvalues, the unitary
     eigenbasis frame (None for the identity, where a diagonal H is read
-    from ``Liouvillian.hamiltonian_diagonal``) and H's diagonal there."""
+    with no D x D array: ``Liouvillian.hamiltonian_diagonal``, or with no
+    generator ``register_energies``) and H's diagonal there."""
     w, v = dephasing_frame(model)
+    frame = None if np.allclose(v, np.eye(model.cell_dim)) else kron_all([v] * model.n_cells)
+    e = register_energies(model) if liouv is None else liouv.hamiltonian_diagonal
+    if frame is None and e is not None:
+        return w, None, e
     h = register_hamiltonian(model) if liouv is None else liouv.hamiltonian
-    frame = None
-    if not np.allclose(v, np.eye(model.cell_dim)):
-        frame = kron_all([v] * model.n_cells)
+    if frame is not None:
         h = dag(frame) @ h @ frame
-    elif liouv is not None and liouv.hamiltonian_diagonal is not None:
-        return w, None, liouv.hamiltonian_diagonal
     # The closed form holds only for an H diagonal in the joint frame.
     if frob(h - np.diag(np.diag(h))) > 1e-10 * max(1.0, frob(h)):
         raise NotSimultaneouslyDiagonalizable(

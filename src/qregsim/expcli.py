@@ -52,14 +52,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DimensionMismatch, IoError, QregError
 from .liouvillian import build_bytes, build_liouvillian, canonical_form, check_budget, rates_bytes
-from .observables import (
-    cell_covariances,
-    covariance_rates,
-    fidelity,
-    linear_entropy,
-    pure_decoherence_rate,
-    register_energy,
-)
+from .observables import fidelity, linear_entropy, pure_decoherence_rate, register_energy
 from .register import (
     RegisterModel,
     check_ring,
@@ -606,27 +599,21 @@ def run_tau_sweep(cfg: ExperimentConfig) -> ResultTable:
     The raw rate 1/tau_1 is reported (never its reciprocal), so divergent
     decoherence times appear as zero-rate entries rather than infinities.
 
-    Only the bath changes along the sweep.  On a structured set the
-    states' cell covariance, which does not depend on the bath, is built
-    once per run, each sector's at the first point with terms there
-    (``cell_covariances``), and each point contracts it with that point's
-    G (``covariance_rates``).  Smaller registers rate every point with
-    ``pure_decoherence_rate``, all states in one call.
+    Only the bath changes along the sweep.  Every point rates all states
+    in one ``pure_decoherence_rate`` call, which picks the route; on a
+    structured set the states' cell covariance, which does not depend on
+    the bath, is built once per run, each sector's at the first point with
+    terms there, as the calls share one ``known`` dict.
     """
     model = build_register(cfg)
-    names = _state_names(cfg)
     # (D, S) with each state's column contiguous, as the state alone
     psis = np.array(cfg._vectors).T
     leaf = _sweep_leaf(cfg)
     rows, known = [], {}
     for overrides in _sweep_overrides(cfg):
         lset = canonical_form(model, build_bath(cfg, overrides))
-        if lset.structured:
-            rates = covariance_rates(lset, cell_covariances(lset, psis, known), len(names))
-        else:
-            rates = pure_decoherence_rate(lset, psis)
-        rows.append([overrides[leaf], *rates])
-    columns = [leaf] + [f"rate_{name}" for name in names]
+        rows.append([overrides[leaf], *pure_decoherence_rate(lset, psis, known)])
+    columns = [leaf] + [f"rate_{name}" for name in _state_names(cfg)]
     return ResultTable(
         columns=tuple(columns),
         values=np.array(rows, dtype=float),

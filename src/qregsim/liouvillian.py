@@ -58,17 +58,17 @@ All forms hold the same terms, so cutoff, clamping and rates agree; the
 Gamma and block forms build their per-sector G from the term weights.
 Terms from ``canonical_form`` carry rate, sector and weights; a term
 places its D x D operator with ``register.collective_op`` only when its
-``op`` is first read (the dense path, codes of sets without excitation
-blocks, small-register rates and noiseless tests).  One predicate,
+``op`` is first read (the dense path, null codes of sets without Q
+shifts, small-register rates and noiseless tests).  One predicate,
 ``LindbladSet.structured``, selects the Gamma form here and the weight
 route of pure-state rates (the cell covariance from ``_cell_actions`` and
 each sector's G, ``observables.cell_covariances``) and of
 ``codes.is_noiseless`` (``LindbladSet.sector_actions``,
-``LindbladSet.column_norms``).  Null
-codes of canonical qubit sets and the exact solver's sector generator
-come from ``LindbladSet.excitation_blocks``: each sector's term blocks
-between excitation sectors, from the weights.  All of these read the terms
-grouped by sector, and each sector's G, once per set (``LindbladSet.gammas``).
+``LindbladSet.column_norms``).  All of these read the terms grouped by
+sector, and each sector's G, once per set (``LindbladSet.gammas``).  The
+exact sector generator sandwiches the layout's blocks X_i of the cell
+operator (``ExcitationBlocks.move_blocks``) with each G; only the null code
+of a canonical qubit set weights them into term blocks (``codes``).
 """
 
 from __future__ import annotations
@@ -307,41 +307,6 @@ class LindbladSet:
             return None
         shifts = {k: _q_shift(_sector_cell_op(self.model, k)) for k in self.sectors}
         return None if None in shifts.values() else shifts
-
-    def excitation_blocks(self) -> dict[int, tuple] | None:
-        """The terms' operators as their blocks between excitation sectors,
-        or None when ``_q_shifts`` is None.
-
-        Q counts the cells up (digit 0) and S_q is the set of basis states
-        with Q = q, in ascending order.  Per sector with terms, in the
-        order -1, +1: (s, rates, blocks), its shift, its K terms' rates in
-        the set's order and, for each q the terms map from, the
-        (K, C(N, q + s), C(N, q)) stack of their blocks from S_q to
-        S_{q+s}.  The blocks of all cells, X_i, come from the cell
-        operator's digit moves on S_q, and the terms take theirs as one
-        weights product, so no D x D operator is placed.
-        """
-        shifts = self._q_shifts
-        if shifts is None:
-            return None
-        n = self.model.n_cells
-        states, pos = excitation_sectors(n)
-        bits = place_values(n)
-        out = {}
-        for sector, s in shifts.items():
-            moves = _left_moves(_sector_cell_op(self.model, sector))
-            rates, weights = self.sectors[sector]
-            blocks = {}
-            for q in range(max(0, -s), min(n, n - s) + 1):
-                src, size = states[q], (len(states[q + s]), len(states[q]))
-                x = np.zeros((n,) + size, dtype=complex)
-                level = (src & bits[:, None]) != 0  # (cell, column)
-                for to, frm, c in moves:
-                    cell, col = np.nonzero(level == frm)
-                    x[cell, pos[src[col] + (to - frm) * bits[cell]], col] = c
-                blocks[q] = (weights @ x.reshape(n, -1)).reshape((len(rates),) + size)
-            out[sector] = (s, rates, blocks)
-        return out
 
 
 def _cell_actions(model: RegisterModel, sector: int, psi: np.ndarray, out=None) -> np.ndarray:
@@ -637,30 +602,39 @@ class ExcitationBlocks:
     with Q = q in ascending order, row-major, the blocks concatenated by q;
     C(2N, N) entries in all.  Packed arrays carry any leading stack axes.
 
-    ``full`` holds the flat D x D index of each packed entry and
-    ``diagonal`` the packed indices of the diagonal.  ``excitation_layout``
-    keeps one, read-only, per N, and with it
-    the sandwich tables of each Q shift (``gather_tables``), which depend
-    on N alone.  The two index tables are intp, read-only views of
-    writeable private bases, which ``pack``, ``unpack`` and ``trace`` index
-    with: ``np.take`` copies a read-only index array on every call.
+    ``full`` holds the flat D x D index of each packed entry, built on
+    first use, and ``diagonal`` the packed indices of the diagonal.
+    ``excitation_layout`` keeps one, read-only, per N, and with it the
+    sandwich tables of each Q shift (``gather_tables``), which depend on
+    N alone.  The two index tables are intp, read-only views of writeable
+    private bases, which ``pack``, ``unpack`` and ``trace`` index with:
+    ``np.take`` copies a read-only index array on every call.
     """
 
     def __init__(self, n: int):
-        dim = 2**n
-        self.n, self.dim = n, dim
+        self.n, self.dim = n, 2**n
         self.states, self.pos = excitation_sectors(n)
         self.sizes = np.array([len(s) for s in self.states])
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
         self.size = int(self.offsets[-1])
-        rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
-        cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
-        self._full = rows * dim + cols
-        self._diagonal = np.flatnonzero(rows == cols)
-        self.full, self.diagonal = self._full.view(), self._diagonal.view()
-        for table in (self.sizes, self.offsets, self.full, self.diagonal):
+        starts = zip(self.offsets, self.sizes)
+        self._diagonal = np.concatenate([o + np.arange(m) * (m + 1) for o, m in starts])
+        self.diagonal = self._diagonal.view()
+        for table in (self.sizes, self.offsets, self.diagonal):
             table.setflags(write=False)
         self._gather: dict[int, tuple] = {}
+
+    @cached_property
+    def _full(self) -> np.ndarray:
+        rows = np.concatenate([np.repeat(s, len(s)) for s in self.states])
+        cols = np.concatenate([np.tile(s, len(s)) for s in self.states])
+        return rows * self.dim + cols
+
+    @property
+    def full(self) -> np.ndarray:
+        view = self._full.view()
+        view.setflags(write=False)
+        return view
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The packed blocks of rho (..., D, D); entries off the blocks are
@@ -692,6 +666,23 @@ class ExcitationBlocks:
             np.copyto(o, block.swapaxes(-1, -2))
         if np.iscomplexobj(out):
             np.conjugate(out, out=out)
+
+    def move_blocks(self, a: np.ndarray, s: int):
+        """The blocks X_i of a qubit cell operator a on each cell i, for an
+        a that moves Q by s: per q it maps from, in ascending order, (q, X)
+        with X the (N, C(N, q + s), C(N, q)) blocks from S_q to S_{q+s},
+        placed from a's digit moves; yielded one q at a time, so one X is
+        held, and no D x D operator is placed."""
+        n, states, pos = self.n, self.states, self.pos
+        bits, moves = place_values(n), _left_moves(a)
+        for q in range(max(0, -s), min(n, n - s) + 1):
+            src = states[q]
+            x = np.zeros((n, len(states[q + s]), len(src)), dtype=complex)
+            level = (src & bits[:, None]) != 0  # (cell, column)
+            for to, frm, c in moves:
+                cell, col = np.nonzero(level == frm)
+                x[cell, pos[src[col] + (to - frm) * bits[cell]], col] = c
+            yield q, x
 
     def moves(self, s: int) -> list[tuple]:
         """Gather tables of the sandwich sum_ij G_ij A_i rho A_j^+ for a

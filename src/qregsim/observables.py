@@ -192,7 +192,7 @@ def tau_inverse_n(liouv: Liouvillian, rho: np.ndarray, n_max: int) -> np.ndarray
     return out
 
 
-def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float | np.ndarray:
+def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray, known=None) -> float | np.ndarray:
     """First-order decoherence rate of a pure state,
 
         1/tau_1 = 2 sum_k lambda_k (<L_k^+ L_k> - |<L_k>|^2),
@@ -204,12 +204,13 @@ def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float | np.
     A set with ``structured`` true (canonical, D >= STRUCTURED_MIN_DIM)
     takes the same sum as 2 sum_s Re sum_ij conj(G_s)_ij V_s,ij: the
     states' cell covariance V_s (``cell_covariances``, one digit-move pass
-    per sector over all S columns) contracted with each sector's G_s
-    (``covariance_rates``); no D x D operator and no L_k psi is formed.
-    The entries of V are of order one, so a state no term decoheres rates
-    at rounding level (up to about 5e-15 at N = 8-12, of either sign) rather
-    than exactly zero.  Below the crossover, and for hand-built sets, each
-    operator multiplies each state, one column at a time.
+    per sector over all S columns, kept in ``known`` for later calls on
+    the same states) contracted with each sector's G_s (``covariance_rates``);
+    no D x D operator and no L_k psi is formed.  The entries of V are of
+    order one, so a state no term decoheres rates at rounding level (up to
+    about 5e-15 at N = 8-12, of either sign) rather than exactly zero.
+    Below the crossover, and for hand-built sets, each operator multiplies
+    each state, one column at a time.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or any(t.dim != psi.shape[0] for t in lindblad):
@@ -225,7 +226,7 @@ def pure_decoherence_rate(lindblad: LindbladSet, psi: np.ndarray) -> float | np.
             total += term.rate * (second - abs(mean) ** 2)
         return 2.0 * total
     stack = psi.reshape(psi.shape[0], -1)
-    rates = covariance_rates(lindblad, cell_covariances(lindblad, stack), stack.shape[1])
+    rates = covariance_rates(lindblad, cell_covariances(lindblad, stack, known), stack.shape[1])
     return rates if psi.ndim == 2 else float(rates[0])
 
 
@@ -245,8 +246,8 @@ def cell_covariances(
 
     A sector already in ``known`` is read from it, and one built here is
     added to it: a caller that rates the same states on one register under
-    several baths (``expcli.run_tau_sweep``) builds each sector's V once,
-    at the first bath with terms there.
+    several baths (``pure_decoherence_rate`` in ``expcli.run_tau_sweep``)
+    builds each sector's V once, at the first bath with terms there.
     """
     known = {} if known is None else known
     for sector in lindblad.sectors:

@@ -205,17 +205,23 @@ def cell_terms(n: int, d: int, terms) -> np.ndarray:
 
 
 def _cell_sum(n: int, d: int, op: np.ndarray, weights=None) -> np.ndarray:
-    """sum_i w_i op_i over the n cells, every w_i 1 by default.  A diagonal
-    op (sigma_z, a diagonal H^C) sums its diagonal over the cells' digits,
-    in cell order as ``cell_terms`` adds them, and places it once."""
+    """sum_i w_i op_i over the n cells, every w_i 1 by default; a diagonal
+    op (sigma_z, a diagonal H^C) is placed once (``_diagonal_sum``)."""
     w = np.ones(n) if weights is None else weights
     if (diagonal := exact_diagonal(op)) is None:
         return cell_terms(n, d, [(op, [i], w[i]) for i in range(n) if w[i] != 0])
+    return np.diag(_diagonal_sum(n, d, diagonal, w))
+
+
+def _diagonal_sum(n: int, d: int, diagonal: np.ndarray, w) -> np.ndarray:
+    """The diagonal of sum_i w_i op_i for a cell operator op = diag(diagonal),
+    summed over the cells' digits in cell order as ``cell_terms`` adds the
+    terms, skipping zero weights."""
     digits, out = cell_digits(n, d), np.zeros(d**n, dtype=complex)
     for i in range(n):
         if w[i] != 0:
             out += w[i] * diagonal[digits[:, i]]
-    return np.diag(out)
+    return out
 
 
 def embed_cell_op(
@@ -259,6 +265,15 @@ def register_hamiltonian(model: RegisterModel) -> np.ndarray:
     if model.interaction is not None:
         h = h + model.interaction
     return h
+
+
+def register_energies(model: RegisterModel) -> np.ndarray | None:
+    """The diagonal of ``register_hamiltonian``, with no D x D array, when
+    H is its cells' diagonal H^C alone, with no interaction; else None."""
+    n, h = model.n_cells, exact_diagonal(model.cell_hamiltonian)
+    if h is None or model.interaction is not None:
+        return None
+    return _diagonal_sum(n, model.cell_dim, h, np.ones(n))
 
 
 def total_sz(n: int) -> np.ndarray:

@@ -3,12 +3,12 @@ the C(2N, N) packed block entries of block-diagonal qubit states.  Checked
 against the Gamma form, the dense generator and the independent pairwise
 dissipator; stacked against per-state integration, bit for bit, and
 against the Gamma-form trajectory; the run plan's block rule and the
-fallbacks; the drift built from each sector's G against the term blocks;
-F, delta and E on packed blocks against the D x D values; the
-block-by-block eigenvalue check of ``check_state``; and the exact solver
-on the excitation sector against ``propagate_exact``, with its
-fallbacks, and its generator against the column build and the pairwise
-dissipator."""
+fallbacks; the drift built from each sector's G against the term blocks
+made from the move blocks; F, delta and E on packed blocks against the
+D x D values; the block-by-block eigenvalue check of ``check_state``; and
+the exact solver on the excitation sector against ``propagate_exact``,
+with its fallbacks, and its generator against the column build and the
+pairwise dissipator."""
 
 import tracemalloc
 from math import comb, prod
@@ -237,12 +237,15 @@ def sigma_plus_register(n: int) -> RegisterModel:
 
 
 def term_block_drift(liouv, layout) -> list:
-    """B_q = iH_q + sum_k lambda_k J_k^+ J_k / 2 from the term blocks J_k
-    (``LindbladSet.excitation_blocks``): the reference for the G route."""
-    h = liouv.hamiltonian
+    """B_q = iH_q + sum_k lambda_k J_k^+ J_k / 2 from the term blocks
+    J_k = sum_i u_ki X_i, X_i the cell operator's move blocks
+    (``ExcitationBlocks.move_blocks``): the reference for the G route."""
+    h, lset = liouv.hamiltonian, liouv.lindblad
     drift = [1j * h[np.ix_(s, s)] for s in layout.states]
-    for _, rates, blocks in liouv.lindblad.excitation_blocks().values():
-        for q, j in blocks.items():  # j: (K, C(N, q + s), C(N, q))
+    for sector, (rates, weights) in lset.sectors.items():
+        a = liouvillian._sector_cell_op(lset.model, sector)
+        for q, x in layout.move_blocks(a, lset._q_shifts[sector]):
+            j = np.einsum("ki,iab->kab", weights, x)  # (K, C(N, q + s), C(N, q))
             drift[q] += 0.5 * np.einsum("k,kab,kac->bc", rates, j.conj(), j)
     return drift
 
@@ -784,8 +787,8 @@ def test_large_rk4_workload_takes_the_block_form(monkeypatch):
 
 def test_block_simulate_builds_no_term_block_and_unpacks_no_snapshot(monkeypatch):
     """An N = 8 block run through the runner (a Lamb shift, so H' has
-    off-diagonal blocks): the drift comes from each sector's G, not the
-    term blocks, and the sink reads F, delta and E from the packed
+    off-diagonal blocks): the drift comes from each sector's G, not from
+    move blocks, and the sink reads F, delta and E from the packed
     snapshots."""
     raw = {
         "experiment": "simulate",
@@ -799,7 +802,7 @@ def test_block_simulate_builds_no_term_block_and_unpacks_no_snapshot(monkeypatch
     def refuse(name):
         return lambda *args: pytest.fail(f"{name} was called")
 
-    monkeypatch.setattr(LindbladSet, "excitation_blocks", refuse("excitation_blocks"))
+    monkeypatch.setattr(ExcitationBlocks, "move_blocks", refuse("move_blocks"))
     monkeypatch.setattr(ExcitationBlocks, "unpack", refuse("unpack"))
     table = expcli.run_simulate(cfg)
     assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]]
@@ -807,8 +810,9 @@ def test_block_simulate_builds_no_term_block_and_unpacks_no_snapshot(monkeypatch
 
 
 # The exact solver on the excitation sector: C(2N, N)-square generator,
-# assembled from the terms' excitation blocks, instead of the D^2 x D^2
-# superoperator, when the states and H are block-diagonal.
+# assembled from each sector's G and its cell operator's move blocks,
+# instead of the D^2 x D^2 superoperator, when the states and H are
+# block-diagonal.
 
 
 def assert_exact_is_propagate_exact(liouv, states, form: str) -> None:
@@ -903,7 +907,7 @@ def sector_columns(liouv, layout: ExcitationBlocks) -> np.ndarray:
 
 
 def test_block_sector_generator_is_the_column_build():
-    """M from the term blocks = the column build from Liouvillian.apply =
+    """M from each sector's G = the column build from Liouvillian.apply =
     the pairwise dissipator plus the H term on random block-diagonal
     states, to TOL relative: sigma- and sigma_z registers at N = 2-6, with
     gamma+ = 0 and > 0, a Lamb shift and a gauge-phased bath."""
@@ -952,3 +956,63 @@ def test_exact_places_no_operator(monkeypatch):
     monkeypatch.setattr(Liouvillian, "apply", lambda self, rho: pytest.fail("apply was called"))
     table = expcli.run_simulate(expcli.config_from_dict(raw))
     assert table.provenance["solver"]["forms"] == [["blocks", "blocks"]] * 2
+
+
+def test_the_exact_sector_reads_each_sectors_g_not_the_terms(monkeypatch):
+    """Once each sector's G and Q shift are known, an exact run on the
+    sector reads no term rate or weight (``LindbladSet.sectors``), and
+    gives the same bits."""
+    n = 4
+    liouv = build_liouvillian(
+        qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0, delta_ratio=0.5)
+    )
+    states = [dicke_state(n, 2), pair_singlet_state(n)]
+    want = evolve(liouv, states, 1.0, 0.1, stride=4, method="exact")
+    lset = liouv.lindblad
+    assert lset.gammas is not None and lset._q_shifts is not None
+    monkeypatch.setattr(LindbladSet, "sectors", property(lambda self: pytest.fail("sectors was read")))
+    got = evolve(liouv, states, 1.0, 0.1, stride=4, method="exact")
+    for g, w in zip(got, want):
+        assert g.metadata["form"] == "blocks"
+        assert g.states.tobytes() == w.states.tobytes()
+
+
+def test_exact_packs_a_vector_without_its_density_matrix(monkeypatch):
+    """The sector packs state vectors as psi_q psi_q^+, with no D x D
+    matrix and bitwise as their matrices pack; the superoperator still
+    takes each state's D x D."""
+    n = 4
+    liouv = build_liouvillian(qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
+    psis = [pair_singlet_state(n), dicke_state(n, 2)]
+    want = evolve(liouv, [np.outer(p, p.conj()) for p in psis], 1.0, 0.1, stride=4, method="exact")
+    built = []
+    density = dynamics._density
+    monkeypatch.setattr(dynamics, "_density", lambda s: built.append(s.shape) or density(s))
+    got = evolve(liouv, psis, 1.0, 0.1, stride=4, method="exact")
+    assert built == []
+    for g, w in zip(got, want):
+        assert g.metadata == w.metadata and g.metadata["form"] == "blocks"
+        assert g.states.tobytes() == w.states.tobytes()
+    uniform = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    dense = evolve(liouv, [uniform], 1.0, 0.1, stride=4, method="exact")[0]
+    assert dense.metadata["form"] == "dense" and built == [(2**n,)]
+
+
+@pytest.mark.parametrize("lamb", [False, True])
+def test_exact_sector_on_scaled_sigma_cells_is_propagate_exact(lamb):
+    """Cells of 2 sigma-: the move blocks carry the cell operator's entry
+    c = 2 into the sector generator, and the exact run on the sector is
+    ``propagate_exact`` to 1e-10 relative."""
+    n = 4
+    model = RegisterModel(
+        n_cells=n, cell_dim=2, cell_op=2 * SIGMA_MINUS, cell_hamiltonian=SIGMA_Z, epsilon=1.0
+    )
+    spec = exponential_decay(n, 0.1, 0.02, 1.5, delta_ratio=0.5 if lamb else 0.0)
+    liouv = build_liouvillian(model, spec)
+    states = [dicke_state(n, 2), block_state(n, rng_for(f"exact-scaled-{lamb}"))]
+    trajs = evolve(liouv, states, 1.0, 0.1, stride=4, method="exact")
+    for psi, traj in zip(states, trajs):
+        assert traj.metadata["form"] == "blocks"
+        for t, state in zip(traj.times, traj.states):
+            ref = propagate_exact(liouv, psi, float(t))
+            assert np.abs(state - ref).max() <= 1e-10 * np.abs(ref).max()

@@ -182,7 +182,7 @@ def sector_bath(kind: str, n: int, gp: float):
 @pytest.mark.parametrize("register, n, kind, gp", list(sector_cases()))
 def test_sector_null_code_is_common_nullspace(register, n, kind, gp):
     lset = canonical_form(register(n), sector_bath(kind, n, gp))
-    assert lset.excitation_blocks() is not None
+    assert lset._q_shifts is not None
     code = null_code(lset)
     want = common_nullspace(lset.operators(), dim=2**n)
     assert code.dim == want.shape[1]
@@ -199,7 +199,7 @@ def test_null_code_falls_back_to_common_nullspace(case):
     else:
         cell = SX if case == "sigma_x" else np.diag([1.0, 0.0, -1.0]) + 0.5 * SX3
         lset = canonical_form(dephasing_register(4, cell), cell_limit(4, 0.4, 0.1))
-    assert lset.excitation_blocks() is None
+    assert lset._q_shifts is None
     want = common_nullspace(lset.operators(), dim=lset.terms[0].dim)
     assert np.array_equal(null_code(lset).basis, want)
 

@@ -1165,6 +1165,28 @@ def test_dephasing_rule_tests_the_cell_operator_before_the_register():
     assert peak < 2**20
 
 
+def test_the_dephasing_load_check_reads_h_from_the_cells():
+    # sigma_z cells with no interaction: H is the cells' diagonal H^C
+    # summed, so the N = 10 load check places no D x D array (three at
+    # 16 MiB each when H was built and tested).
+    import tracemalloc
+
+    raw = simulate_config(
+        register={"n": 10, "kind": "dephasing"},
+        initial_states=["singlet", "symmetric"],
+    )
+    raw["bath"]["delta_ratio"] = 0.5
+    raw["solver"]["method"] = "dephasing"
+    tracemalloc.start()
+    try:
+        cfg = config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.solver["method"] == "dephasing"
+    assert peak < 2**20
+
+
 def test_oversized_codes_register_is_config_error(tmp_path, capsys):
     raw = {
         "experiment": "codes",
@@ -1364,10 +1386,11 @@ def test_emit_never_truncates_an_output_to_zero(tmp_path, monkeypatch):
 @pytest.mark.parametrize("experiment", ["tau_sweep", "codes"])
 def test_runners_rate_all_states_in_one_call(tmp_path, monkeypatch, experiment):
     # codes rates its basis columns in one call, as the columns of one
-    # (D, S) stack.  tau_sweep builds the cell covariance of its states
-    # once per run for each sector with terms, in one digit-move pass over
-    # all of them, and contracts it with every point's G; without
-    # gamma_plus the plus sector is never built.
+    # (D, S) stack.  tau_sweep rates its states in one call per point,
+    # which builds their cell covariance once per run for each sector with
+    # terms, in one digit-move pass over all of them, and contracts it
+    # with every point's G; without gamma_plus the plus sector is never
+    # built.
     from qregsim import expcli, observables
     from qregsim.expcli import build_bath, build_register
     from qregsim.liouvillian import canonical_form
@@ -1376,7 +1399,9 @@ def test_runners_rate_all_states_in_one_call(tmp_path, monkeypatch, experiment):
     calls = []
     rate = expcli.pure_decoherence_rate
     monkeypatch.setattr(
-        expcli, "pure_decoherence_rate", lambda lset, psi: calls.append(psi.shape) or rate(lset, psi)
+        expcli,
+        "pure_decoherence_rate",
+        lambda lset, psi, *known: calls.append(psi.shape) or rate(lset, psi, *known),
     )
     if experiment == "tau_sweep":
         passes = []
@@ -1389,13 +1414,14 @@ def test_runners_rate_all_states_in_one_call(tmp_path, monkeypatch, experiment):
         states = ["singlet", "symmetric", "uniform"]
         for gamma_plus, sectors in [(0.02, [-1, 1]), (0.0, [-1])]:
             passes.clear()
+            calls.clear()
             raw = _tau_sweep_config(tmp_path, {"n": 6}, states)
             raw["bath"]["gamma_plus"] = gamma_plus
             raw["sweep"]["values"] = [0.5, 1.0, 2.0]
             cfg = config_from_dict(raw)
             table = run_tau_sweep(cfg)
             assert passes == [(sector, (64, 3)) for sector in sectors]
-            assert calls == [] and table.values.shape == (3, 4)
+            assert calls == [(64, 3)] * 3 and table.values.shape == (3, 4)
             model = build_register(cfg)
             psis = [build_state(name, model) for name in states]
             for row in table.values:

@@ -29,7 +29,7 @@ from qregsim import (
     replica_symmetric,
     superoperator_matrix,
 )
-from qregsim import dynamics, evolve_into, expcli, liouvillian
+from qregsim import dynamics, evolve_into, expcli, liouvillian, observables
 from qregsim.errors import DimensionMismatch, QregError, TooLarge
 from qregsim.linalg import vec
 from qregsim.liouvillian import (
@@ -476,6 +476,24 @@ def test_covariance_route_is_the_operator_rate(seed, n, sigma_z, plus, n_states)
         scale = second_moments(lset, psi)
         assert abs(rate - operator_rate(lset, psi)) <= TOL * scale
         assert abs(rate - one) <= TOL * scale
+
+
+def test_a_shared_known_builds_each_covariance_once(monkeypatch):
+    """``pure_decoherence_rate`` passes ``known`` on to
+    ``cell_covariances``: rated under another bath's set with the same
+    dict, the states' cell covariance is read, not built, and the rates
+    are a fresh call's, bit for bit."""
+    n = 6
+    model = qubit_register(n)
+    psis = np.stack([pair_singlet_state(n), random_pure_state(rng_for("known"), 2**n)], axis=1)
+    first, second = (canonical_form(model, exponential_decay(n, 0.1, 0.02, xi)) for xi in (1.0, 5.0))
+    assert first.structured and second.structured
+    known = {}
+    pure_decoherence_rate(first, psis, known)
+    assert sorted(known) == [-1, 1]
+    want = pure_decoherence_rate(second, psis)
+    monkeypatch.setattr(observables, "_covariance", lambda *args: pytest.fail("V was built"))
+    assert pure_decoherence_rate(second, psis, known).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
