@@ -22,9 +22,13 @@ block form packs psi psi^+ block by block; the dense, Gamma, exact and
 closed-form groups build the D x D matrix.
 
 ``evolve_into`` is the one entry point: every solver hands each snapshot,
-checked once by ``check_state``, to a sink.  A packed snapshot is checked
-on its blocks and goes to the sink packed, with its layout, in float64
-from a real block run; the observables take it as it is.  ``evolve``
+checked once by ``check_state``, to a sink.  The check takes the stack of
+all states' snapshot k at once and certifies it with one Cholesky
+factorization per block, shifted by just under 1e-7; only a stack the
+certificate fails is diagonalized (``eigvalsh``), state by state, for the
+verdict and the message.  A packed snapshot is checked on its blocks and
+goes to the sink packed, with its layout, in float64 from a real block
+run; the observables take it as it is.  ``evolve``
 unpacks and stores them in Trajectories, ``integrate`` is ``evolve`` of
 one state, and the CLI's runner turns them into observables as they
 come.
@@ -107,7 +111,9 @@ class Trajectory:
 
     Every stored state must satisfy the density-matrix invariants
     (|tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect
-    <= 1e-9); construction fails otherwise (``check_state``).
+    <= 1e-9); construction fails otherwise.  The (k, d, d) stack is
+    checked in one ``check_state``: certified by one Cholesky per block
+    for all snapshots, with ``eigvalsh`` only when that fails.
     """
 
     times: np.ndarray
@@ -123,8 +129,7 @@ class Trajectory:
             raise DimensionMismatch("times and states lengths differ")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
-        for k in range(s.shape[0]):
-            check_state(s[k])
+        check_state(s)
 
     @classmethod
     def _prechecked(cls, times, states, metadata) -> Trajectory:
@@ -442,12 +447,12 @@ class _Run:
             self.rk4(points, group.states, stack)
 
     def emit_stack(self, rows, k: int, snaps, layout=None) -> None:
-        """Check snapshot k of each row ((generator, index, state)) once,
-        then hand it to the sink with ``layout``; ``snaps`` are their
-        snapshots in row order, D x D (``layout`` None), or packed on
-        ``layout`` and checked on their blocks."""
+        """Check snapshot k of every row ((generator, index, state)) in one
+        ``check_state`` of the stack, then hand each to the sink with
+        ``layout``; ``snaps`` is their stack in row order, (R, D, D)
+        (``layout`` None), or packed on ``layout``, (S, M)."""
+        check_state(snaps, layout)
         for (liouv, p, s), rho in zip(rows, snaps):
-            check_state(rho, layout)
             self.sink(liouv, p, s, k, rho, layout)
 
     def rk4(self, points, states, stack) -> None:
@@ -572,7 +577,7 @@ class _Run:
         closed, times = _closed_form(liouv), self.steps * self.h
         for s, state in enumerate(self.rhos):
             for k, snap in enumerate(_closed_snapshots(closed, _density(state), times)):
-                self.emit_stack([(liouv, p, s)], k, [snap])
+                self.emit_stack([(liouv, p, s)], k, snap[None])
         self.metas[p] = [{"method": "dephasing", "form": "dephasing"} for _ in self.rhos]
 
 
@@ -929,20 +934,117 @@ def _packed_report(packed: np.ndarray, layout) -> dict[str, float]:
 
 
 def check_state(rho: np.ndarray, layout=None) -> None:
-    """Raise UnstableStep unless rho satisfies the state invariants:
-    |tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity defect <= 1e-9.
-    rho is D x D, or its packed blocks on ``layout``, complex or real; a
-    large block-diagonal rho is checked block by block
-    (``state_defect_report``).
+    """Raise UnstableStep unless every state of rho satisfies the state
+    invariants: |tr - 1| <= 1e-8, min eigenvalue >= -1e-7, Hermiticity
+    defect <= 1e-9.  rho is one state or a stack of them: D x D or
+    (R, D, D), or with ``layout`` packed blocks, (M,) or (S, M); complex
+    or real.
+
+    The whole stack is certified first, with no eigenvalue (``_certified``):
+    one Cholesky factorization per block for all states at once.  Only
+    when the certificate fails is each state checked in turn on its
+    ``state_defect_report``, whose ``eigvalsh`` gives the number in the
+    message, so a failing stack raises the text of its first failing
+    state.  A large block-diagonal D x D rho is factorized, and on failure
+    diagonalized, block by block.
     """
-    rep = state_defect_report(rho, layout)
-    if rep["trace_defect"] > 1e-8:
-        raise UnstableStep(f"trace defect {rep['trace_defect']:.3e} > 1e-8")
-    if rep["min_eigenvalue"] < -1e-7:
-        raise UnstableStep(
-            f"negative eigenvalue {rep['min_eigenvalue']:.3e} < -1e-7"
-        )
-    if rep["hermiticity_defect"] > 1e-9:
-        raise UnstableStep(
-            f"hermiticity defect {rep['hermiticity_defect']:.3e} > 1e-9"
-        )
+    rho = np.asarray(rho)
+    states = rho[None] if rho.ndim == (2 if layout is None else 1) else rho
+    if _certified(states, layout):
+        return
+    for state in states:
+        rep = state_defect_report(state, layout)
+        if rep["trace_defect"] > 1e-8:
+            raise UnstableStep(f"trace defect {rep['trace_defect']:.3e} > 1e-8")
+        if rep["min_eigenvalue"] < -1e-7:
+            raise UnstableStep(
+                f"negative eigenvalue {rep['min_eigenvalue']:.3e} < -1e-7"
+            )
+        if rep["hermiticity_defect"] > 1e-9:
+            raise UnstableStep(
+                f"hermiticity defect {rep['hermiticity_defect']:.3e} > 1e-9"
+            )
+
+
+# The certificate's Cholesky shift, 1e-7 less a margin of 1e-9: half of it
+# bounds how far the factorized triangle's Hermitian matrix is from
+# rho_q's Hermitian part (half the Hermiticity defect), the other half
+# Cholesky's backward error, m (m + 1) eps ||rho_q|| for an m x m block
+# (Higham, Accuracy and Stability of Numerical Algorithms, thm. 10.3),
+# which covers m <= CERTIFY_MAX_ROWS: ||rho_q|| stays near 1, as the trace
+# is 1 and every block is certified nearly positive.
+CERTIFY_SHIFT = 1e-7 - 1e-9
+CERTIFY_MAX_ROWS = 2000
+# A defect within this fraction of its bound is left to the report: its
+# sums may round differently from the certificate's.
+CERTIFY_SLACK = 1e-3
+
+
+def _certified(rhos: np.ndarray, layout=None) -> bool:
+    """Whether every state of the stack ``rhos`` surely passes
+    ``check_state``, shown with no eigenvalue.  False means only that the
+    certificate does not hold.
+
+    The trace defects, per state, and the Hermiticity defects, summed in
+    quadrature over the states (a bound on each), are computed from the
+    entries ``state_defect_report`` reads and must lie within
+    CERTIFY_SLACK of their bounds.  Each block of rho_q + CERTIFY_SHIFT I, taken over all
+    states at once (one ``np.linalg.cholesky`` per block; a 1 x 1 block by
+    a plain comparison), must then factorize: every eigenvalue of rho_q's
+    Hermitian part exceeds -1e-7 (the shift's note), and the spectrum of a
+    block-diagonal rho is the union of its blocks'.  A packed stack is
+    taken block by block; a D x D one below STRUCTURED_MIN_DIM (read at
+    call time) as one block; above it, one state at a time, on its blocks
+    when it has no entry between different excitation numbers
+    (``_on_blocks``) and as one block otherwise.  Every temporary is one
+    block stack or one packed state."""
+    if rhos.dtype not in (np.float64, np.complex128) or rhos.size == 0:
+        return False
+    if layout is not None:
+        if rhos.ndim != 2 or rhos.shape[1] != layout.size:
+            return False
+        return _certify(layout.blocks(rhos), layout.trace(rhos))
+    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+        return False
+    d = rhos.shape[1]
+    if d < STRUCTURED_MIN_DIM:
+        return _certify([rhos], np.trace(rhos, axis1=1, axis2=2))
+    n = d.bit_length() - 1
+    for rho in rhos:
+        if d == 2**n and _on_blocks(rho, n):
+            layout = excitation_layout(n)
+            if not _certified(layout.pack(rho)[None], layout):
+                return False
+        elif not _certify([rho[None]], np.trace(rho)[None]):
+            return False
+    return True
+
+
+def _certify(blocks, traces: np.ndarray) -> bool:
+    """``_certified`` of the states whose blocks are ``blocks``, each an
+    (S, m, m) stack, and whose traces are ``traces``."""
+    if not all(abs(t - 1.0) <= 1e-8 * (1 - CERTIFY_SLACK) for t in traces.tolist()):
+        return False
+    herm = 0.0
+    for block in blocks:
+        states, m = block.shape[0], block.shape[-1]
+        if m > CERTIFY_MAX_ROWS:
+            return False
+        work = np.empty(block.shape, dtype=block.dtype)
+        np.copyto(work, block.swapaxes(1, 2))
+        if work.dtype == np.complex128:
+            np.conjugate(work, out=work)
+        np.subtract(block, work, out=work)
+        skew = work.reshape(-1).view(np.float64)
+        herm += float(np.dot(skew, skew))
+        if m == 1:  # the Hermitian part of a 1 x 1 block is its real part
+            if not np.all(block.real > -CERTIFY_SHIFT):
+                return False
+            continue
+        np.copyto(work, block)
+        work.reshape(states, -1)[:, :: m + 1] += CERTIFY_SHIFT
+        try:
+            np.linalg.cholesky(work)
+        except np.linalg.LinAlgError:
+            return False
+    return herm <= (1e-9 * (1 - CERTIFY_SLACK)) ** 2

@@ -999,7 +999,8 @@ class Liouvillian:
     ``codes``, ``dephasing_solve``) place no D x D operator for it.  Which
     form a solver run takes is ``dynamics.plan``'s rule.
     ``stability_scale``, the largest rate plus the spectral radius of H,
-    is computed on first read (a dense ``eigvalsh`` unless H is diagonal).
+    is computed on first read (an ``eigvalsh`` unless H is diagonal: of
+    each Q block when H keeps Q, else dense).
     """
 
     hamiltonian: np.ndarray
@@ -1030,9 +1031,25 @@ class Liouvillian:
 
     @cached_property
     def stability_scale(self) -> float:
-        h_diag = self.hamiltonian_diagonal
-        energies = np.linalg.eigvalsh(self.hamiltonian) if h_diag is None else h_diag
-        return self.lindblad.max_rate() + float(np.abs(energies).max(initial=0.0))
+        """The largest rate plus the spectral radius of H: from H's
+        diagonal when H is diagonal; from ``eigvalsh`` of each block of
+        ``hamiltonian_blocks`` when the set's cell operators move Q by fixed
+        amounts (``LindbladSet._q_shifts``) and H keeps Q, since a
+        block-diagonal H's spectrum is the union of its blocks'; otherwise
+        from one dense ``eigvalsh``."""
+        lindblad, energies = self.lindblad, self.hamiltonian_diagonal
+        if energies is not None:
+            radius = float(np.abs(energies).max(initial=0.0))
+        elif (
+            lindblad._q_shifts is not None
+            and lindblad.model.dim == self.dim
+            and self.hamiltonian_keeps_q
+        ):
+            blocks = excitation_layout(lindblad.model.n_cells).blocks(self.hamiltonian_blocks)
+            radius = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
+        else:
+            radius = float(np.abs(np.linalg.eigvalsh(self.hamiltonian)).max(initial=0.0))
+        return lindblad.max_rate() + radius
 
     @cached_property
     def hamiltonian_keeps_q(self) -> bool:
@@ -1045,8 +1062,9 @@ class Liouvillian:
     @cached_property
     def hamiltonian_blocks(self) -> np.ndarray:
         """H's blocks packed on ``excitation_layout(N)``, D = 2^N: built on
-        first read and kept, so the drift (``drift_blocks``) and the energy
-        of packed snapshots pack H once per generator."""
+        first read and kept, so the drift (``drift_blocks``), the energy
+        of packed snapshots and ``stability_scale`` pack H once per
+        generator."""
         return excitation_layout(self.dim.bit_length() - 1).pack(self.hamiltonian)
 
     @cached_property

@@ -678,8 +678,21 @@ def count_eigvalsh(monkeypatch) -> list:
     return seen
 
 
+def count_cholesky(monkeypatch) -> list:
+    seen = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: seen.append(m.shape) or cholesky(m))
+    return seen
+
+
 def block_sizes(n: int) -> list:
     return [(comb(n, q),) * 2 for q in range(n + 1)]
+
+
+def factorized_blocks(n: int, states: int = 1) -> list:
+    """The (S, m, m) stacks the certificate factorizes for S packed states
+    of n qubits: every block but the two 1 x 1 ones."""
+    return [(states, comb(n, q), comb(n, q)) for q in range(1, n)]
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -722,9 +735,9 @@ def test_an_off_block_entry_triggers_the_full_check(monkeypatch):
     rho = np.zeros((64, 64), dtype=complex)
     a, b = layout.states[1][0], layout.states[2][0]
     rho[a, a] = rho[b, b] = 0.5
-    seen = count_eigvalsh(monkeypatch)
+    seen, factorized = count_eigvalsh(monkeypatch), count_cholesky(monkeypatch)
     check_state(rho)
-    assert seen == block_sizes(n)
+    assert seen == [] and factorized == factorized_blocks(n)
     # blocks of [[0.5, 0.6], [0.6, 0.5]] between the two states: eigenvalue -0.1
     rho[a, b] = rho[b, a] = 0.6
     seen.clear()
@@ -733,21 +746,21 @@ def test_an_off_block_entry_triggers_the_full_check(monkeypatch):
 
 
 def test_below_the_crossover_check_state_diagonalizes_once(monkeypatch):
-    # D = 32 < STRUCTURED_MIN_DIM: one full eigvalsh, and no layout built
+    # D = 32 < STRUCTURED_MIN_DIM: one full factorization, and no layout built
     monkeypatch.setattr(dynamics, "excitation_layout", lambda n: pytest.fail("layout built"))
-    seen = count_eigvalsh(monkeypatch)
+    seen, factorized = count_eigvalsh(monkeypatch), count_cholesky(monkeypatch)
     psi = dicke_state(5, 2)
     check_state(np.outer(psi, psi.conj()))
-    assert seen == [(32, 32)]
+    assert seen == [] and factorized == [(1, 32, 32)]
 
 
 def test_trajectory_checks_block_by_block(monkeypatch):
     n = 6
     rng = rng_for("trajectory-blocks")
     states = np.stack([block_state(n, rng), block_state(n, rng)])
-    seen = count_eigvalsh(monkeypatch)
+    seen, factorized = count_eigvalsh(monkeypatch), count_cholesky(monkeypatch)
     Trajectory(times=np.array([0.0, 1.0]), states=states)
-    assert seen == block_sizes(n) * 2
+    assert seen == [] and factorized == factorized_blocks(n) * 2
 
 
 def test_rk4_metadata_names_the_form():
@@ -851,30 +864,24 @@ def test_exact_falls_back_to_the_superoperator(case):
     assert_exact_is_propagate_exact(liouv, states, "dense")
 
 
-@pytest.mark.parametrize(
-    "min_dim, sizes", [(64, [(16, 16)]), (16, [(comb(4, q),) * 2 for q in range(5)])]
-)
+@pytest.mark.parametrize("min_dim, sizes", [(64, [(1, 16, 16)]), (16, factorized_blocks(4))])
 def test_exact_checks_snapshots_per_block_from_the_crossover(min_dim, sizes, monkeypatch):
     liouv = build_liouvillian(qubit_register(4), exponential_decay(4, 0.1, 0.02, 1.0))
     monkeypatch.setattr(dynamics, "STRUCTURED_MIN_DIM", min_dim)
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape) or eigvalsh(m))
+    seen, factorized = count_eigvalsh(monkeypatch), count_cholesky(monkeypatch)
     traj = evolve(liouv, [dicke_state(4, 2)], 0.2, 0.1, stride=1, method="exact")[0]
     assert traj.metadata["form"] == "blocks"
-    assert seen == sizes * len(traj)
+    assert seen == [] and factorized == sizes * len(traj)
 
 
-@pytest.mark.parametrize("n, sizes", [(6, [comb(6, q) for q in range(7)]), (4, [16])])
+@pytest.mark.parametrize("n, sizes", [(6, factorized_blocks(6)), (4, [(1, 16, 16)])])
 def test_dephasing_checks_snapshots_per_block(n, sizes, monkeypatch):
     liouv = build_liouvillian(dephasing_register(n), exponential_decay(n, 0.1, 0.02, 1.0))
     uniform = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[0]) or eigvalsh(m))
+    seen, factorized = count_eigvalsh(monkeypatch), count_cholesky(monkeypatch)
     block, mixing = evolve(liouv, [dicke_state(n, 2), uniform], 1.0, 0.5, 1, "dephasing")
     # the uniform state's snapshots are not block-diagonal: full checks
-    assert seen == sizes * len(block) + [2**n] * len(mixing)
+    assert seen == [] and factorized == sizes * len(block) + [(1, 2**n, 2**n)] * len(mixing)
 
 
 def test_exact_sweep_workload_takes_the_sector(monkeypatch):

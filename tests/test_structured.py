@@ -205,12 +205,46 @@ def test_stability_scale_is_rate_plus_spectral_norm(ring):
     assert abs(liouv.stability_scale - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("kind", ["lamb", "ring", "diagonal"])
+def test_stability_scale_on_the_q_blocks_is_the_dense_one(kind, n, monkeypatch):
+    """An H that keeps Q (a Lamb shift, a Heisenberg ring) has its radius
+    from one eigvalsh per Q block, a diagonal H from its diagonal: equal to
+    the dense radius to 1e-12."""
+    model = qubit_register(n, interaction=heisenberg_ring(n, 0.7) if kind == "ring" else None)
+    spec = exponential_decay(n, 0.1, 0.02, 1.0, delta_ratio=0.5 if kind == "lamb" else 0.0)
+    liouv = build_liouvillian(model, spec)
+    assert (liouv.hamiltonian_diagonal is None) == (kind != "diagonal")
+    want = liouv.lindblad.max_rate() + np.abs(np.linalg.eigvalsh(liouv.hamiltonian)).max()
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(len(m)) or eigvalsh(m))
+    assert abs(liouv.stability_scale - want) <= 1e-12 * want
+    blocks = [len(s) for s in liouvillian.excitation_layout(n).states]
+    assert seen == ([] if kind == "diagonal" else blocks)
+
+
+def test_stability_scale_of_an_h_off_the_q_blocks_is_dense(monkeypatch):
+    n = 6
+    model = qubit_register(n)
+    liouv = build_liouvillian(model, exponential_decay(n, 0.1, 0.02, 1.0))
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    h = liouv.hamiltonian + 0.3 * embed_cell_op(model, 1, sigma_x)
+    liouv = Liouvillian(hamiltonian=h, lindblad=liouv.lindblad)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(len(m)) or eigvalsh(m))
+    want = liouv.lindblad.max_rate() + np.linalg.norm(h, 2)
+    assert abs(liouv.stability_scale - want) <= 1e-12 * want
+    assert not liouv.hamiltonian_keeps_q and seen == [2**n]
+
+
 def test_forms_and_the_stability_scale_are_built_on_first_use(monkeypatch):
     """build_liouvillian at N = 10 with a Lamb shift (H not diagonal)
     runs no eigvalsh and builds no form, under a peak of four D x D
     arrays (the Hamiltonian, the Lamb shift, their sum and a temporary);
-    reading stability_scale runs one eigvalsh, the first apply (or _form)
-    builds the form, and both are cached."""
+    reading stability_scale runs one eigvalsh per Q block of H, which keeps
+    Q, the first apply (or _form) builds the form, and both are cached."""
     n = 10
     model, spec = qubit_register(n), exponential_decay(n, 0.1, 0.02, 1.0, delta_ratio=0.5)
     small = (qubit_register(3), exponential_decay(3, 0.1, 0.02, 1.0))
@@ -230,15 +264,15 @@ def test_forms_and_the_stability_scale_are_built_on_first_use(monkeypatch):
         tracemalloc.stop()
     assert events == [] and liouv.lindblad.structured
     assert peak <= 4 * 16 * 4**n
-    scale = liouv.stability_scale
-    assert liouv.stability_scale == scale and events == ["eigvalsh"]
+    scale, scaled = liouv.stability_scale, ["eigvalsh"] * (n + 1)
+    assert liouv.stability_scale == scale and events == scaled
     assert isinstance(liouv._form, _GammaForm) and liouv._form is liouv._form
-    assert events == ["eigvalsh", _GammaForm]
+    assert events == scaled + [_GammaForm]
     small = build_liouvillian(*small)
-    assert events == ["eigvalsh", _GammaForm]
+    assert events == scaled + [_GammaForm]
     rho = np.eye(8, dtype=complex) / 8
     assert small.apply(rho).tobytes() == small.apply(rho).tobytes()
-    assert events == ["eigvalsh", _GammaForm, _DenseForm]
+    assert events == scaled + [_GammaForm, _DenseForm]
 
 
 def hand_built(n: int) -> Liouvillian:
